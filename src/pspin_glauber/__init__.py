@@ -47,6 +47,7 @@ from .phase_geometry import (
 from .dynamics import (
     CouplingSpec,
     CouplingTrace,
+    LevelKernel,
     MagKernelRow,
     MetastableSpec,
     RunSpec,
@@ -60,8 +61,6 @@ from .dynamics import (
     rng_stream,
     run_chain,
     run_coupling,
-    step_full,
-    step_restricted,
 )
 from .mixing_analysis import (
     EXACT,

@@ -14,12 +14,14 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import dynamics, mixing_analysis, phase_geometry, svg
+from .phase_geometry import _fmt
 from .potential import DomainError, ModelParams, drift_field
 
 SCHEMA_VERSION = "1"
@@ -31,8 +33,28 @@ def real(text: str) -> float:
     s = text.strip()
     if "/" in s:
         num, den = s.split("/", 1)
-        return float(num) / float(den)
+        try:
+            return float(num) / float(den)
+        except ZeroDivisionError:
+            raise argparse.ArgumentTypeError(f"division by zero in {text!r}") from None
     return float(s)
+
+
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """Join a negative value to its flag: '--h -8.5e-05' -> '--h=-8.5e-05'.
+
+    argparse only takes plain decimals such as '-0.5' for negative numbers
+    and reads '-8.5e-05' or '-1/3' as an unknown option.  No flag here
+    starts with '-' and a digit.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and re.match(r"-\.?\d", tok)):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _positive_int(text: str) -> int:
@@ -88,10 +110,6 @@ def _csv_envelope(body: str) -> str:
     return f"# schema_version={SCHEMA_VERSION}\n{body}"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _params(args) -> ModelParams:
     return ModelParams(args.p, args.beta, args.h)
 
@@ -99,7 +117,10 @@ def _params(args) -> ModelParams:
 def _jobs(args) -> int:
     if args.jobs is not None:
         return args.jobs
-    return int(os.environ.get(JOBS_ENV, "1"))
+    text = os.environ.get(JOBS_ENV, "1")
+    if not text.strip().isdigit() or int(text) < 1:
+        raise ValueError(f"{JOBS_ENV} must be a positive integer, got {text!r}")
+    return int(text)
 
 
 # -- subcommand implementations ----------------------------------------------
@@ -165,32 +186,23 @@ def _mode(name: str) -> str:
     return {"exact": mixing_analysis.EXACT, "mc": mixing_analysis.MONTE_CARLO}[name]
 
 
+def _mixing_report(params, n, eps, cap, restricted, **options):
+    run = (mixing_analysis.restricted_mixing_time if restricted
+           else mixing_analysis.mixing_time)
+    return run(params, n, eps, cap, **options)
+
+
 def _cmd_mix(args) -> None:
-    report = mixing_analysis.mixing_time(
-        _params(args), args.n, args.eps, args.cap, mode=_mode(args.method),
-        seed=args.seed, replicas=args.replicas,
-    )
-    _write(args.out, _json_envelope("MixingReport", report.to_dict()))
-
-
-def _cmd_restricted_mix(args) -> None:
-    report = mixing_analysis.restricted_mixing_time(
-        _params(args), args.n, args.eps, args.cap, mode=_mode(args.method),
-        seed=args.seed, replicas=args.replicas,
-    )
+    report = _mixing_report(_params(args), args.n, args.eps, args.cap,
+                            args.restricted, mode=_mode(args.method),
+                            seed=args.seed, replicas=args.replicas)
     _write(args.out, _json_envelope("MixingReport", report.to_dict()))
 
 
 def _sweep_job(job):
     (p, beta, h, n, eps, cap, method, seed, restricted) = job
-    params = ModelParams(p, beta, h)
-    if restricted:
-        rep = mixing_analysis.restricted_mixing_time(params, n, eps, cap,
-                                                     mode=method, seed=seed)
-    else:
-        rep = mixing_analysis.mixing_time(params, n, eps, cap, mode=method,
-                                          seed=seed)
-    return n, rep
+    return n, _mixing_report(ModelParams(p, beta, h), n, eps, cap, restricted,
+                             mode=method, seed=seed)
 
 
 def _cmd_mix_sweep(args) -> None:
@@ -318,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_phase_diagram)
 
-    for name, fn, restricted in (("mix", _cmd_mix, False),
-                                 ("restricted-mix", _cmd_restricted_mix, True)):
+    for name, restricted in (("mix", False), ("restricted-mix", True)):
         sp = sub.add_parser(name, help=f"{'restricted ' if restricted else ''}"
                                        "mixing time at level eps")
         add_model(sp)
@@ -328,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--method", choices=("exact", "mc"), default="exact")
         sp.add_argument("--replicas", type=_positive_int, default=10_000)
         add_common(sp)
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=_cmd_mix, restricted=restricted)
 
     sp = sub.add_parser("mix-sweep", help="mixing time across N values")
     sp.add_argument("--p", type=_order_p, required=True)
@@ -383,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_glue_negative_values(
+        sys.argv[1:] if argv is None else list(argv)))
     try:
         args.func(args)
     except (DomainError, ValueError, RuntimeError) as exc:

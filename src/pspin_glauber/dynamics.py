@@ -3,14 +3,21 @@
 A step picks a site uniformly at random and resamples its spin to +1 with
 probability ``f(c) = (1 + tanh(p*beta*c^(p-1) + h)) / 2`` where ``c`` is
 the current magnetization (including the chosen site).  The magnetization
-sum is then itself a birth-death chain on ``{-N, -N+2, ..., N}`` whose
-exact transition triple is exposed by :func:`mag_kernel`.
+sum is then itself a birth-death chain on ``{-N, -N+2, ..., N}``.
 
-Every step consumes exactly two uniforms in fixed order (site, spin), so
-two chains advanced with shared draws form the grand coupling and runs are
-bitwise reproducible from the seed.  The restricted variants reject
-proposals that cross a magnetization floor (or leave a window), keeping
-the current state instead.
+:class:`LevelKernel` is the one place this rule is tabulated.  It holds f and
+the birth-death triple (up, down, stay) of a restriction ``[lo, hi]`` of the
+sum, clamped to ``[-N, N]``, and offers the three engines everything else is
+built from: an exact push of a level law, a scalar step of a spin
+configuration and a replica step of many magnetization chains.  A move that
+would leave ``[lo, hi]`` is rejected (the state is kept); the push tables fold
+that rejection into ``stay``.  The floor of the restricted dynamics and the
+sampler's windows are both such restrictions; the unrestricted chain is the
+full interval.
+
+Every scalar step consumes exactly two uniforms in fixed order (site, spin),
+so two chains advanced with shared draws form the grand coupling and runs
+are bitwise reproducible from the seed.
 """
 
 from __future__ import annotations
@@ -110,39 +117,122 @@ def nearest_level(N: int, m: float) -> int:
     return max(-N, min(N, k))
 
 
+def _drift(params: ModelParams, c):
+    """d(c) = p*beta*c^(p-1) + h: the update rule is f(c) = sigmoid(2*d(c))."""
+    return params.p * params.beta * c ** (params.p - 1) + params.h
+
+
 def flip_up_probability(params: ModelParams, c):
     """f(c) = (1 + tanh(p*beta*c^(p-1) + h)) / 2 = sigmoid(2*d(c))."""
-    p, beta, h = params.p, params.beta, params.h
     c = np.asarray(c, dtype=float)
-    out = expit(2.0 * (p * beta * c ** (p - 1) + h))
+    out = expit(2.0 * _drift(params, c))
     return out if out.ndim else float(out)
 
 
-def mag_kernel(params: ModelParams, N: int, k: int) -> MagKernelRow:
-    """Exact birth-death transition triple at magnetization sum k.
+class LevelKernel:
+    """The heat-bath rule at size N, restricted to sums in [lo, hi].
 
-    p_up = (1-c)/2 * sigmoid(+2d), p_down = (1+c)/2 * sigmoid(-2d) with
-    d = p*beta*c^(p-1) + h and c = k/N; the sigmoid keeps both factors
-    stable for any field strength.
+    lo and hi default to -N and N and are clamped to [-N, N].  Tables:
+
+    * ``f_up`` and ``p_minus`` over all N+1 levels, indexed by (k + N) // 2:
+      the spin-up probability and the probability (N - k) / (2N) that the
+      chosen site carries -1.  They drive the scalar and replica steps.
+    * ``up``, ``down``, ``stay`` over the kept levels ``ks`` (ascending):
+      the one-step law of the restricted sum, with the rejection at lo and
+      hi folded into ``stay``.  Unrestricted, the folds add exact zeros.
+
+    up = p_minus * f_up and down = (1 - p_minus) * sigmoid(-2d) keep both
+    factors stable for any field strength.
     """
+
+    def __init__(self, params: ModelParams, N: int, lo: int | None = None,
+                 hi: int | None = None):
+        if N < 1:
+            raise DomainError(f"N must be positive, got {N}")
+        self.N = N
+        self.lo = -N if lo is None else max(-N, int(lo))
+        self.hi = N if hi is None else min(N, int(hi))
+        i0, i1 = (self.lo + N + 1) // 2, (self.hi + N) // 2
+        if i0 > i1:
+            raise DomainError(f"no level of N={N} lies in [{self.lo}, {self.hi}]")
+        ks = np.arange(-N, N + 1, 2)
+        c = ks / N
+        d = _drift(params, c)
+        self.f_up = expit(2.0 * d)
+        self.p_minus = 0.5 * (1.0 - c)
+        up = self.p_minus * self.f_up
+        down = 0.5 * (1.0 + c) * expit(-2.0 * d)
+        stay = 1.0 - up - down
+        self.ks = ks[i0:i1 + 1]
+        self.up, self.down, self.stay = up[i0:i1 + 1], down[i0:i1 + 1], stay[i0:i1 + 1]
+        self.stay[0] += self.down[0]
+        self.down[0] = 0.0
+        self.stay[-1] += self.up[-1]
+        self.up[-1] = 0.0
+        self._f_up = self.f_up.tolist()
+
+    def push(self, mu: np.ndarray) -> np.ndarray:
+        """One step of a law over the kept levels: returns mu P."""
+        out = mu * self.stay
+        out[1:] += mu[:-1] * self.up[:-1]
+        out[:-1] += mu[1:] * self.down[1:]
+        return out
+
+    def draws(self, rng: np.random.Generator, steps: int):
+        """(site, spin uniform) of `steps` scalar steps.
+
+        Uniforms are drawn in chunks of (site, spin) pairs: the same stream
+        as drawing the two uniforms of each step one step at a time.
+        """
+        N = self.N
+        for t in range(0, steps, 1 << 14):
+            for u_site, u_spin in rng.random((min(1 << 14, steps - t), 2)).tolist():
+                yield int(u_site * N), u_spin
+
+    def step(self, spins: list, k: int, i: int, u: float) -> tuple[int, bool]:
+        """Heat-bath update of site i of `spins` (a list of +-1 with sum k).
+
+        Updates `spins` in place and returns (new sum, accepted); a move that
+        would leave [lo, hi] is rejected and leaves `spins` unchanged.
+        """
+        new = 1 if u <= self._f_up[(k + self.N) >> 1] else -1
+        nk = k + new - spins[i]
+        if self.lo <= nk <= self.hi:
+            spins[i] = new
+            return nk, True
+        return k, False
+
+    def replica_step(self, ks: np.ndarray, u_site: np.ndarray,
+                     u_spin: np.ndarray) -> np.ndarray:
+        """One step of magnetization chains at sums ks (law-exact).
+
+        The site draw only matters through whether the chosen site carries
+        -1; the spin draw follows the scalar step's comparison.
+        """
+        idx = (ks + self.N) >> 1
+        is_minus = u_site < self.p_minus[idx]
+        up = u_spin <= self.f_up[idx]
+        nk = ks + (is_minus & up) * 2 - (~is_minus & ~up) * 2
+        if self.lo > -self.N or self.hi < self.N:
+            nk = np.where((nk < self.lo) | (nk > self.hi), ks, nk)
+        return nk
+
+
+def mag_kernel(params: ModelParams, N: int, k: int) -> MagKernelRow:
+    """Exact birth-death transition triple at magnetization sum k."""
     if abs(k) > N or (k + N) % 2 != 0:
         raise DomainError(f"level {k} invalid for N={N} (parity or range)")
-    c = k / N
-    d = params.p * params.beta * c ** (params.p - 1) + params.h
-    p_up = 0.5 * (1.0 - c) * float(expit(2.0 * d))
-    p_down = 0.5 * (1.0 + c) * float(expit(-2.0 * d))
-    return MagKernelRow(k=k, p_up=p_up, p_down=p_down,
-                        p_stay=1.0 - p_up - p_down)
+    kernel = LevelKernel(params, N)
+    i = (k + N) // 2
+    return MagKernelRow(k=k, p_up=float(kernel.up[i]),
+                        p_down=float(kernel.down[i]),
+                        p_stay=float(kernel.stay[i]))
 
 
 def kernel_arrays(params: ModelParams, N: int):
     """(up, down, stay) over all levels k = -N, -N+2, ..., N."""
-    ks = np.arange(-N, N + 1, 2, dtype=float)
-    c = ks / N
-    d = params.p * params.beta * c ** (params.p - 1) + params.h
-    up = 0.5 * (1.0 - c) * expit(2.0 * d)
-    down = 0.5 * (1.0 + c) * expit(-2.0 * d)
-    return up, down, 1.0 - up - down
+    kernel = LevelKernel(params, N)
+    return kernel.up, kernel.down, kernel.stay
 
 
 def _resolve_start(N: int, start) -> SpinConfig:
@@ -150,6 +240,8 @@ def _resolve_start(N: int, start) -> SpinConfig:
     if isinstance(start, SpinConfig):
         out = start.copy()
         out.validate()
+        if out.N != N:
+            raise DomainError(f"start has {out.N} spins, expected {N}")
         return out
     if start == "all_plus":
         return SpinConfig.all_plus(N)
@@ -158,38 +250,6 @@ def _resolve_start(N: int, start) -> SpinConfig:
     if isinstance(start, (int, np.integer)):
         return SpinConfig.from_magnetization(N, int(start))
     raise DomainError(f"unrecognized start {start!r}")
-
-
-def step_full(state: SpinConfig, params: ModelParams,
-              rng: np.random.Generator) -> SpinConfig:
-    """One heat-bath step in place; consumes exactly two uniforms."""
-    u_site, u_spin = rng.random(2)
-    n = state.N
-    i = int(u_site * n)
-    c = state.sum / n
-    new = np.int8(1) if u_spin <= flip_up_probability(params, c) else np.int8(-1)
-    delta = int(new) - int(state.spins[i])
-    state.spins[i] = new
-    state.sum += delta
-    return state
-
-
-def step_restricted(state: SpinConfig, params: ModelParams, threshold: int,
-                    rng: np.random.Generator) -> SpinConfig:
-    """Floor-restricted step: reject proposals with sum below threshold."""
-    if state.sum < threshold:
-        raise DomainError(f"state sum {state.sum} below threshold {threshold}")
-    u_site, u_spin = rng.random(2)
-    n = state.N
-    i = int(u_site * n)
-    c = state.sum / n
-    new = np.int8(1) if u_spin <= flip_up_probability(params, c) else np.int8(-1)
-    delta = int(new) - int(state.spins[i])
-    if state.sum + delta < threshold:
-        return state
-    state.spins[i] = new
-    state.sum += delta
-    return state
 
 
 def restricted_threshold(params: ModelParams, N: int) -> int:
@@ -232,23 +292,22 @@ class Trace:
 
 
 def run_chain(spec: RunSpec) -> Trace:
-    """Run one chain, recording the magnetization sum every record_every steps."""
-    params, N = spec.params, spec.N
-    state = _resolve_start(N, spec.start)
-    rng = rng_stream(spec.seed, 0)
-    thr = spec.threshold
-    if thr is not None and state.sum < thr:
+    """Run one chain, recording the magnetization sum every record_every steps.
+
+    A threshold restricts the chain to sums >= threshold.
+    """
+    kernel = LevelKernel(spec.params, spec.N, lo=spec.threshold)
+    state = _resolve_start(spec.N, spec.start)
+    if state.sum < kernel.lo:
         raise DomainError("start violates the restriction")
+    spins, k = state.spins.tolist(), state.sum
     times = [0]
-    sums = [state.sum]
-    for t in range(1, spec.steps + 1):
-        if thr is None:
-            step_full(state, params, rng)
-        else:
-            step_restricted(state, params, thr, rng)
+    sums = [k]
+    for t, (i, u) in enumerate(kernel.draws(rng_stream(spec.seed, 0), spec.steps), 1):
+        k, _ = kernel.step(spins, k, i, u)
         if t % spec.record_every == 0:
             times.append(t)
-            sums.append(state.sum)
+            sums.append(k)
     return Trace(times=np.asarray(times), mag_sums=np.asarray(sums))
 
 
@@ -279,33 +338,25 @@ def run_coupling(spec: CouplingSpec) -> CouplingTrace:
     Records the Hamming distance, the count of never-selected sites, and
     both magnetization sums.  Once the chains meet they stay together.
     """
-    params, N = spec.params, spec.N
+    N = spec.N
+    kernel = LevelKernel(spec.params, N)
     x = _resolve_start(N, spec.start_x)
     y = _resolve_start(N, spec.start_y)
-    if x.N != y.N:
-        raise DomainError("coupled starts must have equal N")
-    rng = rng_stream(spec.seed, 0)
-
     hamming = int(np.count_nonzero(x.spins != y.spins))
-    never = np.ones(N, dtype=bool)
+    xs, ys, kx, ky = x.spins.tolist(), y.spins.tolist(), x.sum, y.sum
+    never = [True] * N
     untouched = N
     coalesced_at = 0 if hamming == 0 else None
 
-    times, hams, unt, mx, my = [0], [hamming], [untouched], [x.sum], [y.sum]
-    for t in range(1, spec.steps + 1):
-        u_site, u_spin = rng.random(2)
-        i = int(u_site * N)
+    times, hams, unt, mx, my = [0], [hamming], [untouched], [kx], [ky]
+    for t, (i, u) in enumerate(kernel.draws(rng_stream(spec.seed, 0), spec.steps), 1):
         if never[i]:
             never[i] = False
             untouched -= 1
-        differed = x.spins[i] != y.spins[i]
-        new_x = np.int8(1) if u_spin <= flip_up_probability(params, x.sum / N) else np.int8(-1)
-        new_y = np.int8(1) if u_spin <= flip_up_probability(params, y.sum / N) else np.int8(-1)
-        x.sum += int(new_x) - int(x.spins[i])
-        y.sum += int(new_y) - int(y.spins[i])
-        x.spins[i] = new_x
-        y.spins[i] = new_y
-        differs = new_x != new_y
+        differed = xs[i] != ys[i]
+        kx, _ = kernel.step(xs, kx, i, u)
+        ky, _ = kernel.step(ys, ky, i, u)
+        differs = xs[i] != ys[i]
         if differed and not differs:
             hamming -= 1
         elif differs and not differed:
@@ -316,8 +367,8 @@ def run_coupling(spec: CouplingSpec) -> CouplingTrace:
             times.append(t)
             hams.append(hamming)
             unt.append(untouched)
-            mx.append(x.sum)
-            my.append(y.sum)
+            mx.append(kx)
+            my.append(ky)
     return CouplingTrace(times=np.asarray(times), hamming=np.asarray(hams),
                          untouched=np.asarray(unt), mags_x=np.asarray(mx),
                          mags_y=np.asarray(my), coalesced_at=coalesced_at)
@@ -340,34 +391,22 @@ def coupling_csv(trace: CouplingTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- vectorized replica engines ---------------------------------------------
-
-
-def _level_tables(params: ModelParams, N: int):
-    """Per-level minus-site probability and spin-up probability tables."""
-    ks = np.arange(-N, N + 1, 2, dtype=float)
-    c = ks / N
-    p_minus = 0.5 * (1.0 - c)
-    f_up = expit(2.0 * (params.p * params.beta * c ** (params.p - 1) + params.h))
-    return p_minus, f_up
+# -- vectorized replica engine ----------------------------------------------
 
 
 def simulate_mag_replicas(params: ModelParams, N: int, start_ks: np.ndarray,
                           steps: int, rng: np.random.Generator,
                           lo: int | None = None, hi: int | None = None,
                           record_every: int | None = None):
-    """Advance R magnetization chains for `steps` steps (law-exact).
+    """Advance R magnetization chains for `steps` LevelKernel replica steps.
 
-    The site draw only matters through whether the chosen site carries -1,
-    which happens with probability (N-k)/(2N); the spin draw follows the
-    same discipline as the full-spin chain.  Optional lo/hi bounds give the
-    floor- or window-restricted dynamics by rejection.
-
-    Returns the final sums, or (times, sums_matrix) when record_every is set.
+    Optional lo/hi bounds give the floor- or window-restricted dynamics by
+    rejection.  Returns the final sums, or (times, sums_matrix) when
+    record_every is set.
     """
     ks = np.array(start_ks, dtype=np.int64)
     R = ks.shape[0]
-    p_minus, f_up = _level_tables(params, N)
+    kernel = LevelKernel(params, N, lo, hi)
     recorded = None
     if record_every is not None:
         recorded = [(0, ks.copy())]
@@ -378,59 +417,13 @@ def simulate_mag_replicas(params: ModelParams, N: int, start_ks: np.ndarray,
         u = rng.random((n_t, 2, R))
         for s in range(n_t):
             t += 1
-            idx = (ks + N) >> 1
-            is_minus = u[s, 0] < p_minus[idx]
-            up = u[s, 1] <= f_up[idx]
-            delta = (is_minus & up) * 2 - (~is_minus & ~up) * 2
-            nk = ks + delta
-            if lo is not None:
-                nk = np.where(nk < lo, ks, nk)
-            if hi is not None:
-                nk = np.where(nk > hi, ks, nk)
-            ks = nk
+            ks = kernel.replica_step(ks, u[s, 0], u[s, 1])
             if recorded is not None and t % record_every == 0:
                 recorded.append((t, ks.copy()))
     if recorded is not None:
         times = np.array([r[0] for r in recorded])
         return times, np.stack([r[1] for r in recorded])
     return ks
-
-
-def simulate_spin_replicas(params: ModelParams, N: int, spins0: np.ndarray,
-                           steps: int, rng: np.random.Generator,
-                           lo: int | None = None, hi: int | None = None):
-    """Advance R full-spin chains for `steps` steps; returns (spins, sums).
-
-    spins0 has shape (R, N); the same two-uniform draw discipline as
-    step_full, vectorized across replicas.
-    """
-    spins = np.array(spins0, dtype=np.int8)
-    R = spins.shape[0]
-    sums = spins.sum(axis=1, dtype=np.int64)
-    rows = np.arange(R)
-    _, f_up = _level_tables(params, N)
-    chunk = max(1, min(steps, (1 << 22) // max(R, 1)))
-    t = 0
-    while t < steps:
-        n_t = min(chunk, steps - t)
-        u = rng.random((n_t, 2, R))
-        for s in range(n_t):
-            t += 1
-            sites = (u[s, 0] * N).astype(np.int64)
-            up = u[s, 1] <= f_up[(sums + N) >> 1]
-            new = np.where(up, 1, -1).astype(np.int8)
-            old = spins[rows, sites]
-            delta = (new - old).astype(np.int64)
-            n_sums = sums + delta
-            ok = np.ones(R, dtype=bool)
-            if lo is not None:
-                ok &= n_sums >= lo
-            if hi is not None:
-                ok &= n_sums <= hi
-            rows_ok = rows[ok]
-            spins[rows_ok, sites[ok]] = new[ok]
-            sums = np.where(ok, n_sums, sums)
-    return spins, sums
 
 
 # -- metastable sampler ------------------------------------------------------
@@ -451,7 +444,7 @@ class MetastableSpec:
 class SamplerReport:
     maximizers: list            # magnetization locations of the windows
     weights: list               # window selection probabilities
-    windows: list               # (lo_sum, hi_sum) per window
+    windows: list               # (lo_sum, hi_sum) per window, within [-N, N]
     burn_steps: int
     acceptance_rates: list      # fraction of proposals not window-rejected
     final_sums: list
@@ -478,7 +471,8 @@ class SamplerReport:
 
 
 def _metastable_setup(spec: MetastableSpec):
-    """Window centers, bounds and selection weights for the sampler."""
+    """Global maximizers, window kernels, window starts, selection weights
+    and burn-in of the sampler."""
     params, N = spec.params, spec.N
     if spec.epsilon is not None and not spec.epsilon > 0:
         raise DomainError(f"window half-width must be positive, got {spec.epsilon}")
@@ -503,14 +497,15 @@ def _metastable_setup(spec: MetastableSpec):
             others = [q.m for q in points if q.m != s.m]
             if others:
                 eps = min(eps, 0.5 * min(abs(s.m - o) for o in others))
-    windows = []
-    for s in globals_:
-        lo = math.ceil(N * (s.m - eps))
-        hi = math.floor(N * (s.m + eps))
-        windows.append((lo, hi))
-    for (lo1, hi1), (lo2, hi2) in zip(windows, windows[1:]):
-        if hi1 >= lo2:
+    kernels = [LevelKernel(params, N, math.ceil(N * (s.m - eps)),
+                           math.floor(N * (s.m + eps))) for s in globals_]
+    for a, b in zip(kernels, kernels[1:]):
+        if a.hi >= b.lo:
             raise DomainError("metastable windows overlap; reduce epsilon")
+    starts = [nearest_level(N, s.m) for s in globals_]
+    for kernel, k0 in zip(kernels, starts):
+        if not kernel.lo <= k0 <= kernel.hi:
+            raise DomainError("window start outside window")
 
     raw = [((s.m**2 - 1.0) * s.H2_value) ** -0.5 for s in globals_]
     total = sum(raw)
@@ -518,7 +513,7 @@ def _metastable_setup(spec: MetastableSpec):
     burn = spec.burn_steps
     if burn is None:
         burn = int(math.ceil(10.0 * N * math.log(N)))
-    return globals_, windows, weights, burn
+    return globals_, kernels, starts, weights, burn
 
 
 def metastable_sample(spec: MetastableSpec) -> tuple[SpinConfig, SamplerReport]:
@@ -527,32 +522,19 @@ def metastable_sample(spec: MetastableSpec) -> tuple[SpinConfig, SamplerReport]:
     One window-restricted chain per global maximizer runs for the burn-in
     horizon; a window index is then drawn with Gaussian-mass weights
     proportional to ((m^2 - 1) H''(m))^{-1/2} and that chain's final
-    configuration is returned.
+    configuration is returned.  Windows are clamped to [-N, N].
     """
-    params, N = spec.params, spec.N
-    globals_, windows, weights, burn = _metastable_setup(spec)
+    globals_, kernels, starts, weights, burn = _metastable_setup(spec)
 
     finals = []
     acc_rates = []
-    for i, (s, (lo, hi)) in enumerate(zip(globals_, windows)):
-        start = SpinConfig.from_magnetization(N, nearest_level(N, s.m))
-        if not lo <= start.sum <= hi:
-            raise DomainError("window start outside window")
-        rng = rng_stream(spec.seed, 1, i)
-        state = start
+    for i, (kernel, k) in enumerate(zip(kernels, starts)):
+        spins = SpinConfig.from_magnetization(spec.N, k).spins.tolist()
         rejected = 0
-        for _ in range(burn):
-            u_site, u_spin = rng.random(2)
-            j = int(u_site * N)
-            c = state.sum / N
-            new = np.int8(1) if u_spin <= flip_up_probability(params, c) else np.int8(-1)
-            delta = int(new) - int(state.spins[j])
-            if lo <= state.sum + delta <= hi:
-                state.spins[j] = new
-                state.sum += delta
-            else:
-                rejected += 1
-        finals.append(state)
+        for j, u in kernel.draws(rng_stream(spec.seed, 1, i), burn):
+            k, accepted = kernel.step(spins, k, j, u)
+            rejected += not accepted
+        finals.append(SpinConfig(spins=np.array(spins, dtype=np.int8), sum=k))
         acc_rates.append(1.0 - rejected / burn if burn else 1.0)
 
     rng_v = rng_stream(spec.seed, 2)
@@ -560,7 +542,7 @@ def metastable_sample(spec: MetastableSpec) -> tuple[SpinConfig, SamplerReport]:
     report = SamplerReport(
         maximizers=[s.m for s in globals_],
         weights=weights,
-        windows=windows,
+        windows=[(kernel.lo, kernel.hi) for kernel in kernels],
         burn_steps=burn,
         acceptance_rates=acc_rates,
         final_sums=[st.sum for st in finals],
@@ -569,22 +551,30 @@ def metastable_sample(spec: MetastableSpec) -> tuple[SpinConfig, SamplerReport]:
     return finals[chosen], report
 
 
-def metastable_sample_sums(spec: MetastableSpec, n_samples: int) -> np.ndarray:
-    """Vectorized sampler: final magnetization sums of n_samples draws.
+def metastable_sample_law(spec: MetastableSpec) -> np.ndarray:
+    """Exact magnetization law of one sampler draw over all N+1 levels.
 
-    Law-equivalent to repeated metastable_sample calls restricted to the
-    magnetization observable (each replica runs its own window chains).
+    The Gaussian-weighted mixture over windows w of delta_{k0} P_w^burn,
+    each term pushed exactly by its window's kernel.
     """
-    params, N = spec.params, spec.N
-    globals_, windows, weights, burn = _metastable_setup(spec)
+    N = spec.N
+    _, kernels, starts, weights, burn = _metastable_setup(spec)
+    law = np.zeros(N + 1)
+    for kernel, k0, w in zip(kernels, starts, weights):
+        mu = np.zeros(len(kernel.ks))
+        mu[(k0 - kernel.ks[0]) // 2] = 1.0
+        for _ in range(burn):
+            mu = kernel.push(mu)
+        law[(kernel.ks + N) // 2] += w * mu / mu.sum()
+    return law / law.sum()
 
-    finals = np.empty((len(globals_), n_samples), dtype=np.int64)
-    for i, (s, (lo, hi)) in enumerate(zip(globals_, windows)):
-        k0 = nearest_level(N, s.m)
-        rng = rng_stream(spec.seed, 1, i)
-        start = np.full(n_samples, k0, dtype=np.int64)
-        finals[i] = simulate_mag_replicas(params, N, start, burn, rng,
-                                          lo=lo, hi=hi)
-    rng_v = rng_stream(spec.seed, 2)
-    chosen = rng_v.choice(len(globals_), size=n_samples, p=np.asarray(weights))
-    return finals[chosen, np.arange(n_samples)]
+
+def metastable_sample_sums(spec: MetastableSpec, n_samples: int) -> np.ndarray:
+    """Final magnetization sums of n_samples independent sampler draws.
+
+    Drawn from metastable_sample_law: the law of repeated metastable_sample
+    calls restricted to the magnetization observable.
+    """
+    law = metastable_sample_law(spec)
+    levels = np.arange(-spec.N, spec.N + 1, 2)
+    return rng_stream(spec.seed, 2).choice(levels, size=n_samples, p=law)

@@ -6,8 +6,8 @@ the conditional law of the full chain given the magnetization trajectory
 is uniform on each level set, and the Gibbs measure is uniform on level
 sets too, so the total-variation distance of the full chain to the Gibbs
 measure equals the total-variation distance between the level laws.  This
-module evolves level laws exactly (one tridiagonal pushforward per step)
-and derives mixing times, conductance cuts and hitting times from them.
+module evolves level laws exactly (one tridiagonal ``LevelKernel.push`` per
+step) and derives mixing times, conductance cuts and hitting times from them.
 
 Worst-start convention: mixing times maximize the TV crossing over the
 all-plus and all-minus starts (the extreme levels).  Maximality over all
@@ -24,6 +24,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .dynamics import (
+    LevelKernel,
     kernel_arrays,
     restricted_threshold,
     rng_stream,
@@ -129,36 +130,13 @@ class MixingReport:
                    stat_error=d.get("stat_error"))
 
 
-def _restricted_kernel(params: ModelParams, N: int, k_min: int):
-    """Tridiagonal kernel on levels >= k_min with the floor rejection folded
-    into the diagonal.  k_min <= -N reproduces the full kernel bit-exactly
-    (the bottom level already has zero down-rate)."""
-    up, down, stay = kernel_arrays(params, N)
-    if k_min <= -N:
-        return up, down, stay, 0
-    i0 = (k_min + N + 1) // 2  # first index with k >= k_min
-    up = up[i0:].copy()
-    down = down[i0:].copy()
-    stay = stay[i0:].copy()
-    stay[0] += down[0]
-    down[0] = 0.0
-    return up, down, stay, i0
-
-
-def _push_forward(mu, up, down, stay):
-    out = mu * stay
-    out[1:] += mu[:-1] * up[:-1]
-    out[:-1] += mu[1:] * down[1:]
-    return out
-
-
 def tv_curve(params: ModelParams, N: int, start_k: int, t_max: int,
              eps_stop: float = 0.0, k_min: int | None = None) -> TVCurve:
     """Exact TV distance to the Gibbs level law from a point-mass start.
 
-    Evolves the level law one tridiagonal pushforward per step, recording
-    TV each step; stops once TV <= eps_stop.  With k_min the boundary-
-    rejected kernel and the conditioned Gibbs law are used instead.
+    Evolves the level law one LevelKernel push per step, recording TV each
+    step; stops once TV <= eps_stop.  With k_min the floor-restricted
+    kernel and the conditioned Gibbs law are used instead.
     """
     if abs(start_k) > N or (start_k + N) % 2 != 0:
         raise DomainError(f"start level {start_k} invalid for N={N}")
@@ -169,11 +147,11 @@ def tv_curve(params: ModelParams, N: int, start_k: int, t_max: int,
         k_min = -N
     if start_k < k_min:
         raise DomainError("start below the restriction floor")
-    up, down, stay, i0 = _restricted_kernel(params, N, k_min)
+    kernel = LevelKernel(params, N, lo=k_min)
     pi = condition_at_least(dist, k_min).probs
 
     mu = np.zeros_like(pi)
-    mu[(start_k + N) // 2 - i0] = 1.0
+    mu[(start_k - kernel.ks[0]) // 2] = 1.0
     ts, tvs = [], []
     capped = True
     for t in range(t_max + 1):
@@ -184,7 +162,7 @@ def tv_curve(params: ModelParams, N: int, start_k: int, t_max: int,
             capped = False
             break
         if t < t_max:
-            mu = _push_forward(mu, up, down, stay)
+            mu = kernel.push(mu)
             mu /= mu.sum()  # counter rounding drift over long horizons
     else:
         capped = tvs[-1] > eps_stop
@@ -196,14 +174,13 @@ def _mc_tv_crossing(params, N, start_k, eps, cap, k_min, replicas, seed,
                     check_every):
     """First checkpoint where the replica-histogram TV drops to eps."""
     dist = condition_at_least(stationary_mag(params, N), max(k_min, -N))
-    lo = None if k_min <= -N else k_min
     rng = rng_stream(seed, 3, (start_k + N) // 2)
     ks = np.full(replicas, start_k, dtype=np.int64)
     idx_of = {int(k): i for i, k in enumerate(dist.ks)}
     t = 0
     while t < cap:
         step = min(check_every, cap - t)
-        ks = simulate_mag_replicas(params, N, ks, step, rng, lo=lo)
+        ks = simulate_mag_replicas(params, N, ks, step, rng, lo=k_min)
         t += step
         hist = np.zeros_like(dist.probs)
         vals, counts = np.unique(ks, return_counts=True)
@@ -370,15 +347,14 @@ def hitting_time(params: ModelParams, N: int, start_k: int, target_k: int,
     started at start_k reaches a level >= target_k, over seeded replicas."""
     if max_steps is None:
         max_steps = int(200 * N * max(math.log(N), 1.0)) + 100_000
-    lo = None if (k_min is None or k_min <= -N) else k_min
     rng = rng_stream(seed, 4)
     ks = np.full(replicas, start_k, dtype=np.int64)
     hit_at = np.full(replicas, -1, dtype=np.int64)
     t = 0
     block = max(64, N // 2)
     while t < max_steps and (hit_at < 0).any():
-        times, traj = simulate_mag_replicas(params, N, ks, block, rng, lo=lo,
-                                            record_every=1)
+        times, traj = simulate_mag_replicas(params, N, ks, block, rng,
+                                            lo=k_min, record_every=1)
         for s in range(1, len(times)):
             newly = (hit_at < 0) & (traj[s] >= target_k)
             hit_at[newly] = t + s

@@ -14,7 +14,14 @@ import math
 import numpy as np
 
 from pspin_glauber import ModelParams
-from pspin_glauber.dynamics import _level_tables
+
+
+def flip_up_table(params: ModelParams, N: int) -> np.ndarray:
+    """Spin-up probability (1 + tanh(p*beta*c^(p-1) + h)) / 2 at every level
+    c = k/N, k = -N, -N+2, ..., N: the README's update rule, in closed form."""
+    p, beta, h = params.p, params.beta, params.h
+    return np.array([0.5 * (1.0 + math.tanh(p * beta * (k / N) ** (p - 1) + h))
+                     for k in range(-N, N + 1, 2)])
 
 
 def enumerate_mag_law(params: ModelParams, N: int) -> np.ndarray:
@@ -37,7 +44,7 @@ def dense_transition_matrix(params: ModelParams, N: int):
     assert N <= 12
     size = 1 << N
     sums = np.array([2 * bin(x).count("1") - N for x in range(size)])
-    _, f_up = _level_tables(params, N)
+    f_up = flip_up_table(params, N)
     P = np.zeros((size, size))
     for x in range(size):
         f = f_up[(sums[x] + N) >> 1]
@@ -68,7 +75,7 @@ def mean_hamming_from_opposite_starts(params: ModelParams, N: int, R: int,
     """
     from pspin_glauber.dynamics import rng_stream
 
-    _, f_up = _level_tables(params, N)
+    f_up = flip_up_table(params, N)
     x = np.ones((R, N), dtype=np.int8)
     y = -x.copy()
     sx = x.sum(axis=1).astype(np.int64)

@@ -1,5 +1,6 @@
 """Command-line dispatch, output envelopes, report round-trips, SVG."""
 
+import hashlib
 import json
 
 import pytest
@@ -14,7 +15,7 @@ from pspin_glauber import (
     classify_point,
     mixing_time,
 )
-from pspin_glauber.cli import main, real
+from pspin_glauber.cli import JOBS_ENV, main, real
 from pspin_glauber.svg import emit_svg
 
 
@@ -28,6 +29,38 @@ def test_real_parsing():
     assert real("0.25") == 0.25
     assert real("1/3") == 1.0 / 3.0
     assert real(" 2/8 ") == 0.25
+
+
+def test_division_by_zero_is_a_usage_error(capsys):
+    for args in (["classify", "--p", "4", "--beta", "1/0", "--h", "0"],
+                 ["drift", "--p", "4", "--beta", "0.5", "--h", "0", "--n", "10",
+                  "--c", "1/0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "division by zero" in capsys.readouterr().err
+
+
+def test_negative_exponent_value_as_separate_argument(capsys):
+    code, spaced, _ = run_cli(["classify", "--p", "4", "--beta", "0.5",
+                               "--h", "-8.5e-05"], capsys)
+    assert code == 0
+    _, glued, _ = run_cli(["classify", "--p", "4", "--beta", "0.5",
+                           "--h=-8.5e-05"], capsys)
+    assert spaced == glued
+    assert json.loads(spaced)["payload"]["stationary_points"][0]["m"] < 0
+    code, out, _ = run_cli(["drift", "--p", "3", "--beta", "0.5", "--h", "-1/3",
+                            "--n", "10", "--c", "-2.5e-1"], capsys)
+    assert code == 0
+    assert out.splitlines()[2].startswith("-0.25,")
+
+
+def test_bad_jobs_env_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv(JOBS_ENV, "two")
+    code, _, err = run_cli(["mix-sweep", "--p", "4", "--beta", "0.054",
+                            "--h", "0.5", "--n-list", "40"], capsys)
+    assert code == 1
+    assert JOBS_ENV in err and "'two'" in err
 
 
 def test_classify_json(capsys):
@@ -139,6 +172,38 @@ def test_sample_and_bottleneck_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["payload"]["phi_star"] > 0
+
+
+def test_sample_windows_lie_in_state_space(capsys):
+    for args, n in ((["--p", "4", "--beta", "0.9", "--h", "0", "--n", "200"], 200),
+                    (["--p", "4", "--beta", "0.054", "--h", "0.5", "--n", "50",
+                      "--epsilon", "5"], 50)):
+        code, out, _ = run_cli(["sample"] + args, capsys)
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        for (lo, hi), k in zip(payload["windows"], payload["final_sums"]):
+            assert -n <= lo <= k <= hi <= n
+    assert payload["windows"] == [[-50, 50]]
+
+
+# First 16 hex digits of the stdout sha256.  Exact mixing, Monte-Carlo
+# mixing, coupling and bottleneck bytes for a fixed seed change only when a
+# change says why.
+PINNED_STDOUT = [
+    ("f5c3380fb2927ada", "mix --p 4 --beta 0.054 --h 0.5 --n 400 --eps 0.35 --cap 100000"),
+    ("7794412f6ee19b1b", "restricted-mix --p 4 --beta 0.51 --h 0.184 --n 400 --cap 100000"),
+    ("2d91c0163b5b4991", "coupling --p 3 --beta 0.05 --h 0.1 --n 100 --steps 400"),
+    ("a6e1dad2ba88c921", "bottleneck --p 4 --beta 0.51 --h 0.184 --n 200"),
+    ("c53fae460e573403",
+     "mix --p 4 --beta 0.054 --h 0.5 --n 200 --method mc --replicas 2000 --seed 3"),
+]
+
+
+def test_pinned_stdout_digests(capsys):
+    for digest, command in PINNED_STDOUT:
+        code, out, _ = run_cli(command.split(), capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, command
 
 
 def test_report_round_trips(capsys):

@@ -8,6 +8,7 @@ import pytest
 from pspin_glauber import (
     CouplingSpec,
     DomainError,
+    LevelKernel,
     MetastableSpec,
     ModelParams,
     RunSpec,
@@ -24,20 +25,19 @@ from pspin_glauber import (
     run_chain,
     run_coupling,
     stationary_mag,
-    step_full,
-    step_restricted,
     thresholds,
 )
 from pspin_glauber.dynamics import (
     coupling_csv,
+    flip_up_probability,
+    metastable_sample_law,
     metastable_sample_sums,
     nearest_level,
     simulate_mag_replicas,
-    simulate_spin_replicas,
     trace_csv,
 )
 
-from conftest import balance_defects, cosh_tilted_log_level_law
+from conftest import balance_defects, cosh_tilted_log_level_law, flip_up_table
 
 
 def test_kernel_row_boundaries():
@@ -64,6 +64,43 @@ def test_kernel_rows_are_probability_vectors():
         up, down, stay = kernel_arrays(params, N)
         assert np.all(up >= 0) and np.all(down >= 0) and np.all(stay >= 0)
         assert np.max(np.abs(up + down + stay - 1.0)) <= 1e-15
+
+
+def test_level_kernel_restriction_clamps_and_folds():
+    params = ModelParams(4, 0.51, 0.184)
+    N = 60
+    full = LevelKernel(params, N)
+    wide = LevelKernel(params, N, lo=-N - 7, hi=N + 9)
+    assert (wide.lo, wide.hi) == (-N, N)
+    for name in ("up", "down", "stay", "f_up", "p_minus", "ks"):
+        assert np.array_equal(getattr(wide, name), getattr(full, name)), name
+    assert full.down[0] == 0.0 and full.up[-1] == 0.0
+    for table, name in zip(kernel_arrays(params, N), ("up", "down", "stay")):
+        assert np.array_equal(table, getattr(full, name)), name
+
+    window = LevelKernel(params, N, lo=-13, hi=21)
+    assert list(window.ks) == list(range(-12, 21, 2))
+    i0, i1 = (-12 + N) // 2, (20 + N) // 2
+    assert window.down[0] == 0.0 and window.up[-1] == 0.0
+    assert window.stay[0] == full.stay[i0] + full.down[i0]
+    assert window.stay[-1] == full.stay[i1] + full.up[i1]
+    assert np.array_equal(window.up[:-1], full.up[i0:i1])
+    assert np.array_equal(window.down[1:], full.down[i0 + 1:i1 + 1])
+    assert np.max(np.abs(window.up + window.down + window.stay - 1.0)) <= 1e-15
+    mu = np.full(len(window.ks), 1.0 / len(window.ks))
+    assert abs(window.push(mu).sum() - 1.0) <= 1e-15
+    with pytest.raises(DomainError):
+        LevelKernel(params, N, lo=3, hi=3)  # no level of N's parity
+    with pytest.raises(DomainError):
+        LevelKernel(params, N, lo=N + 1)
+
+
+def test_level_kernel_table_matches_closed_form_rate():
+    for (p, beta, h, N) in [(2, 0.25, 0.0, 9), (4, 0.51, 0.184, 200),
+                            (5, 0.7, -0.3, 41), (7, 1.1, 0.05, 30)]:
+        params = ModelParams(p, beta, h)
+        f_up = LevelKernel(params, N).f_up
+        assert np.max(np.abs(f_up - flip_up_table(params, N))) <= 1e-15
 
 
 def test_kernel_parity_rejection():
@@ -112,11 +149,11 @@ def test_detailed_balance_against_gibbs_law():
 
 def test_step_full_strong_field_pins_spins():
     params = ModelParams(3, 0.5, 50.0)
-    state = SpinConfig.all_plus(64)
-    rng = rng_stream(1, 0)
-    for _ in range(2000):
-        step_full(state, params, rng)
-    assert state.sum == 64
+    kernel = LevelKernel(params, 64)
+    spins, k = [1] * 64, 64
+    for i, u in kernel.draws(rng_stream(1, 0), 2000):
+        k, _ = kernel.step(spins, k, i, u)
+    assert k == 64 and spins == [1] * 64
     # the one-step flip probability itself is vanishing
     row = mag_kernel(params, 64, 64)
     assert row.p_down < 1e-20
@@ -127,10 +164,13 @@ def test_step_full_frequencies_match_kernel():
     params = ModelParams(4, 0.4, 0.2)
     N, k = 50, 10
     R = 1_000_000
-    base = SpinConfig.from_magnetization(N, k)
-    spins0 = np.tile(base.spins, (R, 1))
-    rng = rng_stream(9, 4)
-    _, sums = simulate_spin_replicas(params, N, spins0, 1, rng)
+    kernel = LevelKernel(params, N)
+    spins = SpinConfig.from_magnetization(N, k).spins.tolist()
+    sums = np.empty(R, dtype=np.int64)
+    for r, (i, u) in enumerate(kernel.draws(rng_stream(9, 4), R)):
+        old = spins[i]
+        sums[r], _ = kernel.step(spins, k, i, u)
+        spins[i] = old
     row = mag_kernel(params, N, k)
     for delta, prob in ((2, row.p_up), (-2, row.p_down), (0, row.p_stay)):
         freq = float(np.mean(sums == k + delta))
@@ -145,9 +185,7 @@ def test_chain_transitions_chi_square():
 
     params = ModelParams(4, 0.054, 0.5)
     N, R, steps = 100, 100, 10_000
-    from pspin_glauber.dynamics import _level_tables
-
-    _, f_up = _level_tables(params, N)
+    f_up = flip_up_table(params, N)
     spins = np.tile(SpinConfig.from_magnetization(N, 0).spins, (R, 1))
     sums = spins.sum(axis=1).astype(np.int64)
     rows = np.arange(R)
@@ -192,23 +230,52 @@ def test_run_chain_deterministic():
     assert csv.startswith("t,mag_sum\n")
 
 
+def test_run_chain_matches_one_step_at_a_time_loop():
+    # chunked draws and table lookups reproduce, bit for bit, a loop that
+    # draws two uniforms and evaluates the rate at every step; 20000 steps
+    # cross a draw-chunk boundary and the floor binds
+    params = ModelParams(4, 0.51, 0.184)
+    N, steps = 60, 20_000
+    floor = restricted_threshold(params, N)
+    for threshold in (None, floor):
+        trace = run_chain(RunSpec(params=params, N=N, steps=steps, seed=5,
+                                  threshold=threshold))
+        rng = rng_stream(5, 0)
+        spins, k, sums = [1] * N, N, [N]
+        for _ in range(steps):
+            u_site, u_spin = rng.random(2)
+            i = int(u_site * N)
+            new = 1 if u_spin <= flip_up_probability(params, k / N) else -1
+            if threshold is None or k + new - spins[i] >= threshold:
+                k += new - spins[i]
+                spins[i] = new
+            sums.append(k)
+        assert trace.mag_sums.tolist() == sums
+    assert min(sums) == floor
+
+
 def test_step_restricted_rejects_at_floor():
     # strong negative field forces down-proposals; the floor rejects them
     params = ModelParams(2, 0.1, -50.0)
     N = 40
-    state = SpinConfig.from_magnetization(N, 0)
-    rng = rng_stream(3, 1)
-    for _ in range(500):
-        step_restricted(state, params, 0, rng)
-        assert state.sum >= 0
-    assert state.sum == 0  # up-moves have probability ~e^-100
+    kernel = LevelKernel(params, N, lo=0)
+    spins, k = SpinConfig.from_magnetization(N, 0).spins.tolist(), 0
+    rejected = 0
+    for i, u in kernel.draws(rng_stream(3, 1), 500):
+        k, accepted = kernel.step(spins, k, i, u)
+        rejected += not accepted
+        assert k >= 0 and sum(spins) == k
+    assert k == 0  # up-moves have probability ~e^-100
+    assert rejected > 0
 
 
 def test_step_restricted_validates_start():
     params = ModelParams(4, 0.5, 0.0)
-    state = SpinConfig.from_magnetization(20, -10)
     with pytest.raises(DomainError):
-        step_restricted(state, params, 0, rng_stream(0, 0))
+        run_chain(RunSpec(params=params, N=20, start=-10, steps=1, threshold=0))
+    with pytest.raises(DomainError):  # a start of the wrong size
+        run_chain(RunSpec(params=params, N=20, start=SpinConfig.all_plus(10),
+                          steps=1))
 
 
 def test_unrestricted_threshold_is_identity():
@@ -404,6 +471,30 @@ def test_sampler_magnetization_smoke():
         hist[(v + N) // 2] = ct / len(sums)
     tv = 0.5 * float(np.abs(hist - dist.probs).sum())
     assert tv < 0.1
+
+
+def test_sampler_exact_law_matches_replicas():
+    # the pushed window law against a replica histogram from the same start
+    # and window, within multinomial error; the window (56, 75) binds: the
+    # unrestricted chain puts 42% of its mass outside it by step 300
+    params = ModelParams(2, 0.6, 0.0)
+    N, R = 100, 20_000
+    spec = MetastableSpec(params=params, N=N, seed=8, burn_steps=300)
+    law = metastable_sample_law(spec)
+    _, report = metastable_sample(spec)
+    lo, hi = report.windows[1]
+    k0 = nearest_level(N, report.maximizers[1])
+    ks = simulate_mag_replicas(params, N, np.full(R, k0), 300, rng_stream(8, 5),
+                               lo=lo, hi=hi)
+    assert abs(law.sum() - 1.0) <= 1e-12
+    levels = np.arange(-N, N + 1, 2)
+    inside = (levels >= lo) & (levels <= hi)
+    exact = law[inside] / law[inside].sum()
+    hist = np.array([np.mean(ks == k) for k in levels[inside]])
+    se = np.sqrt(exact * (1 - exact) / R)
+    assert np.all(np.abs(hist - exact) <= 4 * se + 1e-4)
+    assert 0.5 * np.abs(hist - exact).sum() < 0.02
+    assert abs(law[inside].sum() - report.weights[1]) <= 1e-12
 
 
 def test_spin_config_validation():
