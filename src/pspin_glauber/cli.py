@@ -160,13 +160,7 @@ def _cmd_phase_diagram(args) -> None:
         h_step=args.h_step, max_cells=args.max_cells,
     )
     jobs = _jobs(args)
-    beta_axis = phase_geometry._axis(spec.beta_min, spec.beta_max, spec.beta_step)
-    h_axis = phase_geometry._axis(spec.h_min, spec.h_max, spec.h_step)
-    if len(beta_axis) * len(h_axis) > spec.max_cells:
-        raise DomainError(
-            f"grid needs {len(beta_axis) * len(h_axis)} cells, budget is "
-            f"{spec.max_cells}; raise --max-cells"
-        )
+    beta_axis, h_axis = phase_geometry.grid_axes(spec)  # before any pool starts
     if jobs > 1:
         work = [(spec.p, float(b), h_axis.tolist()) for b in beta_axis]
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -216,7 +216,7 @@ def mixing_time(params: ModelParams, N: int, eps: float, cap: int,
         raise DomainError(f"unknown mode {mode!r}")
 
     t_by_start: dict[int, int | None] = {}
-    se = None
+    se_by_start: dict[int, float | None] = {}
     for start_k in starts:
         if mode == EXACT:
             curve = tv_curve(params, N, start_k, cap, eps_stop=eps, k_min=k_min)
@@ -224,11 +224,12 @@ def mixing_time(params: ModelParams, N: int, eps: float, cap: int,
         else:
             if check_every is None:
                 check_every = max(1, N // 4)
-            t_cross, se = _mc_tv_crossing(params, N, start_k, eps, cap, k_min,
-                                          replicas, seed, check_every)
-            t_by_start[start_k] = t_cross
+            t_by_start[start_k], se_by_start[start_k] = _mc_tv_crossing(
+                params, N, start_k, eps, cap, k_min, replicas, seed, check_every)
     capped = any(v is None for v in t_by_start.values())
     t_mix = None if capped else max(t_by_start.values())
+    # the error belongs to the start that sets t_mix
+    se = None if capped else se_by_start.get(max(t_by_start, key=t_by_start.get))
     return MixingReport(eps=eps, t_mix=t_mix, capped=capped, cap=cap,
                         method=mode, starts_examined=list(starts),
                         t_by_start=t_by_start, stat_error=se)

@@ -206,23 +206,35 @@ def inflection_pair(p: int, beta: float, opts: RootFindOpts | None = None) -> In
     return InflectionPair(a1=a1, a2=a2)
 
 
-def _height_gap(struct: LandscapeStructure, h: float) -> float | None:
-    """H(top maximizer) - H(best other maximizer); None if fewer than two."""
+def _height_gap(struct: LandscapeStructure, h: float):
+    """(gap, slope) of H(top maximizer) - H(best other maximizer) at h.
+
+    The slope d(gap)/dh is m_top - m_other by the envelope theorem
+    (dH(m(h); h)/dh = m at a maximizer).  None if fewer than two maximizers.
+    """
     maxima = local_maxima(struct.stationary_points(h))
     if len(maxima) < 2:
         return None
     top = maxima[-1]
     other = max(maxima[:-1], key=lambda s: s.H_value)
-    return top.H_value - other.H_value
+    return top.H_value - other.H_value, top.m - other.m
+
+
+# |gap| at which the two heights tie to rounding (each is a sum of O(1)
+# terms): the solve takes one last Newton step from there and stops
+_GAP_FLOOR = 1e-15
 
 
 def _equal_height_field(p: int, beta: float, lo: float, hi: float,
                         opts: RootFindOpts | None = None) -> float:
     """The field h at which the two relevant maximizers of H tie in height.
 
-    Bisects the (strictly h-increasing) height gap inside [lo, hi]; the gap
-    is negative near lo and positive near hi.  Endpoints where the maxima
-    have already merged are nudged inwards.
+    The height gap is strictly h-increasing inside [lo, hi], negative near
+    lo and positive near hi; endpoints where the maxima have already merged
+    are nudged inwards.  Safeguarded Newton on the gap, with its envelope
+    slope, from the endpoint with the smaller |gap| and inside the shrinking
+    sign bracket: a step that leaves the bracket (or a slope that is not
+    positive) is replaced by bisection.  Runs to float resolution.
     """
     struct = landscape_structure(p, beta, opts)
     if hi - lo < 1e-10:
@@ -231,33 +243,41 @@ def _equal_height_field(p: int, beta: float, lo: float, hi: float,
     span = hi - lo
 
     def endpoint(base, sign):
-        for frac in (1e-12, 1e-9, 1e-6, 1e-4, 1e-3):
+        # a narrow band resolves two maxima only well inside it: just above
+        # beta_hat the node values near its ends fall within curvature_tol
+        for frac in (1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.25, 0.5):
             x = base + sign * frac * span
-            g = _height_gap(struct, x)
-            if g is not None:
-                return x, g
+            res = _height_gap(struct, x)
+            if res is not None:
+                return (x,) + res
         raise RuntimeError(f"no coexisting maxima near h={base} (p={p}, beta={beta})")
 
-    a, ga = endpoint(lo, +1)
-    b, gb = endpoint(hi, -1)
+    a, ga, sa = endpoint(lo, +1)
+    b, gb, sb = endpoint(hi, -1)
     if ga >= 0.0:
         return a
     if gb <= 0.0:
         return b
+    x, g, slope = (a, ga, sa) if -ga < gb else (b, gb, sb)
     for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        g = _height_gap(struct, mid)
-        if g is None:  # cannot happen strictly inside the coexistence band
-            raise RuntimeError(f"maximizers vanished inside bracket at h={mid}")
-        if abs(g) < 1e-12:
-            return mid
+        newton = x - g / slope if slope > 0.0 else math.nan
+        if abs(g) <= _GAP_FLOOR:
+            return newton if a <= newton <= b else x
+        x_next = newton if a < newton < b else 0.5 * (a + b)  # nan: bisect
+        if not a < x_next < b:  # the bracket is two adjacent floats
+            return x
+        x = x_next
+        res = _height_gap(struct, x)
+        if res is None:  # cannot happen strictly inside the coexistence band
+            raise RuntimeError(f"maximizers vanished inside bracket at h={x}")
+        g, slope = res
         if g < 0.0:
-            a = mid
+            a = x
+        elif g > 0.0:
+            b = x
         else:
-            b = mid
-    return 0.5 * (a + b)
+            return x
+    return x
 
 
 def boundary_curves(p: int, beta: float, thr: Thresholds | None = None,
@@ -268,30 +288,39 @@ def boundary_curves(p: int, beta: float, thr: Thresholds | None = None,
     Odd p:  U = -H'(a1), L = -H'(a2) at zero field, both on (beta_hat, inf).
     Even p: U = -min(H'(-a2), H'(a1)), L = -H'(a2) only on (beta_hat,
     beta_prime]; C vanishes identically above beta_tilde.
-    C is located by equal-height bisection between the outer maximizers;
-    pass with_C=False to skip that (the costly part) when only the
-    coexistence band U/L matters.
+    U and L are cached per (p, beta, thr, opts).  C is located by a Newton
+    solve of the equal-height condition between the outer maximizers; pass
+    with_C=False to skip that (the costly part) when only the coexistence
+    band U/L matters.
     """
     thr = thr or thresholds(p)
+    opts = opts or RootFindOpts()
+    U, L = _band(p, beta, thr, opts)
+    if U is None or not with_C:
+        C = None
+    elif p % 2 == 1:
+        C = _equal_height_field(p, beta, L, U, opts)
+    elif beta >= thr.beta_tilde:
+        C = 0.0
+    else:
+        C = _equal_height_field(p, beta, L if L is not None else 0.0, U, opts)
+    return CurveSample(beta=beta, U=U, L=L, C=C)
+
+
+@lru_cache(maxsize=1024)
+def _band(p: int, beta: float, thr: Thresholds, opts: RootFindOpts):
+    """(U, L) at one beta, (None, None) at or below beta_hat; the
+    inflection pair it needs is found once per (p, beta, thr, opts)."""
     if beta <= thr.beta_hat + 1e-12:
-        return CurveSample(beta=beta, U=None, L=None, C=None)
+        return None, None
     pair = inflection_pair(p, beta, opts)
     params0 = ModelParams(p, beta, 0.0)
     g1 = float(free_energy_d1(params0, pair.a1))
     g2 = float(free_energy_d1(params0, pair.a2))
     if p % 2 == 1:
-        U, L = -g1, -g2
-        C = _equal_height_field(p, beta, L, U, opts) if with_C else None
-    else:
-        U = max(-g1, g2)  # -min(H'(-a2), H'(a1)); H' is odd at h=0
-        L = -g2 if beta <= thr.beta_prime else None
-        if not with_C:
-            C = None
-        elif beta >= thr.beta_tilde:
-            C = 0.0
-        else:
-            C = _equal_height_field(p, beta, L if L is not None else 0.0, U, opts)
-    return CurveSample(beta=beta, U=U, L=L, C=C)
+        return -g1, -g2
+    U = max(-g1, g2)  # -min(H'(-a2), H'(a1)); H' is odd at h=0
+    return U, (-g2 if beta <= thr.beta_prime else None)
 
 
 def _region_code_for(struct: LandscapeStructure, h: float) -> int:
@@ -327,6 +356,30 @@ def _region_code_for(struct: LandscapeStructure, h: float) -> int:
     return REGION_CODES[Region.LOCALLY_REGULAR]
 
 
+def _region_codes(struct: LandscapeStructure, hs: np.ndarray) -> np.ndarray:
+    """Region codes for every field in hs, equal to _region_code_for's.
+
+    One broadcast gives H' at every node for every h.  A field whose
+    endpoint signs hold and whose interior node values all lie outside the
+    near-tangency band has no tangency, no inflection and no degenerate
+    maximizer, so its maximizers are the + to - sign changes across the
+    nodes: two or more is critical, one is regular.  Every other field goes
+    to _region_code_for.
+    """
+    values = struct.node_values(hs)
+    plain = ((values[:, 0] > 0) & (values[:, -1] < 0)
+             & ~(np.abs(values[:, 1:-1]) <= 100.0 * struct.opts.curvature_tol).any(axis=1))
+    if values.shape[1] == 2 and struct.d2_grid_max > -1e-6:  # near_flat
+        plain[:] = False
+    positive = values > 0
+    n_max = (positive[:, :-1] & ~positive[:, 1:]).sum(axis=1)
+    codes = np.where(n_max >= 2, REGION_CODES[Region.LOCALLY_CRITICAL],
+                     REGION_CODES[Region.LOCALLY_REGULAR]).astype(np.int8)
+    for i in np.flatnonzero(~plain):
+        codes[i] = _region_code_for(struct, float(hs[i]))
+    return codes
+
+
 _CODE_TO_REGION = {v: k for k, v in REGION_CODES.items()}
 
 
@@ -358,7 +411,7 @@ def classify_point(p: int, beta: float, h: float,
     if with_margin or region is Region.BOUNDARY:
         thr = thresholds(p) if p >= 3 else None
         if thr is not None and beta > thr.beta_hat + 1e-12:
-            sample = boundary_curves(p, beta, thr, opts)
+            sample = boundary_curves(p, beta, thr, opts, with_C=False)
             href = abs(h) if p % 2 == 0 else h
             dists = {}
             if sample.U is not None:
@@ -413,6 +466,19 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(n)
 
 
+def grid_axes(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The beta and h axes of a grid; GridBudgetError past spec.max_cells."""
+    beta_axis = _axis(spec.beta_min, spec.beta_max, spec.beta_step)
+    h_axis = _axis(spec.h_min, spec.h_max, spec.h_step)
+    n_cells = len(beta_axis) * len(h_axis)
+    if n_cells > spec.max_cells:
+        raise GridBudgetError(
+            f"grid needs {n_cells} cells, budget is {spec.max_cells};"
+            f" raise max_cells (--max-cells) to at least {n_cells}"
+        )
+    return beta_axis, h_axis
+
+
 def scan_column(p: int, beta: float, h_axis: np.ndarray,
                 opts: RootFindOpts | None = None,
                 thr: Thresholds | None = None):
@@ -423,21 +489,20 @@ def scan_column(p: int, beta: float, h_axis: np.ndarray,
     """
     opts = opts or RootFindOpts()
     h_axis = np.asarray(h_axis, dtype=float)
-    struct = LandscapeStructure(p, float(beta), opts)
-    codes = np.empty(len(h_axis), dtype=np.int8)
+    struct = landscape_structure(p, float(beta), opts)
     mirror = (
         p % 2 == 0
         and len(h_axis) > 1
         and abs(h_axis[0] + h_axis[-1]) < 1e-12 * max(1.0, abs(h_axis[-1]))
     )
     if mirror:
-        for ih in np.nonzero(h_axis >= -1e-15)[0]:
-            codes[ih] = _region_code_for(struct, float(h_axis[ih]))
-        for ih in np.nonzero(h_axis < -1e-15)[0]:
-            codes[ih] = codes[len(h_axis) - 1 - ih]
+        codes = np.empty(len(h_axis), dtype=np.int8)
+        upper = np.flatnonzero(h_axis >= -1e-15)
+        codes[upper] = _region_codes(struct, h_axis[upper])
+        lower = np.flatnonzero(h_axis < -1e-15)
+        codes[lower] = codes[len(h_axis) - 1 - lower]
     else:
-        for ih, h in enumerate(h_axis):
-            codes[ih] = _region_code_for(struct, float(h))
+        codes = _region_codes(struct, h_axis)
     sample = boundary_curves(p, float(beta), thr or thresholds(p), opts)
     return codes, sample
 
@@ -451,15 +516,7 @@ def scan_grid(spec: GridSpec, opts: RootFindOpts | None = None,
     (one per beta, in axis order) from a worker pool.
     """
     opts = opts or RootFindOpts()
-    beta_axis = _axis(spec.beta_min, spec.beta_max, spec.beta_step)
-    h_axis = _axis(spec.h_min, spec.h_max, spec.h_step)
-    n_cells = len(beta_axis) * len(h_axis)
-    if n_cells > spec.max_cells:
-        raise GridBudgetError(
-            f"grid needs {n_cells} cells, budget is {spec.max_cells};"
-            f" raise max_cells to at least {n_cells}"
-        )
-
+    beta_axis, h_axis = grid_axes(spec)
     cells = np.empty((len(beta_axis), len(h_axis)), dtype=np.int8)
     thr = thresholds(spec.p)
     curves = {"U": [], "L": [], "C": []}

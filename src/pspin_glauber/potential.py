@@ -238,10 +238,14 @@ def _golden_max(f, a, b, tol=1e-13, max_iter=200):
 class LandscapeStructure:
     """Monotonicity structure of H' for fixed (p, beta), shared across h.
 
-    Precomputes the roots of H'' (h-independent) and the h=0 values of H'
-    at the resulting interval nodes.  Classification of a given h then only
-    inspects signs at the nodes; stationary-point locations are refined by
-    bisection inside the sign-changing monotone intervals.
+    Precomputes the roots of H'' (h-independent) and, at the nodes they
+    make with the domain endpoints, the h=0 terms of
+    H'(x; h) = (p*beta*x^(p-1) + h) - atanh(x).  The node values for any h,
+    or for a whole column of h at once (`node_values`), are then one
+    addition and one subtraction, the same float operations as
+    `free_energy_d1`.  Classification of a given h only inspects signs at
+    the nodes; stationary-point locations are refined by bisection inside
+    the sign-changing monotone intervals.
     """
 
     def __init__(self, p: int, beta: float, opts: RootFindOpts | None = None):
@@ -251,6 +255,11 @@ class LandscapeStructure:
         self._params0 = ModelParams(self.p, self.beta, 0.0)
         self.d2_grid_max = -math.inf  # set by the curvature scan
         self.curvature_roots = self._find_curvature_roots()
+        lo, hi = -1.0 + self.opts.domain_margin, 1.0 - self.opts.domain_margin
+        self.nodes = (lo, *[r for r in self.curvature_roots if lo < r < hi], hi)
+        x = np.array(self.nodes)
+        self._a = self.p * self.beta * x ** (self.p - 1)
+        self._b = np.arctanh(x)
 
     # -- H'' roots ---------------------------------------------------------
 
@@ -291,20 +300,31 @@ class LandscapeStructure:
 
     # -- node machinery ------------------------------------------------------
 
+    def node_values(self, hs: np.ndarray) -> np.ndarray:
+        """H' at `self.nodes` for every field in hs: shape (len(hs), nodes)."""
+        return (self._a[None, :] + hs[:, None]) - self._b[None, :]
+
     def _nodes_for(self, h: float):
         """Domain endpoints + curvature roots, with H' values at each node.
 
         The fixed margin can swallow the theoretical endpoint signs
-        H'(-1+) > 0 > H'(1-) for very large |h|; shrink until they hold
-        (atanh(1 - 1e-15) ~ 17.6 bounds the supported field magnitude).
+        H'(-1+) > 0 > H'(1-) when p*beta or |h| is very large; shrink until
+        they hold (atanh(1 - 1e-15) ~ 17.6 bounds the supported sizes).
         """
         params = ModelParams(self.p, self.beta, h)
-        for margin in (self.opts.domain_margin, 1e-12, 1e-15):
+        values = (self._a + h) - self._b
+        if values[0] > 0 and values[-1] < 0:
+            return params, self.nodes, values.tolist()
+        for margin in (1e-12, 1e-15):
             lo, hi = -1.0 + margin, 1.0 - margin
             if free_energy_d1(params, lo) > 0 and free_energy_d1(params, hi) < 0:
                 break
         else:
-            raise DomainError(f"field magnitude too large for root finding: h={h}")
+            raise DomainError(
+                f"H' keeps one sign near an end of (-1, 1) at p={self.p}, "
+                f"beta={self.beta}, h={h}: p*beta or |h| is too large for "
+                f"root finding"
+            )
         nodes = [lo] + [r for r in self.curvature_roots if lo < r < hi] + [hi]
         values = [free_energy_d1(params, x) for x in nodes]
         return params, nodes, values

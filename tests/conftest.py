@@ -4,8 +4,8 @@ Everything here is deliberately independent of the library's own machinery:
 the magnetization law comes from brute-force enumeration over all 2^N
 configurations, and the dense chain is the full 2^N x 2^N one-step matrix
 assembled directly from the update rule.  The reference level law, time
-scales and barrier at the end are closed forms in ``math``/``lgamma`` and
-call nothing in ``pspin_glauber``; a ``params`` argument is read only for
+scales, barrier and equal-height field at the end are closed forms in
+``math``/``lgamma`` and call nothing in ``pspin_glauber``; a ``params`` argument is read only for
 its ``p``, ``beta`` and ``h``.
 """
 
@@ -200,3 +200,52 @@ def metastable_barrier(params) -> float:
     assert len(roots) == 3, f"expected max, min, max; found {roots}"
     heights = [H(x) for x in roots]
     return min(heights[0], heights[2]) - heights[1]
+
+
+def equal_height_field(p: int, beta: float, lo: float, hi: float) -> float:
+    """The field h in [lo, hi] at which the rightmost local maximizer of
+    H(x) = beta x^p + h x - I(x) ties in height with the highest other one.
+
+    H'(x) = p beta x^(p-1) + h - atanh(x) is tabulated once at h = 0 on a
+    grid x = tanh(u), dense near +-1; the maximizers at h are the + to -
+    sign changes after adding h, each bisected with math to float
+    resolution.  The height gap rises with h.  It is sampled across
+    [lo, hi] (the band only brackets the search), and its first - to +
+    change is bisected to float resolution.
+    """
+    grid = np.tanh(np.linspace(-12.0, 12.0, 48_001))
+    g0 = p * beta * grid ** (p - 1) - np.arctanh(grid)
+
+    def H(x, h):
+        return (beta * x**p + h * x
+                - 0.5 * ((1 + x) * math.log1p(x) + (1 - x) * math.log1p(-x)))
+
+    def gap(h):
+        g = g0 + h
+        maxima = []
+        for i in np.flatnonzero((g[:-1] > 0) & (g[1:] <= 0)):
+            a, b = float(grid[i]), float(grid[i + 1])
+            while a < 0.5 * (a + b) < b:
+                mid = 0.5 * (a + b)
+                if p * beta * mid ** (p - 1) + h - math.atanh(mid) > 0:
+                    a = mid
+                else:
+                    b = mid
+            maxima.append(a)
+        if len(maxima) < 2:
+            return None
+        heights = [H(m, h) for m in maxima]
+        return heights[-1] - max(heights[:-1])
+
+    fracs = [0.0, 1e-9, 1e-6, 1e-3] + [j / 40 for j in range(1, 41)]
+    samples = [(h, gap(h)) for h in (lo + (hi - lo) * t for t in fracs)]
+    samples = [(h, g) for h, g in samples if g is not None]
+    a, b = next((ha, hb) for (ha, ga), (hb, gb) in zip(samples, samples[1:])
+                if ga < 0.0 <= gb)
+    while a < 0.5 * (a + b) < b:
+        mid = 0.5 * (a + b)
+        if gap(mid) < 0.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)

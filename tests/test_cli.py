@@ -91,6 +91,27 @@ def test_domain_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_large_beta_error_names_the_parameters(capsys):
+    code, _, err = run_cli(["classify", "--p", "4", "--beta", "1e6",
+                            "--h", "0"], capsys)
+    assert code == 1
+    assert "p=4, beta=1000000.0, h=0.0" in err
+    assert "p*beta or |h| is too large" in err
+
+
+def test_phase_diagram_over_budget_writes_nothing(tmp_path, capsys):
+    prefix = str(tmp_path / "big")
+    # --jobs 2: the budget is checked before a worker pool could start
+    code, out, err = run_cli(["phase-diagram", "--p", "4", "--beta-min", "0.1",
+                              "--beta-max", "1.0", "--beta-step", "0.001",
+                              "--h-min", "-1", "--h-max", "1", "--h-step", "0.001",
+                              "--max-cells", "1000", "--jobs", "2",
+                              "--out-prefix", prefix], capsys)
+    assert code == 1
+    assert "budget" in err and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mix_json_reference_parameters(capsys):
     code, out, _ = run_cli(["mix", "--p", "4", "--beta", "0.333333",
                             "--h", "0.41", "--n", "200", "--eps", "0.35",
@@ -204,6 +225,24 @@ def test_pinned_stdout_digests(capsys):
         code, out, _ = run_cli(command.split(), capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, command
+
+
+# First 16 hex digits of the sha256 of the .grid.csv that phase-diagram
+# writes over the README ranges at step 0.05: region codes change only when
+# a change says why.
+PINNED_GRIDS = [("02846029156f6a70", 4), ("c6e416f6849e90e1", 5)]
+
+
+def test_pinned_grid_digests(tmp_path, capsys):
+    for digest, p in PINNED_GRIDS:
+        prefix = str(tmp_path / f"p{p}")
+        code, _, _ = run_cli(["phase-diagram", "--p", str(p), "--beta-min", "0.01",
+                              "--beta-max", "1.2", "--beta-step", "0.05",
+                              "--h-min", "-1", "--h-max", "1", "--h-step", "0.05",
+                              "--out-prefix", prefix], capsys)
+        assert code == 0
+        with open(prefix + ".grid.csv", "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest()[:16] == digest, p
 
 
 def test_report_round_trips(capsys):

@@ -123,6 +123,15 @@ def test_mixing_time_capped_marker():
     assert any(v is None for v in rep.t_by_start.values())
 
 
+def test_monte_carlo_error_belongs_to_the_slowest_start():
+    # the 80 start sets t_mix; the -80 start is examined last
+    rep = mixing_time(ModelParams(4, 0.054, -0.5), 80, 0.3, cap=5000,
+                      mode=MONTE_CARLO, seed=9, replicas=2000)
+    assert rep.starts_examined == [80, -80]
+    assert rep.t_by_start == {80: 260, -80: 200} and rep.t_mix == 260
+    assert round(rep.stat_error, 6) == 0.010793
+
+
 def test_monte_carlo_mixing_close_to_exact():
     params = ModelParams(4, 0.054, 0.5)
     exact = mixing_time(params, 150, 0.35, cap=20_000)

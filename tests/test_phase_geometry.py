@@ -270,3 +270,65 @@ def test_csv_emission():
     # beta = 0.3 is below beta_hat(4): all three fields empty there
     row = ccsv.strip().split("\n")[1]
     assert row.split(",")[1:] == ["", "", ""] or float(row.split(",")[0]) > 1 / 3
+
+
+def test_c_curve_ties_the_maximizers():
+    from pspin_glauber import find_stationary_points, local_maxima
+    from conftest import equal_height_field
+
+    for p in (3, 4, 5, 6):
+        thr = thresholds(p)
+        top = 1.2 if p % 2 == 1 else thr.beta_tilde - 0.005  # C = 0 above beta_tilde
+        for beta in np.linspace(thr.beta_hat + 0.005, top, 24):
+            beta = float(beta)
+            cs = boundary_curves(p, beta, thr)
+            if cs.L is None:
+                lo = 0.0
+                assert 0.0 <= cs.C < cs.U, (p, beta)
+            else:
+                lo = cs.L
+                assert cs.L < cs.C < cs.U, (p, beta)
+            maxima = local_maxima(find_stationary_points(ModelParams(p, beta, cs.C)))
+            heights = [s.H_value for s in maxima]
+            assert abs(heights[-1] - max(heights[:-1])) <= 1e-14, (p, beta)
+            assert abs(cs.C - equal_height_field(p, beta, lo, cs.U)) <= 1e-10, (p, beta)
+
+
+def test_c_curve_just_above_beta_hat():
+    # bands of width 1e-8..1e-5, where the maxima resolve only inside them
+    for p in (3, 4, 5, 6):
+        thr = thresholds(p)
+        for d in (3e-6, 1e-5, 1e-4, 3e-4):
+            cs = boundary_curves(p, thr.beta_hat + d, thr)
+            assert cs.L <= cs.C <= cs.U
+
+
+def test_scan_column_matches_per_cell_codes():
+    from pspin_glauber.phase_geometry import _region_code_for, scan_column
+    from pspin_glauber.potential import landscape_structure
+
+    near_node = 0
+    for p in (3, 4, 5, 6):
+        thr = thresholds(p)
+        betas = [thr.beta_hat - 1e-9, thr.beta_hat + 1e-9]
+        for b in (thr.beta_hat, thr.beta_prime, thr.beta_tilde):
+            betas += [b - 1e-3, b - 1e-5, b, b + 1e-5, b + 1e-3]
+        for beta in betas:
+            hs = list(np.linspace(-1.1, 0.9, 201)) + [thr.h_hat, -thr.h_hat]
+            cs = boundary_curves(p, beta, thr, with_C=False)
+            for v in (cs.U, cs.L):
+                if v is not None:
+                    hs += [s * v + d for s in (1, -1) for d in (-1e-7, -1e-9, 0.0, 1e-9, 1e-7)]
+            hs = np.array(hs)
+            struct = landscape_structure(p, beta)
+            codes, _ = scan_column(p, beta, hs)
+            assert codes.tolist() == [_region_code_for(struct, float(h)) for h in hs], (p, beta)
+            values = struct.node_values(hs)[:, 1:-1]
+            near_node += int((np.abs(values) <= 100 * struct.opts.curvature_tol).any(axis=1).sum())
+            if p % 2 == 0:  # a symmetric axis is classified once and mirrored
+                sym = np.linspace(-1.0, 1.0, 201)
+                mirrored, _ = scan_column(p, beta, sym)
+                assert mirrored.tolist() == mirrored[::-1].tolist()
+                assert mirrored[100:].tolist() == [_region_code_for(struct, float(h))
+                                                   for h in sym[100:]]
+    assert near_node > 0  # the near-node refinement was exercised
