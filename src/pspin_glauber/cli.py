@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 domain or I/O error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -271,7 +272,13 @@ def _cmd_drift(args) -> None:
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    parse_args fills a fresh namespace on every call, so the shared parser
+    carries nothing from one call of `main` to the next.
+    """
     ap = argparse.ArgumentParser(
         prog="pspin-glauber",
         description="Heat-bath dynamics, mixing times and phase geometry "

@@ -6,8 +6,9 @@ the conditional law of the full chain given the magnetization trajectory
 is uniform on each level set, and the Gibbs measure is uniform on level
 sets too, so the total-variation distance of the full chain to the Gibbs
 measure equals the total-variation distance between the level laws.  This
-module evolves level laws exactly (one tridiagonal ``LevelKernel.push`` per
-step) and derives mixing times, conductance cuts and hitting times from them.
+module evolves level laws exactly (``LevelKernel.evolve``: the tridiagonal
+push on the law's live window, a block of steps at a time) and derives
+mixing times, conductance cuts and hitting times from them.
 
 Worst-start convention: mixing times maximize the TV crossing over the
 all-plus and all-minus starts (the extreme levels).  Maximality over all
@@ -134,9 +135,9 @@ def tv_curve(params: ModelParams, N: int, start_k: int, t_max: int,
              eps_stop: float = 0.0, k_min: int | None = None) -> TVCurve:
     """Exact TV distance to the Gibbs level law from a point-mass start.
 
-    Evolves the level law one LevelKernel push per step, recording TV each
-    step; stops once TV <= eps_stop.  With k_min the floor-restricted
-    kernel and the conditioned Gibbs law are used instead.
+    Evolves the level law with LevelKernel.evolve, recording TV each step;
+    stops at the first step with TV <= eps_stop.  With k_min the
+    floor-restricted kernel and the conditioned Gibbs law are used instead.
     """
     if abs(start_k) > N or (start_k + N) % 2 != 0:
         raise DomainError(f"start level {start_k} invalid for N={N}")
@@ -152,22 +153,17 @@ def tv_curve(params: ModelParams, N: int, start_k: int, t_max: int,
 
     mu = np.zeros_like(pi)
     mu[(start_k - kernel.ks[0]) // 2] = 1.0
-    ts, tvs = [], []
-    capped = True
-    for t in range(t_max + 1):
-        tv = 0.5 * float(np.abs(mu - pi).sum())
-        ts.append(t)
-        tvs.append(tv)
-        if tv <= eps_stop:
-            capped = False
-            break
-        if t < t_max:
-            mu = kernel.push(mu)
-            mu /= mu.sum()  # counter rounding drift over long horizons
-    else:
-        capped = tvs[-1] > eps_stop
-    return TVCurve(start_k=start_k, ts=np.asarray(ts), tv=np.asarray(tvs),
-                   capped=capped)
+    tvs = [0.5 * np.abs(mu - pi).sum(keepdims=True)]
+    if not tvs[0][0] <= eps_stop:
+        for _, _, tv in kernel.evolve(mu, t_max, target=pi):
+            hit = np.flatnonzero(tv <= eps_stop)
+            if hit.size:
+                tvs.append(tv[:hit[0] + 1])
+                break
+            tvs.append(tv)
+    tv = np.concatenate(tvs)
+    return TVCurve(start_k=start_k, ts=np.arange(len(tv)), tv=tv,
+                   capped=not tv[-1] <= eps_stop)
 
 
 def _mc_tv_crossing(params, N, start_k, eps, cap, k_min, replicas, seed,

@@ -154,12 +154,18 @@ def _coef_pow(coef, x, n):
 def evaluate_potential(params: ModelParams, x: float) -> PotentialValues:
     """Evaluate H, I, lam and their derivatives at an interior point.
 
-    Raises DomainError when |x| > 1 - domain margin; the derivatives of H
-    blow up at the endpoints and every stationary point is interior.
+    Raises DomainError when |x| > 1 - margin; the derivatives of H blow up
+    at the endpoints and every stationary point is interior.  The margin is
+    the root finder's: DOMAIN_MARGIN, or the smaller one it falls back to
+    where H' has lost its endpoint signs, so every stationary point it
+    returns can be evaluated.
     """
     x = float(x)
-    if not math.isfinite(x) or abs(x) > 1.0 - DOMAIN_MARGIN:
-        raise DomainError(f"x must satisfy |x| <= 1 - {DOMAIN_MARGIN}, got {x}")
+    margin = DOMAIN_MARGIN
+    if abs(x) > 1.0 - margin and not _endpoint_signs_hold(params, margin):
+        margin = _fallback_margin(params) or margin
+    if not math.isfinite(x) or abs(x) > 1.0 - margin:
+        raise DomainError(f"x must satisfy |x| <= 1 - {margin}, got {x}")
     p, beta, h = params.p, params.beta, params.h
 
     I = entropy(x)
@@ -181,6 +187,25 @@ def evaluate_potential(params: ModelParams, x: float) -> PotentialValues:
     )
     return PotentialValues(x=x, I=I, H=H, H1=H1, H2=H2, H3=H3,
                            lam=lam, lam1=lam1, lam2=lam2, lam3=lam3)
+
+
+def _endpoint_signs_hold(params: ModelParams, margin: float) -> bool:
+    """H'(-1 + margin) > 0 > H'(1 - margin), as H' has at the true ends."""
+    return (free_energy_d1(params, -1.0 + margin) > 0
+            and free_energy_d1(params, 1.0 - margin) < 0)
+
+
+def _fallback_margin(params: ModelParams) -> float | None:
+    """The first of 1e-12 and 1e-15 at which H' keeps its endpoint signs.
+
+    Root finding falls back to it when the default margin swallows them,
+    which happens when p*beta or |h| is large (atanh(1 - 1e-15) ~ 17.6
+    bounds the supported sizes); None when neither margin will do.
+    """
+    for margin in (1e-12, 1e-15):
+        if _endpoint_signs_hold(params, margin):
+            return margin
+    return None
 
 
 def drift_field(params: ModelParams, N: int, c: float) -> float:
@@ -308,23 +333,21 @@ class LandscapeStructure:
         """Domain endpoints + curvature roots, with H' values at each node.
 
         The fixed margin can swallow the theoretical endpoint signs
-        H'(-1+) > 0 > H'(1-) when p*beta or |h| is very large; shrink until
-        they hold (atanh(1 - 1e-15) ~ 17.6 bounds the supported sizes).
+        H'(-1+) > 0 > H'(1-) when p*beta or |h| is very large; then the
+        nodes move to `_fallback_margin`.
         """
         params = ModelParams(self.p, self.beta, h)
         values = (self._a + h) - self._b
         if values[0] > 0 and values[-1] < 0:
             return params, self.nodes, values.tolist()
-        for margin in (1e-12, 1e-15):
-            lo, hi = -1.0 + margin, 1.0 - margin
-            if free_energy_d1(params, lo) > 0 and free_energy_d1(params, hi) < 0:
-                break
-        else:
+        margin = _fallback_margin(params)
+        if margin is None:
             raise DomainError(
                 f"H' keeps one sign near an end of (-1, 1) at p={self.p}, "
                 f"beta={self.beta}, h={h}: p*beta or |h| is too large for "
                 f"root finding"
             )
+        lo, hi = -1.0 + margin, 1.0 - margin
         nodes = [lo] + [r for r in self.curvature_roots if lo < r < hi] + [hi]
         values = [free_energy_d1(params, x) for x in nodes]
         return params, nodes, values

@@ -15,7 +15,7 @@ from pspin_glauber import (
     classify_point,
     mixing_time,
 )
-from pspin_glauber.cli import JOBS_ENV, main, real
+from pspin_glauber.cli import JOBS_ENV, build_parser, main, real
 from pspin_glauber.svg import emit_svg
 
 
@@ -81,6 +81,44 @@ def test_usage_error_exit_code():
         main(["classify", "--p", "4", "--beta", "0.5", "--h", "0",
               "--unknown-flag"])
     assert exc.value.code == 2
+
+
+def test_cached_parser_carries_nothing_between_calls(capsys):
+    # restricted-mix sets `restricted` through set_defaults on the shared
+    # parser; the first mix passes options the last one leaves at default
+    model = ["--p", "4", "--beta", "0.51", "--h", "0.184", "--n", "60"]
+    calls = [["mix"] + model + ["--eps", "0.3", "--cap", "400", "--seed", "5"],
+             ["restricted-mix"] + model,
+             ["mix"] + model + ["--eps", "0.7"],
+             ["mix"] + model]
+
+    def run(args):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    assert build_parser() is build_parser()
+    in_one_process = [run(args) for args in calls]
+    fresh = []
+    for args in calls:
+        build_parser.cache_clear()
+        fresh.append(run(args))
+    assert in_one_process == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
+    assert len({out for _, out, _ in fresh}) == 4
+
+
+def test_deep_well_next_to_minus_one_classifies(capsys):
+    # p*beta = 15 puts a local minimum within 1e-12 of -1 and a maximum
+    # within 1e-12 of +1, inside the root finder's fallback margin
+    code, out, err = run_cli(["classify", "--p", "30", "--beta", "0.5",
+                              "--h", "0.1"], capsys)
+    assert code == 0, err
+    ms = [s["m"] for s in json.loads(out)["payload"]["stationary_points"]]
+    assert min(ms) < -1 + 1e-12 and max(ms) > 1 - 1e-12
 
 
 def test_domain_error_exit_code(capsys):

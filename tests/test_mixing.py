@@ -23,7 +23,15 @@ from pspin_glauber import (
     thresholds,
     tv_curve,
 )
-from pspin_glauber.dynamics import nearest_level, rng_stream, simulate_mag_replicas
+from pspin_glauber.dynamics import (
+    LevelKernel,
+    MetastableSpec,
+    metastable_sample,
+    metastable_sample_law,
+    nearest_level,
+    rng_stream,
+    simulate_mag_replicas,
+)
 from conftest import dense_transition_matrix, enumerate_mag_law, gibbs_full_law
 
 H_HAT_4 = 0.40996906622851137
@@ -78,6 +86,105 @@ def test_tv_curve_initial_value():
     curve = tv_curve(params, N, start, t_max=0)
     assert curve.tv[0] == pytest.approx(1.0 - dist.probs[(start + N) // 2],
                                         abs=1e-14)
+
+
+def per_step_tv(params, N, start_k, t_max, eps_stop=0.0, k_min=None):
+    """TV curve by one LevelKernel.push and one renormalisation per step."""
+    k_min = -N if k_min is None else k_min
+    kernel = LevelKernel(params, N, lo=k_min)
+    pi = condition_at_least(stationary_mag(params, N), k_min).probs
+    mu = np.zeros_like(pi)
+    mu[(start_k - kernel.ks[0]) // 2] = 1.0
+    tvs = []
+    for t in range(t_max + 1):
+        tvs.append(0.5 * float(np.abs(mu - pi).sum()))
+        if tvs[-1] <= eps_stop:
+            return np.array(tvs), False
+        if t < t_max:
+            mu = kernel.push(mu)
+            mu /= mu.sum()
+    return np.array(tvs), True
+
+
+def assert_matches_per_step(params, N, start_k, t_max, eps_stop=0.0, k_min=None):
+    ref, capped = per_step_tv(params, N, start_k, t_max, eps_stop, k_min)
+    curve = tv_curve(params, N, start_k, t_max, eps_stop=eps_stop, k_min=k_min)
+    assert len(curve.tv) == len(ref) and curve.capped == capped
+    assert curve.ts.tolist() == list(range(len(ref)))
+    assert np.max(np.abs(curve.tv - ref)) <= 1e-12
+    return curve
+
+
+def test_tv_curve_matches_per_step_reference():
+    regular, special = ModelParams(4, 0.054, 0.5), ModelParams(4, 1 / 3, H_HAT_4)
+    critical = ModelParams(4, 0.51, 0.184)
+    for start in (400, -400):
+        assert not assert_matches_per_step(regular, 400, start, 10**5, 0.35).capped
+    assert not assert_matches_per_step(special, 200, 200, 10**5, 0.35).capped
+    assert assert_matches_per_step(critical, 200, 200, 3000, 0.35).capped
+    assert assert_matches_per_step(critical, 100, -100, 200).capped  # eps_stop 0
+    floor = restricted_threshold(critical, 200)
+    start = floor + (floor + 200) % 2
+    assert not assert_matches_per_step(critical, 200, start, 10**5, 0.35, floor).capped
+    assert not assert_matches_per_step(ModelParams(2, 0.6, 0.05), 150, -150, 10**5,
+                                       0.1).capped
+    for h in (3.0, -3.0):  # a strong field moves the law one level per step
+        for start in (200, -200):
+            assert_matches_per_step(ModelParams(2, 0.1, h), 200, start, 10**4, 0.05)
+    for t_max, stop in ((0, 0.35), (0, 1.0), (1, 0.0)):
+        assert_matches_per_step(regular, 400, 400, t_max, stop)
+
+
+def test_tv_curve_crossing_on_a_block_edge():
+    # a stop level between the TVs of steps s - 1 and s makes s the first
+    # crossing, at the end, the start and just past one 32-step block
+    params = ModelParams(4, 0.054, 0.5)
+    ref, _ = per_step_tv(params, 100, 100, 40)
+    assert np.all(np.diff(ref[29:]) < -1e-6)
+    for s in (31, 32, 33):
+        stop = 0.5 * (ref[s - 1] + ref[s])
+        curve = assert_matches_per_step(params, 100, 100, 10**4, stop)
+        assert int(curve.ts[-1]) == s and not curve.capped
+        capped = assert_matches_per_step(params, 100, 100, s - 1, stop)
+        assert capped.capped and len(capped.tv) == s
+
+
+@pytest.mark.parametrize("burn", [None, 0, 1, 32, 33, 100])
+def test_metastable_law_matches_per_step_reference(burn):
+    # None is the default burn-in, 10 N log N; the short ones end before
+    # the window law settles, on and next to a block edge
+    params, N = ModelParams(4, 0.9, 0.0), 200
+    spec = MetastableSpec(params=params, N=N, seed=1, burn_steps=burn)
+    law = metastable_sample_law(spec)
+    _, report = metastable_sample(spec)
+    ref = np.zeros(N + 1)
+    for (lo, hi), m, w in zip(report.windows, report.maximizers, report.weights):
+        kernel = LevelKernel(params, N, lo, hi)
+        mu = np.zeros(len(kernel.ks))
+        mu[(nearest_level(N, m) - kernel.ks[0]) // 2] = 1.0
+        for _ in range(report.burn_steps):
+            mu = kernel.push(mu)
+        ref[(kernel.ks + N) // 2] += w * mu / mu.sum()
+    assert len(report.windows) == 2
+    assert np.max(np.abs(law - ref / ref.sum())) <= 1e-12
+
+
+def test_evolve_pushes_only_the_live_window():
+    # from all-plus at N = 6400 the law is a bump: once TV has crossed 0.35
+    # every block pushes fewer than half of the N + 1 levels
+    params, N = ModelParams(4, 0.054, 0.5), 6400
+    kernel = LevelKernel(params, N)
+    pi = stationary_mag(params, N).probs
+    mu = np.zeros(N + 1)
+    mu[-1] = 1.0
+    widths = []
+    for _, laws, tv in kernel.evolve(mu, 10**6, target=pi):
+        assert np.max(np.abs(laws.sum(axis=1) - 1.0)) <= 1e-14
+        if widths or tv[-1] <= 0.35:
+            widths.append(laws.shape[1])
+        if len(widths) == 20:
+            break
+    assert len(widths) == 20 and max(widths) < (N + 1) / 2
 
 
 def test_projected_tv_equals_dense_full_chain_tv():

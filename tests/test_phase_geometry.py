@@ -332,3 +332,16 @@ def test_scan_column_matches_per_cell_codes():
                 assert mirrored[100:].tolist() == [_region_code_for(struct, float(h))
                                                    for h in sym[100:]]
     assert near_node > 0  # the near-node refinement was exercised
+
+
+def test_scan_column_just_below_beta_hat_with_a_deep_well():
+    # every cell of this column is refined, and at h = +-12 the maximizer
+    # lies beyond 1 - 1e-9, inside the root finder's fallback margin
+    from pspin_glauber.phase_geometry import scan_column
+
+    beta = thresholds(3).beta_hat - 1e-9
+    hs = np.array([-12.0, 12.0])
+    codes, _ = scan_column(3, beta, hs)
+    assert codes.tolist() == [classify_point(3, beta, float(h)).code
+                              for h in hs]
+    assert classify_point(3, beta, 12.0).stationary_points[-1].m > 1 - 1e-9
