@@ -48,14 +48,12 @@ from .dynamics import (
     CouplingSpec,
     CouplingTrace,
     LevelKernel,
-    MagKernelRow,
     MetastableSpec,
     RunSpec,
     SamplerReport,
     SpinConfig,
     Trace,
     kernel_arrays,
-    mag_kernel,
     metastable_sample,
     restricted_threshold,
     rng_stream,
@@ -72,6 +70,7 @@ from .mixing_analysis import (
     MixingReport,
     TVCurve,
     bottleneck,
+    chain_stationary,
     condition_at_least,
     exponent_fit,
     hitting_time,

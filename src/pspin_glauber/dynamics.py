@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, logsumexp
 
 from .potential import (
     CURVATURE_TOL,
@@ -112,16 +114,6 @@ class SpinConfig:
             raise DomainError("sum violates parity")
 
 
-@dataclass(frozen=True)
-class MagKernelRow:
-    """Exact one-step transition triple of the magnetization sum at level k."""
-
-    k: int
-    p_up: float
-    p_down: float
-    p_stay: float
-
-
 def nearest_level(N: int, m: float) -> int:
     """Closest reachable magnetization sum to N*m (parity of N)."""
     k = int(round(N * m))
@@ -142,6 +134,42 @@ def flip_up_probability(params: ModelParams, c):
     return out if out.ndim else float(out)
 
 
+class SlowSpectrum(NamedTuple):
+    """The slow end of a LevelKernel's spectrum, below its top eigenvalue 1.
+
+    Eigenvalues of the kernel symmetrised by its reversible law pi: the
+    tridiagonal matrix S with diagonal ``stay`` and off-diagonal
+    ``sqrt(up_i down_{i+1})``, whose top eigenvector is sqrt(pi).  lam2 >=
+    lam3 follow the top one; v2 is a unit eigenvector of lam2 orthogonal to
+    sqrt(pi), and x2 = v2 sqrt(pi) is the left eigenvector over the levels:
+    x2 P = lam2 x2.  err is |S v2 - lam2 v2| plus the rounding of S and of
+    that residual, so an eigenvalue lies within err of lam2, and Sturm
+    counts have checked that it is the second one (else err is infinite).
+    lam3 bounds every eigenvalue below lam2 from above, 1 - lam3 within a
+    factor exp(1/64) of the exact value; rho >= |lam| for all of them (lam3
+    unless some eigenvalue lies below -lam3, then 1).
+    """
+
+    lam2: float
+    lam3: float
+    rho: float
+    v2: np.ndarray
+    err: float
+
+
+def _count_above(diag: list, off2: list, x: float) -> int:
+    """Eigenvalues above x of the symmetric tridiagonal matrix with diagonal
+    diag and squared off-diagonal off2 (off2[0] = 0): the positive pivots of
+    the LDL^T factorisation of T - x (Sylvester's law of inertia)."""
+    count, q = 0, 1.0
+    for d, e2 in zip(diag, off2):
+        q = d - x - e2 / q
+        if -1e-300 < q < 1e-300:
+            q = -1e-300
+        count += q > 0.0
+    return count
+
+
 class LevelKernel:
     """The heat-bath rule at size N, restricted to sums in [lo, hi].
 
@@ -156,6 +184,9 @@ class LevelKernel:
 
     up = p_minus * f_up and down = (1 - p_minus) * sigmoid(-2d) keep both
     factors stable for any field strength.
+
+    A birth-death chain is reversible: ``log_pi`` is its stationary law and
+    ``spectrum`` the slow end of its spectrum, each computed on first use.
     """
 
     def __init__(self, params: ModelParams, N: int, lo: int | None = None,
@@ -183,6 +214,90 @@ class LevelKernel:
         self.stay[-1] += self.up[-1]
         self.up[-1] = 0.0
         self._f_up = self.f_up.tolist()
+
+    @cached_property
+    def log_pi(self) -> np.ndarray:
+        """Log of the chain's own stationary law over ks, normalised.
+
+        Detailed balance pi(k) up(k) = pi(k+2) down(k+2) fixes it level by
+        level; the log-space cumsum keeps levels whose mass underflows.
+        Restricted, it is the unrestricted law conditioned on [lo, hi].
+        """
+        with np.errstate(divide="ignore"):
+            ratios = np.log(self.up[:-1]) - np.log(self.down[1:])
+        log_pi = np.concatenate(([0.0], np.cumsum(ratios)))
+        return log_pi - logsumexp(log_pi)
+
+    @cached_property
+    def spectrum(self) -> SlowSpectrum:
+        """lam2 and v2 by inverse iteration, checked by Sturm counts.
+
+        For g with pi-mean zero, (I - P) f = g is solved by two cumsums: the
+        flux pi_i up_i (f_i - f_{i+1}) across the edge above level i is the
+        pi-weighted sum of g up to level i.  Iterated on vectors orthogonal
+        to sqrt(pi), this solve converges to the eigenvector of lam2, a
+        monotone function that the start, the magnetization, is never
+        orthogonal to.  Sturm counts then place lam2 and bound lam3.
+        Numpy alone does this in a few ms at N = 1600; scipy.linalg's
+        tridiagonal solvers would add 6.5 MB to the resident set of every
+        process that imports this module.
+        """
+        n = len(self.ks)
+        if n < 3:
+            raise DomainError(f"a chain of {n} levels has no lam3")
+        pi = np.exp(self.log_pi)
+        root = np.sqrt(pi)
+        flow = pi[:-1] * self.up[:-1]
+        off = np.sqrt(self.up[:-1] * self.down[1:])
+        eps = np.finfo(float).eps
+
+        def solve(v):  # (I - S)^-1 v, orthogonal to sqrt(pi), unit
+            w = root * v  # pi g for g = v / sqrt(pi)
+            # each flux sum is taken from the end that has gathered less
+            low, high = np.cumsum(w)[:-1], -np.cumsum(w[::-1])[::-1][1:]
+            gathered = np.cumsum(np.abs(w))
+            use_low = gathered[:-1] <= gathered[-1] - gathered[:-1]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                step = np.where(flow > 0.0, -np.where(use_low, low, high) / flow, 0.0)
+                out = root * np.concatenate(([0.0], np.cumsum(step)))
+            out -= (out @ root) * root
+            return out / np.linalg.norm(out)
+
+        # the lowest-residual Ritz pair of up to 64 steps
+        v, best, stalled = root * self.ks / self.N, (math.inf, 0.0, None), 0
+        for _ in range(64):
+            v = solve(v)
+            s_v = self.stay * v
+            s_v[:-1] += off * v[1:]
+            s_v[1:] += off * v[:-1]
+            lam = float(v @ s_v)
+            # |S| has row sums <= 2 and S's entries are rounded to an ulp or
+            # two, so forming S and the residual costs under 16 eps
+            res = float(np.linalg.norm(s_v - lam * v)) + 16 * eps
+            stalled = 0 if res < best[0] else stalled + 1
+            best = min(best, (res, lam, v), key=lambda r: r[0])
+            if best[0] <= 32 * eps or stalled == 8:
+                break
+        err, lam2, v2 = best
+        diag, off2 = self.stay.tolist(), [0.0] + (off * off).tolist()
+
+        def above(x):
+            return _count_above(diag, off2, x)
+
+        if (above(lam2 + err), above(lam2 - err)) != (1, 2):
+            return SlowSpectrum(lam2, lam2, 1.0, v2, math.inf)
+        # lam3: the lowest x with two eigenvalues above it, bisected on
+        # log(1 - x) between lam2 - err and -1
+        near, far = math.log1p(err - lam2), math.log(2.0)
+        while far - near > 1 / 64:
+            mid = 0.5 * (near + far)
+            if above(-math.expm1(mid)) <= 2:
+                near = mid
+            else:
+                far = mid
+        lam3 = -math.expm1(near)
+        rho = abs(lam3) if above(-abs(lam3)) == n else 1.0
+        return SlowSpectrum(lam2, lam3, rho, v2, err)
 
     def push(self, mu: np.ndarray) -> np.ndarray:
         """One step of a law over the kept levels: returns mu P.
@@ -301,17 +416,6 @@ class LevelKernel:
         if self.lo > -self.N or self.hi < self.N:
             nk = np.where((nk < self.lo) | (nk > self.hi), ks, nk)
         return nk
-
-
-def mag_kernel(params: ModelParams, N: int, k: int) -> MagKernelRow:
-    """Exact birth-death transition triple at magnetization sum k."""
-    if abs(k) > N or (k + N) % 2 != 0:
-        raise DomainError(f"level {k} invalid for N={N} (parity or range)")
-    kernel = LevelKernel(params, N)
-    i = (k + N) // 2
-    return MagKernelRow(k=k, p_up=float(kernel.up[i]),
-                        p_down=float(kernel.down[i]),
-                        p_stay=float(kernel.stay[i]))
 
 
 def kernel_arrays(params: ModelParams, N: int):

@@ -10,6 +10,11 @@ module evolves level laws exactly (``LevelKernel.evolve``: the tridiagonal
 push on the law's live window, a block of steps at a time) and derives
 mixing times, conductance cuts and hitting times from them.
 
+Exact mixing times finish in closed form once only the slowest mode is
+left (``_slow_finish``): the law is then pi_chain + lam2^u c2 x2 up to a
+remainder that a certificate bounds, and the first crossing along that ray
+is found without pushing the remaining steps.
+
 Worst-start convention: mixing times maximize the TV crossing over the
 all-plus and all-minus starts (the extreme levels).  Maximality over all
 2^N starts is a documented convention, validated against a dense oracle at
@@ -39,25 +44,32 @@ MONTE_CARLO = "MonteCarlo"
 
 @dataclass
 class MagDistribution:
-    """Exact Gibbs magnetization-level law: level weights in log space.
+    """A magnetization-level law, with its level weights in log space.
 
-    This is the Gibbs measure pushed to levels, the law every TV distance
-    here is measured against.  It is not the stationary law of the tanh
-    rule: the kernel balances it only up to a relative O(1/N) defect.
+    stationary_mag gives the Gibbs law, the law every TV distance here is
+    measured against; chain_stationary gives the tanh rule's own stationary
+    law, which balances the Gibbs law only up to a relative O(1/N) defect.
     """
 
     N: int
     ks: np.ndarray          # magnetization sums, ascending
-    log_weights: np.ndarray  # log(level-set size) + N*(beta c^p + h c)
+    log_weights: np.ndarray  # unnormalised log weights
     log_Z_shifted: float     # log sum of exp(log_weights - max shift)
     probs: np.ndarray
+
+
+def _level_law(N: int, ks: np.ndarray, log_w: np.ndarray) -> MagDistribution:
+    """Normalise log weights by max shift + log-sum-exp."""
+    w = np.exp(log_w - log_w.max())
+    z = w.sum()
+    return MagDistribution(N=N, ks=ks, log_weights=log_w,
+                           log_Z_shifted=float(np.log(z)), probs=w / z)
 
 
 def stationary_mag(params: ModelParams, N: int) -> MagDistribution:
     """Push the Gibbs measure to magnetization levels, exactly in log space.
 
-    log w(k) = log C(N, (N+k)/2) + N*(beta*(k/N)^p + h*(k/N)); probabilities
-    are normalized by max shift + log-sum-exp.
+    log w(k) = log C(N, (N+k)/2) + N*(beta*(k/N)^p + h*(k/N)).
     """
     if N < 1:
         raise DomainError(f"N must be positive, got {N}")
@@ -65,12 +77,17 @@ def stationary_mag(params: ModelParams, N: int) -> MagDistribution:
     n_plus = (N + ks) // 2
     c = ks / N
     log_binom = gammaln(N + 1) - gammaln(n_plus + 1) - gammaln(N - n_plus + 1)
-    log_w = log_binom + N * (params.beta * c**params.p + params.h * c)
-    shift = log_w.max()
-    w = np.exp(log_w - shift)
-    z = w.sum()
-    return MagDistribution(N=N, ks=ks, log_weights=log_w,
-                           log_Z_shifted=float(np.log(z)), probs=w / z)
+    return _level_law(N, ks, log_binom + N * (params.beta * c**params.p + params.h * c))
+
+
+def chain_stationary(params: ModelParams, N: int) -> MagDistribution:
+    """The chain's own stationary level law, from LevelKernel.log_pi.
+
+    The tanh rule is exactly reversible with respect to this law; its TV
+    distance to the Gibbs law is the floor no mixing time can go below.
+    """
+    kernel = LevelKernel(params, N)
+    return _level_law(N, kernel.ks, kernel.log_pi)
 
 
 def condition_at_least(dist: MagDistribution, k_min: int) -> MagDistribution:
@@ -83,12 +100,7 @@ def condition_at_least(dist: MagDistribution, k_min: int) -> MagDistribution:
     keep = dist.ks >= k_min
     if not keep.any():
         raise DomainError(f"no levels at or above {k_min}")
-    log_w = dist.log_weights[keep]
-    shift = log_w.max()
-    w = np.exp(log_w - shift)
-    z = w.sum()
-    return MagDistribution(N=dist.N, ks=dist.ks[keep], log_weights=log_w,
-                           log_Z_shifted=float(np.log(z)), probs=w / z)
+    return _level_law(dist.N, dist.ks[keep], dist.log_weights[keep])
 
 
 @dataclass
@@ -131,6 +143,13 @@ class MixingReport:
                    stat_error=d.get("stat_error"))
 
 
+def _check_start(N: int, start_k: int, k_min: int) -> None:
+    if abs(start_k) > N or (start_k + N) % 2 != 0:
+        raise DomainError(f"start level {start_k} invalid for N={N}")
+    if start_k < k_min:
+        raise DomainError("start below the restriction floor")
+
+
 def tv_curve(params: ModelParams, N: int, start_k: int, t_max: int,
              eps_stop: float = 0.0, k_min: int | None = None) -> TVCurve:
     """Exact TV distance to the Gibbs level law from a point-mass start.
@@ -139,15 +158,12 @@ def tv_curve(params: ModelParams, N: int, start_k: int, t_max: int,
     stops at the first step with TV <= eps_stop.  With k_min the
     floor-restricted kernel and the conditioned Gibbs law are used instead.
     """
-    if abs(start_k) > N or (start_k + N) % 2 != 0:
-        raise DomainError(f"start level {start_k} invalid for N={N}")
+    if k_min is None:
+        k_min = -N
+    _check_start(N, start_k, k_min)
     if t_max < 0:
         raise DomainError("t_max must be >= 0")
     dist = stationary_mag(params, N)
-    if k_min is None:
-        k_min = -N
-    if start_k < k_min:
-        raise DomainError("start below the restriction floor")
     kernel = LevelKernel(params, N, lo=k_min)
     pi = condition_at_least(dist, k_min).probs
 
@@ -164,6 +180,119 @@ def tv_curve(params: ModelParams, N: int, start_k: int, t_max: int,
     tv = np.concatenate(tvs)
     return TVCurve(start_k=start_k, ts=np.arange(len(tv)), tv=tv,
                    capped=not tv[-1] <= eps_stop)
+
+
+# Exact mixing first tries the closed-form finish after this many sweeps (N
+# steps each).  The modes of the level chain other than the slowest relax on
+# the scale of a sweep, so no certificate holds much earlier; the kernel's
+# spectrum, computed at the first try (2-3 ms at N = 200, 9 ms at
+# N = 1600), is then not paid by the regular point, which mixes in about
+# 0.6 N log N steps.  Later tries are scheduled from the spectrum.
+_FIRST_FINISH = 8
+_EPS = np.finfo(float).eps
+
+
+def _exact_crossing(kernel: LevelKernel, target: np.ndarray, start_k: int,
+                    eps: float, cap: int) -> int | None:
+    """First step t <= cap with TV(law from start_k, target) <= eps, or None.
+
+    Pushes the law with kernel.evolve, as tv_curve does, and at checkpoints
+    tries _slow_finish, which ends the push once its certificate holds.
+    """
+    _check_start(kernel.N, start_k, kernel.lo)
+    n = len(kernel.ks)
+    mu = np.zeros(n)
+    mu[(start_k - kernel.ks[0]) // 2] = 1.0
+    if 0.5 * np.abs(mu - target).sum() <= eps:
+        return 0
+    t, check = 0, _FIRST_FINISH * kernel.N if n >= 3 else cap
+    for lo, laws, tv in kernel.evolve(mu, cap, target=target):
+        hit = np.flatnonzero(tv <= eps)
+        if hit.size:
+            return t + int(hit[0]) + 1
+        t += len(tv)
+        if check <= t < cap:
+            mu = np.zeros(n)
+            mu[lo:lo + laws.shape[1]] = laws[-1]
+            u, wait = _slow_finish(kernel, mu, target, eps, t, cap)
+            if u is not None:
+                return t + u if t + u <= cap else None
+            check = cap if wait is None else t + wait
+    return None
+
+
+def _slow_finish(kernel: LevelKernel, mu: np.ndarray, target: np.ndarray,
+                 eps: float, t: int, cap: int):
+    """Closed-form end of the push of the law mu, reached at step t.
+
+    Write d = mu - pi, with pi the chain's own law, as c2 x2 + r, where x2
+    is the left eigenvector of lam2 (LevelKernel.spectrum).  u steps later
+    the law is pi + lam2^u c2 x2 + r P^u, and a reversible kernel contracts
+    r in the 1/pi-weighted L2 norm, so ||r P^u||_1 <= R = ||r / sqrt(pi)||_2
+    for every u >= 0.  The TV to target along the ray pi + s c2 x2 is convex
+    in s, so the first u with TV <= eps follows from a bisection over
+    integers.  The result is certified when the ray's distance from eps,
+    at the crossing and the step before it (or up to the cap), exceeds
+    R / 2 plus the errors of lam2 and x2 and the rounding of pi and of the
+    push that any reference computation of the same law would make.
+
+    Returns (u, None) when certified: the first crossing is at t + u, or
+    after the cap when u > cap - t.  Otherwise returns (None, wait): the
+    steps until R, whose part outside the two slowest modes shrinks like
+    rho^u (SlowSpectrum.rho), may be small enough for another try, or wait
+    None when no later try can succeed.
+    """
+    spec = kernel.spectrum
+    lam2, rho, err = spec.lam2, spec.rho, spec.err
+    if not rho + 2 * err < lam2 < 1.0 - 2 * err:
+        return None, None
+    log_pi = kernel.log_pi
+    pi = np.exp(log_pi)
+    d = mu - pi
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # d / sqrt(pi), formed in log space where pi underflows
+        q = np.where(d == 0.0, 0.0,
+                     np.sign(d) * np.exp(np.log(np.abs(d)) - 0.5 * log_pi))
+        c2 = float(q @ spec.v2)
+        R = float(np.linalg.norm(q - c2 * spec.v2))
+    if not math.isfinite(R):  # mass where pi underflows: try again later
+        return None, t
+    w = c2 * spec.v2 * np.exp(0.5 * log_pi)
+    horizon = cap - t
+
+    def ray(u):  # TV along the ray u steps on, minus eps, and its slope in s
+        gap = pi + lam2 ** u * w - target
+        return 0.5 * float(np.abs(gap).sum()) - eps, float(w @ np.sign(gap))
+
+    # The ray's TV falls, then rises (convex in s = lam2^u): find the first
+    # u at which it is within eps or has stopped falling.
+    lo, hi = 0, horizon + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        e, slope = ray(mid)
+        if e <= 0.0 or slope <= 0.0:
+            hi = mid
+        else:
+            lo = mid + 1
+    u, (e, _) = lo, ray(lo)
+    if e <= 0.0 and u <= horizon:
+        margin = min(-e, ray(u - 1)[0]) if u else 0.0
+    else:  # the ray stays above eps up to the cap
+        margin = min(ray(j)[0] for j in (u - 1, u) if 0 <= j <= horizon)
+        u = horizon + 1
+    span = min(u, horizon)
+    # x2's error, orthogonal to the two top eigenvectors (Davis-Kahan)
+    x2_err = err / (lam2 - rho - err)
+    # rounding: pi's log cumsum (an eps per level and per unit of |log
+    # ratio|) and under 4 eps of L1 per pushed step, here and in a reference
+    rest = (abs(c2) * (x2_err + 0.5 * span * err)
+            + _EPS * (2 * (len(pi) + np.abs(np.diff(log_pi)).sum()) + 4 * (t + span)))
+    if margin > 0.5 * R + rest:
+        return u, None
+    if margin <= rest:
+        return None, None
+    shrink = math.log(2 * (margin - rest) / R) / math.log(max(rho, _EPS))
+    return None, max(math.ceil(shrink), t // 2)
 
 
 def _mc_tv_crossing(params, N, start_k, eps, cap, k_min, replicas, seed,
@@ -196,7 +325,10 @@ def mixing_time(params: ModelParams, N: int, eps: float, cap: int,
                 starts: tuple | None = None) -> MixingReport:
     """Mixing time at level eps: worst TV crossing over the examined starts.
 
-    ExactProjected evolves the level law exactly; MonteCarlo estimates TV
+    ExactProjected evolves the level law exactly and, once only its slowest
+    mode is left, finds the crossing in closed form (_slow_finish): the
+    same step tv_curve's push reaches, or capped when that lies past the
+    cap.  MonteCarlo estimates TV
     from replica histograms on a checkpoint schedule (upward-biased near
     the crossing, reported with a rough multinomial standard error).
     """
@@ -213,10 +345,12 @@ def mixing_time(params: ModelParams, N: int, eps: float, cap: int,
 
     t_by_start: dict[int, int | None] = {}
     se_by_start: dict[int, float | None] = {}
+    if mode == EXACT:
+        kernel = LevelKernel(params, N, lo=k_min)
+        target = condition_at_least(stationary_mag(params, N), k_min).probs
     for start_k in starts:
         if mode == EXACT:
-            curve = tv_curve(params, N, start_k, cap, eps_stop=eps, k_min=k_min)
-            t_by_start[start_k] = None if curve.capped else int(curve.ts[-1])
+            t_by_start[start_k] = _exact_crossing(kernel, target, start_k, eps, cap)
         else:
             if check_every is None:
                 check_every = max(1, N // 4)

@@ -34,7 +34,6 @@ from .potential import (
     StationaryPoint,
     _bisect,
     _golden_max,
-    entropy,
     free_energy_d1,
     free_energy_d2,
     landscape_structure,
@@ -167,13 +166,28 @@ def thresholds(p: int) -> Thresholds:
     """All four thresholds for order p >= 3.
 
     beta_hat/h_hat come from closed forms; beta_tilde and beta_prime from
-    1-D minimization of I(x)/x^p and atanh(x)/(p x^(p-1)) over (0, 1).
+    1-D minimization of I(x)/x^p and atanh(x)/(p x^(p-1)) over (0, 1),
+    carried out in u = -log(1 - x).
     """
     bh = beta_hat(p)
     hh = h_hat(p)
-    f_tilde = lambda x: entropy(x) / x**p
-    f_prime = lambda x: np.arctanh(x) / (p * x ** (p - 1))
-    lo, hi = 1e-6, 1.0 - 1e-9
+
+    # Both are minimized over u = -log(1 - x): for p >= 10 the minimizer of
+    # I(x)/x^p lies within 1e-5 of x = 1 (1.8e-12 at p = 20), where a grid
+    # in x has no room.  1 - x = exp(-u) is exact, so log(1 - x) = -u.
+    def parts(u):  # x, 1 - x and log(1 + x)
+        y = np.exp(-u)
+        return -np.expm1(-u), y, np.log1p(1.0 - y)
+
+    def f_tilde(u):  # I(x) / x^p
+        x, y, log_1px = parts(u)
+        return 0.5 * ((2.0 - y) * log_1px - y * u) / x**p
+
+    def f_prime(u):  # atanh(x) / (p x^(p-1))
+        x, _, log_1px = parts(u)
+        return 0.5 * (log_1px + u) / (p * x ** (p - 1))
+
+    lo, hi = 1e-6, 60.0
     _, bt = _grid_golden_min(f_tilde, lo, hi, name="I(x)/x^p")
     _, bp = _grid_golden_min(f_prime, lo, hi, name="atanh(x)/(p x^(p-1))")
     return Thresholds(p=p, beta_hat=bh, h_hat=hh, beta_tilde=float(bt),

@@ -249,3 +249,73 @@ def equal_height_field(p: int, beta: float, lo: float, hi: float) -> float:
         else:
             b = mid
     return 0.5 * (a + b)
+
+
+def _mp_bisect(g, lo, hi):
+    """Root of g on [lo, hi], g(lo) < 0 <= g(hi), bisected to the working
+    precision."""
+    mid = (lo + hi) / 2
+    while lo < mid < hi:
+        if g(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+        mid = (lo + hi) / 2
+    return mid
+
+
+def slow_eigenvalues(p: int, beta: float, h: float, N: int,
+                     dps: int = 40) -> tuple[float, float]:
+    """lam2 and lam3 of the level chain's kernel, by Sturm sequences in mpmath.
+
+    The kernel is built from the README rule at `dps` digits: up(k) =
+    (N - k)/(2N) f(k), down(k) = (N + k)/(2N) (1 - f(k)) and stay = 1 - up -
+    down.  Its symmetrised form is tridiagonal with diagonal stay and squared
+    off-diagonal up(k) down(k+2), so the number of eigenvalues below x is the
+    number of negative pivots of the LDL^T factorisation of T - x.  The top
+    eigenvalue is 1; lam2 and lam3 are the next two, bisected to `dps`
+    digits.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        ks = range(-N, N + 1, 2)
+        f = [(1 + mpmath.tanh(p * mpmath.mpf(beta) * (mpmath.mpf(k) / N) ** (p - 1)
+                              + mpmath.mpf(h))) / 2 for k in ks]
+        up = [mpmath.mpf(N - k) / (2 * N) * fk for k, fk in zip(ks, f)]
+        down = [mpmath.mpf(N + k) / (2 * N) * (1 - fk) for k, fk in zip(ks, f)]
+        diag = [1 - u - d for u, d in zip(up, down)]
+        off2 = [up[i] * down[i + 1] for i in range(N)]
+
+        def below(x):
+            count, q = 0, diag[0] - x
+            for i in range(1, N + 1):
+                count += q < 0
+                q = diag[i] - x - off2[i - 1] / q
+            return count + (q < 0)
+
+        def eigenvalue(j):  # j-th smallest, counted from 0
+            return float(_mp_bisect(lambda x: below(x) - j - 0.5,
+                                    mpmath.mpf(-1), mpmath.mpf(1) + mpmath.mpf(10) ** -dps))
+
+        return eigenvalue(N - 1), eigenvalue(N - 2)
+
+
+def threshold_minima(p: int, dps: int = 50) -> tuple[float, float]:
+    """(beta_tilde, beta_prime) = min over (0, 1) of I(x)/x^p and of
+    atanh(x)/(p x^(p-1)), in mpmath.
+
+    Their minimizers solve x atanh(x) = p I(x) and x/(1 - x^2) = (p - 1)
+    atanh(x), each bisected at `dps` digits on (0.01, 1 - 10^-30), where
+    the left side is below the right one at 0.01 and above it at the end.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        def I(x):
+            return ((1 + x) * mpmath.log1p(x) + (1 - x) * mpmath.log1p(-x)) / 2
+
+        lo, hi = mpmath.mpf("0.01"), 1 - mpmath.mpf(10) ** -30
+        xt = _mp_bisect(lambda x: x * mpmath.atanh(x) - p * I(x), lo, hi)
+        xp = _mp_bisect(lambda x: x / (1 - x**2) - (p - 1) * mpmath.atanh(x), lo, hi)
+        return float(I(xt) / xt**p), float(mpmath.atanh(xp) / (p * xp ** (p - 1)))

@@ -22,8 +22,8 @@ from pspin_glauber import (
     drift_field,
     evaluate_potential,
     exponent_fit,
+    LevelKernel,
     kernel_arrays,
-    mag_kernel,
     mean_field_map,
     mixing_time,
     restricted_mixing_time,
@@ -334,8 +334,8 @@ def test_criterion_08b_drift_identity():
         k = int(rng.integers(-N, N + 1))
         if (k + N) % 2:
             k += 1 if k < N else -1
-        row = mag_kernel(params, N, k)
-        diff = abs((2.0 / N) * (row.p_up - row.p_down)
+        kernel, i = LevelKernel(params, N), (k + N) // 2
+        diff = abs((2.0 / N) * (kernel.up[i] - kernel.down[i])
                    - drift_field(params, N, k / N))
         worst = max(worst, diff)
     ok = worst < 1e-14

@@ -137,6 +137,16 @@ def test_large_beta_error_names_the_parameters(capsys):
     assert "p*beta or |h| is too large" in err
 
 
+def test_margins_and_curves_at_high_order(capsys):
+    for p in ("10", "12"):
+        code, out, _ = run_cli(["classify", "--p", p, "--beta", "0.5", "--h", "0.1",
+                                "--margins"], capsys)
+        assert code == 0 and json.loads(out)["payload"]["margin"] is not None
+        code, out, _ = run_cli(["curves", "--p", p, "--beta-min", "0.25",
+                                "--beta-max", "0.3"], capsys)
+        assert code == 0 and out.splitlines()[1] == "beta,U,L,C"
+
+
 def test_phase_diagram_over_budget_writes_nothing(tmp_path, capsys):
     prefix = str(tmp_path / "big")
     # --jobs 2: the budget is checked before a worker pool could start

@@ -14,18 +14,20 @@ from pspin_glauber import (
     RunSpec,
     SpinConfig,
     boundary_curves,
+    chain_stationary,
     condition_at_least,
     find_stationary_points,
     kernel_arrays,
-    mag_kernel,
     mean_field_map,
     metastable_sample,
+    mixing_time,
     restricted_threshold,
     rng_stream,
     run_chain,
     run_coupling,
     stationary_mag,
     thresholds,
+    tv_curve,
 )
 from pspin_glauber.dynamics import (
     coupling_csv,
@@ -41,17 +43,15 @@ from conftest import balance_defects, cosh_tilted_log_level_law, flip_up_table
 
 
 def test_kernel_row_boundaries():
-    params = ModelParams(4, 0.7, 0.3)
-    top = mag_kernel(params, 50, 50)
-    assert top.p_up == 0.0
-    bottom = mag_kernel(params, 50, -50)
-    assert bottom.p_down == 0.0
+    kernel = LevelKernel(ModelParams(4, 0.7, 0.3), 50)
+    assert kernel.ks[-1] == 50 and kernel.up[-1] == 0.0
+    assert kernel.ks[0] == -50 and kernel.down[0] == 0.0
 
 
 def test_kernel_zero_field_symmetry_at_origin():
     for p in (2, 3, 4, 5):
-        row = mag_kernel(ModelParams(p, 0.8, 0.0), 100, 0)
-        assert row.p_up == row.p_down
+        kernel = LevelKernel(ModelParams(p, 0.8, 0.0), 100)
+        assert kernel.ks[50] == 0 and kernel.up[50] == kernel.down[50]
 
 
 def test_kernel_rows_are_probability_vectors():
@@ -104,10 +104,13 @@ def test_level_kernel_table_matches_closed_form_rate():
 
 
 def test_kernel_parity_rejection():
-    with pytest.raises(DomainError):
-        mag_kernel(ModelParams(4, 0.5, 0.0), 10, 3)
-    with pytest.raises(DomainError):
-        mag_kernel(ModelParams(4, 0.5, 0.0), 10, 12)
+    # a start level of the wrong parity or out of range has no kernel row
+    params = ModelParams(4, 0.5, 0.0)
+    for k in (3, 12):
+        with pytest.raises(DomainError):
+            tv_curve(params, 10, k, 10)
+        with pytest.raises(DomainError):
+            mixing_time(params, 10, 0.35, 10, starts=(k,))
 
 
 def test_detailed_balance_against_gibbs_law():
@@ -147,6 +150,34 @@ def test_detailed_balance_against_gibbs_law():
         assert np.abs(kept - full[i0:]).max() <= 1e-12, (p, beta, h, N, thr)
 
 
+def test_chain_stationary_is_exactly_reversible():
+    """pi_chain(k) up(k) = pi_chain(k+2) down(k+2) on every edge.
+
+    At the points of criterion 8a; at p = 2 the chain law is the cosh-tilted
+    Gibbs law in closed form, and restricted it is the chain law conditioned
+    on the floor.  Its TV to the Gibbs law at the critical point is the
+    0.30 floor the README quotes.
+    """
+    for (p, beta, h, N) in [(4, 0.054, 0.5, 200), (4, 0.51, 0.184, 100),
+                            (2, 0.25, 0.0, 100)]:
+        params = ModelParams(p, beta, h)
+        up, down, _ = kernel_arrays(params, N)
+        chain = chain_stationary(params, N)
+        assert np.abs(balance_defects(chain.log_weights, up, down)).max() <= 1e-12
+        assert abs(chain.probs.sum() - 1.0) <= 1e-14
+        if p == 2:
+            tilted = cosh_tilted_log_level_law(params, N)
+            assert np.abs(chain.log_weights - tilted).max() <= 1e-12
+        thr = restricted_threshold(params, N)
+        kept = LevelKernel(params, N, lo=thr)
+        conditioned = condition_at_least(chain, thr)
+        assert np.abs(np.exp(kept.log_pi) - conditioned.probs).max() <= 1e-15
+    critical = ModelParams(4, 0.51, 0.184)
+    floor = 0.5 * np.abs(chain_stationary(critical, 100).probs
+                         - stationary_mag(critical, 100).probs).sum()
+    assert round(floor, 2) == 0.30
+
+
 def test_step_full_strong_field_pins_spins():
     params = ModelParams(3, 0.5, 50.0)
     kernel = LevelKernel(params, 64)
@@ -155,8 +186,7 @@ def test_step_full_strong_field_pins_spins():
         k, _ = kernel.step(spins, k, i, u)
     assert k == 64 and spins == [1] * 64
     # the one-step flip probability itself is vanishing
-    row = mag_kernel(params, 64, 64)
-    assert row.p_down < 1e-20
+    assert kernel.ks[-1] == 64 and kernel.down[-1] < 1e-20
 
 
 def test_step_full_frequencies_match_kernel():
@@ -171,8 +201,8 @@ def test_step_full_frequencies_match_kernel():
         old = spins[i]
         sums[r], _ = kernel.step(spins, k, i, u)
         spins[i] = old
-    row = mag_kernel(params, N, k)
-    for delta, prob in ((2, row.p_up), (-2, row.p_down), (0, row.p_stay)):
+    at = (k + N) // 2
+    for delta, prob in ((2, kernel.up[at]), (-2, kernel.down[at]), (0, kernel.stay[at])):
         freq = float(np.mean(sums == k + delta))
         se = math.sqrt(prob * (1 - prob) / R)
         assert abs(freq - prob) <= 3 * se + 1e-9
@@ -186,6 +216,7 @@ def test_chain_transitions_chi_square():
     params = ModelParams(4, 0.054, 0.5)
     N, R, steps = 100, 100, 10_000
     f_up = flip_up_table(params, N)
+    kernel = LevelKernel(params, N)
     spins = np.tile(SpinConfig.from_magnetization(N, 0).spins, (R, 1))
     sums = spins.sum(axis=1).astype(np.int64)
     rows = np.arange(R)
@@ -209,8 +240,8 @@ def test_chain_transitions_chi_square():
     stat = 0.0
     dof = 0
     for lv in sorted(totals, key=totals.get, reverse=True)[:5]:
-        row = mag_kernel(params, N, lv)
-        expected = np.array([row.p_up, row.p_down, row.p_stay]) * totals[lv]
+        i = (lv + N) // 2
+        expected = np.array([kernel.up[i], kernel.down[i], kernel.stay[i]]) * totals[lv]
         observed = np.array(counts[lv], dtype=float)
         keep = expected > 5
         stat += float(((observed[keep] - expected[keep]) ** 2 / expected[keep]).sum())

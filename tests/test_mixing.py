@@ -32,7 +32,12 @@ from pspin_glauber.dynamics import (
     rng_stream,
     simulate_mag_replicas,
 )
-from conftest import dense_transition_matrix, enumerate_mag_law, gibbs_full_law
+from conftest import (
+    dense_transition_matrix,
+    enumerate_mag_law,
+    gibbs_full_law,
+    slow_eigenvalues,
+)
 
 H_HAT_4 = 0.40996906622851137
 
@@ -185,6 +190,79 @@ def test_evolve_pushes_only_the_live_window():
         if len(widths) == 20:
             break
     assert len(widths) == 20 and max(widths) < (N + 1) / 2
+
+
+CRITICAL = ModelParams(4, 0.51, 0.184)
+
+
+@pytest.fixture
+def pushed_steps(monkeypatch):
+    """Counts the steps LevelKernel.evolve pushes."""
+    count = [0]
+    evolve = LevelKernel.evolve
+
+    def counting(self, mu, steps, target=None):
+        for lo, laws, tv in evolve(self, mu, steps, target):
+            count[0] += len(laws)
+            yield lo, laws, tv
+
+    monkeypatch.setattr(LevelKernel, "evolve", counting)
+    return count
+
+
+def test_slow_spectrum_matches_sturm_oracle():
+    spec = LevelKernel(CRITICAL, 200).spectrum
+    lam2, lam3 = slow_eigenvalues(4, 0.51, 0.184, 200)
+    assert 5.72e-7 < 1.0 - lam2 < 5.74e-7
+    assert abs(spec.lam2 - lam2) <= spec.err <= 1e-14
+    # lam3 is bounded from above, within 1/64 in log(1 - lam3)
+    assert lam3 <= spec.lam3 == spec.rho < spec.lam2
+    assert abs(math.log((1.0 - spec.lam3) / (1.0 - lam3))) <= 1 / 64
+    assert abs(np.linalg.norm(spec.v2) - 1.0) <= 1e-15
+
+
+def test_closed_form_finish_matches_per_step_crossing(pushed_steps):
+    # the finish engages (far fewer steps are pushed than it reports) and
+    # lands on the step where the pushed TV curve first reaches eps
+    for N, start, cap, want in ((200, -200, 130_000, 121_905),
+                                (100, 100, 50_000, 39_097)):
+        pushed_steps[0] = 0
+        rep = mixing_time(CRITICAL, N, 0.35, cap, starts=(start,))
+        assert rep.t_by_start == {start: want} and pushed_steps[0] < want / 2
+        curve = tv_curve(CRITICAL, N, start, cap, eps_stop=0.35)
+        assert not curve.capped and int(curve.ts[-1]) == want
+
+
+def test_finish_tried_before_the_slow_mode_dominates():
+    # the first try comes while faster modes still move TV; the remainder
+    # bound must keep the ray from answering, so the pushed crossing stands
+    for params, N, eps in ((ModelParams(4, 1 / 3, H_HAT_4), 200, 0.35),
+                           (ModelParams(3, 0.6, 0.2), 80, 0.1)):
+        rep = mixing_time(params, N, eps, 100_000)
+        for start, t in rep.t_by_start.items():
+            curve = tv_curve(params, N, start, 100_000, eps_stop=eps)
+            assert t == int(curve.ts[-1]), (params, start)
+
+
+def test_closed_form_finish_caps_both_critical_starts(pushed_steps):
+    rep = mixing_time(CRITICAL, 200, 0.35, 100_000)
+    assert rep.capped and rep.t_mix is None
+    assert rep.t_by_start == {200: None, -200: None}
+    assert pushed_steps[0] < 25_000  # of the 200,000 a full push takes
+    # past the cap: the crossings a 2e7-step push finds
+    rep = mixing_time(CRITICAL, 200, 0.35, 10**8)
+    assert rep.t_by_start == {200: 3_600_420, -200: 121_905}
+
+
+def test_uncertified_finish_pushes_to_the_cap(pushed_steps):
+    # symmetric wells at h = 0: 1 - lam2 is below the eigenvalue error, so
+    # no certificate holds and every step up to the cap is pushed
+    params = ModelParams(4, 0.9, 0.0)
+    spec = LevelKernel(params, 100).spectrum
+    assert spec.lam2 >= 1.0 - 2 * spec.err
+    rep = mixing_time(params, 100, 0.35, 5_000)
+    assert pushed_steps[0] == 10_000
+    assert rep.capped and rep.t_by_start == {100: None, -100: None}
 
 
 def test_projected_tv_equals_dense_full_chain_tv():

@@ -23,6 +23,8 @@ from pspin_glauber import (
 )
 from pspin_glauber.phase_geometry import BoundaryDetail, GridBudgetError
 
+from conftest import threshold_minima
+
 # frozen independent evaluations (40-digit arithmetic, rounded to double)
 BETA_HAT_3 = 0.4330127018922193
 H_HAT_3 = 0.22546624657018904
@@ -56,6 +58,17 @@ def test_threshold_minimizations_against_scipy():
                              options={"xatol": 1e-12})
         assert abs(thr.beta_tilde - r1.fun) < 1e-9
         assert abs(thr.beta_prime - r2.fun) < 1e-9
+
+
+def test_thresholds_at_high_order():
+    # from p = 10 on the minimizer of I(x)/x^p lies within 1e-5 of x = 1
+    # (1.9e-6 at p = 10, 1.2e-7 at p = 12, about 1e-24 at p = 40)
+    for p in (10, 12, 20, 40):
+        thr = thresholds(p)
+        beta_tilde, beta_prime = threshold_minima(p)
+        assert abs(thr.beta_tilde - beta_tilde) <= 1e-12, p
+        assert abs(thr.beta_prime - beta_prime) <= 1e-12, p
+        assert thr.beta_hat < thr.beta_prime < thr.beta_tilde < math.log(2)
 
 
 def test_threshold_ordering_even():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pspin_glauber import (
     DomainError,
+    LevelKernel,
     ModelParams,
     PointKind,
     beta_hat,
@@ -18,7 +19,6 @@ from pspin_glauber import (
     find_stationary_points,
     h_hat,
     local_maxima,
-    mag_kernel,
     mean_field_map,
 )
 from conftest import central_difference
@@ -216,8 +216,8 @@ def test_drift_matches_kernel_difference():
         k = int(rng.integers(-N, N + 1))
         if (k + N) % 2:
             k += 1 if k < N else -1
-        row = mag_kernel(params, N, k)
-        lhs = (2.0 / N) * (row.p_up - row.p_down)
+        kernel, i = LevelKernel(params, N), (k + N) // 2
+        lhs = (2.0 / N) * (kernel.up[i] - kernel.down[i])
         assert abs(lhs - drift_field(params, N, k / N)) < 1e-14
 
 
