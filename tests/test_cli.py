@@ -256,8 +256,8 @@ def test_sample_windows_lie_in_state_space(capsys):
 
 
 # First 16 hex digits of the stdout sha256.  Exact mixing, Monte-Carlo
-# mixing, coupling and bottleneck bytes for a fixed seed change only when a
-# change says why.
+# mixing, coupling, bottleneck, classify and sampler bytes for a fixed seed
+# change only when a change says why.
 PINNED_STDOUT = [
     ("f5c3380fb2927ada", "mix --p 4 --beta 0.054 --h 0.5 --n 400 --eps 0.35 --cap 100000"),
     ("7794412f6ee19b1b", "restricted-mix --p 4 --beta 0.51 --h 0.184 --n 400 --cap 100000"),
@@ -265,6 +265,9 @@ PINNED_STDOUT = [
     ("a6e1dad2ba88c921", "bottleneck --p 4 --beta 0.51 --h 0.184 --n 200"),
     ("c53fae460e573403",
      "mix --p 4 --beta 0.054 --h 0.5 --n 200 --method mc --replicas 2000 --seed 3"),
+    ("5c8bfb176b564f2a", "classify --p 4 --beta 0.51 --h 0.184 --margins"),
+    ("888c7e2c25372bd5", "classify --p 4 --beta 0.9 --h 0"),
+    ("0b8fe0e0fc8647a6", "sample --p 4 --beta 0.9 --h 0 --n 200"),
 ]
 
 
@@ -275,22 +278,24 @@ def test_pinned_stdout_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, command
 
 
-# First 16 hex digits of the sha256 of the .grid.csv that phase-diagram
-# writes over the README ranges at step 0.05: region codes change only when
-# a change says why.
-PINNED_GRIDS = [("02846029156f6a70", 4), ("c6e416f6849e90e1", 5)]
+# First 16 hex digits of the sha256 of the .grid.csv and .curves.csv that
+# phase-diagram writes over the README ranges at step 0.05: region codes and
+# curve samples change only when a change says why.
+PINNED_GRIDS = [("02846029156f6a70", "550bd4b317afb5b4", 4),
+                ("c6e416f6849e90e1", "ae82fe80a13265a5", 5)]
 
 
 def test_pinned_grid_digests(tmp_path, capsys):
-    for digest, p in PINNED_GRIDS:
+    for grid_digest, curves_digest, p in PINNED_GRIDS:
         prefix = str(tmp_path / f"p{p}")
         code, _, _ = run_cli(["phase-diagram", "--p", str(p), "--beta-min", "0.01",
                               "--beta-max", "1.2", "--beta-step", "0.05",
                               "--h-min", "-1", "--h-max", "1", "--h-step", "0.05",
                               "--out-prefix", prefix], capsys)
         assert code == 0
-        with open(prefix + ".grid.csv", "rb") as fh:
-            assert hashlib.sha256(fh.read()).hexdigest()[:16] == digest, p
+        for ext, digest in (("grid", grid_digest), ("curves", curves_digest)):
+            with open(f"{prefix}.{ext}.csv", "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest()[:16] == digest, (p, ext)
 
 
 def test_report_round_trips(capsys):
