@@ -11,13 +11,17 @@ Exit codes: 0 success, 1 domain or I/O error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import os
 import re
 import sys
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
+from enum import Enum
 
 import numpy as np
 
@@ -87,7 +91,10 @@ def _eps_real(text: str) -> float:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+    values = [_positive_int(t) for t in text.split(",") if t.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no values in {text!r}")
+    return values
 
 
 def _write(out_path: str, payload: str) -> None:
@@ -101,10 +108,68 @@ def _write(out_path: str, payload: str) -> None:
         raise RuntimeError(f"cannot write {out_path}: {exc}") from exc
 
 
-def _json_envelope(report_kind: str, payload: dict) -> str:
-    doc = {"schema_version": SCHEMA_VERSION, "report": report_kind,
-           "payload": payload}
+# -- report codec -------------------------------------------------------------
+# A report's payload holds its dataclass fields by name, enums by value, dict
+# keys as str and tuples as lists; _from_payload inverts that by field type.
+
+_REPORTS = {cls.__name__: cls for cls in (
+    phase_geometry.PhaseReport, mixing_analysis.MixingReport,
+    mixing_analysis.BottleneckReport, dynamics.SamplerReport)}
+_fields = functools.cache(dataclasses.fields)
+_hints = functools.cache(typing.get_type_hints)
+
+
+def _payload(obj):
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [_payload(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): _payload(v) for k, v in obj.items()}
+    if isinstance(obj, Enum):
+        return obj.value
+    return {f.name: _payload(getattr(obj, f.name)) for f in _fields(type(obj))}
+
+
+def _from_payload(tp, value):
+    if value is None:
+        return None
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _from_payload(tp, value)
+    if origin is list:
+        return [_from_payload(args[0], v) for v in value]
+    if origin is tuple:
+        return tuple(_from_payload(a, v) for a, v in zip(args, value))
+    if origin is dict:
+        return {args[0](k): _from_payload(args[1], v) for k, v in value.items()}
+    if dataclasses.is_dataclass(tp):  # init=False fields are derived, not read
+        return tp(**{f.name: _from_payload(_hints(tp)[f.name], value[f.name])
+                     for f in _fields(tp) if f.init})
+    return tp(value) if issubclass(tp, Enum) else value
+
+
+def _json_envelope(report) -> str:
+    doc = {"schema_version": SCHEMA_VERSION, "report": type(report).__name__,
+           "payload": _payload(report)}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def load_report(text: str):
+    """The report whose JSON output, envelope included, is `text`.
+
+    Raises ValueError on a `schema_version` other than SCHEMA_VERSION or an
+    unknown `report` kind.
+    """
+    doc = json.loads(text)
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"schema_version {version!r}, expected {SCHEMA_VERSION!r}")
+    kind = doc.get("report")
+    if str(kind) not in _REPORTS:
+        raise ValueError(f"unknown report kind {kind!r}")
+    return _from_payload(_REPORTS[kind], doc["payload"])
 
 
 def _csv_envelope(body: str) -> str:
@@ -128,9 +193,8 @@ def _jobs(args) -> int:
 
 
 def _cmd_classify(args) -> None:
-    report = phase_geometry.classify_point(args.p, args.beta, args.h,
-                                           with_margin=args.margins)
-    _write(args.out, _json_envelope("PhaseReport", report.to_dict()))
+    _write(args.out, _json_envelope(phase_geometry.classify_point(
+        args.p, args.beta, args.h, with_margin=args.margins)))
 
 
 def _cmd_curves(args) -> None:
@@ -172,7 +236,7 @@ def _cmd_phase_diagram(args) -> None:
     _write(args.out_prefix + ".grid.csv",
            _csv_envelope(phase_geometry.grid_csv(grid)))
     _write(args.out_prefix + ".curves.csv",
-           _csv_envelope(phase_geometry.curves_csv(grid)))
+           _csv_envelope(phase_geometry.curves_csv(grid.curves)))
     sys.stdout.write(f"wrote {args.out_prefix}.grid.csv and "
                      f"{args.out_prefix}.curves.csv\n")
 
@@ -188,10 +252,9 @@ def _mixing_report(params, n, eps, cap, restricted, **options):
 
 
 def _cmd_mix(args) -> None:
-    report = _mixing_report(_params(args), args.n, args.eps, args.cap,
-                            args.restricted, mode=_mode(args.method),
-                            seed=args.seed, replicas=args.replicas)
-    _write(args.out, _json_envelope("MixingReport", report.to_dict()))
+    _write(args.out, _json_envelope(_mixing_report(
+        _params(args), args.n, args.eps, args.cap, args.restricted,
+        mode=_mode(args.method), seed=args.seed, replicas=args.replicas)))
 
 
 def _sweep_job(job):
@@ -238,8 +301,7 @@ def _cmd_sample(args) -> None:
         burn_steps=args.burn, seed=args.seed,
         require_coexistence=args.require_coexistence,
     )
-    _, report = dynamics.metastable_sample(spec)
-    _write(args.out, _json_envelope("SamplerReport", report.to_dict()))
+    _write(args.out, _json_envelope(dynamics.metastable_sample(spec)[1]))
 
 
 def _cmd_coupling(args) -> None:
@@ -253,8 +315,7 @@ def _cmd_coupling(args) -> None:
 
 
 def _cmd_bottleneck(args) -> None:
-    report = mixing_analysis.bottleneck(_params(args), args.n)
-    _write(args.out, _json_envelope("BottleneckReport", report.to_dict()))
+    _write(args.out, _json_envelope(mixing_analysis.bottleneck(_params(args), args.n)))
 
 
 def _cmd_drift(args) -> None:

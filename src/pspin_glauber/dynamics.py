@@ -563,14 +563,6 @@ def run_coupling(spec: CouplingSpec) -> CouplingTrace:
                          mags_y=np.asarray(my), coalesced_at=coalesced_at)
 
 
-def trace_csv(trace: Trace) -> str:
-    """CSV `t,mag_sum` for a single-chain trace."""
-    lines = ["t,mag_sum"]
-    for i in range(len(trace.times)):
-        lines.append(f"{int(trace.times[i])},{int(trace.mag_sums[i])}")
-    return "\n".join(lines) + "\n"
-
-
 def coupling_csv(trace: CouplingTrace) -> str:
     """CSV `t,mag_sum,hamming,untouched`; mag_sum is the first chain's."""
     lines = ["t,mag_sum,hamming,untouched"]
@@ -631,32 +623,13 @@ class MetastableSpec:
 
 @dataclass
 class SamplerReport:
-    maximizers: list            # magnetization locations of the windows
-    weights: list               # window selection probabilities
-    windows: list               # (lo_sum, hi_sum) per window, within [-N, N]
+    maximizers: list[float]         # magnetization locations of the windows
+    weights: list[float]            # window selection probabilities
+    windows: list[tuple[int, int]]  # (lo_sum, hi_sum) per window, in [-N, N]
     burn_steps: int
-    acceptance_rates: list      # fraction of proposals not window-rejected
-    final_sums: list
+    acceptance_rates: list[float]   # fraction of proposals not window-rejected
+    final_sums: list[int]
     chosen: int
-
-    def to_dict(self) -> dict:
-        return {
-            "maximizers": list(self.maximizers),
-            "weights": list(self.weights),
-            "windows": [list(w) for w in self.windows],
-            "burn_steps": self.burn_steps,
-            "acceptance_rates": list(self.acceptance_rates),
-            "final_sums": list(self.final_sums),
-            "chosen": self.chosen,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SamplerReport":
-        return cls(maximizers=list(d["maximizers"]), weights=list(d["weights"]),
-                   windows=[tuple(w) for w in d["windows"]],
-                   burn_steps=d["burn_steps"],
-                   acceptance_rates=list(d["acceptance_rates"]),
-                   final_sums=list(d["final_sums"]), chosen=d["chosen"])
 
 
 def _metastable_setup(spec: MetastableSpec):
@@ -669,12 +642,12 @@ def _metastable_setup(spec: MetastableSpec):
         raise DomainError("burn_steps must be non-negative")
     points = find_stationary_points(params)
     maxima = local_maxima(points)
-    top = max(s.H_value for s in maxima)
-    globals_ = [s for s in maxima if top - s.H_value <= spec.height_tol]
+    top = max(s.H for s in maxima)
+    globals_ = [s for s in maxima if top - s.H <= spec.height_tol]
     if spec.require_coexistence and len(globals_) < 2:
         raise DomainError("not on the global-coexistence locus")
     for s in globals_:
-        if abs(s.H2_value) <= CURVATURE_TOL:
+        if abs(s.H2) <= CURVATURE_TOL:
             raise DomainError(
                 "degenerate global maximizer: no Gaussian window weight exists"
             )
@@ -696,7 +669,7 @@ def _metastable_setup(spec: MetastableSpec):
         if not kernel.lo <= k0 <= kernel.hi:
             raise DomainError("window start outside window")
 
-    raw = [((s.m**2 - 1.0) * s.H2_value) ** -0.5 for s in globals_]
+    raw = [((s.m**2 - 1.0) * s.H2) ** -0.5 for s in globals_]
     total = sum(raw)
     weights = [w / total for w in raw]
     burn = spec.burn_steps

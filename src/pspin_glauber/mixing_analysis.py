@@ -118,29 +118,9 @@ class MixingReport:
     capped: bool
     cap: int
     method: str
-    starts_examined: list
-    t_by_start: dict
+    starts: list[int]
+    t_by_start: dict[int, int | None]
     stat_error: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "t_mix": self.t_mix,
-            "capped": self.capped,
-            "cap": self.cap,
-            "method": self.method,
-            "starts": list(self.starts_examined),
-            "t_by_start": {str(k): v for k, v in self.t_by_start.items()},
-            "stat_error": self.stat_error,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MixingReport":
-        return cls(eps=d["eps"], t_mix=d["t_mix"], capped=d["capped"],
-                   cap=d["cap"], method=d["method"],
-                   starts_examined=list(d["starts"]),
-                   t_by_start={int(k): v for k, v in d["t_by_start"].items()},
-                   stat_error=d.get("stat_error"))
 
 
 def _check_start(N: int, start_k: int, k_min: int) -> None:
@@ -361,7 +341,7 @@ def mixing_time(params: ModelParams, N: int, eps: float, cap: int,
     # the error belongs to the start that sets t_mix
     se = None if capped else se_by_start.get(max(t_by_start, key=t_by_start.get))
     return MixingReport(eps=eps, t_mix=t_mix, capped=capped, cap=cap,
-                        method=mode, starts_examined=list(starts),
+                        method=mode, starts=list(starts),
                         t_by_start=t_by_start, stat_error=se)
 
 
@@ -392,30 +372,10 @@ class CutStat:
 
 @dataclass
 class BottleneckReport:
-    cuts: list
+    cuts: list[CutStat]
     phi_star: float
     log_phi_star: float
     argmin_k: int
-
-    def to_dict(self) -> dict:
-        return {
-            "phi_star": self.phi_star,
-            "log_phi_star": self.log_phi_star,
-            "argmin_k": self.argmin_k,
-            "cuts": [
-                {"k": c.k, "side": c.side, "log_Q": c.log_Q,
-                 "log_pi_A": c.log_pi_A, "log_ratio": c.log_ratio}
-                for c in self.cuts
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BottleneckReport":
-        cuts = [CutStat(k=c["k"], side=c["side"], log_Q=c["log_Q"],
-                        log_pi_A=c["log_pi_A"], log_ratio=c["log_ratio"])
-                for c in d["cuts"]]
-        return cls(cuts=cuts, phi_star=d["phi_star"],
-                   log_phi_star=d["log_phi_star"], argmin_k=d["argmin_k"])
 
 
 def bottleneck(params: ModelParams, N: int) -> BottleneckReport:
@@ -476,6 +436,9 @@ def hitting_time(params: ModelParams, N: int, start_k: int, target_k: int,
                  max_steps: int | None = None) -> HittingReport:
     """Mean first time the (optionally floor-restricted) magnetization chain
     started at start_k reaches a level >= target_k, over seeded replicas."""
+    _check_start(N, start_k, -N if k_min is None else k_min)
+    if abs(target_k) > N:
+        raise DomainError(f"target level {target_k} outside [-{N}, {N}]")
     if max_steps is None:
         max_steps = int(200 * N * max(math.log(N), 1.0)) + 100_000
     rng = rng_stream(seed, 4)
@@ -507,13 +470,6 @@ class FitReport:
     slope: float
     intercept: float
     r2: float
-
-    def to_dict(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept, "r2": self.r2}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FitReport":
-        return cls(slope=d["slope"], intercept=d["intercept"], r2=d["r2"])
 
 
 def exponent_fit(ns, times, capped=None) -> FitReport:

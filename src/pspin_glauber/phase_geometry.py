@@ -18,7 +18,7 @@ Region semantics (p >= 3):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -99,36 +99,11 @@ class PhaseReport:
     boundary_detail: BoundaryDetail | None = None
     margin: float | None = None
     uncertain: bool = False
+    region_code: int = field(init=False)
 
-    @property
-    def code(self) -> int:
-        return UNCERTAIN_CODE if self.uncertain else REGION_CODES[self.region]
-
-    def to_dict(self) -> dict:
-        return {
-            "region": self.region.value,
-            "region_code": self.code,
-            "boundary_detail": None if self.boundary_detail is None else self.boundary_detail.value,
-            "margin": self.margin,
-            "uncertain": self.uncertain,
-            "stationary_points": [
-                {"m": s.m, "kind": s.kind.value, "H": s.H_value,
-                 "H2": s.H2_value, "near_degenerate": s.near_degenerate}
-                for s in self.stationary_points
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PhaseReport":
-        pts = [
-            StationaryPoint(m=s["m"], kind=PointKind(s["kind"]), H_value=s["H"],
-                            H2_value=s["H2"], near_degenerate=s["near_degenerate"])
-            for s in d["stationary_points"]
-        ]
-        detail = d.get("boundary_detail")
-        return cls(region=Region(d["region"]), stationary_points=pts,
-                   boundary_detail=None if detail is None else BoundaryDetail(detail),
-                   margin=d.get("margin"), uncertain=d["uncertain"])
+    def __post_init__(self):
+        code = UNCERTAIN_CODE if self.uncertain else REGION_CODES[self.region]
+        object.__setattr__(self, "region_code", code)
 
 
 def beta_hat(p: int) -> float:
@@ -230,8 +205,8 @@ def _height_gap(struct: LandscapeStructure, h: float):
     if len(maxima) < 2:
         return None
     top = maxima[-1]
-    other = max(maxima[:-1], key=lambda s: s.H_value)
-    return top.H_value - other.H_value, top.m - other.m
+    other = max(maxima[:-1], key=lambda s: s.H)
+    return top.H - other.H, top.m - other.m
 
 
 # |gap| at which the two heights tie to rounding (each is a sum of O(1)
@@ -365,7 +340,7 @@ def _region_code_for(struct: LandscapeStructure, h: float) -> int:
     if near_node or near_flat:
         pts = struct.stationary_points(h)
         m = local_maxima(pts)[0]
-        if abs(m.H2_value) <= ctol:
+        if abs(m.H2) <= ctol:
             return REGION_CODES[Region.SPECIAL]
     return REGION_CODES[Region.LOCALLY_REGULAR]
 
@@ -439,7 +414,7 @@ def classify_point(p: int, beta: float, h: float,
                     detail = nearest
     if region is Region.LOCALLY_CRITICAL:
         maxima = local_maxima(points)
-        heights = sorted((s.H_value for s in maxima), reverse=True)
+        heights = sorted((s.H for s in maxima), reverse=True)
         if len(heights) >= 2 and heights[0] - heights[1] <= 1e-10:
             detail = BoundaryDetail.ON_C_GLOBALS
     return PhaseReport(region=region, stationary_points=points,
@@ -466,7 +441,7 @@ class PhaseDiagramGrid:
     beta_axis: np.ndarray
     h_axis: np.ndarray
     cells: np.ndarray  # int8 region codes, shape (len(beta_axis), len(h_axis))
-    curve_samples: dict  # "U"/"L"/"C" -> list of (beta, value)
+    curves: list[CurveSample]  # the betas where some curve is defined
 
 
 class GridBudgetError(ValueError):
@@ -533,42 +508,26 @@ def scan_grid(spec: GridSpec, opts: RootFindOpts | None = None,
     beta_axis, h_axis = grid_axes(spec)
     cells = np.empty((len(beta_axis), len(h_axis)), dtype=np.int8)
     thr = thresholds(spec.p)
-    curves = {"U": [], "L": [], "C": []}
+    curves = []
     if columns is None:
         columns = (scan_column(spec.p, float(b), h_axis, opts, thr)
                    for b in beta_axis)
 
     for ib, (codes, sample) in enumerate(columns):
         cells[ib] = codes
-        for key, val in (("U", sample.U), ("L", sample.L), ("C", sample.C)):
-            if val is not None:
-                curves[key].append((float(sample.beta), float(val)))
+        if (sample.U, sample.L, sample.C) != (None, None, None):
+            curves.append(sample)
 
     return PhaseDiagramGrid(spec=spec, beta_axis=beta_axis, h_axis=h_axis,
-                            cells=cells, curve_samples=curves)
+                            cells=cells, curves=curves)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def curves_csv(grid_or_rows) -> str:
-    """CSV `beta,U,L,C`.
-
-    Accepts a PhaseDiagramGrid or a list of CurveSample; empty fields where
-    a curve is undefined.
-    """
-    if isinstance(grid_or_rows, PhaseDiagramGrid):
-        by_beta: dict[float, dict[str, float]] = {}
-        for key in ("U", "L", "C"):
-            for beta, val in grid_or_rows.curve_samples[key]:
-                by_beta.setdefault(beta, {})[key] = val
-        samples = [
-            CurveSample(beta=b, U=d.get("U"), L=d.get("L"), C=d.get("C"))
-            for b, d in sorted(by_beta.items())
-        ]
-    else:
-        samples = list(grid_or_rows)
+def curves_csv(samples: list[CurveSample]) -> str:
+    """CSV `beta,U,L,C`; empty fields where a curve is undefined."""
     lines = ["beta,U,L,C"]
     for s in samples:
         cols = [_fmt(s.beta)] + ["" if v is None else _fmt(v) for v in (s.U, s.L, s.C)]

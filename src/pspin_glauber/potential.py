@@ -92,8 +92,8 @@ class StationaryPoint:
 
     m: float
     kind: PointKind
-    H_value: float
-    H2_value: float
+    H: float
+    H2: float
     near_degenerate: bool = False
 
 
@@ -406,8 +406,8 @@ class LandscapeStructure:
                 near = None
             pv = evaluate_potential(params, m)
             nd = abs(pv.H2) <= ctol if near is None else near
-            points.append(StationaryPoint(m=m, kind=kind, H_value=pv.H,
-                                          H2_value=pv.H2, near_degenerate=nd))
+            points.append(StationaryPoint(m=m, kind=kind, H=pv.H,
+                                          H2=pv.H2, near_degenerate=nd))
         if not any(s.kind is PointKind.LOCAL_MAX for s in points):
             raise DegenerateClusterError("no local maximizer resolved",
                                          (nodes[0], nodes[-1]))

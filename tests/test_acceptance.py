@@ -405,7 +405,7 @@ def test_criterion_09_degenerate_point_calculus():
 def test_criterion_10_metastable_sampler():
     params = ModelParams(4, 0.9, 0.0)
     N = 200
-    heights = [s.H_value for s in find_stationary_points(params)
+    heights = [s.H for s in find_stationary_points(params)
                if s.kind.value == "LocalMax"]
     top_two = sorted(heights, reverse=True)[:2]
     assert top_two[0] - top_two[1] <= 1e-10  # two equal-height global maxima

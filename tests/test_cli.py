@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from pspin_glauber import (
+    MONTE_CARLO,
     BottleneckReport,
     MixingReport,
     ModelParams,
@@ -15,7 +19,8 @@ from pspin_glauber import (
     classify_point,
     mixing_time,
 )
-from pspin_glauber.cli import JOBS_ENV, build_parser, main, real
+from pspin_glauber.cli import (JOBS_ENV, _json_envelope, build_parser, load_report,
+                               main, real)
 from pspin_glauber.svg import emit_svg
 
 
@@ -23,6 +28,18 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg adds about 6.5 MB of resident memory to every process
+    # (see LevelKernel.spectrum); nothing on the CLI's import path needs it
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, pspin_glauber.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 def test_real_parsing():
@@ -81,6 +98,18 @@ def test_usage_error_exit_code():
         main(["classify", "--p", "4", "--beta", "0.5", "--h", "0",
               "--unknown-flag"])
     assert exc.value.code == 2
+
+
+def test_empty_or_nonpositive_n_list_is_a_usage_error(capsys):
+    for n_list, message in ((",", "no values in ','"), ("", "no values in ''"),
+                            ("40,0", "must be positive, got 0")):
+        for extra in ([], ["--svg"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["mix-sweep", "--p", "4", "--beta", "0.054", "--h", "0.5",
+                      f"--n-list={n_list}"] + extra)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert message in err and "capped" not in err
 
 
 def test_cached_parser_carries_nothing_between_calls(capsys):
@@ -299,21 +328,48 @@ def test_pinned_grid_digests(tmp_path, capsys):
 
 
 def test_report_round_trips(capsys):
-    phase = classify_point(4, 0.51, 0.184)
-    assert PhaseReport.from_dict(json.loads(json.dumps(phase.to_dict()))) == phase
-
-    mix = mixing_time(ModelParams(4, 0.054, 0.5), 60, 0.35, cap=5000)
-    assert MixingReport.from_dict(json.loads(json.dumps(mix.to_dict()))) == mix
-
-    bn = bottleneck(ModelParams(4, 0.51, 0.184), 30)
-    assert BottleneckReport.from_dict(json.loads(json.dumps(bn.to_dict()))) == bn
-
+    # load_report rebuilds from CLI stdout the report the library returns,
+    # and that report encodes back to the same bytes
     from pspin_glauber import MetastableSpec, metastable_sample
 
-    _, rep = metastable_sample(MetastableSpec(params=ModelParams(4, 0.9, 0.0),
-                                              N=40, burn_steps=500, seed=1))
-    back = SamplerReport.from_dict(json.loads(json.dumps(rep.to_dict())))
-    assert back == rep
+    mc = dict(mode=MONTE_CARLO, seed=3, replicas=500)
+    cases = [
+        ("classify --p 4 --beta 0.51 --h 0.184 --margins", PhaseReport,
+         classify_point(4, 0.51, 0.184, with_margin=True)),
+        ("mix --p 4 --beta 0.054 --h 0.5 --n 60 --cap 5000", MixingReport,
+         mixing_time(ModelParams(4, 0.054, 0.5), 60, 0.35, 5000)),
+        ("mix --p 4 --beta 0.054 --h 0.5 --n 60 --cap 40 --method mc "
+         "--replicas 500 --seed 3", MixingReport,
+         mixing_time(ModelParams(4, 0.054, 0.5), 60, 0.35, 40, **mc)),
+        ("bottleneck --p 4 --beta 0.51 --h 0.184 --n 30", BottleneckReport,
+         bottleneck(ModelParams(4, 0.51, 0.184), 30)),
+        ("sample --p 4 --beta 0.9 --h 0 --n 40 --burn 500 --seed 1", SamplerReport,
+         metastable_sample(MetastableSpec(params=ModelParams(4, 0.9, 0.0), N=40,
+                                          burn_steps=500, seed=1))[1]),
+    ]
+    for command, kind, expected in cases:
+        code, out, _ = run_cli(command.split(), capsys)
+        assert code == 0
+        report = load_report(out)
+        assert type(report) is kind and report == expected, command
+        assert _json_envelope(report) == out, command
+    assert cases[2][2].capped and None in cases[2][2].t_by_start.values()
+    assert isinstance(cases[4][2].windows[0], tuple)
+
+
+def test_load_report_rejects_foreign_documents(capsys):
+    _, out, _ = run_cli(["classify", "--p", "4", "--beta", "0.9", "--h", "0"], capsys)
+    doc = json.loads(out)
+    for bad, message in (
+            (dict(doc, schema_version="2"), "schema_version '2'"),
+            ({k: v for k, v in doc.items() if k != "schema_version"},
+             "schema_version None"),
+            ([doc], "schema_version None"),
+            (dict(doc, report="TraceReport"), "unknown report kind 'TraceReport'"),
+            (dict(doc, report=["PhaseReport"]), "unknown report kind"),
+            (dict(doc, report=None), "unknown report kind None")):
+        with pytest.raises(ValueError, match=message):
+            load_report(json.dumps(bad))
 
 
 def test_svg_output():

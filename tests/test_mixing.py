@@ -294,7 +294,7 @@ def test_mixing_time_worst_start_and_validation():
     params = ModelParams(4, 0.054, 0.5)
     rep = mixing_time(params, 100, 0.35, cap=10_000)
     assert rep.t_mix == max(v for v in rep.t_by_start.values())
-    assert rep.starts_examined == [100, -100]
+    assert rep.starts == [100, -100]
     assert not rep.capped
     with pytest.raises(DomainError):
         mixing_time(params, 100, 0.6, cap=100)
@@ -312,7 +312,7 @@ def test_monte_carlo_error_belongs_to_the_slowest_start():
     # the 80 start sets t_mix; the -80 start is examined last
     rep = mixing_time(ModelParams(4, 0.054, -0.5), 80, 0.3, cap=5000,
                       mode=MONTE_CARLO, seed=9, replicas=2000)
-    assert rep.starts_examined == [80, -80]
+    assert rep.starts == [80, -80]
     assert rep.t_by_start == {80: 260, -80: 200} and rep.t_mix == 260
     assert round(rep.stat_error, 6) == 0.010793
 
@@ -362,6 +362,18 @@ def test_hitting_time_growth_compatible_with_n_log_n():
         ratios[N] = rep.mean_steps / (N * math.log(N))
     vals = list(ratios.values())
     assert max(vals) / min(vals) < 1.6
+
+
+def test_hitting_time_rejects_levels_outside_the_chain():
+    params = ModelParams(3, 0.55, 0.10)
+    for start, target, k_min, message in (
+            (42, 20, None, "start level 42 invalid"),   # beyond N
+            (41, 20, None, "start level 41 invalid"),   # wrong parity
+            (-2, 20, 0, "below the restriction floor"),
+            (0, 42, None, "target level 42 outside"),   # would run to max_steps
+            (0, -42, None, "target level -42 outside")):
+        with pytest.raises(DomainError, match=message):
+            hitting_time(params, 40, start, target, k_min=k_min, replicas=4)
 
 
 def test_bottleneck_against_dense_enumeration():

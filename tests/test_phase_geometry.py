@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from pspin_glauber import (
     DomainError,
     GridSpec,
     ModelParams,
+    PointKind,
     Region,
     beta_hat,
     boundary_curves,
@@ -21,7 +24,7 @@ from pspin_glauber import (
     scan_grid,
     thresholds,
 )
-from pspin_glauber.phase_geometry import BoundaryDetail, GridBudgetError
+from pspin_glauber.phase_geometry import BoundaryDetail, GridBudgetError, scan_column
 
 from conftest import threshold_minima
 
@@ -258,7 +261,7 @@ def test_scan_grid_even_symmetry_oracle():
         for ih, h in enumerate(grid.h_axis):
             # independent re-classification of the reflected point
             got = classify_point(4, float(b), -float(h))
-            assert got.code == grid.cells[ib, ih]
+            assert got.region_code == grid.cells[ib, ih]
 
 
 def test_scan_grid_budget():
@@ -278,7 +281,7 @@ def test_csv_emission():
     assert len(lines) == 1 + 3 * 3
     codes = {int(l.split(",")[2]) for l in lines[1:]}
     assert codes <= {0, 1, 2, 3, 9}
-    ccsv = curves_csv(grid)
+    ccsv = curves_csv(grid.curves)
     assert ccsv.startswith("beta,U,L,C\n")
     # beta = 0.3 is below beta_hat(4): all three fields empty there
     row = ccsv.strip().split("\n")[1]
@@ -302,7 +305,7 @@ def test_c_curve_ties_the_maximizers():
                 lo = cs.L
                 assert cs.L < cs.C < cs.U, (p, beta)
             maxima = local_maxima(find_stationary_points(ModelParams(p, beta, cs.C)))
-            heights = [s.H_value for s in maxima]
+            heights = [s.H for s in maxima]
             assert abs(heights[-1] - max(heights[:-1])) <= 1e-14, (p, beta)
             assert abs(cs.C - equal_height_field(p, beta, lo, cs.U)) <= 1e-10, (p, beta)
 
@@ -317,7 +320,7 @@ def test_c_curve_just_above_beta_hat():
 
 
 def test_scan_column_matches_per_cell_codes():
-    from pspin_glauber.phase_geometry import _region_code_for, scan_column
+    from pspin_glauber.phase_geometry import _region_code_for
     from pspin_glauber.potential import landscape_structure
 
     near_node = 0
@@ -350,11 +353,28 @@ def test_scan_column_matches_per_cell_codes():
 def test_scan_column_just_below_beta_hat_with_a_deep_well():
     # every cell of this column is refined, and at h = +-12 the maximizer
     # lies beyond 1 - 1e-9, inside the root finder's fallback margin
-    from pspin_glauber.phase_geometry import scan_column
-
     beta = thresholds(3).beta_hat - 1e-9
     hs = np.array([-12.0, 12.0])
     codes, _ = scan_column(3, beta, hs)
-    assert codes.tolist() == [classify_point(3, beta, float(h)).code
+    assert codes.tolist() == [classify_point(3, beta, float(h)).region_code
                               for h in hs]
     assert classify_point(3, beta, 12.0).stationary_points[-1].m > 1 - 1e-9
+
+
+# The documented domain: p in 2..12, beta in [0.05, 1.5], |h| <= 1 and
+# p*beta + |h| <= 16, inside the atanh(1 - 1e-15) ~ 17.6 that bounds root
+# finding (see potential._fallback_margin).
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(2, 12), beta=st.floats(0.05, 1.5), h=st.floats(-1.0, 1.0))
+def test_classification_over_the_documented_domain(p, beta, h):
+    assume(p * beta + abs(h) <= 16)
+    report = classify_point(p, beta, h)
+    ms = [s.m for s in report.stationary_points]
+    assert all(a < b for a, b in zip(ms, ms[1:]))
+    kinds = [s.kind for s in report.stationary_points
+             if s.kind is not PointKind.INFLECTION]
+    assert kinds[0] is kinds[-1] is PointKind.LOCAL_MAX
+    assert all(a is not b for a, b in zip(kinds, kinds[1:]))
+    if p >= 3:
+        codes, _ = scan_column(p, beta, np.array([h]))
+        assert codes.tolist() == [report.region_code]

@@ -140,7 +140,7 @@ def test_stationary_points_regular_point():
     pts = find_stationary_points(ModelParams(4, 0.054, 0.5))
     assert len(pts) == 1
     assert pts[0].kind is PointKind.LOCAL_MAX
-    assert pts[0].H2_value < 0
+    assert pts[0].H2 < 0
 
 
 def test_stationary_points_critical_point():
