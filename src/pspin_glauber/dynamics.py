@@ -69,13 +69,6 @@ class SpinConfig:
     sum: int
 
     @classmethod
-    def from_spins(cls, spins) -> "SpinConfig":
-        arr = np.asarray(spins, dtype=np.int8)
-        if arr.ndim != 1 or not np.all(np.abs(arr) == 1):
-            raise DomainError("spins must be a 1-D array over {-1, +1}")
-        return cls(spins=arr, sum=int(arr.sum()))
-
-    @classmethod
     def all_plus(cls, N: int) -> "SpinConfig":
         return cls(spins=np.ones(N, dtype=np.int8), sum=N)
 
@@ -214,6 +207,21 @@ class LevelKernel:
         self.stay[-1] += self.up[-1]
         self.up[-1] = 0.0
         self._f_up = self.f_up.tolist()
+
+    def index(self, k: int) -> int:
+        """Position of the level k in ks.
+
+        Raises DomainError when k is no level of the chain or lies outside
+        [lo, hi].
+        """
+        N = self.N
+        if abs(k) > N or (k + N) % 2 != 0:
+            raise DomainError(f"start level {k} invalid for N={N}")
+        if k < self.lo:
+            raise DomainError("start below the restriction floor")
+        if k > self.hi:
+            raise DomainError("start above the restriction ceiling")
+        return (k - int(self.ks[0])) // 2
 
     @cached_property
     def log_pi(self) -> np.ndarray:
@@ -487,8 +495,7 @@ def run_chain(spec: RunSpec) -> Trace:
     """
     kernel = LevelKernel(spec.params, spec.N, lo=spec.threshold)
     state = _resolve_start(spec.N, spec.start)
-    if state.sum < kernel.lo:
-        raise DomainError("start violates the restriction")
+    kernel.index(state.sum)
     spins, k = state.spins.tolist(), state.sum
     times = [0]
     sums = [k]
@@ -666,8 +673,7 @@ def _metastable_setup(spec: MetastableSpec):
             raise DomainError("metastable windows overlap; reduce epsilon")
     starts = [nearest_level(N, s.m) for s in globals_]
     for kernel, k0 in zip(kernels, starts):
-        if not kernel.lo <= k0 <= kernel.hi:
-            raise DomainError("window start outside window")
+        kernel.index(k0)
 
     raw = [((s.m**2 - 1.0) * s.H2) ** -0.5 for s in globals_]
     total = sum(raw)
@@ -724,7 +730,7 @@ def metastable_sample_law(spec: MetastableSpec) -> np.ndarray:
     law = np.zeros(N + 1)
     for kernel, k0, w in zip(kernels, starts, weights):
         mu = np.zeros(len(kernel.ks))
-        mu[(k0 - kernel.ks[0]) // 2] = 1.0
+        mu[kernel.index(k0)] = 1.0
         law[(kernel.ks + N) // 2] += w * kernel.law_after(mu, burn)
     return law / law.sum()
 

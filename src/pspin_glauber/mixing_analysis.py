@@ -8,7 +8,8 @@ sets too, so the total-variation distance of the full chain to the Gibbs
 measure equals the total-variation distance between the level laws.  This
 module evolves level laws exactly (``LevelKernel.evolve``: the tridiagonal
 push on the law's live window, a block of steps at a time) and derives
-mixing times, conductance cuts and hitting times from them.
+mixing times from them; conductance cuts and mean hitting times follow from
+the stationary laws and the kernel's rates in log space.
 
 Exact mixing times finish in closed form once only the slowest mode is
 left (``_slow_finish``): the law is then pi_chain + lam2^u c2 x2 up to a
@@ -123,13 +124,6 @@ class MixingReport:
     stat_error: float | None = None
 
 
-def _check_start(N: int, start_k: int, k_min: int) -> None:
-    if abs(start_k) > N or (start_k + N) % 2 != 0:
-        raise DomainError(f"start level {start_k} invalid for N={N}")
-    if start_k < k_min:
-        raise DomainError("start below the restriction floor")
-
-
 def tv_curve(params: ModelParams, N: int, start_k: int, t_max: int,
              eps_stop: float = 0.0, k_min: int | None = None) -> TVCurve:
     """Exact TV distance to the Gibbs level law from a point-mass start.
@@ -140,15 +134,14 @@ def tv_curve(params: ModelParams, N: int, start_k: int, t_max: int,
     """
     if k_min is None:
         k_min = -N
-    _check_start(N, start_k, k_min)
+    kernel = LevelKernel(params, N, lo=k_min)
+    start = kernel.index(start_k)
     if t_max < 0:
         raise DomainError("t_max must be >= 0")
-    dist = stationary_mag(params, N)
-    kernel = LevelKernel(params, N, lo=k_min)
-    pi = condition_at_least(dist, k_min).probs
+    pi = condition_at_least(stationary_mag(params, N), k_min).probs
 
     mu = np.zeros_like(pi)
-    mu[(start_k - kernel.ks[0]) // 2] = 1.0
+    mu[start] = 1.0
     tvs = [0.5 * np.abs(mu - pi).sum(keepdims=True)]
     if not tvs[0][0] <= eps_stop:
         for _, _, tv in kernel.evolve(mu, t_max, target=pi):
@@ -179,10 +172,9 @@ def _exact_crossing(kernel: LevelKernel, target: np.ndarray, start_k: int,
     Pushes the law with kernel.evolve, as tv_curve does, and at checkpoints
     tries _slow_finish, which ends the push once its certificate holds.
     """
-    _check_start(kernel.N, start_k, kernel.lo)
     n = len(kernel.ks)
     mu = np.zeros(n)
-    mu[(start_k - kernel.ks[0]) // 2] = 1.0
+    mu[kernel.index(start_k)] = 1.0
     if 0.5 * np.abs(mu - target).sum() <= eps:
         return 0
     t, check = 0, _FIRST_FINISH * kernel.N if n >= 3 else cap
@@ -275,23 +267,20 @@ def _slow_finish(kernel: LevelKernel, mu: np.ndarray, target: np.ndarray,
     return None, max(math.ceil(shrink), t // 2)
 
 
-def _mc_tv_crossing(params, N, start_k, eps, cap, k_min, replicas, seed,
-                    check_every):
-    """First checkpoint where the replica-histogram TV drops to eps."""
-    dist = condition_at_least(stationary_mag(params, N), max(k_min, -N))
+def _mc_tv_crossing(params, kernel, target, start_k, eps, cap, replicas, seed):
+    """First checkpoint (every N // 4 steps) where the replica-histogram TV
+    drops to eps."""
+    N = kernel.N
+    kernel.index(start_k)
     rng = rng_stream(seed, 3, (start_k + N) // 2)
     ks = np.full(replicas, start_k, dtype=np.int64)
-    idx_of = {int(k): i for i, k in enumerate(dist.ks)}
     t = 0
     while t < cap:
-        step = min(check_every, cap - t)
-        ks = simulate_mag_replicas(params, N, ks, step, rng, lo=k_min)
+        step = min(max(1, N // 4), cap - t)
+        ks = simulate_mag_replicas(params, N, ks, step, rng, lo=kernel.lo)
         t += step
-        hist = np.zeros_like(dist.probs)
-        vals, counts = np.unique(ks, return_counts=True)
-        for v, ct in zip(vals.tolist(), counts.tolist()):
-            hist[idx_of[v]] = ct / replicas
-        tv = 0.5 * float(np.abs(hist - dist.probs).sum())
+        hist = np.bincount((ks - kernel.ks[0]) // 2, minlength=len(target)) / replicas
+        tv = 0.5 * float(np.abs(hist - target).sum())
         if tv <= eps:
             se = 0.5 * float(np.sqrt(np.sum(hist * (1 - hist)) / replicas))
             return t, se
@@ -300,7 +289,6 @@ def _mc_tv_crossing(params, N, start_k, eps, cap, k_min, replicas, seed,
 
 def mixing_time(params: ModelParams, N: int, eps: float, cap: int,
                 mode: str = EXACT, seed: int = 0, replicas: int = 10_000,
-                check_every: int | None = None,
                 k_min: int | None = None,
                 starts: tuple | None = None) -> MixingReport:
     """Mixing time at level eps: worst TV crossing over the examined starts.
@@ -309,7 +297,7 @@ def mixing_time(params: ModelParams, N: int, eps: float, cap: int,
     mode is left, finds the crossing in closed form (_slow_finish): the
     same step tv_curve's push reaches, or capped when that lies past the
     cap.  MonteCarlo estimates TV
-    from replica histograms on a checkpoint schedule (upward-biased near
+    from replica histograms every N // 4 steps (upward-biased near
     the crossing, reported with a rough multinomial standard error).
     """
     if not 0.0 < eps < 0.5:
@@ -325,17 +313,14 @@ def mixing_time(params: ModelParams, N: int, eps: float, cap: int,
 
     t_by_start: dict[int, int | None] = {}
     se_by_start: dict[int, float | None] = {}
-    if mode == EXACT:
-        kernel = LevelKernel(params, N, lo=k_min)
-        target = condition_at_least(stationary_mag(params, N), k_min).probs
+    kernel = LevelKernel(params, N, lo=k_min)
+    target = condition_at_least(stationary_mag(params, N), k_min).probs
     for start_k in starts:
         if mode == EXACT:
             t_by_start[start_k] = _exact_crossing(kernel, target, start_k, eps, cap)
         else:
-            if check_every is None:
-                check_every = max(1, N // 4)
             t_by_start[start_k], se_by_start[start_k] = _mc_tv_crossing(
-                params, N, start_k, eps, cap, k_min, replicas, seed, check_every)
+                params, kernel, target, start_k, eps, cap, replicas, seed)
     capped = any(v is None for v in t_by_start.values())
     t_mix = None if capped else max(t_by_start.values())
     # the error belongs to the start that sets t_mix
@@ -347,8 +332,7 @@ def mixing_time(params: ModelParams, N: int, eps: float, cap: int,
 
 def restricted_mixing_time(params: ModelParams, N: int, eps: float, cap: int,
                            mode: str = EXACT, seed: int = 0,
-                           replicas: int = 10_000,
-                           check_every: int | None = None) -> MixingReport:
+                           replicas: int = 10_000) -> MixingReport:
     """Mixing time of the floor-restricted dynamics to its conditioned law.
 
     The floor comes from restricted_threshold; with no restriction active
@@ -357,8 +341,7 @@ def restricted_mixing_time(params: ModelParams, N: int, eps: float, cap: int,
     """
     k_min = restricted_threshold(params, N)
     return mixing_time(params, N, eps, cap, mode=mode, seed=seed,
-                       replicas=replicas, check_every=check_every,
-                       k_min=k_min)
+                       replicas=replicas, k_min=k_min)
 
 
 @dataclass
@@ -427,42 +410,29 @@ def bottleneck(params: ModelParams, N: int) -> BottleneckReport:
 class HittingReport:
     target: int
     mean_steps: float
-    replicas: int
-    std_err: float
 
 
 def hitting_time(params: ModelParams, N: int, start_k: int, target_k: int,
-                 k_min: int | None = None, replicas: int = 200, seed: int = 0,
-                 max_steps: int | None = None) -> HittingReport:
-    """Mean first time the (optionally floor-restricted) magnetization chain
-    started at start_k reaches a level >= target_k, over seeded replicas."""
-    _check_start(N, start_k, -N if k_min is None else k_min)
+                 k_min: int | None = None) -> HittingReport:
+    """Exact mean first time the (optionally floor-restricted) magnetization
+    chain started at start_k is at a level >= target_k: 0 from such a level.
+
+    The chain climbs one level at a time, so the mean is a sum of one-level
+    passages, and the passage from kept level i to i + 1 takes
+    pi[0..i] / (pi_i up_i) steps on average, pi the chain's own law
+    (Levin-Peres-Wilmer, ch. 2).  Summed in log space; a mean beyond the
+    float range reads inf.
+    """
+    kernel = LevelKernel(params, N, lo=k_min)
+    start = kernel.index(start_k)
     if abs(target_k) > N:
         raise DomainError(f"target level {target_k} outside [-{N}, {N}]")
-    if max_steps is None:
-        max_steps = int(200 * N * max(math.log(N), 1.0)) + 100_000
-    rng = rng_stream(seed, 4)
-    ks = np.full(replicas, start_k, dtype=np.int64)
-    hit_at = np.full(replicas, -1, dtype=np.int64)
-    t = 0
-    block = max(64, N // 2)
-    while t < max_steps and (hit_at < 0).any():
-        times, traj = simulate_mag_replicas(params, N, ks, block, rng,
-                                            lo=k_min, record_every=1)
-        for s in range(1, len(times)):
-            newly = (hit_at < 0) & (traj[s] >= target_k)
-            hit_at[newly] = t + s
-        ks = traj[-1]
-        t += block
-    if (hit_at < 0).any():
-        raise RuntimeError(
-            f"{int((hit_at < 0).sum())} replicas missed level {target_k} "
-            f"within {max_steps} steps"
-        )
-    mean = float(hit_at.mean())
-    se = float(hit_at.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
-    return HittingReport(target=target_k, mean_steps=mean, replicas=replicas,
-                         std_err=se)
+    end = int(np.searchsorted(kernel.ks, target_k))  # first kept level >= target
+    log_pi = kernel.log_pi[:end]
+    with np.errstate(divide="ignore", over="ignore"):
+        log_steps = np.logaddexp.accumulate(log_pi) - log_pi - np.log(kernel.up[:end])
+        mean = float(np.exp(log_steps[start:]).sum())
+    return HittingReport(target=target_k, mean_steps=mean)
 
 
 @dataclass

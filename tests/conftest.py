@@ -24,6 +24,39 @@ def flip_up_table(params: ModelParams, N: int) -> np.ndarray:
                      for k in range(-N, N + 1, 2)])
 
 
+def passage_means(params: ModelParams, N: int, target_k: int,
+                  k_min: int | None = None) -> dict:
+    """Mean first time at a level >= target_k, from each level below it.
+
+    Solves (I - Q) t = 1 over the levels k_min <= k < target_k, Q the
+    one-step matrix of the sum among them, by a tridiagonal (Thomas) solve.
+    The rates come from flip_up_table: up(k) = (N - k)/(2N) f(k) and
+    down(k) = (N + k)/(2N) (1 - f(k)); a step below k_min is rejected, so
+    the lowest level's down rate is folded into its stay.  Returns
+    {k: mean steps}.
+    """
+    f = flip_up_table(params, N)
+    floor = -N if k_min is None else k_min
+    ks = [k for k in range(-N, N + 1, 2) if floor <= k < target_k]
+    up = [(N - k) / (2 * N) * f[(k + N) // 2] for k in ks]
+    down = [(N + k) / (2 * N) * (1 - f[(k + N) // 2]) for k in ks]
+    stay = [1.0 - u - d for u, d in zip(up, down)]
+    stay[0] += down[0]
+    down[0] = 0.0
+    # row i: (1 - stay_i) t_i - down_i t_(i-1) - up_i t_(i+1) = 1, and t = 0
+    # at target_k; forward elimination, then back substitution
+    sup, rhs = [], []
+    for i in range(len(ks)):
+        pivot = 1.0 - stay[i] - (down[i] * sup[-1] if sup else 0.0)
+        sup.append(up[i] / pivot)
+        rhs.append((1.0 + (down[i] * rhs[-1] if rhs else 0.0)) / pivot)
+    t, out = 0.0, {}
+    for i in reversed(range(len(ks))):
+        t = rhs[i] + sup[i] * t
+        out[ks[i]] = t
+    return out
+
+
 def enumerate_mag_law(params: ModelParams, N: int) -> np.ndarray:
     """Exact magnetization-level law by summing Gibbs weights over 2^N states."""
     assert N <= 20

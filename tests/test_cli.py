@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -406,3 +407,31 @@ def test_curves_svg(capsys):
     assert code == 0
     assert out.startswith("<?xml")
     assert "<polyline" in out
+
+
+def readme_block(heading: str, fence: str) -> str:
+    """The first code block of the README section under `## heading`."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        section = fh.read().split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{fence}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_block("Command line", "").replace("\\\n", " ").splitlines()
+    assert len(commands) == 11
+    for line in commands:
+        prog, *args = shlex.split(line)
+        assert prog == "pspin-glauber"
+        code, _, err = run_cli(args, capsys)
+        assert code == 0, (line, err)
+    assert (tmp_path / "diagram.grid.csv").exists()
+
+
+def test_readme_library_example(capsys):
+    exec(readme_block("Library example", "python"), {})
+    region, capped, t_mix = capsys.readouterr().out.splitlines()
+    assert region == "Region.LOCALLY_CRITICAL"
+    assert capped == "True"
+    assert int(t_mix) > 0

@@ -94,6 +94,17 @@ def test_level_kernel_restriction_clamps_and_folds():
         LevelKernel(params, N, lo=N + 1)
 
 
+def test_level_kernel_index_of_a_restriction():
+    window = LevelKernel(ModelParams(4, 0.51, 0.184), 60, lo=-13, hi=21)
+    assert [window.index(int(k)) for k in window.ks] == list(range(len(window.ks)))
+    for k, message in ((62, "start level 62 invalid for N=60"),
+                       (7, "start level 7 invalid"),    # wrong parity
+                       (-14, "below the restriction floor"),
+                       (22, "above the restriction ceiling")):
+        with pytest.raises(DomainError, match=message):
+            window.index(k)
+
+
 def test_level_kernel_table_matches_closed_form_rate():
     for (p, beta, h, N) in [(2, 0.25, 0.0, 9), (4, 0.51, 0.184, 200),
                             (5, 0.7, -0.3, 41), (7, 1.1, 0.05, 30)]:
@@ -530,8 +541,6 @@ def test_spin_config_validation():
         SpinConfig.from_magnetization(10, 3)  # parity
     with pytest.raises(DomainError):
         SpinConfig.from_magnetization(10, 12)  # range
-    with pytest.raises(DomainError):
-        SpinConfig.from_spins([1, 0, -1])
     cfg = SpinConfig.from_magnetization(10, 4)
     assert cfg.sum == 4 and cfg.spins.sum() == 4
     bad = SpinConfig(spins=cfg.spins, sum=2)

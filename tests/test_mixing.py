@@ -36,6 +36,7 @@ from conftest import (
     dense_transition_matrix,
     enumerate_mag_law,
     gibbs_full_law,
+    passage_means,
     slow_eigenvalues,
 )
 
@@ -347,21 +348,73 @@ def test_restricted_mixing_scales_like_n_log_n():
     assert max(ratios) / min(ratios) < 2.0
 
 
-def test_hitting_time_growth_compatible_with_n_log_n():
-    # climb from the restriction floor to sqrt(N) above the top maximizer
-    params = ModelParams(3, 0.55, 0.10)
+def floor_climb(params, N):
+    """(floor, start, target): from the restriction floor to sqrt(N) above
+    the top maximizer."""
     m_plus = find_stationary_points(params)[-1].m
+    thr = restricted_threshold(params, N)
+    return thr, thr + (thr + N) % 2, math.ceil(N * m_plus + math.sqrt(N))
+
+
+def test_hitting_time_growth_compatible_with_n_log_n():
+    params = ModelParams(3, 0.55, 0.10)
     ratios = {}
     for N in (200, 400, 800):
-        thr = restricted_threshold(params, N)
-        target = math.ceil(N * m_plus + math.sqrt(N))
-        start = thr + (thr + N) % 2
-        rep = hitting_time(params, N, start, target, k_min=thr,
-                           replicas=200, seed=3)
-        assert rep.std_err < 0.15 * rep.mean_steps
+        thr, start, target = floor_climb(params, N)
+        rep = hitting_time(params, N, start, target, k_min=thr)
         ratios[N] = rep.mean_steps / (N * math.log(N))
     vals = list(ratios.values())
     assert max(vals) / min(vals) < 1.6
+
+
+@pytest.mark.parametrize("point, floored", [
+    ((3, 0.55, 0.10), True), ((4, 0.51, 0.184), True),
+    ((2, 0.6, 0.0), False), ((4, 0.054, 0.5), False)])
+def test_hitting_time_matches_tridiagonal_solve(point, floored):
+    params = ModelParams(*point)
+    for N in (20, 40):
+        k_min = restricted_threshold(params, N) if floored else None
+        m_plus = find_stationary_points(params)[-1].m
+        for target in (nearest_level(N, m_plus), N - 2, N):
+            means = passage_means(params, N, target, k_min)
+            assert means
+            for k, mean in means.items():
+                rep = hitting_time(params, N, k, target, k_min=k_min)
+                assert rep.target == target
+                assert rep.mean_steps == pytest.approx(mean, rel=1e-9)
+
+
+def test_hitting_time_is_zero_from_the_target():
+    params = ModelParams(3, 0.55, 0.10)
+    assert hitting_time(params, 40, 30, 20).mean_steps == 0.0
+    assert hitting_time(params, 40, 20, 20).mean_steps == 0.0
+
+
+def test_hitting_time_beyond_float_range_is_inf(recwarn):
+    # across the barrier of the symmetric wells, exp(O(N)) steps
+    params = ModelParams(4, 0.9, 0.0)
+    assert hitting_time(params, 1000, -1000, 1000).mean_steps > 1e100
+    assert hitting_time(params, 4000, -4000, 4000).mean_steps == math.inf
+    assert len(recwarn) == 0
+
+
+def test_hitting_time_agrees_with_replicas():
+    params = ModelParams(3, 0.55, 0.10)
+    N, R = 200, 200
+    thr, start, target = floor_climb(params, N)
+    rng = rng_stream(3, 4)
+    ks = np.full(R, start, dtype=np.int64)
+    hit_at = np.full(R, -1, dtype=np.int64)
+    t = 0
+    while (hit_at < 0).any():
+        _, traj = simulate_mag_replicas(params, N, ks, 100, rng, lo=thr,
+                                        record_every=1)
+        for s in range(1, len(traj)):
+            hit_at[(hit_at < 0) & (traj[s] >= target)] = t + s
+        ks, t = traj[-1], t + 100
+    se = hit_at.std(ddof=1) / math.sqrt(R)
+    exact = hitting_time(params, N, start, target, k_min=thr).mean_steps
+    assert abs(exact - hit_at.mean()) <= 4 * se
 
 
 def test_hitting_time_rejects_levels_outside_the_chain():
@@ -370,10 +423,10 @@ def test_hitting_time_rejects_levels_outside_the_chain():
             (42, 20, None, "start level 42 invalid"),   # beyond N
             (41, 20, None, "start level 41 invalid"),   # wrong parity
             (-2, 20, 0, "below the restriction floor"),
-            (0, 42, None, "target level 42 outside"),   # would run to max_steps
+            (0, 42, None, "target level 42 outside"),
             (0, -42, None, "target level -42 outside")):
         with pytest.raises(DomainError, match=message):
-            hitting_time(params, 40, start, target, k_min=k_min, replicas=4)
+            hitting_time(params, 40, start, target, k_min=k_min)
 
 
 def test_bottleneck_against_dense_enumeration():
