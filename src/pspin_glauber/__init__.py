@@ -13,7 +13,6 @@ from .potential import (
     ModelParams,
     PointKind,
     PotentialValues,
-    RootFindOpts,
     StationaryPoint,
     drift_field,
     entropy,

@@ -198,9 +198,8 @@ def _cmd_classify(args) -> None:
 
 
 def _cmd_curves(args) -> None:
-    thr = phase_geometry.thresholds(args.p)
     betas = phase_geometry._axis(args.beta_min, args.beta_max, args.beta_step)
-    samples = [phase_geometry.boundary_curves(args.p, float(b), thr) for b in betas]
+    samples = [phase_geometry.boundary_curves(args.p, float(b)) for b in betas]
     if args.svg:
         series = []
         for key in ("U", "L", "C"):

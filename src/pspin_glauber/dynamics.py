@@ -33,6 +33,7 @@ from scipy.special import expit, logsumexp
 
 from .potential import (
     CURVATURE_TOL,
+    HEIGHT_TOL,
     DomainError,
     ModelParams,
     find_stationary_points,
@@ -625,7 +626,6 @@ class MetastableSpec:
     burn_steps: int | None = None  # None = ceil(10 N log N)
     seed: int = 0
     require_coexistence: bool = False
-    height_tol: float = 1e-10
 
 
 @dataclass
@@ -650,7 +650,7 @@ def _metastable_setup(spec: MetastableSpec):
     points = find_stationary_points(params)
     maxima = local_maxima(points)
     top = max(s.H for s in maxima)
-    globals_ = [s for s in maxima if top - s.H <= spec.height_tol]
+    globals_ = [s for s in maxima if top - s.H <= HEIGHT_TOL]
     if spec.require_coexistence and len(globals_) < 2:
         raise DomainError("not on the global-coexistence locus")
     for s in globals_:

@@ -25,17 +25,17 @@ from functools import lru_cache
 import numpy as np
 
 from .potential import (
+    CURVATURE_TOL,
+    HEIGHT_TOL,
     DegenerateClusterError,
     DomainError,
     LandscapeStructure,
     ModelParams,
     PointKind,
-    RootFindOpts,
     StationaryPoint,
-    _bisect,
     _golden_max,
     free_energy_d1,
-    free_energy_d2,
+    free_energy_d2,  # noqa: F401  (perfbench/layers.py counts calls through it)
     landscape_structure,
     local_maxima,
 )
@@ -169,30 +169,22 @@ def thresholds(p: int) -> Thresholds:
                       beta_prime=float(bp))
 
 
-def inflection_pair(p: int, beta: float, opts: RootFindOpts | None = None) -> InflectionPair:
+def inflection_pair(p: int, beta: float) -> InflectionPair:
     """The two positive roots of H'' at zero field, bracketing sqrt(1-2/p).
 
+    They are the positive `curvature_roots` of `landscape_structure(p, beta)`.
     Requires beta > beta_hat(p); below the threshold H'' has no positive
     root and the landscape is strictly concave.
     """
-    opts = opts or RootFindOpts()
     bh = beta_hat(p)
     if not beta > bh + 1e-12:
         raise DomainError(
             f"no inflection pair: beta={beta} is not above beta_hat={bh}"
         )
-    params0 = ModelParams(p, beta, 0.0)
-    f = lambda x: free_energy_d2(params0, x)
-    w = math.sqrt(1.0 - 2.0 / p)
-    hi = 1.0 - opts.domain_margin
-    fw = f(w)
-    if fw <= 0.0:  # float sliver just above the threshold
-        w, fw = _golden_max(f, 0.0, hi)
-        if fw <= 0.0:
-            raise DomainError(f"H'' never positive at beta={beta} (p={p})")
-    a1 = _bisect(f, 0.0, w, f(0.0), fw)
-    a2 = _bisect(f, w, hi, fw, f(hi))
-    return InflectionPair(a1=a1, a2=a2)
+    positive = [r for r in landscape_structure(p, beta).curvature_roots if r > 0.0]
+    if len(positive) != 2:
+        raise DomainError(f"H'' has {len(positive)} positive roots at beta={beta} (p={p})")
+    return InflectionPair(a1=positive[0], a2=positive[1])
 
 
 def _height_gap(struct: LandscapeStructure, h: float):
@@ -214,8 +206,7 @@ def _height_gap(struct: LandscapeStructure, h: float):
 _GAP_FLOOR = 1e-15
 
 
-def _equal_height_field(p: int, beta: float, lo: float, hi: float,
-                        opts: RootFindOpts | None = None) -> float:
+def _equal_height_field(p: int, beta: float, lo: float, hi: float) -> float:
     """The field h at which the two relevant maximizers of H tie in height.
 
     The height gap is strictly h-increasing inside [lo, hi], negative near
@@ -225,7 +216,7 @@ def _equal_height_field(p: int, beta: float, lo: float, hi: float,
     sign bracket: a step that leaves the bracket (or a slope that is not
     positive) is replaced by bisection.  Runs to float resolution.
     """
-    struct = landscape_structure(p, beta, opts)
+    struct = landscape_structure(p, beta)
     if hi - lo < 1e-10:
         return 0.5 * (lo + hi)
 
@@ -233,10 +224,14 @@ def _equal_height_field(p: int, beta: float, lo: float, hi: float,
 
     def endpoint(base, sign):
         # a narrow band resolves two maxima only well inside it: just above
-        # beta_hat the node values near its ends fall within curvature_tol
+        # beta_hat the node values near its ends fall within CURVATURE_TOL;
+        # at large p near an end a maximizer lies past the float margin
         for frac in (1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.25, 0.5):
             x = base + sign * frac * span
-            res = _height_gap(struct, x)
+            try:
+                res = _height_gap(struct, x)
+            except DomainError:
+                continue
             if res is not None:
                 return (x,) + res
         raise RuntimeError(f"no coexisting maxima near h={base} (p={p}, beta={beta})")
@@ -269,40 +264,35 @@ def _equal_height_field(p: int, beta: float, lo: float, hi: float,
     return x
 
 
-def boundary_curves(p: int, beta: float, thr: Thresholds | None = None,
-                    opts: RootFindOpts | None = None,
-                    with_C: bool = True) -> CurveSample:
+def boundary_curves(p: int, beta: float, *, with_C: bool = True) -> CurveSample:
     """Sample the curves U, L, C at one beta; absent values are None.
 
     Odd p:  U = -H'(a1), L = -H'(a2) at zero field, both on (beta_hat, inf).
     Even p: U = -min(H'(-a2), H'(a1)), L = -H'(a2) only on (beta_hat,
     beta_prime]; C vanishes identically above beta_tilde.
-    U and L are cached per (p, beta, thr, opts).  C is located by a Newton
-    solve of the equal-height condition between the outer maximizers; pass
-    with_C=False to skip that (the costly part) when only the coexistence
-    band U/L matters.
+    U and L are cached per (p, beta).  C is located by a Newton solve of the
+    equal-height condition between the outer maximizers; pass with_C=False
+    to skip that (the costly part) when only the coexistence band U/L matters.
     """
-    thr = thr or thresholds(p)
-    opts = opts or RootFindOpts()
-    U, L = _band(p, beta, thr, opts)
+    U, L = _band(p, beta)
     if U is None or not with_C:
         C = None
     elif p % 2 == 1:
-        C = _equal_height_field(p, beta, L, U, opts)
-    elif beta >= thr.beta_tilde:
+        C = _equal_height_field(p, beta, L, U)
+    elif beta >= thresholds(p).beta_tilde:
         C = 0.0
     else:
-        C = _equal_height_field(p, beta, L if L is not None else 0.0, U, opts)
+        C = _equal_height_field(p, beta, L if L is not None else 0.0, U)
     return CurveSample(beta=beta, U=U, L=L, C=C)
 
 
 @lru_cache(maxsize=1024)
-def _band(p: int, beta: float, thr: Thresholds, opts: RootFindOpts):
-    """(U, L) at one beta, (None, None) at or below beta_hat; the
-    inflection pair it needs is found once per (p, beta, thr, opts)."""
+def _band(p: int, beta: float):
+    """(U, L) at one beta, (None, None) at or below beta_hat."""
+    thr = thresholds(p)
     if beta <= thr.beta_hat + 1e-12:
         return None, None
-    pair = inflection_pair(p, beta, opts)
+    pair = inflection_pair(p, beta)
     params0 = ModelParams(p, beta, 0.0)
     g1 = float(free_energy_d1(params0, pair.a1))
     g2 = float(free_energy_d1(params0, pair.a2))
@@ -320,7 +310,6 @@ def _region_code_for(struct: LandscapeStructure, h: float) -> int:
     curvature root is small enough that the refined |H''(m)| could fall
     inside the degeneracy band, in which case the root is refined.
     """
-    ctol = struct.opts.curvature_tol
     params, nodes, values = struct._nodes_for(h)
     events = struct._pattern(nodes, values)
     kinds = [e[0] for e in events]
@@ -335,12 +324,12 @@ def _region_code_for(struct: LandscapeStructure, h: float) -> int:
         return REGION_CODES[Region.SPECIAL]
     # |H''(m)| can only fall inside the band when H' is nearly tangent at a
     # curvature root, or when the H'' peak itself barely misses zero.
-    near_node = len(nodes) > 2 and min(abs(v) for v in values[1:-1]) <= 100.0 * ctol
+    near_node = len(nodes) > 2 and min(abs(v) for v in values[1:-1]) <= 100.0 * CURVATURE_TOL
     near_flat = len(nodes) == 2 and struct.d2_grid_max > -1e-6
     if near_node or near_flat:
         pts = struct.stationary_points(h)
         m = local_maxima(pts)[0]
-        if abs(m.H2) <= ctol:
+        if abs(m.H2) <= CURVATURE_TOL:
             return REGION_CODES[Region.SPECIAL]
     return REGION_CODES[Region.LOCALLY_REGULAR]
 
@@ -357,7 +346,7 @@ def _region_codes(struct: LandscapeStructure, hs: np.ndarray) -> np.ndarray:
     """
     values = struct.node_values(hs)
     plain = ((values[:, 0] > 0) & (values[:, -1] < 0)
-             & ~(np.abs(values[:, 1:-1]) <= 100.0 * struct.opts.curvature_tol).any(axis=1))
+             & ~(np.abs(values[:, 1:-1]) <= 100.0 * CURVATURE_TOL).any(axis=1))
     if values.shape[1] == 2 and struct.d2_grid_max > -1e-6:  # near_flat
         plain[:] = False
     positive = values > 0
@@ -372,18 +361,18 @@ def _region_codes(struct: LandscapeStructure, hs: np.ndarray) -> np.ndarray:
 _CODE_TO_REGION = {v: k for k, v in REGION_CODES.items()}
 
 
-def classify_point(p: int, beta: float, h: float,
-                   opts: RootFindOpts | None = None,
+def classify_point(p: int, beta: float, h: float, *,
                    with_margin: bool = False) -> PhaseReport:
     """Classify (beta, h) by the stationary structure of H.
 
-    The verdict is read off the located stationary points: two or more
-    local maximizers are locally critical; a lone maximizer with an extra
-    stationary inflection sits on the boundary curve; a lone maximizer
-    with |H''| inside the curvature band is special; otherwise regular.
+    The verdict comes from the signs of H' at the roots of H'' and at the
+    domain ends: two or more local maximizers are locally critical; a lone
+    maximizer with an extra stationary inflection sits on the boundary
+    curve; a lone maximizer with |H''| inside the curvature band is
+    special; otherwise regular.  A maximizer is refined for the verdict
+    only near tangency, where its |H''| tells special from regular.
     """
-    opts = opts or RootFindOpts()
-    struct = landscape_structure(p, beta, opts)
+    struct = landscape_structure(p, beta)
     uncertain = False
     try:
         code = _region_code_for(struct, h)
@@ -397,25 +386,23 @@ def classify_point(p: int, beta: float, h: float,
 
     detail = None
     margin = None
-    if with_margin or region is Region.BOUNDARY:
-        thr = thresholds(p) if p >= 3 else None
-        if thr is not None and beta > thr.beta_hat + 1e-12:
-            sample = boundary_curves(p, beta, thr, opts, with_C=False)
-            href = abs(h) if p % 2 == 0 else h
-            dists = {}
-            if sample.U is not None:
-                dists[BoundaryDetail.ON_U] = abs(href - sample.U)
-            if sample.L is not None:
-                dists[BoundaryDetail.ON_L] = abs(href - sample.L)
-            if dists:
-                nearest = min(dists, key=dists.get)
-                margin = min(dists.values())
-                if region is Region.BOUNDARY:
-                    detail = nearest
+    if (with_margin or region is Region.BOUNDARY) and p >= 3:
+        sample = boundary_curves(p, beta, with_C=False)  # U, L None <= beta_hat
+        href = abs(h) if p % 2 == 0 else h
+        dists = {}
+        if sample.U is not None:
+            dists[BoundaryDetail.ON_U] = abs(href - sample.U)
+        if sample.L is not None:
+            dists[BoundaryDetail.ON_L] = abs(href - sample.L)
+        if dists:
+            nearest = min(dists, key=dists.get)
+            margin = min(dists.values())
+            if region is Region.BOUNDARY:
+                detail = nearest
     if region is Region.LOCALLY_CRITICAL:
         maxima = local_maxima(points)
         heights = sorted((s.H for s in maxima), reverse=True)
-        if len(heights) >= 2 and heights[0] - heights[1] <= 1e-10:
+        if len(heights) >= 2 and heights[0] - heights[1] <= HEIGHT_TOL:
             detail = BoundaryDetail.ON_C_GLOBALS
     return PhaseReport(region=region, stationary_points=points,
                        boundary_detail=detail,
@@ -468,17 +455,14 @@ def grid_axes(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return beta_axis, h_axis
 
 
-def scan_column(p: int, beta: float, h_axis: np.ndarray,
-                opts: RootFindOpts | None = None,
-                thr: Thresholds | None = None):
+def scan_column(p: int, beta: float, h_axis: np.ndarray):
     """One diagram column: region codes over h_axis plus the curve sample.
 
     For even p on an h-axis symmetric about zero only the upper half is
     classified and mirrored (the diagram is exactly symmetric in h).
     """
-    opts = opts or RootFindOpts()
     h_axis = np.asarray(h_axis, dtype=float)
-    struct = landscape_structure(p, float(beta), opts)
+    struct = landscape_structure(p, float(beta))
     mirror = (
         p % 2 == 0
         and len(h_axis) > 1
@@ -492,26 +476,22 @@ def scan_column(p: int, beta: float, h_axis: np.ndarray,
         codes[lower] = codes[len(h_axis) - 1 - lower]
     else:
         codes = _region_codes(struct, h_axis)
-    sample = boundary_curves(p, float(beta), thr or thresholds(p), opts)
+    sample = boundary_curves(p, float(beta))
     return codes, sample
 
 
-def scan_grid(spec: GridSpec, opts: RootFindOpts | None = None,
-              columns=None) -> PhaseDiagramGrid:
+def scan_grid(spec: GridSpec, *, columns=None) -> PhaseDiagramGrid:
     """Classify every grid cell and sample the boundary curves.
 
     Cells are classified independently by the same pattern logic as
     classify_point.  `columns` may carry precomputed scan_column results
     (one per beta, in axis order) from a worker pool.
     """
-    opts = opts or RootFindOpts()
     beta_axis, h_axis = grid_axes(spec)
     cells = np.empty((len(beta_axis), len(h_axis)), dtype=np.int8)
-    thr = thresholds(spec.p)
     curves = []
     if columns is None:
-        columns = (scan_column(spec.p, float(b), h_axis, opts, thr)
-                   for b in beta_axis)
+        columns = (scan_column(spec.p, float(b), h_axis) for b in beta_axis)
 
     for ib, (codes, sample) in enumerate(columns):
         cells[ib] = codes

@@ -26,6 +26,8 @@ import numpy as np
 DOMAIN_MARGIN = 1e-9
 ROOT_TOL = 1e-12
 CURVATURE_TOL = 1e-8
+HEIGHT_TOL = 1e-10  # maximizers whose heights differ by at most this tie
+CURVATURE_GRID_POINTS = 20001  # the uniform grid on which H'' signs are scanned
 
 
 class DomainError(ValueError):
@@ -95,14 +97,6 @@ class StationaryPoint:
     H: float
     H2: float
     near_degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class RootFindOpts:
-    grid_points: int = 20001
-    root_tol: float = 1e-12
-    curvature_tol: float = CURVATURE_TOL
-    domain_margin: float = DOMAIN_MARGIN
 
 
 def entropy(x):
@@ -273,14 +267,12 @@ class LandscapeStructure:
     the sign-changing monotone intervals.
     """
 
-    def __init__(self, p: int, beta: float, opts: RootFindOpts | None = None):
-        self.opts = opts or RootFindOpts()
+    def __init__(self, p: int, beta: float):
         self.p = int(p)
         self.beta = float(beta)
         self._params0 = ModelParams(self.p, self.beta, 0.0)
-        self.d2_grid_max = -math.inf  # set by the curvature scan
-        self.curvature_roots = self._find_curvature_roots()
-        lo, hi = -1.0 + self.opts.domain_margin, 1.0 - self.opts.domain_margin
+        self.curvature_roots = self._find_curvature_roots()  # sets d2_grid_max
+        lo, hi = -1.0 + DOMAIN_MARGIN, 1.0 - DOMAIN_MARGIN
         self.nodes = (lo, *[r for r in self.curvature_roots if lo < r < hi], hi)
         x = np.array(self.nodes)
         self._a = self.p * self.beta * x ** (self.p - 1)
@@ -289,10 +281,8 @@ class LandscapeStructure:
     # -- H'' roots ---------------------------------------------------------
 
     def _find_curvature_roots(self) -> list[float]:
-        opts = self.opts
-        lo = -1.0 + opts.domain_margin
-        hi = 1.0 - opts.domain_margin
-        xs = np.linspace(lo, hi, opts.grid_points)
+        xs = np.linspace(-1.0 + DOMAIN_MARGIN, 1.0 - DOMAIN_MARGIN,
+                         CURVATURE_GRID_POINTS)
         vals = np.asarray(free_energy_d2(self._params0, xs))
         self.d2_grid_max = float(vals.max())
         f = lambda x: free_energy_d2(self._params0, x)
@@ -319,7 +309,7 @@ class LandscapeStructure:
         roots = sorted(roots)
         dedup: list[float] = []
         for r in roots:
-            if not dedup or r - dedup[-1] > self.opts.root_tol:
+            if not dedup or r - dedup[-1] > ROOT_TOL:
                 dedup.append(r)
         return dedup
 
@@ -358,9 +348,8 @@ class LandscapeStructure:
         Returns a list of events ``(kind, lo, hi)``; tangency events (roots
         of H'' with |H'| inside the curvature band) carry lo == hi.
         """
-        ctol = self.opts.curvature_tol
         n = len(nodes)
-        is_zero = [False] + [abs(v) <= ctol for v in values[1:-1]] + [False]
+        is_zero = [False] + [abs(v) <= CURVATURE_TOL for v in values[1:-1]] + [False]
 
         def neighbour_sign(idx, step):
             j = idx + step
@@ -395,7 +384,6 @@ class LandscapeStructure:
         params, nodes, values = self._nodes_for(h)
         events = self._pattern(nodes, values)
         f = lambda x: free_energy_d1(params, x)
-        ctol = self.opts.curvature_tol
 
         points = []
         for kind, lo, hi in events:
@@ -405,7 +393,7 @@ class LandscapeStructure:
                 m = _bisect(f, lo, hi, f(lo), f(hi))
                 near = None
             pv = evaluate_potential(params, m)
-            nd = abs(pv.H2) <= ctol if near is None else near
+            nd = abs(pv.H2) <= CURVATURE_TOL if near is None else near
             points.append(StationaryPoint(m=m, kind=kind, H=pv.H,
                                           H2=pv.H2, near_degenerate=nd))
         if not any(s.kind is PointKind.LOCAL_MAX for s in points):
@@ -415,18 +403,12 @@ class LandscapeStructure:
 
 
 @lru_cache(maxsize=256)
-def _cached_structure(p: int, beta: float, opts: RootFindOpts) -> LandscapeStructure:
-    return LandscapeStructure(p, beta, opts)
-
-
-def landscape_structure(p: int, beta: float, opts: RootFindOpts | None = None):
+def landscape_structure(p: int, beta: float) -> LandscapeStructure:
     """Cached monotonicity structure for fixed (p, beta)."""
-    return _cached_structure(int(p), float(beta), opts or RootFindOpts())
+    return LandscapeStructure(p, beta)
 
 
-def find_stationary_points(
-    params: ModelParams, opts: RootFindOpts | None = None
-) -> list[StationaryPoint]:
+def find_stationary_points(params: ModelParams) -> list[StationaryPoint]:
     """Locate and classify all stationary points of H on (-1, 1).
 
     Returns the ascending list of roots of H'.  Simple roots are bracketed
@@ -435,7 +417,7 @@ def find_stationary_points(
     (or a degenerate extremum when H' changes sign across it).  The list
     always contains at least one local maximizer.
     """
-    return landscape_structure(params.p, params.beta, opts).stationary_points(params.h)
+    return landscape_structure(params.p, params.beta).stationary_points(params.h)
 
 
 def local_maxima(points: list[StationaryPoint]) -> list[StationaryPoint]:

@@ -352,3 +352,27 @@ def threshold_minima(p: int, dps: int = 50) -> tuple[float, float]:
         xt = _mp_bisect(lambda x: x * mpmath.atanh(x) - p * I(x), lo, hi)
         xp = _mp_bisect(lambda x: x / (1 - x**2) - (p - 1) * mpmath.atanh(x), lo, hi)
         return float(I(xt) / xt**p), float(mpmath.atanh(xp) / (p * xp ** (p - 1)))
+
+
+def curvature_root_pair(p: int, beta: float, dps: int = 50) -> tuple[float, float]:
+    """The two positive roots a1 < a2 of H''(x) = p(p-1) beta x^(p-2) -
+    1/(1 - x^2), in mpmath.
+
+    They solve g(x) = p(p-1) beta x^(p-2) (1 - x^2) = 1.  g rises on
+    (0, w) and falls on (w, 1), w = sqrt(1 - 2/p), so for beta above the
+    threshold (g(w) > 1) each root is bisected at `dps` digits on its side
+    of w.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        b = mpmath.mpf(beta)
+        w = mpmath.sqrt(1 - mpmath.mpf(2) / p)
+
+        def g(x):
+            return p * (p - 1) * b * x ** (p - 2) * (1 - x**2)
+
+        assert g(w) > 1, "beta is not above the threshold"
+        a1 = _mp_bisect(lambda x: g(x) - 1, mpmath.mpf(0), w)
+        a2 = _mp_bisect(lambda x: 1 - g(x), w, mpmath.mpf(1))
+        return float(a1), float(a2)

@@ -86,7 +86,7 @@ def _curve_band(p, thr, beta, h, tol=1e-4):
         return 0
     if beta <= thr.beta_hat + tol:
         return None
-    cs = boundary_curves(p, beta, thr, with_C=False)
+    cs = boundary_curves(p, beta, with_C=False)
     href = abs(h) if p % 2 == 0 else h
     if p % 2 == 1:
         lo, hi = cs.L, cs.U

@@ -26,7 +26,6 @@ from pspin_glauber import (
     run_chain,
     run_coupling,
     stationary_mag,
-    thresholds,
     tv_curve,
 )
 from pspin_glauber.dynamics import (
@@ -473,8 +472,7 @@ def test_sampler_symmetric_weights():
 
 
 def test_sampler_asymmetric_weights_on_coexistence_curve():
-    thr = thresholds(4)
-    c_val = boundary_curves(4, 0.6, thr).C
+    c_val = boundary_curves(4, 0.6).C
     spec = MetastableSpec(params=ModelParams(4, 0.6, c_val), N=80, seed=4,
                           burn_steps=1000)
     _, report = metastable_sample(spec)

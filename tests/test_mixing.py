@@ -20,7 +20,6 @@ from pspin_glauber import (
     restricted_mixing_time,
     restricted_threshold,
     stationary_mag,
-    thresholds,
     tv_curve,
 )
 from pspin_glauber.dynamics import (
@@ -530,8 +529,7 @@ def test_error_chain_cubic_contraction_at_degenerate_point():
 def test_boundary_curve_mixing_growth_probe():
     # on the upper boundary curve the measured growth exponent clears the
     # 4/3 lower-bound regime (exploratory scaling check)
-    thr = thresholds(4)
-    h_b = boundary_curves(4, 0.5, thr).U
+    h_b = boundary_curves(4, 0.5).U
     ns, ts = [], []
     for N in (80, 160, 320, 640):
         rep = mixing_time(ModelParams(4, 0.5, h_b), N, 0.35, cap=3_000_000)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from pspin_glauber import (
+    CURVATURE_TOL,
     DomainError,
     GridSpec,
     ModelParams,
@@ -26,7 +27,7 @@ from pspin_glauber import (
 )
 from pspin_glauber.phase_geometry import BoundaryDetail, GridBudgetError, scan_column
 
-from conftest import threshold_minima
+from conftest import curvature_root_pair, threshold_minima
 
 # frozen independent evaluations (40-digit arithmetic, rounded to double)
 BETA_HAT_3 = 0.4330127018922193
@@ -109,6 +110,17 @@ def test_inflection_pair_strong_coupling_limit():
     assert pair.a1 < 0.1
 
 
+def test_inflection_pair_matches_mpmath_roots():
+    for p in range(3, 13):
+        thr = thresholds(p)
+        bh = thr.beta_hat
+        for beta in (bh + 1e-9, bh + 1e-4, 0.5 * (bh + thr.beta_tilde), 100.0):
+            pair = inflection_pair(p, beta)
+            a1, a2 = curvature_root_pair(p, beta)
+            assert abs(pair.a1 - a1) <= 1e-12 * a1, (p, beta)
+            assert abs(pair.a2 - a2) <= 1e-12 * a2, (p, beta)
+
+
 def test_inflection_pair_rejected_below_threshold():
     with pytest.raises(DomainError):
         inflection_pair(4, beta_hat(4))
@@ -118,21 +130,21 @@ def test_inflection_pair_rejected_below_threshold():
 
 def test_curves_vanishing_c_even():
     thr = thresholds(4)
-    assert boundary_curves(4, thr.beta_tilde + 1e-9, thr).C == 0.0
-    assert boundary_curves(4, 0.9, thr).C == 0.0
+    assert boundary_curves(4, thr.beta_tilde + 1e-9).C == 0.0
+    assert boundary_curves(4, 0.9).C == 0.0
 
 
 def test_curves_converge_at_threshold():
     for p, hh in ((4, H_HAT_4), (5, H_HAT_5)):
         thr = thresholds(p)
-        cs = boundary_curves(p, thr.beta_hat + 1e-6, thr)
+        cs = boundary_curves(p, thr.beta_hat + 1e-6)
         for v in (cs.U, cs.L, cs.C):
             assert abs(v - hh) < 1e-3
 
 
 def test_lower_curve_vanishes_at_beta_prime():
     thr = thresholds(4)
-    cs = boundary_curves(4, thr.beta_prime, thr)
+    cs = boundary_curves(4, thr.beta_prime)
     assert abs(cs.L) < 1e-8
 
 
@@ -141,7 +153,7 @@ def test_curve_ordering_and_monotonicity_odd():
     betas = np.linspace(thr.beta_hat + 0.01, 1.2, 40)
     us, ls = [], []
     for b in betas:
-        cs = boundary_curves(5, float(b), thr)
+        cs = boundary_curves(5, float(b))
         assert cs.L < cs.C < cs.U
         assert cs.U > 0
         us.append(cs.U)
@@ -153,7 +165,7 @@ def test_curve_ordering_and_monotonicity_odd():
 def test_upper_curve_u_shape_even():
     thr = thresholds(4)
     betas = np.linspace(thr.beta_hat + 0.005, 1.5, 120)
-    us = np.array([boundary_curves(4, float(b), thr, with_C=False).U
+    us = np.array([boundary_curves(4, float(b), with_C=False).U
                    for b in betas])
     d = np.diff(us)
     sign_flips = int(np.count_nonzero(np.sign(d[:-1]) != np.sign(d[1:])))
@@ -166,7 +178,7 @@ def test_upper_curve_u_shape_even():
 def test_curve_ordering_even():
     thr = thresholds(4)
     for b in np.linspace(thr.beta_hat + 0.01, thr.beta_tilde - 0.01, 25):
-        cs = boundary_curves(4, float(b), thr)
+        cs = boundary_curves(4, float(b))
         assert cs.C < cs.U
         if cs.L is not None:
             assert cs.L < cs.C
@@ -180,8 +192,7 @@ def test_classify_reference_points():
 
 
 def test_classify_boundary_points():
-    thr = thresholds(4)
-    cs = boundary_curves(4, 0.5, thr)
+    cs = boundary_curves(4, 0.5)
     on_u = classify_point(4, 0.5, cs.U)
     assert on_u.region is Region.BOUNDARY
     assert on_u.boundary_detail is BoundaryDetail.ON_U
@@ -212,7 +223,7 @@ def _curve_region(p, thr, beta, h, tol=1e-4):
         return Region.LOCALLY_REGULAR
     if beta <= thr.beta_hat + tol:
         return None
-    cs = boundary_curves(p, beta, thr, with_C=False)
+    cs = boundary_curves(p, beta, with_C=False)
     href = abs(h) if p % 2 == 0 else h
     if p % 2 == 1:
         lo, hi = cs.L, cs.U
@@ -243,6 +254,23 @@ def test_classifier_consistency_with_curves():
         assert classify_point(p, beta, h).region is expected
         checked += 1
     assert checked > 350
+
+
+def test_trailing_flags_are_keyword_only():
+    # a caller still passing thresholds or options by position gets a
+    # TypeError instead of having them read as the flag
+    spec = GridSpec(p=4, beta_min=0.5, beta_max=0.5, beta_step=1.0,
+                    h_min=0.1, h_max=0.1, h_step=1.0)
+    with pytest.raises(TypeError):
+        boundary_curves(4, 0.5, thresholds(4))
+    with pytest.raises(TypeError):
+        classify_point(4, 0.5, 0.1, None)
+    with pytest.raises(TypeError):
+        scan_grid(spec, None)
+    assert boundary_curves(4, 0.5, with_C=False).C is None
+    assert classify_point(4, 0.5, 0.1, with_margin=True).margin is not None
+    column = scan_column(4, 0.5, np.array([0.1]))
+    assert scan_grid(spec, columns=[column]).cells.shape == (1, 1)
 
 
 def test_scan_grid_single_cell():
@@ -297,7 +325,7 @@ def test_c_curve_ties_the_maximizers():
         top = 1.2 if p % 2 == 1 else thr.beta_tilde - 0.005  # C = 0 above beta_tilde
         for beta in np.linspace(thr.beta_hat + 0.005, top, 24):
             beta = float(beta)
-            cs = boundary_curves(p, beta, thr)
+            cs = boundary_curves(p, beta)
             if cs.L is None:
                 lo = 0.0
                 assert 0.0 <= cs.C < cs.U, (p, beta)
@@ -310,12 +338,29 @@ def test_c_curve_ties_the_maximizers():
             assert abs(cs.C - equal_height_field(p, beta, lo, cs.U)) <= 1e-10, (p, beta)
 
 
+def test_c_curve_at_high_order():
+    # at p = 20 from beta 0.54 on, the maximizer near the upper end of the
+    # band lies past the float margin of root finding
+    from pspin_glauber import find_stationary_points, local_maxima
+    from conftest import equal_height_field
+
+    for beta in np.linspace(0.1, 0.55, 10):
+        beta = float(beta)
+        cs = boundary_curves(20, beta)
+        lo = 0.0 if cs.L is None else cs.L
+        assert lo < cs.C < cs.U, beta
+        maxima = local_maxima(find_stationary_points(ModelParams(20, beta, cs.C)))
+        heights = [s.H for s in maxima]
+        assert abs(heights[-1] - max(heights[:-1])) <= 1e-14, beta
+        assert abs(cs.C - equal_height_field(20, beta, lo, cs.U)) <= 1e-10, beta
+
+
 def test_c_curve_just_above_beta_hat():
     # bands of width 1e-8..1e-5, where the maxima resolve only inside them
     for p in (3, 4, 5, 6):
         thr = thresholds(p)
         for d in (3e-6, 1e-5, 1e-4, 3e-4):
-            cs = boundary_curves(p, thr.beta_hat + d, thr)
+            cs = boundary_curves(p, thr.beta_hat + d)
             assert cs.L <= cs.C <= cs.U
 
 
@@ -331,7 +376,7 @@ def test_scan_column_matches_per_cell_codes():
             betas += [b - 1e-3, b - 1e-5, b, b + 1e-5, b + 1e-3]
         for beta in betas:
             hs = list(np.linspace(-1.1, 0.9, 201)) + [thr.h_hat, -thr.h_hat]
-            cs = boundary_curves(p, beta, thr, with_C=False)
+            cs = boundary_curves(p, beta, with_C=False)
             for v in (cs.U, cs.L):
                 if v is not None:
                     hs += [s * v + d for s in (1, -1) for d in (-1e-7, -1e-9, 0.0, 1e-9, 1e-7)]
@@ -340,7 +385,7 @@ def test_scan_column_matches_per_cell_codes():
             codes, _ = scan_column(p, beta, hs)
             assert codes.tolist() == [_region_code_for(struct, float(h)) for h in hs], (p, beta)
             values = struct.node_values(hs)[:, 1:-1]
-            near_node += int((np.abs(values) <= 100 * struct.opts.curvature_tol).any(axis=1).sum())
+            near_node += int((np.abs(values) <= 100 * CURVATURE_TOL).any(axis=1).sum())
             if p % 2 == 0:  # a symmetric axis is classified once and mirrored
                 sym = np.linspace(-1.0, 1.0, 201)
                 mirrored, _ = scan_column(p, beta, sym)
