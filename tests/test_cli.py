@@ -333,7 +333,9 @@ def test_pinned_stdout_digests(capsys):
 # phase-diagram writes over the README ranges at step 0.05: region codes and
 # curve samples change only when a change says why.
 PINNED_GRIDS = [("02846029156f6a70", "550bd4b317afb5b4", 4),
-                ("c6e416f6849e90e1", "ae82fe80a13265a5", 5)]
+                ("c6e416f6849e90e1", "ae82fe80a13265a5", 5),
+                ("39fc730ab593abb8", "573de69fddc29c6f", 3),
+                ("cf99974a41b8fe2b", "0bb7c6e221a50aa9", 6)]
 
 
 def test_pinned_grid_digests(tmp_path, capsys):
