@@ -198,6 +198,8 @@ def _cmd_classify(args) -> None:
 
 
 def _cmd_curves(args) -> None:
+    if args.p < 3:
+        raise DomainError(f"the curves U, L and C are defined for p >= 3, got p={args.p}")
     betas = phase_geometry._axis(args.beta_min, args.beta_max, args.beta_step)
     samples = [phase_geometry.boundary_curves(args.p, float(b)) for b in betas]
     if args.svg:

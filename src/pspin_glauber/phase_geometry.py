@@ -33,6 +33,8 @@ from .potential import (
     ModelParams,
     PointKind,
     StationaryPoint,
+    _d1_terms,
+    _d2_terms,
     _golden_max,
     free_energy_d1,
     free_energy_d2,  # noqa: F401  (perfbench/layers.py counts calls through it)
@@ -187,18 +189,63 @@ def inflection_pair(p: int, beta: float) -> InflectionPair:
     return InflectionPair(a1=positive[0], a2=positive[1])
 
 
+def _maximizer(d1, d2, lo: float, hi: float) -> float:
+    """The root of H' in [lo, hi], across which H' falls from + to -.
+
+    Safeguarded Newton on H' with H'' (`d1`, `d2` from `_d1_terms`,
+    `_d2_terms`) from the midpoint: a step that leaves the shrinking sign
+    bracket, or an H'' that is not negative, is replaced by bisection.  Stops
+    at a Newton step of at most one ulp, which may round onto the bracket's
+    end, or at a bracket of two adjacent floats.
+    """
+    x = 0.5 * (lo + hi)
+    for _ in range(200):
+        g = d1(x)[0]
+        if g > 0.0:
+            lo = x
+        elif g < 0.0:
+            hi = x
+        else:
+            return x
+        slope = d2(x)[0]
+        x_next = x - g / slope if slope < 0.0 else math.nan
+        if abs(x_next - x) <= math.ulp(x):
+            return x_next
+        if not lo < x_next < hi:  # nan included
+            x_next = 0.5 * (lo + hi)
+            if not lo < x_next < hi:
+                return x
+        x = x_next
+    return x
+
+
+def _height(params: ModelParams, x: float) -> float:
+    """H(x) in math scalars, in free_energy's order of operations."""
+    I = 0.5 * ((1.0 + x) * math.log1p(x) + (1.0 - x) * math.log1p(-x))
+    return params.beta * x**params.p + params.h * x - I
+
+
 def _height_gap(struct: LandscapeStructure, h: float):
     """(gap, slope) of H(top maximizer) - H(best other maximizer) at h.
 
-    The slope d(gap)/dh is m_top - m_other by the envelope theorem
-    (dH(m(h); h)/dh = m at a maximizer).  None if fewer than two maximizers.
+    Only the maximizers are solved, each inside its bracket from the node
+    signs (`_maximizer`).  The slope d(gap)/dh is m_top - m_other by the
+    envelope theorem (dH(m(h); h)/dh = m at a maximizer).  None if fewer
+    than two maximizers.
     """
-    maxima = local_maxima(struct.stationary_points(h))
-    if len(maxima) < 2:
+    params, nodes, values = struct._nodes_for(h)
+    brackets = [(lo, hi) for kind, lo, hi in struct._pattern(nodes, values)
+                if kind is PointKind.LOCAL_MAX]
+    if len(brackets) < 2:
         return None
-    top = maxima[-1]
-    other = max(maxima[:-1], key=lambda s: s.H)
-    return top.H - other.H, top.m - other.m
+    d1, d2 = _d1_terms(params), _d2_terms(params.p, params.beta)
+    maxima = []
+    for lo, hi in brackets:  # a tangency node (lo == hi) is the maximizer
+        m = lo if lo == hi else _maximizer(d1, d2, lo, hi)
+        maxima.append((m, _height(params, m)))
+    m_top, h_top = maxima[-1]
+    m_other, h_other = max(maxima[:-1], key=lambda mh: mh[1])
+    return h_top - h_other, m_top - m_other
 
 
 # |gap| at which the two heights tie to rounding (each is a sum of O(1)
@@ -273,7 +320,10 @@ def boundary_curves(p: int, beta: float, *, with_C: bool = True) -> CurveSample:
     U and L are cached per (p, beta).  C is located by a Newton solve of the
     equal-height condition between the outer maximizers; pass with_C=False
     to skip that (the costly part) when only the coexistence band U/L matters.
+    All three are None for p < 3, where the thresholds are not defined.
     """
+    if p < 3:
+        return CurveSample(beta=beta, U=None, L=None, C=None)
     U, L = _band(p, beta)
     if U is None or not with_C:
         C = None
@@ -386,8 +436,9 @@ def classify_point(p: int, beta: float, h: float, *,
 
     detail = None
     margin = None
-    if (with_margin or region is Region.BOUNDARY) and p >= 3:
-        sample = boundary_curves(p, beta, with_C=False)  # U, L None <= beta_hat
+    if with_margin or region is Region.BOUNDARY:
+        # U, L are None at or below beta_hat and for p < 3
+        sample = boundary_curves(p, beta, with_C=False)
         href = abs(h) if p % 2 == 0 else h
         dists = {}
         if sample.U is not None:
@@ -518,7 +569,8 @@ def curves_csv(samples: list[CurveSample]) -> str:
 def grid_csv(grid: PhaseDiagramGrid) -> str:
     """CSV `beta,h,region_code`, ordered by beta then h."""
     lines = ["beta,h,region_code"]
-    for ib, beta in enumerate(grid.beta_axis):
-        for ih, h in enumerate(grid.h_axis):
-            lines.append(f"{_fmt(beta)},{_fmt(h)},{int(grid.cells[ib, ih])}")
+    hs = [_fmt(h) for h in grid.h_axis]
+    for beta, row in zip(grid.beta_axis, grid.cells.tolist()):
+        b = _fmt(beta)
+        lines.extend(f"{b},{h},{code}" for h, code in zip(hs, row))
     return "\n".join(lines) + "\n"

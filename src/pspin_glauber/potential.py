@@ -211,8 +211,41 @@ def drift_field(params: ModelParams, N: int, c: float) -> float:
     return (mean_field_map(params, c) - c) / N
 
 
-def _bisect(f, a, b, fa, fb, max_iter=200):
-    """Bisection for sign-changing f on [a, b]; runs to float resolution."""
+def _d1_terms(params: ModelParams):
+    """x -> (H'(x), |p*beta*x^(p-1)| + |h| + |atanh(x)|) in math scalars."""
+    c, n, h = params.p * params.beta, params.p - 1, params.h
+
+    def terms(x):
+        a, b = c * x**n, math.atanh(x)
+        return a + h - b, abs(a) + abs(h) + abs(b)
+    return terms
+
+
+def _d2_terms(p: int, beta: float):
+    """x -> (H''(x), |p*(p-1)*beta*x^(p-2)| + 1/(1-x^2)) in math scalars."""
+    c, n = p * (p - 1) * beta, p - 2
+
+    def terms(x):
+        a, b = c * x**n, 1.0 / (1.0 - x * x)
+        return a - b, abs(a) + b
+    return terms
+
+
+# math and numpy evaluations of H' and H'' differ by a few ulp of the sum of
+# the terms' magnitudes (numpy's pow and arctanh are not libm's), so outside
+# this band their signs agree
+_SIGN_BAND = 2.0**-40
+
+
+def _bisect(f, a, b, fa, fb, max_iter=200, terms=None):
+    """Bisection for sign-changing f on [a, b]; runs to float resolution.
+
+    `terms`, if given, evaluates f in math scalars as (value, scale), with
+    scale the sum of its terms' magnitudes (`_d1_terms`, `_d2_terms`).  A
+    step whose |value| exceeds `_SIGN_BAND * scale` goes by that sign; only
+    inside the band is f called, so every step, and the result, is the one
+    f alone would give.
+    """
     if fa == 0.0:
         return float(a)
     if fb == 0.0:
@@ -223,9 +256,11 @@ def _bisect(f, a, b, fa, fb, max_iter=200):
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
-        fm = f(mid)
-        if fm == 0.0:
-            return float(mid)
+        fm, scale = terms(mid) if terms is not None else (0.0, 0.0)
+        if not abs(fm) > _SIGN_BAND * scale:  # no terms, in the band or nan
+            fm = f(mid)
+            if fm == 0.0:
+                return float(mid)
         if (fm > 0) == (fa > 0):
             a, fa = mid, fm
         else:
@@ -281,16 +316,18 @@ class LandscapeStructure:
     # -- H'' roots ---------------------------------------------------------
 
     def _find_curvature_roots(self) -> list[float]:
-        xs = np.linspace(-1.0 + DOMAIN_MARGIN, 1.0 - DOMAIN_MARGIN,
-                         CURVATURE_GRID_POINTS)
-        vals = np.asarray(free_energy_d2(self._params0, xs))
+        xs, powers, reciprocal = _curvature_grid(self.p)
+        # free_energy_d2 on xs: the same float operations in the same order
+        vals = self.p * (self.p - 1) * self.beta * powers - reciprocal
         self.d2_grid_max = float(vals.max())
         f = lambda x: free_energy_d2(self._params0, x)
+        terms = _d2_terms(self.p, self.beta)
 
         roots = []
         idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
         for i in idx:
-            roots.append(_bisect(f, xs[i], xs[i + 1], vals[i], vals[i + 1]))
+            roots.append(_bisect(f, float(xs[i]), float(xs[i + 1]),
+                                 vals[i], vals[i + 1], terms=terms))
         for i in np.nonzero(vals == 0.0)[0]:
             roots.append(float(xs[i]))
 
@@ -299,12 +336,12 @@ class LandscapeStructure:
         mid = vals[1:-1]
         cand = np.nonzero((mid >= vals[:-2]) & (mid >= vals[2:]) & (mid <= 0))[0] + 1
         for i in cand:
-            a, b = xs[i - 1], xs[i + 1]
+            a, b = float(xs[i - 1]), float(xs[i + 1])
             fa, fb = vals[i - 1], vals[i + 1]
             x_peak, v_peak = _golden_max(f, a, b)
             if v_peak > 0.0 and fa < 0.0 and fb < 0.0:
-                roots.append(_bisect(f, a, x_peak, fa, v_peak))
-                roots.append(_bisect(f, x_peak, b, v_peak, fb))
+                roots.append(_bisect(f, a, x_peak, fa, v_peak, terms=terms))
+                roots.append(_bisect(f, x_peak, b, v_peak, fb, terms=terms))
 
         roots = sorted(roots)
         dedup: list[float] = []
@@ -384,13 +421,14 @@ class LandscapeStructure:
         params, nodes, values = self._nodes_for(h)
         events = self._pattern(nodes, values)
         f = lambda x: free_energy_d1(params, x)
+        terms = _d1_terms(params)
 
         points = []
         for kind, lo, hi in events:
             if lo == hi:
                 m, near = lo, True
             else:
-                m = _bisect(f, lo, hi, f(lo), f(hi))
+                m = _bisect(f, lo, hi, f(lo), f(hi), terms=terms)
                 near = None
             pv = evaluate_potential(params, m)
             nd = abs(pv.H2) <= CURVATURE_TOL if near is None else near
@@ -400,6 +438,21 @@ class LandscapeStructure:
             raise DegenerateClusterError("no local maximizer resolved",
                                          (nodes[0], nodes[-1]))
         return points
+
+
+@lru_cache(maxsize=1)
+def _curvature_axis():
+    xs = np.linspace(-1.0 + DOMAIN_MARGIN, 1.0 - DOMAIN_MARGIN,
+                     CURVATURE_GRID_POINTS)
+    return xs, 1.0 / (1.0 - xs * xs)
+
+
+@lru_cache(maxsize=64)
+def _curvature_grid(p: int):
+    """The H'' scan grid xs with its h- and beta-free parts xs**(p-2) and
+    1/(1-xs*xs); xs and the reciprocal are shared by every p."""
+    xs, reciprocal = _curvature_axis()
+    return xs, xs ** (p - 2), reciprocal
 
 
 @lru_cache(maxsize=256)

@@ -10,10 +10,17 @@ its ``p``, ``beta`` and ``h``.
 """
 
 import math
+import os
 
 import numpy as np
+from hypothesis import settings
 
 from pspin_glauber import ModelParams
+
+# Property tests draw 200 examples; HYPOTHESIS_PROFILE=ci draws 2000.
+settings.register_profile("default", max_examples=200, deadline=None)
+settings.register_profile("ci", max_examples=2000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def flip_up_table(params: ModelParams, N: int) -> np.ndarray:

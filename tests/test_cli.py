@@ -280,6 +280,27 @@ def test_phase_diagram_files(tmp_path, capsys):
     assert open(prefix2 + ".curves.csv").read() == curve_text
 
 
+def test_phase_diagram_at_p_2(tmp_path, capsys):
+    # p = 2 is in the documented domain; U/L/C are not defined there, so the
+    # curves file is the header alone, and `curves` says why it has nothing
+    prefix = str(tmp_path / "p2")
+    code, _, _ = run_cli(["phase-diagram", "--p", "2", "--beta-min", "0.3",
+                          "--beta-max", "0.9", "--beta-step", "0.3",
+                          "--h-min", "-0.2", "--h-max", "0.2",
+                          "--h-step", "0.2", "--out-prefix", prefix], capsys)
+    assert code == 0
+    rows = [row.split(",") for row in open(prefix + ".grid.csv").read().splitlines()[2:]]
+    assert len(rows) == 9
+    assert [int(c) for _, _, c in rows] == [
+        classify_point(2, float(b), float(h)).region_code for b, h, _ in rows]
+    assert {c for _, _, c in rows} == {"0", "1"}  # two maxima from beta > 1/2
+    assert open(prefix + ".curves.csv").read().splitlines()[1:] == ["beta,U,L,C"]
+    code, out, err = run_cli(["curves", "--p", "2", "--beta-min", "0.3",
+                              "--beta-max", "0.9"], capsys)
+    assert (code, out) == (1, "")
+    assert "defined for p >= 3" in err
+
+
 def test_sample_and_bottleneck_json(capsys):
     code, out, _ = run_cli(["sample", "--p", "4", "--beta", "0.9", "--h", "0",
                             "--n", "60", "--burn", "1000", "--seed", "3"], capsys)

@@ -1,10 +1,11 @@
 """Free-energy landscape: values, derivatives, stationary points."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from pspin_glauber import (
@@ -20,6 +21,16 @@ from pspin_glauber import (
     h_hat,
     local_maxima,
     mean_field_map,
+)
+from pspin_glauber.potential import (
+    DOMAIN_MARGIN,
+    _bisect,
+    _curvature_grid,
+    _d1_terms,
+    _d2_terms,
+    _fallback_margin,
+    free_energy_d1,
+    free_energy_d2,
 )
 from conftest import central_difference
 
@@ -123,7 +134,6 @@ def test_domain_rejection():
         ModelParams(4, 0.5, math.inf)
 
 
-@settings(max_examples=200, deadline=None)
 @given(
     p=st.sampled_from([4, 6, 8]),
     beta=st.floats(0.05, 1.5),
@@ -134,6 +144,68 @@ def test_even_order_field_reflection(p, beta, h, x):
     a = evaluate_potential(ModelParams(p, beta, h), x)
     b = evaluate_potential(ModelParams(p, beta, -h), -x)
     assert abs(a.H - b.H) <= 1e-14 * max(1.0, abs(a.H))
+
+
+def test_curvature_grid_is_free_energy_d2_bit_for_bit():
+    # the cached x**(p-2) and 1/(1-x*x) recombine into free_energy_d2's
+    # float operations, in its order
+    rng = np.random.default_rng(7)
+    for p in range(2, 21):
+        xs, powers, reciprocal = _curvature_grid(p)
+        for beta in [1 / 3, 0.5, *rng.uniform(0.01, 3.0, 4)]:
+            grid = p * (p - 1) * beta * powers - reciprocal
+            assert np.array_equal(grid, free_energy_d2(ModelParams(p, beta, 0.0), xs))
+
+
+def _sign_change_brackets(seed, n=50):
+    """n brackets (f, terms, a, b) across which H' or H'' changes sign.
+
+    p is drawn from 2..12 and the ends at random in the domain.  Two in five
+    brackets are of H'', one of H' at |h| <= 1 and two of H' ending at the
+    1e-12 and the 1e-15 fallback margin, under a field that swallows the
+    signs of H' at the default one.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        kind = len(out) % 5
+        p, beta = int(rng.integers(2, 13)), float(rng.uniform(0.05, 1.5))
+        a, b = sorted(rng.uniform(-1.0 + DOMAIN_MARGIN, 1.0 - DOMAIN_MARGIN, 2).tolist())
+        if kind <= 1:
+            f, terms = partial(free_energy_d2, ModelParams(p, beta, 0.0)), _d2_terms(p, beta)
+        else:
+            if kind == 2:
+                h = float(rng.uniform(-1.0, 1.0))
+            else:
+                margin = 1e-12 if kind == 3 else 1e-15
+                h = float(rng.uniform(*((10.9, 14.0) if kind == 3 else (14.3, 17.4)))) - p * beta
+                if _fallback_margin(ModelParams(p, beta, h)) != margin:
+                    continue
+                b = 1.0 - margin
+            params = ModelParams(p, beta, h)
+            f, terms = partial(free_energy_d1, params), _d1_terms(params)
+        if (f(a) > 0) != (f(b) > 0):
+            out.append((f, terms, a, b))
+    return out
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sign_certified_bisection_returns_the_numpy_float(seed):
+    # the math sign decides most steps, numpy's only those inside the band,
+    # and the root is the float numpy alone bisects to
+    calls = {"numpy": 0, "certified": 0}
+
+    def counted(f, key):
+        def g(x):
+            calls[key] += 1
+            return f(x)
+        return g
+
+    for f, terms, a, b in _sign_change_brackets(seed):
+        fa, fb = f(a), f(b)
+        plain = _bisect(counted(f, "numpy"), a, b, fa, fb)
+        assert _bisect(counted(f, "certified"), a, b, fa, fb, terms=terms) == plain
+    assert calls["certified"] < calls["numpy"] / 2
 
 
 def test_stationary_points_regular_point():
