@@ -340,6 +340,11 @@ PINNED_STDOUT = [
     ("5c8bfb176b564f2a", "classify --p 4 --beta 0.51 --h 0.184 --margins"),
     ("888c7e2c25372bd5", "classify --p 4 --beta 0.9 --h 0"),
     ("0b8fe0e0fc8647a6", "sample --p 4 --beta 0.9 --h 0 --n 200"),
+    ("083a8cd9d1745db0", "mix-sweep --p 4 --beta 0.054 --h 0.5 --n-list 400,800,1600"
+                         " --cap 1000000 --jobs 1"),
+    ("c7961267294fc813", "mix-sweep --p 4 --beta 1/3 --h 0.40996906622851137"
+                         " --n-list 200,400,800 --cap 1000000 --jobs 1"),
+    ("0956d7b951cefd82", "mix --p 4 --beta 0.9 --h 0 --n 100 --cap 5000"),
 ]
 
 
