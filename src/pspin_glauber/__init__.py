@@ -63,7 +63,6 @@ from .mixing_analysis import (
     EXACT,
     MONTE_CARLO,
     BottleneckReport,
-    FitReport,
     HittingReport,
     MagDistribution,
     MixingReport,
@@ -71,7 +70,6 @@ from .mixing_analysis import (
     bottleneck,
     chain_stationary,
     condition_at_least,
-    exponent_fit,
     hitting_time,
     mixing_time,
     restricted_mixing_time,

@@ -8,8 +8,9 @@ sum is then itself a birth-death chain on ``{-N, -N+2, ..., N}``.
 :class:`LevelKernel` is the one place this rule is tabulated.  It holds f and
 the birth-death triple (up, down, stay) of a restriction ``[lo, hi]`` of the
 sum, clamped to ``[-N, N]``, and offers the three engines everything else is
-built from: an exact push of a level law (one step, or `evolve` for many
-steps on the law's live window), a scalar step of a spin configuration and
+built from: an exact push of a level law (one step, `evolve` for many
+steps on the law's live window, or `leap`, a whole block of steps through
+the kernel's banded block power), a scalar step of a spin configuration and
 a replica step of many magnetization chains.  A move that would leave
 ``[lo, hi]`` is rejected (the state is kept); the push tables fold that
 rejection into ``stay``.  The floor of the restricted dynamics and the
@@ -29,6 +30,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit, logsumexp
 
 from .potential import (
@@ -53,6 +55,26 @@ _BLOCK = 32
 # at most twice the dropped mass, which is below (N + 1) * eps**2 per block:
 # under 1e-23 over 10**6 steps at N = 6400, far below the rounding of a TV.
 _TAIL = np.finfo(float).eps ** 2
+# LevelKernel.band is built this many levels at a time: three (65, 576)
+# float buffers (0.9 MB) stay in cache and replace three full-size ones
+# (10 MB at N = 6400); 256 ran a third slower, 1024 no faster.
+_BAND_ROWS = 512
+
+
+def live_window(lo: int, law: np.ndarray) -> tuple[int, np.ndarray]:
+    """The law on ks[lo:lo + len(law)] without its tail cut: (a, held), held
+    the view of law from its first to its last entry above _TAIL, at ks[a]."""
+    live = np.flatnonzero(law > _TAIL)
+    return lo + int(live[0]), law[live[0]:live[-1] + 1]
+
+
+def outside_masses(target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(below, above): the mass of the law target below index i, and at or
+    above it, for i = 0 .. len(target); the TV of a law held on a window
+    counts the target's mass outside the window through them."""
+    below = np.concatenate(([0.0], np.cumsum(target)))
+    above = np.concatenate((np.cumsum(target[::-1])[::-1], [0.0]))
+    return below, above
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -180,7 +202,8 @@ class LevelKernel:
     factors stable for any field strength.
 
     A birth-death chain is reversible: ``log_pi`` is its stationary law and
-    ``spectrum`` the slow end of its spectrum, each computed on first use.
+    ``spectrum`` the slow end of its spectrum; ``band`` holds the block
+    power P^_BLOCK for `leap`.  Each is computed on first use.
     """
 
     def __init__(self, params: ModelParams, N: int, lo: int | None = None,
@@ -308,16 +331,88 @@ class LevelKernel:
         rho = abs(lam3) if above(-abs(lam3)) == n else 1.0
         return SlowSpectrum(lam2, lam3, rho, v2, err)
 
-    def push(self, mu: np.ndarray) -> np.ndarray:
-        """One step of a law over the kept levels: returns mu P.
+    @cached_property
+    def band(self) -> np.ndarray:
+        """The block power P^m, m = _BLOCK, in gather form: G[k, j] =
+        P^m[k - m + j, k], the chance of reaching level k from k - m + j in m
+        steps (zero for sources outside ks).  Shape (len(ks), 2m + 1).
+
+        Built from up, down and stay, one step at a time, _BAND_ROWS
+        destination levels at a time: a path of m steps into those levels
+        never leaves the levels within m of them, so the rows come out of a
+        chain cut to that stretch (wrong only within m - 1 of a cut end),
+        with the float operations of a build over all levels at once.  The
+        stretch is held transposed, levels along the contiguous axis, in
+        three buffers reused in place.
+        """
+        m, n = _BLOCK, len(self.ks)
+        band = np.empty((n, 2 * m + 1))
+        width = min(n, _BAND_ROWS + 2 * m)
+        bufs = [np.empty((2 * m + 1, width)) for _ in range(3)]
+        for r in range(0, n, _BAND_ROWS):
+            e = min(n, r + _BAND_ROWS)
+            a, b = max(0, r - m), min(n, e + m)
+            old, new, tmp = (x[:, :b - a] for x in bufs)
+            old[:] = 0.0
+            new[:] = 0.0
+            old[m] = 1.0
+            stay, up, down = self.stay[a:b], self.up[a:b - 1], self.down[a + 1:b]
+            for s in range(1, m + 1):
+                # sources within s levels of k: offsets m - s .. m + s
+                src, dst = old[m - s:m + s + 1], new[m - s:m + s + 1]
+                t = tmp[:2 * s, :b - a - 1]
+                np.multiply(src, stay, out=dst)
+                # k - 1 stepped up to k, a source one offset further on
+                np.multiply(src[1:, :-1], up, out=t)
+                np.add(dst[:-1, 1:], t, out=dst[:-1, 1:])
+                # k + 1 stepped down to k, a source one offset nearer
+                np.multiply(src[:-1, 1:], down, out=t)
+                np.add(dst[1:, :-1], t, out=dst[1:, :-1])
+                old, new = new, old
+            band[r:e] = old[:, r - a:e - a].T
+        return band
+
+    def push(self, mu: np.ndarray, lo: int = 0) -> np.ndarray:
+        """One step of a law over ks[lo:lo + len(mu)]: returns mu P there.
 
         The one-step reference for `evolve`, which does the same arithmetic
-        on a window of levels.
+        on a window of levels.  Mass that would leave the window is lost,
+        so a window that can hold the step has a zero at each end that is
+        not an end of ks.
         """
-        out = mu * self.stay
-        out[1:] += mu[:-1] * self.up[:-1]
-        out[:-1] += mu[1:] * self.down[1:]
+        w = len(mu)
+        out = mu * self.stay[lo:lo + w]
+        out[1:] += mu[:-1] * self.up[lo:lo + w - 1]
+        out[:-1] += mu[1:] * self.down[lo + 1:lo + w]
         return out
+
+    def leap(self, a: int, held: np.ndarray) -> tuple[int, np.ndarray]:
+        """_BLOCK steps of the law held on ks[a:a + len(held)], zero elsewhere.
+
+        Returns (lo, law): the law after the block on ks[lo:lo + len(law)],
+        renormalised, zero outside; it is the law `evolve` ends the block
+        with, up to rounding.  One matmul of the band's rows against the
+        windows of the zero-padded law.
+        """
+        m, n = _BLOCK, len(self.ks)
+        b = a + len(held) - 1
+        lo, hi = max(0, a - m), min(n - 1, b + m)
+        pad, windows = self._padded_windows
+        pad[lo:hi + 2 * m + 1] = 0.0
+        pad[a + m:b + m + 1] = held
+        law = np.matmul(self.band[lo:hi + 1, None, :],
+                        windows[lo:hi + 1, :, None])[:, 0, 0]
+        law /= law.sum()
+        return lo, law
+
+    @cached_property
+    def _padded_windows(self) -> tuple[np.ndarray, np.ndarray]:
+        """`leap`'s scratch law, padded by _BLOCK zero levels at each end of
+        ks (pad[i] is level i - _BLOCK), and the view whose row k is the
+        pad around level k, the sources of band[k].  Made once per kernel:
+        a new view per leap cost more than the leap's matmul."""
+        pad = np.zeros(len(self.ks) + 2 * _BLOCK)
+        return pad, sliding_window_view(pad, 2 * _BLOCK + 1)
 
     def evolve(self, mu: np.ndarray, steps: int, target: np.ndarray | None = None):
         """Push the law mu over ks `steps` times, a block of steps at a time.
@@ -332,19 +427,16 @@ class LevelKernel:
         that the next block overwrites.
         """
         n = len(self.ks)
-        live = np.flatnonzero(mu > _TAIL)
-        a, b = int(live[0]), int(live[-1])
-        held = mu[a:b + 1]
+        a, held = live_window(0, mu)
         buf = np.empty((_BLOCK + 1, n))
         tmp = np.empty(n)
         if target is not None:
             dist = np.empty((_BLOCK, n))
-            # target mass below index i and at or above index i
-            below = np.concatenate(([0.0], np.cumsum(target)))
-            above = np.concatenate((np.cumsum(target[::-1])[::-1], [0.0]))
+            below, above = outside_masses(target)
         done = 0
         while done < steps:
             m = min(_BLOCK, steps - done)
+            b = a + len(held) - 1
             lo, hi = max(0, a - m), min(n - 1, b + m)
             w = hi - lo + 1
             buf[0, :w] = 0.0
@@ -371,18 +463,21 @@ class LevelKernel:
                 np.subtract(laws, target[lo:hi + 1], out=d)
                 np.abs(d, out=d)
                 tv = 0.5 * (d.sum(axis=1) + (below[lo] + above[hi + 1]))
-            live = np.flatnonzero(laws[-1] > _TAIL)
-            a, b = lo + int(live[0]), lo + int(live[-1])
-            held = laws[-1, a - lo:b - lo + 1]
+            a, held = live_window(lo, laws[-1])
             yield lo, laws, tv
             done += m
 
     def law_after(self, mu: np.ndarray, steps: int) -> np.ndarray:
-        """The law mu P^steps over ks, renormalised, by `evolve`."""
-        out = mu / mu.sum()
-        for lo, laws, _ in self.evolve(mu, steps):
-            pass
-        if steps:
+        """The law mu P^steps over ks, renormalised: a `leap` per whole
+        block of steps, then `evolve` for the rest."""
+        lo, law = 0, mu / mu.sum()
+        for _ in range(steps // _BLOCK):
+            lo, law = self.leap(*live_window(lo, law))
+        out = np.zeros(len(self.ks))
+        out[lo:lo + len(law)] = law
+        if steps % _BLOCK:
+            for lo, laws, _ in self.evolve(out, steps % _BLOCK):
+                pass
             out = np.zeros(len(self.ks))
             out[lo:lo + laws.shape[1]] = laws[-1]
         return out

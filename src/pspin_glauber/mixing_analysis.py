@@ -11,10 +11,12 @@ push on the law's live window, a block of steps at a time) and derives
 mixing times from them; conductance cuts and mean hitting times follow from
 the stationary laws and the kernel's rates in log space.
 
-Exact mixing times finish in closed form once only the slowest mode is
-left (``_slow_finish``): the law is then pi_chain + lam2^u c2 x2 up to a
-remainder that a certificate bounds, and the first crossing along that ray
-is found without pushing the remaining steps.
+Exact mixing times skip the blocks where TV provably stays above eps with
+one leap of the banded block power (``_certified_leap``), and finish in
+closed form once only the slowest mode is left (``_slow_finish``): the law
+is then pi_chain + lam2^u c2 x2 up to a remainder that a certificate
+bounds, and the first crossing along that ray is found without pushing the
+remaining steps.
 
 Worst-start convention: mixing times maximize the TV crossing over the
 all-plus and all-minus starts (the extreme levels).  Maximality over all
@@ -31,8 +33,11 @@ import numpy as np
 from scipy.special import gammaln
 
 from .dynamics import (
+    _BLOCK,
     LevelKernel,
     kernel_arrays,
+    live_window,
+    outside_masses,
     restricted_threshold,
     rng_stream,
     simulate_mag_replicas,
@@ -169,28 +174,84 @@ def _exact_crossing(kernel: LevelKernel, target: np.ndarray, start_k: int,
                     eps: float, cap: int) -> int | None:
     """First step t <= cap with TV(law from start_k, target) <= eps, or None.
 
-    Pushes the law with kernel.evolve, as tv_curve does, and at checkpoints
-    tries _slow_finish, which ends the push once its certificate holds.
+    Advances the law a block of _BLOCK steps at a time: by one leap where
+    _certified_leap shows that no step of the block reaches eps, else by
+    kernel.evolve, the push tv_curve makes.  At checkpoints it tries
+    _slow_finish, which ends the push once its certificate holds.
     """
     n = len(kernel.ks)
-    mu = np.zeros(n)
-    mu[kernel.index(start_k)] = 1.0
-    if 0.5 * np.abs(mu - target).sum() <= eps:
+    below, above = outside_masses(target)
+
+    def tv_of(lo, law):  # TV to target of a law held on ks[lo:lo + len(law)]
+        hi = lo + len(law)
+        return 0.5 * (float(np.abs(law - target[lo:hi]).sum()) + (below[lo] + above[hi]))
+
+    a, held = kernel.index(start_k), np.ones(1)
+    tv = tv_of(a, held)
+    if tv <= eps:
         return 0
     t, check = 0, _FIRST_FINISH * kernel.N if n >= 3 else cap
-    for lo, laws, tv in kernel.evolve(mu, cap, target=target):
-        hit = np.flatnonzero(tv <= eps)
-        if hit.size:
-            return t + int(hit[0]) + 1
-        t += len(tv)
+    while t < cap:
+        m = min(_BLOCK, cap - t)
+        leapt = _certified_leap(kernel, a, held, tv, tv_of, eps, t) if m == _BLOCK else None
+        if leapt is None:
+            mu = np.zeros(n)
+            mu[a:a + len(held)] = held
+            lo, laws, tvs = next(kernel.evolve(mu, m, target=target))
+            hit = np.flatnonzero(tvs <= eps)
+            if hit.size:
+                return t + int(hit[0]) + 1
+            law, tv = laws[-1], float(tvs[-1])
+        else:
+            lo, law, tv = leapt
+        t += m
         if check <= t < cap:
             mu = np.zeros(n)
-            mu[lo:lo + laws.shape[1]] = laws[-1]
+            mu[lo:lo + len(law)] = law
             u, wait = _slow_finish(kernel, mu, target, eps, t, cap)
             if u is not None:
                 return t + u if t + u <= cap else None
             check = cap if wait is None else t + wait
+        a, held = live_window(lo, law)
     return None
+
+
+def _certified_leap(kernel: LevelKernel, a: int, held: np.ndarray, tv: float,
+                    tv_of, eps: float, t: int):
+    """The block of _BLOCK = m steps after step t in one LevelKernel.leap,
+    when certified that TV stays above eps at every step of it.
+
+    held is the law at step t on ks[a:a + len(held)], tv its TV to the
+    target and tv_of the TV of a windowed law.  Returns (lo, law, TV at t +
+    m), the leap's result, or None when the certificate fails.
+
+    A Markov kernel never increases the L1 norm of a signed measure, so
+    d = ||mu_{s+1} - mu_s||_1 never grows with s and TV moves by at most d/2
+    a step.  Hence, for t <= s <= t + m, TV(s) >= max(TV(t) - (s - t) d/2,
+    TV(t + m) - (t + m - s) d/2) >= (TV(t) + TV(t + m))/2 - m d/4.
+
+    The bound must clear eps by the rounding of the laws.  A push or a
+    leap errs by under 32 eps of L1 per step (its products, its sums of
+    non-negative terms and the renormalisation), here and in any reference
+    push.  So TV(t), TV(t + m) and a reference TV inside the block are each
+    off by under 16 eps (t + m) plus n eps for their own sums, and d by
+    under twice the law's error plus (n + 4) eps: in all, under (m + 2)
+    (16 (t + m) + n) eps.
+    """
+    m, n = _BLOCK, len(kernel.ks)
+    b = a + len(held) - 1
+    lo, hi = max(0, a - 1), min(n - 1, b + 1)
+    mu = np.zeros(hi - lo + 1)
+    mu[a - lo:b - lo + 1] = held
+    d = float(np.abs(kernel.push(mu, lo) - mu).sum())
+    rest = (m + 2) * (16 * (t + m) + n) * _EPS
+    if 0.5 * (tv + 1.0) - 0.25 * m * d <= eps + rest:  # TV(t + m) <= 1
+        return None
+    lo, law = kernel.leap(a, held)
+    tv_end = tv_of(lo, law)
+    if 0.5 * (tv + tv_end) - 0.25 * m * d <= eps + rest:
+        return None
+    return lo, law, tv_end
 
 
 def _slow_finish(kernel: LevelKernel, mu: np.ndarray, target: np.ndarray,
@@ -293,10 +354,11 @@ def mixing_time(params: ModelParams, N: int, eps: float, cap: int,
                 starts: tuple | None = None) -> MixingReport:
     """Mixing time at level eps: worst TV crossing over the examined starts.
 
-    ExactProjected evolves the level law exactly and, once only its slowest
-    mode is left, finds the crossing in closed form (_slow_finish): the
-    same step tv_curve's push reaches, or capped when that lies past the
-    cap.  MonteCarlo estimates TV
+    ExactProjected evolves the level law exactly, leaping whole blocks
+    where TV provably stays above eps (_certified_leap), and, once only its
+    slowest mode is left, finds the crossing in closed form (_slow_finish):
+    the same step tv_curve's push reaches, or capped when that lies past
+    the cap.  MonteCarlo estimates TV
     from replica histograms every N // 4 steps (upward-biased near
     the crossing, reported with a rough multinomial standard error).
     """
@@ -433,32 +495,3 @@ def hitting_time(params: ModelParams, N: int, start_k: int, target_k: int,
         log_steps = np.logaddexp.accumulate(log_pi) - log_pi - np.log(kernel.up[:end])
         mean = float(np.exp(log_steps[start:]).sum())
     return HittingReport(target=target_k, mean_steps=mean)
-
-
-@dataclass
-class FitReport:
-    slope: float
-    intercept: float
-    r2: float
-
-
-def exponent_fit(ns, times, capped=None) -> FitReport:
-    """Least-squares fit of log(time) against log(N).
-
-    Capped or non-finite measurements poison growth estimates, so their
-    presence refuses the fit outright.
-    """
-    ns = np.asarray(ns, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if capped is not None and any(capped):
-        raise ValueError("capped measurements present; exponent fit refused")
-    if len(ns) < 3 or len(ns) != len(times):
-        raise ValueError("need at least 3 paired (N, time) points")
-    if not (np.isfinite(times).all() and (times > 0).all() and (ns > 0).all()):
-        raise ValueError("times and ns must be positive and finite")
-    x, y = np.log(ns), np.log(times)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - float((resid**2).sum()) / ss_tot if ss_tot > 0 else 1.0
-    return FitReport(slope=float(slope), intercept=float(intercept), r2=r2)

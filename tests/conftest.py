@@ -3,14 +3,17 @@
 Everything here is deliberately independent of the library's own machinery:
 the magnetization law comes from brute-force enumeration over all 2^N
 configurations, and the dense chain is the full 2^N x 2^N one-step matrix
-assembled directly from the update rule.  The reference level law, time
-scales, barrier and equal-height field at the end are closed forms in
-``math``/``lgamma`` and call nothing in ``pspin_glauber``; a ``params`` argument is read only for
-its ``p``, ``beta`` and ``h``.
+assembled directly from the update rule, as is the level chain's matrix
+power.  The reference level law, time scales, barrier and equal-height
+field at the end are closed forms in ``math``/``lgamma`` and call nothing
+in ``pspin_glauber``; a ``params`` argument is read only for its ``p``,
+``beta`` and ``h``.  The log-log growth fit the scaling tests read lives
+here as well: the library itself never fits.
 """
 
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import settings
@@ -62,6 +65,62 @@ def passage_means(params: ModelParams, N: int, target_k: int,
         t = rhs[i] + sup[i] * t
         out[ks[i]] = t
     return out
+
+
+def level_chain_power(params: ModelParams, N: int, steps: int,
+                      k_min: int | None = None) -> np.ndarray:
+    """The `steps`-step transition matrix of the magnetization sum over the
+    levels k_min <= k <= N, entry [i, k] from the i-th to the k-th level.
+
+    The one-step rates come from flip_up_table: up(k) = (N - k)/(2N) f(k)
+    and down(k) = (N + k)/(2N) (1 - f(k)); a step below k_min is rejected,
+    so the lowest level's down rate is folded into its stay.  The power is
+    taken one step at a time on the dense matrix, each row pushed by the
+    three rates of the level it moves from.
+    """
+    f = flip_up_table(params, N)
+    floor = -N if k_min is None else k_min
+    ks = [k for k in range(-N, N + 1, 2) if k >= floor]
+    up = np.array([(N - k) / (2 * N) * f[(k + N) // 2] for k in ks])
+    down = np.array([(N + k) / (2 * N) * (1 - f[(k + N) // 2]) for k in ks])
+    stay = 1.0 - up - down
+    stay[0] += down[0]
+    down[0] = 0.0
+    power = np.eye(len(ks))
+    for _ in range(steps):
+        moved = power * stay
+        moved[:, 1:] += power[:, :-1] * up[:-1]
+        moved[:, :-1] += power[:, 1:] * down[1:]
+        power = moved
+    return power
+
+
+class FitReport(NamedTuple):
+    slope: float
+    intercept: float
+    r2: float
+
+
+def exponent_fit(ns, times, capped=None) -> FitReport:
+    """Least-squares fit of log(time) against log(N).
+
+    Capped or non-finite measurements poison growth estimates, so their
+    presence refuses the fit outright.
+    """
+    ns = np.asarray(ns, dtype=float)
+    times = np.asarray(times, dtype=float)
+    if capped is not None and any(capped):
+        raise ValueError("capped measurements present; exponent fit refused")
+    if len(ns) < 3 or len(ns) != len(times):
+        raise ValueError("need at least 3 paired (N, time) points")
+    if not (np.isfinite(times).all() and (times > 0).all() and (ns > 0).all()):
+        raise ValueError("times and ns must be positive and finite")
+    x, y = np.log(ns), np.log(times)
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(((y - y.mean()) ** 2).sum())
+    r2 = 1.0 - float((resid**2).sum()) / ss_tot if ss_tot > 0 else 1.0
+    return FitReport(slope=float(slope), intercept=float(intercept), r2=r2)
 
 
 def enumerate_mag_law(params: ModelParams, N: int) -> np.ndarray:

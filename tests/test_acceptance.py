@@ -21,7 +21,6 @@ from pspin_glauber import (
     classify_point,
     drift_field,
     evaluate_potential,
-    exponent_fit,
     LevelKernel,
     kernel_arrays,
     mean_field_map,
@@ -41,6 +40,7 @@ from conftest import (
     cosh_tilted_log_level_law,
     dense_transition_matrix,
     enumerate_mag_law,
+    exponent_fit,
     gibbs_full_law,
     mean_hamming_from_opposite_starts,
     metastable_barrier,

@@ -9,12 +9,13 @@ from pspin_glauber import (
     MONTE_CARLO,
     DomainError,
     ModelParams,
+    beta_hat,
     bottleneck,
     boundary_curves,
     condition_at_least,
     evaluate_potential,
-    exponent_fit,
     find_stationary_points,
+    h_hat,
     hitting_time,
     mixing_time,
     restricted_mixing_time,
@@ -22,7 +23,9 @@ from pspin_glauber import (
     stationary_mag,
     tv_curve,
 )
+from pspin_glauber import mixing_analysis
 from pspin_glauber.dynamics import (
+    _BLOCK,
     LevelKernel,
     MetastableSpec,
     metastable_sample,
@@ -34,7 +37,9 @@ from pspin_glauber.dynamics import (
 from conftest import (
     dense_transition_matrix,
     enumerate_mag_law,
+    exponent_fit,
     gibbs_full_law,
+    level_chain_power,
     passage_means,
     slow_eigenvalues,
 )
@@ -197,16 +202,24 @@ CRITICAL = ModelParams(4, 0.51, 0.184)
 
 @pytest.fixture
 def pushed_steps(monkeypatch):
-    """Counts the steps LevelKernel.evolve pushes."""
+    """Counts the steps exact mixing advances: those LevelKernel.evolve
+    pushes and the _BLOCK steps of each certified leap."""
     count = [0]
     evolve = LevelKernel.evolve
+    certified_leap = mixing_analysis._certified_leap
 
     def counting(self, mu, steps, target=None):
         for lo, laws, tv in evolve(self, mu, steps, target):
             count[0] += len(laws)
             yield lo, laws, tv
 
+    def counting_leap(*args):
+        leapt = certified_leap(*args)
+        count[0] += _BLOCK if leapt is not None else 0
+        return leapt
+
     monkeypatch.setattr(LevelKernel, "evolve", counting)
+    monkeypatch.setattr(mixing_analysis, "_certified_leap", counting_leap)
     return count
 
 
@@ -263,6 +276,72 @@ def test_uncertified_finish_pushes_to_the_cap(pushed_steps):
     rep = mixing_time(params, 100, 0.35, 5_000)
     assert pushed_steps[0] == 10_000
     assert rep.capped and rep.t_by_start == {100: None, -100: None}
+
+
+def leap_points(p):
+    """(params, k_min) per point kind at order p: regular, special,
+    coexistence (on C, or h = 0 for even p) and, where one is known, the
+    critical point with its restricted floor (k_min "floor")."""
+    points = [(ModelParams(p, 0.054, 0.5), None),
+              (ModelParams(p, beta_hat(p), h_hat(p)), None),
+              (ModelParams(p, 0.9, boundary_curves(p, 0.9).C), None)]
+    critical = {3: ModelParams(3, 0.55, 0.10), 4: CRITICAL}
+    if p in critical:
+        points.append((critical[p], "floor"))
+    return points
+
+
+def test_leap_crossing_matches_per_step_crossing(monkeypatch):
+    # every start's crossing is tv_curve's, leaps or not; over the grid most
+    # blocks are leapt, and some fall back to the per-step push
+    rng = np.random.default_rng(20261018)
+    blocks = {"leapt": 0, "pushed": 0}
+    certified_leap = mixing_analysis._certified_leap
+
+    def counting(*args):
+        leapt = certified_leap(*args)
+        blocks["leapt" if leapt is not None else "pushed"] += 1
+        return leapt
+
+    monkeypatch.setattr(mixing_analysis, "_certified_leap", counting)
+    cases = 0
+    for p in (3, 4, 5):
+        for params, floor in leap_points(p):
+            for eps in (0.05, 0.2, 0.35, 0.45):
+                N = 2 * int(rng.integers(20, 201))
+                k_min = restricted_threshold(params, N) if floor else None
+                rep = mixing_time(params, N, eps, 20_000, k_min=k_min)
+                for start, t in rep.t_by_start.items():
+                    curve = tv_curve(params, N, start, 20_000, eps_stop=eps,
+                                     k_min=k_min)
+                    want = None if curve.capped else int(curve.ts[-1])
+                    assert t == want, (params, N, eps, start)
+                    cases += 1
+    assert cases == 2 * 4 * 11
+    assert blocks["leapt"] > 10 * blocks["pushed"] > 0
+
+
+@pytest.mark.parametrize("point, N, floored", [
+    ((4, 0.054, 0.5), 20, False), ((4, 0.51, 0.184), 150, True),
+    ((3, 0.6, 0.2), 1100, False), ((3, 0.55, 0.10), 1000, True),
+    ((2, 0.1, 3.0), 90, False)])
+def test_band_matches_level_chain_power(point, N, floored):
+    # N = 20 holds fewer levels than a band row; the 1101 levels at N = 1100
+    # span three build stretches of the band
+    params = ModelParams(*point)
+    k_min = restricted_threshold(params, N) if floored else None
+    kernel = LevelKernel(params, N, lo=k_min)
+    power = level_chain_power(params, N, _BLOCK, k_min)
+    n = len(kernel.ks)
+    assert kernel.band.shape == (n, 2 * _BLOCK + 1) == (len(power), 2 * _BLOCK + 1)
+    want = np.zeros_like(kernel.band)
+    for j in range(2 * _BLOCK + 1):  # want[k, j] = power[k - m + j, k]
+        src = np.arange(n) - _BLOCK + j
+        ok = (src >= 0) & (src < n)
+        want[ok, j] = power[src[ok], np.flatnonzero(ok)]
+    assert np.max(np.abs(kernel.band - want)) <= 1e-14
+    # relative too: the farthest sources of a row carry products of 32 rates
+    assert np.all(np.abs(kernel.band - want) <= 1e-11 * want)
 
 
 def test_projected_tv_equals_dense_full_chain_tv():
