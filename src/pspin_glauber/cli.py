@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands dispatch to the analysis modules and emit CSV, JSON or SVG.
-All randomness flows through --seed, output ordering is deterministic, and
+All randomness flows through --seed (on mix, sample and coupling, the
+commands that draw random numbers), output ordering is deterministic, and
 numeric flags accept simple rationals ("1/3") so threshold parameters are
 representable to the closest double.
 
@@ -242,10 +243,6 @@ def _cmd_phase_diagram(args) -> None:
                      f"{args.out_prefix}.curves.csv\n")
 
 
-def _mode(name: str) -> str:
-    return {"exact": mixing_analysis.EXACT, "mc": mixing_analysis.MONTE_CARLO}[name]
-
-
 def _mixing_report(params, n, eps, cap, restricted, **options):
     run = (mixing_analysis.restricted_mixing_time if restricted
            else mixing_analysis.mixing_time)
@@ -253,21 +250,21 @@ def _mixing_report(params, n, eps, cap, restricted, **options):
 
 
 def _cmd_mix(args) -> None:
+    options = {} if args.restricted else dict(
+        mode=mixing_analysis.MONTE_CARLO if args.method == "mc" else mixing_analysis.EXACT,
+        seed=args.seed, replicas=args.replicas)
     _write(args.out, _json_envelope(_mixing_report(
-        _params(args), args.n, args.eps, args.cap, args.restricted,
-        mode=_mode(args.method), seed=args.seed, replicas=args.replicas)))
+        _params(args), args.n, args.eps, args.cap, args.restricted, **options)))
 
 
 def _sweep_job(job):
-    (p, beta, h, n, eps, cap, method, seed, restricted) = job
-    return n, _mixing_report(ModelParams(p, beta, h), n, eps, cap, restricted,
-                             mode=method, seed=seed)
+    (p, beta, h, n, eps, cap, restricted) = job
+    return n, _mixing_report(ModelParams(p, beta, h), n, eps, cap, restricted)
 
 
 def _cmd_mix_sweep(args) -> None:
     jobs = _jobs(args)
-    work = [(args.p, args.beta, args.h, n, args.eps, args.cap,
-             _mode(args.method), args.seed, args.restricted)
+    work = [(args.p, args.beta, args.h, n, args.eps, args.cap, args.restricted)
             for n in sorted(args.n_list)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -358,15 +355,17 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--n", type=_positive_int, required=True,
                             help="number of spins")
 
-    def add_common(sp):
-        sp.add_argument("--seed", type=int, default=0)
+    def add_out(sp):
         sp.add_argument("--out", default="-", help="output path ('-' = stdout)")
+
+    def add_seed(sp):  # only where the command draws random numbers
+        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("classify", help="phase region of a (beta, h) point")
     add_model(sp, with_n=False)
     sp.add_argument("--margins", action="store_true",
                     help="include distance to the nearest boundary curve")
-    add_common(sp)
+    add_out(sp)
     sp.set_defaults(func=_cmd_classify)
 
     sp = sub.add_parser("curves", help="sample the U/L/C boundary curves")
@@ -375,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta-max", type=real, required=True)
     sp.add_argument("--beta-step", type=real, default=0.005)
     sp.add_argument("--svg", action="store_true", help="emit an SVG plot")
-    add_common(sp)
+    add_out(sp)
     sp.set_defaults(func=_cmd_curves)
 
     sp = sub.add_parser("phase-diagram", help="full region grid + curves")
@@ -390,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--jobs", type=_positive_int, default=None,
                     help=f"worker processes (default ${JOBS_ENV} or 1)")
     sp.add_argument("--out-prefix", required=True)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_phase_diagram)
 
     for name, restricted in (("mix", False), ("restricted-mix", True)):
@@ -399,9 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
         add_model(sp)
         sp.add_argument("--eps", type=_eps_real, default=0.35)
         sp.add_argument("--cap", type=_positive_int, default=10_000)
-        sp.add_argument("--method", choices=("exact", "mc"), default="exact")
-        sp.add_argument("--replicas", type=_positive_int, default=10_000)
-        add_common(sp)
+        if not restricted:  # Monte-Carlo mixing is `mix --method mc` only
+            sp.add_argument("--method", choices=("exact", "mc"), default="exact")
+            sp.add_argument("--replicas", type=_positive_int, default=10_000)
+            add_seed(sp)
+        add_out(sp)
         sp.set_defaults(func=_cmd_mix, restricted=restricted)
 
     sp = sub.add_parser("mix-sweep", help="mixing time across N values")
@@ -412,14 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated N values")
     sp.add_argument("--eps", type=_eps_real, default=0.35)
     sp.add_argument("--cap", type=_positive_int, default=10_000)
-    sp.add_argument("--method", choices=("exact", "mc"), default="exact")
     sp.add_argument("--restricted", action="store_true")
     sp.add_argument("--svg", action="store_true",
                     help="emit a log-log SVG plot instead of CSV")
     sp.add_argument("--reference", choices=("none", "nlogn", "n3/2"),
                     default="none", help="reference curve for --svg")
     sp.add_argument("--jobs", type=_positive_int, default=None)
-    add_common(sp)
+    add_out(sp)
     sp.set_defaults(func=_cmd_mix_sweep)
 
     sp = sub.add_parser("sample", help="metastable window sampler")
@@ -429,19 +428,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--burn", type=_positive_int, default=None,
                     help="burn-in steps per window (default: 10 N log N)")
     sp.add_argument("--require-coexistence", action="store_true")
-    add_common(sp)
+    add_seed(sp)
+    add_out(sp)
     sp.set_defaults(func=_cmd_sample)
 
     sp = sub.add_parser("coupling", help="coupled chains from extreme starts")
     add_model(sp)
     sp.add_argument("--steps", type=_positive_int, required=True)
     sp.add_argument("--record-every", type=_positive_int, default=1)
-    add_common(sp)
+    add_seed(sp)
+    add_out(sp)
     sp.set_defaults(func=_cmd_coupling)
 
     sp = sub.add_parser("bottleneck", help="conductance cut scan")
     add_model(sp)
-    add_common(sp)
+    add_out(sp)
     sp.set_defaults(func=_cmd_bottleneck)
 
     sp = sub.add_parser("drift", help="expected one-step magnetization drift")
@@ -449,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", type=real, default=None,
                     help="single magnetization (default: a grid)")
     sp.add_argument("--c-grid", type=_positive_int, default=201)
-    add_common(sp)
+    add_out(sp)
     sp.set_defaults(func=_cmd_drift)
 
     return ap

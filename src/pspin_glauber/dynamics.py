@@ -55,6 +55,7 @@ _BLOCK = 32
 # at most twice the dropped mass, which is below (N + 1) * eps**2 per block:
 # under 1e-23 over 10**6 steps at N = 6400, far below the rounding of a TV.
 _TAIL = np.finfo(float).eps ** 2
+_EPS = np.finfo(float).eps
 # LevelKernel.band is built this many levels at a time: three (65, 576)
 # float buffers (0.9 MB) stay in cache and replace three full-size ones
 # (10 MB at N = 6400); 256 ran a third slower, 1024 no faster.
@@ -66,15 +67,6 @@ def live_window(lo: int, law: np.ndarray) -> tuple[int, np.ndarray]:
     the view of law from its first to its last entry above _TAIL, at ks[a]."""
     live = np.flatnonzero(law > _TAIL)
     return lo + int(live[0]), law[live[0]:live[-1] + 1]
-
-
-def outside_masses(target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(below, above): the mass of the law target below index i, and at or
-    above it, for i = 0 .. len(target); the TV of a law held on a window
-    counts the target's mass outside the window through them."""
-    below = np.concatenate(([0.0], np.cumsum(target)))
-    above = np.concatenate((np.cumsum(target[::-1])[::-1], [0.0]))
-    return below, above
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -414,17 +406,24 @@ class LevelKernel:
         pad = np.zeros(len(self.ks) + 2 * _BLOCK)
         return pad, sliding_window_view(pad, 2 * _BLOCK + 1)
 
-    def evolve(self, mu: np.ndarray, steps: int, target: np.ndarray | None = None):
-        """Push the law mu over ks `steps` times, a block of steps at a time.
+    def evolve(self, mu: np.ndarray, steps: int, target: np.ndarray | None = None,
+               leap_above: float | None = None):
+        """Advance the law mu over ks `steps` times, a block of steps at a time.
 
-        Yields one (lo, laws, tv) per block.  Row j of laws is the law after
-        the block's (j+1)-th step, renormalised, on the levels
-        ks[lo:lo + laws.shape[1]]; it is zero outside them.  tv[j] is its
-        total-variation distance to the law `target` over ks, or tv is None
-        without a target.  A block pushes only the live window of the law
-        (the levels it holds above the tail cut) widened by the block's
-        steps, the farthest its mass can travel.  laws is a view of a buffer
-        that the next block overwrites.
+        Yields one (t, lo, laws, tv) per block, t the steps done after it.
+        Row j of laws is the law after the block's (j+1)-th step,
+        renormalised, on the levels ks[lo:lo + laws.shape[1]]; it is zero
+        outside them.  tv[j] is its total-variation distance to the law
+        `target` over ks, or tv is None without a target.  A block pushes
+        only the live window of the law (the levels it holds above the tail
+        cut) widened by the block's steps, the farthest its mass can travel.
+        laws is a view of a buffer that the next block overwrites.
+
+        With leap_above, a whole block of _BLOCK steps whose TV to target
+        provably stays above leap_above at every step (`_leap_certified`)
+        is taken in one `leap`; it yields only its end law, as one row, with
+        tv None.  leap_above = -inf needs no target: every whole block is
+        leapt.
         """
         n = len(self.ks)
         a, held = live_window(0, mu)
@@ -432,54 +431,103 @@ class LevelKernel:
         tmp = np.empty(n)
         if target is not None:
             dist = np.empty((_BLOCK, n))
-            below, above = outside_masses(target)
+            # the target's mass below index i and at or above it, i = 0 .. n
+            below = np.concatenate(([0.0], np.cumsum(target)))
+            above = np.concatenate((np.cumsum(target[::-1])[::-1], [0.0]))
+
+            def tv_of(lo, law):  # TV to target of a law on ks[lo:lo + len(law)]
+                hi = lo + len(law)
+                return 0.5 * (float(np.abs(law - target[lo:hi]).sum()) + (below[lo] + above[hi]))
+
+            tv_now = tv_of(a, held)
         done = 0
         while done < steps:
             m = min(_BLOCK, steps - done)
-            b = a + len(held) - 1
-            lo, hi = max(0, a - m), min(n - 1, b + m)
-            w = hi - lo + 1
-            buf[0, :w] = 0.0
-            buf[0, a - lo:b - lo + 1] = held
-            stay, up, down = self.stay[lo:hi + 1], self.up[lo:hi], self.down[lo + 1:hi + 1]
-            t = tmp[:w - 1]
-            # row views made once per block: per-step 2-D indexing would
-            # cost about as much as the arithmetic on a short window
-            rows = list(buf[:m + 1, :w])
-            heads = list(buf[:m + 1, :w - 1])  # levels that can step up
-            tails = list(buf[:m + 1, 1:w])     # levels that can step down
-            for src, dst, src_h, dst_h, src_t, dst_t in zip(
-                    rows, rows[1:], heads, heads[1:], tails, tails[1:]):
-                np.multiply(src, stay, out=dst)
-                np.multiply(src_h, up, out=t)
-                np.add(dst_t, t, out=dst_t)
-                np.multiply(src_t, down, out=t)
-                np.add(dst_h, t, out=dst_h)
-            laws = buf[1:m + 1, :w]
-            np.divide(laws, laws.sum(axis=1)[:, None], out=laws)
-            tv = None
-            if target is not None:
-                d = dist[:m, :w]
-                np.subtract(laws, target[lo:hi + 1], out=d)
-                np.abs(d, out=d)
-                tv = 0.5 * (d.sum(axis=1) + (below[lo] + above[hi + 1]))
+            leapt = m == _BLOCK and leap_above is not None and (
+                self.leap(a, held) + (None,) if leap_above == -math.inf
+                else self._leap_certified(a, held, tv_now, tv_of, leap_above, done))
+            if leapt:
+                lo, law, tv_now = leapt
+                laws, tv = law[None], None
+            else:
+                b = a + len(held) - 1
+                lo, hi = max(0, a - m), min(n - 1, b + m)
+                w = hi - lo + 1
+                buf[0, :w] = 0.0
+                buf[0, a - lo:b - lo + 1] = held
+                stay, up, down = self.stay[lo:hi + 1], self.up[lo:hi], self.down[lo + 1:hi + 1]
+                t = tmp[:w - 1]
+                # row views made once per block: per-step 2-D indexing would
+                # cost about as much as the arithmetic on a short window
+                rows = list(buf[:m + 1, :w])
+                heads = list(buf[:m + 1, :w - 1])  # levels that can step up
+                tails = list(buf[:m + 1, 1:w])     # levels that can step down
+                for src, dst, src_h, dst_h, src_t, dst_t in zip(
+                        rows, rows[1:], heads, heads[1:], tails, tails[1:]):
+                    np.multiply(src, stay, out=dst)
+                    np.multiply(src_h, up, out=t)
+                    np.add(dst_t, t, out=dst_t)
+                    np.multiply(src_t, down, out=t)
+                    np.add(dst_h, t, out=dst_h)
+                laws = buf[1:m + 1, :w]
+                np.divide(laws, laws.sum(axis=1)[:, None], out=laws)
+                tv = None
+                if target is not None:
+                    d = dist[:m, :w]
+                    np.subtract(laws, target[lo:hi + 1], out=d)
+                    np.abs(d, out=d)
+                    tv = 0.5 * (d.sum(axis=1) + (below[lo] + above[hi + 1]))
+                    tv_now = float(tv[-1])
             a, held = live_window(lo, laws[-1])
-            yield lo, laws, tv
             done += m
+            yield done, lo, laws, tv
+
+    def _leap_certified(self, a: int, held: np.ndarray, tv: float, tv_of,
+                        level: float, t: int):
+        """The block of _BLOCK = m steps after step t in one `leap`, when
+        certified that the TV to the target stays above level at every step
+        of it.
+
+        held is the law at step t on ks[a:a + len(held)], tv its TV to the
+        target and tv_of the TV of a windowed law.  Returns (lo, law, TV at
+        t + m), the leap's result, or None when the certificate fails.
+
+        A Markov kernel never increases the L1 norm of a signed measure, so
+        d = ||mu_{s+1} - mu_s||_1 never grows with s and TV moves by at most
+        d/2 a step.  Hence, for t <= s <= t + m, TV(s) >= max(TV(t) - (s - t)
+        d/2, TV(t + m) - (t + m - s) d/2) >= (TV(t) + TV(t + m))/2 - m d/4.
+
+        The bound must clear the level by the rounding of the laws.  A push
+        or a leap errs by under 32 eps of L1 per step (its products, its
+        sums of non-negative terms and the renormalisation), here and in any
+        reference push.  So TV(t), TV(t + m) and a reference TV inside the
+        block are each off by under 16 eps (t + m) plus n eps for their own
+        sums, and d by under twice the law's error plus (n + 4) eps: in all,
+        under (m + 2) (16 (t + m) + n) eps.
+        """
+        m, n = _BLOCK, len(self.ks)
+        b = a + len(held) - 1
+        lo, hi = max(0, a - 1), min(n - 1, b + 1)
+        mu = np.zeros(hi - lo + 1)
+        mu[a - lo:b - lo + 1] = held
+        d = float(np.abs(self.push(mu, lo) - mu).sum())
+        rest = (m + 2) * (16 * (t + m) + n) * _EPS
+        if 0.5 * (tv + 1.0) - 0.25 * m * d <= level + rest:  # TV(t + m) <= 1
+            return None
+        lo, law = self.leap(a, held)
+        tv_end = tv_of(lo, law)
+        if 0.5 * (tv + tv_end) - 0.25 * m * d <= level + rest:
+            return None
+        return lo, law, tv_end
 
     def law_after(self, mu: np.ndarray, steps: int) -> np.ndarray:
-        """The law mu P^steps over ks, renormalised: a `leap` per whole
-        block of steps, then `evolve` for the rest."""
-        lo, law = 0, mu / mu.sum()
-        for _ in range(steps // _BLOCK):
-            lo, law = self.leap(*live_window(lo, law))
+        """The law mu P^steps over ks, renormalised: `evolve` leaps every
+        whole block of steps and pushes the rest."""
+        lo, laws = 0, (mu / mu.sum())[None]
+        for _, lo, laws, _ in self.evolve(laws[0], steps, leap_above=-math.inf):
+            pass
         out = np.zeros(len(self.ks))
-        out[lo:lo + len(law)] = law
-        if steps % _BLOCK:
-            for lo, laws, _ in self.evolve(out, steps % _BLOCK):
-                pass
-            out = np.zeros(len(self.ks))
-            out[lo:lo + laws.shape[1]] = laws[-1]
+        out[lo:lo + laws.shape[1]] = laws[-1]
         return out
 
     def draws(self, rng: np.random.Generator, steps: int):

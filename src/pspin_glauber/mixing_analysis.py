@@ -12,11 +12,11 @@ mixing times from them; conductance cuts and mean hitting times follow from
 the stationary laws and the kernel's rates in log space.
 
 Exact mixing times skip the blocks where TV provably stays above eps with
-one leap of the banded block power (``_certified_leap``), and finish in
-closed form once only the slowest mode is left (``_slow_finish``): the law
-is then pi_chain + lam2^u c2 x2 up to a remainder that a certificate
-bounds, and the first crossing along that ray is found without pushing the
-remaining steps.
+one leap of the banded block power (``evolve`` with ``leap_above=eps``), and
+finish in closed form once only the slowest mode is left (``_slow_finish``):
+the law is then pi_chain + lam2^u c2 x2 up to a remainder that a
+certificate bounds, and the first crossing along that ray is found without
+pushing the remaining steps.
 
 Worst-start convention: mixing times maximize the TV crossing over the
 all-plus and all-minus starts (the extreme levels).  Maximality over all
@@ -33,11 +33,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .dynamics import (
-    _BLOCK,
     LevelKernel,
     kernel_arrays,
-    live_window,
-    outside_masses,
     restricted_threshold,
     rng_stream,
     simulate_mag_replicas,
@@ -149,7 +146,7 @@ def tv_curve(params: ModelParams, N: int, start_k: int, t_max: int,
     mu[start] = 1.0
     tvs = [0.5 * np.abs(mu - pi).sum(keepdims=True)]
     if not tvs[0][0] <= eps_stop:
-        for _, _, tv in kernel.evolve(mu, t_max, target=pi):
+        for *_, tv in kernel.evolve(mu, t_max, target=pi):
             hit = np.flatnonzero(tv <= eps_stop)
             if hit.size:
                 tvs.append(tv[:hit[0] + 1])
@@ -174,84 +171,29 @@ def _exact_crossing(kernel: LevelKernel, target: np.ndarray, start_k: int,
                     eps: float, cap: int) -> int | None:
     """First step t <= cap with TV(law from start_k, target) <= eps, or None.
 
-    Advances the law a block of _BLOCK steps at a time: by one leap where
-    _certified_leap shows that no step of the block reaches eps, else by
-    kernel.evolve, the push tv_curve makes.  At checkpoints it tries
-    _slow_finish, which ends the push once its certificate holds.
+    One kernel.evolve with leap_above=eps: a leapt block provably holds no
+    crossing, a pushed one gives its TVs step by step.  At checkpoints it
+    tries _slow_finish, which ends the push once its certificate holds.
     """
     n = len(kernel.ks)
-    below, above = outside_masses(target)
-
-    def tv_of(lo, law):  # TV to target of a law held on ks[lo:lo + len(law)]
-        hi = lo + len(law)
-        return 0.5 * (float(np.abs(law - target[lo:hi]).sum()) + (below[lo] + above[hi]))
-
-    a, held = kernel.index(start_k), np.ones(1)
-    tv = tv_of(a, held)
-    if tv <= eps:
+    mu = np.zeros(n)
+    mu[kernel.index(start_k)] = 1.0
+    if 0.5 * float(np.abs(mu - target).sum()) <= eps:
         return 0
-    t, check = 0, _FIRST_FINISH * kernel.N if n >= 3 else cap
-    while t < cap:
-        m = min(_BLOCK, cap - t)
-        leapt = _certified_leap(kernel, a, held, tv, tv_of, eps, t) if m == _BLOCK else None
-        if leapt is None:
-            mu = np.zeros(n)
-            mu[a:a + len(held)] = held
-            lo, laws, tvs = next(kernel.evolve(mu, m, target=target))
-            hit = np.flatnonzero(tvs <= eps)
+    check = _FIRST_FINISH * kernel.N if n >= 3 else cap
+    for t, lo, laws, tv in kernel.evolve(mu, cap, target=target, leap_above=eps):
+        if tv is not None:
+            hit = np.flatnonzero(tv <= eps)
             if hit.size:
-                return t + int(hit[0]) + 1
-            law, tv = laws[-1], float(tvs[-1])
-        else:
-            lo, law, tv = leapt
-        t += m
+                return t - len(tv) + int(hit[0]) + 1
         if check <= t < cap:
-            mu = np.zeros(n)
-            mu[lo:lo + len(law)] = law
-            u, wait = _slow_finish(kernel, mu, target, eps, t, cap)
+            law = np.zeros(n)
+            law[lo:lo + laws.shape[1]] = laws[-1]
+            u, wait = _slow_finish(kernel, law, target, eps, t, cap)
             if u is not None:
                 return t + u if t + u <= cap else None
             check = cap if wait is None else t + wait
-        a, held = live_window(lo, law)
     return None
-
-
-def _certified_leap(kernel: LevelKernel, a: int, held: np.ndarray, tv: float,
-                    tv_of, eps: float, t: int):
-    """The block of _BLOCK = m steps after step t in one LevelKernel.leap,
-    when certified that TV stays above eps at every step of it.
-
-    held is the law at step t on ks[a:a + len(held)], tv its TV to the
-    target and tv_of the TV of a windowed law.  Returns (lo, law, TV at t +
-    m), the leap's result, or None when the certificate fails.
-
-    A Markov kernel never increases the L1 norm of a signed measure, so
-    d = ||mu_{s+1} - mu_s||_1 never grows with s and TV moves by at most d/2
-    a step.  Hence, for t <= s <= t + m, TV(s) >= max(TV(t) - (s - t) d/2,
-    TV(t + m) - (t + m - s) d/2) >= (TV(t) + TV(t + m))/2 - m d/4.
-
-    The bound must clear eps by the rounding of the laws.  A push or a
-    leap errs by under 32 eps of L1 per step (its products, its sums of
-    non-negative terms and the renormalisation), here and in any reference
-    push.  So TV(t), TV(t + m) and a reference TV inside the block are each
-    off by under 16 eps (t + m) plus n eps for their own sums, and d by
-    under twice the law's error plus (n + 4) eps: in all, under (m + 2)
-    (16 (t + m) + n) eps.
-    """
-    m, n = _BLOCK, len(kernel.ks)
-    b = a + len(held) - 1
-    lo, hi = max(0, a - 1), min(n - 1, b + 1)
-    mu = np.zeros(hi - lo + 1)
-    mu[a - lo:b - lo + 1] = held
-    d = float(np.abs(kernel.push(mu, lo) - mu).sum())
-    rest = (m + 2) * (16 * (t + m) + n) * _EPS
-    if 0.5 * (tv + 1.0) - 0.25 * m * d <= eps + rest:  # TV(t + m) <= 1
-        return None
-    lo, law = kernel.leap(a, held)
-    tv_end = tv_of(lo, law)
-    if 0.5 * (tv + tv_end) - 0.25 * m * d <= eps + rest:
-        return None
-    return lo, law, tv_end
 
 
 def _slow_finish(kernel: LevelKernel, mu: np.ndarray, target: np.ndarray,
@@ -355,12 +297,12 @@ def mixing_time(params: ModelParams, N: int, eps: float, cap: int,
     """Mixing time at level eps: worst TV crossing over the examined starts.
 
     ExactProjected evolves the level law exactly, leaping whole blocks
-    where TV provably stays above eps (_certified_leap), and, once only its
-    slowest mode is left, finds the crossing in closed form (_slow_finish):
-    the same step tv_curve's push reaches, or capped when that lies past
-    the cap.  MonteCarlo estimates TV
-    from replica histograms every N // 4 steps (upward-biased near
-    the crossing, reported with a rough multinomial standard error).
+    where TV provably stays above eps (LevelKernel.evolve's leap_above),
+    and, once only its slowest mode is left, finds the crossing in closed
+    form (_slow_finish): the same step tv_curve's push reaches, or capped
+    when that lies past the cap.  MonteCarlo estimates TV from replica
+    histograms every N // 4 steps (upward-biased near the crossing,
+    reported with a rough multinomial standard error).
     """
     if not 0.0 < eps < 0.5:
         raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
@@ -392,9 +334,8 @@ def mixing_time(params: ModelParams, N: int, eps: float, cap: int,
                         t_by_start=t_by_start, stat_error=se)
 
 
-def restricted_mixing_time(params: ModelParams, N: int, eps: float, cap: int,
-                           mode: str = EXACT, seed: int = 0,
-                           replicas: int = 10_000) -> MixingReport:
+def restricted_mixing_time(params: ModelParams, N: int, eps: float,
+                           cap: int) -> MixingReport:
     """Mixing time of the floor-restricted dynamics to its conditioned law.
 
     The floor comes from restricted_threshold; with no restriction active
@@ -402,8 +343,7 @@ def restricted_mixing_time(params: ModelParams, N: int, eps: float, cap: int,
     Worst start among {floor level, all-plus}.
     """
     k_min = restricted_threshold(params, N)
-    return mixing_time(params, N, eps, cap, mode=mode, seed=seed,
-                       replicas=replicas, k_min=k_min)
+    return mixing_time(params, N, eps, cap, k_min=k_min)
 
 
 @dataclass

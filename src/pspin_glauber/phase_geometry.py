@@ -273,6 +273,7 @@ def _equal_height_field(p: int, beta: float, lo: float, hi: float) -> float:
         # a narrow band resolves two maxima only well inside it: just above
         # beta_hat the node values near its ends fall within CURVATURE_TOL;
         # at large p near an end a maximizer lies past the float margin
+        in_range = False
         for frac in (1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.25, 0.5):
             x = base + sign * frac * span
             try:
@@ -281,6 +282,12 @@ def _equal_height_field(p: int, beta: float, lo: float, hi: float) -> float:
                 continue
             if res is not None:
                 return (x,) + res
+            in_range = True
+        if not in_range:  # every nudge put a maximizer past the float margin
+            raise DomainError(
+                f"a maximizer lies past the root-finding range |m| <= 1 - 1e-15 at every "
+                f"field tried near h={base} (p={p}, beta={beta}): p*beta or |h| is too "
+                f"large for root finding")
         raise RuntimeError(f"no coexisting maxima near h={base} (p={p}, beta={beta})")
 
     a, ga, sa = endpoint(lo, +1)

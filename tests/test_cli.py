@@ -119,6 +119,37 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, code", [
+    ("classify --p 4 --beta 0.5 --h 0 --seed 1", 2),
+    ("restricted-mix --p 4 --beta 0.51 --h 0.184 --n 60 --method mc", 2),
+    ("mix-sweep --p 4 --beta 0.054 --h 0.5 --n-list 40 --method mc", 2),
+    ("mix --p 4 --beta 0.054 --h 0.5 --n 40 --cap 400 --method mc --replicas 200"
+     " --seed 1", 0)])
+def test_seed_and_monte_carlo_only_where_read(argv, code, capsys):
+    # --seed is taken only by the commands that draw random numbers, and
+    # Monte-Carlo mixing is `mix --method mc` only
+    try:
+        got = main(argv.split())
+    except SystemExit as exc:
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code, err
+    if code == 2:
+        assert "unrecognized arguments" in err
+
+
+def test_curves_past_the_root_finding_range_name_it(capsys):
+    # at p = 30 every nudge into the coexistence band near beta = 0.44 puts
+    # a maximizer past atanh(1 - 1e-15); the error says so rather than
+    # calling the two maxima missing
+    code, out, err = run_cli(["curves", "--p", "30", "--beta-min", "0.4",
+                              "--beta-max", "0.6"], capsys)
+    assert code == 1 and out == ""
+    assert "root-finding range |m| <= 1 - 1e-15" in err
+    assert "p*beta or |h| is too large for root finding" in err
+    assert "no coexisting maxima" not in err
+
+
 def test_empty_or_nonpositive_n_list_is_a_usage_error(capsys):
     for n_list, message in ((",", "no values in ','"), ("", "no values in ''"),
                             ("40,0", "must be positive, got 0")):

@@ -23,7 +23,6 @@ from pspin_glauber import (
     stationary_mag,
     tv_curve,
 )
-from pspin_glauber import mixing_analysis
 from pspin_glauber.dynamics import (
     _BLOCK,
     LevelKernel,
@@ -188,7 +187,7 @@ def test_evolve_pushes_only_the_live_window():
     mu = np.zeros(N + 1)
     mu[-1] = 1.0
     widths = []
-    for _, laws, tv in kernel.evolve(mu, 10**6, target=pi):
+    for _, _, laws, tv in kernel.evolve(mu, 10**6, target=pi):
         assert np.max(np.abs(laws.sum(axis=1) - 1.0)) <= 1e-14
         if widths or tv[-1] <= 0.35:
             widths.append(laws.shape[1])
@@ -203,24 +202,75 @@ CRITICAL = ModelParams(4, 0.51, 0.184)
 @pytest.fixture
 def pushed_steps(monkeypatch):
     """Counts the steps exact mixing advances: those LevelKernel.evolve
-    pushes and the _BLOCK steps of each certified leap."""
+    pushes and the _BLOCK steps of each certified leap, read from the steps
+    done that each block yields."""
     count = [0]
     evolve = LevelKernel.evolve
-    certified_leap = mixing_analysis._certified_leap
 
-    def counting(self, mu, steps, target=None):
-        for lo, laws, tv in evolve(self, mu, steps, target):
-            count[0] += len(laws)
-            yield lo, laws, tv
-
-    def counting_leap(*args):
-        leapt = certified_leap(*args)
-        count[0] += _BLOCK if leapt is not None else 0
-        return leapt
+    def counting(self, mu, steps, target=None, leap_above=None):
+        done = 0
+        for t, lo, laws, tv in evolve(self, mu, steps, target, leap_above):
+            count[0] += t - done
+            done = t
+            yield t, lo, laws, tv
 
     monkeypatch.setattr(LevelKernel, "evolve", counting)
-    monkeypatch.setattr(mixing_analysis, "_certified_leap", counting_leap)
     return count
+
+
+def leap_kernel(kind):
+    """(kernel, target, start level, eps) for test_evolve_leaps_match_pushed_laws."""
+    if kind == "regular":
+        params, N = ModelParams(4, 0.054, 0.5), 800
+        return LevelKernel(params, N), stationary_mag(params, N).probs, N, 0.35
+    if kind == "critical floor":
+        N = 200
+        floor = restricted_threshold(CRITICAL, N)
+        target = condition_at_least(stationary_mag(CRITICAL, N), floor).probs
+        kernel = LevelKernel(CRITICAL, N, lo=floor)
+        return kernel, target, int(kernel.ks[0]), 0.35
+    params, N = ModelParams(4, 0.9, 0.0), 400  # the sampler's upper window
+    _, report = metastable_sample(MetastableSpec(params=params, N=N, burn_steps=0))
+    kernel = LevelKernel(params, N, *report.windows[-1])
+    return kernel, np.exp(kernel.log_pi), int(kernel.ks[0]), 0.05
+
+
+@pytest.mark.parametrize("kind", ["regular", "critical floor", "sampler window"])
+def test_evolve_leaps_match_pushed_laws(kind):
+    # every row a leaping evolve yields is the per-step push's law at its
+    # step; a leapt block is one row _BLOCK steps on, with every step's TV
+    # above the level; leap_above=-inf leaps every whole block, no target
+    kernel, target, start, eps = leap_kernel(kind)
+    n, steps = len(kernel.ks), 4000 + 5
+    mu = np.zeros(n)
+    mu[kernel.index(start)] = 1.0
+    ref, ref_tv = {}, np.empty(steps + 1)
+    for t, lo, laws, tv in kernel.evolve(mu, steps, target=target):
+        ref_tv[t - len(laws) + 1:t + 1] = tv
+        for s, row in enumerate(laws, t - len(laws) + 1):
+            ref[s] = np.zeros(n)
+            ref[s][lo:lo + len(row)] = row
+    for level, tgt in ((eps, target), (-math.inf, None)):
+        done, leapt, pushed = 0, 0, 0
+        for t, lo, laws, tv in kernel.evolve(mu, steps, target=tgt, leap_above=level):
+            if tgt is not None and tv is None:
+                assert t - done == _BLOCK and len(laws) == 1
+                assert np.all(ref_tv[done + 1:t + 1] > eps)
+                leapt += 1
+            elif tgt is None and t - done == _BLOCK:
+                assert len(laws) == 1 and tv is None
+                leapt += 1
+            else:
+                assert len(laws) == t - done
+                pushed += 1
+            for s, row in enumerate(laws, t - len(laws) + 1):
+                law = np.zeros(n)
+                law[lo:lo + len(row)] = row
+                assert np.abs(law - ref[s]).sum() <= 1e-12
+            done = t
+        assert done == steps and leapt > 0 and pushed > 0, (kind, level)
+        if tgt is None:
+            assert (leapt, pushed) == (steps // _BLOCK, 1)
 
 
 def test_slow_spectrum_matches_sturm_oracle():
@@ -295,15 +345,18 @@ def test_leap_crossing_matches_per_step_crossing(monkeypatch):
     # every start's crossing is tv_curve's, leaps or not; over the grid most
     # blocks are leapt, and some fall back to the per-step push
     rng = np.random.default_rng(20261018)
-    blocks = {"leapt": 0, "pushed": 0}
-    certified_leap = mixing_analysis._certified_leap
+    blocks = {"leapt": 0, "pushed": 0}  # whole blocks, leapt or certified not
+    evolve = LevelKernel.evolve
 
-    def counting(*args):
-        leapt = certified_leap(*args)
-        blocks["leapt" if leapt is not None else "pushed"] += 1
-        return leapt
+    def counting(self, mu, steps, target=None, leap_above=None):
+        for t, lo, laws, tv in evolve(self, mu, steps, target, leap_above):
+            if leap_above is not None and tv is None:
+                blocks["leapt"] += 1
+            elif leap_above is not None and len(laws) == _BLOCK:
+                blocks["pushed"] += 1
+            yield t, lo, laws, tv
 
-    monkeypatch.setattr(mixing_analysis, "_certified_leap", counting)
+    monkeypatch.setattr(LevelKernel, "evolve", counting)
     cases = 0
     for p in (3, 4, 5):
         for params, floor in leap_points(p):
