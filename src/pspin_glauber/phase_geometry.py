@@ -33,9 +33,9 @@ from .potential import (
     ModelParams,
     PointKind,
     StationaryPoint,
+    _beta_hat,
     _d1_terms,
     _d2_terms,
-    _golden_max,
     free_energy_d1,
     free_energy_d2,  # noqa: F401  (perfbench/layers.py counts calls through it)
     landscape_structure,
@@ -112,7 +112,7 @@ def beta_hat(p: int) -> float:
     """Concavity threshold of H at zero field (closed form)."""
     if p < 3:
         raise DomainError(f"thresholds require p >= 3, got {p}")
-    return 1.0 / (2.0 * (p - 1)) * (p / (p - 2.0)) ** ((p - 2.0) / 2.0)
+    return _beta_hat(p)
 
 
 def h_hat(p: int) -> float:
@@ -133,9 +133,24 @@ def _grid_golden_min(f, lo, hi, n=100001, name="objective"):
     i = int(np.argmin(vals))
     if i in (0, n - 1):
         raise RuntimeError(f"minimizer of {name} not interior: grid edge hit")
-    neg = lambda x: -f(x)
-    x_min, v = _golden_max(neg, xs[i - 1], xs[i + 1], tol=1e-13)
-    return x_min, -v
+    a, b = xs[i - 1], xs[i + 1]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(200):
+        if b - a < 1e-13:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
 
 
 @lru_cache(maxsize=64)
@@ -183,10 +198,8 @@ def inflection_pair(p: int, beta: float) -> InflectionPair:
         raise DomainError(
             f"no inflection pair: beta={beta} is not above beta_hat={bh}"
         )
-    positive = [r for r in landscape_structure(p, beta).curvature_roots if r > 0.0]
-    if len(positive) != 2:
-        raise DomainError(f"H'' has {len(positive)} positive roots at beta={beta} (p={p})")
-    return InflectionPair(a1=positive[0], a2=positive[1])
+    a1, a2 = landscape_structure(p, beta).curvature_roots[-2:]
+    return InflectionPair(a1=a1, a2=a2)
 
 
 def _maximizer(d1, d2, lo: float, hi: float) -> float:
@@ -380,9 +393,9 @@ def _region_code_for(struct: LandscapeStructure, h: float) -> int:
     if lo == hi:  # tangency node: degenerate maximizer
         return REGION_CODES[Region.SPECIAL]
     # |H''(m)| can only fall inside the band when H' is nearly tangent at a
-    # curvature root, or when the H'' peak itself barely misses zero.
+    # curvature root, or when H'' <= d2_bound (no root) barely misses zero.
     near_node = len(nodes) > 2 and min(abs(v) for v in values[1:-1]) <= 100.0 * CURVATURE_TOL
-    near_flat = len(nodes) == 2 and struct.d2_grid_max > -1e-6
+    near_flat = len(nodes) == 2 and struct.d2_bound > -1e-6
     if near_node or near_flat:
         pts = struct.stationary_points(h)
         m = local_maxima(pts)[0]
@@ -404,7 +417,7 @@ def _region_codes(struct: LandscapeStructure, hs: np.ndarray) -> np.ndarray:
     values = struct.node_values(hs)
     plain = ((values[:, 0] > 0) & (values[:, -1] < 0)
              & ~(np.abs(values[:, 1:-1]) <= 100.0 * CURVATURE_TOL).any(axis=1))
-    if values.shape[1] == 2 and struct.d2_grid_max > -1e-6:  # near_flat
+    if values.shape[1] == 2 and struct.d2_bound > -1e-6:  # near_flat
         plain[:] = False
     positive = values > 0
     n_max = (positive[:, :-1] & ~positive[:, 1:]).sum(axis=1)
@@ -516,22 +529,24 @@ def grid_axes(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 def scan_column(p: int, beta: float, h_axis: np.ndarray):
     """One diagram column: region codes over h_axis plus the curve sample.
 
-    For even p on an h-axis symmetric about zero only the upper half is
-    classified and mirrored (the diagram is exactly symmetric in h).
+    For even p on an h-axis symmetric about zero (h_axis[i] = -h_axis[-1-i]
+    to 1e-12) only its second half is classified, and each cell of the first
+    half takes the code of its mirror image (the diagram is exactly
+    symmetric in h).
     """
     h_axis = np.asarray(h_axis, dtype=float)
     struct = landscape_structure(p, float(beta))
+    n = len(h_axis)
     mirror = (
         p % 2 == 0
-        and len(h_axis) > 1
-        and abs(h_axis[0] + h_axis[-1]) < 1e-12 * max(1.0, abs(h_axis[-1]))
+        and n > 1
+        and np.allclose(h_axis, -h_axis[::-1], rtol=0.0,
+                        atol=1e-12 * max(1.0, float(np.abs(h_axis).max())))
     )
     if mirror:
-        codes = np.empty(len(h_axis), dtype=np.int8)
-        upper = np.flatnonzero(h_axis >= -1e-15)
-        codes[upper] = _region_codes(struct, h_axis[upper])
-        lower = np.flatnonzero(h_axis < -1e-15)
-        codes[lower] = codes[len(h_axis) - 1 - lower]
+        codes = np.empty(n, dtype=np.int8)
+        codes[n // 2:] = _region_codes(struct, h_axis[n // 2:])
+        codes[:n // 2] = codes[::-1][:n // 2]
     else:
         codes = _region_codes(struct, h_axis)
     sample = boundary_curves(p, float(beta))

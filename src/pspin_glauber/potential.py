@@ -24,10 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 DOMAIN_MARGIN = 1e-9
-ROOT_TOL = 1e-12
 CURVATURE_TOL = 1e-8
 HEIGHT_TOL = 1e-10  # maximizers whose heights differ by at most this tie
-CURVATURE_GRID_POINTS = 20001  # the uniform grid on which H'' signs are scanned
 
 
 class DomainError(ValueError):
@@ -268,25 +266,15 @@ def _bisect(f, a, b, fa, fb, max_iter=200, terms=None):
     return float(0.5 * (a + b))
 
 
-def _golden_max(f, a, b, tol=1e-13, max_iter=200):
-    """Golden-section maximization of f on [a, b]; returns (x, f(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a < tol:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+# the ends of the H'' root brackets: the narrowest root-finding margin
+_ROOT_END = 1e-15
+
+
+def _beta_hat(p: int) -> float:
+    """beta_hat(p), the beta above which H'' has roots (1/2 at p = 2)."""
+    if p == 2:
+        return 0.5
+    return 1.0 / (2.0 * (p - 1)) * (p / (p - 2.0)) ** ((p - 2.0) / 2.0)
 
 
 class LandscapeStructure:
@@ -305,8 +293,11 @@ class LandscapeStructure:
     def __init__(self, p: int, beta: float):
         self.p = int(p)
         self.beta = float(beta)
-        self._params0 = ModelParams(self.p, self.beta, 0.0)
-        self.curvature_roots = self._find_curvature_roots()  # sets d2_grid_max
+        bh = _beta_hat(self.p)
+        # the maximum of G(x) = p(p-1) beta x^(p-2) (1 - x^2) - 1, at
+        # w = sqrt(1 - 2/p); where H'' has no root, H'' = G/(1 - x^2) <= G
+        self.d2_bound = self.beta / bh - 1.0
+        self.curvature_roots = self._find_curvature_roots(bh) if self.beta > bh else []
         lo, hi = -1.0 + DOMAIN_MARGIN, 1.0 - DOMAIN_MARGIN
         self.nodes = (lo, *[r for r in self.curvature_roots if lo < r < hi], hi)
         x = np.array(self.nodes)
@@ -315,40 +306,41 @@ class LandscapeStructure:
 
     # -- H'' roots ---------------------------------------------------------
 
-    def _find_curvature_roots(self) -> list[float]:
-        xs, powers, reciprocal = _curvature_grid(self.p)
-        # free_energy_d2 on xs: the same float operations in the same order
-        vals = self.p * (self.p - 1) * self.beta * powers - reciprocal
-        self.d2_grid_max = float(vals.max())
-        f = lambda x: free_energy_d2(self._params0, x)
-        terms = _d2_terms(self.p, self.beta)
+    def _find_curvature_roots(self, bh: float) -> list[float]:
+        """The roots of H'' on (-1, 1), ascending, for beta > beta_hat.
 
-        roots = []
-        idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        for i in idx:
-            roots.append(_bisect(f, float(xs[i]), float(xs[i + 1]),
-                                 vals[i], vals[i + 1], terms=terms))
-        for i in np.nonzero(vals == 0.0)[0]:
-            roots.append(float(xs[i]))
+        H'' = 0 is p(p-1) beta x^(p-2) (1 - x^2) = 1, at p = 2 the closed
+        form x = +-sqrt(1 - 1/(2 beta)).  For p >= 3 the left side rises on
+        (0, w) and falls on (w, 1), w = sqrt(1 - 2/p), to its peak
+        beta/beta_hat.  With x = w (1 + s) the equation reads
+        phi(s) = (p-2) log1p(s) + log1p(-(p-2)/2 s (2 + s)) = log(beta_hat/beta),
+        and phi rises from -inf to its maximum 0 at s = 0, then falls back
+        to -inf: one root on either side of s = 0, each bisected in math
+        scalars.  The bracket ends are x = _ROOT_END and x = 1 - _ROOT_END,
+        which hold both roots for beta up to about 5e14 / (p (p-1)); past
+        that a root lies beyond an end and DomainError is raised.  Odd p has
+        no root below 0 (there H'' < 0); even p mirrors the two exactly.
+        """
+        p, beta = self.p, self.beta
+        if p == 2:
+            r = math.sqrt(1.0 - 1.0 / (2.0 * beta))
+            return [-r, r]
+        w, k = math.sqrt(1.0 - 2.0 / p), 0.5 * (p - 2)
+        # log(beta_hat/beta), negative for every beta > beta_hat
+        target = -math.log1p((beta - bh) / bh)
 
-        # Root pairs with H'' > 0 only strictly between grid points show up
-        # as non-positive discrete local maxima; refine by golden section.
-        mid = vals[1:-1]
-        cand = np.nonzero((mid >= vals[:-2]) & (mid >= vals[2:]) & (mid <= 0))[0] + 1
-        for i in cand:
-            a, b = float(xs[i - 1]), float(xs[i + 1])
-            fa, fb = vals[i - 1], vals[i + 1]
-            x_peak, v_peak = _golden_max(f, a, b)
-            if v_peak > 0.0 and fa < 0.0 and fb < 0.0:
-                roots.append(_bisect(f, a, x_peak, fa, v_peak, terms=terms))
-                roots.append(_bisect(f, x_peak, b, v_peak, fb, terms=terms))
+        def f(s):
+            return (p - 2) * math.log1p(s) + math.log1p(-k * s * (2.0 + s)) - target
 
-        roots = sorted(roots)
-        dedup: list[float] = []
-        for r in roots:
-            if not dedup or r - dedup[-1] > ROOT_TOL:
-                dedup.append(r)
-        return dedup
+        s_lo, s_hi = _ROOT_END / w - 1.0, (1.0 - _ROOT_END) / w - 1.0
+        f_lo, f_0, f_hi = f(s_lo), f(0.0), f(s_hi)
+        if not (f_lo < 0.0 and f_hi < 0.0):
+            raise DomainError(
+                f"H'' has a root within {_ROOT_END} of 0 or 1 at p={p}, "
+                f"beta={beta}: beta is too large for root finding")
+        a1 = w * (1.0 + _bisect(f, s_lo, 0.0, f_lo, f_0))
+        a2 = w * (1.0 + _bisect(f, 0.0, s_hi, f_0, f_hi))
+        return [-a2, -a1, a1, a2] if p % 2 == 0 else [a1, a2]
 
     # -- node machinery ------------------------------------------------------
 
@@ -438,21 +430,6 @@ class LandscapeStructure:
             raise DegenerateClusterError("no local maximizer resolved",
                                          (nodes[0], nodes[-1]))
         return points
-
-
-@lru_cache(maxsize=1)
-def _curvature_axis():
-    xs = np.linspace(-1.0 + DOMAIN_MARGIN, 1.0 - DOMAIN_MARGIN,
-                     CURVATURE_GRID_POINTS)
-    return xs, 1.0 / (1.0 - xs * xs)
-
-
-@lru_cache(maxsize=64)
-def _curvature_grid(p: int):
-    """The H'' scan grid xs with its h- and beta-free parts xs**(p-2) and
-    1/(1-xs*xs); xs and the reciprocal are shared by every p."""
-    xs, reciprocal = _curvature_axis()
-    return xs, xs ** (p - 2), reciprocal
 
 
 @lru_cache(maxsize=256)

@@ -442,3 +442,32 @@ def curvature_root_pair(p: int, beta: float, dps: int = 50) -> tuple[float, floa
         a1 = _mp_bisect(lambda x: g(x) - 1, mpmath.mpf(0), w)
         a2 = _mp_bisect(lambda x: 1 - g(x), w, mpmath.mpf(1))
         return float(a1), float(a2)
+
+
+def concavity_threshold(p: int) -> float:
+    """beta_hat = 1 / max over (0, 1) of p(p-1) x^(p-2) (1 - x^2), the peak
+    at w = sqrt(1 - 2/p): above it H'' has roots, below it H is concave."""
+    w2 = 1.0 - 2.0 / p
+    return 1.0 / (p * (p - 1) * w2 ** ((p - 2) / 2.0) * (1.0 - w2))
+
+
+def coexistence_band(p: int, beta: float) -> tuple[float, float]:
+    """(L, U) for beta above the threshold: H has two or more local
+    maximizers exactly for L < h < U (odd p), or L < |h| < U (even p, where
+    L bounds the band only while L > 0, i.e. below beta_prime).
+
+    With a1 < a2 from curvature_root_pair, H'_0(x) = p beta x^(p-1) -
+    atanh(x) has a local minimum g1 = H'_0(a1) and a local maximum g2 =
+    H'_0(a2) on (0, 1), and the maximizers of H at field h are the + to -
+    sign changes of H'_0 + h.  Odd p: H'_0 > 0 on (-1, 0), so two need
+    h + g1 < 0 < h + g2.  Even p, h >= 0: H'_0 is odd, the pieces falling
+    into -a2, across (-a1, a1) and out of a2 hold maximizers for h < g2,
+    g1 < h < -g1 and h > -g2.
+    """
+    a1, a2 = curvature_root_pair(p, beta)
+
+    def g(x):
+        return p * beta * x ** (p - 1) - math.atanh(x)
+
+    g1, g2 = g(a1), g(a2)
+    return -g2, (-g1 if p % 2 == 1 else max(g2, -g1))

@@ -1,6 +1,7 @@
 """Thresholds, boundary curves and region classification."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pspin_glauber import (
     classify_point,
     curves_csv,
     entropy,
+    free_energy_d1,
     grid_csv,
     inflection_pair,
     scan_grid,
@@ -27,7 +29,8 @@ from pspin_glauber import (
 )
 from pspin_glauber.phase_geometry import BoundaryDetail, GridBudgetError, scan_column
 
-from conftest import curvature_root_pair, threshold_minima
+from conftest import (coexistence_band, concavity_threshold, curvature_root_pair,
+                      threshold_minima)
 
 # frozen independent evaluations (40-digit arithmetic, rounded to double)
 BETA_HAT_3 = 0.4330127018922193
@@ -256,6 +259,70 @@ def test_classifier_consistency_with_curves():
     assert checked > 350
 
 
+# cells this close to U or L, and columns this close to beta_hat or (even p)
+# beta_prime, are not compared: 100 times the curvature band, inside which
+# a node value of H' counts as zero
+BAND_SKIP = 1e-6
+
+
+@lru_cache(maxsize=None)
+def _independent_thresholds(p):
+    return concavity_threshold(p), threshold_minima(p)[1]
+
+
+@given(p=st.integers(3, 8), beta=st.floats(0.05, 1.5),
+       gap=st.one_of(st.none(), st.floats(-6.0, -1.0)),
+       hs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20),
+       fracs=st.lists(st.floats(-0.5, 1.5), max_size=10), symmetric=st.booleans())
+def test_region_codes_follow_the_independent_band(p, beta, gap, hs, fracs, symmetric):
+    # scan_column's codes against conftest's mpmath band: critical (1)
+    # strictly inside it, regular (0) outside it and below beta_hat.  A
+    # drawn gap puts the column at beta_hat (1 + 10^gap), fracs place
+    # fields across the band, and a symmetric axis takes the mirrored path
+    # at even p.
+    bh, bp = _independent_thresholds(p)
+    if gap is not None:
+        beta = bh * (1.0 + 10.0**gap)
+    assume(abs(beta - bh) > BAND_SKIP and (p % 2 == 1 or abs(beta - bp) > BAND_SKIP))
+    band = coexistence_band(p, beta) if beta > bh else None
+    if band is not None:  # within reach of root finding, p*beta + |h| <= 16
+        hs = hs + [h for h in (band[0] + f * (band[1] - band[0]) for f in fracs)
+                   if p * beta + abs(h) <= 16]
+    hs = np.array(sorted(set(hs + [-h for h in hs])) if symmetric else hs)
+    codes, _ = scan_column(p, beta, hs)
+    if band is None:
+        assert codes.tolist() == [0] * len(hs)
+        return
+    lo, hi = band
+    href = hs
+    if p % 2 == 0:
+        href = np.abs(hs)
+        assert (lo > 0.0) == (beta < bp)
+        if beta > bp:  # every |h| < U is critical
+            lo = -math.inf
+    for x, code in zip(href.tolist(), codes.tolist()):
+        if lo + BAND_SKIP < x < hi - BAND_SKIP:
+            assert code == 1, (x, lo, hi)
+        elif x < lo - BAND_SKIP or x > hi + BAND_SKIP:
+            assert code == 0, (x, lo, hi)
+
+
+def test_quadratic_order_at_beta_one_half():
+    # H''(0) = 2 beta - 1 vanishes, but for h > 0 the maximizer sits near
+    # (3 h)^(1/3), where H'' = -m^2 lies outside the curvature band
+    for h in (1e-9, 1e-11):
+        report = classify_point(2, 0.5, h)
+        assert report.region is Region.LOCALLY_REGULAR, h
+        (point,) = report.stationary_points
+        params = ModelParams(2, 0.5, h)
+        m = point.m
+        assert free_energy_d1(params, m * (1 - 1e-6)) > 0 > free_energy_d1(params, m * (1 + 1e-6))
+        assert abs(m - (3 * h) ** (1 / 3)) <= 1e-3 * m, h
+    at_zero = classify_point(2, 0.5, 0.0)
+    assert at_zero.region is Region.SPECIAL
+    assert [s.m for s in at_zero.stationary_points] == [0.0]
+
+
 def test_trailing_flags_are_keyword_only():
     # a caller still passing thresholds or options by position gets a
     # TypeError instead of having them read as the flag
@@ -434,6 +501,15 @@ def test_scan_column_matches_per_cell_codes():
                 assert mirrored[100:].tolist() == [_region_code_for(struct, float(h))
                                                    for h in sym[100:]]
     assert near_node > 0  # the near-node refinement was exercised
+
+
+def test_scan_column_mirrors_only_a_symmetric_axis():
+    # ends that cancel do not make an axis symmetric: every cell of these
+    # axes is classified in its own right
+    for hs in ([0.0, -0.25, 0.0], [-0.3, 0.5, 0.1, 0.3], [-0.5, 0.2, -0.2, 0.5]):
+        for beta in (0.25, 0.5, 1.0):
+            codes, _ = scan_column(4, beta, np.array(hs))
+            assert codes.tolist() == [classify_point(4, beta, h).region_code for h in hs]
 
 
 def test_scan_column_just_below_beta_hat_with_a_deep_well():

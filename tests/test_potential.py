@@ -25,12 +25,12 @@ from pspin_glauber import (
 from pspin_glauber.potential import (
     DOMAIN_MARGIN,
     _bisect,
-    _curvature_grid,
     _d1_terms,
     _d2_terms,
     _fallback_margin,
     free_energy_d1,
     free_energy_d2,
+    landscape_structure,
 )
 from conftest import central_difference
 
@@ -146,17 +146,6 @@ def test_even_order_field_reflection(p, beta, h, x):
     assert abs(a.H - b.H) <= 1e-14 * max(1.0, abs(a.H))
 
 
-def test_curvature_grid_is_free_energy_d2_bit_for_bit():
-    # the cached x**(p-2) and 1/(1-x*x) recombine into free_energy_d2's
-    # float operations, in its order
-    rng = np.random.default_rng(7)
-    for p in range(2, 21):
-        xs, powers, reciprocal = _curvature_grid(p)
-        for beta in [1 / 3, 0.5, *rng.uniform(0.01, 3.0, 4)]:
-            grid = p * (p - 1) * beta * powers - reciprocal
-            assert np.array_equal(grid, free_energy_d2(ModelParams(p, beta, 0.0), xs))
-
-
 def _sign_change_brackets(seed, n=50):
     """n brackets (f, terms, a, b) across which H' or H'' changes sign.
 
@@ -225,6 +214,36 @@ def test_stationary_points_quadratic_high_temperature():
     assert len(pts) == 1
     assert pts[0].kind is PointKind.LOCAL_MAX
     assert abs(pts[0].m) < 1e-12
+
+
+def test_quadratic_curvature_roots_are_the_closed_form():
+    # at p = 2, H''(x) = 2 beta - 1/(1 - x^2) vanishes at +-sqrt(1 - 1/(2 beta))
+    # for beta > 1/2 and nowhere for beta <= 1/2
+    for beta in (0.5 + 1e-12, 0.5 + 1e-6, 0.51, 0.75, 1.0, 1.5, 7.0):
+        r = math.sqrt(1.0 - 1.0 / (2.0 * beta))
+        assert landscape_structure(2, beta).curvature_roots == [-r, r], beta
+    for beta in (0.05, 0.25, 0.5):
+        assert landscape_structure(2, beta).curvature_roots == [], beta
+
+
+def test_even_order_curvature_roots_mirror_exactly():
+    for p in range(4, 13, 2):
+        bh = beta_hat(p)
+        for beta in (bh + 1e-12, bh + 1e-6, bh + 0.01, 0.75, 1.5, 100.0):
+            roots = landscape_structure(p, beta).curvature_roots
+            assert len(roots) == 4, (p, beta)
+            assert roots[:2] == [-r for r in reversed(roots[2:])], (p, beta)
+            assert 0.0 < roots[2] < math.sqrt(1.0 - 2.0 / p) < roots[3] < 1.0, (p, beta)
+
+
+def test_curvature_root_past_the_brackets_raises():
+    # the brackets end at x = 1e-15 and 1 - 1e-15; from beta of about
+    # 5e14 / (p (p-1)) on, the upper root lies past 1 - 1e-15
+    for p in (3, 4, 12):
+        beta = 5e14 / (p * (p - 1))
+        assert len(landscape_structure(p, beta / 2).curvature_roots) in (2, 4)
+        with pytest.raises(DomainError, match="too large for root finding"):
+            landscape_structure(p, 2 * beta)
 
 
 def test_stationary_points_sorted_and_alternating():
