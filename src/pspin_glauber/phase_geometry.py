@@ -34,6 +34,7 @@ from .potential import (
     PointKind,
     StationaryPoint,
     _beta_hat,
+    _bisect,
     _d1_terms,
     _d2_terms,
     free_energy_d1,
@@ -122,68 +123,49 @@ def h_hat(p: int) -> float:
     return math.atanh(w) - bh * p * w ** (p - 1)
 
 
-def _grid_golden_min(f, lo, hi, n=100001, name="objective"):
-    """Coarse grid pass followed by golden-section refinement.
-
-    Returns (x_min, f(x_min)); raises if the minimum sits on the grid edge
-    (the minimizer must be interior for every supported objective).
-    """
-    xs = np.linspace(lo, hi, n)
-    vals = f(xs)
-    i = int(np.argmin(vals))
-    if i in (0, n - 1):
-        raise RuntimeError(f"minimizer of {name} not interior: grid edge hit")
-    a, b = xs[i - 1], xs[i + 1]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(200):
-        if b - a < 1e-13:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 @lru_cache(maxsize=64)
 def thresholds(p: int) -> Thresholds:
     """All four thresholds for order p >= 3.
 
-    beta_hat/h_hat come from closed forms; beta_tilde and beta_prime from
-    1-D minimization of I(x)/x^p and atanh(x)/(p x^(p-1)) over (0, 1),
-    carried out in u = -log(1 - x).
+    beta_hat/h_hat come from closed forms.  beta_tilde = min I(x)/x^p and
+    beta_prime = min atanh(x)/(p x^(p-1)) over (0, 1) are read at the roots
+    of their stationarity equations, x atanh(x) = p I(x) and
+    x/(1 - x^2) = (p - 1) atanh(x), each bisected in u = -log(1 - x).
     """
     bh = beta_hat(p)
     hh = h_hat(p)
 
-    # Both are minimized over u = -log(1 - x): for p >= 10 the minimizer of
-    # I(x)/x^p lies within 1e-5 of x = 1 (1.8e-12 at p = 20), where a grid
-    # in x has no room.  1 - x = exp(-u) is exact, so log(1 - x) = -u.
-    def parts(u):  # x, 1 - x and log(1 + x)
-        y = np.exp(-u)
-        return -np.expm1(-u), y, np.log1p(1.0 - y)
+    # In u, 1 - x = exp(-u) is exact: the minimizer of I(x)/x^p has
+    # 1 - x near 2^(1 - 2p) (1.9e-6 at p = 10), and from p = 28 on x itself
+    # rounds to 1.  So x^p is taken as exp(p log(x)), log(x) =
+    # log1p(-exp(-u)), which keeps the p (1 - x) that a power of the rounded
+    # x drops.
+    def parts(u):  # x, 1 - x, atanh(x), I(x), log(x)
+        y = math.exp(-u)
+        x = -math.expm1(-u)
+        log_1px = math.log1p(x)
+        return (x, y, 0.5 * (log_1px + u), 0.5 * ((1.0 + x) * log_1px - y * u),
+                math.log1p(-y))
 
-    def f_tilde(u):  # I(x) / x^p
-        x, y, log_1px = parts(u)
-        return 0.5 * ((2.0 - y) * log_1px - y * u) / x**p
+    def g_tilde(u):  # x atanh(x) - p I(x)
+        x, _, atanh_x, entropy_x, _ = parts(u)
+        return x * atanh_x - p * entropy_x
 
-    def f_prime(u):  # atanh(x) / (p x^(p-1))
-        x, _, log_1px = parts(u)
-        return 0.5 * (log_1px + u) / (p * x ** (p - 1))
+    def g_prime(u):  # x / (1 - x^2) - (p - 1) atanh(x)
+        x, y, atanh_x, _, _ = parts(u)
+        return x / (y * (1.0 + x)) - (p - 1) * atanh_x
 
-    lo, hi = 1e-6, 60.0
-    _, bt = _grid_golden_min(f_tilde, lo, hi, name="I(x)/x^p")
-    _, bp = _grid_golden_min(f_prime, lo, hi, name="atanh(x)/(p x^(p-1))")
-    return Thresholds(p=p, beta_hat=bh, h_hat=hh, beta_tilde=float(bt),
-                      beta_prime=float(bp))
+    # At u = 1e-6 they are about (1 - p/2) x^2 < 0 and -(p - 2) x < 0.  At
+    # u = 2p g_tilde exceeds p (1 - log 2) > 0 (its root is near
+    # u = (2p - 1) log 2), and at u = 60 g_prime exceeds e^60/2 - 31 (p - 1).
+    lo = 1e-6
+    u_t = _bisect(g_tilde, lo, 2.0 * p, g_tilde(lo), g_tilde(2.0 * p))
+    u_p = _bisect(g_prime, lo, 60.0, g_prime(lo), g_prime(60.0))
+    _, _, _, entropy_x, log_x = parts(u_t)
+    bt = entropy_x / math.exp(p * log_x)
+    _, _, atanh_x, _, log_x = parts(u_p)
+    bp = atanh_x / (p * math.exp((p - 1) * log_x))
+    return Thresholds(p=p, beta_hat=bh, h_hat=hh, beta_tilde=bt, beta_prime=bp)
 
 
 def inflection_pair(p: int, beta: float) -> InflectionPair:

@@ -43,6 +43,19 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     assert out == "False\n"
 
 
+def test_curves_at_very_high_order_write_nothing_to_stderr():
+    # a fresh process, so that warnings print as a user would see them
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env.pop("PYTHONWARNINGS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "pspin_glauber.cli", "curves",
+                          "--p", "100", "--beta-min", "0.1", "--beta-max", "0.1"],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0 and run.stderr == ""
+    assert run.stdout.splitlines()[1:] == ["beta,U,L,C", "0.1,5.37094225585,,1.12608422974"]
+
+
 def test_benchmark_hooks_name_package_attributes():
     # perfbench/layers.py patches these module attributes by name; a rename
     # or a dropped import there would only show in the benchmark's own run

@@ -1,6 +1,7 @@
 """Thresholds, boundary curves and region classification."""
 
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -75,7 +76,53 @@ def test_thresholds_at_high_order():
         beta_tilde, beta_prime = threshold_minima(p)
         assert abs(thr.beta_tilde - beta_tilde) <= 1e-12, p
         assert abs(thr.beta_prime - beta_prime) <= 1e-12, p
-        assert thr.beta_hat < thr.beta_prime < thr.beta_tilde < math.log(2)
+        assert thr.beta_hat < thr.beta_prime < thr.beta_tilde
+        # beta_tilde -> log 2 from below with a gap of order 4^-p: far above
+        # an ulp at p <= 20, but at p = 40 the correctly rounded value (and
+        # the 50-digit oracle's) is log 2 itself
+        if p == 40:
+            assert thr.beta_tilde == math.log(2)
+        else:
+            assert thr.beta_tilde < math.log(2)
+
+
+def test_thresholds_within_four_ulp_of_the_oracle():
+    # the oracle's bracket end 1 - 1e-30 covers both minimizers up to p = 48
+    for p in range(3, 49):
+        thr = thresholds(p)
+        beta_tilde, beta_prime = threshold_minima(p)
+        assert abs(thr.beta_tilde - beta_tilde) <= 4 * math.ulp(beta_tilde), p
+        assert abs(thr.beta_prime - beta_prime) <= 4 * math.ulp(beta_prime), p
+
+
+def test_thresholds_at_very_high_order_warn_nothing():
+    # x^p underflows far from the minimizers once p is large; the result
+    # must come out of the stationarity equations without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (54, 100, 200, 500):
+            thr = thresholds.__wrapped__(p)
+            assert thr.beta_tilde == math.log(2), p
+            assert thr.beta_hat < thr.beta_prime < thr.beta_tilde, p
+
+
+@given(p=st.integers(3, 60), u=st.floats(1e-6, 60.0))
+def test_thresholds_are_lower_bounds_of_their_objectives(p, u):
+    # both objectives, in 30-digit mpmath at x = 1 - e^-u, lie above the
+    # minima: a bisection that landed off the minimizer would fail this
+    import mpmath
+
+    thr = thresholds(p)
+    with mpmath.workdps(30):
+        y = mpmath.exp(-mpmath.mpf(u))
+        x = 1 - y
+        log_1px = mpmath.log(1 + x)
+        entropy_x = ((1 + x) * log_1px + y * mpmath.log(y)) / 2
+        atanh_x = (log_1px - mpmath.log(y)) / 2
+        f_tilde = float(entropy_x / x**p)
+        f_prime = float(atanh_x / (p * x ** (p - 1)))
+    assert f_tilde >= thr.beta_tilde - 4 * math.ulp(thr.beta_tilde)
+    assert f_prime >= thr.beta_prime - 4 * math.ulp(thr.beta_prime)
 
 
 def test_threshold_ordering_even():
