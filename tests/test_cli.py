@@ -389,6 +389,14 @@ PINNED_STDOUT = [
     ("c7961267294fc813", "mix-sweep --p 4 --beta 1/3 --h 0.40996906622851137"
                          " --n-list 200,400,800 --cap 1000000 --jobs 1"),
     ("0956d7b951cefd82", "mix --p 4 --beta 0.9 --h 0 --n 100 --cap 5000"),
+    # 40000 steps cross two draw chunks of 16384
+    ("584003304a196dcc", "coupling --p 3 --beta 0.05 --h 0.1 --n 200 --steps 40000"
+                         " --seed 4 --record-every 1"),
+    ("5b572ea3ddbcf784", "coupling --p 3 --beta 0.05 --h 0.1 --n 200 --steps 40000"
+                         " --seed 4 --record-every 7"),
+    ("ed8bdfe29bf36116", "sample --p 4 --beta 0.9 --h 0 --n 2000 --seed 5"),
+    # a window that rejects 1.4 % of its moves
+    ("330d5c645ee6b81c", "sample --p 4 --beta 0.51 --h 0.184 --n 200 --burn 3000 --seed 2"),
 ]
 
 
