@@ -10,12 +10,12 @@ the birth-death triple (up, down, stay) of a restriction ``[lo, hi]`` of the
 sum, clamped to ``[-N, N]``, and offers the three engines everything else is
 built from: an exact push of a level law (one step, `evolve` for many
 steps on the law's live window, or `leap`, a whole block of steps through
-the kernel's banded block power), a scalar step of a spin configuration and
-a replica step of many magnetization chains.  A move that would leave
-``[lo, hi]`` is rejected (the state is kept); the push tables fold that
-rejection into ``stay``.  The floor of the restricted dynamics and the
-sampler's windows are both such restrictions; the unrestricted chain is the
-full interval.
+the kernel's banded block power), a scalar walk of a spin configuration
+over a chunk of draws and a replica step of many magnetization chains.  A
+move that would leave ``[lo, hi]`` is rejected (the state is kept); the push
+tables fold that rejection into ``stay``.  The floor of the restricted
+dynamics and the sampler's windows are both such restrictions; the
+unrestricted chain is the full interval.
 
 Every scalar step consumes exactly two uniforms in fixed order (site, spin),
 so two chains advanced with shared draws form the grand coupling and runs
@@ -25,6 +25,7 @@ are bitwise reproducible from the seed.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -60,6 +61,8 @@ _EPS = np.finfo(float).eps
 # float buffers (0.9 MB) stay in cache and replace three full-size ones
 # (10 MB at N = 6400); 256 ran a third slower, 1024 no faster.
 _BAND_ROWS = 512
+# Scalar steps per chunk of LevelKernel.draws: one rng.random call each.
+_CHUNK = 1 << 14
 
 
 def live_window(lo: int, law: np.ndarray) -> tuple[int, np.ndarray]:
@@ -185,7 +188,7 @@ class LevelKernel:
 
     * ``f_up`` and ``p_minus`` over all N+1 levels, indexed by (k + N) // 2:
       the spin-up probability and the probability (N - k) / (2N) that the
-      chosen site carries -1.  They drive the scalar and replica steps.
+      chosen site carries -1.  They drive the scalar walk and replica step.
     * ``up``, ``down``, ``stay`` over the kept levels ``ks`` (ascending):
       the one-step law of the restricted sum, with the rejection at lo and
       hi folded into ``stay``.  Unrestricted, the folds add exact zeros.
@@ -423,7 +426,7 @@ class LevelKernel:
         provably stays above leap_above at every step (`_leap_certified`)
         is taken in one `leap`; it yields only its end law, as one row, with
         tv None.  leap_above = -inf needs no target: every whole block is
-        leapt.
+        leapt, and one yield gives the law after the last of them.
         """
         n = len(self.ks)
         a, held = live_window(0, mu)
@@ -441,11 +444,16 @@ class LevelKernel:
 
             tv_now = tv_of(a, held)
         done = 0
+        if leap_above == -math.inf and steps >= _BLOCK:
+            while steps - done >= _BLOCK:
+                lo, law = self.leap(a, held)
+                a, held = live_window(lo, law)
+                done += _BLOCK
+            yield done, lo, law[None], None
         while done < steps:
             m = min(_BLOCK, steps - done)
-            leapt = m == _BLOCK and leap_above is not None and (
-                self.leap(a, held) + (None,) if leap_above == -math.inf
-                else self._leap_certified(a, held, tv_now, tv_of, leap_above, done))
+            leapt = m == _BLOCK and leap_above is not None and self._leap_certified(
+                a, held, tv_now, tv_of, leap_above, done)
             if leapt:
                 lo, law, tv_now = leapt
                 laws, tv = law[None], None
@@ -531,35 +539,52 @@ class LevelKernel:
         return out
 
     def draws(self, rng: np.random.Generator, steps: int):
-        """(site, spin uniform) of `steps` scalar steps.
+        """The draws of `steps` scalar steps, a chunk (sites, us) at a time.
 
-        Uniforms are drawn in chunks of (site, spin) pairs: the same stream
-        as drawing the two uniforms of each step one step at a time.
+        Each chunk of up to 2**14 steps is one rng.random((n, 2)) call:
+        sites int(u * N) from its first column, spin uniforms us from its
+        second.  The same stream as drawing the two uniforms of each step
+        one step at a time.
         """
         N = self.N
-        for t in range(0, steps, 1 << 14):
-            for u_site, u_spin in rng.random((min(1 << 14, steps - t), 2)).tolist():
-                yield int(u_site * N), u_spin
+        for t in range(0, steps, _CHUNK):
+            a = rng.random((min(_CHUNK, steps - t), 2))
+            yield (a[:, 0] * N).astype(np.intp), a[:, 1]
 
-    def step(self, spins: list, k: int, i: int, u: float) -> tuple[int, bool]:
-        """Heat-bath update of site i of `spins` (a list of +-1 with sum k).
+    def walk(self, spins: list, k: int, sites: np.ndarray, us: np.ndarray,
+             record: bool = False):
+        """The heat-bath rule over one chunk of draws, a step per (site, u).
 
-        Updates `spins` in place and returns (new sum, accepted); a move that
-        would leave [lo, hi] is rejected and leaves `spins` unchanged.
+        spins is a list of +-1 with sum k in [lo, hi], updated in place:
+        site i takes +1 when u <= f_up at the current sum, else -1, and a
+        move that would leave [lo, hi] is rejected (the state is kept).
+        Returns (k, rejected, path): the sum after the chunk, the rejected
+        moves and, with record, the sum after every step as an array('q').
         """
-        new = 1 if u <= self._f_up[(k + self.N) >> 1] else -1
-        nk = k + new - spins[i]
-        if self.lo <= nk <= self.hi:
-            spins[i] = new
-            return nk, True
-        return k, False
+        f, N = self._f_up, self.N
+        j_lo, j_hi = (self.lo + N + 1) >> 1, (self.hi + N) >> 1
+        j = (k + N) >> 1  # f's index of the sum k
+        rejected, path = 0, array("q")
+        append = path.append
+        for i, u in zip(sites.tolist(), us.tolist()):
+            new = 1 if u <= f[j] else -1
+            if new != spins[i]:
+                if j_lo <= j + new <= j_hi:
+                    spins[i] = new
+                    j += new
+                    k += new + new
+                else:
+                    rejected += 1
+            if record:
+                append(k)
+        return k, rejected, path
 
     def replica_step(self, ks: np.ndarray, u_site: np.ndarray,
                      u_spin: np.ndarray) -> np.ndarray:
         """One step of magnetization chains at sums ks (law-exact).
 
         The site draw only matters through whether the chosen site carries
-        -1; the spin draw follows the scalar step's comparison.
+        -1; the spin draw follows the scalar walk's comparison.
         """
         idx = (ks + self.N) >> 1
         is_minus = u_site < self.p_minus[idx]
@@ -640,15 +665,16 @@ def run_chain(spec: RunSpec) -> Trace:
     kernel = LevelKernel(spec.params, spec.N, lo=spec.threshold)
     state = _resolve_start(spec.N, spec.start)
     kernel.index(state.sum)
-    spins, k = state.spins.tolist(), state.sum
-    times = [0]
-    sums = [k]
-    for t, (i, u) in enumerate(kernel.draws(rng_stream(spec.seed, 0), spec.steps), 1):
-        k, _ = kernel.step(spins, k, i, u)
-        if t % spec.record_every == 0:
-            times.append(t)
-            sums.append(k)
-    return Trace(times=np.asarray(times), mag_sums=np.asarray(sums))
+    spins, k, every = state.spins.tolist(), state.sum, spec.record_every
+    times = np.arange(0, spec.steps + 1, every)
+    sums = np.empty(len(times), dtype=np.int64)
+    sums[0], row, t = k, 1, 0
+    for sites, us in kernel.draws(rng_stream(spec.seed, 0), spec.steps):
+        k, _, path = kernel.walk(spins, k, sites, us, record=True)
+        kept = path[(-t - 1) % every::every]  # path[s] is the sum at step t + s + 1
+        sums[row:row + len(kept)] = kept
+        row, t = row + len(kept), t + len(us)
+    return Trace(times=times, mag_sums=sums)
 
 
 @dataclass(frozen=True)
@@ -660,6 +686,10 @@ class CouplingSpec:
     steps: int = 0
     seed: int = 0
     record_every: int = 1
+
+    def __post_init__(self):
+        if self.steps < 0 or self.record_every < 1:
+            raise DomainError("steps must be >= 0 and record_every >= 1")
 
 
 @dataclass
@@ -677,50 +707,74 @@ def run_coupling(spec: CouplingSpec) -> CouplingTrace:
 
     Records the Hamming distance, the count of never-selected sites, and
     both magnetization sums.  Once the chains meet they stay together.
+
+    Each chunk of draws walks both chains (one, once they have met); the
+    counts follow from the paths with numpy.  The kernel is unrestricted,
+    so after a step the chosen site holds the spin each chain drew: the
+    chains differ there iff (u <= f_up[kx]) != (u <= f_up[ky]) at the sums
+    before the step.  Before it they differed there as after the chunk's
+    last earlier step at that site (a stable sort of the chunk's sites), or
+    as at the chunk's start.
     """
-    N = spec.N
+    N, every = spec.N, spec.record_every
     kernel = LevelKernel(spec.params, N)
     x = _resolve_start(N, spec.start_x)
     y = _resolve_start(N, spec.start_y)
-    hamming = int(np.count_nonzero(x.spins != y.spins))
     xs, ys, kx, ky = x.spins.tolist(), y.spins.tolist(), x.sum, y.sum
-    never = [True] * N
-    untouched = N
+    differs = x.spins != y.spins  # per site, at the start of the chunk
+    never = np.ones(N, dtype=bool)  # sites no step has chosen yet
+    hamming, untouched = int(np.count_nonzero(differs)), N
     coalesced_at = 0 if hamming == 0 else None
 
-    times, hams, unt, mx, my = [0], [hamming], [untouched], [kx], [ky]
-    for t, (i, u) in enumerate(kernel.draws(rng_stream(spec.seed, 0), spec.steps), 1):
-        if never[i]:
-            never[i] = False
-            untouched -= 1
-        differed = xs[i] != ys[i]
-        kx, _ = kernel.step(xs, kx, i, u)
-        ky, _ = kernel.step(ys, ky, i, u)
-        differs = xs[i] != ys[i]
-        if differed and not differs:
-            hamming -= 1
-        elif differs and not differed:
-            hamming += 1
-        if hamming == 0 and coalesced_at is None:
-            coalesced_at = t
-        if t % spec.record_every == 0:
-            times.append(t)
-            hams.append(hamming)
-            unt.append(untouched)
-            mx.append(kx)
-            my.append(ky)
-    return CouplingTrace(times=np.asarray(times), hamming=np.asarray(hams),
-                         untouched=np.asarray(unt), mags_x=np.asarray(mx),
-                         mags_y=np.asarray(my), coalesced_at=coalesced_at)
+    times = np.arange(0, spec.steps + 1, every)
+    cols = np.empty((4, len(times)), dtype=np.int64)  # hamming, untouched, kx, ky
+    cols[:, 0] = hamming, untouched, kx, ky
+    row, t = 1, 0
+    for sites, us in kernel.draws(rng_stream(spec.seed, 0), spec.steps):
+        x0, y0 = kx, ky
+        kx, _, px = kernel.walk(xs, kx, sites, us, record=True)
+        px = np.frombuffer(px, dtype=np.int64)
+        if coalesced_at is None:
+            ky, _, py = kernel.walk(ys, ky, sites, us, record=True)
+            py = np.frombuffer(py, dtype=np.int64)
+        else:  # met chains move together
+            ky, py = kx, px
+        drew_x = us <= kernel.f_up[(np.concatenate(([x0], px[:-1])) + N) >> 1]
+        drew_y = us <= kernel.f_up[(np.concatenate(([y0], py[:-1])) + N) >> 1]
+        now = drew_x != drew_y
+        order = np.argsort(sites, kind="stable")
+        again = sites[order[1:]] == sites[order[:-1]]
+        later, earlier = order[1:][again], order[:-1][again]
+        before, first = differs[sites], never[sites]
+        before[later] = now[earlier]
+        first[later] = False
+        last = order[np.append(~again, True)]  # each site's last step here
+        differs[sites[last]] = now[last]
+        never[sites] = False
+        ham = hamming + np.cumsum(now, dtype=np.int64) - np.cumsum(before, dtype=np.int64)
+        unt = untouched - np.cumsum(first, dtype=np.int64)
+        hamming, untouched = int(ham[-1]), int(unt[-1])
+        if coalesced_at is None:
+            met = np.flatnonzero(ham == 0)
+            if met.size:
+                coalesced_at = t + int(met[0]) + 1
+        kept = slice((-t - 1) % every, None, every)  # index s is step t + s + 1
+        rows = ham[kept], unt[kept], px[kept], py[kept]
+        cols[:, row:row + len(rows[0])] = rows
+        row, t = row + len(rows[0]), t + len(us)
+    hams, unt, mx, my = cols
+    return CouplingTrace(times=times, hamming=hams, untouched=unt, mags_x=mx,
+                         mags_y=my, coalesced_at=coalesced_at)
 
 
 def coupling_csv(trace: CouplingTrace) -> str:
     """CSV `t,mag_sum,hamming,untouched`; mag_sum is the first chain's."""
-    lines = ["t,mag_sum,hamming,untouched"]
-    for i in range(len(trace.times)):
-        lines.append(f"{int(trace.times[i])},{int(trace.mags_x[i])},"
-                     f"{int(trace.hamming[i])},{int(trace.untouched[i])}")
-    return "\n".join(lines) + "\n"
+    cols = trace.times, trace.mags_x, trace.hamming, trace.untouched
+    parts = ["t,mag_sum,hamming,untouched\n"]
+    for a in range(0, len(trace.times), 4096):  # 4096 rows per format call
+        rows = np.stack([c[a:a + 4096] for c in cols], axis=1)
+        parts.append("%d,%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist()))
+    return "".join(parts)
 
 
 # -- vectorized replica engine ----------------------------------------------
@@ -842,9 +896,9 @@ def metastable_sample(spec: MetastableSpec) -> tuple[SpinConfig, SamplerReport]:
     for i, (kernel, k) in enumerate(zip(kernels, starts)):
         spins = SpinConfig.from_magnetization(spec.N, k).spins.tolist()
         rejected = 0
-        for j, u in kernel.draws(rng_stream(spec.seed, 1, i), burn):
-            k, accepted = kernel.step(spins, k, j, u)
-            rejected += not accepted
+        for sites, us in kernel.draws(rng_stream(spec.seed, 1, i), burn):
+            k, r, _ = kernel.walk(spins, k, sites, us)
+            rejected += r
         finals.append(SpinConfig(spins=np.array(spins, dtype=np.int8), sum=k))
         acc_rates.append(1.0 - rejected / burn if burn else 1.0)
 

@@ -191,8 +191,8 @@ def test_step_full_strong_field_pins_spins():
     params = ModelParams(3, 0.5, 50.0)
     kernel = LevelKernel(params, 64)
     spins, k = [1] * 64, 64
-    for i, u in kernel.draws(rng_stream(1, 0), 2000):
-        k, _ = kernel.step(spins, k, i, u)
+    for sites, us in kernel.draws(rng_stream(1, 0), 2000):
+        k, _, _ = kernel.walk(spins, k, sites, us)
     assert k == 64 and spins == [1] * 64
     # the one-step flip probability itself is vanishing
     assert kernel.ks[-1] == 64 and kernel.down[-1] < 1e-20
@@ -206,10 +206,12 @@ def test_step_full_frequencies_match_kernel():
     kernel = LevelKernel(params, N)
     spins = SpinConfig.from_magnetization(N, k).spins.tolist()
     sums = np.empty(R, dtype=np.int64)
-    for r, (i, u) in enumerate(kernel.draws(rng_stream(9, 4), R)):
-        old = spins[i]
-        sums[r], _ = kernel.step(spins, k, i, u)
-        spins[i] = old
+    r = 0
+    for sites, us in kernel.draws(rng_stream(9, 4), R):
+        for t in range(len(us)):  # a one-step walk per trial, from (spins, k)
+            sums[r], _, _ = kernel.walk(spins.copy(), k, sites[t:t + 1], us[t:t + 1])
+            r += 1
+    assert r == R
     at = (k + N) // 2
     for delta, prob in ((2, kernel.up[at]), (-2, kernel.down[at]), (0, kernel.stay[at])):
         freq = float(np.mean(sums == k + delta))
@@ -299,10 +301,11 @@ def test_step_restricted_rejects_at_floor():
     kernel = LevelKernel(params, N, lo=0)
     spins, k = SpinConfig.from_magnetization(N, 0).spins.tolist(), 0
     rejected = 0
-    for i, u in kernel.draws(rng_stream(3, 1), 500):
-        k, accepted = kernel.step(spins, k, i, u)
-        rejected += not accepted
-        assert k >= 0 and sum(spins) == k
+    for sites, us in kernel.draws(rng_stream(3, 1), 500):
+        for t in range(len(us)):  # one step at a time, to check every state
+            k, r, _ = kernel.walk(spins, k, sites[t:t + 1], us[t:t + 1])
+            rejected += r
+            assert k >= 0 and sum(spins) == k
     assert k == 0  # up-moves have probability ~e^-100
     assert rejected > 0
 
@@ -371,6 +374,87 @@ def test_coupling_identical_starts_stay_identical():
     assert np.all(np.diff(trace.untouched) <= 0)
     csv = coupling_csv(trace)
     assert csv.startswith("t,mag_sum,hamming,untouched\n")
+    for bad in ({"steps": -1}, {"record_every": 0}):
+        with pytest.raises(DomainError):
+            CouplingSpec(params=spec.params, N=30, **bad)
+
+
+def _coupled_loop(params, N, x, y, steps, seed):
+    """Two chains one step at a time on shared draws, two uniforms a step:
+    every step's (hamming, untouched, kx, ky), counted from the spins."""
+    f = {}
+    rng = rng_stream(seed, 0)
+    x, y = x.copy(), y.copy()
+    touched = set()
+    rows = [(int(np.count_nonzero(x != y)), N, int(x.sum()), int(y.sum()))]
+    for _ in range(steps):
+        u_site, u_spin = rng.random(2)
+        i = int(u_site * N)
+        touched.add(i)
+        for z in (x, y):
+            k = int(z.sum())
+            if k not in f:
+                f[k] = flip_up_probability(params, k / N)
+            z[i] = 1 if u_spin <= f[k] else -1
+        rows.append((int(np.count_nonzero(x != y)), N - len(touched),
+                     int(x.sum()), int(y.sum())))
+    return np.array(rows)
+
+
+def test_run_coupling_matches_two_chain_loop():
+    # the chunked walk and its numpy bookkeeping against a per-step loop;
+    # 20000 steps cross a draw-chunk boundary at 16384, the starts are not
+    # constant, and the pairs meet in the first chunk and in the second
+    N, steps = 60, 20_000
+    rng = np.random.default_rng(3)
+    mixed = [SpinConfig(spins=s, sum=int(s.sum())) for s in
+             (np.where(rng.random(N) < q, 1, -1).astype(np.int8) for q in (0.8, 0.2))]
+    cases = ((ModelParams(3, 0.05, 0.1), SpinConfig.from_magnetization(N, 10),
+              SpinConfig.from_magnetization(N, -20)),
+             (ModelParams(4, 0.9, 0.0), *mixed))
+    met = []
+    for params, x, y in cases:
+        rows = _coupled_loop(params, N, x.spins, y.spins, steps, seed=6)
+        hits = np.flatnonzero(rows[:, 0] == 0)
+        met.append(int(hits[0]) if hits.size else None)
+        for every in (1, 3, 7):
+            trace = run_coupling(CouplingSpec(params=params, N=N, start_x=x, start_y=y,
+                                              steps=steps, seed=6, record_every=every))
+            want = rows[::every]
+            assert trace.times.tolist() == list(range(0, steps + 1, every))
+            assert trace.hamming.tolist() == want[:, 0].tolist()
+            assert trace.untouched.tolist() == want[:, 1].tolist()
+            assert trace.mags_x.tolist() == want[:, 2].tolist()
+            assert trace.mags_y.tolist() == want[:, 3].tolist()
+            assert trace.coalesced_at == met[-1]
+    assert 0 < met[0] < 1 << 14 < met[1] < steps
+
+
+def test_metastable_sample_matches_one_step_at_a_time_loop():
+    # final sums and acceptance rates of a window that rejects moves, over
+    # 20000 steps (two draw chunks), against a loop drawing two uniforms a step
+    params, N, burn = ModelParams(4, 0.51, 0.184), 200, 20_000
+    spec = MetastableSpec(params=params, N=N, burn_steps=burn, seed=2)
+    _, report = metastable_sample(spec)
+    f = {}
+    for w, (m, (lo, hi)) in enumerate(zip(report.maximizers, report.windows)):
+        k = nearest_level(N, m)
+        spins = SpinConfig.from_magnetization(N, k).spins.tolist()
+        rng, rejected = rng_stream(2, 1, w), 0
+        for _ in range(burn):
+            u_site, u_spin = rng.random(2)
+            i = int(u_site * N)
+            if k not in f:
+                f[k] = flip_up_probability(params, k / N)
+            new = 1 if u_spin <= f[k] else -1
+            if lo <= k + new - spins[i] <= hi:
+                k += new - spins[i]
+                spins[i] = new
+            else:
+                rejected += 1
+        assert report.final_sums[w] == k
+        assert report.acceptance_rates[w] == 1.0 - rejected / burn
+        assert rejected > 0
 
 
 def test_untouched_sites_match_collector_formula():

@@ -239,7 +239,8 @@ def leap_kernel(kind):
 def test_evolve_leaps_match_pushed_laws(kind):
     # every row a leaping evolve yields is the per-step push's law at its
     # step; a leapt block is one row _BLOCK steps on, with every step's TV
-    # above the level; leap_above=-inf leaps every whole block, no target
+    # above the level; leap_above=-inf leaps every whole block, no target,
+    # and yields one row after the last of them
     kernel, target, start, eps = leap_kernel(kind)
     n, steps = len(kernel.ks), 4000 + 5
     mu = np.zeros(n)
@@ -257,8 +258,8 @@ def test_evolve_leaps_match_pushed_laws(kind):
                 assert t - done == _BLOCK and len(laws) == 1
                 assert np.all(ref_tv[done + 1:t + 1] > eps)
                 leapt += 1
-            elif tgt is None and t - done == _BLOCK:
-                assert len(laws) == 1 and tv is None
+            elif tgt is None and done == 0:
+                assert t == steps // _BLOCK * _BLOCK and len(laws) == 1 and tv is None
                 leapt += 1
             else:
                 assert len(laws) == t - done
@@ -270,7 +271,7 @@ def test_evolve_leaps_match_pushed_laws(kind):
             done = t
         assert done == steps and leapt > 0 and pushed > 0, (kind, level)
         if tgt is None:
-            assert (leapt, pushed) == (steps // _BLOCK, 1)
+            assert (leapt, pushed) == (1, 1)
 
 
 def test_slow_spectrum_matches_sturm_oracle():
