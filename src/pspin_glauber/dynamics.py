@@ -31,8 +31,10 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+# numpy 2 imports numpy.random on first use; rng_stream needs it, and this
+# import pays its cost with the module's own, not in the first draw
+import numpy.random
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import expit, logsumexp
 
 from .potential import (
     CURVATURE_TOL,
@@ -138,10 +140,17 @@ def _drift(params: ModelParams, c):
     return params.p * params.beta * c ** (params.p - 1) + params.h
 
 
+def _sigmoid(x):
+    """1 / (1 + exp(-x)): exactly 0 where exp(-x) overflows (x < -709.78),
+    and 1 where it underflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def flip_up_probability(params: ModelParams, c):
     """f(c) = (1 + tanh(p*beta*c^(p-1) + h)) / 2 = sigmoid(2*d(c))."""
     c = np.asarray(c, dtype=float)
-    out = expit(2.0 * _drift(params, c))
+    out = _sigmoid(2.0 * _drift(params, c))
     return out if out.ndim else float(out)
 
 
@@ -214,10 +223,10 @@ class LevelKernel:
         ks = np.arange(-N, N + 1, 2)
         c = ks / N
         d = _drift(params, c)
-        self.f_up = expit(2.0 * d)
+        self.f_up = _sigmoid(2.0 * d)
         self.p_minus = 0.5 * (1.0 - c)
         up = self.p_minus * self.f_up
-        down = 0.5 * (1.0 + c) * expit(-2.0 * d)
+        down = 0.5 * (1.0 + c) * _sigmoid(-2.0 * d)
         stay = 1.0 - up - down
         self.ks = ks[i0:i1 + 1]
         self.up, self.down, self.stay = up[i0:i1 + 1], down[i0:i1 + 1], stay[i0:i1 + 1]
@@ -253,7 +262,8 @@ class LevelKernel:
         with np.errstate(divide="ignore"):
             ratios = np.log(self.up[:-1]) - np.log(self.down[1:])
         log_pi = np.concatenate(([0.0], np.cumsum(ratios)))
-        return log_pi - logsumexp(log_pi)
+        top = log_pi.max()
+        return log_pi - (top + np.log(np.exp(log_pi - top).sum()))
 
     @cached_property
     def spectrum(self) -> SlowSpectrum:

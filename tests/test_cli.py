@@ -31,27 +31,52 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg adds about 6.5 MB of resident memory to every process
-    # (see LevelKernel.spectrum); nothing on the CLI's import path needs it
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys, pspin_glauber.cli; print('scipy.linalg' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "False\n"
-
-
-def test_curves_at_very_high_order_write_nothing_to_stderr():
-    # a fresh process, so that warnings print as a user would see them
+def _src_env():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env.pop("PYTHONWARNINGS", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_commands_leave_scipy_unloaded():
+    # the runtime depends on numpy alone: scipy is a test-only dependency,
+    # and neither importing the CLI nor running its commands may load it
+    probe = """
+import contextlib, io, sys
+from pspin_glauber.cli import main
+for cmd in ("classify --p 4 --beta 0.51 --h 0.184 --margins",
+            "mix --p 4 --beta 0.054 --h 0.5 --n 100 --cap 100000",
+            "restricted-mix --p 4 --beta 0.51 --h 0.184 --n 100 --cap 100000",
+            "bottleneck --p 4 --beta 0.51 --h 0.184 --n 100",
+            "sample --p 4 --beta 0.9 --h 0 --n 100",
+            "coupling --p 3 --beta 0.05 --h 0.1 --n 100 --steps 400"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(cmd.split()) == 0, cmd
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    out = subprocess.run([sys.executable, "-c", probe], env=_src_env(), check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
+
+
+def test_overflowing_level_weights_are_one_error_line():
+    # N*(beta c^p + h c) overflows at h = 1e308: one error line, no warning
+    for cmd in ("mix --p 4 --beta 0.5 --h 1e308 --n 50",
+                "bottleneck --p 4 --beta 0.5 --h 1e308 --n 4"):
+        n = cmd.split()[-1]
+        run = subprocess.run([sys.executable, "-m", "pspin_glauber.cli", *cmd.split()],
+                             env=_src_env(), capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (1, ""), cmd
+        assert run.stderr.startswith(f"error: the level weights overflow at N={n}:"), cmd
+        assert run.stderr.count("\n") == 1, run.stderr
+
+
+def test_curves_at_very_high_order_write_nothing_to_stderr():
+    # a fresh process, so that warnings print as a user would see them
     run = subprocess.run([sys.executable, "-m", "pspin_glauber.cli", "curves",
                           "--p", "100", "--beta-min", "0.1", "--beta-max", "0.1"],
-                         env=env, capture_output=True, text=True)
+                         env=_src_env(), capture_output=True, text=True)
     assert run.returncode == 0 and run.stderr == ""
     assert run.stdout.splitlines()[1:] == ["beta,U,L,C", "0.1,5.37094225585,,1.12608422974"]
 
@@ -378,7 +403,7 @@ PINNED_STDOUT = [
     ("f5c3380fb2927ada", "mix --p 4 --beta 0.054 --h 0.5 --n 400 --eps 0.35 --cap 100000"),
     ("7794412f6ee19b1b", "restricted-mix --p 4 --beta 0.51 --h 0.184 --n 400 --cap 100000"),
     ("2d91c0163b5b4991", "coupling --p 3 --beta 0.05 --h 0.1 --n 100 --steps 400"),
-    ("a6e1dad2ba88c921", "bottleneck --p 4 --beta 0.51 --h 0.184 --n 200"),
+    ("8590d831a22799cd", "bottleneck --p 4 --beta 0.51 --h 0.184 --n 200"),
     ("c53fae460e573403",
      "mix --p 4 --beta 0.054 --h 0.5 --n 200 --method mc --replicas 2000 --seed 3"),
     ("5c8bfb176b564f2a", "classify --p 4 --beta 0.51 --h 0.184 --margins"),

@@ -29,6 +29,7 @@ from pspin_glauber import (
     tv_curve,
 )
 from pspin_glauber.dynamics import (
+    _sigmoid,
     coupling_csv,
     flip_up_probability,
     metastable_sample_law,
@@ -110,6 +111,35 @@ def test_level_kernel_table_matches_closed_form_rate():
         params = ModelParams(p, beta, h)
         f_up = LevelKernel(params, N).f_up
         assert np.max(np.abs(f_up - flip_up_table(params, N))) <= 1e-15
+
+
+def _ulps(a, b):
+    """Distance in units in the last place between non-negative doubles."""
+    return np.abs(np.asarray(a, float).view(np.int64) - np.asarray(b, float).view(np.int64))
+
+
+def test_kernel_tables_match_expit_within_4_ulp():
+    from scipy.special import expit
+
+    x = np.linspace(-800.0, 800.0, 160_001)
+    ours, ref = _sigmoid(x), expit(x)
+    # exp(-x) overflows below -log(DBL_MAX): the sigmoid is then exactly 0,
+    # where expit still returns a subnormal or 0
+    overflow = x < -np.log(np.finfo(float).max)
+    assert np.all(ours[overflow] == 0.0) and np.all(ref[overflow] < np.finfo(float).tiny)
+    assert _ulps(ours[~overflow], ref[~overflow]).max() <= 4
+    for params in (ModelParams(4, 0.054, 0.5), ModelParams(4, 1.0 / 3.0, 0.40996906622851137),
+                   ModelParams(4, 0.51, 0.184), ModelParams(4, 0.9, 0.0)):
+        for N in (100, 400, 1600, 6400):
+            kernel = LevelKernel(params, N)
+            c = kernel.ks / N
+            d = params.p * params.beta * c ** (params.p - 1) + params.h
+            f_up = expit(2.0 * d)
+            up, down = 0.5 * (1.0 - c) * f_up, 0.5 * (1.0 + c) * expit(-2.0 * d)
+            for table, oracle in ((kernel.f_up, f_up), (kernel.up, up),
+                                  (kernel.down, down)):
+                assert np.array_equal(table == 0.0, oracle == 0.0), (params, N)
+                assert _ulps(table, oracle).max() <= 4, (params, N)
 
 
 def test_kernel_parity_rejection():

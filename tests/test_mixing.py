@@ -12,6 +12,7 @@ from pspin_glauber import (
     beta_hat,
     bottleneck,
     boundary_curves,
+    chain_stationary,
     condition_at_least,
     evaluate_potential,
     find_stationary_points,
@@ -33,12 +34,14 @@ from pspin_glauber.dynamics import (
     rng_stream,
     simulate_mag_replicas,
 )
+from pspin_glauber.mixing_analysis import _log_binomials
 from conftest import (
     dense_transition_matrix,
     enumerate_mag_law,
     exponent_fit,
     gibbs_full_law,
     level_chain_power,
+    log_binomials,
     passage_means,
     slow_eigenvalues,
 )
@@ -65,6 +68,34 @@ def test_stationary_mag_weak_coupling_is_binomial():
     dist = stationary_mag(ModelParams(4, 1e-12, 0.0), N)
     ref = binom.pmf(np.arange(N + 1), N, 0.5)
     assert np.max(np.abs(dist.probs - ref)) < 1e-13
+
+
+def test_log_binomials_at_least_as_accurate_as_gammaln():
+    # against 40-digit loggamma, the compensated sum's worst error is no
+    # larger than that of lgamma(N + 1) - lgamma(j + 1) - lgamma(N - j + 1)
+    from scipy.special import gammaln
+
+    for N in (200, 3200, 12800):
+        exact = log_binomials(N)
+        j = np.arange(N + 1)
+        ref = gammaln(N + 1) - gammaln(j + 1) - gammaln(N - j + 1)
+        ours = _log_binomials(N)
+        assert np.array_equal(ours, ours[::-1])
+        assert np.abs(ours - exact).max() <= np.abs(ref - exact).max(), N
+    for N in (1, 2, 3, 7):
+        exact = [math.log(math.comb(N, j)) for j in range(N + 1)]
+        assert np.abs(_log_binomials(N) - exact).max() <= 4e-15
+
+
+def test_odd_p_coexistence_floor_does_not_decay():
+    # on C at p = 3 the TV between the chain's own law and the Gibbs law
+    # stays near 0.175 and rises with N: no eps below it is ever reached
+    params = ModelParams(3, 0.55, 0.11215788999510065)
+    floors = [0.5 * float(np.abs(chain_stationary(params, N).probs
+                                 - stationary_mag(params, N).probs).sum())
+              for N in (400, 6400)]
+    assert all(0.17 <= f <= 0.18 for f in floors), floors
+    assert floors[1] >= floors[0], floors
 
 
 def test_stationary_mag_mode_tracks_maximizer():
