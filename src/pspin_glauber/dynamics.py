@@ -34,7 +34,7 @@ import numpy as np
 # numpy 2 imports numpy.random on first use; rng_stream needs it, and this
 # import pays its cost with the module's own, not in the first draw
 import numpy.random
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .potential import (
     CURVATURE_TOL,
@@ -59,9 +59,11 @@ _BLOCK = 32
 # under 1e-23 over 10**6 steps at N = 6400, far below the rounding of a TV.
 _TAIL = np.finfo(float).eps ** 2
 _EPS = np.finfo(float).eps
-# LevelKernel.band is built this many levels at a time: three (65, 576)
-# float buffers (0.9 MB) stay in cache and replace three full-size ones
-# (10 MB at N = 6400); 256 ran a third slower, 1024 no faster.
+# LevelKernel.band is built this many levels at a time, cut ends +-_BLOCK:
+# the last squaring's padded copy and product of a stretch (608 and 576 rows
+# of 65 floats, 0.6 MB) stay in cache.  Built unchunked, the full-size ones
+# (6.6 MB at N = 6400) raised the benchmark's exact-mix peak RSS by 2.9 MB;
+# 256 ran a fifth slower, 1024 no faster.
 _BAND_ROWS = 512
 # Scalar steps per chunk of LevelKernel.draws: one rng.random call each.
 _CHUNK = 1 << 14
@@ -150,7 +152,9 @@ def _sigmoid(x):
 def flip_up_probability(params: ModelParams, c):
     """f(c) = (1 + tanh(p*beta*c^(p-1) + h)) / 2 = sigmoid(2*d(c))."""
     c = np.asarray(c, dtype=float)
-    out = _sigmoid(2.0 * _drift(params, c))
+    with np.errstate(over="ignore"):  # a drift beyond 9e307: f is 0 or 1
+        x = 2.0 * _drift(params, c)
+    out = _sigmoid(x)
     return out if out.ndim else float(out)
 
 
@@ -190,6 +194,25 @@ def _count_above(diag: list, off2: list, x: float) -> int:
     return count
 
 
+def _square_band(g: np.ndarray) -> np.ndarray:
+    """The gather form of P^2b from that of P^b, rows g[k, j] = P^b[k - b + j,
+    k] of shape (n, 2b + 1): one matmul of each row against a sheared view.
+
+    The view M[k, jl, J] = g[k - b + jl, J - jl] reads a copy of g whose rows
+    are shifted down by b and padded by b zero rows at each end and by 2b
+    zero columns on the right, W = 4b + 1 wide: with element strides (W,
+    W - 1, 1), a column J - jl below 0 or above 2b lands in the zero columns.
+    """
+    n, w = g.shape
+    b, W = w // 2, 2 * w - 1
+    pad = np.zeros((n + 2 * b, W))
+    pad[b:b + n, :w] = g
+    s = pad.itemsize
+    sheared = as_strided(pad, shape=(n, w, W), strides=(W * s, (W - 1) * s, s),
+                         writeable=False)
+    return np.matmul(g[:, None, :], sheared)[:, 0]
+
+
 class LevelKernel:
     """The heat-bath rule at size N, restricted to sums in [lo, hi].
 
@@ -222,13 +245,15 @@ class LevelKernel:
             raise DomainError(f"no level of N={N} lies in [{self.lo}, {self.hi}]")
         ks = np.arange(-N, N + 1, 2)
         c = ks / N
-        d = _drift(params, c)
-        self.f_up = _sigmoid(2.0 * d)
+        with np.errstate(over="ignore"):  # a drift beyond 9e307: f is 0 or 1
+            x = 2.0 * _drift(params, c)
+        self.f_up = _sigmoid(x)
         self.p_minus = 0.5 * (1.0 - c)
         up = self.p_minus * self.f_up
-        down = 0.5 * (1.0 + c) * _sigmoid(-2.0 * d)
+        down = 0.5 * (1.0 + c) * _sigmoid(-x)
         stay = 1.0 - up - down
         self.ks = ks[i0:i1 + 1]
+        self._two_d = x[i0:i1 + 1]
         self.up, self.down, self.stay = up[i0:i1 + 1], down[i0:i1 + 1], stay[i0:i1 + 1]
         self.stay[0] += self.down[0]
         self.down[0] = 0.0
@@ -257,10 +282,19 @@ class LevelKernel:
 
         Detailed balance pi(k) up(k) = pi(k+2) down(k+2) fixes it level by
         level; the log-space cumsum keeps levels whose mass underflows.
-        Restricted, it is the unrestricted law conditioned on [lo, hi].
+        Where up or down itself underflows to 0, the ratio is taken from the
+        log-space rates, log up = log p_minus - log(1 + exp(-2d)) and its
+        mirror for down.  Restricted, it is the unrestricted law conditioned
+        on [lo, hi].
         """
         with np.errstate(divide="ignore"):
             ratios = np.log(self.up[:-1]) - np.log(self.down[1:])
+        lost = (self.up[:-1] == 0.0) | (self.down[1:] == 0.0)
+        if lost.any():
+            x, c = self._two_d, self.ks / self.N
+            log_up = np.log(0.5 * (1.0 - c[:-1])) - np.logaddexp(0.0, -x[:-1])
+            log_down = np.log(0.5 * (1.0 + c[1:])) - np.logaddexp(0.0, x[1:])
+            ratios = np.where(lost, log_up - log_down, ratios)
         log_pi = np.concatenate(([0.0], np.cumsum(ratios)))
         top = log_pi.max()
         return log_pi - (top + np.log(np.exp(log_pi - top).sum()))
@@ -342,39 +376,27 @@ class LevelKernel:
         P^m[k - m + j, k], the chance of reaching level k from k - m + j in m
         steps (zero for sources outside ks).  Shape (len(ks), 2m + 1).
 
-        Built from up, down and stay, one step at a time, _BAND_ROWS
-        destination levels at a time: a path of m steps into those levels
-        never leaves the levels within m of them, so the rows come out of a
-        chain cut to that stretch (wrong only within m - 1 of a cut end),
-        with the float operations of a build over all levels at once.  The
-        stretch is held transposed, levels along the contiguous axis, in
-        three buffers reused in place.
+        Built by squaring, P -> P^2 -> ... -> P^m (m a power of two), in
+        _BAND_ROWS destination levels at a time: a path of m steps into
+        those levels never leaves the levels within m of them, so the rows
+        come out of a chain cut to that stretch (wrong only within m - 1 of
+        a cut end).  A squaring of the half-width-b band G_b is one batched
+        matmul: G_2b[k, J] = sum_jl G_b[k, jl] G_b[k - b + jl, J - jl], a
+        path through the level k - b + jl.  Every term is non-negative, so
+        each entry carries a relative rounding of a few eps per squaring.
         """
         m, n = _BLOCK, len(self.ks)
         band = np.empty((n, 2 * m + 1))
-        width = min(n, _BAND_ROWS + 2 * m)
-        bufs = [np.empty((2 * m + 1, width)) for _ in range(3)]
         for r in range(0, n, _BAND_ROWS):
             e = min(n, r + _BAND_ROWS)
             a, b = max(0, r - m), min(n, e + m)
-            old, new, tmp = (x[:, :b - a] for x in bufs)
-            old[:] = 0.0
-            new[:] = 0.0
-            old[m] = 1.0
-            stay, up, down = self.stay[a:b], self.up[a:b - 1], self.down[a + 1:b]
-            for s in range(1, m + 1):
-                # sources within s levels of k: offsets m - s .. m + s
-                src, dst = old[m - s:m + s + 1], new[m - s:m + s + 1]
-                t = tmp[:2 * s, :b - a - 1]
-                np.multiply(src, stay, out=dst)
-                # k - 1 stepped up to k, a source one offset further on
-                np.multiply(src[1:, :-1], up, out=t)
-                np.add(dst[:-1, 1:], t, out=dst[:-1, 1:])
-                # k + 1 stepped down to k, a source one offset nearer
-                np.multiply(src[:-1, 1:], down, out=t)
-                np.add(dst[1:, :-1], t, out=dst[1:, :-1])
-                old, new = new, old
-            band[r:e] = old[:, r - a:e - a].T
+            g = np.zeros((b - a, 3))  # P: sources k - 1, k and k + 1
+            g[1:, 0] = self.up[a:b - 1]
+            g[:, 1] = self.stay[a:b]
+            g[:-1, 2] = self.down[a + 1:b]
+            while g.shape[1] < 2 * m + 1:
+                g = _square_band(g)
+            band[r:e] = g[r - a:e - a]
         return band
 
     def push(self, mu: np.ndarray, lo: int = 0) -> np.ndarray:
@@ -453,7 +475,7 @@ class LevelKernel:
                 return 0.5 * (float(np.abs(law - target[lo:hi]).sum()) + (below[lo] + above[hi]))
 
             tv_now = tv_of(a, held)
-        done = 0
+        done, d_seen = 0, math.inf  # the one-step change last measured
         if leap_above == -math.inf and steps >= _BLOCK:
             while steps - done >= _BLOCK:
                 lo, law = self.leap(a, held)
@@ -462,8 +484,10 @@ class LevelKernel:
             yield done, lo, law[None], None
         while done < steps:
             m = min(_BLOCK, steps - done)
-            leapt = m == _BLOCK and leap_above is not None and self._leap_certified(
-                a, held, tv_now, tv_of, leap_above, done)
+            leapt = None
+            if m == _BLOCK and leap_above is not None:
+                leapt, d_seen = self._leap_certified(a, held, tv_now, tv_of, leap_above,
+                                                     done, d_seen)
             if leapt:
                 lo, law, tv_now = leapt
                 laws, tv = law[None], None
@@ -501,42 +525,67 @@ class LevelKernel:
             yield done, lo, laws, tv
 
     def _leap_certified(self, a: int, held: np.ndarray, tv: float, tv_of,
-                        level: float, t: int):
+                        level: float, t: int, d: float):
         """The block of _BLOCK = m steps after step t in one `leap`, when
         certified that the TV to the target stays above level at every step
         of it.
 
         held is the law at step t on ks[a:a + len(held)], tv its TV to the
-        target and tv_of the TV of a windowed law.  Returns (lo, law, TV at
-        t + m), the leap's result, or None when the certificate fails.
+        target, tv_of the TV of a windowed law and d the one-step change
+        last measured (inf for none).  Returns (leap, d): leap is (lo, law,
+        TV at t + m), the leap's result, or None when the certificate fails,
+        and d the one-step change to remember.
 
         A Markov kernel never increases the L1 norm of a signed measure, so
-        d = ||mu_{s+1} - mu_s||_1 never grows with s and TV moves by at most
-        d/2 a step.  Hence, for t <= s <= t + m, TV(s) >= max(TV(t) - (s - t)
-        d/2, TV(t + m) - (t + m - s) d/2) >= (TV(t) + TV(t + m))/2 - m d/4.
+        d_s = ||mu_{s+1} - mu_s||_1 never grows with s and TV moves by at
+        most d_s/2 a step.  Hence, for t <= s <= t + m, TV(s) >= max(TV(t) -
+        (s - t) d_t/2, TV(t + m) - (t + m - s) d_t/2) >= (TV(t) + TV(t + m))/2
+        - m d_t/4, and any d_r measured at a step r <= t may stand for d_t.
+        The remembered d is tried first; only when it fails one of the two
+        checks is d_t measured, by one `push`, and the checks rerun with it,
+        so in exact arithmetic every decision is that of a fresh d_t.
 
         The bound must clear the level by the rounding of the laws.  A push
         or a leap errs by under 32 eps of L1 per step (its products, its
-        sums of non-negative terms and the renormalisation), here and in any
-        reference push.  So TV(t), TV(t + m) and a reference TV inside the
-        block are each off by under 16 eps (t + m) plus n eps for their own
-        sums, and d by under twice the law's error plus (n + 4) eps: in all,
-        under (m + 2) (16 (t + m) + n) eps.
+        sums of non-negative terms and the renormalisation; the tail cut adds
+        far less), here and in any reference push.  So TV(t), TV(t + m) and a
+        reference TV inside the block are each off by under 16 eps (t + m)
+        plus n eps for their own sums, and d by under twice the law's error
+        plus (n + 4) eps: in all, under (m + 2) (16 (t + m) + n) eps.  The
+        exact laws' d_s never grows, however the computed laws got to step
+        r (leaps, pushed blocks, tail cuts, renormalisations), and a d
+        measured at r <= t errs by no more than one measured at t, whose
+        law's error is the larger: the same budget covers it.
         """
         m, n = _BLOCK, len(self.ks)
+        rest = (m + 2) * (16 * (t + m) + n) * _EPS
+
+        def clears(tv_end, d):
+            return 0.5 * (tv + tv_end) - 0.25 * m * d > level + rest
+
+        fresh = False
+        if not clears(1.0, d):  # TV(t + m) <= 1
+            d, fresh = self._step_change(a, held), True
+            if not clears(1.0, d):
+                return None, d
+        lo, law = self.leap(a, held)
+        tv_end = tv_of(lo, law)
+        if not clears(tv_end, d):
+            if fresh:
+                return None, d
+            d = self._step_change(a, held)
+            if not (clears(1.0, d) and clears(tv_end, d)):
+                return None, d
+        return (lo, law, tv_end), d
+
+    def _step_change(self, a: int, held: np.ndarray) -> float:
+        """||mu P - mu||_1 for the law mu held on ks[a:a + len(held)]."""
+        n = len(self.ks)
         b = a + len(held) - 1
         lo, hi = max(0, a - 1), min(n - 1, b + 1)
         mu = np.zeros(hi - lo + 1)
         mu[a - lo:b - lo + 1] = held
-        d = float(np.abs(self.push(mu, lo) - mu).sum())
-        rest = (m + 2) * (16 * (t + m) + n) * _EPS
-        if 0.5 * (tv + 1.0) - 0.25 * m * d <= level + rest:  # TV(t + m) <= 1
-            return None
-        lo, law = self.leap(a, held)
-        tv_end = tv_of(lo, law)
-        if 0.5 * (tv + tv_end) - 0.25 * m * d <= level + rest:
-            return None
-        return lo, law, tv_end
+        return float(np.abs(self.push(mu, lo) - mu).sum())
 
     def law_after(self, mu: np.ndarray, steps: int) -> np.ndarray:
         """The law mu P^steps over ks, renormalised: `evolve` leaps every

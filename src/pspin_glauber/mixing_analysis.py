@@ -70,7 +70,8 @@ class MagDistribution:
 
 def _level_law(N: int, ks: np.ndarray, log_w: np.ndarray) -> MagDistribution:
     """Normalise log weights by max shift + log-sum-exp."""
-    w = np.exp(log_w - log_w.max())
+    with np.errstate(over="ignore"):  # a shift beyond the range: weight 0
+        w = np.exp(log_w - log_w.max())
     z = w.sum()
     return MagDistribution(N=N, ks=ks, log_weights=log_w,
                            log_Z_shifted=float(np.log(z)), probs=w / z)

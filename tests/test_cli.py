@@ -72,6 +72,18 @@ def test_overflowing_level_weights_are_one_error_line():
         assert run.stderr.count("\n") == 1, run.stderr
 
 
+def test_overflowing_drift_tables_raise_no_warning():
+    # at h = 1e308, 2d overflows to inf while f = sigmoid(2d) is 1: the
+    # kernel tables, and mix's two finite Gibbs weights at N = 1, are formed
+    # without a RuntimeWarning
+    env = dict(_src_env(), PYTHONWARNINGS="error")
+    for cmd in ("coupling --p 4 --beta 0.5 --h 1e308 --n 10 --steps 10",
+                "mix --p 4 --beta 0.5 --h 1e308 --n 1"):
+        run = subprocess.run([sys.executable, "-m", "pspin_glauber.cli", *cmd.split()],
+                             env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stderr) == (0, ""), cmd
+
+
 def test_curves_at_very_high_order_write_nothing_to_stderr():
     # a fresh process, so that warnings print as a user would see them
     run = subprocess.run([sys.executable, "-m", "pspin_glauber.cli", "curves",

@@ -17,6 +17,7 @@ from pspin_glauber import (
     chain_stationary,
     condition_at_least,
     find_stationary_points,
+    hitting_time,
     kernel_arrays,
     mean_field_map,
     metastable_sample,
@@ -215,6 +216,29 @@ def test_chain_stationary_is_exactly_reversible():
     floor = 0.5 * np.abs(chain_stationary(critical, 100).probs
                          - stationary_mag(critical, 100).probs).sum()
     assert round(floor, 2) == 0.30
+
+
+def test_log_pi_where_the_rates_underflow():
+    # where |2d| exceeds about 745, up or down underflows to 0 and the log of
+    # their ratio would be -inf - -inf; the law comes from log-space rates
+    # then, against the closed form of the chain law at p = 2
+    for (p, beta, h, N) in [(2, 200, 0.0, 50), (2, 200, 0.5, 50), (2, 300, -1.0, 80)]:
+        params = ModelParams(p, beta, h)
+        kernel = LevelKernel(params, N)
+        assert (kernel.up[:-1] == 0.0).any()
+        tilted = cosh_tilted_log_level_law(params, N)
+        assert np.all(np.abs(kernel.log_pi - tilted) <= 1e-11 * np.maximum(1.0, np.abs(tilted)))
+    # deep symmetric wells: every rate near the ends underflows, and half the
+    # mass sits at each of -N and N, up to the rounding of a log cumsum
+    # whose partial sums reach -5.4e7
+    params = ModelParams(4, 1e6, 0.0)
+    kernel = LevelKernel(params, 50)
+    assert np.isfinite(kernel.log_pi).all()
+    probs = chain_stationary(params, 50).probs
+    assert not np.isnan(probs).any()
+    assert abs(probs[0] - 0.5) <= 1e-9 and abs(probs[-1] - 0.5) <= 1e-9
+    mean = hitting_time(params, 50, -50, 0).mean_steps
+    assert mean == math.inf or math.isfinite(mean)
 
 
 def test_step_full_strong_field_pins_spins():

@@ -429,6 +429,49 @@ def test_band_matches_level_chain_power(point, N, floored):
     assert np.all(np.abs(kernel.band - want) <= 1e-11 * want)
 
 
+@pytest.mark.parametrize("point, N, floored", [
+    ((4, 0.054, 0.5), 6400, False), ((4, 0.51, 0.184), 3000, True)])
+def test_band_invariants_beyond_the_dense_oracle(point, N, floored):
+    # sizes no dense power reaches: 6401 levels span 13 build stretches.
+    # Each source's column of P^32 sums to 1, and P^32 is reversible with
+    # respect to the chain's own law wherever both sides are resolved
+    params = ModelParams(*point)
+    k_min = restricted_threshold(params, N) if floored else None
+    kernel = LevelKernel(params, N, lo=k_min)
+    band, n, m = kernel.band, len(kernel.ks), _BLOCK
+    pi = np.exp(kernel.log_pi)
+    column = np.zeros(n)
+    for j in range(2 * m + 1):  # band[k, j] = P^32[i, k], i = k - m + j
+        k = np.arange(max(0, m - j), min(n, n + m - j))
+        i = k - m + j
+        column += np.bincount(i, weights=band[k, j], minlength=n)
+        forward, backward = pi[i] * band[k, j], pi[k] * band[i, 2 * m - j]
+        both = (forward > 1e-250) & (backward > 1e-250)
+        assert both.any() or j in (0, 2 * m)
+        assert np.all(np.abs(forward - backward)[both]
+                      <= 1e-10 * np.maximum(forward, backward)[both]), j
+    assert np.max(np.abs(column - 1.0)) <= 1e-13
+
+
+def test_leap_certificate_remembers_the_step_change(monkeypatch):
+    # a one-step change measured at an earlier step bounds every later one,
+    # so a fresh push is needed only when the remembered one fails a check
+    calls = {"push": 0, "leap": 0}
+    for name in calls:
+        method = getattr(LevelKernel, name)
+
+        def counted(self, *args, name=name, method=method):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(LevelKernel, name, counted)
+    params, N = ModelParams(4, 0.054, 0.5), 1600
+    rep = mixing_time(params, N, 0.35, 1_000_000)
+    assert calls["leap"] > 0 and 10 * calls["push"] < calls["leap"], calls
+    for start, t in rep.t_by_start.items():
+        assert t == int(tv_curve(params, N, start, 1_000_000, eps_stop=0.35).ts[-1])
+
+
 def test_projected_tv_equals_dense_full_chain_tv():
     for (p, beta, h, N) in [(3, 0.6, 0.2, 8), (4, 0.51, 0.184, 10),
                             (2, 0.25, 0.0, 9)]:
