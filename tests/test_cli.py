@@ -434,6 +434,10 @@ PINNED_STDOUT = [
     ("ed8bdfe29bf36116", "sample --p 4 --beta 0.9 --h 0 --n 2000 --seed 5"),
     # a window that rejects 1.4 % of its moves
     ("330d5c645ee6b81c", "sample --p 4 --beta 0.51 --h 0.184 --n 200 --burn 3000 --seed 2"),
+    # 6,398 cuts, 1.1 MB: a long list of records
+    ("328bc249c65267ae", "bottleneck --p 4 --beta 0.51 --h 0.184 --n 3200"),
+    # down underflows: 100 -Infinity tokens
+    ("93acaa581de17c5b", "bottleneck --p 4 --beta 0.5 --h 400 --n 50"),
 ]
 
 
