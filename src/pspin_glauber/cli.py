@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -112,24 +113,86 @@ def _write(out_path: str, payload: str) -> None:
 # -- report codec -------------------------------------------------------------
 # A report's payload holds its dataclass fields by name, enums by value, dict
 # keys as str and tuples as lists; _from_payload inverts that by field type.
+# _json_text writes it straight from the report, as json.dumps(payload,
+# sort_keys=True, indent=2) would write the payload as a dict tree.
 
 _REPORTS = {cls.__name__: cls for cls in (
     phase_geometry.PhaseReport, mixing_analysis.MixingReport,
     mixing_analysis.BottleneckReport, dynamics.SamplerReport)}
 _fields = functools.cache(dataclasses.fields)
 _hints = functools.cache(typing.get_type_hints)
+_quote = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-def _payload(obj):
-    if obj is None or isinstance(obj, (str, int, float)):
-        return obj
+@functools.cache
+def _names(cls) -> list[str]:
+    return sorted(f.name for f in _fields(cls))
+
+
+def _json_text(obj, nl: str = "\n") -> str:
+    """obj as JSON, its nested lines indented past nl (a newline and the
+    current indent)."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NON_FINITE.get(text, text)
+    inner = nl + "  "
     if isinstance(obj, (list, tuple)):
-        return [_payload(v) for v in obj]
+        if not obj:
+            return "[]"
+        rows = _record_rows(obj, inner) or [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(rows) + nl + "]"
     if isinstance(obj, dict):
-        return {str(k): _payload(v) for k, v in obj.items()}
-    if isinstance(obj, Enum):
-        return obj.value
-    return {f.name: _payload(getattr(obj, f.name)) for f in _fields(type(obj))}
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+    elif isinstance(obj, Enum):
+        return _json_text(obj.value, nl)
+    else:
+        items = [(name, getattr(obj, name)) for name in _names(type(obj))]
+    if not items:
+        return "{}"
+    return "{" + inner + ("," + inner).join(
+        f"{_quote(k)}: {_json_text(v, inner)}" for k, v in items) + nl + "}"
+
+
+def _column_text(values: list, nl: str) -> list[str]:
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        text = list(map(float.__repr__, values))
+        if not math.isfinite(sum(values)):
+            text = [_NON_FINITE.get(t, t) for t in text]
+        return text
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {str}:
+        return list(map(_quote, values))
+    return [_json_text(v, nl) for v in values]
+
+
+def _record_rows(items, nl: str) -> list[str] | None:
+    """The JSON of each of items, all of one dataclass, written column by
+    column into one row template; None for any other list."""
+    cls, *others = set(map(type, items))
+    if others or not dataclasses.is_dataclass(cls):
+        return None
+    names = _names(cls)
+    if not names:
+        return None
+    inner = nl + "  "
+    row = "{" + inner + ("," + inner).join(
+        _quote(name) + ": %s" for name in names) + nl + "}"
+    columns = [_column_text(list(map(operator.attrgetter(name), items)), inner)
+               for name in names]
+    return [row % cells for cells in zip(*columns)]
 
 
 def _from_payload(tp, value):
@@ -152,9 +215,8 @@ def _from_payload(tp, value):
 
 
 def _json_envelope(report) -> str:
-    doc = {"schema_version": SCHEMA_VERSION, "report": type(report).__name__,
-           "payload": _payload(report)}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _json_text({"schema_version": SCHEMA_VERSION,
+                       "report": type(report).__name__, "payload": report}) + "\n"
 
 
 def load_report(text: str):

@@ -72,8 +72,9 @@ _CHUNK = 1 << 14
 def live_window(lo: int, law: np.ndarray) -> tuple[int, np.ndarray]:
     """The law on ks[lo:lo + len(law)] without its tail cut: (a, held), held
     the view of law from its first to its last entry above _TAIL, at ks[a]."""
-    live = np.flatnonzero(law > _TAIL)
-    return lo + int(live[0]), law[live[0]:live[-1] + 1]
+    live = law > _TAIL
+    a, b = int(live.argmax()), len(law) - int(live[::-1].argmax())
+    return lo + a, law[a:b]
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -286,6 +287,11 @@ class LevelKernel:
         log-space rates, log up = log p_minus - log(1 + exp(-2d)) and its
         mirror for down.  Restricted, it is the unrestricted law conditioned
         on [lo, hi].
+
+        Where the drift nears the float range, a ratio is +inf (2d
+        overflows) or the sum of ratios overflows: no level below the last
+        +inf ratio holds mass, and an overflowing sum is taken at a
+        power-of-two scale.
         """
         with np.errstate(divide="ignore"):
             ratios = np.log(self.up[:-1]) - np.log(self.down[1:])
@@ -295,8 +301,17 @@ class LevelKernel:
             log_up = np.log(0.5 * (1.0 - c[:-1])) - np.logaddexp(0.0, -x[:-1])
             log_down = np.log(0.5 * (1.0 + c[1:])) - np.logaddexp(0.0, x[1:])
             ratios = np.where(lost, log_up - log_down, ratios)
-        log_pi = np.concatenate(([0.0], np.cumsum(ratios)))
-        top = log_pi.max()
+        rises = np.flatnonzero(ratios == np.inf)
+        start = rises[-1] + 1 if rises.size else 0
+        log_pi = np.full(len(self.ks), -np.inf)
+        with np.errstate(over="ignore"):
+            log_pi[start:] = np.concatenate(([0.0], np.cumsum(ratios[start:])))
+            top = log_pi.max()
+            if top == np.inf:
+                scale = 2.0 ** math.ceil(math.log2(len(self.ks)))
+                scaled = np.concatenate(([0.0], np.cumsum(ratios[start:] / scale)))
+                log_pi[start:] = (scaled - scaled.max()) * scale
+                top = 0.0
         return log_pi - (top + np.log(np.exp(log_pi - top).sum()))
 
     @cached_property

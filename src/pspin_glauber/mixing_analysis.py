@@ -416,24 +416,19 @@ def bottleneck(params: ModelParams, N: int) -> BottleneckReport:
     log_cum_lo = np.logaddexp.accumulate(log_pi)
     log_cum_hi = np.logaddexp.accumulate(log_pi[::-1])[::-1]
 
-    cuts = []
-    best = None
     with np.errstate(divide="ignore"):
         log_up = np.log(up)
         log_down = np.log(down)
-    n = len(dist.ks)
-    for i in range(n - 1):  # A = {<= k}, cut below the top level
-        cut = CutStat(k=int(dist.ks[i]), side="leq",
-                      log_Q=float(log_pi[i] + log_up[i]),
-                      log_pi_A=float(log_cum_lo[i]),
-                      log_ratio=float(log_pi[i] + log_up[i] - log_cum_lo[i]))
-        cuts.append(cut)
-    for i in range(1, n):  # A = {>= k}, cut above the bottom level
-        cut = CutStat(k=int(dist.ks[i]), side="geq",
-                      log_Q=float(log_pi[i] + log_down[i]),
-                      log_pi_A=float(log_cum_hi[i]),
-                      log_ratio=float(log_pi[i] + log_down[i] - log_cum_hi[i]))
-        cuts.append(cut)
+    ks = dist.ks.tolist()
+    cuts = []
+    # A = {<= k} is cut below the top level, A = {>= k} above the bottom one
+    for side, part, log_move, log_cum in (("leq", slice(None, -1), log_up, log_cum_lo),
+                                          ("geq", slice(1, None), log_down, log_cum_hi)):
+        log_q = log_pi[part] + log_move[part]
+        cuts += [CutStat(k, side, q, a, r) for k, q, a, r in zip(
+            ks[part], log_q.tolist(), log_cum[part].tolist(),
+            (log_q - log_cum[part]).tolist())]
+    best = None
     for cut in cuts:
         if cut.log_pi_A <= math.log(0.5) and (best is None or cut.log_ratio < best.log_ratio):
             best = cut

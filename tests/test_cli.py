@@ -1,13 +1,19 @@
 """Command-line dispatch, output envelopes, report round-trips, SVG."""
 
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
+from enum import Enum
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pspin_glauber import (
     MONTE_CARLO,
@@ -498,6 +504,105 @@ def test_report_round_trips(capsys):
         assert _json_envelope(report) == out, command
     assert cases[2][2].capped and None in cases[2][2].t_by_start.values()
     assert isinstance(cases[4][2].windows[0], tuple)
+
+
+# -- the report writer against json.dumps ------------------------------------
+
+
+class Tone(Enum):
+    LOW = "low"
+    HIGH = 2
+    PAIR = (1.5, None)
+
+
+@dataclasses.dataclass
+class Row:  # plain scalar fields: a list of Rows takes the column path
+    x: float
+    n: int
+    name: str
+    ok: bool
+    note: float | None
+    tone: Tone
+
+
+@dataclasses.dataclass
+class Other:
+    x: float
+
+
+@dataclasses.dataclass
+class Node:
+    rows: list
+    mixed: list
+    pair: tuple
+    table: dict
+    tone: Tone
+    child: "Node | None"
+    empty: list = dataclasses.field(default_factory=list)
+    nothing: dict = dataclasses.field(default_factory=dict)
+
+
+def _tree(obj):
+    """The dict tree json.dumps writes for obj: dataclass fields by name,
+    enums by value, dict keys as str, tuples as lists."""
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [_tree(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): _tree(v) for k, v in obj.items()}
+    if isinstance(obj, Enum):
+        return obj.value
+    return {f.name: _tree(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+
+
+_SPECIAL = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 1e308]
+_floats = st.one_of(st.sampled_from(_SPECIAL), st.floats(),
+                    st.floats().map(np.float64))
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(), _floats, st.text())
+_rows = st.builds(Row, x=_floats, n=st.integers(), name=st.text(),
+                  ok=st.booleans(), note=st.none() | _floats,
+                  tone=st.sampled_from(Tone))
+_keys = st.one_of(st.sampled_from([-200, 200, 1000, 5, "5", True]),
+                  st.integers(), st.text(max_size=3))
+_nodes = st.recursive(
+    st.none(),
+    lambda child: st.builds(
+        Node, rows=st.lists(_rows, max_size=6),
+        mixed=st.lists(_rows | st.builds(Other, x=_floats), max_size=4),
+        pair=st.tuples(_scalars, _rows | _scalars),
+        table=st.dictionaries(_keys, _scalars | st.lists(_scalars, max_size=3),
+                              max_size=5),
+        tone=st.sampled_from(Tone), child=child,
+        empty=st.just([]) | st.lists(st.just(()), max_size=2)),
+    max_leaves=4)
+
+
+def _dumps(report) -> str:
+    return json.dumps({"schema_version": "1", "report": type(report).__name__,
+                       "payload": _tree(report)}, sort_keys=True, indent=2) + "\n"
+
+
+@given(_nodes.filter(lambda node: node is not None))
+def test_report_writer_matches_json_dumps(node):
+    assert _json_envelope(node) == _dumps(node)
+
+
+@given(st.lists(_rows, min_size=1, max_size=8))
+def test_record_lists_match_json_dumps(rows):
+    node = Node(rows=rows, mixed=rows + [Other(x=-0.0)], pair=(rows[0], None),
+                table={-200: rows, 200: [], 1000: {}}, tone=Tone.PAIR, child=None)
+    assert _json_envelope(node) == _dumps(node)
+
+
+def test_report_writer_on_every_report_kind(capsys):
+    for command in ("classify --p 4 --beta 0.51 --h 0.184 --margins",
+                    "mix --p 4 --beta 0.9 --h 0 --n 40 --cap 100",
+                    "sample --p 4 --beta 0.9 --h 0 --n 40 --burn 500 --seed 1",
+                    "bottleneck --p 4 --beta 0.5 --h 400 --n 20"):
+        code, out, _ = run_cli(command.split(), capsys)
+        assert code == 0
+        assert out == _dumps(load_report(out)), command
 
 
 def test_load_report_rejects_foreign_documents(capsys):

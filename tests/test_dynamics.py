@@ -1,6 +1,7 @@
 """Chain steps, exact kernel, couplings, restricted dynamics, sampler."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,9 +31,11 @@ from pspin_glauber import (
     tv_curve,
 )
 from pspin_glauber.dynamics import (
+    _TAIL,
     _sigmoid,
     coupling_csv,
     flip_up_probability,
+    live_window,
     metastable_sample_law,
     metastable_sample_sums,
     nearest_level,
@@ -239,6 +242,40 @@ def test_log_pi_where_the_rates_underflow():
     assert abs(probs[0] - 0.5) <= 1e-9 and abs(probs[-1] - 0.5) <= 1e-9
     mean = hitting_time(params, 50, -50, 0).mean_steps
     assert mean == math.inf or math.isfinite(mean)
+
+
+def test_log_pi_where_the_drift_overflows():
+    # at h = 1e308, 2d overflows to inf and every level ratio is +inf; at
+    # h = +-6e307 the ratios are finite but their sum overflows.  The law is
+    # a point mass at the end the field points to, as at h = -1e308
+    for h, top in ((1e308, -1), (-1e308, 0)):
+        with np.errstate(all="raise"):
+            log_pi = LevelKernel(ModelParams(4, 0.5, h), 10).log_pi
+        assert not np.isnan(log_pi).any()
+        assert log_pi[top] == 0.0 and np.exp(log_pi).sum() == 1.0
+    for h, top in ((6e307, -1), (4e307, -1), (-6e307, 0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_pi = LevelKernel(ModelParams(4, 0.5, h), 10).log_pi
+        assert not np.isnan(log_pi).any()
+        assert log_pi[top] == 0.0 and np.exp(log_pi).sum() == 1.0
+
+
+def test_live_window_matches_flatnonzero():
+    def reference(lo, law):
+        live = np.flatnonzero(law > _TAIL)
+        return lo + int(live[0]), law[live[0]:live[-1] + 1]
+
+    laws = [np.array([0.0, 0.0, 0.25, 0.5, 0.0, 0.25, 0.0]),
+            np.array([0.0, 1.0, 0.0]), np.array([1.0]), np.array([0.5, 0.5]),
+            np.array([_TAIL, 0.3, 0.4, 0.3, _TAIL]),
+            np.array([0.1, _TAIL / 2, 0.8, 0.1]),
+            np.array([0.0, 0.0, 0.0, 2.0 * _TAIL])]
+    for law in laws:
+        a, held = live_window(7, law)
+        b, expected = reference(7, law)
+        assert a == b and np.shares_memory(held, law)
+        assert np.array_equal(held, expected)
 
 
 def test_step_full_strong_field_pins_spins():
