@@ -444,6 +444,10 @@ PINNED_STDOUT = [
     ("328bc249c65267ae", "bottleneck --p 4 --beta 0.51 --h 0.184 --n 3200"),
     # down underflows: 100 -Infinity tokens
     ("93acaa581de17c5b", "bottleneck --p 4 --beta 0.5 --h 400 --n 50"),
+    # the degenerate maximizer at the special point, a triple root of H'
+    ("d730f7cd00c475cc", "classify --p 4 --beta 1/3 --h 0.40996906622851137 --margins"),
+    # wells at 1 - 5e-11 and 1 - 9e-13, past the default margin: 1e-15 fallback
+    ("94949a27356a1fbd", "classify --p 12 --beta 1.1 --h 1 --margins"),
 ]
 
 
