@@ -937,14 +937,17 @@ def _metastable_setup(spec: MetastableSpec):
             others = [q.m for q in points if q.m != s.m]
             if others:
                 eps = min(eps, 0.5 * min(abs(s.m - o) for o in others))
-    kernels = [LevelKernel(params, N, math.ceil(N * (s.m - eps)),
-                           math.floor(N * (s.m + eps))) for s in globals_]
-    for a, b in zip(kernels, kernels[1:]):
-        if a.hi >= b.lo:
-            raise DomainError("metastable windows overlap; reduce epsilon")
+    windows = [(math.ceil(N * (s.m - eps)), math.floor(N * (s.m + eps))) for s in globals_]
     starts = [nearest_level(N, s.m) for s in globals_]
-    for kernel, k0 in zip(kernels, starts):
-        kernel.index(k0)
+    for s, (lo, hi), k0 in zip(globals_, windows, starts):
+        if not lo <= k0 <= hi:
+            raise DomainError(
+                f"window half-width epsilon={eps} is too narrow at N={N}: [{lo}, {hi}] "
+                f"misses the start level {k0} of the maximizer m={s.m!r}")
+    for (_, a_hi), (b_lo, _) in zip(windows, windows[1:]):
+        if a_hi >= b_lo:
+            raise DomainError("metastable windows overlap; reduce epsilon")
+    kernels = [LevelKernel(params, N, lo, hi) for lo, hi in windows]
 
     raw = [((s.m**2 - 1.0) * s.H2) ** -0.5 for s in globals_]
     total = sum(raw)

@@ -35,8 +35,9 @@ from .potential import (
     StationaryPoint,
     _beta_hat,
     _bisect,
-    _d1_terms,
-    _d2_terms,
+    _d1_math,
+    _d2_math,
+    _solve_root,
     free_energy_d1,
     free_energy_d2,  # noqa: F401  (perfbench/layers.py counts calls through it)
     landscape_structure,
@@ -184,36 +185,6 @@ def inflection_pair(p: int, beta: float) -> InflectionPair:
     return InflectionPair(a1=a1, a2=a2)
 
 
-def _maximizer(d1, d2, lo: float, hi: float) -> float:
-    """The root of H' in [lo, hi], across which H' falls from + to -.
-
-    Safeguarded Newton on H' with H'' (`d1`, `d2` from `_d1_terms`,
-    `_d2_terms`) from the midpoint: a step that leaves the shrinking sign
-    bracket, or an H'' that is not negative, is replaced by bisection.  Stops
-    at a Newton step of at most one ulp, which may round onto the bracket's
-    end, or at a bracket of two adjacent floats.
-    """
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        g = d1(x)[0]
-        if g > 0.0:
-            lo = x
-        elif g < 0.0:
-            hi = x
-        else:
-            return x
-        slope = d2(x)[0]
-        x_next = x - g / slope if slope < 0.0 else math.nan
-        if abs(x_next - x) <= math.ulp(x):
-            return x_next
-        if not lo < x_next < hi:  # nan included
-            x_next = 0.5 * (lo + hi)
-            if not lo < x_next < hi:
-                return x
-        x = x_next
-    return x
-
-
 def _height(params: ModelParams, x: float) -> float:
     """H(x) in math scalars, in free_energy's order of operations."""
     I = 0.5 * ((1.0 + x) * math.log1p(x) + (1.0 - x) * math.log1p(-x))
@@ -224,19 +195,19 @@ def _height_gap(struct: LandscapeStructure, h: float):
     """(gap, slope) of H(top maximizer) - H(best other maximizer) at h.
 
     Only the maximizers are solved, each inside its bracket from the node
-    signs (`_maximizer`).  The slope d(gap)/dh is m_top - m_other by the
-    envelope theorem (dH(m(h); h)/dh = m at a maximizer).  None if fewer
-    than two maximizers.
+    signs by `_solve_root`, as in `stationary_points`.  The slope d(gap)/dh
+    is m_top - m_other by the envelope theorem (dH(m(h); h)/dh = m at a
+    maximizer).  None if fewer than two maximizers.
     """
     params, nodes, values = struct._nodes_for(h)
     brackets = [(lo, hi) for kind, lo, hi in struct._pattern(nodes, values)
                 if kind is PointKind.LOCAL_MAX]
     if len(brackets) < 2:
         return None
-    d1, d2 = _d1_terms(params), _d2_terms(params.p, params.beta)
+    d1, d2 = _d1_math(params), _d2_math(params.p, params.beta)
     maxima = []
     for lo, hi in brackets:  # a tangency node (lo == hi) is the maximizer
-        m = lo if lo == hi else _maximizer(d1, d2, lo, hi)
+        m = lo if lo == hi else _solve_root(d1, d2, lo, hi, PointKind.LOCAL_MAX)
         maxima.append((m, _height(params, m)))
     m_top, h_top = maxima[-1]
     m_other, h_other = max(maxima[:-1], key=lambda mh: mh[1])
@@ -354,47 +325,30 @@ def _band(p: int, beta: float):
     return U, (-g2 if beta <= thr.beta_prime else None)
 
 
-def _region_code_for(struct: LandscapeStructure, h: float) -> int:
-    """Region code from the stationarity pattern at field h.
-
-    Multi-maximizer and inflection patterns are decided from node signs
-    alone.  A single bisected maximizer is regular unless |H'| at some
-    curvature root is small enough that the refined |H''(m)| could fall
-    inside the degeneracy band, in which case the root is refined.
-    """
-    params, nodes, values = struct._nodes_for(h)
-    events = struct._pattern(nodes, values)
-    kinds = [e[0] for e in events]
-    n_max = sum(k is PointKind.LOCAL_MAX for k in kinds)
-    n_inf = sum(k is PointKind.INFLECTION for k in kinds)
-    if n_max >= 2:
-        return REGION_CODES[Region.LOCALLY_CRITICAL]
-    if n_inf >= 1:
-        return REGION_CODES[Region.BOUNDARY]
-    kind, lo, hi = next(e for e in events if e[0] is PointKind.LOCAL_MAX)
-    if lo == hi:  # tangency node: degenerate maximizer
-        return REGION_CODES[Region.SPECIAL]
-    # |H''(m)| can only fall inside the band when H' is nearly tangent at a
-    # curvature root, or when H'' <= d2_bound (no root) barely misses zero.
-    near_node = len(nodes) > 2 and min(abs(v) for v in values[1:-1]) <= 100.0 * CURVATURE_TOL
-    near_flat = len(nodes) == 2 and struct.d2_bound > -1e-6
-    if near_node or near_flat:
-        pts = struct.stationary_points(h)
-        m = local_maxima(pts)[0]
-        if abs(m.H2) <= CURVATURE_TOL:
-            return REGION_CODES[Region.SPECIAL]
-    return REGION_CODES[Region.LOCALLY_REGULAR]
+def _region_of(points: list[StationaryPoint]) -> Region:
+    """Region of a stationary-point list: two or more local maximizers are
+    critical, a stationary inflection beside a lone maximizer is boundary,
+    a lone maximizer with |H''| inside the curvature band is special, and
+    any other pattern is regular."""
+    maxima = local_maxima(points)
+    if len(maxima) >= 2:
+        return Region.LOCALLY_CRITICAL
+    if any(s.kind is PointKind.INFLECTION for s in points):
+        return Region.BOUNDARY
+    if maxima[0].near_degenerate:
+        return Region.SPECIAL
+    return Region.LOCALLY_REGULAR
 
 
 def _region_codes(struct: LandscapeStructure, hs: np.ndarray) -> np.ndarray:
-    """Region codes for every field in hs, equal to _region_code_for's.
+    """Region codes for every field in hs, those of `classify_point`.
 
     One broadcast gives H' at every node for every h.  A field whose
     endpoint signs hold and whose interior node values all lie outside the
     near-tangency band has no tangency, no inflection and no degenerate
     maximizer, so its maximizers are the + to - sign changes across the
-    nodes: two or more is critical, one is regular.  Every other field goes
-    to _region_code_for.
+    nodes: two or more is critical, one is regular.  Every other field is
+    solved (`stationary_points`) and goes to `_region_of`.
     """
     values = struct.node_values(hs)
     plain = ((values[:, 0] > 0) & (values[:, -1] < 0)
@@ -406,30 +360,24 @@ def _region_codes(struct: LandscapeStructure, hs: np.ndarray) -> np.ndarray:
     codes = np.where(n_max >= 2, REGION_CODES[Region.LOCALLY_CRITICAL],
                      REGION_CODES[Region.LOCALLY_REGULAR]).astype(np.int8)
     for i in np.flatnonzero(~plain):
-        codes[i] = _region_code_for(struct, float(hs[i]))
+        codes[i] = REGION_CODES[_region_of(struct.stationary_points(float(hs[i])))]
     return codes
-
-
-_CODE_TO_REGION = {v: k for k, v in REGION_CODES.items()}
 
 
 def classify_point(p: int, beta: float, h: float, *,
                    with_margin: bool = False) -> PhaseReport:
     """Classify (beta, h) by the stationary structure of H.
 
-    The verdict comes from the signs of H' at the roots of H'' and at the
-    domain ends: two or more local maximizers are locally critical; a lone
-    maximizer with an extra stationary inflection sits on the boundary
+    The stationary points are solved once and `_region_of` reads the
+    verdict from them: two or more local maximizers are locally critical; a
+    lone maximizer with an extra stationary inflection sits on the boundary
     curve; a lone maximizer with |H''| inside the curvature band is
-    special; otherwise regular.  A maximizer is refined for the verdict
-    only near tangency, where its |H''| tells special from regular.
+    special; otherwise regular.
     """
-    struct = landscape_structure(p, beta)
     uncertain = False
     try:
-        code = _region_code_for(struct, h)
-        region = _CODE_TO_REGION[code]
-        points = struct.stationary_points(h)
+        points = landscape_structure(p, beta).stationary_points(h)
+        region = _region_of(points)
     except DegenerateClusterError:
         # unresolved root cluster: report the best pattern-level guess
         region = Region.LOCALLY_REGULAR
@@ -488,24 +436,29 @@ class GridBudgetError(ValueError):
     pass
 
 
-def _axis(lo: float, hi: float, step: float) -> np.ndarray:
+def _axis_len(lo: float, hi: float, step: float) -> int:
     if step <= 0 or hi < lo:
         raise DomainError(f"bad axis range [{lo}, {hi}] step {step}")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    return int(math.floor((hi - lo) / step + 1e-9)) + 1
+
+
+def _axis(lo: float, hi: float, step: float) -> np.ndarray:
+    return lo + step * np.arange(_axis_len(lo, hi, step))
 
 
 def grid_axes(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The beta and h axes of a grid; GridBudgetError past spec.max_cells."""
-    beta_axis = _axis(spec.beta_min, spec.beta_max, spec.beta_step)
-    h_axis = _axis(spec.h_min, spec.h_max, spec.h_step)
-    n_cells = len(beta_axis) * len(h_axis)
+    """The beta and h axes of a grid; GridBudgetError past spec.max_cells,
+    raised before either axis is allocated."""
+    n_beta = _axis_len(spec.beta_min, spec.beta_max, spec.beta_step)
+    n_h = _axis_len(spec.h_min, spec.h_max, spec.h_step)
+    n_cells = n_beta * n_h
     if n_cells > spec.max_cells:
         raise GridBudgetError(
             f"grid needs {n_cells} cells, budget is {spec.max_cells};"
             f" raise max_cells (--max-cells) to at least {n_cells}"
         )
-    return beta_axis, h_axis
+    return (_axis(spec.beta_min, spec.beta_max, spec.beta_step),
+            _axis(spec.h_min, spec.h_max, spec.h_step))
 
 
 def scan_column(p: int, beta: float, h_axis: np.ndarray):

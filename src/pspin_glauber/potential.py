@@ -209,61 +209,70 @@ def drift_field(params: ModelParams, N: int, c: float) -> float:
     return (mean_field_map(params, c) - c) / N
 
 
-def _d1_terms(params: ModelParams):
-    """x -> (H'(x), |p*beta*x^(p-1)| + |h| + |atanh(x)|) in math scalars."""
+def _d1_math(params: ModelParams):
+    """x -> H'(x) = p*beta*x^(p-1) + h - atanh(x) in math scalars."""
     c, n, h = params.p * params.beta, params.p - 1, params.h
-
-    def terms(x):
-        a, b = c * x**n, math.atanh(x)
-        return a + h - b, abs(a) + abs(h) + abs(b)
-    return terms
+    return lambda x: c * x**n + h - math.atanh(x)
 
 
-def _d2_terms(p: int, beta: float):
-    """x -> (H''(x), |p*(p-1)*beta*x^(p-2)| + 1/(1-x^2)) in math scalars."""
+def _d2_math(p: int, beta: float):
+    """x -> H''(x) = p*(p-1)*beta*x^(p-2) - 1/(1-x^2) in math scalars."""
     c, n = p * (p - 1) * beta, p - 2
-
-    def terms(x):
-        a, b = c * x**n, 1.0 / (1.0 - x * x)
-        return a - b, abs(a) + b
-    return terms
+    return lambda x: c * x**n - 1.0 / (1.0 - x * x)
 
 
-# math and numpy evaluations of H' and H'' differ by a few ulp of the sum of
-# the terms' magnitudes (numpy's pow and arctanh are not libm's), so outside
-# this band their signs agree
-_SIGN_BAND = 2.0**-40
-
-
-def _bisect(f, a, b, fa, fb, max_iter=200, terms=None):
-    """Bisection for sign-changing f on [a, b]; runs to float resolution.
-
-    `terms`, if given, evaluates f in math scalars as (value, scale), with
-    scale the sum of its terms' magnitudes (`_d1_terms`, `_d2_terms`).  A
-    step whose |value| exceeds `_SIGN_BAND * scale` goes by that sign; only
-    inside the band is f called, so every step, and the result, is the one
-    f alone would give.
-    """
+def _bisect(f, a, b, fa, fb):
+    """Bisection for sign-changing f on [a, b]; runs to float resolution."""
     if fa == 0.0:
         return float(a)
     if fb == 0.0:
         return float(b)
     if (fa > 0) == (fb > 0):
         raise DegenerateClusterError("no sign change in bracket", (a, b))
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
-        fm, scale = terms(mid) if terms is not None else (0.0, 0.0)
-        if not abs(fm) > _SIGN_BAND * scale:  # no terms, in the band or nan
-            fm = f(mid)
-            if fm == 0.0:
-                return float(mid)
+        fm = f(mid)
+        if fm == 0.0:
+            return float(mid)
         if (fm > 0) == (fa > 0):
             a, fa = mid, fm
         else:
             b, fb = mid, fm
     return float(0.5 * (a + b))
+
+
+def _solve_root(d1, d2, lo: float, hi: float, kind: PointKind) -> float:
+    """The root of H' in [lo, hi], with H' = d1 and H'' = d2 (`_d1_math`,
+    `_d2_math`).
+
+    Across the root H' falls from + to - for a LOCAL_MAX and rises from - to
+    + for a LOCAL_MIN.  Safeguarded Newton from the midpoint: a step that
+    leaves the shrinking sign bracket, or an H'' of the wrong sign, is
+    replaced by bisection.  Stops at a Newton step of at most one ulp, which
+    may round onto the bracket's end, or at a bracket of two adjacent floats.
+    """
+    s = -1.0 if kind is PointKind.LOCAL_MAX else 1.0  # the sign H'' should have
+    x = 0.5 * (lo + hi)
+    for _ in range(200):
+        g = s * d1(x)
+        if g < 0.0:
+            lo = x
+        elif g > 0.0:
+            hi = x
+        else:
+            return x
+        slope = s * d2(x)
+        x_next = x - g / slope if slope > 0.0 else math.nan
+        if abs(x_next - x) <= math.ulp(x):
+            return x_next
+        if not lo < x_next < hi:  # nan included
+            x_next = 0.5 * (lo + hi)
+            if not lo < x_next < hi:
+                return x
+        x = x_next
+    return x
 
 
 # the ends of the H'' root brackets: the narrowest root-finding margin
@@ -285,9 +294,9 @@ class LandscapeStructure:
     H'(x; h) = (p*beta*x^(p-1) + h) - atanh(x).  The node values for any h,
     or for a whole column of h at once (`node_values`), are then one
     addition and one subtraction, the same float operations as
-    `free_energy_d1`.  Classification of a given h only inspects signs at
-    the nodes; stationary-point locations are refined by bisection inside
-    the sign-changing monotone intervals.
+    `free_energy_d1`.  The kinds of the stationary points at a given h come
+    from the signs at the nodes alone; each root is then solved once, by
+    `_solve_root` inside its sign-changing monotone interval.
     """
 
     def __init__(self, p: int, beta: float):
@@ -411,19 +420,12 @@ class LandscapeStructure:
 
     def stationary_points(self, h: float) -> list[StationaryPoint]:
         params, nodes, values = self._nodes_for(h)
-        events = self._pattern(nodes, values)
-        f = lambda x: free_energy_d1(params, x)
-        terms = _d1_terms(params)
-
+        d1, d2 = _d1_math(params), _d2_math(self.p, self.beta)
         points = []
-        for kind, lo, hi in events:
-            if lo == hi:
-                m, near = lo, True
-            else:
-                m = _bisect(f, lo, hi, f(lo), f(hi), terms=terms)
-                near = None
+        for kind, lo, hi in self._pattern(nodes, values):
+            m = lo if lo == hi else _solve_root(d1, d2, lo, hi, kind)
             pv = evaluate_potential(params, m)
-            nd = abs(pv.H2) <= CURVATURE_TOL if near is None else near
+            nd = lo == hi or abs(pv.H2) <= CURVATURE_TOL
             points.append(StationaryPoint(m=m, kind=kind, H=pv.H,
                                           H2=pv.H2, near_degenerate=nd))
         if not any(s.kind is PointKind.LOCAL_MAX for s in points):
@@ -442,10 +444,11 @@ def find_stationary_points(params: ModelParams) -> list[StationaryPoint]:
     """Locate and classify all stationary points of H on (-1, 1).
 
     Returns the ascending list of roots of H'.  Simple roots are bracketed
-    between consecutive roots of H'' and bisected; a root of H'' where |H'|
-    falls inside the curvature band is reported as a stationary inflection
-    (or a degenerate extremum when H' changes sign across it).  The list
-    always contains at least one local maximizer.
+    between consecutive roots of H'' and solved by safeguarded Newton
+    (`_solve_root`); a root of H'' where |H'| falls inside the curvature
+    band is reported as a stationary inflection (or a degenerate extremum
+    when H' changes sign across it).  The list always contains at least one
+    local maximizer.
     """
     return landscape_structure(params.p, params.beta).stationary_points(params.h)
 

@@ -6,11 +6,11 @@ configurations, and the dense chain is the full 2^N x 2^N one-step matrix
 assembled directly from the update rule, as is the level chain's matrix
 power.  The reference level law, time scales, barrier and equal-height
 field at the end are closed forms in ``math``/``lgamma``, the
-log-binomials, slow eigenvalues and threshold constants are mpmath at
-40-50 digits, and none of them calls anything in ``pspin_glauber``; a
-``params`` argument is read only for its ``p``, ``beta`` and ``h``.  The
-log-log growth fit the scaling tests read lives here as well: the library
-itself never fits.
+log-binomials, slow eigenvalues, threshold constants and the roots of H'
+are mpmath at 40-50 digits, and none of them calls anything in
+``pspin_glauber``; a ``params`` argument is read only for its ``p``,
+``beta`` and ``h``.  The log-log growth fit the scaling tests read lives
+here as well: the library itself never fits.
 """
 
 import math
@@ -363,6 +363,49 @@ def _mp_bisect(g, lo, hi):
             hi = mid
         mid = (lo + hi) / 2
     return mid
+
+
+def stationary_root(p: int, beta: float, h: float, lo: float, hi: float,
+                    dps: int = 40):
+    """The root r of H'(x) = p beta x^(p-1) + h - atanh(x) in [lo, hi], in
+    mpmath at `dps` digits, with whether H' falls across it and H''(r).
+
+    H' must change sign across the float bracket.  r is bisected until the
+    bracket is 2^-100 of its size (or r is 0 exactly) and returned as an
+    mpf, H''(r) = p(p-1) beta r^(p-2) - 1/(1 - r^2) as a float.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        b, f = mpmath.mpf(beta), mpmath.mpf(h)
+
+        def d1(x):
+            return p * b * x ** (p - 1) + f - mpmath.atanh(x)
+
+        a, c = mpmath.mpf(lo), mpmath.mpf(hi)
+        falls = d1(a) > 0
+        assert falls != (d1(c) > 0), "H' keeps its sign across the bracket"
+        if a < 0 < c and d1(mpmath.mpf(0)) == 0:
+            a = c = mpmath.mpf(0)
+        while c - a > mpmath.mpf(2) ** -100 * max(abs(a), abs(c)):
+            mid = (a + c) / 2
+            if (d1(mid) > 0) == falls:
+                a = mid
+            else:
+                c = mid
+        r = (a + c) / 2
+        return r, falls, float(p * (p - 1) * b * r ** (p - 2) - 1 / (1 - r**2))
+
+
+def free_energy_slope(p: int, beta: float, h: float, x: float,
+                      dps: int = 40) -> tuple[float, float]:
+    """H'(x) and H''(x) at the float x, in mpmath at `dps` digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        b, y = mpmath.mpf(beta), mpmath.mpf(x)
+        return (float(p * b * y ** (p - 1) + mpmath.mpf(h) - mpmath.atanh(y)),
+                float(p * (p - 1) * b * y ** (p - 2) - 1 / (1 - y**2)))
 
 
 def slow_eigenvalues(p: int, beta: float, h: float, N: int,

@@ -298,6 +298,29 @@ def test_phase_diagram_over_budget_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_phase_diagram_budget_is_checked_before_the_axes(tmp_path, capsys):
+    # 5.95e12 cells: the beta axis alone would take terabytes
+    code, out, err = run_cli(["phase-diagram", "--p", "4", "--beta-min", "0.01",
+                              "--beta-max", "1.2", "--beta-step", "1e-12",
+                              "--h-min", "-1", "--h-max", "1", "--h-step", "0.5",
+                              "--out-prefix", str(tmp_path / "x")], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: grid needs 5950000000005 cells, budget is 4000000")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sampler_window_that_misses_its_start_names_the_half_width(capsys):
+    # the wells of (4, 0.9, 0) lie at N*m = -+199.69 for N = 200 and -+399.38
+    # for N = 400: a half-width of 1e-6 leaves [-199, -200], no level at all,
+    # and one of 0.00125 leaves [-399, -399], which misses the start -400
+    for n, eps, window in (("200", "1e-6", "[-199, -200]"),
+                           ("400", "0.00125", "[-399, -399]")):
+        code, out, err = run_cli(["sample", "--p", "4", "--beta", "0.9", "--h", "0",
+                                  "--n", n, "--epsilon", eps], capsys)
+        assert code == 1 and out == ""
+        assert f"half-width epsilon={float(eps)} is too narrow at N={n}: {window}" in err
+
+
 def test_mix_json_reference_parameters(capsys):
     code, out, _ = run_cli(["mix", "--p", "4", "--beta", "0.333333",
                             "--h", "0.41", "--n", "200", "--eps", "0.35",
@@ -425,8 +448,8 @@ PINNED_STDOUT = [
     ("c53fae460e573403",
      "mix --p 4 --beta 0.054 --h 0.5 --n 200 --method mc --replicas 2000 --seed 3"),
     ("5c8bfb176b564f2a", "classify --p 4 --beta 0.51 --h 0.184 --margins"),
-    ("888c7e2c25372bd5", "classify --p 4 --beta 0.9 --h 0"),
-    ("0b8fe0e0fc8647a6", "sample --p 4 --beta 0.9 --h 0 --n 200"),
+    ("daa31bcd7fe1dfdc", "classify --p 4 --beta 0.9 --h 0"),
+    ("4e94efc7558bd523", "sample --p 4 --beta 0.9 --h 0 --n 200"),
     ("083a8cd9d1745db0", "mix-sweep --p 4 --beta 0.054 --h 0.5 --n-list 400,800,1600"
                          " --cap 1000000 --jobs 1"),
     ("c7961267294fc813", "mix-sweep --p 4 --beta 1/3 --h 0.40996906622851137"
@@ -437,7 +460,7 @@ PINNED_STDOUT = [
                          " --seed 4 --record-every 1"),
     ("5b572ea3ddbcf784", "coupling --p 3 --beta 0.05 --h 0.1 --n 200 --steps 40000"
                          " --seed 4 --record-every 7"),
-    ("ed8bdfe29bf36116", "sample --p 4 --beta 0.9 --h 0 --n 2000 --seed 5"),
+    ("02623f5d7cff7e3d", "sample --p 4 --beta 0.9 --h 0 --n 2000 --seed 5"),
     # a window that rejects 1.4 % of its moves
     ("330d5c645ee6b81c", "sample --p 4 --beta 0.51 --h 0.184 --n 200 --burn 3000 --seed 2"),
     # 6,398 cuts, 1.1 MB: a long list of records
@@ -445,9 +468,9 @@ PINNED_STDOUT = [
     # down underflows: 100 -Infinity tokens
     ("93acaa581de17c5b", "bottleneck --p 4 --beta 0.5 --h 400 --n 50"),
     # the degenerate maximizer at the special point, a triple root of H'
-    ("d730f7cd00c475cc", "classify --p 4 --beta 1/3 --h 0.40996906622851137 --margins"),
+    ("df74a406096f2e81", "classify --p 4 --beta 1/3 --h 0.40996906622851137 --margins"),
     # wells at 1 - 5e-11 and 1 - 9e-13, past the default margin: 1e-15 fallback
-    ("94949a27356a1fbd", "classify --p 12 --beta 1.1 --h 1 --margins"),
+    ("3776d417da99a3a6", "classify --p 12 --beta 1.1 --h 1 --margins"),
 ]
 
 

@@ -1,11 +1,10 @@
 """Free-energy landscape: values, derivatives, stationary points."""
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pspin_glauber import (
@@ -24,15 +23,10 @@ from pspin_glauber import (
 )
 from pspin_glauber.potential import (
     DOMAIN_MARGIN,
-    _bisect,
-    _d1_terms,
-    _d2_terms,
     _fallback_margin,
-    free_energy_d1,
-    free_energy_d2,
     landscape_structure,
 )
-from conftest import central_difference
+from conftest import central_difference, free_energy_slope, stationary_root
 
 # frozen independent evaluations (40-digit arithmetic, rounded to double)
 BETA_HAT_3 = 0.4330127018922193
@@ -146,55 +140,45 @@ def test_even_order_field_reflection(p, beta, h, x):
     assert abs(a.H - b.H) <= 1e-14 * max(1.0, abs(a.H))
 
 
-def _sign_change_brackets(seed, n=50):
-    """n brackets (f, terms, a, b) across which H' or H'' changes sign.
-
-    p is drawn from 2..12 and the ends at random in the domain.  Two in five
-    brackets are of H'', one of H' at |h| <= 1 and two of H' ending at the
-    1e-12 and the 1e-15 fallback margin, under a field that swallows the
-    signs of H' at the default one.
-    """
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < n:
-        kind = len(out) % 5
-        p, beta = int(rng.integers(2, 13)), float(rng.uniform(0.05, 1.5))
-        a, b = sorted(rng.uniform(-1.0 + DOMAIN_MARGIN, 1.0 - DOMAIN_MARGIN, 2).tolist())
-        if kind <= 1:
-            f, terms = partial(free_energy_d2, ModelParams(p, beta, 0.0)), _d2_terms(p, beta)
-        else:
-            if kind == 2:
-                h = float(rng.uniform(-1.0, 1.0))
-            else:
-                margin = 1e-12 if kind == 3 else 1e-15
-                h = float(rng.uniform(*((10.9, 14.0) if kind == 3 else (14.3, 17.4)))) - p * beta
-                if _fallback_margin(ModelParams(p, beta, h)) != margin:
-                    continue
-                b = 1.0 - margin
-            params = ModelParams(p, beta, h)
-            f, terms = partial(free_energy_d1, params), _d1_terms(params)
-        if (f(a) > 0) != (f(b) > 0):
-            out.append((f, terms, a, b))
-    return out
+# h = u - p*beta for u in these ranges swallows H''s endpoint signs at the
+# default margin and puts the root finder on its 1e-12 or 1e-15 fallback one
+_FALLBACK_FIELDS = {1e-12: (10.9, 14.0), 1e-15: (14.3, 17.4)}
 
 
-@given(seed=st.integers(0, 2**32 - 1))
-def test_sign_certified_bisection_returns_the_numpy_float(seed):
-    # the math sign decides most steps, numpy's only those inside the band,
-    # and the root is the float numpy alone bisects to
-    calls = {"numpy": 0, "certified": 0}
-
-    def counted(f, key):
-        def g(x):
-            calls[key] += 1
-            return f(x)
-        return g
-
-    for f, terms, a, b in _sign_change_brackets(seed):
-        fa, fb = f(a), f(b)
-        plain = _bisect(counted(f, "numpy"), a, b, fa, fb)
-        assert _bisect(counted(f, "certified"), a, b, fa, fb, terms=terms) == plain
-    assert calls["certified"] < calls["numpy"] / 2
+@given(p=st.integers(2, 12), beta=st.floats(0.05, 1.5),
+       margin=st.sampled_from([DOMAIN_MARGIN, 1e-12, 1e-15]), u=st.floats(0.0, 1.0))
+def test_stationary_points_against_the_mpmath_roots(p, beta, margin, u):
+    # the documented domain (|h| <= 1, p*beta + |h| <= 16) and fields that
+    # need the fallback margins.  Every solved root has its pattern kind, an
+    # exact residual |H'(m)| within a few eps of the sum of H''s term
+    # magnitudes (plus the 2 ulp * |H''| a float root can leave), and where
+    # |H''| >= 1e-3 lies within 2 ulp plus the rounding band
+    # eps * scale / |H''| of the 40-digit root
+    if margin == DOMAIN_MARGIN:
+        h = 2.0 * u - 1.0
+        assume(p * beta + abs(h) <= 16)
+    else:
+        lo, hi = _FALLBACK_FIELDS[margin]
+        h = lo + (hi - lo) * u - p * beta
+    params = ModelParams(p, beta, h)
+    assume(margin == DOMAIN_MARGIN or _fallback_margin(params) == margin)
+    struct = landscape_structure(p, beta)
+    _, nodes, values = struct._nodes_for(h)
+    events = struct._pattern(nodes, values)
+    points = struct.stationary_points(h)
+    assert [s.kind for s in points] == [kind for kind, _, _ in events]
+    eps = 2.0**-52
+    for (kind, lo, hi), s in zip(events, points):
+        if lo == hi:  # a tangency node is its own stationary point
+            assert s.m == lo and s.near_degenerate
+            continue
+        r, falls, d2_r = stationary_root(p, beta, h, lo, hi)
+        assert falls is (kind is PointKind.LOCAL_MAX), (p, beta, h, s)
+        scale = abs(p * beta * s.m ** (p - 1)) + abs(h) + abs(math.atanh(s.m))
+        d1_m, d2_m = free_energy_slope(p, beta, h, s.m)
+        assert abs(d1_m) <= 4 * eps * scale + 2 * math.ulp(s.m) * abs(d2_m), (p, beta, h, s)
+        if abs(d2_r) >= 1e-3:
+            assert abs(s.m - r) <= 2 * math.ulp(s.m) + eps * scale / abs(d2_r), (p, beta, h, s)
 
 
 def test_stationary_points_regular_point():
