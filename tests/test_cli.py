@@ -471,6 +471,10 @@ PINNED_STDOUT = [
     ("df74a406096f2e81", "classify --p 4 --beta 1/3 --h 0.40996906622851137 --margins"),
     # wells at 1 - 5e-11 and 1 - 9e-13, past the default margin: 1e-15 fallback
     ("3776d417da99a3a6", "classify --p 12 --beta 1.1 --h 1 --margins"),
+    # the README's C curve, solved at 173 betas
+    ("fa5213ee80ec6772", "curves --p 4 --beta-min 0.34 --beta-max 1.2 --beta-step 0.005"),
+    # up to p*beta = 16, the edge of the documented domain
+    ("443894f1e74d4606", "curves --p 12 --beta-min 0.05 --beta-max 1.33 --beta-step 0.005"),
 ]
 
 
