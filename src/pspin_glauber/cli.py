@@ -263,6 +263,11 @@ def _cmd_classify(args) -> None:
 def _cmd_curves(args) -> None:
     if args.p < 3:
         raise DomainError(f"the curves U, L and C are defined for p >= 3, got p={args.p}")
+    n_beta = phase_geometry._axis_len(args.beta_min, args.beta_max, args.beta_step)
+    if n_beta > phase_geometry.MAX_CELLS:  # before the axis is allocated
+        raise phase_geometry.GridBudgetError(
+            f"curves needs {n_beta} betas, budget is {phase_geometry.MAX_CELLS};"
+            f" narrow the beta range or widen --beta-step")
     betas = phase_geometry._axis(args.beta_min, args.beta_max, args.beta_step)
     samples = [phase_geometry.boundary_curves(args.p, float(b)) for b in betas]
     if args.svg:
@@ -447,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h-min", type=real, required=True)
     sp.add_argument("--h-max", type=real, required=True)
     sp.add_argument("--h-step", type=real, default=0.005)
-    sp.add_argument("--max-cells", type=int, default=4_000_000)
+    sp.add_argument("--max-cells", type=int, default=phase_geometry.MAX_CELLS)
     sp.add_argument("--jobs", type=_positive_int, default=None,
                     help=f"worker processes (default ${JOBS_ENV} or 1)")
     sp.add_argument("--out-prefix", required=True)

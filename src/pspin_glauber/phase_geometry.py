@@ -33,6 +33,7 @@ from .potential import (
     ModelParams,
     PointKind,
     StationaryPoint,
+    _ROOT_END,
     _beta_hat,
     _bisect,
     _d1_math,
@@ -194,16 +195,27 @@ def _height(params: ModelParams, x: float) -> float:
 def _height_gap(struct: LandscapeStructure, h: float):
     """(gap, slope) of H(top maximizer) - H(best other maximizer) at h.
 
-    Only the maximizers are solved, each inside its bracket from the node
-    signs by `_solve_root`, as in `stationary_points`.  The slope d(gap)/dh
-    is m_top - m_other by the envelope theorem (dH(m(h); h)/dh = m at a
-    maximizer).  None if fewer than two maximizers.
+    The top maximizer lies above the last root of H''.  Only the maximizers
+    are solved, each inside its bracket from the node signs by `_solve_root`,
+    as in `stationary_points`.  The slope d(gap)/dh is m_top - m_other by
+    the envelope theorem (dH(m(h); h)/dh = m at a maximizer).  Where the
+    pair is not resolved the gap is only the side of C that h lies on,
+    +-inf with a nan slope: above if H' keeps its sign near the top end of
+    (-1, 1) or only the top maximizer is resolved, below if it keeps its
+    sign near the bottom end or the top maximizer is not resolved.
     """
-    params, nodes, values = struct._nodes_for(h)
+    try:
+        params, nodes, values = struct._nodes_for(h)
+    except DomainError:  # H' keeps one sign near an end at every margin
+        top_lost = free_energy_d1(ModelParams(struct.p, struct.beta, h),
+                                  1.0 - _ROOT_END) >= 0
+        return (math.inf if top_lost else -math.inf), math.nan
     brackets = [(lo, hi) for kind, lo, hi in struct._pattern(nodes, values)
                 if kind is PointKind.LOCAL_MAX]
+    if not brackets or brackets[-1][0] < struct.curvature_roots[-1]:
+        return -math.inf, math.nan
     if len(brackets) < 2:
-        return None
+        return math.inf, math.nan
     d1, d2 = _d1_math(params), _d2_math(params.p, params.beta)
     maxima = []
     for lo, hi in brackets:  # a tangency node (lo == hi) is the maximizer
@@ -222,66 +234,38 @@ _GAP_FLOOR = 1e-15
 def _equal_height_field(p: int, beta: float, lo: float, hi: float) -> float:
     """The field h at which the two relevant maximizers of H tie in height.
 
-    The height gap is strictly h-increasing inside [lo, hi], negative near
-    lo and positive near hi; endpoints where the maxima have already merged
-    are nudged inwards.  Safeguarded Newton on the gap, with its envelope
-    slope, from the endpoint with the smaller |gap| and inside the shrinking
-    sign bracket: a step that leaves the bracket (or a slope that is not
-    positive) is replaced by bisection.  Runs to float resolution.
+    The height gap rises with h (its slope m_top - m_other is positive), so
+    the band [lo, hi] brackets the tie.  Safeguarded Newton on the gap, with
+    its envelope slope, from the middle of the band and inside the
+    shrinking sign bracket: a field where the pair is not resolved (its gap
+    is only the side of the tie), a step that leaves the bracket or a slope
+    that is not positive is replaced by bisection.  Returns at a resolved
+    |gap| <= _GAP_FLOOR, after one last Newton step, or at a bracket of two
+    adjacent floats whose ends both have resolved gaps; DomainError where
+    the bracket closes on an unresolved end.
     """
     struct = landscape_structure(p, beta)
-    if hi - lo < 1e-10:
-        return 0.5 * (lo + hi)
-
-    span = hi - lo
-
-    def endpoint(base, sign):
-        # a narrow band resolves two maxima only well inside it: just above
-        # beta_hat the node values near its ends fall within CURVATURE_TOL;
-        # at large p near an end a maximizer lies past the float margin
-        in_range = False
-        for frac in (1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.25, 0.5):
-            x = base + sign * frac * span
-            try:
-                res = _height_gap(struct, x)
-            except DomainError:
-                continue
-            if res is not None:
-                return (x,) + res
-            in_range = True
-        if not in_range:  # every nudge put a maximizer past the float margin
-            raise DomainError(
-                f"a maximizer lies past the root-finding range |m| <= 1 - 1e-15 at every "
-                f"field tried near h={base} (p={p}, beta={beta}): p*beta or |h| is too "
-                f"large for root finding")
-        raise RuntimeError(f"no coexisting maxima near h={base} (p={p}, beta={beta})")
-
-    a, ga, sa = endpoint(lo, +1)
-    b, gb, sb = endpoint(hi, -1)
-    if ga >= 0.0:
-        return a
-    if gb <= 0.0:
-        return b
-    x, g, slope = (a, ga, sa) if -ga < gb else (b, gb, sb)
+    a, ga, b, gb = lo, -math.inf, hi, math.inf  # the band's ends are sides only
+    x = 0.5 * (lo + hi)
     for _ in range(200):
+        g, slope = _height_gap(struct, x)
         newton = x - g / slope if slope > 0.0 else math.nan
         if abs(g) <= _GAP_FLOOR:
             return newton if a <= newton <= b else x
-        x_next = newton if a < newton < b else 0.5 * (a + b)  # nan: bisect
-        if not a < x_next < b:  # the bracket is two adjacent floats
-            return x
-        x = x_next
-        res = _height_gap(struct, x)
-        if res is None:  # cannot happen strictly inside the coexistence band
-            raise RuntimeError(f"maximizers vanished inside bracket at h={x}")
-        g, slope = res
         if g < 0.0:
-            a = x
-        elif g > 0.0:
-            b = x
+            a, ga = x, g
         else:
-            return x
-    return x
+            b, gb = x, g
+        x = newton if a < newton < b else 0.5 * (a + b)  # nan: bisect
+        if not a < x < b:  # the bracket is two adjacent floats
+            if math.isfinite(ga) and math.isfinite(gb):
+                return a if -ga <= gb else b
+            break
+    raise DomainError(
+        f"the tie of the outer maxima of H at p={p}, beta={beta} is left in "
+        f"[{a!r}, {b!r}], where they are not both resolved: a maximizer lies "
+        f"past the root-finding range |m| <= 1 - 1e-15 (p*beta or |h| is too "
+        f"large for root finding) or merges with a saddle")
 
 
 def boundary_curves(p: int, beta: float, *, with_C: bool = True) -> CurveSample:
@@ -411,6 +395,10 @@ def classify_point(p: int, beta: float, h: float, *,
                        uncertain=uncertain)
 
 
+# the default budget of a grid's cells, and of the betas `curves` samples
+MAX_CELLS = 4_000_000
+
+
 @dataclass(frozen=True)
 class GridSpec:
     p: int
@@ -420,7 +408,7 @@ class GridSpec:
     h_min: float
     h_max: float
     h_step: float
-    max_cells: int = 4_000_000
+    max_cells: int = MAX_CELLS
 
 
 @dataclass
@@ -437,7 +425,7 @@ class GridBudgetError(ValueError):
 
 
 def _axis_len(lo: float, hi: float, step: float) -> int:
-    if step <= 0 or hi < lo:
+    if step <= 0 or hi < lo or not math.isfinite((hi - lo) / step):
         raise DomainError(f"bad axis range [{lo}, {hi}] step {step}")
     return int(math.floor((hi - lo) / step + 1e-9)) + 1
 

@@ -6,10 +6,10 @@ configurations, and the dense chain is the full 2^N x 2^N one-step matrix
 assembled directly from the update rule, as is the level chain's matrix
 power.  The reference level law, time scales, barrier and equal-height
 field at the end are closed forms in ``math``/``lgamma``, the
-log-binomials, slow eigenvalues, threshold constants and the roots of H'
-are mpmath at 40-50 digits, and none of them calls anything in
-``pspin_glauber``; a ``params`` argument is read only for its ``p``,
-``beta`` and ``h``.  The log-log growth fit the scaling tests read lives
+log-binomials, slow eigenvalues, threshold constants, the roots of H' and
+the height gap of its maximizers are mpmath at 40-50 digits, and none of
+them calls anything in ``pspin_glauber``; a ``params`` argument is read
+only for its ``p``, ``beta`` and ``h``.  The log-log growth fit the scaling tests read lives
 here as well: the library itself never fits.
 """
 
@@ -526,3 +526,36 @@ def coexistence_band(p: int, beta: float) -> tuple[float, float]:
 
     g1, g2 = g(a1), g(a2)
     return -g2, (-g1 if p % 2 == 1 else max(g2, -g1))
+
+
+def maximizer_height_gap(p: int, beta: float, h: float, dps: int = 40):
+    """H(rightmost local maximizer) - H(highest other one) at (p, beta, h),
+    in mpmath at `dps` digits; None with fewer than two maximizers.
+
+    In x = tanh(u), H'(x) = p beta tanh(u)^(p-1) + h - u and
+    H(x) = beta x^p + h x - x u + log cosh(u), since I(tanh u) =
+    u tanh(u) - log cosh(u).  The + to - sign changes of H' on a float grid
+    of u over [-20, 20] (|x| up to tanh(20) = 1 - 8.5e-18) bracket the
+    maximizers, each bisected in u at `dps` digits.
+    """
+    import mpmath
+
+    u = np.linspace(-20.0, 20.0, 40_001)
+    g = p * beta * np.tanh(u) ** (p - 1) + h - u
+    with mpmath.workdps(dps):
+        b, f = mpmath.mpf(beta), mpmath.mpf(h)
+        heights = []
+        for i in np.flatnonzero((g[:-1] > 0) & (g[1:] <= 0)):
+            lo, hi = mpmath.mpf(u[i]), mpmath.mpf(u[i + 1])
+            for _ in range(4 * dps):
+                mid = (lo + hi) / 2
+                if p * b * mpmath.tanh(mid) ** (p - 1) + f - mid > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            v = (lo + hi) / 2
+            x = mpmath.tanh(v)
+            heights.append(b * x**p + f * x - x * v + mpmath.log(mpmath.cosh(v)))
+        if len(heights) < 2:
+            return None
+        return float(heights[-1] - max(heights[:-1]))

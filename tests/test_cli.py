@@ -195,8 +195,8 @@ def test_seed_and_monte_carlo_only_where_read(argv, code, capsys):
 
 
 def test_curves_past_the_root_finding_range_name_it(capsys):
-    # at p = 30 every nudge into the coexistence band near beta = 0.44 puts
-    # a maximizer past atanh(1 - 1e-15); the error says so rather than
+    # at p = 30 from beta = 0.585 on the top maximizer at the tie lies past
+    # 1 - 1e-15 (at 1 - 9.1e-16 there); the error says so rather than
     # calling the two maxima missing
     code, out, err = run_cli(["curves", "--p", "30", "--beta-min", "0.4",
                               "--beta-max", "0.6"], capsys)
@@ -204,6 +204,45 @@ def test_curves_past_the_root_finding_range_name_it(capsys):
     assert "root-finding range |m| <= 1 - 1e-15" in err
     assert "p*beta or |h| is too large for root finding" in err
     assert "no coexisting maxima" not in err
+
+
+def test_curves_tie_inside_the_root_finding_range(capsys):
+    # p = 30 below beta = 0.585: at beta = 0.44 the tie's maxima sit at 0.288
+    # and 1 - 3.8e-12, inside the range though every field near the band's
+    # top end puts the top one past it
+    from conftest import maximizer_height_gap
+
+    code, out, _ = run_cli(["curves", "--p", "30", "--beta-min", "0.4",
+                            "--beta-max", "0.58"], capsys)
+    assert code == 0
+    rows = {row.split(",")[0]: row.split(",") for row in out.splitlines()[2:]}
+    C = float(rows["0.44"][3])
+    # the row's 12 digits round C by up to 5e-13
+    assert abs(maximizer_height_gap(30, 0.44, C)) <= 1e-12
+
+
+def test_curves_with_a_tie_past_the_range_do_not_print_one(capsys):
+    # p = 13 at beta 1.4 and 1.45: the tie puts a maximizer past 1 - 1e-15,
+    # and the fields near it that resolve both maxima are no tie
+    code, out, err = run_cli(["curves", "--p", "13", "--beta-min", "1.4",
+                              "--beta-max", "1.45", "--beta-step", "0.05"], capsys)
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1
+    assert "root-finding range |m| <= 1 - 1e-15" in err
+
+
+def test_curves_past_the_beta_budget_name_the_count(capsys):
+    # 1.19e12 betas: refused before the axis is allocated
+    code, out, err = run_cli(["curves", "--p", "4", "--beta-min", "0.01",
+                              "--beta-max", "1.2", "--beta-step", "1e-12"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: curves needs 1190000000001 betas, budget is 4000000")
+    assert err.count("\n") == 1
+    # a step whose count overflows a float is a bad axis, not an OverflowError
+    code, out, err = run_cli(["curves", "--p", "4", "--beta-min", "0.01",
+                              "--beta-max", "1.2", "--beta-step", "5e-324"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: bad axis range [0.01, 1.2] step 5e-324\n"
 
 
 def test_empty_or_nonpositive_n_list_is_a_usage_error(capsys):

@@ -499,6 +499,30 @@ def test_c_curve_at_high_order():
         assert abs(cs.C - equal_height_field(20, beta, lo, cs.U)) <= 1e-10, beta
 
 
+def test_c_curve_is_a_tie_or_an_error_at_high_order():
+    # every C returned ties the maxima to 1e-14 in mpmath, up to p*beta = 19
+    # where the oracle's grid still reaches the top maximizer.  At p = 13
+    # from beta 1.4 on and p = 25 from 0.71 on the tie's top maximizer lies
+    # past 1 - 1e-15 (1 - 9.5e-16 and 1 - 7.9e-16 there), and a C returned
+    # from the fields near it would be no tie
+    from conftest import maximizer_height_gap
+
+    solved = []
+    for p in (13, 20, 25, 30, 40, 50):
+        for beta in np.linspace(beta_hat(p) + 0.01, min(1.45, 19.0 / p), 8):
+            beta = float(beta)
+            try:
+                C = boundary_curves(p, beta).C
+            except DomainError:
+                continue
+            assert abs(maximizer_height_gap(p, beta, C)) <= 1e-14, (p, beta, C)
+            solved.append((p, beta))
+    assert len(solved) >= 40
+    for p, beta in ((30, 0.44), (40, 0.4), (50, 0.3)):
+        C = boundary_curves(p, beta).C
+        assert abs(maximizer_height_gap(p, beta, C)) <= 1e-14, (p, beta, C)
+
+
 def test_c_curve_just_above_beta_hat():
     # bands of width 1e-8..1e-5, where the maxima resolve only inside them
     for p in (3, 4, 5, 6):
