@@ -7,7 +7,6 @@ window sampler.
 
 from .potential import (
     CURVATURE_TOL,
-    DOMAIN_MARGIN,
     DegenerateClusterError,
     DomainError,
     ModelParams,

@@ -949,7 +949,10 @@ def _metastable_setup(spec: MetastableSpec):
             raise DomainError("metastable windows overlap; reduce epsilon")
     kernels = [LevelKernel(params, N, lo, hi) for lo, hi in windows]
 
-    raw = [((s.m**2 - 1.0) * s.H2) ** -0.5 for s in globals_]
+    # ((m^2 - 1) H''(m))^(-1/2) with the product multiplied out, so that it
+    # is 1, not 0^(-1/2), where m rounds to +-1
+    c = params.p * (params.p - 1) * params.beta
+    raw = [(1.0 - c * s.m ** (params.p - 2) * (1.0 - s.m**2)) ** -0.5 for s in globals_]
     total = sum(raw)
     weights = [w / total for w in raw]
     burn = spec.burn_steps

@@ -33,11 +33,10 @@ from .potential import (
     ModelParams,
     PointKind,
     StationaryPoint,
-    _ROOT_END,
     _beta_hat,
     _bisect,
-    _d1_math,
-    _d2_math,
+    _height,
+    _slopes,
     _solve_root,
     free_energy_d1,
     free_energy_d2,  # noqa: F401  (perfbench/layers.py counts calls through it)
@@ -186,12 +185,6 @@ def inflection_pair(p: int, beta: float) -> InflectionPair:
     return InflectionPair(a1=a1, a2=a2)
 
 
-def _height(params: ModelParams, x: float) -> float:
-    """H(x) in math scalars, in free_energy's order of operations."""
-    I = 0.5 * ((1.0 + x) * math.log1p(x) + (1.0 - x) * math.log1p(-x))
-    return params.beta * x**params.p + params.h * x - I
-
-
 def _height_gap(struct: LandscapeStructure, h: float):
     """(gap, slope) of H(top maximizer) - H(best other maximizer) at h.
 
@@ -199,28 +192,22 @@ def _height_gap(struct: LandscapeStructure, h: float):
     are solved, each inside its bracket from the node signs by `_solve_root`,
     as in `stationary_points`.  The slope d(gap)/dh is m_top - m_other by
     the envelope theorem (dH(m(h); h)/dh = m at a maximizer).  Where the
-    pair is not resolved the gap is only the side of C that h lies on,
-    +-inf with a nan slope: above if H' keeps its sign near the top end of
-    (-1, 1) or only the top maximizer is resolved, below if it keeps its
-    sign near the bottom end or the top maximizer is not resolved.
+    pair does not exist the gap is only the side of C that h lies on,
+    +-inf with a nan slope: above if only the top maximizer exists, below
+    if the top maximizer does not.
     """
-    try:
-        params, nodes, values = struct._nodes_for(h)
-    except DomainError:  # H' keeps one sign near an end at every margin
-        top_lost = free_energy_d1(ModelParams(struct.p, struct.beta, h),
-                                  1.0 - _ROOT_END) >= 0
-        return (math.inf if top_lost else -math.inf), math.nan
-    brackets = [(lo, hi) for kind, lo, hi in struct._pattern(nodes, values)
+    p, beta = struct.p, struct.beta
+    brackets = [(lo, hi) for kind, lo, hi in struct._pattern(*struct._nodes_for(h))
                 if kind is PointKind.LOCAL_MAX]
-    if not brackets or brackets[-1][0] < struct.curvature_roots[-1]:
+    if brackets[-1][0] < struct.nodes[-1]:
         return -math.inf, math.nan
     if len(brackets) < 2:
         return math.inf, math.nan
-    d1, d2 = _d1_math(params), _d2_math(params.p, params.beta)
+    g, g1 = _slopes(p, beta, h)
     maxima = []
     for lo, hi in brackets:  # a tangency node (lo == hi) is the maximizer
-        m = lo if lo == hi else _solve_root(d1, d2, lo, hi, PointKind.LOCAL_MAX)
-        maxima.append((m, _height(params, m)))
+        u = lo if lo == hi else _solve_root(g, g1, lo, hi, PointKind.LOCAL_MAX)
+        maxima.append(_height(p, beta, h, u))
     m_top, h_top = maxima[-1]
     m_other, h_other = max(maxima[:-1], key=lambda mh: mh[1])
     return h_top - h_other, m_top - m_other
@@ -242,7 +229,7 @@ def _equal_height_field(p: int, beta: float, lo: float, hi: float) -> float:
     that is not positive is replaced by bisection.  Returns at a resolved
     |gap| <= _GAP_FLOOR, after one last Newton step, or at a bracket of two
     adjacent floats whose ends both have resolved gaps; DomainError where
-    the bracket closes on an unresolved end.
+    the bracket closes on an end where the pair does not exist.
     """
     struct = landscape_structure(p, beta)
     a, ga, b, gb = lo, -math.inf, hi, math.inf  # the band's ends are sides only
@@ -263,9 +250,8 @@ def _equal_height_field(p: int, beta: float, lo: float, hi: float) -> float:
             break
     raise DomainError(
         f"the tie of the outer maxima of H at p={p}, beta={beta} is left in "
-        f"[{a!r}, {b!r}], where they are not both resolved: a maximizer lies "
-        f"past the root-finding range |m| <= 1 - 1e-15 (p*beta or |h| is too "
-        f"large for root finding) or merges with a saddle")
+        f"[{a!r}, {b!r}], where they do not both exist: a maximizer merges "
+        f"with a saddle")
 
 
 def boundary_curves(p: int, beta: float, *, with_C: bool = True) -> CurveSample:
@@ -327,20 +313,22 @@ def _region_of(points: list[StationaryPoint]) -> Region:
 def _region_codes(struct: LandscapeStructure, hs: np.ndarray) -> np.ndarray:
     """Region codes for every field in hs, those of `classify_point`.
 
-    One broadcast gives H' at every node for every h.  A field whose
-    endpoint signs hold and whose interior node values all lie outside the
-    near-tangency band has no tangency, no inflection and no degenerate
-    maximizer, so its maximizers are the + to - sign changes across the
-    nodes: two or more is critical, one is regular.  Every other field is
-    solved (`stationary_points`) and goes to `_region_of`.
+    One broadcast gives G at every node for every h; G is positive below
+    the nodes and negative above them.  A field whose node values all lie
+    outside the near-tangency band has no tangency, no inflection and no
+    degenerate maximizer, so its maximizers are the + to - sign changes
+    from the lower end across the nodes to the upper end: two or more is
+    critical, one is regular.  Every other field is solved
+    (`stationary_points`) and goes to `_region_of`.
     """
     values = struct.node_values(hs)
-    plain = ((values[:, 0] > 0) & (values[:, -1] < 0)
-             & ~(np.abs(values[:, 1:-1]) <= 100.0 * CURVATURE_TOL).any(axis=1))
-    if values.shape[1] == 2 and struct.d2_bound > -1e-6:  # near_flat
+    plain = ~(np.abs(values) <= 100.0 * CURVATURE_TOL).any(axis=1)
+    if values.shape[1] == 0 and struct.d2_bound > -1e-6:  # near_flat
         plain[:] = False
     positive = values > 0
-    n_max = (positive[:, :-1] & ~positive[:, 1:]).sum(axis=1)
+    # G falls from + to - across the nodes, so every - to + change between
+    # two nodes adds a maximizer to the one that the ends make
+    n_max = 1 + (~positive[:, :-1] & positive[:, 1:]).sum(axis=1)
     codes = np.where(n_max >= 2, REGION_CODES[Region.LOCALLY_CRITICAL],
                      REGION_CODES[Region.LOCALLY_REGULAR]).astype(np.int8)
     for i in np.flatnonzero(~plain):

@@ -7,11 +7,13 @@ classifies every stationary point of ``H`` on (-1, 1).
 
 Stationary points of ``H`` coincide with fixed points of ``lam``, and the
 sign of ``lam'(m) - 1`` matches the sign of ``H''(m)`` at any such point.
-The root finder exploits a structural fact: the roots of ``H''`` (which do
-not depend on h) split (-1, 1) into at most five intervals on which ``H'``
-is strictly monotone.  Each interval then carries at most one root of
-``H'``, bracketed by the interval endpoint signs, and tangential (double)
-roots of ``H'`` can only sit exactly on a root of ``H''``.
+The root finder works in ``u = atanh(m)``, where ``H'(tanh u)`` is
+``G(u) = p*beta*tanh(u)**(p-1) + h - u``, so that a maximizer exponentially
+close to +-1 is still a well-separated float.  It exploits a structural
+fact: the roots of ``H''`` (which do not depend on h) split the line into
+at most five intervals on which ``G`` is strictly monotone.  Each interval
+then carries at most one root, bracketed by the interval endpoint signs,
+and tangential (double) roots can only sit exactly on a root of ``H''``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 
-DOMAIN_MARGIN = 1e-9
 CURVATURE_TOL = 1e-8
 HEIGHT_TOL = 1e-10  # maximizers whose heights differ by at most this tie
 
@@ -146,18 +147,12 @@ def _coef_pow(coef, x, n):
 def evaluate_potential(params: ModelParams, x: float) -> PotentialValues:
     """Evaluate H, I, lam and their derivatives at an interior point.
 
-    Raises DomainError when |x| > 1 - margin; the derivatives of H blow up
-    at the endpoints and every stationary point is interior.  The margin is
-    the root finder's: DOMAIN_MARGIN, or the smaller one it falls back to
-    where H' has lost its endpoint signs, so every stationary point it
-    returns can be evaluated.
+    Raises DomainError unless |x| < 1; the derivatives of H blow up at the
+    endpoints and every stationary point is interior.
     """
     x = float(x)
-    margin = DOMAIN_MARGIN
-    if abs(x) > 1.0 - margin and not _endpoint_signs_hold(params, margin):
-        margin = _fallback_margin(params) or margin
-    if not math.isfinite(x) or abs(x) > 1.0 - margin:
-        raise DomainError(f"x must satisfy |x| <= 1 - {margin}, got {x}")
+    if not abs(x) < 1.0:  # nan included
+        raise DomainError(f"x must satisfy |x| < 1, got {x}")
     p, beta, h = params.p, params.beta, params.h
 
     I = entropy(x)
@@ -181,25 +176,6 @@ def evaluate_potential(params: ModelParams, x: float) -> PotentialValues:
                            lam=lam, lam1=lam1, lam2=lam2, lam3=lam3)
 
 
-def _endpoint_signs_hold(params: ModelParams, margin: float) -> bool:
-    """H'(-1 + margin) > 0 > H'(1 - margin), as H' has at the true ends."""
-    return (free_energy_d1(params, -1.0 + margin) > 0
-            and free_energy_d1(params, 1.0 - margin) < 0)
-
-
-def _fallback_margin(params: ModelParams) -> float | None:
-    """The first of 1e-12 and 1e-15 at which H' keeps its endpoint signs.
-
-    Root finding falls back to it when the default margin swallows them,
-    which happens when p*beta or |h| is large (atanh(1 - 1e-15) ~ 17.6
-    bounds the supported sizes); None when neither margin will do.
-    """
-    for margin in (1e-12, 1e-15):
-        if _endpoint_signs_hold(params, margin):
-            return margin
-    return None
-
-
 def drift_field(params: ModelParams, N: int, c: float) -> float:
     """One-step expected magnetization drift (lam(c) - c) / N."""
     if N < 1:
@@ -209,16 +185,34 @@ def drift_field(params: ModelParams, N: int, c: float) -> float:
     return (mean_field_map(params, c) - c) / N
 
 
-def _d1_math(params: ModelParams):
-    """x -> H'(x) = p*beta*x^(p-1) + h - atanh(x) in math scalars."""
-    c, n, h = params.p * params.beta, params.p - 1, params.h
-    return lambda x: c * x**n + h - math.atanh(x)
+def _slopes(p: int, beta: float, h: float):
+    """u -> G(u) = p*beta*tanh(u)^(p-1) + h - u, which is H'(tanh u), and
+    u -> G'(u) = (1 - m^2) H''(m) at m = tanh(u), in math scalars."""
+    c, n = p * beta, p - 1
+
+    def g(u):
+        return c * math.tanh(u) ** n + h - u
+
+    def g1(u):
+        m = math.tanh(u)
+        return c * n * m ** (n - 1) * (1.0 - m * m) - 1.0
+
+    return g, g1
 
 
-def _d2_math(p: int, beta: float):
-    """x -> H''(x) = p*(p-1)*beta*x^(p-2) - 1/(1-x^2) in math scalars."""
-    c, n = p * (p - 1) * beta, p - 2
-    return lambda x: c * x**n - 1.0 / (1.0 - x * x)
+def _height(p: int, beta: float, h: float, u: float) -> tuple[float, float]:
+    """(m, H(m)) at m = tanh(u), H in math scalars at the float m.
+
+    At a root of G, H is stationary, so the rounding dm of m moves H by
+    about |H''| dm^2 / 2 = dm^2 / (2 (1 - m^2)): below dm/4 while
+    1 - |m| >= dm, and about dm/2 where |m| rounds to 1, with
+    (1 - |m|) log(1 - |m|) = 0 there.  Taking some terms of H at m and
+    others at u would instead leave an error of |u| dm.
+    """
+    m = math.tanh(u)
+    am = abs(m)
+    tail = (1.0 - am) * math.log1p(-am) if am < 1.0 else 0.0
+    return m, beta * m**p + h * m - 0.5 * ((1.0 + am) * math.log1p(am) + tail)
 
 
 def _bisect(f, a, b, fa, fb):
@@ -244,8 +238,8 @@ def _bisect(f, a, b, fa, fb):
 
 
 def _solve_root(d1, d2, lo: float, hi: float, kind: PointKind) -> float:
-    """The root of H' in [lo, hi], with H' = d1 and H'' = d2 (`_d1_math`,
-    `_d2_math`).
+    """The root of G in [lo, hi], with G = d1 and G' = d2 (`_slopes`); G has
+    the sign of H' and G' that of H''.
 
     Across the root H' falls from + to - for a LOCAL_MAX and rises from - to
     + for a LOCAL_MIN.  Safeguarded Newton from the midpoint: a step that
@@ -275,7 +269,7 @@ def _solve_root(d1, d2, lo: float, hi: float, kind: PointKind) -> float:
     return x
 
 
-# the ends of the H'' root brackets: the narrowest root-finding margin
+# the ends of the H'' root brackets, in m
 _ROOT_END = 1e-15
 
 
@@ -289,29 +283,32 @@ def _beta_hat(p: int) -> float:
 class LandscapeStructure:
     """Monotonicity structure of H' for fixed (p, beta), shared across h.
 
-    Precomputes the roots of H'' (h-independent) and, at the nodes they
-    make with the domain endpoints, the h=0 terms of
-    H'(x; h) = (p*beta*x^(p-1) + h) - atanh(x).  The node values for any h,
-    or for a whole column of h at once (`node_values`), are then one
-    addition and one subtraction, the same float operations as
-    `free_energy_d1`.  The kinds of the stationary points at a given h come
-    from the signs at the nodes alone; each root is then solved once, by
-    `_solve_root` inside its sign-changing monotone interval.
+    Roots are solved in u = atanh(m), where H'(tanh u) is
+    G(u) = p*beta*tanh(u)^(p-1) + h - u and G'(u) = (1 - m^2) H''(m): G has
+    the sign of H', G' that of H''.  Every root of G lies in
+    |u - h| <= p*beta, so G > 0 below that interval and G < 0 above it.
+    The nodes are the atanh of the roots of H'' (h-independent), with the
+    h=0 terms of H'(m; h) = (p*beta*m^(p-1) + h) - atanh(m) precomputed
+    there.  The node values for any h, or for a whole column of h at once
+    (`node_values`), are then one addition and one subtraction, the same
+    float operations as `free_energy_d1`.  The kinds of the stationary
+    points at a given h come from the signs at the nodes alone; each root
+    is then solved once, by `_solve_root` inside its sign-changing monotone
+    interval.
     """
 
     def __init__(self, p: int, beta: float):
         self.p = int(p)
         self.beta = float(beta)
         bh = _beta_hat(self.p)
-        # the maximum of G(x) = p(p-1) beta x^(p-2) (1 - x^2) - 1, at
-        # w = sqrt(1 - 2/p); where H'' has no root, H'' = G/(1 - x^2) <= G
+        # the maximum of G' = (1 - x^2) H''(x) = p(p-1) beta x^(p-2) (1 - x^2) - 1,
+        # at x = w = sqrt(1 - 2/p); where H'' has no root, H'' = G'/(1 - x^2) <= G'
         self.d2_bound = self.beta / bh - 1.0
         self.curvature_roots = self._find_curvature_roots(bh) if self.beta > bh else []
-        lo, hi = -1.0 + DOMAIN_MARGIN, 1.0 - DOMAIN_MARGIN
-        self.nodes = (lo, *[r for r in self.curvature_roots if lo < r < hi], hi)
-        x = np.array(self.nodes)
+        x = np.array(self.curvature_roots)
+        self.nodes = np.arctanh(x)
         self._a = self.p * self.beta * x ** (self.p - 1)
-        self._b = np.arctanh(x)
+        self._terms = list(zip(self.nodes.tolist(), self._a.tolist()))
 
     # -- H'' roots ---------------------------------------------------------
 
@@ -327,12 +324,18 @@ class LandscapeStructure:
         to -inf: one root on either side of s = 0, each bisected in math
         scalars.  The bracket ends are x = _ROOT_END and x = 1 - _ROOT_END,
         which hold both roots for beta up to about 5e14 / (p (p-1)); past
-        that a root lies beyond an end and DomainError is raised.  Odd p has
+        that a root lies beyond an end (at p = 2, rounds to 1 - _ROOT_END or
+        above) and DomainError is raised.  Odd p has
         no root below 0 (there H'' < 0); even p mirrors the two exactly.
         """
         p, beta = self.p, self.beta
+        too_large = DomainError(
+            f"H'' has a root within {_ROOT_END} of 0 or 1 at p={p}, "
+            f"beta={beta}: beta is too large for root finding")
         if p == 2:
             r = math.sqrt(1.0 - 1.0 / (2.0 * beta))
+            if not r < 1.0 - _ROOT_END:
+                raise too_large
             return [-r, r]
         w, k = math.sqrt(1.0 - 2.0 / p), 0.5 * (p - 2)
         # log(beta_hat/beta), negative for every beta > beta_hat
@@ -344,9 +347,7 @@ class LandscapeStructure:
         s_lo, s_hi = _ROOT_END / w - 1.0, (1.0 - _ROOT_END) / w - 1.0
         f_lo, f_0, f_hi = f(s_lo), f(0.0), f(s_hi)
         if not (f_lo < 0.0 and f_hi < 0.0):
-            raise DomainError(
-                f"H'' has a root within {_ROOT_END} of 0 or 1 at p={p}, "
-                f"beta={beta}: beta is too large for root finding")
+            raise too_large
         a1 = w * (1.0 + _bisect(f, s_lo, 0.0, f_lo, f_0))
         a2 = w * (1.0 + _bisect(f, 0.0, s_hi, f_0, f_hi))
         return [-a2, -a1, a1, a2] if p % 2 == 0 else [a1, a2]
@@ -354,31 +355,18 @@ class LandscapeStructure:
     # -- node machinery ------------------------------------------------------
 
     def node_values(self, hs: np.ndarray) -> np.ndarray:
-        """H' at `self.nodes` for every field in hs: shape (len(hs), nodes)."""
-        return (self._a[None, :] + hs[:, None]) - self._b[None, :]
+        """G at `self.nodes` for every field in hs: shape (len(hs), nodes)."""
+        return (self._a[None, :] + hs[:, None]) - self.nodes[None, :]
 
     def _nodes_for(self, h: float):
-        """Domain endpoints + curvature roots, with H' values at each node.
-
-        The fixed margin can swallow the theoretical endpoint signs
-        H'(-1+) > 0 > H'(1-) when p*beta or |h| is very large; then the
-        nodes move to `_fallback_margin`.
-        """
-        params = ModelParams(self.p, self.beta, h)
-        values = (self._a + h) - self._b
-        if values[0] > 0 and values[-1] < 0:
-            return params, self.nodes, values.tolist()
-        margin = _fallback_margin(params)
-        if margin is None:
-            raise DomainError(
-                f"H' keeps one sign near an end of (-1, 1) at p={self.p}, "
-                f"beta={self.beta}, h={h}: p*beta or |h| is too large for "
-                f"root finding"
-            )
-        lo, hi = -1.0 + margin, 1.0 - margin
-        nodes = [lo] + [r for r in self.curvature_roots if lo < r < hi] + [hi]
-        values = [free_energy_d1(params, x) for x in nodes]
-        return params, nodes, values
+        """The nodes inside the end brackets h -+ (p*beta + 1), between those
+        ends, with G at each: +inf and -inf at the ends, the signs G has
+        there."""
+        reach = self.p * self.beta + 1.0
+        lo, hi = h - reach, h + reach
+        inside = [(u, (a + h) - u) for u, a in self._terms if lo < u < hi]
+        return ([lo, *(u for u, _ in inside), hi],
+                [math.inf, *(v for _, v in inside), -math.inf])
 
     def _pattern(self, nodes, values):
         """Stationary-point pattern: kinds plus bracketing intervals.
@@ -419,18 +407,24 @@ class LandscapeStructure:
         return events
 
     def stationary_points(self, h: float) -> list[StationaryPoint]:
-        params, nodes, values = self._nodes_for(h)
-        d1, d2 = _d1_math(params), _d2_math(self.p, self.beta)
+        p, beta = self.p, self.beta
+        ModelParams(p, beta, h)  # h must be finite
+        g, g1 = _slopes(p, beta, h)
         points = []
-        for kind, lo, hi in self._pattern(nodes, values):
-            m = lo if lo == hi else _solve_root(d1, d2, lo, hi, kind)
-            pv = evaluate_potential(params, m)
-            nd = lo == hi or abs(pv.H2) <= CURVATURE_TOL
-            points.append(StationaryPoint(m=m, kind=kind, H=pv.H,
-                                          H2=pv.H2, near_degenerate=nd))
-        if not any(s.kind is PointKind.LOCAL_MAX for s in points):
-            raise DegenerateClusterError("no local maximizer resolved",
-                                         (nodes[0], nodes[-1]))
+        for kind, lo, hi in self._pattern(*self._nodes_for(h)):
+            u = lo if lo == hi else _solve_root(g, g1, lo, hi, kind)
+            m, H = _height(p, beta, h, u)
+            # 1/(1 - m^2) = cosh(u)^2 from e = exp(-2|u|), not from the rounded m
+            e = math.exp(-2.0 * abs(u))
+            cosh2 = (1.0 + e) ** 2 / (4.0 * e) if e > 0.0 else math.inf
+            if cosh2 == math.inf:
+                raise DomainError(
+                    f"H'' overflows at the stationary point m = tanh({u!r}) at "
+                    f"p={p}, beta={beta}, h={h}: p*beta or |h| is too large "
+                    f"(|atanh(m)| must stay below about 354)")
+            H2 = p * (p - 1) * beta * m ** (p - 2) - cosh2
+            nd = lo == hi or abs(H2) <= CURVATURE_TOL
+            points.append(StationaryPoint(m=m, kind=kind, H=H, H2=H2, near_degenerate=nd))
         return points
 
 
@@ -444,11 +438,11 @@ def find_stationary_points(params: ModelParams) -> list[StationaryPoint]:
     """Locate and classify all stationary points of H on (-1, 1).
 
     Returns the ascending list of roots of H'.  Simple roots are bracketed
-    between consecutive roots of H'' and solved by safeguarded Newton
-    (`_solve_root`); a root of H'' where |H'| falls inside the curvature
-    band is reported as a stationary inflection (or a degenerate extremum
-    when H' changes sign across it).  The list always contains at least one
-    local maximizer.
+    in u = atanh(m) between consecutive roots of H'' and solved by
+    safeguarded Newton (`_solve_root`); a root of H'' where |H'| falls
+    inside the curvature band is reported as a stationary inflection (or a
+    degenerate extremum when H' changes sign across it).  The list always
+    contains at least one local maximizer.
     """
     return landscape_structure(params.p, params.beta).stationary_points(params.h)
 

@@ -367,45 +367,41 @@ def _mp_bisect(g, lo, hi):
 
 def stationary_root(p: int, beta: float, h: float, lo: float, hi: float,
                     dps: int = 40):
-    """The root r of H'(x) = p beta x^(p-1) + h - atanh(x) in [lo, hi], in
-    mpmath at `dps` digits, with whether H' falls across it and H''(r).
+    """The root r of G(u) = p beta tanh(u)^(p-1) + h - u, which is H'(x) at
+    x = tanh(u), in the u-bracket [lo, hi], in mpmath at `dps` digits.
 
-    H' must change sign across the float bracket.  r is bisected until the
-    bracket is 2^-100 of its size (or r is 0 exactly) and returned as an
-    mpf, H''(r) = p(p-1) beta r^(p-2) - 1/(1 - r^2) as a float.
+    G must change sign across the float bracket.  r is bisected until the
+    bracket is 2^-100 of its size (or r is 0 exactly).  Returns r and
+    m = tanh(r) as mpf, whether G falls across r, and as floats G'(r) =
+    p(p-1) beta m^(p-2) / cosh(r)^2 - 1, H(m) = beta m^p + h m - m r +
+    log cosh(r) (since I(tanh u) = u tanh u - log cosh u) and H''(m) =
+    p(p-1) beta m^(p-2) - cosh(r)^2, none of them taken from 1 - m.
     """
     import mpmath
 
     with mpmath.workdps(dps):
         b, f = mpmath.mpf(beta), mpmath.mpf(h)
 
-        def d1(x):
-            return p * b * x ** (p - 1) + f - mpmath.atanh(x)
+        def g(u):
+            return p * b * mpmath.tanh(u) ** (p - 1) + f - u
 
         a, c = mpmath.mpf(lo), mpmath.mpf(hi)
-        falls = d1(a) > 0
-        assert falls != (d1(c) > 0), "H' keeps its sign across the bracket"
-        if a < 0 < c and d1(mpmath.mpf(0)) == 0:
+        falls = g(a) > 0
+        assert falls != (g(c) > 0), "G keeps its sign across the bracket"
+        if a < 0 < c and g(mpmath.mpf(0)) == 0:
             a = c = mpmath.mpf(0)
         while c - a > mpmath.mpf(2) ** -100 * max(abs(a), abs(c)):
             mid = (a + c) / 2
-            if (d1(mid) > 0) == falls:
+            if (g(mid) > 0) == falls:
                 a = mid
             else:
                 c = mid
         r = (a + c) / 2
-        return r, falls, float(p * (p - 1) * b * r ** (p - 2) - 1 / (1 - r**2))
-
-
-def free_energy_slope(p: int, beta: float, h: float, x: float,
-                      dps: int = 40) -> tuple[float, float]:
-    """H'(x) and H''(x) at the float x, in mpmath at `dps` digits."""
-    import mpmath
-
-    with mpmath.workdps(dps):
-        b, y = mpmath.mpf(beta), mpmath.mpf(x)
-        return (float(p * b * y ** (p - 1) + mpmath.mpf(h) - mpmath.atanh(y)),
-                float(p * (p - 1) * b * y ** (p - 2) - 1 / (1 - y**2)))
+        m, cosh2 = mpmath.tanh(r), mpmath.cosh(r) ** 2
+        curv = p * (p - 1) * b * m ** (p - 2)
+        return (r, m, falls, float(curv / cosh2 - 1),
+                float(b * m**p + f * m - m * r + mpmath.log(mpmath.cosh(r))),
+                float(curv - cosh2))
 
 
 def slow_eigenvalues(p: int, beta: float, h: float, N: int,
@@ -534,13 +530,15 @@ def maximizer_height_gap(p: int, beta: float, h: float, dps: int = 40):
 
     In x = tanh(u), H'(x) = p beta tanh(u)^(p-1) + h - u and
     H(x) = beta x^p + h x - x u + log cosh(u), since I(tanh u) =
-    u tanh(u) - log cosh(u).  The + to - sign changes of H' on a float grid
-    of u over [-20, 20] (|x| up to tanh(20) = 1 - 8.5e-18) bracket the
-    maximizers, each bisected in u at `dps` digits.
+    u tanh u - log cosh u.  Every root of H' lies in |u - h| <= p beta, so
+    the + to - sign changes of H' on a float grid of u over
+    +-(p beta + |h| + 2), at step 1e-3, bracket the maximizers, each
+    bisected in u at `dps` digits.
     """
     import mpmath
 
-    u = np.linspace(-20.0, 20.0, 40_001)
+    reach = p * beta + abs(h) + 2.0
+    u = np.linspace(-reach, reach, 2 * int(1000 * reach) + 1)
     g = p * beta * np.tanh(u) ** (p - 1) + h - u
     with mpmath.workdps(dps):
         b, f = mpmath.mpf(beta), mpmath.mpf(h)

@@ -194,22 +194,25 @@ def test_seed_and_monte_carlo_only_where_read(argv, code, capsys):
         assert "unrecognized arguments" in err
 
 
-def test_curves_past_the_root_finding_range_name_it(capsys):
-    # at p = 30 from beta = 0.585 on the top maximizer at the tie lies past
-    # 1 - 1e-15 (at 1 - 9.1e-16 there); the error says so rather than
-    # calling the two maxima missing
+def test_curves_at_p_30_tie_up_to_beta_0_6(capsys):
+    # from beta = 0.585 on the top maximizer at the tie lies past 1 - 1e-15
+    # (at 1 - 9.1e-16 there), and each of those rows still prints a tie
+    from conftest import maximizer_height_gap
+
     code, out, err = run_cli(["curves", "--p", "30", "--beta-min", "0.4",
                               "--beta-max", "0.6"], capsys)
-    assert code == 1 and out == ""
-    assert "root-finding range |m| <= 1 - 1e-15" in err
-    assert "p*beta or |h| is too large for root finding" in err
-    assert "no coexisting maxima" not in err
+    assert (code, err) == (0, "")
+    rows = [row.split(",") for row in out.splitlines()[2:]]
+    deep = [(float(b), float(C)) for b, _, _, C in rows if float(b) >= 0.585]
+    assert len(deep) == 4
+    for beta, C in deep:  # the row's 12 digits round C by up to 5e-13
+        assert abs(maximizer_height_gap(30, beta, C)) <= 1e-12, (beta, C)
 
 
 def test_curves_tie_inside_the_root_finding_range(capsys):
-    # p = 30 below beta = 0.585: at beta = 0.44 the tie's maxima sit at 0.288
-    # and 1 - 3.8e-12, inside the range though every field near the band's
-    # top end puts the top one past it
+    # p = 30 at beta = 0.44: the tie's maxima sit at 0.288 and 1 - 3.8e-12,
+    # and every field near the band's top end puts the top one past
+    # 1 - 1e-15
     from conftest import maximizer_height_gap
 
     code, out, _ = run_cli(["curves", "--p", "30", "--beta-min", "0.4",
@@ -221,14 +224,17 @@ def test_curves_tie_inside_the_root_finding_range(capsys):
     assert abs(maximizer_height_gap(30, 0.44, C)) <= 1e-12
 
 
-def test_curves_with_a_tie_past_the_range_do_not_print_one(capsys):
-    # p = 13 at beta 1.4 and 1.45: the tie puts a maximizer past 1 - 1e-15,
-    # and the fields near it that resolve both maxima are no tie
+def test_curves_at_p_13_tie_past_beta_1_4(capsys):
+    # p = 13 at beta 1.4 and 1.45: the tie puts a maximizer past 1 - 1e-15
+    from conftest import maximizer_height_gap
+
     code, out, err = run_cli(["curves", "--p", "13", "--beta-min", "1.4",
                               "--beta-max", "1.45", "--beta-step", "0.05"], capsys)
-    assert code == 1 and out == ""
-    assert err.count("error:") == 1
-    assert "root-finding range |m| <= 1 - 1e-15" in err
+    assert (code, err) == (0, "")
+    rows = [row.split(",") for row in out.splitlines()[2:]]
+    assert [b for b, _, _, _ in rows] == ["1.4", "1.45"]
+    for b, _, _, C in rows:  # the row's 12 digits round C by up to 5e-13
+        assert abs(maximizer_height_gap(13, float(b), float(C))) <= 1e-12, (b, C)
 
 
 def test_curves_past_the_beta_budget_name_the_count(capsys):
@@ -287,7 +293,7 @@ def test_cached_parser_carries_nothing_between_calls(capsys):
 
 def test_deep_well_next_to_minus_one_classifies(capsys):
     # p*beta = 15 puts a local minimum within 1e-12 of -1 and a maximum
-    # within 1e-12 of +1, inside the root finder's fallback margin
+    # within 1e-12 of +1
     code, out, err = run_cli(["classify", "--p", "30", "--beta", "0.5",
                               "--h", "0.1"], capsys)
     assert code == 0, err
@@ -295,10 +301,22 @@ def test_deep_well_next_to_minus_one_classifies(capsys):
     assert min(ms) < -1 + 1e-12 and max(ms) > 1 - 1e-12
 
 
+def test_sample_with_maximizers_that_round_to_one(capsys):
+    # at p*beta = 20 the maximizers lie within 1e-17 of -1 and +1, where
+    # they round to -1.0 and 1.0; each still gets its Gaussian weight 1/2
+    code, out, err = run_cli(["sample", "--p", "4", "--beta", "5", "--h", "0",
+                              "--n", "200"], capsys)
+    assert code == 0, err
+    payload = json.loads(out)["payload"]
+    assert payload["maximizers"] == [-1.0, 1.0]
+    assert payload["weights"] == [0.5, 0.5]
+
+
 def test_domain_error_exit_code(capsys):
-    # field too large for the root-finding domain: a semantic failure
+    # a maximizer at u = atanh(m) = 402, past the |u| of about 354 where
+    # H'' = -cosh(u)^2 overflows: a semantic failure
     code, _, err = run_cli(["classify", "--p", "4", "--beta", "0.5",
-                            "--h", "25"], capsys)
+                            "--h", "400"], capsys)
     assert code == 1
     assert "error" in err
 
@@ -313,7 +331,7 @@ def test_large_beta_error_names_the_parameters(capsys):
 
 def test_margins_and_curves_at_high_order(capsys):
     # at p = 20 from beta 0.54 on, the maximizer near the upper end of the
-    # coexistence band lies past the float margin of root finding
+    # coexistence band lies past 1 - 1e-9
     for p, beta_min, beta_max in (("10", "0.25", "0.3"), ("12", "0.25", "0.3"),
                                   ("20", "0.5", "0.55")):
         code, out, _ = run_cli(["classify", "--p", p, "--beta", "0.5", "--h", "0.1",
@@ -486,8 +504,8 @@ PINNED_STDOUT = [
     ("8590d831a22799cd", "bottleneck --p 4 --beta 0.51 --h 0.184 --n 200"),
     ("c53fae460e573403",
      "mix --p 4 --beta 0.054 --h 0.5 --n 200 --method mc --replicas 2000 --seed 3"),
-    ("5c8bfb176b564f2a", "classify --p 4 --beta 0.51 --h 0.184 --margins"),
-    ("daa31bcd7fe1dfdc", "classify --p 4 --beta 0.9 --h 0"),
+    ("b05e88fa4ec3f58e", "classify --p 4 --beta 0.51 --h 0.184 --margins"),
+    ("18f9e9290e40bfb9", "classify --p 4 --beta 0.9 --h 0"),
     ("4e94efc7558bd523", "sample --p 4 --beta 0.9 --h 0 --n 200"),
     ("083a8cd9d1745db0", "mix-sweep --p 4 --beta 0.054 --h 0.5 --n-list 400,800,1600"
                          " --cap 1000000 --jobs 1"),
@@ -507,9 +525,9 @@ PINNED_STDOUT = [
     # down underflows: 100 -Infinity tokens
     ("93acaa581de17c5b", "bottleneck --p 4 --beta 0.5 --h 400 --n 50"),
     # the degenerate maximizer at the special point, a triple root of H'
-    ("df74a406096f2e81", "classify --p 4 --beta 1/3 --h 0.40996906622851137 --margins"),
-    # wells at 1 - 5e-11 and 1 - 9e-13, past the default margin: 1e-15 fallback
-    ("3776d417da99a3a6", "classify --p 12 --beta 1.1 --h 1 --margins"),
+    ("4dd38d29df4e05ea", "classify --p 4 --beta 1/3 --h 0.40996906622851137 --margins"),
+    # wells at -1 + 5e-11 and 1 - 9e-13, where H'' is -9.9e9 and -5.4e11
+    ("07a109bbc7867b83", "classify --p 12 --beta 1.1 --h 1 --margins"),
     # the README's C curve, solved at 173 betas
     ("fa5213ee80ec6772", "curves --p 4 --beta-min 0.34 --beta-max 1.2 --beta-step 0.005"),
     # up to p*beta = 16, the edge of the documented domain

@@ -332,9 +332,8 @@ def test_region_codes_follow_the_independent_band(p, beta, gap, hs, fracs, symme
         beta = bh * (1.0 + 10.0**gap)
     assume(abs(beta - bh) > BAND_SKIP and (p % 2 == 1 or abs(beta - bp) > BAND_SKIP))
     band = coexistence_band(p, beta) if beta > bh else None
-    if band is not None:  # within reach of root finding, p*beta + |h| <= 16
-        hs = hs + [h for h in (band[0] + f * (band[1] - band[0]) for f in fracs)
-                   if p * beta + abs(h) <= 16]
+    if band is not None:
+        hs = hs + [band[0] + f * (band[1] - band[0]) for f in fracs]
     hs = np.array(sorted(set(hs + [-h for h in hs])) if symmetric else hs)
     codes, _ = scan_column(p, beta, hs)
     if band is None:
@@ -484,7 +483,7 @@ def test_height_gap_solves_the_maximizers_of_stationary_points():
 
 def test_c_curve_at_high_order():
     # at p = 20 from beta 0.54 on, the maximizer near the upper end of the
-    # band lies past the float margin of root finding
+    # band lies past 1 - 1e-9
     from pspin_glauber import find_stationary_points, local_maxima
     from conftest import equal_height_field
 
@@ -499,28 +498,19 @@ def test_c_curve_at_high_order():
         assert abs(cs.C - equal_height_field(20, beta, lo, cs.U)) <= 1e-10, beta
 
 
-def test_c_curve_is_a_tie_or_an_error_at_high_order():
-    # every C returned ties the maxima to 1e-14 in mpmath, up to p*beta = 19
-    # where the oracle's grid still reaches the top maximizer.  At p = 13
-    # from beta 1.4 on and p = 25 from 0.71 on the tie's top maximizer lies
-    # past 1 - 1e-15 (1 - 9.5e-16 and 1 - 7.9e-16 there), and a C returned
-    # from the fields near it would be no tie
+def test_c_curve_ties_at_high_order():
+    # every C ties the maxima to 1e-14 in mpmath.  At p = 13 from beta 1.4
+    # on and p = 25 from 0.71 on the tie's top maximizer lies past 1 - 1e-15
+    # (1 - 9.5e-16 and 1 - 7.9e-16 there), and at p = 50, beta = 1.49 past
+    # 1 - 1e-60
     from conftest import maximizer_height_gap
 
-    solved = []
     for p in (13, 20, 25, 30, 40, 50):
-        for beta in np.linspace(beta_hat(p) + 0.01, min(1.45, 19.0 / p), 8):
-            beta = float(beta)
-            try:
-                C = boundary_curves(p, beta).C
-            except DomainError:
-                continue
+        betas = np.linspace(beta_hat(p) + 0.01, 1.49, 8).tolist()
+        betas += {30: [0.44], 40: [0.4], 50: [0.3]}.get(p, [])
+        for beta in betas:
+            C = boundary_curves(p, beta).C
             assert abs(maximizer_height_gap(p, beta, C)) <= 1e-14, (p, beta, C)
-            solved.append((p, beta))
-    assert len(solved) >= 40
-    for p, beta in ((30, 0.44), (40, 0.4), (50, 0.3)):
-        C = boundary_curves(p, beta).C
-        assert abs(maximizer_height_gap(p, beta, C)) <= 1e-14, (p, beta, C)
 
 
 def test_c_curve_just_above_beta_hat():
@@ -554,7 +544,7 @@ def test_scan_column_matches_per_cell_codes():
             struct = landscape_structure(p, beta)
             codes, _ = scan_column(p, beta, hs)
             assert codes.tolist() == per_cell(p, beta, hs), (p, beta)
-            values = struct.node_values(hs)[:, 1:-1]
+            values = struct.node_values(hs)
             near_node += int((np.abs(values) <= 100 * CURVATURE_TOL).any(axis=1).sum())
             if p % 2 == 0:  # a symmetric axis is classified once and mirrored
                 sym = np.linspace(-1.0, 1.0, 201)
@@ -575,7 +565,7 @@ def test_scan_column_mirrors_only_a_symmetric_axis():
 
 def test_scan_column_just_below_beta_hat_with_a_deep_well():
     # every cell of this column is refined, and at h = +-12 the maximizer
-    # lies beyond 1 - 1e-9, inside the root finder's fallback margin
+    # lies beyond 1 - 1e-9
     beta = thresholds(3).beta_hat - 1e-9
     hs = np.array([-12.0, 12.0])
     codes, _ = scan_column(3, beta, hs)
@@ -584,15 +574,17 @@ def test_scan_column_just_below_beta_hat_with_a_deep_well():
     assert classify_point(3, beta, 12.0).stationary_points[-1].m > 1 - 1e-9
 
 
-# The documented domain: p in 2..12, beta in [0.05, 1.5], |h| <= 1 and
-# p*beta + |h| <= 16, inside the atanh(1 - 1e-15) ~ 17.6 that bounds root
-# finding (see potential._fallback_margin).
-@given(p=st.integers(2, 12), beta=st.floats(0.05, 1.5), h=st.floats(-1.0, 1.0))
-def test_classification_over_the_documented_domain(p, beta, h):
-    assume(p * beta + abs(h) <= 16)
+# The documented domain: p in 2..50, beta >= 0.05 and p*beta + |h| <= 350,
+# inside the |atanh(m)| of about 354 past which H'' = -cosh(atanh(m))^2
+# overflows.
+@given(p=st.integers(2, 50), p_beta=st.floats(0.1, 350.0), h=st.floats(-350.0, 350.0))
+def test_classification_over_the_documented_domain(p, p_beta, h):
+    beta = p_beta / p
+    assume(beta >= 0.05 and p_beta + abs(h) <= 350)
     report = classify_point(p, beta, h)
     ms = [s.m for s in report.stationary_points]
     assert all(a < b for a, b in zip(ms, ms[1:]))
+    assert all(math.isfinite(s.H) and math.isfinite(s.H2) for s in report.stationary_points)
     kinds = [s.kind for s in report.stationary_points
              if s.kind is not PointKind.INFLECTION]
     assert kinds[0] is kinds[-1] is PointKind.LOCAL_MAX

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from pspin_glauber import (
@@ -21,12 +21,8 @@ from pspin_glauber import (
     local_maxima,
     mean_field_map,
 )
-from pspin_glauber.potential import (
-    DOMAIN_MARGIN,
-    _fallback_margin,
-    landscape_structure,
-)
-from conftest import central_difference, free_energy_slope, stationary_root
+from pspin_glauber.potential import landscape_structure
+from conftest import central_difference, stationary_root
 
 # frozen independent evaluations (40-digit arithmetic, rounded to double)
 BETA_HAT_3 = 0.4330127018922193
@@ -116,10 +112,9 @@ def test_entropy_endpoints():
 
 def test_domain_rejection():
     params = ModelParams(4, 0.5, 0.0)
-    with pytest.raises(DomainError):
-        evaluate_potential(params, 1.0)
-    with pytest.raises(DomainError):
-        evaluate_potential(params, -1.0 + 1e-12)
+    for x in (1.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            evaluate_potential(params, x)
     with pytest.raises(DomainError):
         ModelParams(1, 0.5, 0.0)
     with pytest.raises(DomainError):
@@ -140,45 +135,45 @@ def test_even_order_field_reflection(p, beta, h, x):
     assert abs(a.H - b.H) <= 1e-14 * max(1.0, abs(a.H))
 
 
-# h = u - p*beta for u in these ranges swallows H''s endpoint signs at the
-# default margin and puts the root finder on its 1e-12 or 1e-15 fallback one
-_FALLBACK_FIELDS = {1e-12: (10.9, 14.0), 1e-15: (14.3, 17.4)}
-
-
-@given(p=st.integers(2, 12), beta=st.floats(0.05, 1.5),
-       margin=st.sampled_from([DOMAIN_MARGIN, 1e-12, 1e-15]), u=st.floats(0.0, 1.0))
-def test_stationary_points_against_the_mpmath_roots(p, beta, margin, u):
-    # the documented domain (|h| <= 1, p*beta + |h| <= 16) and fields that
-    # need the fallback margins.  Every solved root has its pattern kind, an
-    # exact residual |H'(m)| within a few eps of the sum of H''s term
-    # magnitudes (plus the 2 ulp * |H''| a float root can leave), and where
-    # |H''| >= 1e-3 lies within 2 ulp plus the rounding band
-    # eps * scale / |H''| of the 40-digit root
-    if margin == DOMAIN_MARGIN:
-        h = 2.0 * u - 1.0
-        assume(p * beta + abs(h) <= 16)
-    else:
-        lo, hi = _FALLBACK_FIELDS[margin]
-        h = lo + (hi - lo) * u - p * beta
-    params = ModelParams(p, beta, h)
-    assume(margin == DOMAIN_MARGIN or _fallback_margin(params) == margin)
+@given(p=st.integers(2, 12), beta=st.floats(0.05, 1.5), deep=st.booleans(),
+       t=st.floats(0.0, 1.0))
+def test_stationary_points_against_the_mpmath_roots(p, beta, deep, t):
+    # fields |h| <= 1, and deep ones h = w - p*beta, w in [10, 40], that put
+    # the top root near u = w, within 1e-34 of m = 1.  Every solved root has
+    # its pattern kind.  Where |G'| >= 1e-3 it lies within 2 ulp of the
+    # 40-digit m = tanh(r), plus the 2 ulp(r) of the solved u and the
+    # rounding band of G, 4 eps (p * p beta |m|^(p-1) + |h| + |r|) / |G'|,
+    # carried to m by 1 - m^2; its H lies within 4 eps of the size of the
+    # terms of H, and its H'' within 1e-13 of the size of the terms of H''
+    h = 10.0 + 30.0 * t - p * beta if deep else 2.0 * t - 1.0
     struct = landscape_structure(p, beta)
-    _, nodes, values = struct._nodes_for(h)
-    events = struct._pattern(nodes, values)
+    events = struct._pattern(*struct._nodes_for(h))
     points = struct.stationary_points(h)
     assert [s.kind for s in points] == [kind for kind, _, _ in events]
     eps = 2.0**-52
     for (kind, lo, hi), s in zip(events, points):
         if lo == hi:  # a tangency node is its own stationary point
-            assert s.m == lo and s.near_degenerate
+            assert s.m == math.tanh(lo) and s.near_degenerate
             continue
-        r, falls, d2_r = stationary_root(p, beta, h, lo, hi)
+        r, m, falls, g1_r, H, H2 = stationary_root(p, beta, h, lo, hi)
         assert falls is (kind is PointKind.LOCAL_MAX), (p, beta, h, s)
-        scale = abs(p * beta * s.m ** (p - 1)) + abs(h) + abs(math.atanh(s.m))
-        d1_m, d2_m = free_energy_slope(p, beta, h, s.m)
-        assert abs(d1_m) <= 4 * eps * scale + 2 * math.ulp(s.m) * abs(d2_m), (p, beta, h, s)
-        if abs(d2_r) >= 1e-3:
-            assert abs(s.m - r) <= 2 * math.ulp(s.m) + eps * scale / abs(d2_r), (p, beta, h, s)
+        if abs(g1_r) < 1e-3:
+            continue
+        one_m2, r = float(1 - m * m), float(r)
+        band = 4 * eps * (p * p * beta * abs(s.m) ** (p - 1) + abs(h) + abs(r)) / abs(g1_r)
+        assert abs(s.m - float(m)) <= 2 * math.ulp(s.m) + one_m2 * (2 * math.ulp(r) + band), \
+            (p, beta, h, s)
+        assert abs(s.H - H) <= 4 * eps * (beta + abs(h) + 1.0), (p, beta, h, s)
+        assert abs(s.H2 - H2) <= 1e-13 * (p * (p - 1) * beta + abs(H2)), (p, beta, h, s)
+
+
+def test_deep_well_curvature():
+    # at (12, 1.1, 1) the maximizers sit at -1 + 5.1e-11 and 1 - 9.3e-13,
+    # where 1 - m^2 taken from the rounded m is off by up to 5e-5; against
+    # the 40-digit values of H''
+    maxima = local_maxima(find_stationary_points(ModelParams(12, 1.1, 1.0)))
+    for s, expected in zip(maxima, (-9879281363.1341, -539390501622.1464)):
+        assert abs(s.H2 - expected) <= 1e-12 * abs(expected), (s, expected)
 
 
 def test_stationary_points_regular_point():
@@ -208,6 +203,10 @@ def test_quadratic_curvature_roots_are_the_closed_form():
         assert landscape_structure(2, beta).curvature_roots == [-r, r], beta
     for beta in (0.05, 0.25, 0.5):
         assert landscape_structure(2, beta).curvature_roots == [], beta
+    # from beta of about 2.5e14 on the roots lie within 1e-15 of -1 and 1,
+    # past the ends of the brackets: the same error as at p >= 3
+    with pytest.raises(DomainError, match="too large for root finding"):
+        landscape_structure(2, 1e16)
 
 
 def test_even_order_curvature_roots_mirror_exactly():
