@@ -27,7 +27,6 @@ import numpy as np
 from .potential import (
     CURVATURE_TOL,
     HEIGHT_TOL,
-    DegenerateClusterError,
     DomainError,
     LandscapeStructure,
     ModelParams,
@@ -346,15 +345,8 @@ def classify_point(p: int, beta: float, h: float, *,
     curve; a lone maximizer with |H''| inside the curvature band is
     special; otherwise regular.
     """
-    uncertain = False
-    try:
-        points = landscape_structure(p, beta).stationary_points(h)
-        region = _region_of(points)
-    except DegenerateClusterError:
-        # unresolved root cluster: report the best pattern-level guess
-        region = Region.LOCALLY_REGULAR
-        points = []
-        uncertain = True
+    points = landscape_structure(p, beta).stationary_points(h)
+    region = _region_of(points)
 
     detail = None
     margin = None
@@ -379,8 +371,7 @@ def classify_point(p: int, beta: float, h: float, *,
             detail = BoundaryDetail.ON_C_GLOBALS
     return PhaseReport(region=region, stationary_points=points,
                        boundary_detail=detail,
-                       margin=margin if with_margin else None,
-                       uncertain=uncertain)
+                       margin=margin if with_margin else None)
 
 
 # the default budget of a grid's cells, and of the betas `curves` samples

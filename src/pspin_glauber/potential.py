@@ -203,6 +203,12 @@ def _slopes(p: int, beta: float, h: float):
 def _height(p: int, beta: float, h: float, u: float) -> tuple[float, float]:
     """(m, H(m)) at m = tanh(u), H in math scalars at the float m.
 
+    tanh adds its own rounding to the error that the solve leaves in u, so
+    where |m| < 1 one Newton step on H' in m follows, kept only while it
+    moves m by less than 4 ulp: it takes m as close to the root as solving
+    in m would, and is dropped at a near-tangent root, where H'' is too
+    small for the step to be a rounding-size one.
+
     At a root of G, H is stationary, so the rounding dm of m moves H by
     about |H''| dm^2 / 2 = dm^2 / (2 (1 - m^2)): below dm/4 while
     1 - |m| >= dm, and about dm/2 where |m| rounds to 1, with
@@ -210,6 +216,11 @@ def _height(p: int, beta: float, h: float, u: float) -> tuple[float, float]:
     others at u would instead leave an error of |u| dm.
     """
     m = math.tanh(u)
+    if abs(m) < 1.0:
+        d1 = p * beta * m ** (p - 1) + h - math.atanh(m)
+        d2 = p * (p - 1) * beta * m ** (p - 2) - 1.0 / (1.0 - m * m)
+        if abs(d1) < 4.0 * math.ulp(m) * abs(d2):
+            m -= d1 / d2
     am = abs(m)
     tail = (1.0 - am) * math.log1p(-am) if am < 1.0 else 0.0
     return m, beta * m**p + h * m - 0.5 * ((1.0 + am) * math.log1p(am) + tail)

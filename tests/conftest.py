@@ -404,6 +404,17 @@ def stationary_root(p: int, beta: float, h: float, lo: float, hi: float,
                 float(curv - cosh2))
 
 
+
+def free_energy_slope(p: int, beta: float, h: float, x: float,
+                      dps: int = 40) -> tuple[float, float]:
+    """H'(x) and H''(x) at the float x, |x| < 1, in mpmath at `dps` digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        b, y = mpmath.mpf(beta), mpmath.mpf(x)
+        return (float(p * b * y ** (p - 1) + mpmath.mpf(h) - mpmath.atanh(y)),
+                float(p * (p - 1) * b * y ** (p - 2) - 1 / (1 - y**2)))
+
 def slow_eigenvalues(p: int, beta: float, h: float, N: int,
                      dps: int = 40) -> tuple[float, float]:
     """lam2 and lam3 of the level chain's kernel, by Sturm sequences in mpmath.

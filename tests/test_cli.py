@@ -504,8 +504,8 @@ PINNED_STDOUT = [
     ("8590d831a22799cd", "bottleneck --p 4 --beta 0.51 --h 0.184 --n 200"),
     ("c53fae460e573403",
      "mix --p 4 --beta 0.054 --h 0.5 --n 200 --method mc --replicas 2000 --seed 3"),
-    ("b05e88fa4ec3f58e", "classify --p 4 --beta 0.51 --h 0.184 --margins"),
-    ("18f9e9290e40bfb9", "classify --p 4 --beta 0.9 --h 0"),
+    ("1c54dec21e83504e", "classify --p 4 --beta 0.51 --h 0.184 --margins"),
+    ("23ba66f4a7fc6ecc", "classify --p 4 --beta 0.9 --h 0"),
     ("4e94efc7558bd523", "sample --p 4 --beta 0.9 --h 0 --n 200"),
     ("083a8cd9d1745db0", "mix-sweep --p 4 --beta 0.054 --h 0.5 --n-list 400,800,1600"
                          " --cap 1000000 --jobs 1"),

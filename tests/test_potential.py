@@ -22,7 +22,7 @@ from pspin_glauber import (
     mean_field_map,
 )
 from pspin_glauber.potential import landscape_structure
-from conftest import central_difference, stationary_root
+from conftest import central_difference, free_energy_slope, stationary_root
 
 # frozen independent evaluations (40-digit arithmetic, rounded to double)
 BETA_HAT_3 = 0.4330127018922193
@@ -140,7 +140,10 @@ def test_even_order_field_reflection(p, beta, h, x):
 def test_stationary_points_against_the_mpmath_roots(p, beta, deep, t):
     # fields |h| <= 1, and deep ones h = w - p*beta, w in [10, 40], that put
     # the top root near u = w, within 1e-34 of m = 1.  Every solved root has
-    # its pattern kind.  Where |G'| >= 1e-3 it lies within 2 ulp of the
+    # its pattern kind and, where |m| < 1 (all of them at |h| <= 1), near-
+    # tangent ones included, an exact residual |H'(m)| within a few eps of
+    # the sum of H''s term magnitudes (plus the 2 ulp * |H''| a float root
+    # can leave).  Where |G'| >= 1e-3 it lies within 2 ulp of the
     # 40-digit m = tanh(r), plus the 2 ulp(r) of the solved u and the
     # rounding band of G, 4 eps (p * p beta |m|^(p-1) + |h| + |r|) / |G'|,
     # carried to m by 1 - m^2; its H lies within 4 eps of the size of the
@@ -157,6 +160,11 @@ def test_stationary_points_against_the_mpmath_roots(p, beta, deep, t):
             continue
         r, m, falls, g1_r, H, H2 = stationary_root(p, beta, h, lo, hi)
         assert falls is (kind is PointKind.LOCAL_MAX), (p, beta, h, s)
+        if abs(s.m) < 1.0:
+            scale = abs(p * beta * s.m ** (p - 1)) + abs(h) + abs(math.atanh(s.m))
+            d1_m, d2_m = free_energy_slope(p, beta, h, s.m)
+            assert abs(d1_m) <= 4 * eps * scale + 2 * math.ulp(s.m) * abs(d2_m), \
+                (p, beta, h, s)
         if abs(g1_r) < 1e-3:
             continue
         one_m2, r = float(1 - m * m), float(r)
