@@ -7,7 +7,6 @@ window sampler.
 
 from .potential import (
     CURVATURE_TOL,
-    DegenerateClusterError,
     DomainError,
     ModelParams,
     PointKind,

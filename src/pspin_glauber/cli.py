@@ -252,6 +252,15 @@ def _jobs(args) -> int:
     return int(text)
 
 
+def _map(jobs: int, fn, *iterables) -> list:
+    """[fn(*args) for args in zip(*iterables)], in a pool of `jobs` worker
+    processes when jobs > 1."""
+    if jobs == 1:
+        return list(map(fn, *iterables))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, *iterables))
+
+
 # -- subcommand implementations ----------------------------------------------
 
 
@@ -282,11 +291,6 @@ def _cmd_curves(args) -> None:
         _write(args.out, _csv_envelope(phase_geometry.curves_csv(samples)))
 
 
-def _scan_column_job(job):
-    p, beta, h_axis = job
-    return phase_geometry.scan_column(p, beta, np.asarray(h_axis))
-
-
 def _cmd_phase_diagram(args) -> None:
     spec = phase_geometry.GridSpec(
         p=args.p, beta_min=args.beta_min, beta_max=args.beta_max,
@@ -295,13 +299,9 @@ def _cmd_phase_diagram(args) -> None:
     )
     jobs = _jobs(args)
     beta_axis, h_axis = phase_geometry.grid_axes(spec)  # before any pool starts
-    if jobs > 1:
-        work = [(spec.p, float(b), h_axis.tolist()) for b in beta_axis]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            columns = list(pool.map(_scan_column_job, work))
-        grid = phase_geometry.scan_grid(spec, columns=columns)
-    else:
-        grid = phase_geometry.scan_grid(spec)
+    columns = _map(jobs, functools.partial(phase_geometry.scan_column, spec.p,
+                                           h_axis=h_axis), beta_axis.tolist())
+    grid = phase_geometry.scan_grid(spec, columns=columns)
     _write(args.out_prefix + ".grid.csv",
            _csv_envelope(phase_geometry.grid_csv(grid)))
     _write(args.out_prefix + ".curves.csv",
@@ -324,20 +324,11 @@ def _cmd_mix(args) -> None:
         _params(args), args.n, args.eps, args.cap, args.restricted, **options)))
 
 
-def _sweep_job(job):
-    (p, beta, h, n, eps, cap, restricted) = job
-    return n, _mixing_report(ModelParams(p, beta, h), n, eps, cap, restricted)
-
-
 def _cmd_mix_sweep(args) -> None:
-    jobs = _jobs(args)
-    work = [(args.p, args.beta, args.h, n, args.eps, args.cap, args.restricted)
-            for n in sorted(args.n_list)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_job, work))
-    else:
-        results = [_sweep_job(j) for j in work]
+    jobs, ns = _jobs(args), sorted(args.n_list)
+    run = functools.partial(_mixing_report, _params(args), eps=args.eps, cap=args.cap,
+                            restricted=args.restricted)
+    results = list(zip(ns, _map(jobs, run, ns)))
     if args.svg:
         measured = [(n, float(rep.t_mix)) for n, rep in results
                     if rep.t_mix is not None]

@@ -472,8 +472,7 @@ class LevelKernel:
         With leap_above, a whole block of _BLOCK steps whose TV to target
         provably stays above leap_above at every step (`_leap_certified`)
         is taken in one `leap`; it yields only its end law, as one row, with
-        tv None.  leap_above = -inf needs no target: every whole block is
-        leapt, and one yield gives the law after the last of them.
+        tv None.
         """
         n = len(self.ks)
         a, held = live_window(0, mu)
@@ -491,12 +490,6 @@ class LevelKernel:
 
             tv_now = tv_of(a, held)
         done, d_seen = 0, math.inf  # the one-step change last measured
-        if leap_above == -math.inf and steps >= _BLOCK:
-            while steps - done >= _BLOCK:
-                lo, law = self.leap(a, held)
-                a, held = live_window(lo, law)
-                done += _BLOCK
-            yield done, lo, law[None], None
         while done < steps:
             m = min(_BLOCK, steps - done)
             leapt = None
@@ -603,13 +596,16 @@ class LevelKernel:
         return float(np.abs(self.push(mu, lo) - mu).sum())
 
     def law_after(self, mu: np.ndarray, steps: int) -> np.ndarray:
-        """The law mu P^steps over ks, renormalised: `evolve` leaps every
-        whole block of steps and pushes the rest."""
-        lo, laws = 0, (mu / mu.sum())[None]
-        for _, lo, laws, _ in self.evolve(laws[0], steps, leap_above=-math.inf):
-            pass
+        """The law mu P^steps over ks, renormalised: one `leap` per whole
+        block of steps, then `evolve` pushes the rest."""
+        lo, law = 0, mu / mu.sum()
+        for _ in range(steps // _BLOCK):
+            lo, law = self.leap(*live_window(lo, law))
         out = np.zeros(len(self.ks))
-        out[lo:lo + laws.shape[1]] = laws[-1]
+        out[lo:lo + len(law)] = law
+        for _, lo, laws, _ in self.evolve(out, steps % _BLOCK):
+            out = np.zeros(len(self.ks))
+            out[lo:lo + laws.shape[1]] = laws[-1]
         return out
 
     def draws(self, rng: np.random.Generator, steps: int):

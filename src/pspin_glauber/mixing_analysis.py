@@ -350,8 +350,8 @@ def mixing_time(params: ModelParams, N: int, eps: float, cap: int,
 
     t_by_start: dict[int, int | None] = {}
     se_by_start: dict[int, float | None] = {}
-    # the Gibbs law first: its overflow check raises before the kernel's
-    # tables warn about a drift beyond the double range
+    # the Gibbs law first: its errors (weights that overflow, no level at or
+    # above k_min) are the ones raised, before any kernel table is built
     target = condition_at_least(stationary_mag(params, N), k_min).probs
     kernel = LevelKernel(params, N, lo=k_min)
     for start_k in starts:

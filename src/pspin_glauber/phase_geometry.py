@@ -29,7 +29,6 @@ from .potential import (
     HEIGHT_TOL,
     DomainError,
     LandscapeStructure,
-    ModelParams,
     PointKind,
     StationaryPoint,
     _beta_hat,
@@ -37,7 +36,7 @@ from .potential import (
     _height,
     _slopes,
     _solve_root,
-    free_energy_d1,
+    free_energy_d1,  # noqa: F401  (perfbench/layers.py counts calls through it)
     free_energy_d2,  # noqa: F401  (perfbench/layers.py counts calls through it)
     landscape_structure,
     local_maxima,
@@ -63,7 +62,6 @@ REGION_CODES = {
     Region.SPECIAL: 2,
     Region.BOUNDARY: 3,
 }
-UNCERTAIN_CODE = 9
 
 
 @dataclass(frozen=True)
@@ -101,12 +99,11 @@ class PhaseReport:
     stationary_points: list[StationaryPoint]
     boundary_detail: BoundaryDetail | None = None
     margin: float | None = None
-    uncertain: bool = False
+    uncertain: bool = False  # always False: a report key kept for schema "1"
     region_code: int = field(init=False)
 
     def __post_init__(self):
-        code = UNCERTAIN_CODE if self.uncertain else REGION_CODES[self.region]
-        object.__setattr__(self, "region_code", code)
+        object.__setattr__(self, "region_code", REGION_CODES[self.region])
 
 
 def beta_hat(p: int) -> float:
@@ -280,14 +277,12 @@ def boundary_curves(p: int, beta: float, *, with_C: bool = True) -> CurveSample:
 
 @lru_cache(maxsize=1024)
 def _band(p: int, beta: float):
-    """(U, L) at one beta, (None, None) at or below beta_hat."""
+    """(U, L) at one beta, (None, None) at or below beta_hat.  H' at the
+    inflection pair a1 < a2 is the landscape's last two node values at h=0."""
     thr = thresholds(p)
     if beta <= thr.beta_hat + 1e-12:
         return None, None
-    pair = inflection_pair(p, beta)
-    params0 = ModelParams(p, beta, 0.0)
-    g1 = float(free_energy_d1(params0, pair.a1))
-    g2 = float(free_energy_d1(params0, pair.a2))
+    g1, g2 = landscape_structure(p, beta).node_values(np.zeros(1))[0, -2:].tolist()
     if p % 2 == 1:
         return -g1, -g2
     U = max(-g1, g2)  # -min(H'(-a2), H'(a1)); H' is odd at h=0

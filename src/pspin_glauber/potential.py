@@ -33,14 +33,6 @@ class DomainError(ValueError):
     """Input outside the admissible open interval or parameter range."""
 
 
-class DegenerateClusterError(RuntimeError):
-    """Root structure could not be resolved inside a bracket."""
-
-    def __init__(self, message, bracket):
-        super().__init__(f"{message} (bracket {bracket[0]!r}..{bracket[1]!r})")
-        self.bracket = bracket
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Model parameters: tensor order p >= 2, inverse temperature, field."""
@@ -233,7 +225,7 @@ def _bisect(f, a, b, fa, fb):
     if fb == 0.0:
         return float(b)
     if (fa > 0) == (fb > 0):
-        raise DegenerateClusterError("no sign change in bracket", (a, b))
+        raise RuntimeError(f"no sign change in bracket {a!r}..{b!r}")
     for _ in range(200):
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:

@@ -270,8 +270,8 @@ def leap_kernel(kind):
 def test_evolve_leaps_match_pushed_laws(kind):
     # every row a leaping evolve yields is the per-step push's law at its
     # step; a leapt block is one row _BLOCK steps on, with every step's TV
-    # above the level; leap_above=-inf leaps every whole block, no target,
-    # and yields one row after the last of them
+    # above the level; law_after, which leaps every whole block, ends at the
+    # push's law too
     kernel, target, start, eps = leap_kernel(kind)
     n, steps = len(kernel.ks), 4000 + 5
     mu = np.zeros(n)
@@ -282,27 +282,22 @@ def test_evolve_leaps_match_pushed_laws(kind):
         for s, row in enumerate(laws, t - len(laws) + 1):
             ref[s] = np.zeros(n)
             ref[s][lo:lo + len(row)] = row
-    for level, tgt in ((eps, target), (-math.inf, None)):
-        done, leapt, pushed = 0, 0, 0
-        for t, lo, laws, tv in kernel.evolve(mu, steps, target=tgt, leap_above=level):
-            if tgt is not None and tv is None:
-                assert t - done == _BLOCK and len(laws) == 1
-                assert np.all(ref_tv[done + 1:t + 1] > eps)
-                leapt += 1
-            elif tgt is None and done == 0:
-                assert t == steps // _BLOCK * _BLOCK and len(laws) == 1 and tv is None
-                leapt += 1
-            else:
-                assert len(laws) == t - done
-                pushed += 1
-            for s, row in enumerate(laws, t - len(laws) + 1):
-                law = np.zeros(n)
-                law[lo:lo + len(row)] = row
-                assert np.abs(law - ref[s]).sum() <= 1e-12
-            done = t
-        assert done == steps and leapt > 0 and pushed > 0, (kind, level)
-        if tgt is None:
-            assert (leapt, pushed) == (1, 1)
+    done, leapt, pushed = 0, 0, 0
+    for t, lo, laws, tv in kernel.evolve(mu, steps, target=target, leap_above=eps):
+        if tv is None:
+            assert t - done == _BLOCK and len(laws) == 1
+            assert np.all(ref_tv[done + 1:t + 1] > eps)
+            leapt += 1
+        else:
+            assert len(laws) == t - done
+            pushed += 1
+        for s, row in enumerate(laws, t - len(laws) + 1):
+            law = np.zeros(n)
+            law[lo:lo + len(row)] = row
+            assert np.abs(law - ref[s]).sum() <= 1e-12
+        done = t
+    assert done == steps and leapt > 0 and pushed > 0, kind
+    assert np.abs(kernel.law_after(mu, steps) - ref[steps]).sum() <= 1e-12
 
 
 def test_slow_spectrum_matches_sturm_oracle():

@@ -1,6 +1,7 @@
 """Thresholds, boundary curves and region classification."""
 
 import math
+import re
 import warnings
 from functools import lru_cache
 
@@ -479,6 +480,34 @@ def test_height_gap_solves_the_maximizers_of_stationary_points():
             assert abs(slope - (maxima[-1].m - other.m)) <= 1e-12, (p, beta, h)
             solved += 1
     assert solved >= 250
+
+
+def test_c_solver_guards_where_a_maximizer_merges():
+    # within 1e-9 of L the top maximizer does not exist yet and within 1e-9
+    # of U the other one no longer does, so the gap is only the side of C;
+    # 1e-7 inside the band both are resolved.  A bracket that closes on such
+    # an end is refused with its ends named
+    from pspin_glauber.phase_geometry import _equal_height_field, _height_gap
+    from pspin_glauber.potential import landscape_structure
+
+    for p, beta in ((3, 0.8), (4, 0.5), (5, 0.5)):
+        band = boundary_curves(p, beta, with_C=False)
+        U, L = band.U, band.L
+        struct = landscape_structure(p, beta)
+        for h, side in ((L + 1e-12, -math.inf), (L + 1e-9, -math.inf),
+                        (U - 1e-9, math.inf), (U - 1e-12, math.inf)):
+            gap, slope = _height_gap(struct, h)
+            assert gap == side and math.isnan(slope), (p, beta, h)
+        low, high = _height_gap(struct, L + 1e-7)[0], _height_gap(struct, U - 1e-7)[0]
+        assert math.isfinite(low) and math.isfinite(high), (p, beta)
+        assert low < 0.0 < high, (p, beta)
+
+    band = boundary_curves(3, 0.8, with_C=False)
+    for lo, hi in ((band.U - 1e-10, band.U), (band.L, band.L + 1e-10)):
+        with pytest.raises(DomainError, match="p=3, beta=0.8") as err:
+            _equal_height_field(3, 0.8, lo, hi)
+        a, b = map(float, re.search(r"left in \[(\S+), (\S+)\]", str(err.value)).groups())
+        assert lo <= a < b <= hi, (lo, hi, a, b)
 
 
 def test_c_curve_at_high_order():
