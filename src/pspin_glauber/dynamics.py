@@ -164,21 +164,17 @@ class SlowSpectrum(NamedTuple):
 
     Eigenvalues of the kernel symmetrised by its reversible law pi: the
     tridiagonal matrix S with diagonal ``stay`` and off-diagonal
-    ``sqrt(up_i down_{i+1})``, whose top eigenvector is sqrt(pi).  lam2 >=
-    lam3 follow the top one; v2 is a unit eigenvector of lam2 orthogonal to
-    sqrt(pi), and x2 = v2 sqrt(pi) is the left eigenvector over the levels:
-    x2 P = lam2 x2.  err is |S v2 - lam2 v2| plus the rounding of S and of
-    that residual, so an eigenvalue lies within err of lam2, and Sturm
-    counts have checked that it is the second one (else err is infinite).
-    lam3 bounds every eigenvalue below lam2 from above, 1 - lam3 within a
-    factor exp(1/64) of the exact value; rho >= |lam| for all of them (lam3
-    unless some eigenvalue lies below -lam3, then 1).
+    ``sqrt(up_i down_{i+1})``.  The second eigenvalue lies within err of
+    lam2; err is the Sturm bracket plus the rounding of S, and infinite
+    when a third eigenvalue lies within it.  lam3 bounds every eigenvalue
+    below lam2 from above, 1 - lam3 within a factor exp(1/64) of the exact
+    value; rho >= |lam| for all of them (lam3 unless some eigenvalue lies
+    below -lam3, then 1).
     """
 
     lam2: float
     lam3: float
     rho: float
-    v2: np.ndarray
     err: float
 
 
@@ -316,74 +312,43 @@ class LevelKernel:
 
     @cached_property
     def spectrum(self) -> SlowSpectrum:
-        """lam2 and v2 by inverse iteration, checked by Sturm counts.
-
-        For g with pi-mean zero, (I - P) f = g is solved by two cumsums: the
-        flux pi_i up_i (f_i - f_{i+1}) across the edge above level i is the
-        pi-weighted sum of g up to level i.  Iterated on vectors orthogonal
-        to sqrt(pi), this solve converges to the eigenvector of lam2, a
-        monotone function that the start, the magnetization, is never
-        orthogonal to.  Sturm counts then place lam2 and bound lam3.
-        Numpy alone does this in a few ms at N = 1600; scipy.linalg's
-        tridiagonal solvers would add 6.5 MB to the resident set of every
-        process that imports this module.
+        """lam2, lam3 and rho from Sturm counts of S alone (Golub-Van Loan
+        §8.4), bisected on log(1 - x): lam2 to adjacent floats, then lam3 to
+        1/64 between lam2 - err and -1.  Each count is one O(N) pass.
         """
         n = len(self.ks)
         if n < 3:
             raise DomainError(f"a chain of {n} levels has no lam3")
-        pi = np.exp(self.log_pi)
-        root = np.sqrt(pi)
-        flow = pi[:-1] * self.up[:-1]
-        off = np.sqrt(self.up[:-1] * self.down[1:])
-        eps = np.finfo(float).eps
-
-        def solve(v):  # (I - S)^-1 v, orthogonal to sqrt(pi), unit
-            w = root * v  # pi g for g = v / sqrt(pi)
-            # each flux sum is taken from the end that has gathered less
-            low, high = np.cumsum(w)[:-1], -np.cumsum(w[::-1])[::-1][1:]
-            gathered = np.cumsum(np.abs(w))
-            use_low = gathered[:-1] <= gathered[-1] - gathered[:-1]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                step = np.where(flow > 0.0, -np.where(use_low, low, high) / flow, 0.0)
-                out = root * np.concatenate(([0.0], np.cumsum(step)))
-            out -= (out @ root) * root
-            return out / np.linalg.norm(out)
-
-        # the lowest-residual Ritz pair of up to 64 steps
-        v, best, stalled = root * self.ks / self.N, (math.inf, 0.0, None), 0
-        for _ in range(64):
-            v = solve(v)
-            s_v = self.stay * v
-            s_v[:-1] += off * v[1:]
-            s_v[1:] += off * v[:-1]
-            lam = float(v @ s_v)
-            # |S| has row sums <= 2 and S's entries are rounded to an ulp or
-            # two, so forming S and the residual costs under 16 eps
-            res = float(np.linalg.norm(s_v - lam * v)) + 16 * eps
-            stalled = 0 if res < best[0] else stalled + 1
-            best = min(best, (res, lam, v), key=lambda r: r[0])
-            if best[0] <= 32 * eps or stalled == 8:
-                break
-        err, lam2, v2 = best
-        diag, off2 = self.stay.tolist(), [0.0] + (off * off).tolist()
+        diag = self.stay.tolist()
+        off2 = [0.0] + (self.up[:-1] * self.down[1:]).tolist()
 
         def above(x):
             return _count_above(diag, off2, x)
 
-        if (above(lam2 + err), above(lam2 - err)) != (1, 2):
-            return SlowSpectrum(lam2, lam2, 1.0, v2, math.inf)
-        # lam3: the lowest x with two eigenvalues above it, bisected on
-        # log(1 - x) between lam2 - err and -1
-        near, far = math.log1p(err - lam2), math.log(2.0)
-        while far - near > 1 / 64:
+        def split(k, near, far, done):
+            # log(1 - x) between near, with at most k eigenvalues above x,
+            # and far, with more, halved until done or no float is between
             mid = 0.5 * (near + far)
-            if above(-math.expm1(mid)) <= 2:
-                near = mid
-            else:
-                far = mid
-        lam3 = -math.expm1(near)
+            while near < mid < far and not done(near, far):
+                if above(-math.expm1(mid)) <= k:
+                    near = mid
+                else:
+                    far = mid
+                mid = 0.5 * (near + far)
+            return -math.expm1(near), -math.expm1(far)
+
+        # between x = 1, to which -expm1(log(eps / 4)) rounds, and x = -1
+        lam2, low = split(1, math.log(_EPS / 4), math.log(2.0), lambda a, b:
+                          math.nextafter(-math.expm1(a), -1.0) <= -math.expm1(b))
+        # S's entries are rounded to an ulp or two and a count is exact for
+        # S perturbed by a few eps (Kahan), so 16 eps covers both
+        err = float(lam2 - low + 16 * _EPS)
+        if above(lam2 - err) != 2:
+            return SlowSpectrum(lam2, lam2, 1.0, math.inf)
+        lam3, _ = split(2, math.log1p(err - lam2), math.log(2.0),
+                        lambda a, b: b - a <= 1 / 64)
         rho = abs(lam3) if above(-abs(lam3)) == n else 1.0
-        return SlowSpectrum(lam2, lam3, rho, v2, err)
+        return SlowSpectrum(lam2, lam3, rho, err)
 
     @cached_property
     def band(self) -> np.ndarray:
@@ -858,11 +823,15 @@ def simulate_mag_replicas(params: ModelParams, N: int, start_ks: np.ndarray,
 
     Optional lo/hi bounds give the floor- or window-restricted dynamics by
     rejection.  Returns the final sums, or (times, sums_matrix) when
-    record_every is set.
+    record_every is set.  A start that is no level in [lo, hi] raises
+    DomainError, as LevelKernel.index does.
     """
     ks = np.array(start_ks, dtype=np.int64)
     R = ks.shape[0]
     kernel = LevelKernel(params, N, lo, hi)
+    if R:  # the lowest, highest and first wrong-parity starts must be levels
+        for k in (ks.min(), ks.max(), ks[np.argmax(ks & 1 != N & 1)]):
+            kernel.index(int(k))
     recorded = None
     if record_every is not None:
         recorded = [(0, ks.copy())]
@@ -910,8 +879,8 @@ def _metastable_setup(spec: MetastableSpec):
     """Global maximizers, window kernels, window starts, selection weights
     and burn-in of the sampler."""
     params, N = spec.params, spec.N
-    if spec.epsilon is not None and not spec.epsilon > 0:
-        raise DomainError(f"window half-width must be positive, got {spec.epsilon}")
+    if spec.epsilon is not None and not 0 < spec.epsilon < math.inf:
+        raise DomainError(f"window half-width must be positive and finite, got {spec.epsilon}")
     if spec.burn_steps is not None and spec.burn_steps < 0:
         raise DomainError("burn_steps must be non-negative")
     points = find_stationary_points(params)

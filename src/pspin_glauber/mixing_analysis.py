@@ -14,9 +14,9 @@ the stationary laws and the kernel's rates in log space.
 Exact mixing times skip the blocks where TV provably stays above eps with
 one leap of the banded block power (``evolve`` with ``leap_above=eps``), and
 finish in closed form once only the slowest mode is left (``_slow_finish``):
-the law is then pi_chain + lam2^u c2 x2 up to a remainder that a
-certificate bounds, and the first crossing along that ray is found without
-pushing the remaining steps.
+u steps on, the law is then pi_chain + lam2^u (mu - pi_chain) up to a
+remainder that one more push bounds, and the first crossing along that ray
+is found without pushing the remaining steps.
 
 Worst-start convention: mixing times maximize the TV crossing over the
 all-plus and all-minus starts (the extreme levels), not over all 2^N
@@ -193,7 +193,7 @@ def tv_curve(params: ModelParams, N: int, start_k: int, t_max: int,
 # Exact mixing first tries the closed-form finish after this many sweeps (N
 # steps each).  The modes of the level chain other than the slowest relax on
 # the scale of a sweep, so no certificate holds much earlier; the kernel's
-# spectrum, computed at the first try (2-3 ms at N = 200, 9 ms at
+# spectrum, computed at the first try (about 1 ms at N = 200, 7 ms at
 # N = 1600), is then not paid by the regular point, which mixes in about
 # 0.6 N log N steps.  Later tries are scheduled from the spectrum.
 _FIRST_FINISH = 8
@@ -233,44 +233,45 @@ def _slow_finish(kernel: LevelKernel, mu: np.ndarray, target: np.ndarray,
                  eps: float, t: int, cap: int):
     """Closed-form end of the push of the law mu, reached at step t.
 
-    Write d = mu - pi, with pi the chain's own law, as c2 x2 + r, where x2
-    is the left eigenvector of lam2 (LevelKernel.spectrum).  u steps later
-    the law is pi + lam2^u c2 x2 + r P^u, and a reversible kernel contracts
-    r in the 1/pi-weighted L2 norm, so ||r P^u||_1 <= R = ||r / sqrt(pi)||_2
-    for every u >= 0.  The TV to target along the ray pi + s c2 x2 is convex
-    in s, so the first u with TV <= eps follows from a bisection over
-    integers.  The result is certified when the ray's distance from eps,
-    at the crossing and the step before it (or up to the cap), exceeds
-    R / 2 plus the errors of lam2 and x2 and the rounding of pi and of the
-    push that any reference computation of the same law would make.
+    Let d = mu - pi, with pi the chain's own law, and ||v||_w = ||v /
+    sqrt(pi)||_2, a norm that bounds L1 and in which P is self-adjoint.
+    Write d = c2 x2 + r, with x2 P = lam2 x2 and r in the modes at or below
+    lam3 (LevelKernel.spectrum).  As (P - lam2) x2 = 0 and lam2 - lam_i >=
+    lam2 - lam3 for those modes, ||r||_w <= R = (||d P - lam2 d||_w + err
+    ||d||_w) / (lam2 - err - lam3).  u steps later the law is pi + lam2^u
+    c2 x2 + r P^u, so the ray pi + lam2^u d, the law itself at u = 0, is
+    off by at most R + u err ||d||_w / 2 in TV, plus rounding.  The TV to
+    target along the ray is convex in s = lam2^u, so the first u with TV <=
+    eps follows from a bisection over integers.  The result is certified
+    when the ray's distance from eps, at the crossing and the step before
+    it (or up to the cap), exceeds that error and the rounding of pi and of
+    the push that any reference computation of the same law would make.
 
     Returns (u, None) when certified: the first crossing is at t + u, or
     after the cap when u > cap - t.  Otherwise returns (None, wait): the
-    steps until R, whose part outside the two slowest modes shrinks like
-    rho^u (SlowSpectrum.rho), may be small enough for another try, or wait
-    None when no later try can succeed.
+    steps until another try, from t / 2 to t, so that tries stay cheap
+    beside the push, or wait None when the spectrum allows no certificate.
     """
-    spec = kernel.spectrum
-    lam2, rho, err = spec.lam2, spec.rho, spec.err
+    lam2, lam3, rho, err = kernel.spectrum
     if not rho + 2 * err < lam2 < 1.0 - 2 * err:
         return None, None
     log_pi = kernel.log_pi
     pi = np.exp(log_pi)
     d = mu - pi
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # d / sqrt(pi), formed in log space where pi underflows
-        q = np.where(d == 0.0, 0.0,
-                     np.sign(d) * np.exp(np.log(np.abs(d)) - 0.5 * log_pi))
-        c2 = float(q @ spec.v2)
-        R = float(np.linalg.norm(q - c2 * spec.v2))
+        # ||v||_w of d and of d P - lam2 d, formed in log space where pi
+        # underflows
+        D, res = (float(np.linalg.norm(np.where(
+            v == 0.0, 0.0, np.exp(np.log(np.abs(v)) - 0.5 * log_pi))))
+            for v in (d, kernel.push(d) - lam2 * d))
+    R = (res + err * D) / (lam2 - err - lam3)
     if not math.isfinite(R):  # mass where pi underflows: try again later
         return None, t
-    w = c2 * spec.v2 * np.exp(0.5 * log_pi)
     horizon = cap - t
 
     def ray(u):  # TV along the ray u steps on, minus eps, and its slope in s
-        gap = pi + lam2 ** u * w - target
-        return 0.5 * float(np.abs(gap).sum()) - eps, float(w @ np.sign(gap))
+        gap = pi + lam2 ** u * d - target
+        return 0.5 * float(np.abs(gap).sum()) - eps, float(d @ np.sign(gap))
 
     # The ray's TV falls, then rises (convex in s = lam2^u): find the first
     # u at which it is within eps or has stopped falling.
@@ -289,18 +290,20 @@ def _slow_finish(kernel: LevelKernel, mu: np.ndarray, target: np.ndarray,
         margin = min(ray(j)[0] for j in (u - 1, u) if 0 <= j <= horizon)
         u = horizon + 1
     span = min(u, horizon)
-    # x2's error, orthogonal to the two top eigenvectors (Davis-Kahan)
-    x2_err = err / (lam2 - rho - err)
+    drift = 0.5 * span * err
     # rounding: pi's log cumsum (an eps per level and per unit of |log
     # ratio|) and under 4 eps of L1 per pushed step, here and in a reference
-    rest = (abs(c2) * (x2_err + 0.5 * span * err)
-            + _EPS * (2 * (len(pi) + np.abs(np.diff(log_pi)).sum()) + 4 * (t + span)))
-    if margin > 0.5 * R + rest:
+    rest = _EPS * (2 * (len(pi) + np.abs(np.diff(log_pi)).sum()) + 4 * (t + span))
+    if margin > R + drift * D + rest:
         return u, None
-    if margin <= rest:
-        return None, None
-    shrink = math.log(2 * (margin - rest) / R) / math.log(max(rho, _EPS))
-    return None, max(math.ceil(shrink), t // 2)
+    # the part of d along x2, at least ||d||_w - R, keeps its drift until
+    # the crossing nears; R shrinks at least like rho^u, and faster while
+    # fast modes die out
+    floor = rest + drift * max(D - R, 0.0)
+    if margin <= floor:
+        return None, t
+    shrink = math.log((margin - floor) / R) / math.log(max(rho, _EPS))
+    return None, min(max(math.ceil(shrink), t // 2), t)
 
 
 def _mc_tv_crossing(params, kernel, target, start_k, eps, cap, replicas, seed):

@@ -378,6 +378,15 @@ def test_sampler_window_that_misses_its_start_names_the_half_width(capsys):
         assert f"half-width epsilon={float(eps)} is too narrow at N={n}: {window}" in err
 
 
+def test_sampler_half_width_must_be_positive_and_finite(capsys):
+    for eps in ("inf", "nan", "0"):
+        code, out, err = run_cli(["sample", "--p", "4", "--beta", "0.9", "--h", "0",
+                                  "--n", "200", "--epsilon", eps], capsys)
+        assert code == 1 and out == ""
+        assert err == ("error: window half-width must be positive and finite, "
+                       f"got {float(eps)}\n"), eps
+
+
 def test_mix_json_reference_parameters(capsys):
     code, out, _ = run_cli(["mix", "--p", "4", "--beta", "0.333333",
                             "--h", "0.41", "--n", "200", "--eps", "0.35",

@@ -109,6 +109,20 @@ def test_level_kernel_index_of_a_restriction():
             window.index(k)
 
 
+def test_replica_starts_must_be_levels_of_the_restriction():
+    # -9 has the wrong parity at N = 10, -10 lies below the floor 0 and 4
+    # above the ceiling 2: the replica engine rejects each, as the kernel's
+    # index does, rather than moving -9 to -7 or leaving -10 in place
+    params, rng = ModelParams(4, 0.51, 0.184), rng_stream(0)
+    for starts, lo, hi, message in (([0, -9], None, None, "start level -9 invalid for N=10"),
+                                    ([12], None, None, "start level 12 invalid"),
+                                    ([0, -10], 0, None, "below the restriction floor"),
+                                    ([0, 4], None, 2, "above the restriction ceiling")):
+        with pytest.raises(DomainError, match=message):
+            simulate_mag_replicas(params, 10, starts, 5, rng, lo=lo, hi=hi)
+    assert simulate_mag_replicas(params, 10, [0, 2], 5, rng, lo=0, hi=2).shape == (2,)
+
+
 def test_level_kernel_table_matches_closed_form_rate():
     for (p, beta, h, N) in [(2, 0.25, 0.0, 9), (4, 0.51, 0.184, 200),
                             (5, 0.7, -0.3, 41), (7, 1.1, 0.05, 30)]:

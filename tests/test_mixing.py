@@ -9,10 +9,12 @@ from pspin_glauber import (
     MONTE_CARLO,
     DomainError,
     ModelParams,
+    Region,
     beta_hat,
     bottleneck,
     boundary_curves,
     chain_stationary,
+    classify_point,
     condition_at_least,
     evaluate_potential,
     find_stationary_points,
@@ -308,7 +310,52 @@ def test_slow_spectrum_matches_sturm_oracle():
     # lam3 is bounded from above, within 1/64 in log(1 - lam3)
     assert lam3 <= spec.lam3 == spec.rho < spec.lam2
     assert abs(math.log((1.0 - spec.lam3) / (1.0 - lam3))) <= 1 / 64
-    assert abs(np.linalg.norm(spec.v2) - 1.0) <= 1e-15
+
+
+def test_slow_spectrum_certifies_lam2_away_from_the_top_pair():
+    # at (4, 0.05, 0.3) the bisection takes lam2 to adjacent floats; at
+    # (4, 0.5, 0) lam2 and lam3 agree to 30 digits, so no eigenvalue
+    # within err is the second one alone
+    spec = LevelKernel(ModelParams(4, 0.05, 0.3), 400).spectrum
+    lam2, lam3 = slow_eigenvalues(4, 0.05, 0.3, 400)
+    assert abs(spec.lam2 - lam2) <= spec.err <= 1e-14
+    assert lam3 <= spec.lam3 < spec.lam2
+    assert LevelKernel(ModelParams(4, 0.5, 0.0), 400).spectrum.err == math.inf
+
+
+def test_slow_spectrum_certifies_every_regular_cell():
+    # every LocallyRegular cell of a p = 4 grid at N = 100 gets a finite err
+    cells = 0
+    for beta in np.linspace(0.05, 1.2, 24):
+        for h in np.linspace(-1.0, 1.0, 41):
+            if classify_point(4, beta, h).region != Region.LOCALLY_REGULAR:
+                continue
+            cells += 1
+            spec = LevelKernel(ModelParams(4, float(beta), float(h)), 100).spectrum
+            assert spec.err < math.inf, (beta, h)
+    assert cells == 502
+
+
+def test_closed_form_finish_caps_below_the_chain_gibbs_floor(pushed_steps):
+    # the chain's own law lies 0.031 from the Gibbs law in TV, so eps = 0.01
+    # is never reached; the finish certifies that in a few of the 1e7 steps
+    params, N = ModelParams(4, 0.5, 0.31), 400
+    floor = 0.5 * np.abs(np.exp(LevelKernel(params, N).log_pi)
+                         - stationary_mag(params, N).probs).sum()
+    assert floor > 0.03
+    rep = mixing_time(params, N, 0.01, 10**7)
+    assert rep.capped and rep.t_by_start == {400: None, -400: None}
+    assert pushed_steps[0] < 200_000
+
+
+def test_finish_keeps_trying_at_a_near_tangent_crossing(pushed_steps):
+    # three wells: from +60 the TV meets eps = 0.25 with a slope so small
+    # that the ray's margin is about 1e-8 while the remainder bound, held up
+    # by lam3 = 1 - 2e-5, is still 0.2; the finish tries on, at most t steps
+    # apart, until that bound has shrunk, rather than pushing every step
+    rep = mixing_time(ModelParams(4, 0.7146, -0.0238), 60, 0.25, 10**7, starts=(60,))
+    assert rep.t_by_start == {60: 4_617_662}  # the per-step push's crossing
+    assert pushed_steps[0] < 2_000_000  # of 4,617,662
 
 
 def test_closed_form_finish_matches_per_step_crossing(pushed_steps):
