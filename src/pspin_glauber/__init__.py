@@ -62,12 +62,9 @@ from .mixing_analysis import (
     MONTE_CARLO,
     BottleneckReport,
     HittingReport,
-    MagDistribution,
     MixingReport,
     TVCurve,
     bottleneck,
-    chain_stationary,
-    condition_at_least,
     hitting_time,
     mixing_time,
     restricted_mixing_time,

@@ -159,6 +159,26 @@ def flip_up_probability(params: ModelParams, c):
     return out if out.ndim else float(out)
 
 
+def _log_binomials(N: int) -> np.ndarray:
+    """log C(N, j) for j = 0..N, each within about an ulp.
+
+    A running sum of log C(N, j+1) - log C(N, j) = log1p((N - 2j - 1)/(j + 1))
+    up to j = N/2, mirrored about N/2.  The sum is compensated (Neumaier's
+    variant of Kahan's: the rounding error of every partial sum is found
+    exactly and summed apart), which a plain cumsum is not, and it avoids the
+    cancellation of lgamma(N + 1) - lgamma(j + 1) - lgamma(N - j + 1).
+    """
+    j = np.arange(N // 2, dtype=float)
+    terms = np.log1p((N - 2 * j - 1) / (j + 1))
+    sums = np.cumsum(terms)
+    prev = np.concatenate(([0.0], sums[:-1]))
+    errors = np.where(np.abs(prev) >= np.abs(terms),
+                      (prev - sums) + terms, (terms - sums) + prev)
+    half = np.concatenate(([0.0], sums + np.cumsum(errors)))
+    n_plus = np.arange(N + 1)
+    return half[np.minimum(n_plus, N - n_plus)]
+
+
 class SlowSpectrum(NamedTuple):
     """The slow end of a LevelKernel's spectrum, below its top eigenvalue 1.
 
@@ -227,14 +247,15 @@ class LevelKernel:
 
     A birth-death chain is reversible: ``log_pi`` is its stationary law and
     ``spectrum`` the slow end of its spectrum; ``band`` holds the block
-    power P^_BLOCK for `leap`.  Each is computed on first use.
+    power P^_BLOCK for `leap`; ``gibbs`` and ``log_gibbs`` are the Gibbs law
+    conditioned on [lo, hi], mixing's target.  Each is computed on first use.
     """
 
     def __init__(self, params: ModelParams, N: int, lo: int | None = None,
                  hi: int | None = None):
         if N < 1:
             raise DomainError(f"N must be positive, got {N}")
-        self.N = N
+        self.params, self.N = params, N
         self.lo = -N if lo is None else max(-N, int(lo))
         self.hi = N if hi is None else min(N, int(hi))
         i0, i1 = (self.lo + N + 1) // 2, (self.hi + N) // 2
@@ -309,6 +330,37 @@ class LevelKernel:
                 log_pi[start:] = (scaled - scaled.max()) * scale
                 top = 0.0
         return log_pi - (top + np.log(np.exp(log_pi - top).sum()))
+
+    @cached_property
+    def _gibbs_laws(self) -> tuple[np.ndarray, np.ndarray]:
+        """(gibbs, log_gibbs): log w(k) = log C(N, (N+k)/2) + N*(beta*(k/N)^p
+        + h*(k/N)) in log space, kept on ks and normalised by max shift +
+        log-sum-exp.  Raises DomainError when the field term overflows a
+        double at some level of [-N, N]: the law is then not representable."""
+        N, params = self.N, self.params
+        c = np.arange(-N, N + 1, 2) / N
+        with np.errstate(over="ignore"):
+            log_w = _log_binomials(N) + N * (params.beta * c**params.p + params.h * c)
+        if not np.isfinite(log_w).all():
+            raise DomainError(f"the level weights overflow at N={N}: "
+                              "N*(beta*c^p + h*c) exceeds the double range")
+        i0 = (int(self.ks[0]) + N) // 2
+        log_w = log_w[i0:i0 + len(self.ks)]
+        top = log_w.max()
+        with np.errstate(over="ignore"):  # a shift beyond the range: weight 0
+            w = np.exp(log_w - top)
+            z = w.sum()
+            return w / z, log_w - (top + np.log(z))
+
+    @property
+    def gibbs(self) -> np.ndarray:
+        """The Gibbs level law over ks, conditioned on [lo, hi]."""
+        return self._gibbs_laws[0]
+
+    @property
+    def log_gibbs(self) -> np.ndarray:
+        """Log of `gibbs`, normalised in log space where its mass underflows."""
+        return self._gibbs_laws[1]
 
     @cached_property
     def spectrum(self) -> SlowSpectrum:

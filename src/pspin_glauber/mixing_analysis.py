@@ -9,7 +9,9 @@ measure equals the total-variation distance between the level laws.  This
 module evolves level laws exactly (``LevelKernel.evolve``: the tridiagonal
 push on the law's live window, a block of steps at a time) and derives
 mixing times from them; conductance cuts and mean hitting times follow from
-the stationary laws and the kernel's rates in log space.
+the stationary laws and the kernel's rates in log space.  Both laws are
+read from the kernel of the restriction: ``LevelKernel.gibbs`` (or
+``log_gibbs``), the target of every TV, and ``log_pi``, the chain's own.
 
 Exact mixing times skip the blocks where TV provably stays above eps with
 one leap of the banded block power (``evolve`` with ``leap_above=eps``), and
@@ -41,7 +43,7 @@ import numpy as np
 
 from .dynamics import (
     LevelKernel,
-    kernel_arrays,
+    kernel_arrays,  # noqa: F401  (perfbench/layers.py counts calls through it)
     restricted_threshold,
     rng_stream,
     simulate_mag_replicas,
@@ -52,91 +54,10 @@ EXACT = "ExactProjected"
 MONTE_CARLO = "MonteCarlo"
 
 
-@dataclass
-class MagDistribution:
-    """A magnetization-level law, with its level weights in log space.
-
-    stationary_mag gives the Gibbs law, the law every TV distance here is
-    measured against; chain_stationary gives the tanh rule's own stationary
-    law, which balances the Gibbs law only up to a relative O(1/N) defect.
-    """
-
-    N: int
-    ks: np.ndarray          # magnetization sums, ascending
-    log_weights: np.ndarray  # unnormalised log weights
-    log_Z_shifted: float     # log sum of exp(log_weights - max shift)
-    probs: np.ndarray
-
-
-def _level_law(N: int, ks: np.ndarray, log_w: np.ndarray) -> MagDistribution:
-    """Normalise log weights by max shift + log-sum-exp."""
-    with np.errstate(over="ignore"):  # a shift beyond the range: weight 0
-        w = np.exp(log_w - log_w.max())
-    z = w.sum()
-    return MagDistribution(N=N, ks=ks, log_weights=log_w,
-                           log_Z_shifted=float(np.log(z)), probs=w / z)
-
-
-def _log_binomials(N: int) -> np.ndarray:
-    """log C(N, j) for j = 0..N, each within about an ulp.
-
-    A running sum of log C(N, j+1) - log C(N, j) = log1p((N - 2j - 1)/(j + 1))
-    up to j = N/2, mirrored about N/2.  The sum is compensated (Neumaier's
-    variant of Kahan's: the rounding error of every partial sum is found
-    exactly and summed apart), which a plain cumsum is not, and it avoids the
-    cancellation of lgamma(N + 1) - lgamma(j + 1) - lgamma(N - j + 1).
-    """
-    j = np.arange(N // 2, dtype=float)
-    terms = np.log1p((N - 2 * j - 1) / (j + 1))
-    sums = np.cumsum(terms)
-    prev = np.concatenate(([0.0], sums[:-1]))
-    errors = np.where(np.abs(prev) >= np.abs(terms),
-                      (prev - sums) + terms, (terms - sums) + prev)
-    half = np.concatenate(([0.0], sums + np.cumsum(errors)))
-    n_plus = np.arange(N + 1)
-    return half[np.minimum(n_plus, N - n_plus)]
-
-
-def stationary_mag(params: ModelParams, N: int) -> MagDistribution:
-    """Push the Gibbs measure to magnetization levels, exactly in log space.
-
-    log w(k) = log C(N, (N+k)/2) + N*(beta*(k/N)^p + h*(k/N)).  Raises
-    DomainError when the field term overflows a double at some level: the
-    law is then not representable.
-    """
-    if N < 1:
-        raise DomainError(f"N must be positive, got {N}")
-    ks = np.arange(-N, N + 1, 2, dtype=np.int64)
-    c = ks / N
-    with np.errstate(over="ignore"):
-        log_w = _log_binomials(N) + N * (params.beta * c**params.p + params.h * c)
-    if not np.isfinite(log_w).all():
-        raise DomainError(f"the level weights overflow at N={N}: "
-                          "N*(beta*c^p + h*c) exceeds the double range")
-    return _level_law(N, ks, log_w)
-
-
-def chain_stationary(params: ModelParams, N: int) -> MagDistribution:
-    """The chain's own stationary level law, from LevelKernel.log_pi.
-
-    The tanh rule is exactly reversible with respect to this law; its TV
-    distance to the Gibbs law is the floor no mixing time can go below.
-    """
-    kernel = LevelKernel(params, N)
-    return _level_law(N, kernel.ks, kernel.log_pi)
-
-
-def condition_at_least(dist: MagDistribution, k_min: int) -> MagDistribution:
-    """The Gibbs level law conditioned on {sum >= k_min}.
-
-    k_min <= -N is a no-op returning the same object (bit-identical law).
-    """
-    if k_min <= -dist.N:
-        return dist
-    keep = dist.ks >= k_min
-    if not keep.any():
-        raise DomainError(f"no levels at or above {k_min}")
-    return _level_law(dist.N, dist.ks[keep], dist.log_weights[keep])
+def stationary_mag(params: ModelParams, N: int) -> np.ndarray:
+    """The Gibbs law pushed to magnetization levels: LevelKernel(params,
+    N).gibbs.  Raises DomainError when it is not representable."""
+    return LevelKernel(params, N).gibbs
 
 
 @dataclass
@@ -165,7 +86,7 @@ def tv_curve(params: ModelParams, N: int, start_k: int, t_max: int,
 
     Evolves the level law with LevelKernel.evolve, recording TV each step;
     stops at the first step with TV <= eps_stop.  With k_min the
-    floor-restricted kernel and the conditioned Gibbs law are used instead.
+    floor-restricted kernel and its conditioned Gibbs law are used instead.
     """
     if k_min is None:
         k_min = -N
@@ -173,7 +94,7 @@ def tv_curve(params: ModelParams, N: int, start_k: int, t_max: int,
     start = kernel.index(start_k)
     if t_max < 0:
         raise DomainError("t_max must be >= 0")
-    pi = condition_at_least(stationary_mag(params, N), k_min).probs
+    pi = kernel.gibbs
 
     mu = np.zeros_like(pi)
     mu[start] = 1.0
@@ -353,10 +274,8 @@ def mixing_time(params: ModelParams, N: int, eps: float, cap: int,
 
     t_by_start: dict[int, int | None] = {}
     se_by_start: dict[int, float | None] = {}
-    # the Gibbs law first: its errors (weights that overflow, no level at or
-    # above k_min) are the ones raised, before any kernel table is built
-    target = condition_at_least(stationary_mag(params, N), k_min).probs
     kernel = LevelKernel(params, N, lo=k_min)
+    target = kernel.gibbs
     for start_k in starts:
         if mode == EXACT:
             t_by_start[start_k] = _exact_crossing(kernel, target, start_k, eps, cap)
@@ -413,16 +332,15 @@ def bottleneck(params: ModelParams, N: int) -> BottleneckReport:
     """
     if N < 2:
         raise DomainError("N must be >= 2")
-    dist = stationary_mag(params, N)
-    up, down, _ = kernel_arrays(params, N)
-    log_pi = dist.log_weights - (dist.log_weights.max() + dist.log_Z_shifted)
+    kernel = LevelKernel(params, N)
+    log_pi = kernel.log_gibbs
     log_cum_lo = np.logaddexp.accumulate(log_pi)
     log_cum_hi = np.logaddexp.accumulate(log_pi[::-1])[::-1]
 
     with np.errstate(divide="ignore"):
-        log_up = np.log(up)
-        log_down = np.log(down)
-    ks = dist.ks.tolist()
+        log_up = np.log(kernel.up)
+        log_down = np.log(kernel.down)
+    ks = kernel.ks.tolist()
     cuts = []
     # A = {<= k} is cut below the top level, A = {>= k} above the bottom one
     for side, part, log_move, log_cum in (("leq", slice(None, -1), log_up, log_cum_lo),

@@ -149,7 +149,7 @@ def test_criterion_03_oracle_equivalence():
         params = ModelParams(int(rng.integers(2, 7)),
                              float(rng.uniform(0.05, 1.2)),
                              float(rng.uniform(-1.0, 1.0)))
-        tv = 0.5 * np.abs(stationary_mag(params, N).probs
+        tv = 0.5 * np.abs(stationary_mag(params, N)
                           - enumerate_mag_law(params, N)).sum()
         worst_enum = max(worst_enum, float(tv))
 
@@ -309,7 +309,7 @@ def test_criterion_08a_detailed_balance():
         if params.p == 2:  # exact reversibility w.r.t. the cosh-tilted law
             tilt_worst = max(tilt_worst, _worst_defect(
                 params, N, cosh_tilted_log_level_law(params, N)))
-        gibbs = [_worst_defect(params, n, stationary_mag(params, n).log_weights)
+        gibbs = [_worst_defect(params, n, LevelKernel(params, n).log_gibbs)
                  for n in (N, 2 * N, 4 * N)]
         halving[(params.p, N)] = [round(gibbs[0] / gibbs[1], 3),
                                   round(gibbs[1] / gibbs[2], 3)]
@@ -411,12 +411,12 @@ def test_criterion_10_metastable_sampler():
     assert top_two[0] - top_two[1] <= 1e-10  # two equal-height global maxima
     spec = MetastableSpec(params=params, N=N, seed=99)
     sums = metastable_sample_sums(spec, 10_000)
-    dist = stationary_mag(params, N)
-    hist = np.zeros_like(dist.probs)
+    pi = stationary_mag(params, N)
+    hist = np.zeros_like(pi)
     vals, counts = np.unique(sums, return_counts=True)
     for v, ct in zip(vals.tolist(), counts.tolist()):
         hist[(v + N) // 2] = ct / len(sums)
-    tv = 0.5 * float(np.abs(hist - dist.probs).sum())
+    tv = 0.5 * float(np.abs(hist - pi).sum())
     ok = tv < 0.05
     assert _verdict("10", ok, f"sampler magnetization TV = {tv:.4f} "
                     "(gate 0.05; 1e4 samples at N=200)")

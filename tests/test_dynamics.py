@@ -15,8 +15,6 @@ from pspin_glauber import (
     RunSpec,
     SpinConfig,
     boundary_curves,
-    chain_stationary,
-    condition_at_least,
     find_stationary_points,
     hitting_time,
     kernel_arrays,
@@ -192,18 +190,17 @@ def test_detailed_balance_against_gibbs_law():
         worst = []
         for n in (N, 2 * N, 4 * N):
             up_n, down_n, _ = kernel_arrays(params, n)
-            defects = balance_defects(stationary_mag(params, n).log_weights,
+            defects = balance_defects(LevelKernel(params, n).log_gibbs,
                                       up_n, down_n)
             worst.append(float(np.abs(defects).max()))
         ratios = [worst[0] / worst[1], worst[1] / worst[2]]
         assert all(1.8 <= r <= 2.2 for r in ratios), ((p, beta, h, N), worst)
 
-        dist = stationary_mag(params, N)
         thr = restricted_threshold(params, N)
-        mu = condition_at_least(dist, thr)
         i0 = (max(thr, -N) + N + 1) // 2
-        full = balance_defects(np.log(dist.probs), up, down)
-        kept = balance_defects(np.log(mu.probs), up[i0:], down[i0:])
+        full = balance_defects(np.log(stationary_mag(params, N)), up, down)
+        kept = balance_defects(np.log(LevelKernel(params, N, lo=thr).gibbs),
+                               up[i0:], down[i0:])
         assert np.abs(kept - full[i0:]).max() <= 1e-12, (p, beta, h, N, thr)
 
 
@@ -219,19 +216,20 @@ def test_chain_stationary_is_exactly_reversible():
                             (2, 0.25, 0.0, 100)]:
         params = ModelParams(p, beta, h)
         up, down, _ = kernel_arrays(params, N)
-        chain = chain_stationary(params, N)
-        assert np.abs(balance_defects(chain.log_weights, up, down)).max() <= 1e-12
-        assert abs(chain.probs.sum() - 1.0) <= 1e-14
+        log_pi = LevelKernel(params, N).log_pi
+        assert np.abs(balance_defects(log_pi, up, down)).max() <= 1e-12
+        assert abs(np.exp(log_pi).sum() - 1.0) <= 1e-14
         if p == 2:
             tilted = cosh_tilted_log_level_law(params, N)
-            assert np.abs(chain.log_weights - tilted).max() <= 1e-12
-        thr = restricted_threshold(params, N)
-        kept = LevelKernel(params, N, lo=thr)
-        conditioned = condition_at_least(chain, thr)
-        assert np.abs(np.exp(kept.log_pi) - conditioned.probs).max() <= 1e-15
+            assert np.abs(log_pi - tilted).max() <= 1e-12
+        kept = LevelKernel(params, N, lo=restricted_threshold(params, N))
+        tail = log_pi[len(log_pi) - len(kept.ks):]
+        conditioned = np.exp(tail - tail.max())
+        conditioned /= conditioned.sum()
+        assert np.abs(np.exp(kept.log_pi) - conditioned).max() <= 1e-15
     critical = ModelParams(4, 0.51, 0.184)
-    floor = 0.5 * np.abs(chain_stationary(critical, 100).probs
-                         - stationary_mag(critical, 100).probs).sum()
+    floor = 0.5 * np.abs(np.exp(LevelKernel(critical, 100).log_pi)
+                         - stationary_mag(critical, 100)).sum()
     assert round(floor, 2) == 0.30
 
 
@@ -251,7 +249,7 @@ def test_log_pi_where_the_rates_underflow():
     params = ModelParams(4, 1e6, 0.0)
     kernel = LevelKernel(params, 50)
     assert np.isfinite(kernel.log_pi).all()
-    probs = chain_stationary(params, 50).probs
+    probs = np.exp(kernel.log_pi)
     assert not np.isnan(probs).any()
     assert abs(probs[0] - 0.5) <= 1e-9 and abs(probs[-1] - 0.5) <= 1e-9
     mean = hitting_time(params, 50, -50, 0).mean_steps
@@ -452,20 +450,20 @@ def test_restricted_long_run_matches_conditioned_law():
     params = ModelParams(3, 1.2, 0.0)
     N = 300
     thr = restricted_threshold(params, N)
-    mu = condition_at_least(stationary_mag(params, N), thr)
+    kernel = LevelKernel(params, N, lo=thr)
     R, steps, burn = 250, 44_000, 4_000
     rng = rng_stream(7, 2)
     k0 = thr + (thr + N) % 2
     _, traj = simulate_mag_replicas(params, N, np.full(R, k0), steps, rng,
                                     lo=thr, record_every=1)
     samples = traj[burn:].ravel()
-    hist = np.zeros_like(mu.probs)
+    hist = np.zeros_like(kernel.gibbs)
     vals, counts = np.unique(samples, return_counts=True)
-    idx = {int(k): i for i, k in enumerate(mu.ks)}
+    idx = {int(k): i for i, k in enumerate(kernel.ks)}
     for v, ct in zip(vals.tolist(), counts.tolist()):
         hist[idx[v]] += ct
     hist /= hist.sum()
-    tv = 0.5 * float(np.abs(hist - mu.probs).sum())
+    tv = 0.5 * float(np.abs(hist - kernel.gibbs).sum())
     assert tv < 0.02
 
 
@@ -690,12 +688,12 @@ def test_sampler_magnetization_smoke():
     N = 100
     spec = MetastableSpec(params=params, N=N, seed=12)
     sums = metastable_sample_sums(spec, 2000)
-    dist = stationary_mag(params, N)
-    hist = np.zeros_like(dist.probs)
+    pi = stationary_mag(params, N)
+    hist = np.zeros_like(pi)
     vals, counts = np.unique(sums, return_counts=True)
     for v, ct in zip(vals.tolist(), counts.tolist()):
         hist[(v + N) // 2] = ct / len(sums)
-    tv = 0.5 * float(np.abs(hist - dist.probs).sum())
+    tv = 0.5 * float(np.abs(hist - pi).sum())
     assert tv < 0.1
 
 

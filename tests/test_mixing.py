@@ -13,9 +13,7 @@ from pspin_glauber import (
     beta_hat,
     bottleneck,
     boundary_curves,
-    chain_stationary,
     classify_point,
-    condition_at_least,
     evaluate_potential,
     find_stationary_points,
     h_hat,
@@ -29,6 +27,7 @@ from pspin_glauber import (
 from pspin_glauber.dynamics import (
     _BLOCK,
     LevelKernel,
+    _log_binomials,
     MetastableSpec,
     metastable_sample,
     metastable_sample_law,
@@ -36,7 +35,6 @@ from pspin_glauber.dynamics import (
     rng_stream,
     simulate_mag_replicas,
 )
-from pspin_glauber.mixing_analysis import _log_binomials
 from conftest import (
     dense_transition_matrix,
     enumerate_mag_law,
@@ -58,18 +56,17 @@ def test_stationary_mag_matches_enumeration():
         params = ModelParams(int(rng.integers(2, 7)),
                              float(rng.uniform(0.05, 1.2)),
                              float(rng.uniform(-1, 1)))
-        dist = stationary_mag(params, N)
         oracle = enumerate_mag_law(params, N)
-        assert 0.5 * np.abs(dist.probs - oracle).sum() < 1e-12
+        assert 0.5 * np.abs(stationary_mag(params, N) - oracle).sum() < 1e-12
 
 
 def test_stationary_mag_weak_coupling_is_binomial():
     from scipy.stats import binom
 
     N = 40
-    dist = stationary_mag(ModelParams(4, 1e-12, 0.0), N)
+    pi = stationary_mag(ModelParams(4, 1e-12, 0.0), N)
     ref = binom.pmf(np.arange(N + 1), N, 0.5)
-    assert np.max(np.abs(dist.probs - ref)) < 1e-13
+    assert np.max(np.abs(pi - ref)) < 1e-13
 
 
 def test_log_binomials_at_least_as_accurate_as_gammaln():
@@ -90,51 +87,64 @@ def test_log_binomials_at_least_as_accurate_as_gammaln():
 
 
 def test_odd_p_coexistence_floor_does_not_decay():
-    # on C at p = 3 the TV between the chain's own law and the Gibbs law
-    # stays near 0.175 and rises with N: no eps below it is ever reached
-    params = ModelParams(3, 0.55, 0.11215788999510065)
-    floors = [0.5 * float(np.abs(chain_stationary(params, N).probs
-                                 - stationary_mag(params, N).probs).sum())
-              for N in (400, 6400)]
-    assert all(0.17 <= f <= 0.18 for f in floors), floors
-    assert floors[1] >= floors[0], floors
+    # on C at p = 3, and at p = 4 below beta_tilde, the TV between the
+    # chain's own law and the Gibbs law stays near 0.175 and 0.18 and rises
+    # with N: no eps below it is ever reached
+    for point, (low, high) in (((3, 0.55, 0.11215788999510065), (0.17, 0.18)),
+                               ((4, 0.4, 0.32016463411327806), (0.17, 0.19))):
+        params = ModelParams(*point)
+        floors = [0.5 * float(np.abs(np.exp(LevelKernel(params, N).log_pi)
+                                     - stationary_mag(params, N)).sum())
+                  for N in (400, 6400)]
+        assert all(low <= f <= high for f in floors), (point, floors)
+        assert floors[1] >= floors[0], (point, floors)
 
 
 def test_stationary_mag_mode_tracks_maximizer():
     params = ModelParams(4, 0.054, 0.5)
     m_star = find_stationary_points(params)[0].m
     N = 400
-    dist = stationary_mag(params, N)
-    k_mode = int(dist.ks[np.argmax(dist.probs)])
+    kernel = LevelKernel(params, N)
+    k_mode = int(kernel.ks[np.argmax(kernel.gibbs)])
     assert abs(k_mode - N * m_star) <= 4  # within two levels
 
 
 def test_conditioning():
     params = ModelParams(4, 0.51, 0.184)
-    dist = stationary_mag(params, 100)
-    mu = condition_at_least(dist, 40)
-    assert mu.ks[0] == 40
-    assert mu.probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert condition_at_least(dist, -100) is dist
+    kernel = LevelKernel(params, 100, lo=40)
+    assert kernel.ks[0] == 40 and len(kernel.gibbs) == len(kernel.ks)
+    assert kernel.gibbs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(LevelKernel(params, 100, lo=-100).gibbs,
+                          stationary_mag(params, 100))
     with pytest.raises(DomainError):
-        condition_at_least(dist, 102)
+        LevelKernel(params, 100, lo=102).gibbs
+
+
+def test_gibbs_law_on_a_two_sided_window():
+    # the Gibbs law conditioned on [lo, hi], against the enumerated law
+    # restricted to that window and renormalised
+    params, N, lo, hi = ModelParams(4, 0.51, 0.184), 12, -4, 8
+    kernel = LevelKernel(params, N, lo=lo, hi=hi)
+    assert kernel.ks.tolist() == list(range(lo, hi + 1, 2))
+    ref = enumerate_mag_law(params, N)[(lo + N) // 2:(hi + N) // 2 + 1]
+    assert np.abs(kernel.gibbs - ref / ref.sum()).max() <= 1e-12
+    assert np.abs(np.exp(kernel.log_gibbs) - ref / ref.sum()).max() <= 1e-12
 
 
 def test_tv_curve_initial_value():
     params = ModelParams(3, 1e-9, 0.0)
     N = 12
-    dist = stationary_mag(params, N)
-    start = int(dist.ks[np.argmax(dist.probs)])
+    pi = stationary_mag(params, N)
+    start = 2 * int(np.argmax(pi)) - N
     curve = tv_curve(params, N, start, t_max=0)
-    assert curve.tv[0] == pytest.approx(1.0 - dist.probs[(start + N) // 2],
-                                        abs=1e-14)
+    assert curve.tv[0] == pytest.approx(1.0 - pi[(start + N) // 2], abs=1e-14)
 
 
 def per_step_tv(params, N, start_k, t_max, eps_stop=0.0, k_min=None):
     """TV curve by one LevelKernel.push and one renormalisation per step."""
     k_min = -N if k_min is None else k_min
     kernel = LevelKernel(params, N, lo=k_min)
-    pi = condition_at_least(stationary_mag(params, N), k_min).probs
+    pi = kernel.gibbs
     mu = np.zeros_like(pi)
     mu[(start_k - kernel.ks[0]) // 2] = 1.0
     tvs = []
@@ -216,7 +226,7 @@ def test_evolve_pushes_only_the_live_window():
     # every block pushes fewer than half of the N + 1 levels
     params, N = ModelParams(4, 0.054, 0.5), 6400
     kernel = LevelKernel(params, N)
-    pi = stationary_mag(params, N).probs
+    pi = kernel.gibbs
     mu = np.zeros(N + 1)
     mu[-1] = 1.0
     widths = []
@@ -255,13 +265,12 @@ def leap_kernel(kind):
     """(kernel, target, start level, eps) for test_evolve_leaps_match_pushed_laws."""
     if kind == "regular":
         params, N = ModelParams(4, 0.054, 0.5), 800
-        return LevelKernel(params, N), stationary_mag(params, N).probs, N, 0.35
+        kernel = LevelKernel(params, N)
+        return kernel, kernel.gibbs, N, 0.35
     if kind == "critical floor":
         N = 200
-        floor = restricted_threshold(CRITICAL, N)
-        target = condition_at_least(stationary_mag(CRITICAL, N), floor).probs
-        kernel = LevelKernel(CRITICAL, N, lo=floor)
-        return kernel, target, int(kernel.ks[0]), 0.35
+        kernel = LevelKernel(CRITICAL, N, lo=restricted_threshold(CRITICAL, N))
+        return kernel, kernel.gibbs, int(kernel.ks[0]), 0.35
     params, N = ModelParams(4, 0.9, 0.0), 400  # the sampler's upper window
     _, report = metastable_sample(MetastableSpec(params=params, N=N, burn_steps=0))
     kernel = LevelKernel(params, N, *report.windows[-1])
@@ -341,7 +350,7 @@ def test_closed_form_finish_caps_below_the_chain_gibbs_floor(pushed_steps):
     # is never reached; the finish certifies that in a few of the 1e7 steps
     params, N = ModelParams(4, 0.5, 0.31), 400
     floor = 0.5 * np.abs(np.exp(LevelKernel(params, N).log_pi)
-                         - stationary_mag(params, N).probs).sum()
+                         - stationary_mag(params, N)).sum()
     assert floor > 0.03
     rep = mixing_time(params, N, 0.01, 10**7)
     assert rep.capped and rep.t_by_start == {400: None, -400: None}
