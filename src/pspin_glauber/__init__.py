@@ -48,7 +48,6 @@ from .dynamics import (
     MetastableSpec,
     RunSpec,
     SamplerReport,
-    SpinConfig,
     Trace,
     kernel_arrays,
     metastable_sample,

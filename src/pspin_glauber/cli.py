@@ -520,7 +520,7 @@ def main(argv=None) -> int:
         sys.argv[1:] if argv is None else list(argv)))
     try:
         args.func(args)
-    except (DomainError, ValueError, RuntimeError) as exc:
+    except (DomainError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

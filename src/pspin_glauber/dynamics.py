@@ -84,52 +84,6 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-@dataclass
-class SpinConfig:
-    """A spin configuration with cached magnetization sum."""
-
-    spins: np.ndarray  # int8 array over {-1, +1}
-    sum: int
-
-    @classmethod
-    def all_plus(cls, N: int) -> "SpinConfig":
-        return cls(spins=np.ones(N, dtype=np.int8), sum=N)
-
-    @classmethod
-    def all_minus(cls, N: int) -> "SpinConfig":
-        return cls(spins=-np.ones(N, dtype=np.int8), sum=-N)
-
-    @classmethod
-    def from_magnetization(cls, N: int, k: int) -> "SpinConfig":
-        """Deterministic config at sum k: the first (N+k)/2 sites are +1.
-
-        Site labels are exchangeable, so the choice is irrelevant for any
-        magnetization-level observable.
-        """
-        if (N + k) % 2 != 0 or abs(k) > N:
-            raise DomainError(f"sum {k} unreachable for N={N}")
-        n_plus = (N + k) // 2
-        spins = -np.ones(N, dtype=np.int8)
-        spins[:n_plus] = 1
-        return cls(spins=spins, sum=k)
-
-    @property
-    def N(self) -> int:
-        return self.spins.shape[0]
-
-    def copy(self) -> "SpinConfig":
-        return SpinConfig(spins=self.spins.copy(), sum=self.sum)
-
-    def validate(self) -> None:
-        n = self.N
-        if not np.all(np.abs(self.spins) == 1):
-            raise DomainError("spins must be +-1")
-        if self.sum != int(self.spins.sum()):
-            raise DomainError("cached sum out of sync")
-        if abs(self.sum) > n or (self.sum + n) % 2 != 0:
-            raise DomainError("sum violates parity")
-
-
 def nearest_level(N: int, m: float) -> int:
     """Closest reachable magnetization sum to N*m (parity of N)."""
     k = int(round(N * m))
@@ -688,21 +642,32 @@ def kernel_arrays(params: ModelParams, N: int):
     return kernel.up, kernel.down, kernel.stay
 
 
-def _resolve_start(N: int, start) -> SpinConfig:
-    """Accepts 'all_plus'/'all_minus', an integer sum, or a SpinConfig."""
-    if isinstance(start, SpinConfig):
-        out = start.copy()
-        out.validate()
-        if out.N != N:
-            raise DomainError(f"start has {out.N} spins, expected {N}")
-        return out
-    if start == "all_plus":
-        return SpinConfig.all_plus(N)
-    if start == "all_minus":
-        return SpinConfig.all_minus(N)
+def _resolve_start(N: int, start) -> tuple[list, int]:
+    """(spins, sum) of a start: a list of +-1 and its sum.
+
+    A start is 'all_plus', 'all_minus', a level k (the first (N + k)/2 sites
+    are +1; site labels are exchangeable, so the choice is irrelevant for
+    any magnetization-level observable) or a +-1 array of length N.
+    """
+    if isinstance(start, str):
+        if start not in ("all_plus", "all_minus"):
+            raise DomainError(f"unrecognized start {start!r}")
+        start = N if start == "all_plus" else -N
     if isinstance(start, (int, np.integer)):
-        return SpinConfig.from_magnetization(N, int(start))
-    raise DomainError(f"unrecognized start {start!r}")
+        k = int(start)
+        if (N + k) % 2 != 0 or abs(k) > N:
+            raise DomainError(f"sum {k} unreachable for N={N}")
+        n_plus = (N + k) // 2
+        return [1] * n_plus + [-1] * (N - n_plus), k
+    spins = np.asarray(start)
+    if spins.ndim != 1:
+        raise DomainError(f"unrecognized start {start!r}")
+    if len(spins) != N:
+        raise DomainError(f"start has {len(spins)} spins, expected {N}")
+    if not np.isin(spins, (-1, 1)).all():
+        raise DomainError("spins must be +-1")
+    spins = np.where(spins > 0, 1, -1)
+    return spins.tolist(), int(spins.sum())
 
 
 def restricted_threshold(params: ModelParams, N: int) -> int:
@@ -750,9 +715,9 @@ def run_chain(spec: RunSpec) -> Trace:
     A threshold restricts the chain to sums >= threshold.
     """
     kernel = LevelKernel(spec.params, spec.N, lo=spec.threshold)
-    state = _resolve_start(spec.N, spec.start)
-    kernel.index(state.sum)
-    spins, k, every = state.spins.tolist(), state.sum, spec.record_every
+    spins, k = _resolve_start(spec.N, spec.start)
+    kernel.index(k)
+    every = spec.record_every
     times = np.arange(0, spec.steps + 1, every)
     sums = np.empty(len(times), dtype=np.int64)
     sums[0], row, t = k, 1, 0
@@ -805,10 +770,9 @@ def run_coupling(spec: CouplingSpec) -> CouplingTrace:
     """
     N, every = spec.N, spec.record_every
     kernel = LevelKernel(spec.params, N)
-    x = _resolve_start(N, spec.start_x)
-    y = _resolve_start(N, spec.start_y)
-    xs, ys, kx, ky = x.spins.tolist(), y.spins.tolist(), x.sum, y.sum
-    differs = x.spins != y.spins  # per site, at the start of the chunk
+    xs, kx = _resolve_start(N, spec.start_x)
+    ys, ky = _resolve_start(N, spec.start_y)
+    differs = np.array(xs) != np.array(ys)  # per site, at the start of the chunk
     never = np.ones(N, dtype=bool)  # sites no step has chosen yet
     hamming, untouched = int(np.count_nonzero(differs)), N
     coalesced_at = 0 if hamming == 0 else None
@@ -869,14 +833,16 @@ def coupling_csv(trace: CouplingTrace) -> str:
 
 def simulate_mag_replicas(params: ModelParams, N: int, start_ks: np.ndarray,
                           steps: int, rng: np.random.Generator,
-                          lo: int | None = None, hi: int | None = None,
-                          record_every: int | None = None):
-    """Advance R magnetization chains for `steps` LevelKernel replica steps.
+                          lo: int | None = None, hi: int | None = None) -> np.ndarray:
+    """The sums of R magnetization chains after `steps` LevelKernel replica
+    steps from start_ks.
 
     Optional lo/hi bounds give the floor- or window-restricted dynamics by
-    rejection.  Returns the final sums, or (times, sums_matrix) when
-    record_every is set.  A start that is no level in [lo, hi] raises
-    DomainError, as LevelKernel.index does.
+    rejection.  A start that is no level in [lo, hi] raises DomainError, as
+    LevelKernel.index does.  Each chunk of n steps draws rng.random((n, 2,
+    R)), the same stream as rng.random((2, R)) per step (site uniforms, then
+    spin uniforms), so s steps and then t steps on one rng end where s + t
+    steps do.
     """
     ks = np.array(start_ks, dtype=np.int64)
     R = ks.shape[0]
@@ -884,22 +850,10 @@ def simulate_mag_replicas(params: ModelParams, N: int, start_ks: np.ndarray,
     if R:  # the lowest, highest and first wrong-parity starts must be levels
         for k in (ks.min(), ks.max(), ks[np.argmax(ks & 1 != N & 1)]):
             kernel.index(int(k))
-    recorded = None
-    if record_every is not None:
-        recorded = [(0, ks.copy())]
     chunk = max(1, min(steps, (1 << 22) // max(R, 1)))
-    t = 0
-    while t < steps:
-        n_t = min(chunk, steps - t)
-        u = rng.random((n_t, 2, R))
-        for s in range(n_t):
-            t += 1
-            ks = kernel.replica_step(ks, u[s, 0], u[s, 1])
-            if recorded is not None and t % record_every == 0:
-                recorded.append((t, ks.copy()))
-    if recorded is not None:
-        times = np.array([r[0] for r in recorded])
-        return times, np.stack([r[1] for r in recorded])
+    for t in range(0, steps, chunk):
+        for u_site, u_spin in rng.random((min(chunk, steps - t), 2, R)):
+            ks = kernel.replica_step(ks, u_site, u_spin)
     return ks
 
 
@@ -978,25 +932,26 @@ def _metastable_setup(spec: MetastableSpec):
     return globals_, kernels, starts, weights, burn
 
 
-def metastable_sample(spec: MetastableSpec) -> tuple[SpinConfig, SamplerReport]:
+def metastable_sample(spec: MetastableSpec) -> tuple[np.ndarray, SamplerReport]:
     """Draw an approximate sample by mixing window-restricted chains.
 
     One window-restricted chain per global maximizer runs for the burn-in
     horizon; a window index is then drawn with Gaussian-mass weights
     proportional to ((m^2 - 1) H''(m))^{-1/2} and that chain's final
-    configuration is returned.  Windows are clamped to [-N, N].
+    configuration is returned, as an int8 array of +-1.  Windows are
+    clamped to [-N, N].
     """
     globals_, kernels, starts, weights, burn = _metastable_setup(spec)
 
-    finals = []
-    acc_rates = []
+    finals, final_sums, acc_rates = [], [], []
     for i, (kernel, k) in enumerate(zip(kernels, starts)):
-        spins = SpinConfig.from_magnetization(spec.N, k).spins.tolist()
+        spins, k = _resolve_start(spec.N, k)
         rejected = 0
         for sites, us in kernel.draws(rng_stream(spec.seed, 1, i), burn):
             k, r, _ = kernel.walk(spins, k, sites, us)
             rejected += r
-        finals.append(SpinConfig(spins=np.array(spins, dtype=np.int8), sum=k))
+        finals.append(spins)
+        final_sums.append(k)
         acc_rates.append(1.0 - rejected / burn if burn else 1.0)
 
     rng_v = rng_stream(spec.seed, 2)
@@ -1007,10 +962,10 @@ def metastable_sample(spec: MetastableSpec) -> tuple[SpinConfig, SamplerReport]:
         windows=[(kernel.lo, kernel.hi) for kernel in kernels],
         burn_steps=burn,
         acceptance_rates=acc_rates,
-        final_sums=[st.sum for st in finals],
+        final_sums=final_sums,
         chosen=chosen,
     )
-    return finals[chosen], report
+    return np.array(finals[chosen], dtype=np.int8), report
 
 
 def metastable_sample_law(spec: MetastableSpec) -> np.ndarray:

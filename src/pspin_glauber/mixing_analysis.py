@@ -269,6 +269,7 @@ def mixing_time(params: ModelParams, N: int, eps: float, cap: int,
         k_min = -N
     if starts is None:
         starts = (N, -N) if k_min <= -N else (k_min + (k_min + N) % 2, N)
+        starts = tuple(dict.fromkeys(starts))  # a floor that rounds up to N: one start
     if mode not in (EXACT, MONTE_CARLO):
         raise DomainError(f"unknown mode {mode!r}")
 

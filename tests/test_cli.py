@@ -78,6 +78,20 @@ def test_overflowing_level_weights_are_one_error_line():
         assert run.stderr.count("\n") == 1, run.stderr
 
 
+@pytest.mark.parametrize("cmd", [
+    "coupling --p 3 --beta 0.05 --h 0.1 --n 10 --steps 1000000000000000",
+    "mix --p 4 --beta 0.054 --h 0.5 --n 10 --method mc --replicas 1000000000000000",
+    "drift --p 4 --beta 0.5 --h 0.1 --n 10 --c-grid 1000000000000000",
+])
+def test_oversized_arrays_are_one_error_line(cmd):
+    # each asks for a first array of petabytes, which fails at once
+    run = subprocess.run([sys.executable, "-m", "pspin_glauber.cli", *cmd.split()],
+                         env=_src_env(), capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (1, ""), cmd
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def test_overflowing_drift_tables_raise_no_warning():
     # at h = 1e308, 2d overflows to inf while f = sigmoid(2d) is 1: the
     # kernel tables, and mix's two finite Gibbs weights at N = 1, are formed

@@ -13,7 +13,6 @@ from pspin_glauber import (
     MetastableSpec,
     ModelParams,
     RunSpec,
-    SpinConfig,
     boundary_curves,
     find_stationary_points,
     hitting_time,
@@ -41,6 +40,11 @@ from pspin_glauber.dynamics import (
 )
 
 from conftest import balance_defects, cosh_tilted_log_level_law, flip_up_table
+
+
+def _level_spins(N, k):
+    """The start at level k: the first (N + k)/2 sites +1, the rest -1."""
+    return np.where(np.arange(N) < (N + k) // 2, 1, -1).astype(np.int8)
 
 
 def test_kernel_row_boundaries():
@@ -307,7 +311,7 @@ def test_step_full_frequencies_match_kernel():
     N, k = 50, 10
     R = 1_000_000
     kernel = LevelKernel(params, N)
-    spins = SpinConfig.from_magnetization(N, k).spins.tolist()
+    spins = _level_spins(N, k).tolist()
     sums = np.empty(R, dtype=np.int64)
     r = 0
     for sites, us in kernel.draws(rng_stream(9, 4), R):
@@ -331,7 +335,7 @@ def test_chain_transitions_chi_square():
     N, R, steps = 100, 100, 10_000
     f_up = flip_up_table(params, N)
     kernel = LevelKernel(params, N)
-    spins = np.tile(SpinConfig.from_magnetization(N, 0).spins, (R, 1))
+    spins = np.tile(_level_spins(N, 0), (R, 1))
     sums = spins.sum(axis=1).astype(np.int64)
     rows = np.arange(R)
     rng = rng_stream(17, 0)
@@ -402,7 +406,7 @@ def test_step_restricted_rejects_at_floor():
     params = ModelParams(2, 0.1, -50.0)
     N = 40
     kernel = LevelKernel(params, N, lo=0)
-    spins, k = SpinConfig.from_magnetization(N, 0).spins.tolist(), 0
+    spins, k = _level_spins(N, 0).tolist(), 0
     rejected = 0
     for sites, us in kernel.draws(rng_stream(3, 1), 500):
         for t in range(len(us)):  # one step at a time, to check every state
@@ -418,7 +422,7 @@ def test_step_restricted_validates_start():
     with pytest.raises(DomainError):
         run_chain(RunSpec(params=params, N=20, start=-10, steps=1, threshold=0))
     with pytest.raises(DomainError):  # a start of the wrong size
-        run_chain(RunSpec(params=params, N=20, start=SpinConfig.all_plus(10),
+        run_chain(RunSpec(params=params, N=20, start=np.ones(10, dtype=np.int8),
                           steps=1))
 
 
@@ -454,15 +458,13 @@ def test_restricted_long_run_matches_conditioned_law():
     R, steps, burn = 250, 44_000, 4_000
     rng = rng_stream(7, 2)
     k0 = thr + (thr + N) % 2
-    _, traj = simulate_mag_replicas(params, N, np.full(R, k0), steps, rng,
-                                    lo=thr, record_every=1)
-    samples = traj[burn:].ravel()
-    hist = np.zeros_like(kernel.gibbs)
-    vals, counts = np.unique(samples, return_counts=True)
-    idx = {int(k): i for i, k in enumerate(kernel.ks)}
-    for v, ct in zip(vals.tolist(), counts.tolist()):
-        hist[idx[v]] += ct
-    hist /= hist.sum()
+    ks = np.full(R, k0, dtype=np.int64)
+    counts = np.zeros(len(kernel.ks), dtype=np.int64)  # levels from step burn on
+    for t in range(1, steps + 1):
+        ks = kernel.replica_step(ks, *rng.random((2, R)))
+        if t >= burn:
+            counts += np.bincount((ks - kernel.ks[0]) // 2, minlength=len(counts))
+    hist = counts / counts.sum()
     tv = 0.5 * float(np.abs(hist - kernel.gibbs).sum())
     assert tv < 0.02
 
@@ -510,14 +512,12 @@ def test_run_coupling_matches_two_chain_loop():
     # constant, and the pairs meet in the first chunk and in the second
     N, steps = 60, 20_000
     rng = np.random.default_rng(3)
-    mixed = [SpinConfig(spins=s, sum=int(s.sum())) for s in
-             (np.where(rng.random(N) < q, 1, -1).astype(np.int8) for q in (0.8, 0.2))]
-    cases = ((ModelParams(3, 0.05, 0.1), SpinConfig.from_magnetization(N, 10),
-              SpinConfig.from_magnetization(N, -20)),
+    mixed = [np.where(rng.random(N) < q, 1, -1).astype(np.int8) for q in (0.8, 0.2)]
+    cases = ((ModelParams(3, 0.05, 0.1), _level_spins(N, 10), _level_spins(N, -20)),
              (ModelParams(4, 0.9, 0.0), *mixed))
     met = []
     for params, x, y in cases:
-        rows = _coupled_loop(params, N, x.spins, y.spins, steps, seed=6)
+        rows = _coupled_loop(params, N, x, y, steps, seed=6)
         hits = np.flatnonzero(rows[:, 0] == 0)
         met.append(int(hits[0]) if hits.size else None)
         for every in (1, 3, 7):
@@ -542,7 +542,7 @@ def test_metastable_sample_matches_one_step_at_a_time_loop():
     f = {}
     for w, (m, (lo, hi)) in enumerate(zip(report.maximizers, report.windows)):
         k = nearest_level(N, m)
-        spins = SpinConfig.from_magnetization(N, k).spins.tolist()
+        spins = _level_spins(N, k).tolist()
         rng, rejected = rng_stream(2, 1, w), 0
         for _ in range(burn):
             u_site, u_spin = rng.random(2)
@@ -628,13 +628,10 @@ def test_concentration_at_deep_well():
     rng = rng_stream(5, 1)
     ks = simulate_mag_replicas(params, N, np.full(1000, -N), 10 * N, rng)
     violated = ~(np.abs(ks / N - m_star) < 0.05)
-    t = 10 * N
-    while t < 100 * N:
-        block = min(2000, 100 * N - t)
-        _, traj = simulate_mag_replicas(params, N, ks, block, rng, record_every=1)
-        violated |= (np.abs(traj[1:] / N - m_star) >= 0.05).any(axis=0)
-        ks = traj[-1]
-        t += block
+    kernel = LevelKernel(params, N)
+    for _ in range(90 * N):  # steps 10 N + 1 .. 100 N, one replica step each
+        ks = kernel.replica_step(ks, *rng.random((2, len(ks))))
+        violated |= np.abs(ks / N - m_star) >= 0.05
     assert float(1 - violated.mean()) >= 0.99
 
 
@@ -644,9 +641,10 @@ def test_sampler_single_window_at_regular_point():
     config, report = metastable_sample(spec)
     assert report.weights == [1.0]
     assert len(report.windows) == 1
-    config.validate()
+    assert config.dtype == np.int8 and np.isin(config, (-1, 1)).all()
+    assert int(config.sum()) == report.final_sums[0]
     lo, hi = report.windows[0]
-    assert lo <= config.sum <= hi
+    assert lo <= report.final_sums[0] <= hi
 
 
 def test_sampler_symmetric_weights():
@@ -722,12 +720,45 @@ def test_sampler_exact_law_matches_replicas():
 
 
 def test_spin_config_validation():
-    with pytest.raises(DomainError):
-        SpinConfig.from_magnetization(10, 3)  # parity
-    with pytest.raises(DomainError):
-        SpinConfig.from_magnetization(10, 12)  # range
-    cfg = SpinConfig.from_magnetization(10, 4)
-    assert cfg.sum == 4 and cfg.spins.sum() == 4
-    bad = SpinConfig(spins=cfg.spins, sum=2)
-    with pytest.raises(DomainError):
-        bad.validate()
+    # a start is 'all_plus', 'all_minus', a level or a +-1 array of length N;
+    # run_chain and run_coupling reject anything else with DomainError
+    params, N = ModelParams(4, 0.5, 0.1), 10
+    zero = _level_spins(N, 4)
+    zero[3] = 0
+    for start, message in ((3, "sum 3 unreachable for N=10"),      # parity
+                           (12, "sum 12 unreachable for N=10"),    # range
+                           (np.ones(8, dtype=np.int8), "start has 8 spins, expected 10"),
+                           (zero, "spins must be"),
+                           ("all_up", "unrecognized start 'all_up'")):
+        with pytest.raises(DomainError, match=message):
+            run_chain(RunSpec(params=params, N=N, start=start, steps=1))
+        with pytest.raises(DomainError, match=message):
+            run_coupling(CouplingSpec(params=params, N=N, start_x=start, steps=1))
+        with pytest.raises(DomainError, match=message):
+            run_coupling(CouplingSpec(params=params, N=N, start_y=start, steps=1))
+    # a level is the array with its first (N + k)/2 sites +1
+    for x, y, kx, ky in ((4, -6, 4, -6), ("all_plus", "all_minus", N, -N)):
+        by_level = run_coupling(CouplingSpec(params=params, N=N, start_x=x, start_y=y,
+                                             steps=500, seed=3))
+        by_array = run_coupling(CouplingSpec(params=params, N=N,
+                                             start_x=_level_spins(N, kx),
+                                             start_y=_level_spins(N, ky), steps=500, seed=3))
+        for field in ("times", "hamming", "untouched", "mags_x", "mags_y"):
+            assert np.array_equal(getattr(by_level, field), getattr(by_array, field))
+        assert by_level.coalesced_at == by_array.coalesced_at
+
+
+def test_replica_runs_split_on_one_rng_match_one_run():
+    # s steps and then t steps end where s + t steps do: at R = 3000 a chunk
+    # is (1 << 22) // R = 1398 steps, and 1000 + 500 crosses it
+    params, N, R = ModelParams(4, 0.51, 0.184), 60, 3000
+    starts = np.resize(np.arange(-N, N + 1, 2), R)
+    for lo, hi in ((None, None), (-20, 30)):
+        if lo is not None:
+            starts = np.clip(starts, lo, hi)
+        rng = rng_stream(4, 2)
+        split = simulate_mag_replicas(params, N, starts, 1000, rng, lo=lo, hi=hi)
+        split = simulate_mag_replicas(params, N, split, 500, rng, lo=lo, hi=hi)
+        whole = simulate_mag_replicas(params, N, starts, 1500, rng_stream(4, 2),
+                                      lo=lo, hi=hi)
+        assert np.array_equal(split, whole)

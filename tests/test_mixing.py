@@ -595,6 +595,17 @@ def test_restricted_equals_full_without_restriction():
         assert a.t_by_start == b.t_by_start
 
 
+def test_restricted_starts_are_listed_once():
+    # at N <= 4 the floor of (4, 0.9, 0) rounds up to N: one start, N; at
+    # N = 5 the floor level 3 lies below it
+    params = ModelParams(4, 0.9, 0.0)
+    for N in (2, 3, 4):
+        assert restricted_threshold(params, N) > N - 2
+        rep = restricted_mixing_time(params, N, 0.35, cap=1000)
+        assert rep.starts == [N] and list(rep.t_by_start) == [N]
+    assert restricted_mixing_time(params, 5, 0.35, cap=1000).starts == [3, 5]
+
+
 def test_restricted_mixing_scales_like_n_log_n():
     params = ModelParams(4, 0.51, 0.184)
     ratios = []
@@ -662,13 +673,12 @@ def test_hitting_time_agrees_with_replicas():
     rng = rng_stream(3, 4)
     ks = np.full(R, start, dtype=np.int64)
     hit_at = np.full(R, -1, dtype=np.int64)
+    kernel = LevelKernel(params, N, lo=thr)
     t = 0
     while (hit_at < 0).any():
-        _, traj = simulate_mag_replicas(params, N, ks, 100, rng, lo=thr,
-                                        record_every=1)
-        for s in range(1, len(traj)):
-            hit_at[(hit_at < 0) & (traj[s] >= target)] = t + s
-        ks, t = traj[-1], t + 100
+        t += 1
+        ks = kernel.replica_step(ks, *rng.random((2, R)))
+        hit_at[(hit_at < 0) & (ks >= target)] = t
     se = hit_at.std(ddof=1) / math.sqrt(R)
     exact = hitting_time(params, N, start, target, k_min=thr).mean_steps
     assert abs(exact - hit_at.mean()) <= 4 * se
