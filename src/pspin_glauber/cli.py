@@ -353,8 +353,7 @@ def _cmd_mix_sweep(args) -> None:
 
 def _cmd_sample(args) -> None:
     spec = dynamics.MetastableSpec(
-        params=_params(args), N=args.n, epsilon=args.epsilon,
-        burn_steps=args.burn, seed=args.seed,
+        params=_params(args), N=args.n, burn_steps=args.burn, seed=args.seed,
         require_coexistence=args.require_coexistence,
     )
     _write(args.out, _json_envelope(dynamics.metastable_sample(spec)[1]))
@@ -481,8 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="metastable window sampler")
     add_model(sp)
-    sp.add_argument("--epsilon", type=real, default=None,
-                    help="window half-width (default: automatic)")
     sp.add_argument("--burn", type=_positive_int, default=None,
                     help="burn-in steps per window (default: 10 N log N)")
     sp.add_argument("--require-coexistence", action="store_true")

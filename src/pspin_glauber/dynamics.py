@@ -13,9 +13,11 @@ steps on the law's live window, or `leap`, a whole block of steps through
 the kernel's banded block power), a scalar walk of a spin configuration
 over a chunk of draws and a replica step of many magnetization chains.  A
 move that would leave ``[lo, hi]`` is rejected (the state is kept); the push
-tables fold that rejection into ``stay``.  The floor of the restricted
-dynamics and the sampler's windows are both such restrictions; the
-unrestricted chain is the full interval.
+tables fold that rejection into ``stay``.  The well of a maximizer of H,
+cut at the stationary points next to it (`_well`), is such a restriction:
+the floor of the restricted dynamics is the top well's lower end, and the
+sampler runs one chain per well of a global maximizer.  The unrestricted
+chain is the full interval.
 
 Every scalar step consumes exactly two uniforms in fixed order (site, spin),
 so two chains advanced with shared draws form the grand coupling and runs
@@ -37,7 +39,6 @@ import numpy.random
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .potential import (
-    CURVATURE_TOL,
     HEIGHT_TOL,
     DomainError,
     ModelParams,
@@ -670,20 +671,27 @@ def _resolve_start(N: int, start) -> tuple[list, int]:
     return spins.tolist(), int(spins.sum())
 
 
-def restricted_threshold(params: ModelParams, N: int) -> int:
-    """Magnetization floor ceil(N*m_minus) for the restricted dynamics.
+def _well(points, m: float, N: int) -> tuple[int, int]:
+    """The well of the maximizer m as a restriction [lo, hi] of the sum.
 
-    m_plus is the largest local maximizer of H; m_minus the largest
-    stationary point strictly below it.  With a single stationary point
-    there is nothing to cut off and the floor collapses to -N.
+    lo = ceil(N*a) and hi = ceil(N*b) - 1, with a and b the stationary
+    points of H next to m below and above it (lo = -N or hi = N where there
+    is none): the levels k with N*a <= k < N*b.  Wells of distinct
+    maximizers are disjoint, and a level on a cut joins the well above it.
     """
+    below = [s.m for s in points if s.m < m]
+    above = [s.m for s in points if s.m > m]
+    lo = math.ceil(N * max(below)) if below else -N
+    hi = math.ceil(N * min(above)) - 1 if above else N
+    return lo, hi
+
+
+def restricted_threshold(params: ModelParams, N: int) -> int:
+    """Magnetization floor of the restricted dynamics: the lower end of the
+    well of the largest local maximizer of H, ceil(N*m_minus) with m_minus
+    the largest stationary point below it, or -N where there is none."""
     points = find_stationary_points(params)
-    maxima = local_maxima(points)
-    m_plus = maxima[-1].m
-    below = [s.m for s in points if s.m < m_plus]
-    if not below:
-        return -N
-    return math.ceil(N * max(below))
+    return _well(points, local_maxima(points)[-1].m, N)[0]
 
 
 @dataclass(frozen=True)
@@ -864,7 +872,6 @@ def simulate_mag_replicas(params: ModelParams, N: int, start_ks: np.ndarray,
 class MetastableSpec:
     params: ModelParams
     N: int
-    epsilon: float | None = None  # window half-width; None = automatic
     burn_steps: int | None = None  # None = ceil(10 N log N)
     seed: int = 0
     require_coexistence: bool = False
@@ -872,8 +879,11 @@ class MetastableSpec:
 
 @dataclass
 class SamplerReport:
+    """One `metastable_sample` draw: a window per global maximizer of H, its
+    well (`_well`), weighted by the well's exact Gibbs mass."""
+
     maximizers: list[float]         # magnetization locations of the windows
-    weights: list[float]            # window selection probabilities
+    weights: list[float]            # window Gibbs masses, normalised to sum 1
     windows: list[tuple[int, int]]  # (lo_sum, hi_sum) per window, in [-N, N]
     burn_steps: int
     acceptance_rates: list[float]   # fraction of proposals not window-rejected
@@ -882,11 +892,9 @@ class SamplerReport:
 
 
 def _metastable_setup(spec: MetastableSpec):
-    """Global maximizers, window kernels, window starts, selection weights
-    and burn-in of the sampler."""
+    """Global maximizers, well kernels, starts, Gibbs-mass weights and
+    burn-in of the sampler."""
     params, N = spec.params, spec.N
-    if spec.epsilon is not None and not 0 < spec.epsilon < math.inf:
-        raise DomainError(f"window half-width must be positive and finite, got {spec.epsilon}")
     if spec.burn_steps is not None and spec.burn_steps < 0:
         raise DomainError("burn_steps must be non-negative")
     points = find_stationary_points(params)
@@ -895,36 +903,17 @@ def _metastable_setup(spec: MetastableSpec):
     globals_ = [s for s in maxima if top - s.H <= HEIGHT_TOL]
     if spec.require_coexistence and len(globals_) < 2:
         raise DomainError("not on the global-coexistence locus")
-    for s in globals_:
-        if abs(s.H2) <= CURVATURE_TOL:
-            raise DomainError(
-                "degenerate global maximizer: no Gaussian window weight exists"
-            )
+    kernels = [LevelKernel(params, N, *_well(points, s.m, N)) for s in globals_]
+    starts = [min(max(nearest_level(N, s.m), int(kernel.ks[0])), int(kernel.ks[-1]))
+              for s, kernel in zip(globals_, kernels)]
 
-    eps = spec.epsilon
-    if eps is None:
-        eps = 0.1
-        for s in globals_:
-            others = [q.m for q in points if q.m != s.m]
-            if others:
-                eps = min(eps, 0.5 * min(abs(s.m - o) for o in others))
-    windows = [(math.ceil(N * (s.m - eps)), math.floor(N * (s.m + eps))) for s in globals_]
-    starts = [nearest_level(N, s.m) for s in globals_]
-    for s, (lo, hi), k0 in zip(globals_, windows, starts):
-        if not lo <= k0 <= hi:
-            raise DomainError(
-                f"window half-width epsilon={eps} is too narrow at N={N}: [{lo}, {hi}] "
-                f"misses the start level {k0} of the maximizer m={s.m!r}")
-    for (_, a_hi), (b_lo, _) in zip(windows, windows[1:]):
-        if a_hi >= b_lo:
-            raise DomainError("metastable windows overlap; reduce epsilon")
-    kernels = [LevelKernel(params, N, lo, hi) for lo, hi in windows]
-
-    # ((m^2 - 1) H''(m))^(-1/2) with the product multiplied out, so that it
-    # is 1, not 0^(-1/2), where m rounds to +-1
-    c = params.p * (params.p - 1) * params.beta
-    raw = [(1.0 - c * s.m ** (params.p - 2) * (1.0 - s.m**2)) ** -0.5 for s in globals_]
-    total = sum(raw)
+    # each window's Gibbs mass, a log-sum-exp summed by fsum: exactly
+    # rounded, so mirror windows get the same mass whatever their order
+    log_gibbs = LevelKernel(params, N).log_gibbs
+    logs = [log_gibbs[(kernel.ks + N) // 2] for kernel in kernels]
+    peak = max(float(lg.max()) for lg in logs)
+    raw = [math.fsum(np.exp(lg - peak).tolist()) for lg in logs]
+    total = math.fsum(raw)
     weights = [w / total for w in raw]
     burn = spec.burn_steps
     if burn is None:
@@ -933,13 +922,13 @@ def _metastable_setup(spec: MetastableSpec):
 
 
 def metastable_sample(spec: MetastableSpec) -> tuple[np.ndarray, SamplerReport]:
-    """Draw an approximate sample by mixing window-restricted chains.
+    """Draw an approximate sample by mixing well-restricted chains.
 
-    One window-restricted chain per global maximizer runs for the burn-in
-    horizon; a window index is then drawn with Gaussian-mass weights
-    proportional to ((m^2 - 1) H''(m))^{-1/2} and that chain's final
-    configuration is returned, as an int8 array of +-1.  Windows are
-    clamped to [-N, N].
+    One chain per global maximizer runs for the burn-in horizon, restricted
+    to the maximizer's well (`_well`) and started at the well's level
+    nearest N*m; a window index is then drawn with weights proportional to
+    the wells' exact Gibbs masses and that chain's final configuration is
+    returned, as an int8 array of +-1.
     """
     globals_, kernels, starts, weights, burn = _metastable_setup(spec)
 
@@ -971,7 +960,7 @@ def metastable_sample(spec: MetastableSpec) -> tuple[np.ndarray, SamplerReport]:
 def metastable_sample_law(spec: MetastableSpec) -> np.ndarray:
     """Exact magnetization law of one sampler draw over all N+1 levels.
 
-    The Gaussian-weighted mixture over windows w of delta_{k0} P_w^burn,
+    The Gibbs-mass-weighted mixture over windows w of delta_{k0} P_w^burn,
     each term pushed exactly by its window's kernel.
     """
     N = spec.N

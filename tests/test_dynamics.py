@@ -29,6 +29,7 @@ from pspin_glauber import (
 )
 from pspin_glauber.dynamics import (
     _TAIL,
+    _metastable_setup,
     _sigmoid,
     coupling_csv,
     flip_up_probability,
@@ -534,12 +535,14 @@ def test_run_coupling_matches_two_chain_loop():
 
 
 def test_metastable_sample_matches_one_step_at_a_time_loop():
-    # final sums and acceptance rates of a window that rejects moves, over
-    # 20000 steps (two draw chunks), against a loop drawing two uniforms a step
-    params, N, burn = ModelParams(4, 0.51, 0.184), 200, 20_000
+    # final sums and acceptance rates of two wells, the upper one rejecting
+    # moves below its cut at 0, over 20000 steps (two draw chunks), against
+    # a loop drawing two uniforms a step
+    params, N, burn = ModelParams(2, 0.6, 0.0), 100, 20_000
     spec = MetastableSpec(params=params, N=N, burn_steps=burn, seed=2)
     _, report = metastable_sample(spec)
-    f = {}
+    assert report.windows == [(-100, -1), (0, 100)]
+    f, rejections = {}, []
     for w, (m, (lo, hi)) in enumerate(zip(report.maximizers, report.windows)):
         k = nearest_level(N, m)
         spins = _level_spins(N, k).tolist()
@@ -557,7 +560,8 @@ def test_metastable_sample_matches_one_step_at_a_time_loop():
                 rejected += 1
         assert report.final_sums[w] == k
         assert report.acceptance_rates[w] == 1.0 - rejected / burn
-        assert rejected > 0
+        rejections.append(rejected)
+    assert rejections[1] > 0
 
 
 def test_untouched_sites_match_collector_formula():
@@ -666,12 +670,49 @@ def test_sampler_asymmetric_weights_on_coexistence_curve():
     assert sum(report.weights) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_sampler_rejects_degenerate_maximizer():
+def test_sampler_single_well_at_degenerate_maximizer():
+    # the special point's one stationary point is a degenerate maximizer:
+    # its well is the whole state space and holds all the Gibbs mass
     from pspin_glauber import h_hat
 
-    spec = MetastableSpec(params=ModelParams(4, 1.0 / 3.0, h_hat(4)), N=50)
-    with pytest.raises(DomainError, match="degenerate"):
-        metastable_sample(spec)
+    N = 50
+    spec = MetastableSpec(params=ModelParams(4, 1.0 / 3.0, h_hat(4)), N=N,
+                          burn_steps=500, seed=3)
+    config, report = metastable_sample(spec)
+    assert report.windows == [(-N, N)] and report.weights == [1.0]
+    assert int(config.sum()) == report.final_sums[0]
+
+
+def test_sampler_clamps_start_into_narrow_well():
+    # on C at beta = 0.34, N = 6, the upper maximizer 0.787 has its nearest
+    # level 4 below its well [5, 6]: the chain starts at 6 instead.  The
+    # sums of independent draws follow metastable_sample_law
+    params, N = ModelParams(4, 0.34, boundary_curves(4, 0.34).C), 6
+    spec = MetastableSpec(params=params, N=N)
+    assert _metastable_setup(spec)[2] == [4, 6]
+    law = metastable_sample_law(spec)
+    counts = np.zeros(N + 1)
+    R = 2000
+    for seed in range(R):
+        config, report = metastable_sample(MetastableSpec(params=params, N=N, seed=seed))
+        assert report.windows == [(-6, 4), (5, 6)]
+        for (lo, hi), k in zip(report.windows, report.final_sums):
+            assert lo <= k <= hi
+        counts[(int(config.sum()) + N) // 2] += 1
+    se = np.sqrt(law * (1 - law) / R)
+    assert np.all(np.abs(counts / R - law) <= 4 * se + 1e-3)
+
+
+@pytest.mark.parametrize("p, beta, N, bound", [(3, 0.55, 200, 0.06), (3, 0.55, 800, 0.03),
+                                                (4, 0.4, 200, 0.06), (4, 0.4, 800, 0.03)])
+def test_sampler_law_near_gibbs_on_coexistence_curve(p, beta, N, bound):
+    # on C each well holds a share of the Gibbs mass that stays away from 0
+    # and 1; the sampler's exact law, the wells weighted by their Gibbs
+    # masses, lies within bound of the Gibbs level law (the window cuts and
+    # Laplace weights left 0.240, 0.039, 0.292 and 0.073)
+    params = ModelParams(p, beta, boundary_curves(p, beta).C)
+    law = metastable_sample_law(MetastableSpec(params=params, N=N))
+    assert 0.5 * np.abs(law - LevelKernel(params, N).gibbs).sum() <= bound
 
 
 def test_sampler_coexistence_requirement():
@@ -697,15 +738,20 @@ def test_sampler_magnetization_smoke():
 
 def test_sampler_exact_law_matches_replicas():
     # the pushed window law against a replica histogram from the same start
-    # and window, within multinomial error; the window (56, 75) binds: the
-    # unrestricted chain puts 42% of its mass outside it by step 300
+    # and window, within multinomial error; the window [0, 40] binds: the
+    # unrestricted chain puts 6.8% of its mass below 0 by step 300
     params = ModelParams(2, 0.6, 0.0)
-    N, R = 100, 20_000
+    N, R = 40, 20_000
     spec = MetastableSpec(params=params, N=N, seed=8, burn_steps=300)
     law = metastable_sample_law(spec)
     _, report = metastable_sample(spec)
     lo, hi = report.windows[1]
     k0 = nearest_level(N, report.maximizers[1])
+    assert (lo, hi) == (0, N)
+    free = LevelKernel(params, N)
+    mu = np.zeros(N + 1)
+    mu[free.index(k0)] = 1.0
+    assert free.law_after(mu, 300)[free.ks < lo].sum() > 0.05
     ks = simulate_mag_replicas(params, N, np.full(R, k0), 300, rng_stream(8, 5),
                                lo=lo, hi=hi)
     assert abs(law.sum() - 1.0) <= 1e-12
