@@ -508,7 +508,7 @@ PINNED_STDOUT = [
      "mix --p 4 --beta 0.054 --h 0.5 --n 200 --method mc --replicas 2000 --seed 3"),
     ("1c54dec21e83504e", "classify --p 4 --beta 0.51 --h 0.184 --margins"),
     ("23ba66f4a7fc6ecc", "classify --p 4 --beta 0.9 --h 0"),
-    ("4e94efc7558bd523", "sample --p 4 --beta 0.9 --h 0 --n 200"),
+    ("0208b6eb2e7d1cb0", "sample --p 4 --beta 0.9 --h 0 --n 200"),
     ("083a8cd9d1745db0", "mix-sweep --p 4 --beta 0.054 --h 0.5 --n-list 400,800,1600"
                          " --cap 1000000 --jobs 1"),
     ("c7961267294fc813", "mix-sweep --p 4 --beta 1/3 --h 0.40996906622851137"
@@ -519,9 +519,9 @@ PINNED_STDOUT = [
                          " --seed 4 --record-every 1"),
     ("5b572ea3ddbcf784", "coupling --p 3 --beta 0.05 --h 0.1 --n 200 --steps 40000"
                          " --seed 4 --record-every 7"),
-    ("02623f5d7cff7e3d", "sample --p 4 --beta 0.9 --h 0 --n 2000 --seed 5"),
-    # a window that rejects 1.4 % of its moves
-    ("330d5c645ee6b81c", "sample --p 4 --beta 0.51 --h 0.184 --n 200 --burn 3000 --seed 2"),
+    ("9984cfa52d4fd69f", "sample --p 4 --beta 0.9 --h 0 --n 2000 --seed 5"),
+    # the global maximizer's well [-200, 136], cut below the metastable one
+    ("a7af8b5902f1199b", "sample --p 4 --beta 0.51 --h 0.184 --n 200 --burn 3000 --seed 2"),
     # 6,398 cuts, 1.1 MB: a long list of records
     ("328bc249c65267ae", "bottleneck --p 4 --beta 0.51 --h 0.184 --n 3200"),
     # down underflows: 100 -Infinity tokens
