@@ -708,8 +708,7 @@ def test_sampler_clamps_start_into_narrow_well():
 def test_sampler_law_near_gibbs_on_coexistence_curve(p, beta, N, bound):
     # on C each well holds a share of the Gibbs mass that stays away from 0
     # and 1; the sampler's exact law, the wells weighted by their Gibbs
-    # masses, lies within bound of the Gibbs level law (the window cuts and
-    # Laplace weights left 0.240, 0.039, 0.292 and 0.073)
+    # masses, lies within bound of the Gibbs level law
     params = ModelParams(p, beta, boundary_curves(p, beta).C)
     law = metastable_sample_law(MetastableSpec(params=params, N=N))
     assert 0.5 * np.abs(law - LevelKernel(params, N).gibbs).sum() <= bound
