@@ -22,7 +22,6 @@ import re
 import sys
 import types
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from enum import Enum
 
 import numpy as np
@@ -257,6 +256,9 @@ def _map(jobs: int, fn, *iterables) -> list:
     processes when jobs > 1."""
     if jobs == 1:
         return list(map(fn, *iterables))
+    # imported here: the pool's modules (multiprocessing, socket, logging)
+    # would cost every command their import time
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, *iterables))
 

@@ -61,10 +61,10 @@ _BLOCK = 32
 _TAIL = np.finfo(float).eps ** 2
 _EPS = np.finfo(float).eps
 # LevelKernel.band is built this many levels at a time, cut ends +-_BLOCK:
-# the last squaring's padded copy and product of a stretch (608 and 576 rows
-# of 65 floats, 0.6 MB) stay in cache.  Built unchunked, the full-size ones
-# (6.6 MB at N = 6400) raised the benchmark's exact-mix peak RSS by 2.9 MB;
-# 256 ran a fifth slower, 1024 no faster.
+# the last squaring's padded copy and product of a stretch (608 rows of 66
+# floats and 576 of 65, 0.6 MB) stay in cache.  Built unchunked, the
+# full-size ones (6.6 MB at N = 6400) raised the benchmark's exact-mix peak
+# RSS by 2.9 MB; 256 ran a fifth slower, 1024 no faster.
 _BAND_ROWS = 512
 # Scalar steps per chunk of LevelKernel.draws: one rng.random call each.
 _CHUNK = 1 << 14
@@ -143,8 +143,9 @@ class SlowSpectrum(NamedTuple):
     lam2; err is the Sturm bracket plus the rounding of S, and infinite
     when a third eigenvalue lies within it.  lam3 bounds every eigenvalue
     below lam2 from above, 1 - lam3 within a factor exp(1/64) of the exact
-    value; rho >= |lam| for all of them (lam3 unless some eigenvalue lies
-    below -lam3, then 1).
+    value; rho >= |lam| for all of them (|lam3| of `coarse_spectrum`,
+    which is lam3 unless lam2 - err bounds them more tightly, or 1 when
+    some eigenvalue lies below its negative).
     """
 
     lam2: float
@@ -166,21 +167,40 @@ def _count_above(diag: list, off2: list, x: float) -> int:
     return count
 
 
+def _split(above, k: int, near: float, far: float, done) -> tuple[float, float]:
+    """Bisection of log(1 - x) between near, with at most k eigenvalues
+    above x (`above` counts them), and far, with more: halved until
+    done(near, far) or no float lies between, returns the last (near, far).
+    Halving from a pair it returned continues the same bisection."""
+    mid = 0.5 * (near + far)
+    while near < mid < far and not done(near, far):
+        if above(-math.expm1(mid)) <= k:
+            near = mid
+        else:
+            far = mid
+        mid = 0.5 * (near + far)
+    return near, far
+
+
 def _square_band(g: np.ndarray) -> np.ndarray:
     """The gather form of P^2b from that of P^b, rows g[k, j] = P^b[k - b + j,
     k] of shape (n, 2b + 1): one matmul of each row against a sheared view.
 
-    The view M[k, jl, J] = g[k - b + jl, J - jl] reads a copy of g whose rows
-    are shifted down by b and padded by b zero rows at each end and by 2b
-    zero columns on the right, W = 4b + 1 wide: with element strides (W,
-    W - 1, 1), a column J - jl below 0 or above 2b lands in the zero columns.
+    The view M[k, jl, J] = g[k - b + jl, J - jl], J < W = 4b + 1, reads a
+    copy of g whose rows are shifted down by b and padded by b zero rows at
+    each end and by 2b + 1 zero columns on the right, W + 1 wide: with
+    element strides (W + 1, W, 1), a column J - jl below 0 or above 2b lands
+    in the zero columns.  Each M[k] then has a row stride of W for its W
+    columns, a layout BLAS takes, so numpy hands each product to BLAS (at a
+    row stride of W - 1 it falls back to its own strided loop, twice as
+    slow at N = 6400).
     """
     n, w = g.shape
     b, W = w // 2, 2 * w - 1
-    pad = np.zeros((n + 2 * b, W))
+    pad = np.zeros((n + 2 * b, W + 1))
     pad[b:b + n, :w] = g
     s = pad.itemsize
-    sheared = as_strided(pad, shape=(n, w, W), strides=(W * s, (W - 1) * s, s),
+    sheared = as_strided(pad, shape=(n, w, W), strides=((W + 1) * s, W * s, s),
                          writeable=False)
     return np.matmul(g[:, None, :], sheared)[:, 0]
 
@@ -201,7 +221,8 @@ class LevelKernel:
     factors stable for any field strength.
 
     A birth-death chain is reversible: ``log_pi`` is its stationary law and
-    ``spectrum`` the slow end of its spectrum; ``band`` holds the block
+    ``spectrum`` the slow end of its spectrum (``coarse_spectrum`` its
+    cheap first stage); ``band`` holds the block
     power P^_BLOCK for `leap`; ``gibbs`` and ``log_gibbs`` are the Gibbs law
     conditioned on [lo, hi], mixing's target.  Each is computed on first use.
     """
@@ -318,11 +339,12 @@ class LevelKernel:
         return self._gibbs_laws[1]
 
     @cached_property
-    def spectrum(self) -> SlowSpectrum:
-        """lam2, lam3 and rho from Sturm counts of S alone (Golub-Van Loan
-        §8.4), bisected on log(1 - x): lam2 to adjacent floats, then lam3 to
-        1/64 between lam2 - err and -1.  Each count is one O(N) pass.
-        """
+    def _sturm(self):
+        """(above, (near, far), coarse): the Sturm count of S at x, the
+        bracket of lam2 in log(1 - x) after the first stage of `spectrum`
+        and `coarse_spectrum`.  The first stage bisects log(1 - x) with
+        `_split` to 1/64: lam2 from x = 1 to -1, then lam3 from lam2's upper
+        end to -1; about 23 counts, each one O(N) pass."""
         n = len(self.ks)
         if n < 3:
             raise DomainError(f"a chain of {n} levels has no lam3")
@@ -332,30 +354,43 @@ class LevelKernel:
         def above(x):
             return _count_above(diag, off2, x)
 
-        def split(k, near, far, done):
-            # log(1 - x) between near, with at most k eigenvalues above x,
-            # and far, with more, halved until done or no float is between
-            mid = 0.5 * (near + far)
-            while near < mid < far and not done(near, far):
-                if above(-math.expm1(mid)) <= k:
-                    near = mid
-                else:
-                    far = mid
-                mid = 0.5 * (near + far)
-            return -math.expm1(near), -math.expm1(far)
+        def coarse(a, b):
+            return b - a <= 1 / 64
 
         # between x = 1, to which -expm1(log(eps / 4)) rounds, and x = -1
-        lam2, low = split(1, math.log(_EPS / 4), math.log(2.0), lambda a, b:
-                          math.nextafter(-math.expm1(a), -1.0) <= -math.expm1(b))
+        near, far = _split(above, 1, math.log(_EPS / 4), math.log(2.0), coarse)
+        lam2 = -math.expm1(near)
+        lam3 = -math.expm1(_split(above, 2, near, math.log(2.0), coarse)[0])
+        rho = abs(lam3) if above(-abs(lam3)) == n else 1.0
+        return above, (near, far), SlowSpectrum(lam2, lam3, rho, lam2 + math.expm1(far))
+
+    @property
+    def coarse_spectrum(self) -> SlowSpectrum:
+        """The first stage of `spectrum`: lam2 is the upper end of a bracket
+        of the second eigenvalue, 1/64 wide in log(1 - x), and err its
+        width (the eigenvalue lies in [lam2 - err, lam2]); rho is
+        `spectrum`'s, and so is lam3 unless lam2 - err is lower there."""
+        return self._sturm[2]
+
+    @cached_property
+    def spectrum(self) -> SlowSpectrum:
+        """lam2, lam3 and rho from Sturm counts of S alone (Golub-Van Loan
+        §8.4), bisected on log(1 - x) in two stages of one bisection:
+        `coarse_spectrum`, then lam2 on from its bracket to adjacent floats,
+        where one bisection from x = 1 to -1 would end.
+        """
+        above, (near, far), coarse = self._sturm
+        near, far = _split(above, 1, near, far, lambda a, b:
+                           math.nextafter(-math.expm1(a), -1.0) <= -math.expm1(b))
+        lam2, low = -math.expm1(near), -math.expm1(far)
         # S's entries are rounded to an ulp or two and a count is exact for
         # S perturbed by a few eps (Kahan), so 16 eps covers both
         err = float(lam2 - low + 16 * _EPS)
         if above(lam2 - err) != 2:
             return SlowSpectrum(lam2, lam2, 1.0, math.inf)
-        lam3, _ = split(2, math.log1p(err - lam2), math.log(2.0),
-                        lambda a, b: b - a <= 1 / 64)
-        rho = abs(lam3) if above(-abs(lam3)) == n else 1.0
-        return SlowSpectrum(lam2, lam3, rho, err)
+        # lam2 - err bounds lam3 too, and is the tighter bound where lam3's
+        # bracket reaches above it
+        return SlowSpectrum(lam2, min(coarse.lam3, lam2 - err), coarse.rho, err)
 
     @cached_property
     def band(self) -> np.ndarray:
@@ -460,16 +495,18 @@ class LevelKernel:
                 hi = lo + len(law)
                 return 0.5 * (float(np.abs(law - target[lo:hi]).sum()) + (below[lo] + above[hi]))
 
-            tv_now = tv_of(a, held)
+            # the TV at the current step, or a lower bound on that of the
+            # law tv_src after certified leaps (`_leap_certified`)
+            tv_now, tv_src = tv_of(a, held), None
         done, d_seen = 0, math.inf  # the one-step change last measured
         while done < steps:
             m = min(_BLOCK, steps - done)
             leapt = None
             if m == _BLOCK and leap_above is not None:
-                leapt, d_seen = self._leap_certified(a, held, tv_now, tv_of, leap_above,
-                                                     done, d_seen)
+                leapt, d_seen = self._leap_certified(a, held, tv_now, tv_src, tv_of,
+                                                     leap_above, done, d_seen)
             if leapt:
-                lo, law, tv_now = leapt
+                lo, law, tv_now, tv_src = leapt
                 laws, tv = law[None], None
             else:
                 b = a + len(held) - 1
@@ -499,31 +536,42 @@ class LevelKernel:
                     np.subtract(laws, target[lo:hi + 1], out=d)
                     np.abs(d, out=d)
                     tv = 0.5 * (d.sum(axis=1) + (below[lo] + above[hi + 1]))
-                    tv_now = float(tv[-1])
+                    tv_now, tv_src = float(tv[-1]), None
             a, held = live_window(lo, laws[-1])
             done += m
             yield done, lo, laws, tv
 
-    def _leap_certified(self, a: int, held: np.ndarray, tv: float, tv_of,
+    def _leap_certified(self, a: int, held: np.ndarray, tv: float, src, tv_of,
                         level: float, t: int, d: float):
         """The block of _BLOCK = m steps after step t in one `leap`, when
         certified that the TV to the target stays above level at every step
         of it.
 
-        held is the law at step t on ks[a:a + len(held)], tv its TV to the
-        target, tv_of the TV of a windowed law and d the one-step change
-        last measured (inf for none).  Returns (leap, d): leap is (lo, law,
-        TV at t + m), the leap's result, or None when the certificate fails,
-        and d the one-step change to remember.
+        held is the law at step t on ks[a:a + len(held)], tv_of the TV of a
+        windowed law and d the one-step change last measured (inf for none).
+        tv is the TV at step t when src is None; otherwise src is (lo, law),
+        the law at t as a leap made it, and tv a lower bound on tv_of(*src).
+        Returns (leap, d): leap is (lo, law, tv, src) for step t + m, the
+        leap's result and its TV or bound in the same form, or None when the
+        certificate fails; d is the one-step change to remember.
 
         A Markov kernel never increases the L1 norm of a signed measure, so
         d_s = ||mu_{s+1} - mu_s||_1 never grows with s and TV moves by at
         most d_s/2 a step.  Hence, for t <= s <= t + m, TV(s) >= max(TV(t) -
         (s - t) d_t/2, TV(t + m) - (t + m - s) d_t/2) >= (TV(t) + TV(t + m))/2
         - m d_t/4, and any d_r measured at a step r <= t may stand for d_t.
-        The remembered d is tried first; only when it fails one of the two
-        checks is d_t measured, by one `push`, and the checks rerun with it,
-        so in exact arithmetic every decision is that of a fresh d_t.
+
+        The first bound alone is tried first, with the remembered d and tv
+        whether exact or a bound: when tv - m (d + delta)/2 clears the level,
+        the block is leapt with no TV computed, and that value is carried to
+        step t + m as the bound on its TV.  Otherwise the TV at t is computed
+        and the two checks of the mean bound run: the remembered d is tried
+        first, and only when it fails one of them is d_t measured, by one
+        `push`, and the checks rerun with it, so in exact arithmetic every
+        decision is that of a fresh d_t.  Where the first bound clears, both
+        checks would pass with the same d (the bound is below either mean),
+        so the blocks leapt are those the checks alone leap, and the laws
+        are bitwise theirs.
 
         The bound must clear the level by the rounding of the laws.  A push
         or a leap errs by under 32 eps of L1 per step (its products, its
@@ -535,10 +583,21 @@ class LevelKernel:
         exact laws' d_s never grows, however the computed laws got to step
         r (leaps, pushed blocks, tail cuts, renormalisations), and a d
         measured at r <= t errs by no more than one measured at t, whose
-        law's error is the larger: the same budget covers it.
+        law's error is the larger: the same budget covers it.  A carried
+        bound must stay below the TV that tv_of would compute: the computed
+        law at t moves from that at r by under 32 (t - r) eps, so its own d
+        exceeds the remembered one by under (64 t + n + 4) eps, and the leap
+        and two TV sums add 16 m + 2n eps, all within m delta/2 with delta =
+        (64 (t + m) + 2n) eps.
         """
         m, n = _BLOCK, len(self.ks)
         rest = (m + 2) * (16 * (t + m) + n) * _EPS
+        low = tv - 0.5 * m * (d + (64 * (t + m) + 2 * n) * _EPS)
+        if low > level + rest:
+            lo, law = self.leap(a, held)
+            return (lo, law, low, (lo, law)), d
+        if src is not None:
+            tv = tv_of(*src)
 
         def clears(tv_end, d):
             return 0.5 * (tv + tv_end) - 0.25 * m * d > level + rest
@@ -556,7 +615,7 @@ class LevelKernel:
             d = self._step_change(a, held)
             if not (clears(1.0, d) and clears(tv_end, d)):
                 return None, d
-        return (lo, law, tv_end), d
+        return (lo, law, tv_end, None), d
 
     def _step_change(self, a: int, held: np.ndarray) -> float:
         """||mu P - mu||_1 for the law mu held on ks[a:a + len(held)]."""
@@ -903,7 +962,14 @@ def _metastable_setup(spec: MetastableSpec):
     globals_ = [s for s in maxima if top - s.H <= HEIGHT_TOL]
     if spec.require_coexistence and len(globals_) < 2:
         raise DomainError("not on the global-coexistence locus")
-    kernels = [LevelKernel(params, N, *_well(points, s.m, N)) for s in globals_]
+    # a well that holds no level of N's parity (at N = 1, [0, 0]) has no
+    # Gibbs mass: it is dropped before its kernel is built
+    wells = [(s, _well(points, s.m, N)) for s in globals_]
+    wells = [(s, w) for s, w in wells if (w[0] + N + 1) // 2 <= (w[1] + N) // 2]
+    if not wells:
+        raise DomainError(f"no well of a global maximizer holds a level of N={N}")
+    globals_ = [s for s, _ in wells]
+    kernels = [LevelKernel(params, N, *w) for _, w in wells]
     starts = [min(max(nearest_level(N, s.m), int(kernel.ks[0])), int(kernel.ks[-1]))
               for s, kernel in zip(globals_, kernels)]
 

@@ -114,9 +114,10 @@ def tv_curve(params: ModelParams, N: int, start_k: int, t_max: int,
 # Exact mixing first tries the closed-form finish after this many sweeps (N
 # steps each).  The modes of the level chain other than the slowest relax on
 # the scale of a sweep, so no certificate holds much earlier; the kernel's
-# spectrum, computed at the first try (about 1 ms at N = 200, 7 ms at
-# N = 1600), is then not paid by the regular point, which mixes in about
-# 0.6 N log N steps.  Later tries are scheduled from the spectrum.
+# coarse spectrum, computed at the first try (23 Sturm counts, about 0.5 ms
+# at N = 200 and 3.5 ms at N = 1600), is then not paid by the regular
+# point, which mixes in about 0.6 N log N steps.  Later tries are scheduled
+# from the spectrum.
 _FIRST_FINISH = 8
 _EPS = np.finfo(float).eps
 
@@ -168,47 +169,74 @@ def _slow_finish(kernel: LevelKernel, mu: np.ndarray, target: np.ndarray,
     it (or up to the cap), exceeds that error and the rounding of pi and of
     the push that any reference computation of the same law would make.
 
+    Until a try has refined lam2 (LevelKernel.spectrum, cached on the
+    kernel and so shared by its starts), a try first reads the cheap
+    LevelKernel.coarse_spectrum, which brackets lam2 in [top - width, top],
+    and drops out, to try again t steps on, when R provably exceeds the
+    ray's distance from eps, the margin.  R is at least (||d P - top d||_w
+    - width ||d||_w) / (top - lam3).  The ray falls until the step the
+    margin is read at, so the margin is at most the TV at u = 0 minus eps.
+    And where the ray is within eps at s = top^(cap - t), at or above its
+    value at the cap, the two steps of the ray around that point lie
+    within ||d||_1 (1 - lam2) / 2 of eps, and so does the margin.  A factor
+    2 on that bound covers the rounding of both sides.
+
     Returns (u, None) when certified: the first crossing is at t + u, or
     after the cap when u > cap - t.  Otherwise returns (None, wait): the
     steps until another try, from t / 2 to t, so that tries stay cheap
     beside the push, or wait None when the spectrum allows no certificate.
     """
-    lam2, lam3, rho, err = kernel.spectrum
-    if not rho + 2 * err < lam2 < 1.0 - 2 * err:
+    coarse = kernel.coarse_spectrum
+    top, width = coarse.lam2, coarse.err
+    # then the refined check below fails too: lam2 <= top, err >= 16 eps
+    if not (coarse.rho < top and top - width < 1.0 - 32 * _EPS):
         return None, None
     log_pi = kernel.log_pi
     pi = np.exp(log_pi)
     d = mu - pi
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # ||v||_w of d and of d P - lam2 d, formed in log space where pi
-        # underflows
-        D, res = (float(np.linalg.norm(np.where(
-            v == 0.0, 0.0, np.exp(np.log(np.abs(v)) - 0.5 * log_pi))))
-            for v in (d, kernel.push(d) - lam2 * d))
-    R = (res + err * D) / (lam2 - err - lam3)
-    if not math.isfinite(R):  # mass where pi underflows: try again later
-        return None, t
-    horizon = cap - t
+    dP = kernel.push(d)
 
-    def ray(u):  # TV along the ray u steps on, minus eps, and its slope in s
+    def w_norm(v):  # ||v||_w, formed in log space where pi underflows
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return float(np.linalg.norm(np.where(
+                v == 0.0, 0.0, np.exp(np.log(np.abs(v)) - 0.5 * log_pi))))
+
+    def ray(u, lam2):  # TV along the ray u steps on, minus eps, and its slope in s
         gap = pi + lam2 ** u * d - target
         return 0.5 * float(np.abs(gap).sum()) - eps, float(d @ np.sign(gap))
+
+    D, horizon = w_norm(d), cap - t
+    if "spectrum" not in vars(kernel):  # lam2 not yet refined (a cached_property)
+        if ray(horizon, top)[0] <= 0.0:
+            bound = 0.5 * float(np.abs(d).sum()) * (1.0 - (top - width))
+        else:
+            bound = ray(0, top)[0]
+        low = (w_norm(dP - top * d) - width * D) / (top - coarse.lam3)
+        if not low <= 2.0 * bound:  # or R is not finite
+            return None, t
+
+    lam2, lam3, rho, err = kernel.spectrum
+    if not rho + 2 * err < lam2 < 1.0 - 2 * err:
+        return None, None
+    R = (w_norm(dP - lam2 * d) + err * D) / (lam2 - err - lam3)
+    if not math.isfinite(R):  # mass where pi underflows: try again later
+        return None, t
 
     # The ray's TV falls, then rises (convex in s = lam2^u): find the first
     # u at which it is within eps or has stopped falling.
     lo, hi = 0, horizon + 1
     while lo < hi:
         mid = (lo + hi) // 2
-        e, slope = ray(mid)
+        e, slope = ray(mid, lam2)
         if e <= 0.0 or slope <= 0.0:
             hi = mid
         else:
             lo = mid + 1
-    u, (e, _) = lo, ray(lo)
+    u, (e, _) = lo, ray(lo, lam2)
     if e <= 0.0 and u <= horizon:
-        margin = min(-e, ray(u - 1)[0]) if u else 0.0
+        margin = min(-e, ray(u - 1, lam2)[0]) if u else 0.0
     else:  # the ray stays above eps up to the cap
-        margin = min(ray(j)[0] for j in (u - 1, u) if 0 <= j <= horizon)
+        margin = min(ray(j, lam2)[0] for j in (u - 1, u) if 0 <= j <= horizon)
         u = horizon + 1
     span = min(u, horizon)
     drift = 0.5 * span * err

@@ -66,6 +66,26 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     assert out == "[]\n"
 
 
+def test_cli_commands_leave_the_worker_pool_unloaded(tmp_path):
+    # the process pool is imported only for --jobs > 1: importing the CLI and
+    # running the two pooled commands with --jobs 1 loads no multiprocessing
+    probe = f"""
+import contextlib, io, sys
+from pspin_glauber.cli import main
+for cmd in ("mix-sweep --p 4 --beta 0.054 --h 0.5 --n-list 100,200 --cap 100000 --jobs 1",
+            "phase-diagram --p 4 --beta-min 0.3 --beta-max 0.6 --beta-step 0.1"
+            " --h-min -0.3 --h-max 0.3 --h-step 0.1 --jobs 1"
+            " --out-prefix {tmp_path / 'diagram'}"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(cmd.split()) == 0, cmd
+print(sorted(m for m in sys.modules if m == "multiprocessing"
+             or m.startswith(("multiprocessing.", "concurrent.futures.process"))))
+"""
+    out = subprocess.run([sys.executable, "-c", probe], env=_src_env(), check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
+
+
 def test_overflowing_level_weights_are_one_error_line():
     # N*(beta c^p + h c) overflows at h = 1e308: one error line, no warning
     for cmd in ("mix --p 4 --beta 0.5 --h 1e308 --n 50",

@@ -703,7 +703,21 @@ def test_sampler_clamps_start_into_narrow_well():
     assert np.all(np.abs(counts / R - law) <= 4 * se + 1e-3)
 
 
-@pytest.mark.parametrize("p, beta, N, bound", [(3, 0.55, 200, 0.06), (3, 0.55, 800, 0.03),
+def test_sampler_drops_wells_that_hold_no_level():
+    # at N = 1 the well of the maximizer 0 is [0, 0], which holds no level
+    # of N's parity and so no Gibbs mass.  At the three-well point the two
+    # outer wells are kept; at beta = 0.6, where 0 is the only global
+    # maximizer, no well is left and the error says so
+    spec = MetastableSpec(params=ModelParams(4, 0.6888013739487909, 0.0), N=1)
+    config, report = metastable_sample(spec)
+    assert report.windows == [(-1, -1), (1, 1)] and report.weights == [0.5, 0.5]
+    assert int(config.sum()) == report.final_sums[report.chosen]
+    assert np.array_equal(metastable_sample_law(spec), [0.5, 0.5])
+    with pytest.raises(DomainError, match="no well of a global maximizer holds a level of N=1"):
+        metastable_sample(MetastableSpec(params=ModelParams(4, 0.6, 0.0), N=1))
+
+
+@pytest.mark.parametrize("p, beta, N, bound",[(3, 0.55, 200, 0.06), (3, 0.55, 800, 0.03),
                                                 (4, 0.4, 200, 0.06), (4, 0.4, 800, 0.03)])
 def test_sampler_law_near_gibbs_on_coexistence_curve(p, beta, N, bound):
     # on C each well holds a share of the Gibbs mass that stays away from 0

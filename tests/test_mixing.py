@@ -24,10 +24,12 @@ from pspin_glauber import (
     stationary_mag,
     tv_curve,
 )
+from pspin_glauber import dynamics
 from pspin_glauber.dynamics import (
     _BLOCK,
     LevelKernel,
     _log_binomials,
+    live_window,
     MetastableSpec,
     metastable_sample,
     metastable_sample_law,
@@ -321,6 +323,26 @@ def test_slow_spectrum_matches_sturm_oracle():
     assert abs(math.log((1.0 - spec.lam3) / (1.0 - lam3))) <= 1 / 64
 
 
+@pytest.mark.parametrize("point, N", [((4, 0.51, 0.184), 200), ((4, 0.05, 0.3), 400),
+                                      ((4, 1 / 3, H_HAT_4), 800)])
+def test_coarse_spectrum_brackets_the_refined_one(point, N):
+    # the first stage brackets lam2 to 1/64 in log(1 - x) and gives lam3 and
+    # rho; continued from that bracket, the bisection ends where one run
+    # from x = 1 to -1 to adjacent floats ends
+    kernel = LevelKernel(ModelParams(*point), N)
+    coarse, spec = kernel.coarse_spectrum, kernel.spectrum
+    assert coarse.lam2 - coarse.err <= spec.lam2 <= coarse.lam2
+    assert 0.0 < math.log((1.0 - coarse.lam2 + coarse.err) / (1.0 - coarse.lam2)) <= 1 / 64
+    assert (spec.lam3, spec.rho) == (coarse.lam3, coarse.rho)
+    diag = kernel.stay.tolist()
+    off2 = [0.0] + (kernel.up[:-1] * kernel.down[1:]).tolist()
+    near, far = dynamics._split(
+        lambda x: dynamics._count_above(diag, off2, x), 1, math.log(np.finfo(float).eps / 4),
+        math.log(2.0), lambda a, b: math.nextafter(-math.expm1(a), -1.0) <= -math.expm1(b))
+    assert spec.lam2 == -math.expm1(near)
+    assert spec.err == -math.expm1(near) + math.expm1(far) + 16 * np.finfo(float).eps
+
+
 def test_slow_spectrum_certifies_lam2_away_from_the_top_pair():
     # at (4, 0.05, 0.3) the bisection takes lam2 to adjacent floats; at
     # (4, 0.5, 0) lam2 and lam3 agree to 30 digits, so no eigenvalue
@@ -521,6 +543,118 @@ def test_leap_certificate_remembers_the_step_change(monkeypatch):
     assert calls["leap"] > 0 and 10 * calls["push"] < calls["leap"], calls
     for start, t in rep.t_by_start.items():
         assert t == int(tv_curve(params, N, start, 1_000_000, eps_stop=0.35).ts[-1])
+
+
+def test_leap_bound_spares_the_tv_of_most_leaps(monkeypatch):
+    # while TV(t) - m d/2 clears eps, a block is leapt with no TV computed
+    # and the bound is carried on: blocks whose certificate computes a TV
+    # are fewer than the blocks leapt
+    blocks = {"leapt": 0, "with tv": 0}
+    certify = LevelKernel._leap_certified
+
+    def counted(self, a, held, tv, src, tv_of, *rest):
+        calls = [0]
+
+        def counting_tv_of(*args):
+            calls[0] += 1
+            return tv_of(*args)
+
+        leap, d = certify(self, a, held, tv, src, counting_tv_of, *rest)
+        blocks["leapt"] += leap is not None
+        blocks["with tv"] += calls[0] > 0
+        return leap, d
+
+    monkeypatch.setattr(LevelKernel, "_leap_certified", counted)
+    params, N = ModelParams(4, 0.054, 0.5), 1600
+    rep = mixing_time(params, N, 0.35, 1_000_000)
+    assert rep.t_by_start == {1600: 6083, -1600: 7364}
+    assert 0 < blocks["with tv"] < blocks["leapt"], blocks
+
+
+def every_tv_evolve(kernel, mu, steps, target, level):
+    """LevelKernel.evolve with leap_above=level, with the TV of every leapt
+    law computed: each whole block is leapt when the mean bound of
+    `_leap_certified` certifies it, with a remembered one-step change, and
+    pushed by a one-block evolve otherwise.  Yields (t, lo, laws) copies."""
+    n, m, eps = len(kernel.ks), _BLOCK, np.finfo(float).eps
+    below = np.concatenate(([0.0], np.cumsum(target)))
+    above = np.concatenate((np.cumsum(target[::-1])[::-1], [0.0]))
+
+    def tv_of(lo, law):
+        hi = lo + len(law)
+        return 0.5 * (float(np.abs(law - target[lo:hi]).sum()) + (below[lo] + above[hi]))
+
+    a, held = live_window(0, mu)
+    tv, d, done = tv_of(a, held), math.inf, 0
+    while done < steps:
+        leapt = None
+        if steps - done >= m:
+            rest = (m + 2) * (16 * (done + m) + n) * eps
+
+            def clears(tv_end, d):
+                return 0.5 * (tv + tv_end) - 0.25 * m * d > level + rest
+
+            fresh = not clears(1.0, d)
+            if fresh:
+                d = kernel._step_change(a, held)
+            if clears(1.0, d):
+                leapt = kernel.leap(a, held)
+                tv_end = tv_of(*leapt)
+                if not clears(tv_end, d) and not fresh:
+                    d = kernel._step_change(a, held)
+                if not (clears(1.0, d) and clears(tv_end, d)):
+                    leapt = None
+        if leapt:
+            (lo, law), tv = leapt, tv_end
+            done, laws = done + m, law[None]
+        else:
+            block = np.zeros(n)
+            block[a:a + len(held)] = held
+            (t, lo, laws, tvs), = kernel.evolve(block, min(m, steps - done), target=target)
+            done, tv = done + t, float(tvs[-1])
+        yield done, lo, laws.copy()
+        a, held = live_window(lo, laws[-1])
+
+
+@pytest.mark.parametrize("point, N, start, steps", [
+    ((4, 0.054, 0.5), 1600, 1600, 10_005), ((4, 1 / 3, H_HAT_4), 1600, -1600, 45_005),
+    ((4, 0.51, 0.184), 200, -200, 60_005)])
+def test_leap_bound_keeps_the_laws_of_every_tv_leaps(point, N, start, steps):
+    # the bound-first certificate leaps the blocks that the mean bound with
+    # every leapt TV computed leaps, so every law it yields is bitwise that
+    # reference's: up to the crossing and past it (the regular and special
+    # points cross at 6,083 and 41,357 steps), or all the way at the
+    # critical point, which crosses at 121,905
+    kernel = LevelKernel(ModelParams(*point), N)
+    mu = np.zeros(len(kernel.ks))
+    mu[kernel.index(start)] = 1.0
+    want = every_tv_evolve(kernel, mu, steps, kernel.gibbs, 0.35)
+    leapt = 0
+    for (t, lo, laws, tv), (t_ref, lo_ref, laws_ref) in zip(
+            kernel.evolve(mu, steps, target=kernel.gibbs, leap_above=0.35), want, strict=True):
+        assert (t, lo) == (t_ref, lo_ref) and np.array_equal(laws, laws_ref), t
+        leapt += tv is None
+    assert leapt > 100
+
+
+def test_special_sweep_refines_no_spectrum(monkeypatch):
+    # at the special point every start crosses before a certificate can
+    # hold: each try reads the coarse spectrum and drops out on its bounds,
+    # so no lam2 is refined to adjacent floats (228 Sturm counts before)
+    counts = [0]
+    count_above = dynamics._count_above
+
+    def counted(*args):
+        counts[0] += 1
+        return count_above(*args)
+
+    monkeypatch.setattr(dynamics, "_count_above", counted)
+    params = ModelParams(4, 1 / 3, H_HAT_4)
+    t_by_n = {N: mixing_time(params, N, 0.35, 1_000_000).t_by_start
+              for N in (200, 400, 800, 1600)}
+    assert t_by_n == {200: {200: 2000, -200: 2046}, 400: {400: 5585, -400: 5511},
+                      800: {800: 15598, -800: 15023}, 1600: {1600: 43568, -1600: 41357}}
+    assert counts[0] <= 100
 
 
 def test_projected_tv_equals_dense_full_chain_tv():
