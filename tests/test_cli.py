@@ -484,7 +484,7 @@ def test_phase_diagram_at_p_2(tmp_path, capsys):
     assert [int(c) for _, _, c in rows] == [
         classify_point(2, float(b), float(h)).region_code for b, h, _ in rows]
     assert {c for _, _, c in rows} == {"0", "1"}  # two maxima from beta > 1/2
-    assert open(prefix + ".curves.csv").read().splitlines()[1:] == ["beta,U,L,C"]
+    assert open(prefix + ".curves.csv").read() == "# schema_version=1\nbeta,U,L,C\n"
     code, out, err = run_cli(["curves", "--p", "2", "--beta-min", "0.3",
                               "--beta-max", "0.9"], capsys)
     assert (code, out) == (1, "")
@@ -554,6 +554,12 @@ PINNED_STDOUT = [
     ("fa5213ee80ec6772", "curves --p 4 --beta-min 0.34 --beta-max 1.2 --beta-step 0.005"),
     # up to p*beta = 16, the edge of the documented domain
     ("443894f1e74d4606", "curves --p 12 --beta-min 0.05 --beta-max 1.33 --beta-step 0.005"),
+    # the drift field on its default 201-point grid, and at one c
+    ("e4af375d2c089e79", "drift --p 4 --beta 0.5 --h 0.1 --n 100"),
+    ("2088e3e1a69f1434", "drift --p 4 --beta 0.5 --h 0.1 --n 100 --c 0.3"),
+    # one finished row and one capped row, whose t_mix field is empty
+    ("4d0e4d9e9dc3d6b2", "mix-sweep --p 4 --beta 0.054 --h 0.5 --n-list 100,3200"
+                         " --cap 5000 --jobs 1"),
 ]
 
 
