@@ -26,7 +26,6 @@ from .phase_geometry import (
     BoundaryDetail,
     CurveSample,
     GridSpec,
-    InflectionPair,
     PhaseDiagramGrid,
     PhaseReport,
     Region,
@@ -34,10 +33,7 @@ from .phase_geometry import (
     beta_hat,
     boundary_curves,
     classify_point,
-    curves_csv,
-    grid_csv,
     h_hat,
-    inflection_pair,
     scan_grid,
     thresholds,
 )

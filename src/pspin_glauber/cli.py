@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands dispatch to the analysis modules and emit CSV, JSON or SVG.
+Subcommands dispatch to the analysis modules and emit CSV, JSON or SVG;
+the modules return data, and every CSV table is written here by `_csv`.
 All randomness flows through --seed (on mix, sample and coupling, the
 commands that draw random numbers), output ordering is deterministic, and
 numeric flags accept simple rationals ("1/3") so threshold parameters are
@@ -27,7 +28,6 @@ from enum import Enum
 import numpy as np
 
 from . import dynamics, mixing_analysis, phase_geometry, svg
-from .phase_geometry import _fmt
 from .potential import DomainError, ModelParams, drift_field
 
 SCHEMA_VERSION = "1"
@@ -234,8 +234,39 @@ def load_report(text: str):
     return _from_payload(_REPORTS[kind], doc["payload"])
 
 
-def _csv_envelope(body: str) -> str:
-    return f"# schema_version={SCHEMA_VERSION}\n{body}"
+# -- CSV tables ---------------------------------------------------------------
+
+_CSV_BATCH = 4096  # rows per % call
+
+
+def _csv(header: str, *columns) -> str:
+    """The schema line, `header` and one row per index of the equal-length
+    columns.  A column is a list of preformatted str, written as is, or an
+    int numpy array, written with %d; floats are formatted by `_fmt`.
+
+    Each batch of rows interleaves its columns into one flat list by slice
+    assignment and goes through one % call; no numpy column is turned into
+    a list whole.
+    """
+    k, n = len(columns), len(columns[0])
+    row = ",".join("%d" if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
+    parts = [f"# schema_version={SCHEMA_VERSION}\n{header}\n"]
+    for a in range(0, n, _CSV_BATCH):
+        b = min(a + _CSV_BATCH, n)
+        cells = [None] * (k * (b - a))
+        for j, col in enumerate(columns):
+            cells[j::k] = col[a:b].tolist() if isinstance(col, np.ndarray) else col[a:b]
+        parts.append(row * (b - a) % tuple(cells))
+    return "".join(parts)
+
+
+def _fmt(x: float | None) -> str:
+    return "" if x is None else f"{x:.12g}"
+
+
+def _curves_csv(samples: list[phase_geometry.CurveSample]) -> str:
+    return _csv("beta,U,L,C", *([_fmt(getattr(s, key)) for s in samples]
+                                for key in ("beta", "U", "L", "C")))
 
 
 def _params(args) -> ModelParams:
@@ -274,13 +305,8 @@ def _cmd_classify(args) -> None:
 def _cmd_curves(args) -> None:
     if args.p < 3:
         raise DomainError(f"the curves U, L and C are defined for p >= 3, got p={args.p}")
-    n_beta = phase_geometry._axis_len(args.beta_min, args.beta_max, args.beta_step)
-    if n_beta > phase_geometry.MAX_CELLS:  # before the axis is allocated
-        raise phase_geometry.GridBudgetError(
-            f"curves needs {n_beta} betas, budget is {phase_geometry.MAX_CELLS};"
-            f" narrow the beta range or widen --beta-step")
-    betas = phase_geometry._axis(args.beta_min, args.beta_max, args.beta_step)
-    samples = [phase_geometry.boundary_curves(args.p, float(b)) for b in betas]
+    betas = phase_geometry.curve_betas(args.beta_min, args.beta_max, args.beta_step)
+    samples = [phase_geometry.boundary_curves(args.p, b) for b in betas.tolist()]
     if args.svg:
         series = []
         for key in ("U", "L", "C"):
@@ -290,7 +316,7 @@ def _cmd_curves(args) -> None:
                 series.append((key, pts))
         _write(args.out, svg.emit_svg(series, x_label="beta", y_label="h"))
     else:
-        _write(args.out, _csv_envelope(phase_geometry.curves_csv(samples)))
+        _write(args.out, _curves_csv(samples))
 
 
 def _cmd_phase_diagram(args) -> None:
@@ -304,10 +330,11 @@ def _cmd_phase_diagram(args) -> None:
     columns = _map(jobs, functools.partial(phase_geometry.scan_column, spec.p,
                                            h_axis=h_axis), beta_axis.tolist())
     grid = phase_geometry.scan_grid(spec, columns=columns)
-    _write(args.out_prefix + ".grid.csv",
-           _csv_envelope(phase_geometry.grid_csv(grid)))
-    _write(args.out_prefix + ".curves.csv",
-           _csv_envelope(phase_geometry.curves_csv(grid.curves)))
+    hs = list(map(_fmt, grid.h_axis.tolist()))
+    betas = [b for b in map(_fmt, grid.beta_axis.tolist()) for _ in hs]
+    _write(args.out_prefix + ".grid.csv", _csv(  # ordered by beta, then h
+        "beta,h,region_code", betas, hs * len(grid.beta_axis), grid.cells.ravel()))
+    _write(args.out_prefix + ".curves.csv", _curves_csv(grid.curves))
     sys.stdout.write(f"wrote {args.out_prefix}.grid.csv and "
                      f"{args.out_prefix}.curves.csv\n")
 
@@ -330,9 +357,9 @@ def _cmd_mix_sweep(args) -> None:
     jobs, ns = _jobs(args), sorted(args.n_list)
     run = functools.partial(_mixing_report, _params(args), eps=args.eps, cap=args.cap,
                             restricted=args.restricted)
-    results = list(zip(ns, _map(jobs, run, ns)))
+    reports = _map(jobs, run, ns)
     if args.svg:
-        measured = [(n, float(rep.t_mix)) for n, rep in results
+        measured = [(n, float(rep.t_mix)) for n, rep in zip(ns, reports)
                     if rep.t_mix is not None]
         if not measured:
             raise DomainError("all sweep points capped; nothing to plot")
@@ -346,11 +373,10 @@ def _cmd_mix_sweep(args) -> None:
         _write(args.out, svg.emit_svg(series, log_x=True, log_y=True,
                                       x_label="N", y_label="t_mix"))
         return
-    lines = ["N,t_mix,capped,method"]
-    for n, rep in results:
-        t = "" if rep.t_mix is None else str(rep.t_mix)
-        lines.append(f"{n},{t},{str(rep.capped).lower()},{rep.method}")
-    _write(args.out, _csv_envelope("\n".join(lines) + "\n"))
+    _write(args.out, _csv(
+        "N,t_mix,capped,method", list(map(str, ns)),
+        ["" if rep.t_mix is None else str(rep.t_mix) for rep in reports],
+        [str(rep.capped).lower() for rep in reports], [rep.method for rep in reports]))
 
 
 def _cmd_sample(args) -> None:
@@ -367,8 +393,9 @@ def _cmd_coupling(args) -> None:
         start_y="all_minus", steps=args.steps, seed=args.seed,
         record_every=args.record_every,
     )
-    trace = dynamics.run_coupling(spec)
-    _write(args.out, _csv_envelope(dynamics.coupling_csv(trace)))
+    trace = dynamics.run_coupling(spec)  # mag_sum is the first chain's
+    _write(args.out, _csv("t,mag_sum,hamming,untouched", trace.times, trace.mags_x,
+                          trace.hamming, trace.untouched))
 
 
 def _cmd_bottleneck(args) -> None:
@@ -381,10 +408,8 @@ def _cmd_drift(args) -> None:
         cs = [args.c]
     else:
         cs = np.linspace(-1.0, 1.0, args.c_grid).tolist()
-    lines = ["c,drift"]
-    for c in cs:
-        lines.append(f"{_fmt(c)},{_fmt(drift_field(params, args.n, c))}")
-    _write(args.out, _csv_envelope("\n".join(lines) + "\n"))
+    _write(args.out, _csv("c,drift", list(map(_fmt, cs)),
+                          [_fmt(drift_field(params, args.n, c)) for c in cs]))
 
 
 # -- parser -------------------------------------------------------------------

@@ -885,16 +885,6 @@ def run_coupling(spec: CouplingSpec) -> CouplingTrace:
                          mags_y=my, coalesced_at=coalesced_at)
 
 
-def coupling_csv(trace: CouplingTrace) -> str:
-    """CSV `t,mag_sum,hamming,untouched`; mag_sum is the first chain's."""
-    cols = trace.times, trace.mags_x, trace.hamming, trace.untouched
-    parts = ["t,mag_sum,hamming,untouched\n"]
-    for a in range(0, len(trace.times), 4096):  # 4096 rows per format call
-        rows = np.stack([c[a:a + 4096] for c in cols], axis=1)
-        parts.append("%d,%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist()))
-    return "".join(parts)
-
-
 # -- vectorized replica engine ----------------------------------------------
 
 

@@ -1,8 +1,9 @@
 """Phase geometry of the mixing transition in the (beta, h) plane.
 
-Closed-form thresholds, the inflection pair of H'' at zero field, the
-boundary curves U/L/C, classification of a parameter point by the number
-and curvature of local maximizers of H, and full diagram grid scans.
+Closed-form thresholds, the boundary curves U/L/C, classification of a
+parameter point by the number and curvature of local maximizers of H, and
+full diagram grid scans.  The functions return data; the command line
+writes it out.
 
 Region semantics (p >= 3):
 
@@ -73,14 +74,6 @@ class Thresholds:
     h_hat: float
     beta_tilde: float
     beta_prime: float
-
-
-@dataclass(frozen=True)
-class InflectionPair:
-    """The two positive roots a1 < a2 of H'' at zero field."""
-
-    a1: float
-    a2: float
 
 
 @dataclass(frozen=True)
@@ -163,22 +156,6 @@ def thresholds(p: int) -> Thresholds:
     _, _, atanh_x, _, log_x = parts(u_p)
     bp = atanh_x / (p * math.exp((p - 1) * log_x))
     return Thresholds(p=p, beta_hat=bh, h_hat=hh, beta_tilde=bt, beta_prime=bp)
-
-
-def inflection_pair(p: int, beta: float) -> InflectionPair:
-    """The two positive roots of H'' at zero field, bracketing sqrt(1-2/p).
-
-    They are the positive `curvature_roots` of `landscape_structure(p, beta)`.
-    Requires beta > beta_hat(p); below the threshold H'' has no positive
-    root and the landscape is strictly concave.
-    """
-    bh = beta_hat(p)
-    if not beta > bh + 1e-12:
-        raise DomainError(
-            f"no inflection pair: beta={beta} is not above beta_hat={bh}"
-        )
-    a1, a2 = landscape_structure(p, beta).curvature_roots[-2:]
-    return InflectionPair(a1=a1, a2=a2)
 
 
 def _height_gap(struct: LandscapeStructure, h: float):
@@ -408,6 +385,17 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(_axis_len(lo, hi, step))
 
 
+def curve_betas(beta_min: float, beta_max: float, beta_step: float) -> np.ndarray:
+    """The betas at which `curves` samples U/L/C; GridBudgetError past
+    MAX_CELLS, raised before the axis is allocated."""
+    n_beta = _axis_len(beta_min, beta_max, beta_step)
+    if n_beta > MAX_CELLS:
+        raise GridBudgetError(
+            f"curves needs {n_beta} betas, budget is {MAX_CELLS};"
+            f" narrow the beta range or widen --beta-step")
+    return _axis(beta_min, beta_max, beta_step)
+
+
 def grid_axes(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """The beta and h axes of a grid; GridBudgetError past spec.max_cells,
     raised before either axis is allocated."""
@@ -470,26 +458,3 @@ def scan_grid(spec: GridSpec, *, columns=None) -> PhaseDiagramGrid:
 
     return PhaseDiagramGrid(spec=spec, beta_axis=beta_axis, h_axis=h_axis,
                             cells=cells, curves=curves)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def curves_csv(samples: list[CurveSample]) -> str:
-    """CSV `beta,U,L,C`; empty fields where a curve is undefined."""
-    lines = ["beta,U,L,C"]
-    for s in samples:
-        cols = [_fmt(s.beta)] + ["" if v is None else _fmt(v) for v in (s.U, s.L, s.C)]
-        lines.append(",".join(cols))
-    return "\n".join(lines) + "\n"
-
-
-def grid_csv(grid: PhaseDiagramGrid) -> str:
-    """CSV `beta,h,region_code`, ordered by beta then h."""
-    lines = ["beta,h,region_code"]
-    hs = [_fmt(h) for h in grid.h_axis]
-    for beta, row in zip(grid.beta_axis, grid.cells.tolist()):
-        b = _fmt(beta)
-        lines.extend(f"{b},{h},{code}" for h, code in zip(hs, row))
-    return "\n".join(lines) + "\n"

@@ -1,7 +1,9 @@
 """Command-line dispatch, output envelopes, report round-trips, SVG."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -26,8 +28,8 @@ from pspin_glauber import (
     classify_point,
     mixing_time,
 )
-from pspin_glauber.cli import (JOBS_ENV, _json_envelope, build_parser, load_report,
-                               main, real)
+from pspin_glauber.cli import (JOBS_ENV, _csv, _json_envelope, build_parser,
+                               load_report, main, real)
 from pspin_glauber.svg import emit_svg
 
 
@@ -444,6 +446,24 @@ def test_csv_headers(capsys, tmp_path):
     code, out, _ = run_cli(["drift", "--p", "3", "--beta", "0.3", "--h", "0.0",
                             "--n", "20", "--c-grid", "5"], capsys)
     assert out.splitlines()[1] == "c,drift"
+
+
+def test_csv_writer_round_trips_its_columns():
+    # 0 rows, one full batch of 4096 rows and one row past it; negative ints
+    # of two dtypes and empty str fields
+    for n in (0, 4096, 4097):
+        ints = np.arange(n, dtype=np.int64) - n // 2
+        codes = (ints % 7 - 3).astype(np.int8)
+        strs = ["" if i % 3 == 0 else f"x{i}" for i in range(n)]
+        text = _csv("a,b,c", ints, strs, codes)
+        schema, body = text.split("\n", 1)
+        assert schema == "# schema_version=1"
+        header, *rows = csv.reader(io.StringIO(body))
+        assert header == ["a", "b", "c"]
+        assert len(rows) == n and text.count("\n") == n + 2
+        assert [int(r[0]) for r in rows] == ints.tolist()
+        assert [r[1] for r in rows] == strs
+        assert [int(r[2]) for r in rows] == codes.tolist()
 
 
 def test_phase_diagram_files(tmp_path, capsys):

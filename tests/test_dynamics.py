@@ -1,5 +1,6 @@
 """Chain steps, exact kernel, couplings, restricted dynamics, sampler."""
 
+import dataclasses
 import math
 import warnings
 
@@ -27,11 +28,11 @@ from pspin_glauber import (
     stationary_mag,
     tv_curve,
 )
+from pspin_glauber.cli import main
 from pspin_glauber.dynamics import (
     _TAIL,
     _metastable_setup,
     _sigmoid,
-    coupling_csv,
     flip_up_probability,
     live_window,
     metastable_sample_law,
@@ -470,7 +471,7 @@ def test_restricted_long_run_matches_conditioned_law():
     assert tv < 0.02
 
 
-def test_coupling_identical_starts_stay_identical():
+def test_coupling_identical_starts_stay_identical(capsys):
     spec = CouplingSpec(params=ModelParams(4, 0.5, 0.1), N=30,
                         start_x="all_plus", start_y="all_plus", steps=300,
                         seed=11)
@@ -478,8 +479,15 @@ def test_coupling_identical_starts_stay_identical():
     assert trace.coalesced_at == 0
     assert np.all(trace.hamming == 0)
     assert np.all(np.diff(trace.untouched) <= 0)
-    csv = coupling_csv(trace)
-    assert csv.startswith("t,mag_sum,hamming,untouched\n")
+    # the CLI runs the same seed from all_plus and all_minus, and writes the
+    # first chain's trace
+    assert main(["coupling", "--p", "4", "--beta", "0.5", "--h", "0.1", "--n", "30",
+                 "--steps", "300", "--seed", "11"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()[1:]
+    assert header == "t,mag_sum,hamming,untouched"
+    trace = run_coupling(dataclasses.replace(spec, start_y="all_minus"))
+    assert [list(map(int, r.split(","))) for r in rows] == np.stack(
+        [trace.times, trace.mags_x, trace.hamming, trace.untouched], axis=1).tolist()
     for bad in ({"steps": -1}, {"record_every": 0}):
         with pytest.raises(DomainError):
             CouplingSpec(params=spec.params, N=30, **bad)

@@ -21,14 +21,13 @@ from pspin_glauber import (
     beta_hat,
     boundary_curves,
     classify_point,
-    curves_csv,
     entropy,
     free_energy_d1,
-    grid_csv,
-    inflection_pair,
     scan_grid,
     thresholds,
 )
+from pspin_glauber.cli import main
+from pspin_glauber.potential import landscape_structure
 from pspin_glauber.phase_geometry import BoundaryDetail, GridBudgetError, scan_column
 
 from conftest import (coexistence_band, concavity_threshold, curvature_root_pair,
@@ -138,27 +137,32 @@ def test_thresholds_reject_low_order():
         thresholds(2)
 
 
+def _inflection_pair(p, beta):
+    """The two positive roots a1 < a2 of H'' at zero field."""
+    return landscape_structure(p, beta).curvature_roots[-2:]
+
+
 def test_inflection_pair_near_threshold():
-    pair = inflection_pair(4, beta_hat(4) + 1e-9)
+    a1, a2 = _inflection_pair(4, beta_hat(4) + 1e-9)
     w = math.sqrt(0.5)
-    assert abs(pair.a1 - w) < 1e-3
-    assert abs(pair.a2 - w) < 1e-3
-    assert pair.a1 < w < pair.a2
+    assert abs(a1 - w) < 1e-3
+    assert abs(a2 - w) < 1e-3
+    assert a1 < w < a2
 
 
 def test_inflection_pair_residuals():
     from pspin_glauber import free_energy_d2
 
-    pair = inflection_pair(4, 0.5)
+    a1, a2 = _inflection_pair(4, 0.5)
     params0 = ModelParams(4, 0.5, 0.0)
-    assert 0 < pair.a1 < math.sqrt(0.5) < pair.a2 < 1
-    assert abs(free_energy_d2(params0, pair.a1)) < 1e-10
-    assert abs(free_energy_d2(params0, pair.a2)) < 1e-10
+    assert 0 < a1 < math.sqrt(0.5) < a2 < 1
+    assert abs(free_energy_d2(params0, a1)) < 1e-10
+    assert abs(free_energy_d2(params0, a2)) < 1e-10
 
 
 def test_inflection_pair_strong_coupling_limit():
-    pair = inflection_pair(4, 100.0)
-    assert pair.a1 < 0.1
+    a1, _ = _inflection_pair(4, 100.0)
+    assert a1 < 0.1
 
 
 def test_inflection_pair_matches_mpmath_roots():
@@ -166,17 +170,10 @@ def test_inflection_pair_matches_mpmath_roots():
         thr = thresholds(p)
         bh = thr.beta_hat
         for beta in (bh + 1e-9, bh + 1e-4, 0.5 * (bh + thr.beta_tilde), 100.0):
-            pair = inflection_pair(p, beta)
+            got1, got2 = _inflection_pair(p, beta)
             a1, a2 = curvature_root_pair(p, beta)
-            assert abs(pair.a1 - a1) <= 1e-12 * a1, (p, beta)
-            assert abs(pair.a2 - a2) <= 1e-12 * a2, (p, beta)
-
-
-def test_inflection_pair_rejected_below_threshold():
-    with pytest.raises(DomainError):
-        inflection_pair(4, beta_hat(4))
-    with pytest.raises(DomainError):
-        inflection_pair(4, 0.1)
+            assert abs(got1 - a1) <= 1e-12 * a1, (p, beta)
+            assert abs(got2 - a2) <= 1e-12 * a2, (p, beta)
 
 
 def test_curves_vanishing_c_even():
@@ -413,17 +410,19 @@ def test_scan_grid_budget():
         scan_grid(spec)
 
 
-def test_csv_emission():
-    spec = GridSpec(p=4, beta_min=0.3, beta_max=0.5, beta_step=0.1,
-                    h_min=0.0, h_max=0.2, h_step=0.1)
-    grid = scan_grid(spec)
-    gcsv = grid_csv(grid)
-    lines = gcsv.strip().split("\n")
+def test_csv_emission(tmp_path, capsys):
+    prefix = str(tmp_path / "diagram")
+    assert main(["phase-diagram", "--p", "4", "--beta-min", "0.3", "--beta-max", "0.5",
+                 "--beta-step", "0.1", "--h-min", "0", "--h-max", "0.2",
+                 "--h-step", "0.1", "--out-prefix", prefix]) == 0
+    capsys.readouterr()
+    gcsv = open(prefix + ".grid.csv").read()
+    lines = gcsv.strip().split("\n")[1:]  # past the schema line
     assert lines[0] == "beta,h,region_code"
     assert len(lines) == 1 + 3 * 3
     codes = {int(l.split(",")[2]) for l in lines[1:]}
     assert codes <= {0, 1, 2, 3, 9}
-    ccsv = curves_csv(grid.curves)
+    ccsv = open(prefix + ".curves.csv").read().split("\n", 1)[1]
     assert ccsv.startswith("beta,U,L,C\n")
     # beta = 0.3 is below beta_hat(4): all three fields empty there
     row = ccsv.strip().split("\n")[1]
