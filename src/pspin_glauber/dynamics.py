@@ -68,6 +68,9 @@ _EPS = np.finfo(float).eps
 _BAND_ROWS = 512
 # Scalar steps per chunk of LevelKernel.draws: one rng.random call each.
 _CHUNK = 1 << 14
+# Replica-steps (R chains times steps) per refill of simulate_mag_replicas'
+# draw buffer, two uniforms each: 512 KB, one step when R exceeds it.
+_REPLICA_CHUNK = 1 << 15
 
 
 def live_window(lo: int, law: np.ndarray) -> tuple[int, np.ndarray]:
@@ -682,18 +685,45 @@ class LevelKernel:
 
     def replica_step(self, ks: np.ndarray, u_site: np.ndarray,
                      u_spin: np.ndarray) -> np.ndarray:
-        """One step of magnetization chains at sums ks (law-exact).
+        """One step of magnetization chains at sums ks, levels in [lo, hi]
+        (law-exact): the new sums, by one `_stepper` step of their indices."""
+        j = (ks + self.N) >> 1
+        self._stepper(j)(u_site, u_spin)
+        j <<= 1
+        j -= self.N
+        return j
+
+    def _stepper(self, j: np.ndarray):
+        """A function (u_site, u_spin) -> None that steps the level indices
+        j = (k + N) >> 1 of len(j) chains by one replica step, in place.
 
         The site draw only matters through whether the chosen site carries
-        -1; the spin draw follows the scalar walk's comparison.
+        -1, the spin draw follows the scalar walk's comparison, and the sum
+        moves by the difference: j += (u_site < p_minus[j]) + (u_spin <=
+        f_up[j]) - 1.  A step moves j by at most one, so clamping j into the
+        restriction's indices is the rejection of a move out of [lo, hi].
+        Its scratch (a float and two int8 buffers) is allocated here, once.
         """
-        idx = (ks + self.N) >> 1
-        is_minus = u_site < self.p_minus[idx]
-        up = u_spin <= self.f_up[idx]
-        nk = ks + (is_minus & up) * 2 - (~is_minus & ~up) * 2
-        if self.lo > -self.N or self.hi < self.N:
-            nk = np.where((nk < self.lo) | (nk > self.hi), ks, nk)
-        return nk
+        N, R = self.N, len(j)
+        p_minus, f_up = self.p_minus, self.f_up
+        j_lo = (self.lo + N + 1) >> 1 if self.lo > -N else None
+        j_hi = (self.hi + N) >> 1 if self.hi < N else None
+        f, minus, move = np.empty(R), np.empty(R, np.int8), np.empty(R, np.int8)
+        is_minus, is_up = minus.view(bool), move.view(bool)
+
+        def step(u_site: np.ndarray, u_spin: np.ndarray) -> None:
+            p_minus.take(j, out=f, mode="clip")
+            np.less(u_site, f, out=is_minus)
+            f_up.take(j, out=f, mode="clip")
+            np.less_equal(u_spin, f, out=is_up)
+            np.add(move, minus, out=move)
+            np.subtract(move, 1, out=move)
+            np.add(j, move, out=j)
+            if j_lo is not None:
+                np.maximum(j, j_lo, out=j)
+            if j_hi is not None:
+                np.minimum(j, j_hi, out=j)
+        return step
 
 
 def kernel_arrays(params: ModelParams, N: int):
@@ -895,23 +925,37 @@ def simulate_mag_replicas(params: ModelParams, N: int, start_ks: np.ndarray,
     steps from start_ks.
 
     Optional lo/hi bounds give the floor- or window-restricted dynamics by
-    rejection.  A start that is no level in [lo, hi] raises DomainError, as
-    LevelKernel.index does.  Each chunk of n steps draws rng.random((n, 2,
-    R)), the same stream as rng.random((2, R)) per step (site uniforms, then
-    spin uniforms), so s steps and then t steps on one rng end where s + t
-    steps do.
+    rejection.  start_ks must be a 1-D sequence of integers, each a level in
+    [lo, hi], else DomainError (the level checks are LevelKernel.index's).
+    The chains are stepped in place as level indices (`_stepper`), and
+    their draws fill one reused buffer of max(1, 2**15 // R) steps, n steps
+    at a time by rng.random(out=...): the same stream as rng.random((2, R))
+    per step (site uniforms, then spin uniforms), so s steps and then t steps
+    on one rng end where s + t steps do.
     """
-    ks = np.array(start_ks, dtype=np.int64)
-    R = ks.shape[0]
+    ks = np.asarray(start_ks)
+    if ks.ndim != 1 or (ks.size and ks.dtype.kind not in "iu"):
+        raise DomainError("start_ks must be a 1-D sequence of integer levels, "
+                          f"got shape {ks.shape} of {ks.dtype}")
+    j = ks.astype(np.int64)
+    R = len(j)
     kernel = LevelKernel(params, N, lo, hi)
     if R:  # the lowest, highest and first wrong-parity starts must be levels
-        for k in (ks.min(), ks.max(), ks[np.argmax(ks & 1 != N & 1)]):
+        for k in (j.min(), j.max(), j[np.argmax(j & 1 != N & 1)]):
             kernel.index(int(k))
-    chunk = max(1, min(steps, (1 << 22) // max(R, 1)))
+    j += N
+    j >>= 1
+    step = kernel._stepper(j)
+    chunk = max(1, _REPLICA_CHUNK // max(R, 1))
+    buf = np.empty((min(chunk, max(steps, 0)), 2, R))
     for t in range(0, steps, chunk):
-        for u_site, u_spin in rng.random((min(chunk, steps - t), 2, R)):
-            ks = kernel.replica_step(ks, u_site, u_spin)
-    return ks
+        draws = buf[:min(chunk, steps - t)]
+        rng.random(out=draws)
+        for u_site, u_spin in draws:
+            step(u_site, u_spin)
+    j <<= 1
+    j -= N
+    return j
 
 
 # -- metastable sampler ------------------------------------------------------

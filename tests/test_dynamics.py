@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -116,12 +117,17 @@ def test_level_kernel_index_of_a_restriction():
 def test_replica_starts_must_be_levels_of_the_restriction():
     # -9 has the wrong parity at N = 10, -10 lies below the floor 0 and 4
     # above the ceiling 2: the replica engine rejects each, as the kernel's
-    # index does, rather than moving -9 to -7 or leaving -10 in place
+    # index does, rather than moving -9 to -7 or leaving -10 in place; a 0-d
+    # start, a 2-D one and a non-integer level are one DomainError each, not
+    # an IndexError, a TypeError or a truncation of 10.5 to level 10
     params, rng = ModelParams(4, 0.51, 0.184), rng_stream(0)
     for starts, lo, hi, message in (([0, -9], None, None, "start level -9 invalid for N=10"),
                                     ([12], None, None, "start level 12 invalid"),
                                     ([0, -10], 0, None, "below the restriction floor"),
-                                    ([0, 4], None, 2, "above the restriction ceiling")):
+                                    ([0, 4], None, 2, "above the restriction ceiling"),
+                                    (np.int64(10), None, None, "start_ks must be a 1-D"),
+                                    ([[0, 2], [4, 6]], None, None, "start_ks must be a 1-D"),
+                                    ([10.5], None, None, "start_ks must be a 1-D")):
         with pytest.raises(DomainError, match=message):
             simulate_mag_replicas(params, 10, starts, 5, rng, lo=lo, hi=hi)
     assert simulate_mag_replicas(params, 10, [0, 2], 5, rng, lo=0, hi=2).shape == (2,)
@@ -817,15 +823,68 @@ def test_spin_config_validation():
 
 def test_replica_runs_split_on_one_rng_match_one_run():
     # s steps and then t steps end where s + t steps do: at R = 3000 a chunk
-    # is (1 << 22) // R = 1398 steps, and 1000 + 500 crosses it
+    # is (1 << 15) // R = 10 steps, and 1003 + 497 splits one
     params, N, R = ModelParams(4, 0.51, 0.184), 60, 3000
     starts = np.resize(np.arange(-N, N + 1, 2), R)
     for lo, hi in ((None, None), (-20, 30)):
         if lo is not None:
             starts = np.clip(starts, lo, hi)
-        rng = rng_stream(4, 2)
-        split = simulate_mag_replicas(params, N, starts, 1000, rng, lo=lo, hi=hi)
-        split = simulate_mag_replicas(params, N, split, 500, rng, lo=lo, hi=hi)
         whole = simulate_mag_replicas(params, N, starts, 1500, rng_stream(4, 2),
                                       lo=lo, hi=hi)
-        assert np.array_equal(split, whole)
+        for s in (1000, 1003):
+            rng = rng_stream(4, 2)
+            split = simulate_mag_replicas(params, N, starts, s, rng, lo=lo, hi=hi)
+            split = simulate_mag_replicas(params, N, split, 1500 - s, rng, lo=lo, hi=hi)
+            assert np.array_equal(split, whole)
+
+
+def _reference_step(kernel, ks, u_site, u_spin):
+    """The replica rule on sums: a move by +-2, kept unless it leaves
+    [lo, hi]."""
+    idx = (ks + kernel.N) >> 1
+    is_minus = u_site < kernel.p_minus[idx]
+    up = u_spin <= kernel.f_up[idx]
+    nk = ks + 2 * (is_minus & up) - 2 * (~is_minus & ~up)
+    return np.where((nk < kernel.lo) | (nk > kernel.hi), ks, nk)
+
+
+@pytest.mark.parametrize("R, steps, lo, hi", [
+    (1000, 200, None, None),     # unrestricted
+    (1000, 200, 4, None),        # floor
+    (1000, 200, -13, 21),        # two-sided window
+    (0, 50, None, None),
+    (1, 300, -13, 21),
+    (500, 0, 4, None),
+    (40_000, 3, -13, 21),        # above 2**15 replicas: one step per chunk
+    (3000, 25, None, None),      # a chunk of 10 steps, 25 not a multiple
+])
+def test_replica_engine_matches_reference_loop(R, steps, lo, hi):
+    params, N = ModelParams(4, 0.51, 0.184), 60
+    kernel = LevelKernel(params, N, lo, hi)
+    starts = rng_stream(9, R).choice(kernel.ks, R) if R else np.zeros(0, np.int64)
+    rng, ref_rng = rng_stream(3, R, steps), rng_stream(3, R, steps)
+    got = simulate_mag_replicas(params, N, starts, steps, rng, lo=lo, hi=hi)
+    want = starts.astype(np.int64)
+    for _ in range(steps):
+        want = _reference_step(kernel, want, *ref_rng.random((2, R)))
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert rng.random() == ref_rng.random()  # the same draws consumed
+    for _ in range(min(steps, 20)):  # the one-step form, on shared draws
+        u = rng.random((2, R))
+        got, want = kernel.replica_step(got, *u), _reference_step(kernel, want, *u)
+        assert np.array_equal(got, want)
+
+
+def test_replica_engine_draws_in_bounded_memory():
+    # 10,000 replicas for 50 steps: the draws fill one reused buffer, so the
+    # peak of traced allocations stays under 1 MB (one rng.random((50, 2,
+    # R)) call would be 8 MB)
+    params, N, R = ModelParams(4, 0.054, 0.5), 200, 10_000
+    starts, rng = np.zeros(R, dtype=np.int64), rng_stream(1)
+    tracemalloc.start()
+    try:
+        simulate_mag_replicas(params, N, starts, 50, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
