@@ -11,9 +11,11 @@ sum, clamped to ``[-N, N]``, and offers the three engines everything else is
 built from: an exact push of a level law (one step, `evolve` for many
 steps on the law's live window, or `leap`, a whole block of steps through
 the kernel's banded block power), a scalar walk of a spin configuration
-over a chunk of draws and a replica step of many magnetization chains.  A
-move that would leave ``[lo, hi]`` is rejected (the state is kept); the push
-tables fold that rejection into ``stay``.  The well of a maximizer of H,
+over a chunk of draws, and two of many magnetization chains: a replica
+step of each chain (the tests' reference) and `step_counts`, which steps
+their histogram over the levels as a whole.  A move that would leave
+``[lo, hi]`` is rejected (the state is kept); the push tables fold that
+rejection into ``stay``.  The well of a maximizer of H,
 cut at the stationary points next to it (`_well`), is such a restriction:
 the floor of the restricted dynamics is the top well's lower end, and the
 sampler runs one chain per well of a global maximizer.  The unrestricted
@@ -219,6 +221,7 @@ class LevelKernel:
     * ``up``, ``down``, ``stay`` over the kept levels ``ks`` (ascending):
       the one-step law of the restricted sum, with the rejection at lo and
       hi folded into ``stay``.  Unrestricted, the folds add exact zeros.
+      They drive the push and `step_counts`.
 
     up = p_minus * f_up and down = (1 - p_minus) * sigmoid(-2d) keep both
     factors stable for any field strength.
@@ -641,6 +644,35 @@ class LevelKernel:
             out = np.zeros(len(self.ks))
             out[lo:lo + laws.shape[1]] = laws[-1]
         return out
+
+    @cached_property
+    def _down_unless_up(self) -> np.ndarray:
+        """down / (1 - up) over ks: the chance of a step down given no step
+        up, 0 where up is 1 (at -N under a saturating field, where down is
+        0 too).  At most 1, as 1 - up - down >= min(p_minus, 1 - p_minus)
+        off the end levels and up or down is 0 at them."""
+        rest = 1.0 - self.up
+        return np.divide(self.down, rest, out=np.zeros_like(rest), where=self.up < 1.0)
+
+    def step_counts(self, n: np.ndarray, steps: int, rng: np.random.Generator) -> None:
+        """Advance independent chains held as counts n over ks (int64, in
+        place) by `steps` steps each.
+
+        The chains at one level split multinomially into those that step
+        up, down or stay, by the one-step law (up, down, stay), the
+        restriction's rejection already folded in.  A multinomial is drawn
+        as two binomials: ups ~ Bin(n, up), then downs ~ Bin(n - ups, down
+        / (1 - up)).  So a step is two rng.binomial calls over the levels,
+        whatever the number of chains, and the counts' law is that of as
+        many `replica_step` chains.
+        """
+        up, q = self.up, self._down_unless_up
+        for _ in range(steps):
+            ups = rng.binomial(n, up)
+            downs = rng.binomial(n - ups, q)
+            n -= ups + downs
+            n[1:] += ups[:-1]
+            n[:-1] += downs[1:]
 
     def draws(self, rng: np.random.Generator, steps: int):
         """The draws of `steps` scalar steps, a chunk (sites, us) at a time.

@@ -46,12 +46,13 @@ from .dynamics import (
     kernel_arrays,  # noqa: F401  (perfbench/layers.py counts calls through it)
     restricted_threshold,
     rng_stream,
-    simulate_mag_replicas,
+    simulate_mag_replicas,  # noqa: F401  (perfbench/layers.py patches this name)
 )
 from .potential import DomainError, ModelParams
 
 EXACT = "ExactProjected"
 MONTE_CARLO = "MonteCarlo"
+_INT64_MAX = 2**63 - 1  # the most chains a count of _mc_tv_crossing holds
 
 
 def stationary_mag(params: ModelParams, N: int) -> np.ndarray:
@@ -255,19 +256,26 @@ def _slow_finish(kernel: LevelKernel, mu: np.ndarray, target: np.ndarray,
     return None, min(max(math.ceil(shrink), t // 2), t)
 
 
-def _mc_tv_crossing(params, kernel, target, start_k, eps, cap, replicas, seed):
-    """First checkpoint (every N // 4 steps) where the replica-histogram TV
-    drops to eps."""
+def _mc_tv_crossing(kernel, target, start_k, eps, cap, replicas, seed):
+    """First checkpoint (every N // 4 steps) where the TV of the histogram
+    of `replicas` chains from start_k drops to eps, with its rough
+    multinomial standard error: (t, se), or (None, None) past the cap.
+
+    The chains are held as counts over the kernel's levels and stepped as
+    a whole (LevelKernel.step_counts), on the stream rng_stream(seed, 3,
+    (start_k + N) // 2): each step costs two binomial draws per level,
+    whatever the number of chains.
+    """
     N = kernel.N
-    kernel.index(start_k)
     rng = rng_stream(seed, 3, (start_k + N) // 2)
-    ks = np.full(replicas, start_k, dtype=np.int64)
+    n = np.zeros(len(target), dtype=np.int64)
+    n[kernel.index(start_k)] = replicas
     t = 0
     while t < cap:
         step = min(max(1, N // 4), cap - t)
-        ks = simulate_mag_replicas(params, N, ks, step, rng, lo=kernel.lo)
+        kernel.step_counts(n, step, rng)
         t += step
-        hist = np.bincount((ks - kernel.ks[0]) // 2, minlength=len(target)) / replicas
+        hist = n / replicas
         tv = 0.5 * float(np.abs(hist - target).sum())
         if tv <= eps:
             se = 0.5 * float(np.sqrt(np.sum(hist * (1 - hist)) / replicas))
@@ -285,14 +293,19 @@ def mixing_time(params: ModelParams, N: int, eps: float, cap: int,
     where TV provably stays above eps (LevelKernel.evolve's leap_above),
     and, once only its slowest mode is left, finds the crossing in closed
     form (_slow_finish): the same step tv_curve's push reaches, or capped
-    when that lies past the cap.  MonteCarlo estimates TV from replica
-    histograms every N // 4 steps (upward-biased near the crossing,
-    reported with a rough multinomial standard error).
+    when that lies past the cap.  MonteCarlo estimates TV from the
+    histogram of `replicas` chains every N // 4 steps (_mc_tv_crossing:
+    upward-biased near the crossing, reported with a rough multinomial
+    standard error).  The chains are stepped as counts over the levels, so
+    its cost does not grow with replicas, any number of them that an int64
+    holds.
     """
     if not 0.0 < eps < 0.5:
         raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
     if cap < 1:
         raise DomainError("cap must be >= 1")
+    if mode == MONTE_CARLO and not 1 <= replicas <= _INT64_MAX:
+        raise DomainError(f"replicas must lie in [1, 2**63 - 1], got {replicas}")
     if k_min is None:
         k_min = -N
     if starts is None:
@@ -310,7 +323,7 @@ def mixing_time(params: ModelParams, N: int, eps: float, cap: int,
             t_by_start[start_k] = _exact_crossing(kernel, target, start_k, eps, cap)
         else:
             t_by_start[start_k], se_by_start[start_k] = _mc_tv_crossing(
-                params, kernel, target, start_k, eps, cap, replicas, seed)
+                kernel, target, start_k, eps, cap, replicas, seed)
     capped = any(v is None for v in t_by_start.values())
     t_mix = None if capped else max(t_by_start.values())
     # the error belongs to the start that sets t_mix

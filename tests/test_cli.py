@@ -102,11 +102,12 @@ def test_overflowing_level_weights_are_one_error_line():
 
 @pytest.mark.parametrize("cmd", [
     "coupling --p 3 --beta 0.05 --h 0.1 --n 10 --steps 1000000000000000",
-    "mix --p 4 --beta 0.054 --h 0.5 --n 10 --method mc --replicas 1000000000000000",
+    "mix --p 4 --beta 0.054 --h 0.5 --n 10 --method mc --replicas 9223372036854775808",
     "drift --p 4 --beta 0.5 --h 0.1 --n 10 --c-grid 1000000000000000",
 ])
 def test_oversized_arrays_are_one_error_line(cmd):
-    # each asks for a first array of petabytes, which fails at once
+    # each asks for a first array of petabytes, which fails at once, or
+    # (mix) for 2**63 chains, one more than an int64 count holds
     run = subprocess.run([sys.executable, "-m", "pspin_glauber.cli", *cmd.split()],
                          env=_src_env(), capture_output=True, text=True)
     assert (run.returncode, run.stdout) == (1, ""), cmd

@@ -888,3 +888,36 @@ def test_replica_engine_draws_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("point, N, lo, hi, start, steps", [
+    ((4, 0.054, 0.5), 40, None, None, -40, 60),   # unrestricted
+    ((4, 0.51, 0.184), 60, 4, None, 4, 80),       # a floor
+    ((4, 0.9, 0.0), 40, -10, 20, 0, 80),          # a window
+    ((2, 0.1, 60.0), 20, None, None, -20, 15),    # up = 1 at -N
+])
+def test_step_counts_follow_the_exact_law(point, N, lo, hi, start, steps):
+    # 10**5 chains from a point mass, stepped as counts, against the exact
+    # law after as many steps: Pearson's chi-square over the levels whose
+    # expected count is at least 5, the rest pooled, at p-value > 0.001
+    from scipy.stats import chi2
+
+    kernel = LevelKernel(ModelParams(*point), N, lo, hi)
+    R = 100_000
+    n = np.zeros(len(kernel.ks), dtype=np.int64)
+    n[kernel.index(start)] = R
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel.step_counts(n, steps, rng_stream(21, N, steps))
+    assert n.dtype == np.int64 and n.min() >= 0 and n.sum() == R
+    mu = np.zeros(len(kernel.ks))
+    mu[kernel.index(start)] = 1.0
+    expected = R * kernel.law_after(mu, steps)
+    big = expected >= 5
+    observed = np.append(n[big], n[~big].sum())
+    expected = np.append(expected[big], expected[~big].sum())
+    if expected[-1] < 5:  # too little pooled mass for a bin of its own
+        observed = np.append(observed[:-2], observed[-2:].sum())
+        expected = np.append(expected[:-2], expected[-2:].sum())
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    assert big.sum() >= 3 and 1.0 - chi2.cdf(stat, len(observed) - 1) > 0.001

@@ -1,6 +1,7 @@
 """Stationary law, TV evolution, mixing times, bottlenecks, fits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -717,6 +718,37 @@ def test_monte_carlo_mixing_close_to_exact():
     assert mc.method == MONTE_CARLO and mc.stat_error is not None
     # MC checks on a grid of times and its TV estimate is upward-biased
     assert abs(mc.t_mix - exact.t_mix) <= max(0.5 * exact.t_mix, 3 * (150 // 4))
+
+
+@pytest.mark.parametrize("point, N, want", [
+    ((4, 0.054, 0.5), 10, {10: 10, -10: 18}),
+    ((4, 0.054, 0.5), 40, {40: 70, -40: 110}),
+    ((4, 0.054, -0.5), 80, {80: 240, -80: 180}),
+    ((3, 0.5, -0.6), 100, {100: 300, -100: 125}),
+])
+def test_monte_carlo_at_huge_replicas_is_the_exact_crossing(point, N, want):
+    # 10**15 chains, stepped as counts, make the histogram the exact law up
+    # to about 1e-7 in TV: the Monte-Carlo crossing is the exact one rounded
+    # up to the next checkpoint (a multiple of N // 4), in under 1 MB
+    params, every = ModelParams(*point), N // 4
+    exact = mixing_time(params, N, 0.35, cap=100_000)
+    tracemalloc.start()
+    try:
+        mc = mixing_time(params, N, 0.35, cap=100_000, mode=MONTE_CARLO,
+                         replicas=10**15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mc.t_by_start == want == {
+        k: -(-t // every) * every for k, t in exact.t_by_start.items()}
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("replicas", [0, 2**63])
+def test_monte_carlo_replicas_outside_int64_are_a_domain_error(replicas):
+    with pytest.raises(DomainError, match="replicas"):
+        mixing_time(ModelParams(4, 0.054, 0.5), 10, 0.35, cap=100,
+                    mode=MONTE_CARLO, replicas=replicas)
 
 
 def test_restricted_equals_full_without_restriction():
