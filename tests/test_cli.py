@@ -545,7 +545,7 @@ PINNED_STDOUT = [
     ("7794412f6ee19b1b", "restricted-mix --p 4 --beta 0.51 --h 0.184 --n 400 --cap 100000"),
     ("2d91c0163b5b4991", "coupling --p 3 --beta 0.05 --h 0.1 --n 100 --steps 400"),
     ("8590d831a22799cd", "bottleneck --p 4 --beta 0.51 --h 0.184 --n 200"),
-    ("c53fae460e573403",
+    ("4b48ebe5c2bc7a8a",
      "mix --p 4 --beta 0.054 --h 0.5 --n 200 --method mc --replicas 2000 --seed 3"),
     ("1c54dec21e83504e", "classify --p 4 --beta 0.51 --h 0.184 --margins"),
     ("23ba66f4a7fc6ecc", "classify --p 4 --beta 0.9 --h 0"),

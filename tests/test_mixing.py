@@ -707,7 +707,7 @@ def test_monte_carlo_error_belongs_to_the_slowest_start():
                       mode=MONTE_CARLO, seed=9, replicas=2000)
     assert rep.starts == [80, -80]
     assert rep.t_by_start == {80: 260, -80: 200} and rep.t_mix == 260
-    assert round(rep.stat_error, 6) == 0.010793
+    assert round(rep.stat_error, 6) == 0.010808
 
 
 def test_monte_carlo_mixing_close_to_exact():
