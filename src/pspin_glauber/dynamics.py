@@ -7,16 +7,16 @@ sum is then itself a birth-death chain on ``{-N, -N+2, ..., N}``.
 
 :class:`LevelKernel` is the one place this rule is tabulated.  It holds f and
 the birth-death triple (up, down, stay) of a restriction ``[lo, hi]`` of the
-sum, clamped to ``[-N, N]``, and offers the three engines everything else is
+sum, clamped to ``[-N, N]``, and offers the engines everything else is
 built from: an exact push of a level law (one step, `evolve` for many
 steps on the law's live window, or `leap`, a whole block of steps through
 the kernel's banded block power), a scalar walk of a spin configuration
-over a chunk of draws, and two of many magnetization chains: a replica
-step of each chain (the tests' reference) and `step_counts`, which steps
-their histogram over the levels as a whole.  A move that would leave
-``[lo, hi]`` is rejected (the state is kept); the push tables fold that
-rejection into ``stay``.  The well of a maximizer of H,
-cut at the stationary points next to it (`_well`), is such a restriction:
+over a chunk of draws, and two steps of many magnetization chains: a
+replica step of each chain (the tests' reference) and `step_counts`,
+which steps their histogram over the levels as a whole.  A move that
+would leave ``[lo, hi]`` is rejected (the state is kept); the push tables
+fold that rejection into ``stay``.  The well of a maximizer of H, cut at
+the stationary points next to it (`_well`), is such a restriction:
 the floor of the restricted dynamics is the top well's lower end, and the
 sampler runs one chain per well of a global maximizer.  The unrestricted
 chain is the full interval.

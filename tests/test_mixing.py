@@ -745,7 +745,7 @@ def test_monte_carlo_at_huge_replicas_is_the_exact_crossing(point, N, want):
 
 
 @pytest.mark.parametrize("replicas", [0, 2**63])
-def test_monte_carlo_replicas_outside_int64_are_a_domain_error(replicas):
+def test_monte_carlo_replica_count_out_of_range_is_a_domain_error(replicas):
     with pytest.raises(DomainError, match="replicas"):
         mixing_time(ModelParams(4, 0.054, 0.5), 10, 0.35, cap=100,
                     mode=MONTE_CARLO, replicas=replicas)
