@@ -52,7 +52,6 @@ from .potential import DomainError, ModelParams
 
 EXACT = "ExactProjected"
 MONTE_CARLO = "MonteCarlo"
-_INT64_MAX = 2**63 - 1  # the most chains a count of _mc_tv_crossing holds
 
 
 def stationary_mag(params: ModelParams, N: int) -> np.ndarray:
@@ -304,7 +303,7 @@ def mixing_time(params: ModelParams, N: int, eps: float, cap: int,
         raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
     if cap < 1:
         raise DomainError("cap must be >= 1")
-    if mode == MONTE_CARLO and not 1 <= replicas <= _INT64_MAX:
+    if mode == MONTE_CARLO and not 1 <= replicas < 2**63:  # an int64 count
         raise DomainError(f"replicas must lie in [1, 2**63 - 1], got {replicas}")
     if k_min is None:
         k_min = -N
