@@ -12,10 +12,11 @@ built from: an exact push of a level law (one step, `evolve` for many
 steps on the law's live window, or `leap`, a whole block of steps through
 the kernel's banded block power), a scalar walk of a spin configuration
 over a chunk of draws, and two steps of many magnetization chains: a
-replica step of each chain (the tests' reference) and `step_counts`,
-which steps their histogram over the levels as a whole.  A move that
-would leave ``[lo, hi]`` is rejected (the state is kept); the push tables
-fold that rejection into ``stay``.  The well of a maximizer of H, cut at
+replica step of each chain, one uniform each, and `step_counts`, which
+steps their histogram over the levels as a whole, one multinomial draw
+per step.  A move that would leave ``[lo, hi]`` is rejected (the state is
+kept); the tables fold that rejection into ``stay``, so every level-space
+engine reads the same one-step law.  The well of a maximizer of H, cut at
 the stationary points next to it (`_well`), is such a restriction:
 the floor of the restricted dynamics is the top well's lower end, and the
 sampler runs one chain per well of a global maximizer.  The unrestricted
@@ -71,7 +72,7 @@ _BAND_ROWS = 512
 # Scalar steps per chunk of LevelKernel.draws: one rng.random call each.
 _CHUNK = 1 << 14
 # Replica-steps (R chains times steps) per refill of simulate_mag_replicas'
-# draw buffer, two uniforms each: 512 KB, one step when R exceeds it.
+# draw buffer, one uniform each: 256 KB, one step when R exceeds it.
 _REPLICA_CHUNK = 1 << 15
 
 
@@ -215,16 +216,17 @@ class LevelKernel:
 
     lo and hi default to -N and N and are clamped to [-N, N].  Tables:
 
-    * ``f_up`` and ``p_minus`` over all N+1 levels, indexed by (k + N) // 2:
-      the spin-up probability and the probability (N - k) / (2N) that the
-      chosen site carries -1.  They drive the scalar walk and replica step.
+    * ``f_up`` over all N+1 levels, indexed by (k + N) // 2: the spin-up
+      probability.  It drives the scalar walk and `run_coupling`.
     * ``up``, ``down``, ``stay`` over the kept levels ``ks`` (ascending):
       the one-step law of the restricted sum, with the rejection at lo and
       hi folded into ``stay``.  Unrestricted, the folds add exact zeros.
-      They drive the push and `step_counts`.
+      They drive the push, `leap`, `evolve`, the replica step and
+      `step_counts`.
 
-    up = p_minus * f_up and down = (1 - p_minus) * sigmoid(-2d) keep both
-    factors stable for any field strength.
+    up = p_minus * f_up and down = (1 - p_minus) * sigmoid(-2d), with
+    p_minus = (N - k) / (2N) the chance that the chosen site carries -1,
+    keep both factors stable for any field strength.
 
     A birth-death chain is reversible: ``log_pi`` is its stationary law and
     ``spectrum`` the slow end of its spectrum (``coarse_spectrum`` its
@@ -248,8 +250,7 @@ class LevelKernel:
         with np.errstate(over="ignore"):  # a drift beyond 9e307: f is 0 or 1
             x = 2.0 * _drift(params, c)
         self.f_up = _sigmoid(x)
-        self.p_minus = 0.5 * (1.0 - c)
-        up = self.p_minus * self.f_up
+        up = 0.5 * (1.0 - c) * self.f_up
         down = 0.5 * (1.0 + c) * _sigmoid(-x)
         stay = 1.0 - up - down
         self.ks = ks[i0:i1 + 1]
@@ -281,25 +282,21 @@ class LevelKernel:
         """Log of the chain's own stationary law over ks, normalised.
 
         Detailed balance pi(k) up(k) = pi(k+2) down(k+2) fixes it level by
-        level; the log-space cumsum keeps levels whose mass underflows.
-        Where up or down itself underflows to 0, the ratio is taken from the
-        log-space rates, log up = log p_minus - log(1 + exp(-2d)) and its
-        mirror for down.  Restricted, it is the unrestricted law conditioned
-        on [lo, hi].
+        level; the log-space cumsum keeps levels whose mass underflows.  The
+        ratios come from the log-space rates, log up = log p_minus -
+        log(1 + exp(-2d)) and its mirror for down, so they hold where up or
+        down itself underflows to 0.  Restricted, it is the unrestricted law
+        conditioned on [lo, hi].
 
         Where the drift nears the float range, a ratio is +inf (2d
         overflows) or the sum of ratios overflows: no level below the last
         +inf ratio holds mass, and an overflowing sum is taken at a
         power-of-two scale.
         """
-        with np.errstate(divide="ignore"):
-            ratios = np.log(self.up[:-1]) - np.log(self.down[1:])
-        lost = (self.up[:-1] == 0.0) | (self.down[1:] == 0.0)
-        if lost.any():
-            x, c = self._two_d, self.ks / self.N
-            log_up = np.log(0.5 * (1.0 - c[:-1])) - np.logaddexp(0.0, -x[:-1])
-            log_down = np.log(0.5 * (1.0 + c[1:])) - np.logaddexp(0.0, x[1:])
-            ratios = np.where(lost, log_up - log_down, ratios)
+        x, c = self._two_d, self.ks / self.N
+        log_up = np.log(0.5 * (1.0 - c[:-1])) - np.logaddexp(0.0, -x[:-1])
+        log_down = np.log(0.5 * (1.0 + c[1:])) - np.logaddexp(0.0, x[1:])
+        ratios = log_up - log_down
         rises = np.flatnonzero(ratios == np.inf)
         start = rises[-1] + 1 if rises.size else 0
         log_pi = np.full(len(self.ks), -np.inf)
@@ -645,32 +642,19 @@ class LevelKernel:
             out[lo:lo + laws.shape[1]] = laws[-1]
         return out
 
-    @cached_property
-    def _down_unless_up(self) -> np.ndarray:
-        """down / (1 - up) over ks: the chance of a step down given no step
-        up, 0 where up is 1 (at -N under a saturating field, where down is
-        0 too).  At most 1, as 1 - up - down >= min(p_minus, 1 - p_minus)
-        off the end levels and up or down is 0 at them."""
-        rest = 1.0 - self.up
-        return np.divide(self.down, rest, out=np.zeros_like(rest), where=self.up < 1.0)
-
     def step_counts(self, n: np.ndarray, steps: int, rng: np.random.Generator) -> None:
         """Advance independent chains held as counts n over ks (int64, in
         place) by `steps` steps each.
 
         The chains at one level split multinomially into those that step
         up, down or stay, by the one-step law (up, down, stay), the
-        restriction's rejection already folded in.  A multinomial is drawn
-        as two binomials: ups ~ Bin(n, up), then downs ~ Bin(n - ups, down
-        / (1 - up)).  So a step is two rng.binomial calls over the levels,
-        whatever the number of chains, and the counts' law is that of as
-        many `replica_step` chains.
+        restriction's rejection already folded in: one rng.multinomial
+        call over the levels per step, whatever the number of chains, and
+        the counts' law is that of as many `replica_step` chains.
         """
-        up, q = self.up, self._down_unless_up
+        law = np.column_stack((self.up, self.down, self.stay))
         for _ in range(steps):
-            ups = rng.binomial(n, up)
-            downs = rng.binomial(n - ups, q)
-            n -= ups + downs
+            ups, downs, n[:] = rng.multinomial(n, law).T
             n[1:] += ups[:-1]
             n[:-1] += downs[1:]
 
@@ -715,46 +699,38 @@ class LevelKernel:
                 append(k)
         return k, rejected, path
 
-    def replica_step(self, ks: np.ndarray, u_site: np.ndarray,
-                     u_spin: np.ndarray) -> np.ndarray:
+    def replica_step(self, ks: np.ndarray, u: np.ndarray) -> np.ndarray:
         """One step of magnetization chains at sums ks, levels in [lo, hi]
-        (law-exact): the new sums, by one `_stepper` step of their indices."""
-        j = (ks + self.N) >> 1
-        self._stepper(j)(u_site, u_spin)
-        j <<= 1
-        j -= self.N
-        return j
+        (law-exact): the new sums, by one `_stepper` step of their
+        positions in the kernel's ks."""
+        k0 = int(self.ks[0])
+        i = (ks - k0) >> 1
+        self._stepper(i)(u)
+        i <<= 1
+        i += k0
+        return i
 
-    def _stepper(self, j: np.ndarray):
-        """A function (u_site, u_spin) -> None that steps the level indices
-        j = (k + N) >> 1 of len(j) chains by one replica step, in place.
+    def _stepper(self, i: np.ndarray):
+        """A function u -> None that steps the positions i in ks of len(i)
+        chains by one replica step, in place, one uniform per chain.
 
-        The site draw only matters through whether the chosen site carries
-        -1, the spin draw follows the scalar walk's comparison, and the sum
-        moves by the difference: j += (u_site < p_minus[j]) + (u_spin <=
-        f_up[j]) - 1.  A step moves j by at most one, so clamping j into the
-        restriction's indices is the rejection of a move out of [lo, hi].
-        Its scratch (a float and two int8 buffers) is allocated here, once.
+        A chain moves up when u < up[i] and down when u >= 1 - down[i]: the
+        one-step law of the sum, whose rejection of a move out of [lo, hi]
+        is already folded into stay.  Its scratch (a float and two int8
+        buffers) is allocated here, once.
         """
-        N, R = self.N, len(j)
-        p_minus, f_up = self.p_minus, self.f_up
-        j_lo = (self.lo + N + 1) >> 1 if self.lo > -N else None
-        j_hi = (self.hi + N) >> 1 if self.hi < N else None
-        f, minus, move = np.empty(R), np.empty(R, np.int8), np.empty(R, np.int8)
-        is_minus, is_up = minus.view(bool), move.view(bool)
+        R = len(i)
+        up, fall = self.up, 1.0 - self.down
+        f, rise, drop = np.empty(R), np.empty(R, np.int8), np.empty(R, np.int8)
+        is_up, is_down = rise.view(bool), drop.view(bool)
 
-        def step(u_site: np.ndarray, u_spin: np.ndarray) -> None:
-            p_minus.take(j, out=f, mode="clip")
-            np.less(u_site, f, out=is_minus)
-            f_up.take(j, out=f, mode="clip")
-            np.less_equal(u_spin, f, out=is_up)
-            np.add(move, minus, out=move)
-            np.subtract(move, 1, out=move)
-            np.add(j, move, out=j)
-            if j_lo is not None:
-                np.maximum(j, j_lo, out=j)
-            if j_hi is not None:
-                np.minimum(j, j_hi, out=j)
+        def step(u: np.ndarray) -> None:
+            up.take(i, out=f, mode="clip")
+            np.less(u, f, out=is_up)
+            fall.take(i, out=f, mode="clip")
+            np.greater_equal(u, f, out=is_down)
+            np.subtract(rise, drop, out=rise)
+            np.add(i, rise, out=i)
         return step
 
 
@@ -959,11 +935,11 @@ def simulate_mag_replicas(params: ModelParams, N: int, start_ks: np.ndarray,
     Optional lo/hi bounds give the floor- or window-restricted dynamics by
     rejection.  start_ks must be a 1-D sequence of integers, each a level in
     [lo, hi], else DomainError (the level checks are LevelKernel.index's).
-    The chains are stepped in place as level indices (`_stepper`), and
-    their draws fill one reused buffer of max(1, 2**15 // R) steps, n steps
-    at a time by rng.random(out=...): the same stream as rng.random((2, R))
-    per step (site uniforms, then spin uniforms), so s steps and then t steps
-    on one rng end where s + t steps do.
+    The chains are stepped in place as positions in the kernel's ks
+    (`_stepper`), and their draws fill one reused buffer of max(1, 2**15 //
+    R) steps, n steps at a time by rng.random(out=...): the same stream as
+    rng.random(R) per step, so s steps and then t steps on one rng end where
+    s + t steps do.
     """
     ks = np.asarray(start_ks)
     if ks.ndim != 1 or (ks.size and ks.dtype.kind not in "iu"):
@@ -975,18 +951,19 @@ def simulate_mag_replicas(params: ModelParams, N: int, start_ks: np.ndarray,
     if R:  # the lowest, highest and first wrong-parity starts must be levels
         for k in (j.min(), j.max(), j[np.argmax(j & 1 != N & 1)]):
             kernel.index(int(k))
-    j += N
+    k0 = int(kernel.ks[0])
+    j -= k0
     j >>= 1
     step = kernel._stepper(j)
     chunk = max(1, _REPLICA_CHUNK // max(R, 1))
-    buf = np.empty((min(chunk, max(steps, 0)), 2, R))
+    buf = np.empty((min(chunk, max(steps, 0)), R))
     for t in range(0, steps, chunk):
         draws = buf[:min(chunk, steps - t)]
         rng.random(out=draws)
-        for u_site, u_spin in draws:
-            step(u_site, u_spin)
+        for u in draws:
+            step(u)
     j <<= 1
-    j -= N
+    j += k0
     return j
 
 

@@ -80,7 +80,7 @@ def test_level_kernel_restriction_clamps_and_folds():
     full = LevelKernel(params, N)
     wide = LevelKernel(params, N, lo=-N - 7, hi=N + 9)
     assert (wide.lo, wide.hi) == (-N, N)
-    for name in ("up", "down", "stay", "f_up", "p_minus", "ks"):
+    for name in ("up", "down", "stay", "f_up", "ks"):
         assert np.array_equal(getattr(wide, name), getattr(full, name)), name
     assert full.down[0] == 0.0 and full.up[-1] == 0.0
     for table, name in zip(kernel_arrays(params, N), ("up", "down", "stay")):
@@ -469,7 +469,7 @@ def test_restricted_long_run_matches_conditioned_law():
     ks = np.full(R, k0, dtype=np.int64)
     counts = np.zeros(len(kernel.ks), dtype=np.int64)  # levels from step burn on
     for t in range(1, steps + 1):
-        ks = kernel.replica_step(ks, *rng.random((2, R)))
+        ks = kernel.replica_step(ks, rng.random(R))
         if t >= burn:
             counts += np.bincount((ks - kernel.ks[0]) // 2, minlength=len(counts))
     hist = counts / counts.sum()
@@ -648,7 +648,7 @@ def test_concentration_at_deep_well():
     violated = ~(np.abs(ks / N - m_star) < 0.05)
     kernel = LevelKernel(params, N)
     for _ in range(90 * N):  # steps 10 N + 1 .. 100 N, one replica step each
-        ks = kernel.replica_step(ks, *rng.random((2, len(ks))))
+        ks = kernel.replica_step(ks, rng.random(len(ks)))
         violated |= np.abs(ks / N - m_star) >= 0.05
     assert float(1 - violated.mean()) >= 0.99
 
@@ -838,14 +838,11 @@ def test_replica_runs_split_on_one_rng_match_one_run():
             assert np.array_equal(split, whole)
 
 
-def _reference_step(kernel, ks, u_site, u_spin):
-    """The replica rule on sums: a move by +-2, kept unless it leaves
-    [lo, hi]."""
-    idx = (ks + kernel.N) >> 1
-    is_minus = u_site < kernel.p_minus[idx]
-    up = u_spin <= kernel.f_up[idx]
-    nk = ks + 2 * (is_minus & up) - 2 * (~is_minus & ~up)
-    return np.where((nk < kernel.lo) | (nk > kernel.hi), ks, nk)
+def _reference_step(kernel, ks, u):
+    """The replica rule on sums: up by 2 when u < up, down by 2 when
+    u >= 1 - down, read at the level's position in ks."""
+    idx = (ks - kernel.ks[0]) // 2
+    return ks + 2 * (u < kernel.up[idx]) - 2 * (u >= 1.0 - kernel.down[idx])
 
 
 @pytest.mark.parametrize("R, steps, lo, hi", [
@@ -866,12 +863,12 @@ def test_replica_engine_matches_reference_loop(R, steps, lo, hi):
     got = simulate_mag_replicas(params, N, starts, steps, rng, lo=lo, hi=hi)
     want = starts.astype(np.int64)
     for _ in range(steps):
-        want = _reference_step(kernel, want, *ref_rng.random((2, R)))
+        want = _reference_step(kernel, want, ref_rng.random(R))
     assert got.dtype == np.int64 and np.array_equal(got, want)
     assert rng.random() == ref_rng.random()  # the same draws consumed
     for _ in range(min(steps, 20)):  # the one-step form, on shared draws
-        u = rng.random((2, R))
-        got, want = kernel.replica_step(got, *u), _reference_step(kernel, want, *u)
+        u = rng.random(R)
+        got, want = kernel.replica_step(got, u), _reference_step(kernel, want, u)
         assert np.array_equal(got, want)
 
 
@@ -897,27 +894,35 @@ def test_replica_engine_draws_in_bounded_memory():
     ((2, 0.1, 60.0), 20, None, None, -20, 15),    # up = 1 at -N
 ])
 def test_step_counts_follow_the_exact_law(point, N, lo, hi, start, steps):
-    # 10**5 chains from a point mass, stepped as counts, against the exact
-    # law after as many steps: Pearson's chi-square over the levels whose
-    # expected count is at least 5, the rest pooled, at p-value > 0.001
+    # 10**5 chains from a point mass, stepped as counts and as replicas,
+    # each against the exact law after as many steps: Pearson's chi-square
+    # over the levels whose expected count is at least 5, the rest pooled,
+    # at p-value > 0.001
     from scipy.stats import chi2
 
-    kernel = LevelKernel(ModelParams(*point), N, lo, hi)
+    params = ModelParams(*point)
+    kernel = LevelKernel(params, N, lo, hi)
     R = 100_000
     n = np.zeros(len(kernel.ks), dtype=np.int64)
     n[kernel.index(start)] = R
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         kernel.step_counts(n, steps, rng_stream(21, N, steps))
+        ks = simulate_mag_replicas(params, N, np.full(R, start), steps,
+                                   rng_stream(22, N, steps), lo=lo, hi=hi)
     assert n.dtype == np.int64 and n.min() >= 0 and n.sum() == R
+    binned = np.bincount((ks - kernel.ks[0]) // 2, minlength=len(kernel.ks))
+    assert len(binned) == len(kernel.ks)  # no replica left [lo, hi]
     mu = np.zeros(len(kernel.ks))
     mu[kernel.index(start)] = 1.0
-    expected = R * kernel.law_after(mu, steps)
-    big = expected >= 5
-    observed = np.append(n[big], n[~big].sum())
-    expected = np.append(expected[big], expected[~big].sum())
-    if expected[-1] < 5:  # too little pooled mass for a bin of its own
-        observed = np.append(observed[:-2], observed[-2:].sum())
-        expected = np.append(expected[:-2], expected[-2:].sum())
-    stat = float(((observed - expected) ** 2 / expected).sum())
-    assert big.sum() >= 3 and 1.0 - chi2.cdf(stat, len(observed) - 1) > 0.001
+    law = R * kernel.law_after(mu, steps)
+    big = law >= 5
+    assert big.sum() >= 3
+    for counts in (n, binned):
+        observed = np.append(counts[big], counts[~big].sum())
+        expected = np.append(law[big], law[~big].sum())
+        if expected[-1] < 5:  # too little pooled mass for a bin of its own
+            observed = np.append(observed[:-2], observed[-2:].sum())
+            expected = np.append(expected[:-2], expected[-2:].sum())
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        assert 1.0 - chi2.cdf(stat, len(observed) - 1) > 0.001

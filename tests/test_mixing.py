@@ -843,7 +843,7 @@ def test_hitting_time_agrees_with_replicas():
     t = 0
     while (hit_at < 0).any():
         t += 1
-        ks = kernel.replica_step(ks, *rng.random((2, R)))
+        ks = kernel.replica_step(ks, rng.random(R))
         hit_at[(hit_at < 0) & (ks >= target)] = t
     se = hit_at.std(ddof=1) / math.sqrt(R)
     exact = hitting_time(params, N, start, target, k_min=thr).mean_steps
