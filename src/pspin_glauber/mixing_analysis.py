@@ -262,8 +262,8 @@ def _mc_tv_crossing(kernel, target, start_k, eps, cap, replicas, seed):
 
     The chains are held as counts over the kernel's levels and stepped as
     a whole (LevelKernel.step_counts), on the stream rng_stream(seed, 3,
-    (start_k + N) // 2): each step costs two binomial draws per level,
-    whatever the number of chains.
+    (start_k + N) // 2): each step costs one multinomial draw over the
+    levels, whatever the number of chains.
     """
     N = kernel.N
     rng = rng_stream(seed, 3, (start_k + N) // 2)
@@ -295,9 +295,10 @@ def mixing_time(params: ModelParams, N: int, eps: float, cap: int,
     when that lies past the cap.  MonteCarlo estimates TV from the
     histogram of `replicas` chains every N // 4 steps (_mc_tv_crossing:
     upward-biased near the crossing, reported with a rough multinomial
-    standard error).  The chains are stepped as counts over the levels, so
-    its cost does not grow with replicas, any number of them that an int64
-    holds.
+    standard error).  The chains are stepped as counts over the levels,
+    one multinomial draw per step from the kernel's folded one-step law,
+    so its cost does not grow with replicas, any number of them that an
+    int64 holds.
     """
     if not 0.0 < eps < 0.5:
         raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
