@@ -11,12 +11,13 @@ sum, clamped to ``[-N, N]``, and offers the engines everything else is
 built from: an exact push of a level law (one step, `evolve` for many
 steps on the law's live window, or `leap`, a whole block of steps through
 the kernel's banded block power), a scalar walk of a spin configuration
-over a chunk of draws, and two steps of many magnetization chains: a
-replica step of each chain, one uniform each, and `step_counts`, which
-steps their histogram over the levels as a whole, one multinomial draw
-per step.  A move that would leave ``[lo, hi]`` is rejected (the state is
-kept); the tables fold that rejection into ``stay``, so every level-space
-engine reads the same one-step law.  The well of a maximizer of H, cut at
+over a chunk of draws, and `step_counts`, which steps the histogram of
+many magnetization chains over the levels as a whole, one multinomial
+draw per step.  `simulate_mag_replicas` steps such chains one by one in a
+plain loop on the same table, one uniform per chain and step.  A move
+that would leave ``[lo, hi]`` is rejected (the state is kept); the tables
+fold that rejection into ``stay``, so every level-space engine reads the
+same one-step law.  The well of a maximizer of H, cut at
 the stationary points next to it (`_well`), is such a restriction:
 the floor of the restricted dynamics is the top well's lower end, and the
 sampler runs one chain per well of a global maximizer.  The unrestricted
@@ -71,9 +72,6 @@ _EPS = np.finfo(float).eps
 _BAND_ROWS = 512
 # Scalar steps per chunk of LevelKernel.draws: one rng.random call each.
 _CHUNK = 1 << 14
-# Replica-steps (R chains times steps) per refill of simulate_mag_replicas'
-# draw buffer, one uniform each: 256 KB, one step when R exceeds it.
-_REPLICA_CHUNK = 1 << 15
 
 
 def live_window(lo: int, law: np.ndarray) -> tuple[int, np.ndarray]:
@@ -221,8 +219,8 @@ class LevelKernel:
     * ``up``, ``down``, ``stay`` over the kept levels ``ks`` (ascending):
       the one-step law of the restricted sum, with the rejection at lo and
       hi folded into ``stay``.  Unrestricted, the folds add exact zeros.
-      They drive the push, `leap`, `evolve`, the replica step and
-      `step_counts`.
+      They drive the push, `leap`, `evolve`, `step_counts` and
+      `simulate_mag_replicas`.
 
     up = p_minus * f_up and down = (1 - p_minus) * sigmoid(-2d), with
     p_minus = (N - k) / (2N) the chance that the chosen site carries -1,
@@ -650,7 +648,7 @@ class LevelKernel:
         up, down or stay, by the one-step law (up, down, stay), the
         restriction's rejection already folded in: one rng.multinomial
         call over the levels per step, whatever the number of chains, and
-        the counts' law is that of as many `replica_step` chains.
+        the counts' law is that of as many `simulate_mag_replicas` chains.
         """
         law = np.column_stack((self.up, self.down, self.stay))
         for _ in range(steps):
@@ -698,40 +696,6 @@ class LevelKernel:
             if record:
                 append(k)
         return k, rejected, path
-
-    def replica_step(self, ks: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """One step of magnetization chains at sums ks, levels in [lo, hi]
-        (law-exact): the new sums, by one `_stepper` step of their
-        positions in the kernel's ks."""
-        k0 = int(self.ks[0])
-        i = (ks - k0) >> 1
-        self._stepper(i)(u)
-        i <<= 1
-        i += k0
-        return i
-
-    def _stepper(self, i: np.ndarray):
-        """A function u -> None that steps the positions i in ks of len(i)
-        chains by one replica step, in place, one uniform per chain.
-
-        A chain moves up when u < up[i] and down when u >= 1 - down[i]: the
-        one-step law of the sum, whose rejection of a move out of [lo, hi]
-        is already folded into stay.  Its scratch (a float and two int8
-        buffers) is allocated here, once.
-        """
-        R = len(i)
-        up, fall = self.up, 1.0 - self.down
-        f, rise, drop = np.empty(R), np.empty(R, np.int8), np.empty(R, np.int8)
-        is_up, is_down = rise.view(bool), drop.view(bool)
-
-        def step(u: np.ndarray) -> None:
-            up.take(i, out=f, mode="clip")
-            np.less(u, f, out=is_up)
-            fall.take(i, out=f, mode="clip")
-            np.greater_equal(u, f, out=is_down)
-            np.subtract(rise, drop, out=rise)
-            np.add(i, rise, out=i)
-        return step
 
 
 def kernel_arrays(params: ModelParams, N: int):
@@ -929,42 +893,33 @@ def run_coupling(spec: CouplingSpec) -> CouplingTrace:
 def simulate_mag_replicas(params: ModelParams, N: int, start_ks: np.ndarray,
                           steps: int, rng: np.random.Generator,
                           lo: int | None = None, hi: int | None = None) -> np.ndarray:
-    """The sums of R magnetization chains after `steps` LevelKernel replica
-    steps from start_ks.
+    """The sums of R magnetization chains after `steps` steps from start_ks.
 
     Optional lo/hi bounds give the floor- or window-restricted dynamics by
     rejection.  start_ks must be a 1-D sequence of integers, each a level in
     [lo, hi], else DomainError (the level checks are LevelKernel.index's).
-    The chains are stepped in place as positions in the kernel's ks
-    (`_stepper`), and their draws fill one reused buffer of max(1, 2**15 //
-    R) steps, n steps at a time by rng.random(out=...): the same stream as
-    rng.random(R) per step, so s steps and then t steps on one rng end where
-    s + t steps do.
+    A step draws u = rng.random(R): the chain at position i in the kernel's
+    ks moves up when u < up[i] and down when u >= 1 - down[i], the folded
+    one-step law.  So s steps and then t steps on one rng end where s + t do.
     """
     ks = np.asarray(start_ks)
     if ks.ndim != 1 or (ks.size and ks.dtype.kind not in "iu"):
         raise DomainError("start_ks must be a 1-D sequence of integer levels, "
                           f"got shape {ks.shape} of {ks.dtype}")
-    j = ks.astype(np.int64)
-    R = len(j)
+    sums = ks.astype(np.int64)
     kernel = LevelKernel(params, N, lo, hi)
-    if R:  # the lowest, highest and first wrong-parity starts must be levels
-        for k in (j.min(), j.max(), j[np.argmax(j & 1 != N & 1)]):
+    if sums.size:  # the lowest, highest and first wrong-parity starts must be levels
+        for k in (sums.min(), sums.max(), sums[np.argmax(sums & 1 != N & 1)]):
             kernel.index(int(k))
     k0 = int(kernel.ks[0])
-    j -= k0
-    j >>= 1
-    step = kernel._stepper(j)
-    chunk = max(1, _REPLICA_CHUNK // max(R, 1))
-    buf = np.empty((min(chunk, max(steps, 0)), R))
-    for t in range(0, steps, chunk):
-        draws = buf[:min(chunk, steps - t)]
-        rng.random(out=draws)
-        for u in draws:
-            step(u)
-    j <<= 1
-    j += k0
-    return j
+    i = (sums - k0) >> 1  # the chains' positions in kernel.ks
+    up, fall = kernel.up, 1.0 - kernel.down
+    for _ in range(steps):
+        u = rng.random(len(i))
+        rise = u < up[i]  # both moves read the position before the step
+        i -= u >= fall[i]
+        i += rise
+    return 2 * i + k0
 
 
 # -- metastable sampler ------------------------------------------------------

@@ -88,8 +88,6 @@ def tv_curve(params: ModelParams, N: int, start_k: int, t_max: int,
     stops at the first step with TV <= eps_stop.  With k_min the
     floor-restricted kernel and its conditioned Gibbs law are used instead.
     """
-    if k_min is None:
-        k_min = -N
     kernel = LevelKernel(params, N, lo=k_min)
     start = kernel.index(start_k)
     if t_max < 0:
@@ -306,17 +304,15 @@ def mixing_time(params: ModelParams, N: int, eps: float, cap: int,
         raise DomainError("cap must be >= 1")
     if mode == MONTE_CARLO and not 1 <= replicas < 2**63:  # an int64 count
         raise DomainError(f"replicas must lie in [1, 2**63 - 1], got {replicas}")
-    if k_min is None:
-        k_min = -N
-    if starts is None:
-        starts = (N, -N) if k_min <= -N else (k_min + (k_min + N) % 2, N)
-        starts = tuple(dict.fromkeys(starts))  # a floor that rounds up to N: one start
     if mode not in (EXACT, MONTE_CARLO):
         raise DomainError(f"unknown mode {mode!r}")
+    kernel = LevelKernel(params, N, lo=k_min)
+    if starts is None:
+        starts = (N, -N) if kernel.lo == -N else (int(kernel.ks[0]), N)
+        starts = tuple(dict.fromkeys(starts))  # a floor that rounds up to N: one start
 
     t_by_start: dict[int, int | None] = {}
     se_by_start: dict[int, float | None] = {}
-    kernel = LevelKernel(params, N, lo=k_min)
     target = kernel.gibbs
     for start_k in starts:
         if mode == EXACT:

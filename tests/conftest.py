@@ -4,15 +4,17 @@ Everything here is deliberately independent of the library's own machinery:
 the magnetization law comes from brute-force enumeration over all 2^N
 configurations, and the dense chain is the full 2^N x 2^N one-step matrix
 assembled directly from the update rule, as is the level chain's matrix
-power.  The reference level law, time scales, barrier and equal-height
-field at the end are closed forms in ``math``/``lgamma``, the
-log-binomials, slow eigenvalues, threshold constants, the roots of H' and
-the height gap of its maximizers are mpmath at 40-50 digits, and none of
-them calls anything in ``pspin_glauber``; a ``params`` argument is read
-only for its ``p``, ``beta`` and ``h``.  The log-log growth fit the scaling tests read lives
+power; the replica step reads the level chain's rates from the same rule.
+The reference level law, time scales, barrier and equal-height field at the
+end are closed forms in ``math``/``lgamma``, the log-binomials, slow
+eigenvalues, threshold constants, the roots of H' and the height gap of its
+maximizers are mpmath at 40-50 digits, and none of them calls anything in
+``pspin_glauber``; a ``params`` argument is read only for its ``p``,
+``beta`` and ``h``.  The log-log growth fit the scaling tests read lives
 here as well: the library itself never fits.
 """
 
+import functools
 import math
 import os
 from typing import NamedTuple
@@ -95,6 +97,33 @@ def level_chain_power(params: ModelParams, N: int, steps: int,
         moved[:, :-1] += power[:, 1:] * down[1:]
         power = moved
     return power
+
+
+@functools.lru_cache(maxsize=8)
+def _folded_rates(params: ModelParams, N: int, lo: int | None,
+                  hi: int | None) -> tuple[int, np.ndarray, np.ndarray]:
+    """(k0, up, down) over the levels k0, k0 + 2, ... in [lo, hi] (default
+    [-N, N]): up(k) = (N - k)/(2N) f(k) and down(k) = (N + k)/(2N) (1 -
+    f(k)) from flip_up_table, a move out of [lo, hi] rejected, so down is 0
+    at the lowest kept level and up at the highest."""
+    f = flip_up_table(params, N)
+    lo = -N if lo is None else lo
+    hi = N if hi is None else hi
+    ks = [k for k in range(-N, N + 1, 2) if lo <= k <= hi]
+    up = np.array([(N - k) / (2 * N) * f[(k + N) // 2] for k in ks])
+    down = np.array([(N + k) / (2 * N) * (1 - f[(k + N) // 2]) for k in ks])
+    down[0] = up[-1] = 0.0
+    return ks[0], up, down
+
+
+def replica_step(params: ModelParams, N: int, ks: np.ndarray, u: np.ndarray,
+                 lo: int | None = None, hi: int | None = None) -> np.ndarray:
+    """One step of magnetization chains at sums ks in [lo, hi], one uniform
+    u each: up by 2 when u < up(k), down by 2 when u >= 1 - down(k), the
+    folded rates of the chain's level.  Returns the new sums."""
+    k0, up, down = _folded_rates(params, N, lo, hi)
+    i = (ks - k0) // 2
+    return ks + 2 * (u < up[i]) - 2 * (u >= 1.0 - down[i])
 
 
 class FitReport(NamedTuple):

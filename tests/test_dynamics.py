@@ -42,7 +42,12 @@ from pspin_glauber.dynamics import (
     simulate_mag_replicas,
 )
 
-from conftest import balance_defects, cosh_tilted_log_level_law, flip_up_table
+from conftest import (
+    balance_defects,
+    cosh_tilted_log_level_law,
+    flip_up_table,
+    replica_step,
+)
 
 
 def _level_spins(N, k):
@@ -469,7 +474,7 @@ def test_restricted_long_run_matches_conditioned_law():
     ks = np.full(R, k0, dtype=np.int64)
     counts = np.zeros(len(kernel.ks), dtype=np.int64)  # levels from step burn on
     for t in range(1, steps + 1):
-        ks = kernel.replica_step(ks, rng.random(R))
+        ks = replica_step(params, N, ks, rng.random(R), lo=thr)
         if t >= burn:
             counts += np.bincount((ks - kernel.ks[0]) // 2, minlength=len(counts))
     hist = counts / counts.sum()
@@ -646,9 +651,8 @@ def test_concentration_at_deep_well():
     rng = rng_stream(5, 1)
     ks = simulate_mag_replicas(params, N, np.full(1000, -N), 10 * N, rng)
     violated = ~(np.abs(ks / N - m_star) < 0.05)
-    kernel = LevelKernel(params, N)
     for _ in range(90 * N):  # steps 10 N + 1 .. 100 N, one replica step each
-        ks = kernel.replica_step(ks, rng.random(len(ks)))
+        ks = replica_step(params, N, ks, rng.random(len(ks)))
         violated |= np.abs(ks / N - m_star) >= 0.05
     assert float(1 - violated.mean()) >= 0.99
 
@@ -822,8 +826,7 @@ def test_spin_config_validation():
 
 
 def test_replica_runs_split_on_one_rng_match_one_run():
-    # s steps and then t steps end where s + t steps do: at R = 3000 a chunk
-    # is (1 << 15) // R = 10 steps, and 1003 + 497 splits one
+    # s steps and then t steps end where s + t steps do
     params, N, R = ModelParams(4, 0.51, 0.184), 60, 3000
     starts = np.resize(np.arange(-N, N + 1, 2), R)
     for lo, hi in ((None, None), (-20, 30)):
@@ -838,13 +841,6 @@ def test_replica_runs_split_on_one_rng_match_one_run():
             assert np.array_equal(split, whole)
 
 
-def _reference_step(kernel, ks, u):
-    """The replica rule on sums: up by 2 when u < up, down by 2 when
-    u >= 1 - down, read at the level's position in ks."""
-    idx = (ks - kernel.ks[0]) // 2
-    return ks + 2 * (u < kernel.up[idx]) - 2 * (u >= 1.0 - kernel.down[idx])
-
-
 @pytest.mark.parametrize("R, steps, lo, hi", [
     (1000, 200, None, None),     # unrestricted
     (1000, 200, 4, None),        # floor
@@ -852,8 +848,8 @@ def _reference_step(kernel, ks, u):
     (0, 50, None, None),
     (1, 300, -13, 21),
     (500, 0, 4, None),
-    (40_000, 3, -13, 21),        # above 2**15 replicas: one step per chunk
-    (3000, 25, None, None),      # a chunk of 10 steps, 25 not a multiple
+    (40_000, 3, -13, 21),
+    (3000, 25, None, None),
 ])
 def test_replica_engine_matches_reference_loop(R, steps, lo, hi):
     params, N = ModelParams(4, 0.51, 0.184), 60
@@ -863,18 +859,18 @@ def test_replica_engine_matches_reference_loop(R, steps, lo, hi):
     got = simulate_mag_replicas(params, N, starts, steps, rng, lo=lo, hi=hi)
     want = starts.astype(np.int64)
     for _ in range(steps):
-        want = _reference_step(kernel, want, ref_rng.random(R))
+        want = replica_step(params, N, want, ref_rng.random(R), lo, hi)
     assert got.dtype == np.int64 and np.array_equal(got, want)
     assert rng.random() == ref_rng.random()  # the same draws consumed
-    for _ in range(min(steps, 20)):  # the one-step form, on shared draws
-        u = rng.random(R)
-        got, want = kernel.replica_step(got, u), _reference_step(kernel, want, u)
+    for _ in range(min(steps, 20)):  # one step at a time, on the same stream
+        got = simulate_mag_replicas(params, N, got, 1, rng, lo=lo, hi=hi)
+        want = replica_step(params, N, want, ref_rng.random(R), lo, hi)
         assert np.array_equal(got, want)
 
 
 def test_replica_engine_draws_in_bounded_memory():
-    # 10,000 replicas for 50 steps: the draws fill one reused buffer, so the
-    # peak of traced allocations stays under 1 MB (one rng.random((50, 2,
+    # 10,000 replicas for 50 steps: each step draws its R uniforms alone, so
+    # the peak of traced allocations stays under 1 MB (one rng.random((50, 2,
     # R)) call would be 8 MB)
     params, N, R = ModelParams(4, 0.054, 0.5), 200, 10_000
     starts, rng = np.zeros(R, dtype=np.int64), rng_stream(1)

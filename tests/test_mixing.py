@@ -46,6 +46,7 @@ from conftest import (
     level_chain_power,
     log_binomials,
     passage_means,
+    replica_step,
     slow_eigenvalues,
 )
 
@@ -839,11 +840,10 @@ def test_hitting_time_agrees_with_replicas():
     rng = rng_stream(3, 4)
     ks = np.full(R, start, dtype=np.int64)
     hit_at = np.full(R, -1, dtype=np.int64)
-    kernel = LevelKernel(params, N, lo=thr)
     t = 0
     while (hit_at < 0).any():
         t += 1
-        ks = kernel.replica_step(ks, rng.random(R))
+        ks = replica_step(params, N, ks, rng.random(R), lo=thr)
         hit_at[(hit_at < 0) & (ks >= target)] = t
     se = hit_at.std(ddof=1) / math.sqrt(R)
     exact = hitting_time(params, N, start, target, k_min=thr).mean_steps
