@@ -275,15 +275,23 @@ class LevelKernel:
             raise DomainError("start above the restriction ceiling")
         return (k - int(self.ks[0])) // 2
 
+    @property
+    def log_rates(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log up over ks[:-1], log down over ks[1:]) in log space, log
+        p_minus - log(1 + exp(-2d)) and its mirror: finite where up or down
+        itself underflows to 0."""
+        x, c = self._two_d, self.ks / self.N
+        return (np.log(0.5 * (1.0 - c[:-1])) - np.logaddexp(0.0, -x[:-1]),
+                np.log(0.5 * (1.0 + c[1:])) - np.logaddexp(0.0, x[1:]))
+
     @cached_property
     def log_pi(self) -> np.ndarray:
         """Log of the chain's own stationary law over ks, normalised.
 
         Detailed balance pi(k) up(k) = pi(k+2) down(k+2) fixes it level by
         level; the log-space cumsum keeps levels whose mass underflows.  The
-        ratios come from the log-space rates, log up = log p_minus -
-        log(1 + exp(-2d)) and its mirror for down, so they hold where up or
-        down itself underflows to 0.  Restricted, it is the unrestricted law
+        ratios come from `log_rates`, so they hold where up or down itself
+        underflows to 0.  Restricted, it is the unrestricted law
         conditioned on [lo, hi].
 
         Where the drift nears the float range, a ratio is +inf (2d
@@ -291,9 +299,7 @@ class LevelKernel:
         +inf ratio holds mass, and an overflowing sum is taken at a
         power-of-two scale.
         """
-        x, c = self._two_d, self.ks / self.N
-        log_up = np.log(0.5 * (1.0 - c[:-1])) - np.logaddexp(0.0, -x[:-1])
-        log_down = np.log(0.5 * (1.0 + c[1:])) - np.logaddexp(0.0, x[1:])
+        log_up, log_down = self.log_rates
         ratios = log_up - log_down
         rises = np.flatnonzero(ratios == np.inf)
         start = rises[-1] + 1 if rises.size else 0

@@ -365,8 +365,9 @@ def bottleneck(params: ModelParams, N: int) -> BottleneckReport:
     Q(A, A^c) = pi(k) p_up(k); for A = {levels >= k} it is pi(k) p_down(k).
     Both families are scanned (whichever well is metastable, its interval
     cut is on one of the two sides); everything is computed in log space
-    to survive exponentially small masses.  phi_star minimizes Q/pi(A)
-    over cuts with pi(A) <= 1/2.
+    to survive exponentially small masses, a rate that underflows to 0
+    too (LevelKernel.log_rates), so every log_Q is finite.  phi_star
+    minimizes Q/pi(A) over cuts with pi(A) <= 1/2.
     """
     if N < 2:
         raise DomainError("N must be >= 2")
@@ -375,15 +376,16 @@ def bottleneck(params: ModelParams, N: int) -> BottleneckReport:
     log_cum_lo = np.logaddexp.accumulate(log_pi)
     log_cum_hi = np.logaddexp.accumulate(log_pi[::-1])[::-1]
 
-    with np.errstate(divide="ignore"):
-        log_up = np.log(kernel.up)
-        log_down = np.log(kernel.down)
+    log_up, log_down = kernel.log_rates
+    with np.errstate(divide="ignore"):  # a rate that underflows: its log-space form
+        log_up = np.where(kernel.up[:-1] > 0.0, np.log(kernel.up[:-1]), log_up)
+        log_down = np.where(kernel.down[1:] > 0.0, np.log(kernel.down[1:]), log_down)
     ks = kernel.ks.tolist()
     cuts = []
     # A = {<= k} is cut below the top level, A = {>= k} above the bottom one
     for side, part, log_move, log_cum in (("leq", slice(None, -1), log_up, log_cum_lo),
                                           ("geq", slice(1, None), log_down, log_cum_hi)):
-        log_q = log_pi[part] + log_move[part]
+        log_q = log_pi[part] + log_move
         cuts += [CutStat(k, side, q, a, r) for k, q, a, r in zip(
             ks[part], log_q.tolist(), log_cum[part].tolist(),
             (log_q - log_cum[part]).tolist())]

@@ -885,6 +885,34 @@ def test_bottleneck_against_dense_enumeration():
     assert rep.phi_star == pytest.approx(best, abs=1e-12)
 
 
+def test_bottleneck_flow_is_finite_where_a_rate_underflows():
+    # at h = 400 the down rate 1/(1 + exp(2d)) underflows to 0 at every
+    # level, yet every cut's log_Q = log pi(k) + log p_out(k) is finite and
+    # agrees with mpmath at 40 digits: the Gibbs weights C(N, (N + k)/2)
+    # exp(N (beta c^p + h c)) normalised there, and up(k) = (1 - c)/2 / (1 +
+    # exp(-2d)), down(k) = (1 + c)/2 / (1 + exp(2d)), d = p beta c^(p-1) + h
+    import mpmath
+
+    p, beta, h, N = 4, 0.5, 400.0, 50
+    rep = bottleneck(ModelParams(p, beta, h), N)
+    assert len(rep.cuts) == 2 * N
+    with mpmath.workdps(40):
+        c = {k: mpmath.mpf(k) / N for k in range(-N, N + 1, 2)}
+        log_w = {k: mpmath.log(mpmath.binomial(N, (N + k) // 2))
+                 + N * (beta * c[k] ** p + h * c[k]) for k in c}
+        log_z = mpmath.log(mpmath.fsum(mpmath.exp(w) for w in log_w.values()))
+        for cut in rep.cuts:
+            k = cut.k
+            two_d = 2 * (p * beta * c[k] ** (p - 1) + h)
+            if cut.side == "leq":
+                log_move = mpmath.log((1 - c[k]) / 2) - mpmath.log1p(mpmath.exp(-two_d))
+            else:
+                log_move = mpmath.log((1 + c[k]) / 2) - mpmath.log1p(mpmath.exp(two_d))
+            want = float(log_w[k] - log_z + log_move)
+            assert math.isfinite(cut.log_Q) and math.isfinite(cut.log_ratio)
+            assert abs(cut.log_Q - want) <= 1e-12 * abs(want), (cut.side, k)
+
+
 def test_bottleneck_exponential_at_metastable_point():
     params = ModelParams(4, 0.51, 0.184)
     vals = [bottleneck(params, N).log_phi_star / N for N in (50, 100, 200, 400)]
