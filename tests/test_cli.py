@@ -565,8 +565,8 @@ PINNED_STDOUT = [
     ("a7af8b5902f1199b", "sample --p 4 --beta 0.51 --h 0.184 --n 200 --burn 3000 --seed 2"),
     # 6,398 cuts, 1.1 MB: a long list of records
     ("328bc249c65267ae", "bottleneck --p 4 --beta 0.51 --h 0.184 --n 3200"),
-    # down underflows: 100 -Infinity tokens
-    ("93acaa581de17c5b", "bottleneck --p 4 --beta 0.5 --h 400 --n 50"),
+    # down underflows to 0: each geq cut's log_Q from the log-space rate
+    ("b65d9bbb5650bf0a", "bottleneck --p 4 --beta 0.5 --h 400 --n 50"),
     # the degenerate maximizer at the special point, a triple root of H'
     ("4dd38d29df4e05ea", "classify --p 4 --beta 1/3 --h 0.40996906622851137 --margins"),
     # wells at -1 + 5e-11 and 1 - 9e-13, where H'' is -9.9e9 and -5.4e11
