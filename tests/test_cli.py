@@ -581,14 +581,23 @@ PINNED_STDOUT = [
     # one finished row and one capped row, whose t_mix field is empty
     ("4d0e4d9e9dc3d6b2", "mix-sweep --p 4 --beta 0.054 --h 0.5 --n-list 100,3200"
                          " --cap 5000 --jobs 1"),
+    # the top of the well [-60, 41] rejects moves: acceptance 0.997935
+    ("031de1e1bc2c2063", "sample --p 4 --beta 0.51 --h 0.184 --n 60 --burn 200000 --seed 2"),
+    # at N = 10 the level changes every few steps over whole 16384-step chunks
+    ("84c0e4e071c720a0", "coupling --p 4 --beta 0.51 --h 0.184 --n 10 --steps 100000"
+                         " --record-every 1000"),
 ]
 
 
 def test_pinned_stdout_digests(capsys):
+    # every command runs before the one assert, so each moved digest is listed
+    moved = []
     for digest, command in PINNED_STDOUT:
         code, out, _ = run_cli(command.split(), capsys)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, command
+        got = hashlib.sha256(out.encode()).hexdigest()[:16]
+        if code != 0 or got != digest:
+            moved.append((command, code, got))
+    assert not moved, moved
 
 
 # First 16 hex digits of the sha256 of the .grid.csv and .curves.csv that
@@ -601,16 +610,22 @@ PINNED_GRIDS = [("02846029156f6a70", "550bd4b317afb5b4", 4),
 
 
 def test_pinned_grid_digests(tmp_path, capsys):
+    moved = []
     for grid_digest, curves_digest, p in PINNED_GRIDS:
         prefix = str(tmp_path / f"p{p}")
         code, _, _ = run_cli(["phase-diagram", "--p", str(p), "--beta-min", "0.01",
                               "--beta-max", "1.2", "--beta-step", "0.05",
                               "--h-min", "-1", "--h-max", "1", "--h-step", "0.05",
                               "--out-prefix", prefix], capsys)
-        assert code == 0
+        if code != 0:
+            moved.append((p, "exit", code))
+            continue
         for ext, digest in (("grid", grid_digest), ("curves", curves_digest)):
             with open(f"{prefix}.{ext}.csv", "rb") as fh:
-                assert hashlib.sha256(fh.read()).hexdigest()[:16] == digest, (p, ext)
+                got = hashlib.sha256(fh.read()).hexdigest()[:16]
+            if got != digest:
+                moved.append((p, ext, got))
+    assert not moved, moved
 
 
 def test_report_round_trips(capsys):
