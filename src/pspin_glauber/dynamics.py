@@ -23,6 +23,15 @@ the floor of the restricted dynamics is the top well's lower end, and the
 sampler runs one chain per well of a global maximizer.  The unrestricted
 chain is the full interval.
 
+A step's draw reads the path only through the level, so `walk` runs a
+chunk as a fixed-point (Picard) iteration, checked by recomputing it, as
+in Shih et al., "Parallel Sampling of Diffusion Models" (NeurIPS 2023):
+guess the levels of a window of steps, draw every step's spin from its
+guess at once, sum the moves into a new level path, and keep the steps
+before the first level that changed, which are exact.  A plain loop over
+the steps finishes a chunk shorter than a window, or one whose window
+has not settled after a fixed number of rounds.
+
 Every scalar step consumes exactly two uniforms in fixed order (site, spin),
 so two chains advanced with shared draws form the grand coupling and runs
 are bitwise reproducible from the seed.
@@ -72,6 +81,23 @@ _EPS = np.finfo(float).eps
 _BAND_ROWS = 512
 # Scalar steps per chunk of LevelKernel.draws: one rng.random call each.
 _CHUNK = 1 << 14
+# LevelKernel.walk verifies a chunk _WINDOW steps at a time, in at most
+# _ROUNDS numpy rounds per window before its loop takes over.  A round costs
+# about what the loop takes for 256 steps, so a window that needs more than
+# _WINDOW / 256 rounds is cheaper looped.  A chunk's first window is an
+# eighth of that, _PROBE steps, whose rounds cost little where the loop
+# takes over in the first window anyway.  After a chunk of which numpy
+# verified under half, the next _MIN_SKIP chunks skip speculation, twice
+# as many after each such chunk in a row, up to _MAX_SKIP: a failed try
+# costs under half a chunk's loop, so tries add at most a tenth to it.
+_WINDOW = 1 << 11
+_PROBE = _WINDOW // 8
+_ROUNDS = 8
+_MIN_SKIP, _MAX_SKIP = 4, 16
+# walk's path without record: one shared empty array, read-only, since a
+# new one per call cost a one-step walk a fifth of its time
+_NO_PATH = np.empty(0, dtype=np.int64)
+_NO_PATH.flags.writeable = False
 
 
 def live_window(lo: int, law: np.ndarray) -> tuple[int, np.ndarray]:
@@ -95,6 +121,17 @@ def nearest_level(N: int, m: float) -> int:
     if (k + N) % 2 != 0:
         k += 1 if N * m >= k else -1
     return max(-N, min(N, k))
+
+
+def _site_runs(sites: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, again): the stable sort order of a chunk's sites, each below
+    N, and whether each sorted site is also the next one.  For N <= 2**16
+    the keys are 16-bit, which numpy radix-sorts, ten times faster than
+    intp keys at 2**14 sites; a stable sort's order is the same."""
+    keys = sites.astype(np.uint16) if N <= 1 << 16 else sites
+    order = np.argsort(keys, kind="stable")
+    by_site = keys[order]
+    return order, by_site[1:] == by_site[:-1]
 
 
 def _drift(params: ModelParams, c):
@@ -259,6 +296,11 @@ class LevelKernel:
         self.stay[-1] += self.up[-1]
         self.up[-1] = 0.0
         self._f_up = self.f_up.tolist()
+        # f's indices of the lowest and highest kept level
+        self._j_lo, self._j_hi = i0, i1
+        # walk's back-off: chunks left to loop without speculation, and how
+        # many the next poor chunk skips
+        self._skip, self._wait = 0, _MIN_SKIP
 
     def index(self, k: int) -> int:
         """Position of the level k in ks.
@@ -683,10 +725,55 @@ class LevelKernel:
         site i takes +1 when u <= f_up at the current sum, else -1, and a
         move that would leave [lo, hi] is rejected (the state is kept).
         Returns (k, rejected, path): the sum after the chunk, the rejected
-        moves and, with record, the sum after every step as an array('q').
+        moves and, with record, the sum after every step as an int64 array
+        (empty without record).
+
+        A step's draw reads the path only through the level before it, so
+        the run is the fixed point of a map on guessed level paths: draw
+        every step's spin from its guessed level and sum the moves; the
+        steps before the first level the map changes are exact.
+        `_verified_head` runs a chunk of at least _WINDOW steps that way in
+        numpy, a window of guessed steps at a time (_PROBE steps, then
+        _WINDOW; the argument in full is in its docstring).  `_loop`, one
+        step at a time, finishes what it leaves: a chunk shorter than
+        _WINDOW, or the rest of a chunk once a window has not verified in
+        _ROUNDS rounds.  After a chunk of which the head verified under
+        half, the next chunks skip it (_MIN_SKIP of them, twice as many
+        after each such chunk in a row, up to _MAX_SKIP), so a regime where
+        speculation fails costs about what the loop costs.  Both make the
+        same decisions on the same draws, so the result does not depend on
+        which of them ran a step.
         """
+        n = len(us)
+        t, rejected, head = 0, 0, None
+        if n >= _WINDOW:
+            if self._skip:
+                self._skip -= 1
+            else:
+                t, k, rejected, head = self._verified_head(spins, k, sites, us)
+                if 2 * t < n:
+                    self._skip, self._wait = self._wait, min(2 * self._wait, _MAX_SKIP)
+                else:
+                    self._wait = _MIN_SKIP
+        path = None
+        if t < n:
+            k, r, tail = self._loop(spins, k, sites[t:] if t else sites,
+                                    us[t:] if t else us, record)
+            rejected += r
+            path = np.frombuffer(tail, dtype=np.int64) if record else None
+        if not record:
+            return k, rejected, _NO_PATH
+        if t:
+            head = 2 * head - self.N
+            path = head if path is None else np.concatenate((head, path))
+        return k, rejected, path
+
+    def _loop(self, spins: list, k: int, sites: np.ndarray, us: np.ndarray,
+              record: bool):
+        """`walk` one step at a time: (k, rejected, path), path an array('q')
+        of the sum after every step with record, else empty."""
         f, N = self._f_up, self.N
-        j_lo, j_hi = (self.lo + N + 1) >> 1, (self.hi + N) >> 1
+        j_lo, j_hi = self._j_lo, self._j_hi
         j = (k + N) >> 1  # f's index of the sum k
         rejected, path = 0, array("q")
         append = path.append
@@ -702,6 +789,88 @@ class LevelKernel:
             if record:
                 append(k)
         return k, rejected, path
+
+    def _verified_head(self, spins: list, k: int, sites: np.ndarray, us: np.ndarray):
+        """The first steps of `walk` over a chunk, verified a window at a time.
+
+        Returns (t, k, rejected, levels): t steps are done, spins is updated
+        for them, k is the sum after them and rejected counts their rejected
+        moves; levels[s] is f's index after step s, s < t.
+
+        A window's steps are guessed to stay at the exact level j they start
+        from, then rounds refine the guess J (f's index before each step)
+        until it holds.  A round draws each step's spin from J, new = u <=
+        f_up[J]; reads the spin it replaces, old, as the site's spin after
+        its last earlier step in the chunk (found by one stable sort of the
+        chunk's sites) or at the chunk's start; and sums the moves new - old
+        from j into a path J'.  The sequential run is the fixed point J' =
+        J, and every step before the first s with J'[s] != J[s] is exact:
+        by induction on the steps, each reads an exact level, and an exact
+        old spin, since the earlier steps of the window read the same J.
+        Those steps are kept; s and its exact level J'[s] start the next
+        round, whose guess is J'.  An exact move that would leave [lo, hi]
+        is a rejection: the steps before it are kept, it keeps its old spin,
+        and the next round starts after it.
+        """
+        N, n = self.N, len(us)
+        f, j_lo, j_hi = self.f_up, self._j_lo, self._j_hi
+        restricted = j_lo > 0 or j_hi < N
+        order, again = _site_runs(sites, N)
+        # spin bits (True for +1): bits[s] is the spin at step s's site at
+        # the chunk's start, bits[n + s] the one step s leaves there; step s
+        # reads the spin it replaces at bits[ref[s]], left by the step
+        # before it in the sort when that step has its site
+        ref = np.empty(n, dtype=np.intp)
+        ref[order[0]] = order[0]
+        ref[order[1:]] = np.where(again, order[:-1] + n, order[1:])
+        bits = np.empty(2 * n, dtype=bool)
+        if N <= n:
+            bits[:n] = (np.fromiter(spins, np.int8, N) > 0)[sites]
+        else:
+            bits[:n] = np.fromiter(map(spins.__getitem__, sites.tolist()), np.int8, n) > 0
+        levels = np.empty(n + 1, dtype=np.int64)  # levels[s]: before step s
+        j = (k + N) >> 1
+        levels[0] = j
+        a, rejected = 0, 0
+        while a < n:  # levels[a] holds the exact level j
+            b = min(a + (_WINDOW if a else _PROBE), n)
+            levels[a + 1:b + 1] = j
+            for _ in range(_ROUNDS):
+                guess = levels[a:b]
+                # a guess shifted past a rejection may step off [0, N]
+                new = us[a:b] <= f.take(guess, mode="clip")
+                bits[n + a:n + b] = new
+                moves = new.view(np.int8) - bits[ref[a:b]].view(np.int8)
+                after = np.cumsum(moves, dtype=np.int64)
+                after += j
+                miss = np.flatnonzero(after[:-1] != guess[1:])
+                done = int(miss[0]) + 1 if miss.size else b - a
+                off = ()  # verified moves off [lo, hi]: the first is rejected
+                if restricted:
+                    off = np.flatnonzero((after[:done] < j_lo) | (after[:done] > j_hi))
+                if len(off):  # step a + r
+                    r = int(off[0])
+                    bits[n + a + r] = bits[ref[a + r]]
+                    levels[a + 1:a + r + 1] = after[:r]
+                    j = int(levels[a + r])
+                    levels[a + r + 1:b + 1] = after[r:] - (after[r] - j)
+                    rejected += 1
+                    a += r + 1
+                else:
+                    levels[a + 1:b + 1] = after
+                    a += done
+                    j = int(levels[a])
+                if a == b:
+                    break
+            if a < b:
+                break
+        # each site's last step of the head (whose next step at the site,
+        # if any, is not in it), where it left the site changed
+        nexts = np.append(np.where(again, order[1:], n), n)
+        last = order[(order < a) & (nexts >= a)]
+        for i in sites[last[bits[n + last] != bits[last]]].tolist():
+            spins[i] = -spins[i]
+        return a, 2 * j - N, rejected, levels[1:a + 1]
 
 
 def kernel_arrays(params: ModelParams, N: int):
@@ -840,8 +1009,8 @@ def run_coupling(spec: CouplingSpec) -> CouplingTrace:
     so after a step the chosen site holds the spin each chain drew: the
     chains differ there iff (u <= f_up[kx]) != (u <= f_up[ky]) at the sums
     before the step.  Before it they differed there as after the chunk's
-    last earlier step at that site (a stable sort of the chunk's sites), or
-    as at the chunk's start.
+    last earlier step at that site (found by `_site_runs`, the sort `walk`
+    runs too), or as at the chunk's start.
     """
     N, every = spec.N, spec.record_every
     kernel = LevelKernel(spec.params, N)
@@ -859,17 +1028,14 @@ def run_coupling(spec: CouplingSpec) -> CouplingTrace:
     for sites, us in kernel.draws(rng_stream(spec.seed, 0), spec.steps):
         x0, y0 = kx, ky
         kx, _, px = kernel.walk(xs, kx, sites, us, record=True)
-        px = np.frombuffer(px, dtype=np.int64)
         if coalesced_at is None:
             ky, _, py = kernel.walk(ys, ky, sites, us, record=True)
-            py = np.frombuffer(py, dtype=np.int64)
         else:  # met chains move together
             ky, py = kx, px
         drew_x = us <= kernel.f_up[(np.concatenate(([x0], px[:-1])) + N) >> 1]
         drew_y = us <= kernel.f_up[(np.concatenate(([y0], py[:-1])) + N) >> 1]
         now = drew_x != drew_y
-        order = np.argsort(sites, kind="stable")
-        again = sites[order[1:]] == sites[order[:-1]]
+        order, again = _site_runs(sites, N)
         later, earlier = order[1:][again], order[:-1][again]
         before, first = differs[sites], never[sites]
         before[later] = now[earlier]

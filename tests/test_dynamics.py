@@ -31,7 +31,9 @@ from pspin_glauber import (
 )
 from pspin_glauber.cli import main
 from pspin_glauber.dynamics import (
+    _CHUNK,
     _TAIL,
+    _WINDOW,
     _metastable_setup,
     _sigmoid,
     flip_up_probability,
@@ -428,6 +430,107 @@ def test_step_restricted_rejects_at_floor():
             assert k >= 0 and sum(spins) == k
     assert k == 0  # up-moves have probability ~e^-100
     assert rejected > 0
+
+
+def _walk_oracle(kernel, spins, k, sites, us):
+    """`LevelKernel.walk` one step at a time on kernel.f_up, the rejection
+    by the kernel's lo and hi: (k, rejected, path), spins updated."""
+    f, N = kernel.f_up.tolist(), kernel.N
+    rejected, path = 0, []
+    for i, u in zip(sites.tolist(), us.tolist()):
+        new = 1 if u <= f[(k + N) // 2] else -1
+        if new != spins[i]:
+            if kernel.lo <= k + 2 * new <= kernel.hi:
+                spins[i] = new
+                k += 2 * new
+            else:
+                rejected += 1
+        path.append(k)
+    return k, rejected, path
+
+
+def _top_well(params, N):
+    """The sampler's last well kernel at size N, and its start."""
+    _, kernels, starts, _, _ = _metastable_setup(MetastableSpec(params=params, N=N))
+    return kernels[-1], starts[-1]
+
+
+# name: (kernel and start, chunk lengths, what the numpy head must show)
+WALK_CASES = {
+    # in a well, where the head verifies whole chunks
+    "run_chain well N=200": (lambda: (LevelKernel(ModelParams(4, 0.9, 0.0), 200), 200),
+                             [_CHUNK] * 3, "whole"),
+    "sampler well N=2000": (lambda: _top_well(ModelParams(4, 0.9, 0.0), 2000),
+                            [_CHUNK] * 3, "whole"),
+    # the level moves too often for a window to verify in _ROUNDS rounds
+    "round cap N=10": (lambda: (LevelKernel(ModelParams(4, 0.51, 0.184), 10), 0),
+                       [_CHUNK] * 6, "capped"),
+    "round cap N=200": (lambda: (LevelKernel(ModelParams(4, 0.51, 0.184), 200), 0),
+                        [_CHUNK] * 6, "capped"),
+    # a floor and a well's top that reject moves inside a window
+    "floor 0 N=40": (lambda: (LevelKernel(ModelParams(2, 0.1, -50.0), 40, lo=0), 0),
+                     [_CHUNK] * 6, "rejects"),
+    "well [-60, 41] N=60": (lambda: _top_well(ModelParams(4, 0.51, 0.184), 60),
+                            [_CHUNK] * 6, "rejects"),
+    # a chunk shorter than a window (the loop alone), one ending in a window
+    "short chunk": (lambda: (LevelKernel(ModelParams(4, 0.9, 0.0), 200), 200),
+                    [_WINDOW - 1], "none"),
+    "chunk ending in a window": (lambda: (LevelKernel(ModelParams(4, 0.9, 0.0), 200), 200),
+                                 [2 * _WINDOW + 904], "whole"),
+    # N > 2**16: intp sort keys, and start spins gathered site by site
+    "N=70000": (lambda: (LevelKernel(ModelParams(3, 0.05, 0.1), 70_000), 0),
+                [4096], "whole"),
+}
+
+
+@pytest.mark.parametrize("case", list(WALK_CASES))
+def test_walk_matches_per_step_loop(case, monkeypatch):
+    # walk's numpy head, its loop and the back-off between chunks against a
+    # plain loop: the same sums, rejections, path and spins after each chunk
+    make, lengths, shows = WALK_CASES[case]
+    kernel, k0 = make()
+    N = kernel.N
+    heads = []
+    verified_head = LevelKernel._verified_head
+
+    def spy(self, *args):
+        out = verified_head(self, *args)
+        heads.append((out[0], len(args[3]), out[2]))
+        return out
+
+    monkeypatch.setattr(LevelKernel, "_verified_head", spy)
+    rng = np.random.default_rng(len(case))
+    spins = rng.permutation(_level_spins(N, k0)).tolist()
+    want_spins, k, want_k = list(spins), k0, k0
+    for n in lengths:
+        draws = rng.random((n, 2))
+        sites, us = (draws[:, 0] * N).astype(np.intp), draws[:, 1]
+        k, rejected, path = kernel.walk(spins, k, sites, us, record=True)
+        want_k, want_rejected, want_path = _walk_oracle(kernel, want_spins, want_k,
+                                                        sites, us)
+        assert (k, rejected) == (want_k, want_rejected)
+        assert path.dtype == np.int64 and path.tolist() == want_path
+        assert spins == want_spins
+    if shows == "none":
+        assert heads == []
+    elif shows == "whole":
+        assert heads and all(t == n for t, n, _ in heads)
+    else:  # the loop took over, and a poor chunk made later ones skip the head
+        assert any(t < n for t, n, _ in heads) and len(heads) < len(lengths)
+        if shows == "rejects":
+            assert any(r for _, _, r in heads)
+
+
+def test_walk_in_a_well_runs_no_loop(monkeypatch):
+    # at (4, 0.9, 0), N = 200, in its well, numpy verifies every chunk: the
+    # step-at-a-time loop is never entered
+    def loop(*args):
+        raise AssertionError("walk fell back to its loop")
+
+    monkeypatch.setattr(LevelKernel, "_loop", loop)
+    trace = run_chain(RunSpec(params=ModelParams(4, 0.9, 0.0), N=200, steps=4 * _CHUNK,
+                              seed=3, record_every=1000))
+    assert trace.mag_sums.min() > 150
 
 
 def test_step_restricted_validates_start():
