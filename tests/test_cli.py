@@ -586,6 +586,10 @@ PINNED_STDOUT = [
     # at N = 10 the level changes every few steps over whole 16384-step chunks
     ("84c0e4e071c720a0", "coupling --p 4 --beta 0.51 --h 0.184 --n 10 --steps 100000"
                          " --record-every 1000"),
+    # every row of 100,000 steps, 25 CSV batches: the chains meet at step
+    # 933, so the hamming and untouched columns are 0 in the last 24
+    ("6d0a3e9437f0add2", "coupling --p 3 --beta 0.05 --h 0.1 --n 200 --steps 100000"
+                         " --seed 7"),
 ]
 
 
@@ -601,30 +605,36 @@ def test_pinned_stdout_digests(capsys):
 
 
 # First 16 hex digits of the sha256 of the .grid.csv and .curves.csv that
-# phase-diagram writes over the README ranges at step 0.05: region codes and
-# curve samples change only when a change says why.
-PINNED_GRIDS = [("02846029156f6a70", "550bd4b317afb5b4", 4),
-                ("c6e416f6849e90e1", "ae82fe80a13265a5", 5),
-                ("39fc730ab593abb8", "573de69fddc29c6f", 3),
-                ("cf99974a41b8fe2b", "0bb7c6e221a50aa9", 6)]
+# phase-diagram writes, over the README ranges at step 0.05 unless the
+# ranges are given: region codes and curve samples change only when a
+# change says why.
+_README_RANGES = ("--beta-min 0.01 --beta-max 1.2 --beta-step 0.05"
+                  " --h-min -1 --h-max 1 --h-step 0.05")
+PINNED_GRIDS = [("02846029156f6a70", "550bd4b317afb5b4", f"--p 4 {_README_RANGES}"),
+                ("c6e416f6849e90e1", "ae82fe80a13265a5", f"--p 5 {_README_RANGES}"),
+                ("39fc730ab593abb8", "573de69fddc29c6f", f"--p 3 {_README_RANGES}"),
+                ("cf99974a41b8fe2b", "0bb7c6e221a50aa9", f"--p 6 {_README_RANGES}"),
+                # 26,065 cells below beta_hat = 1/3, all of region code 0: every
+                # 4096-row batch of the grid file has one code
+                ("b3c2c696a3ac2317", "71f079aa38f2f49a",
+                 "--p 4 --beta-min 0.01 --beta-max 0.33 --beta-step 0.005"
+                 " --h-min -1 --h-max 1 --h-step 0.005")]
 
 
 def test_pinned_grid_digests(tmp_path, capsys):
     moved = []
-    for grid_digest, curves_digest, p in PINNED_GRIDS:
-        prefix = str(tmp_path / f"p{p}")
-        code, _, _ = run_cli(["phase-diagram", "--p", str(p), "--beta-min", "0.01",
-                              "--beta-max", "1.2", "--beta-step", "0.05",
-                              "--h-min", "-1", "--h-max", "1", "--h-step", "0.05",
-                              "--out-prefix", prefix], capsys)
+    for i, (grid_digest, curves_digest, ranges) in enumerate(PINNED_GRIDS):
+        prefix = str(tmp_path / f"g{i}")
+        code, _, _ = run_cli(["phase-diagram", *ranges.split(), "--out-prefix", prefix],
+                             capsys)
         if code != 0:
-            moved.append((p, "exit", code))
+            moved.append((ranges, "exit", code))
             continue
         for ext, digest in (("grid", grid_digest), ("curves", curves_digest)):
             with open(f"{prefix}.{ext}.csv", "rb") as fh:
                 got = hashlib.sha256(fh.read()).hexdigest()[:16]
             if got != digest:
-                moved.append((p, ext, got))
+                moved.append((ranges, ext, got))
     assert not moved, moved
 
 
