@@ -246,16 +246,32 @@ def _csv(header: str, *columns) -> str:
 
     Each batch of rows interleaves its columns into one flat list by slice
     assignment and goes through one % call; no numpy column is turned into
-    a list whole.
+    a list whole.  A numpy column constant over a batch is written once,
+    into that batch's row template, and takes no cells.
     """
-    k, n = len(columns), len(columns[0])
-    row = ",".join("%d" if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
+    n = len(columns[0])
     parts = [f"# schema_version={SCHEMA_VERSION}\n{header}\n"]
     for a in range(0, n, _CSV_BATCH):
         b = min(a + _CSV_BATCH, n)
+        fields, varying = [], []
+        for col in columns:
+            part = col[a:b]
+            if not isinstance(col, np.ndarray):
+                fields.append("%s")
+                varying.append(part)
+            elif part.min() == part.max():
+                fields.append("%d" % part[0])
+            else:
+                fields.append("%d")
+                varying.append(part.tolist())
+        row = ",".join(fields) + "\n"
+        if not varying:
+            parts.append(row * (b - a))
+            continue
+        k = len(varying)
         cells = [None] * (k * (b - a))
-        for j, col in enumerate(columns):
-            cells[j::k] = col[a:b].tolist() if isinstance(col, np.ndarray) else col[a:b]
+        for j, part in enumerate(varying):
+            cells[j::k] = part
         parts.append(row * (b - a) % tuple(cells))
     return "".join(parts)
 

@@ -1004,13 +1004,15 @@ def run_coupling(spec: CouplingSpec) -> CouplingTrace:
     Records the Hamming distance, the count of never-selected sites, and
     both magnetization sums.  Once the chains meet they stay together.
 
-    Each chunk of draws walks both chains (one, once they have met); the
-    counts follow from the paths with numpy.  The kernel is unrestricted,
-    so after a step the chosen site holds the spin each chain drew: the
-    chains differ there iff (u <= f_up[kx]) != (u <= f_up[ky]) at the sums
-    before the step.  Before it they differed there as after the chunk's
-    last earlier step at that site (found by `_site_runs`, the sort `walk`
-    runs too), or as at the chunk's start.
+    Each chunk of draws walks both chains, and the counts follow from the
+    paths with numpy.  The kernel is unrestricted, so after a step the
+    chosen site holds the spin each chain drew: the chains differ there iff
+    (u <= f_up[kx]) != (u <= f_up[ky]) at the sums before the step.  Before
+    it they differed there as after the chunk's last earlier step at that
+    site (found by `_site_runs`, the sort `walk` runs too), or as at the
+    chunk's start.  A chunk that starts with the chains met walks the first
+    alone, both sums are its path and the Hamming distance stays 0; once
+    every site has been chosen too, the chunk is that one walk.
     """
     N, every = spec.N, spec.record_every
     kernel = LevelKernel(spec.params, N)
@@ -1022,38 +1024,47 @@ def run_coupling(spec: CouplingSpec) -> CouplingTrace:
     coalesced_at = 0 if hamming == 0 else None
 
     times = np.arange(0, spec.steps + 1, every)
-    cols = np.empty((4, len(times)), dtype=np.int64)  # hamming, untouched, kx, ky
+    # hamming, untouched, kx, ky; a count that has reached 0 stays 0 and is
+    # not written again
+    cols = np.zeros((4, len(times)), dtype=np.int64)
     cols[:, 0] = hamming, untouched, kx, ky
     row, t = 1, 0
     for sites, us in kernel.draws(rng_stream(spec.seed, 0), spec.steps):
+        kept = slice((-t - 1) % every, None, every)  # index s is step t + s + 1
         x0, y0 = kx, ky
         kx, _, px = kernel.walk(xs, kx, sites, us, record=True)
-        if coalesced_at is None:
+        sums = px[kept]
+        rows = slice(row, row + len(sums))
+        cols[2, rows] = sums
+        if hamming or untouched:
+            order, again = _site_runs(sites, N)
+            later = order[1:][again]
+        if untouched:
+            first = never[sites]
+            first[later] = False
+            never[sites] = False
+            unt = untouched - np.cumsum(first, dtype=np.int64)
+            untouched = int(unt[-1])
+            cols[1, rows] = unt[kept]
+        if hamming:
             ky, _, py = kernel.walk(ys, ky, sites, us, record=True)
+            drew_x = us <= kernel.f_up[(np.concatenate(([x0], px[:-1])) + N) >> 1]
+            drew_y = us <= kernel.f_up[(np.concatenate(([y0], py[:-1])) + N) >> 1]
+            now = drew_x != drew_y
+            before = differs[sites]
+            before[later] = now[order[:-1][again]]
+            last = order[np.append(~again, True)]  # each site's last step here
+            differs[sites[last]] = now[last]
+            ham = hamming + np.cumsum(now, dtype=np.int64) - np.cumsum(before, dtype=np.int64)
+            hamming = int(ham[-1])
+            if hamming == 0:
+                coalesced_at = t + int(np.flatnonzero(ham == 0)[0]) + 1
+            cols[0, rows] = ham[kept]
+            cols[3, rows] = py[kept]
         else:  # met chains move together
-            ky, py = kx, px
-        drew_x = us <= kernel.f_up[(np.concatenate(([x0], px[:-1])) + N) >> 1]
-        drew_y = us <= kernel.f_up[(np.concatenate(([y0], py[:-1])) + N) >> 1]
-        now = drew_x != drew_y
-        order, again = _site_runs(sites, N)
-        later, earlier = order[1:][again], order[:-1][again]
-        before, first = differs[sites], never[sites]
-        before[later] = now[earlier]
-        first[later] = False
-        last = order[np.append(~again, True)]  # each site's last step here
-        differs[sites[last]] = now[last]
-        never[sites] = False
-        ham = hamming + np.cumsum(now, dtype=np.int64) - np.cumsum(before, dtype=np.int64)
-        unt = untouched - np.cumsum(first, dtype=np.int64)
-        hamming, untouched = int(ham[-1]), int(unt[-1])
-        if coalesced_at is None:
-            met = np.flatnonzero(ham == 0)
-            if met.size:
-                coalesced_at = t + int(met[0]) + 1
-        kept = slice((-t - 1) % every, None, every)  # index s is step t + s + 1
-        rows = ham[kept], unt[kept], px[kept], py[kept]
-        cols[:, row:row + len(rows[0])] = rows
-        row, t = row + len(rows[0]), t + len(us)
+            ky = kx
+            cols[3, rows] = sums
+        row, t = rows.stop, t + len(us)
     hams, unt, mx, my = cols
     return CouplingTrace(times=times, hamming=hams, untouched=unt, mags_x=mx,
                          mags_y=my, coalesced_at=coalesced_at)

@@ -467,6 +467,36 @@ def test_csv_writer_round_trips_its_columns():
         assert [int(r[2]) for r in rows] == codes.tolist()
 
 
+# a column of the CSV writer: an int array constant, constant in two parts
+# (split inside the first batch), varying, or a list of str
+_csv_columns = st.lists(st.tuples(st.sampled_from(["constant", "two parts", "varying",
+                                                   "str"]),
+                                  st.integers(-128, 127), st.sampled_from([np.int64,
+                                                                           np.int8])),
+                        min_size=1, max_size=4)
+
+
+@given(st.sampled_from([1, 5, 4096, 4097, 8193]), _csv_columns)
+def test_csv_writer_matches_a_per_row_join(n, specs):
+    # batches of 4096 rows: whole and one-row last batches, with columns
+    # constant over a batch, over part of one, or all of them
+    columns = []
+    for kind, value, dtype in specs:
+        if kind == "str":
+            columns.append([f"s{i % 3}" for i in range(n)])
+            continue
+        col = np.full(n, value, dtype=dtype)
+        if kind == "two parts":
+            col[n // 3:] = -value - 1
+        elif kind == "varying":
+            col += (np.arange(n) % 5).astype(dtype)
+        columns.append(col)
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    want = ["# schema_version=1", "h", *(",".join(map(str, row)) for row in rows), ""]
+    # compared as lists of lines, whose first mismatch pytest reports cheaply
+    assert _csv("h", *columns).split("\n") == want
+
+
 def test_phase_diagram_files(tmp_path, capsys):
     prefix = str(tmp_path / "diagram")
     code, _, _ = run_cli(["phase-diagram", "--p", "4", "--beta-min", "0.3",

@@ -632,14 +632,21 @@ def _coupled_loop(params, N, x, y, steps, seed):
 def test_run_coupling_matches_two_chain_loop():
     # the chunked walk and its numpy bookkeeping against a per-step loop;
     # 20000 steps cross a draw-chunk boundary at 16384, the starts are not
-    # constant, and the pairs meet in the first chunk and in the second
-    N, steps = 60, 20_000
+    # constant, and the pairs meet in the first chunk and in the second.
+    # The third pair differs on 4 of 5000 sites and meets in the first
+    # chunk with sites still untouched, which the second chunk then counts
+    steps = 20_000
     rng = np.random.default_rng(3)
-    mixed = [np.where(rng.random(N) < q, 1, -1).astype(np.int8) for q in (0.8, 0.2)]
-    cases = ((ModelParams(3, 0.05, 0.1), _level_spins(N, 10), _level_spins(N, -20)),
-             (ModelParams(4, 0.9, 0.0), *mixed))
+    mixed = [np.where(rng.random(60) < q, 1, -1).astype(np.int8) for q in (0.8, 0.2)]
+    near = _level_spins(5000, 10)
+    apart = near.copy()
+    apart[:4] = -apart[:4]
+    cases = ((ModelParams(3, 0.05, 0.1), _level_spins(60, 10), _level_spins(60, -20)),
+             (ModelParams(4, 0.9, 0.0), *mixed),
+             (ModelParams(3, 0.05, 0.1), near, apart))
     met = []
     for params, x, y in cases:
+        N = len(x)
         rows = _coupled_loop(params, N, x, y, steps, seed=6)
         hits = np.flatnonzero(rows[:, 0] == 0)
         met.append(int(hits[0]) if hits.size else None)
@@ -654,6 +661,7 @@ def test_run_coupling_matches_two_chain_loop():
             assert trace.mags_y.tolist() == want[:, 3].tolist()
             assert trace.coalesced_at == met[-1]
     assert 0 < met[0] < 1 << 14 < met[1] < steps
+    assert 0 < met[2] < 1 << 14 and rows[1 << 14, 1] > 100 and rows[-1, 1] > 0
 
 
 def test_metastable_sample_matches_one_step_at_a_time_loop():
@@ -698,11 +706,16 @@ def test_untouched_sites_match_collector_formula():
     exact = N * (1 - 1 / N) ** N
     se = L.std(ddof=1) / math.sqrt(R)
     assert abs(L.mean() - exact) <= 3 * se
-    # and the coupling trace accounts untouched sites consistently
+    # and the coupling trace counts the sites its draws have not chosen:
+    # the site of each step from the first of its two uniforms
     trace = run_coupling(CouplingSpec(params=ModelParams(3, 0.3, 0.0), N=50,
                                       steps=50, seed=13))
-    assert trace.untouched[-1] >= 50 - 50  # non-negative by construction
-    assert trace.untouched[0] == 50
+    rng, chosen, want = rng_stream(13, 0), set(), [50]
+    for _ in range(50):
+        chosen.add(int(rng.random(2)[0] * 50))
+        want.append(50 - len(chosen))
+    assert trace.untouched.tolist() == want
+    assert 0 < want[-1] < 50
 
 
 def test_coupling_contraction_bound():
