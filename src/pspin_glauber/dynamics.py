@@ -1004,15 +1004,17 @@ def run_coupling(spec: CouplingSpec) -> CouplingTrace:
     Records the Hamming distance, the count of never-selected sites, and
     both magnetization sums.  Once the chains meet they stay together.
 
-    Each chunk of draws walks both chains, and the counts follow from the
-    paths with numpy.  The kernel is unrestricted, so after a step the
-    chosen site holds the spin each chain drew: the chains differ there iff
-    (u <= f_up[kx]) != (u <= f_up[ky]) at the sums before the step.  Before
-    it they differed there as after the chunk's last earlier step at that
-    site (found by `_site_runs`, the sort `walk` runs too), or as at the
-    chunk's start.  A chunk that starts with the chains met walks the first
-    alone, both sums are its path and the Hamming distance stays 0; once
-    every site has been chosen too, the chunk is that one walk.
+    While the chains differ, each chunk of draws walks both, and the
+    Hamming count follows from the paths with numpy.  The kernel is
+    unrestricted, so after a step the chosen site holds the spin each chain
+    drew: the chains differ there iff (u <= f_up[kx]) != (u <= f_up[ky]) at
+    the sums before the step.  Before it they differed there as after the
+    chunk's last earlier step at that site (found by `_site_runs`, the sort
+    `walk` runs too), or as at the chunk's start.  Once they have met, a
+    chunk walks the first chain alone: both sums are its path and the
+    Hamming distance stays 0.  The untouched count takes the first visits
+    from the same sort, and once every site has been chosen it stays 0 too:
+    a chunk after that and the meeting is one walk.
     """
     N, every = spec.N, spec.record_every
     kernel = LevelKernel(spec.params, N)
@@ -1062,7 +1064,6 @@ def run_coupling(spec: CouplingSpec) -> CouplingTrace:
             cols[0, rows] = ham[kept]
             cols[3, rows] = py[kept]
         else:  # met chains move together
-            ky = kx
             cols[3, rows] = sums
         row, t = rows.stop, t + len(us)
     hams, unt, mx, my = cols

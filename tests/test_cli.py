@@ -469,11 +469,10 @@ def test_csv_writer_round_trips_its_columns():
 
 # a column of the CSV writer: an int array constant, constant in two parts
 # (split inside the first batch), varying, or a list of str
-_csv_columns = st.lists(st.tuples(st.sampled_from(["constant", "two parts", "varying",
-                                                   "str"]),
-                                  st.integers(-128, 127), st.sampled_from([np.int64,
-                                                                           np.int8])),
-                        min_size=1, max_size=4)
+_csv_columns = st.lists(
+    st.tuples(st.sampled_from(["constant", "two parts", "varying", "str"]),
+              st.integers(-128, 127), st.sampled_from([np.int64, np.int8])),
+    min_size=1, max_size=4)
 
 
 @given(st.sampled_from([1, 5, 4096, 4097, 8193]), _csv_columns)
