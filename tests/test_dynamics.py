@@ -851,6 +851,18 @@ def test_sampler_drops_wells_that_hold_no_level():
         metastable_sample(MetastableSpec(params=ModelParams(4, 0.6, 0.0), N=1))
 
 
+@pytest.mark.parametrize("seed, digest", [(0, "b12ed3cbcb2134ea"), (1, "ac3ae4f3ac4d09aa")])
+def test_sampler_sums_pinned(seed, digest):
+    # the first 16 hex digits of the sha256 of the benchmark's sampler draws
+    # at (4, 0.9, 0), N = 200: two wells of 44 levels, burn-in 10,597 steps.
+    # The digests hold with BLAS on one thread and on several
+    import hashlib
+
+    spec = MetastableSpec(params=ModelParams(4, 0.9, 0.0), N=200, seed=seed)
+    sums = metastable_sample_sums(spec, 10_000)
+    assert hashlib.sha256(sums.tobytes()).hexdigest()[:16] == digest
+
+
 @pytest.mark.parametrize("p, beta, N, bound",[(3, 0.55, 200, 0.06), (3, 0.55, 800, 0.03),
                                                 (4, 0.4, 200, 0.06), (4, 0.4, 800, 0.03)])
 def test_sampler_law_near_gibbs_on_coexistence_curve(p, beta, N, bound):
