@@ -411,6 +411,15 @@ def grid_axes(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
             _axis(spec.h_min, spec.h_max, spec.h_step))
 
 
+def _symmetric_axis(h_axis: np.ndarray) -> bool:
+    """Whether h_axis[i] = -h_axis[-1-i] to 1e-12 times max(1, max |h|).
+
+    The float decision of np.allclose(h_axis, -h_axis[::-1], rtol=0, atol)
+    on a finite axis, at a third of its cost."""
+    atol = 1e-12 * max(1.0, float(np.abs(h_axis).max()))
+    return float(np.abs(h_axis + h_axis[::-1]).max()) <= atol
+
+
 def scan_column(p: int, beta: float, h_axis: np.ndarray):
     """One diagram column: region codes over h_axis plus the curve sample.
 
@@ -422,13 +431,7 @@ def scan_column(p: int, beta: float, h_axis: np.ndarray):
     h_axis = np.asarray(h_axis, dtype=float)
     struct = landscape_structure(p, float(beta))
     n = len(h_axis)
-    mirror = (
-        p % 2 == 0
-        and n > 1
-        and np.allclose(h_axis, -h_axis[::-1], rtol=0.0,
-                        atol=1e-12 * max(1.0, float(np.abs(h_axis).max())))
-    )
-    if mirror:
+    if p % 2 == 0 and n > 1 and _symmetric_axis(h_axis):
         codes = np.empty(n, dtype=np.int8)
         codes[n // 2:] = _region_codes(struct, h_axis[n // 2:])
         codes[:n // 2] = codes[::-1][:n // 2]

@@ -924,6 +924,42 @@ def test_sampler_exact_law_matches_replicas():
     assert abs(law[inside].sum() - report.weights[1]) <= 1e-12
 
 
+def _sampler_kernel(params, N, well):
+    """The kernel of a sampler well at (params, N) and its start level."""
+    _, kernels, starts, _, _ = _metastable_setup(MetastableSpec(params=params, N=N))
+    return kernels[well], starts[well]
+
+
+@pytest.mark.parametrize("make, n, dense", [
+    (lambda: (LevelKernel(ModelParams(4, 0.9, 0.0), 20, 4, 4), 4), 1, True),
+    (lambda: (LevelKernel(ModelParams(4, 0.9, 0.0), 20, 4, 6), 4), 2, True),
+    (lambda: (LevelKernel(ModelParams(4, 0.9, 0.0), 20, 4, 8), 8), 3, True),
+    (lambda: _sampler_kernel(ModelParams(3, 0.55, boundary_curves(3, 0.55).C), 300, 1),
+     65, True),
+    (lambda: _sampler_kernel(ModelParams(4, 0.9, 0.0), 300, 0), 66, False),
+], ids=["1-level", "2-level", "3-level", "65-level", "66-level"])
+def test_law_after_matches_pushes_at_the_dense_boundary(make, n, dense):
+    # a window of at most 2 * 32 + 1 levels is powered by squaring the
+    # dense one-step matrix, a wider one leapt through the band: both
+    # against one push a step, within law_after's stated bound (2 t n eps
+    # in L1) plus the pushes' own rounding (a few eps a step)
+    kernel, start = make()
+    assert len(kernel.ks) == n
+    burn = int(math.ceil(10.0 * kernel.N * math.log(kernel.N)))
+    mu = np.zeros(n)
+    mu[kernel.index(start)] = 1.0
+    for steps in (0, 1, 31, 32, 33, burn):
+        law = kernel.law_after(mu, steps)
+        ref = mu.copy()
+        for _ in range(steps):
+            ref = kernel.push(ref)
+        ref /= ref.sum()
+        bound = 2 * (steps + 1) * (n + 4) * np.finfo(float).eps
+        assert law.shape == (n,) and abs(law.sum() - 1.0) <= 1e-12
+        assert float(np.abs(law - ref).sum()) <= bound
+    assert ("band" in vars(kernel)) is not dense
+
+
 def test_spin_config_validation():
     # a start is 'all_plus', 'all_minus', a level or a +-1 array of length N;
     # run_chain and run_coupling reject anything else with DomainError

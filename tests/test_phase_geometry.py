@@ -28,7 +28,8 @@ from pspin_glauber import (
 )
 from pspin_glauber.cli import main
 from pspin_glauber.potential import landscape_structure
-from pspin_glauber.phase_geometry import BoundaryDetail, GridBudgetError, scan_column
+from pspin_glauber.phase_geometry import (BoundaryDetail, GridBudgetError, _symmetric_axis,
+                                          scan_column)
 
 from conftest import (coexistence_band, concavity_threshold, curvature_root_pair,
                       threshold_minima)
@@ -589,6 +590,28 @@ def test_scan_column_mirrors_only_a_symmetric_axis():
         for beta in (0.25, 0.5, 1.0):
             codes, _ = scan_column(4, beta, np.array(hs))
             assert codes.tolist() == [classify_point(4, beta, h).region_code for h in hs]
+
+
+def test_symmetric_axis_decides_as_allclose():
+    # the mirror test of scan_column against the np.allclose form it
+    # replaced, whose float decision it makes on finite axes: symmetric
+    # axes, axes with one end off by 2e-12 (beyond the 1e-12 tolerance) or
+    # by 5e-13 (within it), and one-cell axes
+    def allclose(hs):
+        atol = 1e-12 * max(1.0, float(np.abs(hs).max()))
+        return bool(np.allclose(hs, -hs[::-1], rtol=0.0, atol=atol))
+
+    symmetric = [np.linspace(-1.0, 1.0, 201), np.arange(-300, 301) * 0.01,
+                 np.linspace(-40.0, 40.0, 8), np.array([-0.5, 0.5])]
+    cases = [(hs, True) for hs in symmetric]
+    for hs in symmetric:
+        for off, sym in ((2e-12, False), (5e-13, True)):
+            shifted = hs.copy()
+            shifted[-1] += off * max(1.0, float(np.abs(hs).max()))
+            cases.append((shifted, sym))
+    cases += [(np.array([0.0]), True), (np.array([0.3]), False), (np.array([-1e-13]), True)]
+    for hs, sym in cases:
+        assert _symmetric_axis(hs) == allclose(hs) == sym, hs
 
 
 def test_scan_column_just_below_beta_hat_with_a_deep_well():
