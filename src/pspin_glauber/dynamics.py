@@ -693,10 +693,9 @@ class LevelKernel:
         Wider windows take one `leap` per whole block of steps, and
         `evolve` pushes the rest.
         """
-        n = len(self.ks)
-        if n <= 2 * _BLOCK + 1:
+        law = mu / mu.sum()
+        if len(self.ks) <= 2 * _BLOCK + 1:
             power = np.diag(self.stay) + np.diag(self.up[:-1], 1) + np.diag(self.down[1:], -1)
-            law = mu / mu.sum()
             while steps:
                 if steps & 1:
                     law = law @ power
@@ -704,7 +703,7 @@ class LevelKernel:
                 if steps:
                     power = power @ power
             return law / law.sum()
-        lo, law = 0, mu / mu.sum()
+        lo = 0
         for _ in range(steps // _BLOCK):
             lo, law = self.leap(*live_window(lo, law))
         out = np.zeros(len(self.ks))
