@@ -414,8 +414,8 @@ def grid_axes(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 def _symmetric_axis(h_axis: np.ndarray) -> bool:
     """Whether h_axis[i] = -h_axis[-1-i] to 1e-12 times max(1, max |h|).
 
-    The float decision of np.allclose(h_axis, -h_axis[::-1], rtol=0, atol)
-    on a finite axis, at a third of its cost."""
+    It makes the float decision of np.allclose(h_axis, -h_axis[::-1],
+    rtol=0, atol) on a finite axis, at under a third of its cost."""
     atol = 1e-12 * max(1.0, float(np.abs(h_axis).max()))
     return float(np.abs(h_axis + h_axis[::-1]).max()) <= atol
 
