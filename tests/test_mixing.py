@@ -659,6 +659,114 @@ def test_special_sweep_refines_no_spectrum(monkeypatch):
     assert counts[0] <= 100
 
 
+# The exact crossings of `mixing_time` (eps 0.05 and 0.35, cap 2e5) at the
+# regular, special and critical points, the critical point on its restricted
+# floor and a point on U, per order p and size N: the step the per-step push
+# reaches, whatever the engine leaps, skips or cuts on the way there
+CROSSING_POINTS = {3: (3, 0.55, 0.10), 4: (4, 0.51, 0.184), 5: (5, 0.5, 0.3)}
+PINNED_CROSSINGS = {
+    (3, "regular", 60): ({60: 248, -60: 295}, {60: 112, -60: 165}),
+    (3, "regular", 200): ({200: 960, -200: 1129}, {200: 505, -200: 689}),
+    (3, "regular", 400): ({400: 2073, -400: 2424}, {400: 1166, -400: 1536}),
+    (3, "regular", 1600): ({1600: 9534, -1600: 10989}, {1600: 5916, -1600: 7410}),
+    (3, "special", 60): ({60: None, -60: 781}, {60: 378, -60: 336}),
+    (3, "special", 200): ({200: None, -200: 4846}, {200: 2283, -200: 2006}),
+    (3, "special", 400): ({400: None, -400: 13918}, {400: 6398, -400: 5627}),
+    (3, "special", 1600): ({1600: None, -1600: 115249}, {1600: 50074, -1600: 44616}),
+    (3, "critical", 60): ({60: None, -60: 1583}, {60: 1359, -60: 402}),
+    (3, "critical", 200): ({200: None, -200: 25407}, {200: 50200, -200: 671}),
+    (3, "critical", 400): ({400: None, -400: 3121}, {400: None, -400: 1302}),
+    (3, "critical", 1600): ({1600: None, -1600: 11759}, {1600: None, -1600: 6566}),
+    (3, "critical floor", 60): ({36: 295, 60: None}, {36: 114, 60: 136}),
+    (3, "critical floor", 200): ({120: 2299, 200: None}, {120: 1062, 200: 654}),
+    (3, "critical floor", 400): ({240: 6833, 400: 7716}, {240: 3532, 400: 1485}),
+    (3, "critical floor", 1600): ({958: 38712, 1600: 19122}, {958: 24631, 1600: 8041}),
+    (3, "U", 60): ({60: None, -60: 1219}, {60: 295, -60: 558}),
+    (3, "U", 200): ({200: None, -200: 13261}, {200: 782, -200: 5404}),
+    (3, "U", 400): ({400: 8695, -400: 40420}, {400: 1624, -400: 17123}),
+    (3, "U", 1600): ({1600: 20471, -1600: None}, {1600: 8738, -1600: 119693}),
+    (4, "regular", 60): ({60: 255, -60: 295}, {60: 117, -60: 166}),
+    (4, "regular", 200): ({200: 981, -200: 1125}, {200: 525, -200: 687}),
+    (4, "regular", 400): ({400: 2114, -400: 2410}, {400: 1207, -400: 1529}),
+    (4, "regular", 1600): ({1600: 9687, -1600: 10915}, {1600: 6083, -1600: 7364}),
+    (4, "special", 60): ({60: None, -60: 740}, {60: 337, -60: 380}),
+    (4, "special", 200): ({200: None, -200: 4335}, {200: 2000, -200: 2046}),
+    (4, "special", 400): ({400: None, -400: 12207}, {400: 5585, -400: 5511}),
+    (4, "special", 1600): ({1600: None, -1600: 98923}, {1600: 43568, -1600: 41357}),
+    (4, "critical", 60): ({60: None, -60: 3926}, {60: 5186, -60: 1363}),
+    (4, "critical", 200): ({200: None, -200: None}, {200: None, -200: 121905}),
+    (4, "critical", 400): ({400: None, -400: None}, {400: None, -400: 3977}),
+    (4, "critical", 1600): ({1600: None, -1600: 20363}, {1600: None, -1600: 15676}),
+    (4, "critical floor", 60): ({42: 313, 60: None}, {42: 156, 60: 52}),
+    (4, "critical floor", 200): ({138: 1976, 200: None}, {138: 1154, 200: 265}),
+    (4, "critical floor", 400): ({274: 4782, 400: 2785}, {274: 3048, 400: 679}),
+    (4, "critical floor", 1600): ({1096: 23802, 1600: 10220}, {1096: 16812, 1600: 4158}),
+    (4, "U", 60): ({60: None, -60: None}, {60: 41, -60: 1095}),
+    (4, "U", 200): ({200: 1344, -200: 12846}, {200: 206, -200: 5561}),
+    (4, "U", 400): ({400: 2147, -400: 27403}, {400: 565, -400: 13863}),
+    (4, "U", 1600): ({1600: 8678, -1600: 164800}, {1600: 3553, -1600: 85685}),
+    (5, "regular", 60): ({60: 257, -60: 287}, {60: 120, -60: 160}),
+    (5, "regular", 200): ({200: 977, -200: 1090}, {200: 533, -200: 663}),
+    (5, "regular", 400): ({400: 2101, -400: 2334}, {400: 1219, -400: 1476}),
+    (5, "regular", 1600): ({1600: 9596, -1600: 10562}, {1600: 6097, -1600: 7109}),
+    (5, "special", 60): ({60: None, -60: 634}, {60: 307, -60: 324}),
+    (5, "special", 200): ({200: None, -200: 3762}, {200: 1806, -200: 1798}),
+    (5, "special", 400): ({400: None, -400: 10629}, {400: 5030, -400: 4880}),
+    (5, "special", 1600): ({1600: None, -1600: 86510}, {1600: 39148, -1600: 36881}),
+    (5, "critical", 60): ({60: None, -60: None}, {60: 0, -60: 2058}),
+    (5, "critical", 200): ({200: 830, -200: None}, {200: 95, -200: 143328}),
+    (5, "critical", 400): ({400: 1505, -400: None}, {400: 276, -400: None}),
+    (5, "critical", 1600): ({1600: 6321, -1600: None}, {1600: 2153, -1600: None}),
+    (5, "critical floor", 60): ({42: 355, 60: None}, {42: 211, 60: 0}),
+    (5, "critical floor", 200): ({136: 1754, 200: 830}, {136: 1161, 200: 95}),
+    (5, "critical floor", 400): ({272: 3957, 400: 1505}, {272: 2741, 400: 276}),
+    (5, "critical floor", 1600): ({1082: 19698, 1600: 6321}, {1082: 14479, 1600: 2153}),
+    (5, "U", 60): ({60: None, -60: None}, {60: 0, -60: 817}),
+    (5, "U", 200): ({200: 742, -200: 8587}, {200: 72, -200: 4262}),
+    (5, "U", 400): ({400: 1355, -400: 21020}, {400: 215, -400: 10786}),
+    (5, "U", 1600): ({1600: 5870, -1600: 132295}, {1600: 1930, -1600: 68016}),
+}
+
+
+def pinned_point(p, kind):
+    """(params, floored) of a PINNED_CROSSINGS row."""
+    if kind == "regular":
+        return ModelParams(p, 0.054, 0.5), False
+    if kind == "special":
+        return ModelParams(p, beta_hat(p), h_hat(p)), False
+    if kind == "U":
+        return ModelParams(p, 0.5, boundary_curves(p, 0.5).U), False
+    return ModelParams(*CROSSING_POINTS[p]), kind == "critical floor"
+
+
+def test_exact_crossings_pinned():
+    for (p, kind, N), wants in PINNED_CROSSINGS.items():
+        params, floored = pinned_point(p, kind)
+        k_min = restricted_threshold(params, N) if floored else None
+        for eps, want in zip((0.05, 0.35), wants):
+            rep = mixing_time(params, N, eps, 200_000, k_min=k_min)
+            assert rep.t_by_start == want, (p, kind, N, eps)
+            assert list(rep.t_by_start) == list(want)
+            assert rep.capped == (None in want.values()), (p, kind, N, eps)
+
+
+def test_benchmark_sweep_crossings_pinned():
+    # both mix-sweeps of the benchmark's exact-mix workload (eps 0.35, cap 1e6)
+    sweeps = {
+        (4, 0.054, 0.5): {400: {400: 1207, -400: 1529}, 800: {800: 2728, -800: 3370},
+                          1600: {1600: 6083, -1600: 7364},
+                          3200: {3200: 13421, -3200: 15977},
+                          6400: {6400: 29350, -6400: 34456}},
+        (4, 1 / 3, H_HAT_4): {200: {200: 2000, -200: 2046}, 400: {400: 5585, -400: 5511},
+                              800: {800: 15598, -800: 15023},
+                              1600: {1600: 43568, -1600: 41357}},
+    }
+    for point, want in sweeps.items():
+        got = {N: mixing_time(ModelParams(*point), N, 0.35, 1_000_000) for N in want}
+        assert {N: rep.t_by_start for N, rep in got.items()} == want, point
+        assert not any(rep.capped for rep in got.values())
+
+
 def test_projected_tv_equals_dense_full_chain_tv():
     for (p, beta, h, N) in [(3, 0.6, 0.2, 8), (4, 0.51, 0.184, 10),
                             (2, 0.25, 0.0, 9)]:
