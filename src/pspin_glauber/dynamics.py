@@ -175,6 +175,19 @@ def _log_binomials(N: int) -> np.ndarray:
     return half[np.minimum(n_plus, N - n_plus)]
 
 
+def _joined_cumsum(r: np.ndarray) -> np.ndarray:
+    """The running sums 0, r[0], r[0] + r[1], ... of r, len(r) + 1 of them,
+    summed from each end to the middle one and joined there: the sums to
+    the right of it are the total minus the running sums from the right
+    end, the total being the two halves' sums added.  For an antisymmetric
+    r (r[i] = -r[-1 - i]) each half rounds as the negated mirror of the
+    other, so the total is exactly 0 and the result exactly symmetric."""
+    s = len(r) // 2
+    head = np.concatenate(([0.0], np.cumsum(r[:s])))
+    tail = np.concatenate((np.cumsum(r[s:][::-1])[::-1], [0.0]))  # sums of r[i:]
+    return np.concatenate((head, (head[-1] + tail[0]) - tail[1:]))
+
+
 class SlowSpectrum(NamedTuple):
     """The slow end of a LevelKernel's spectrum, below its top eigenvalue 1.
 
@@ -336,24 +349,35 @@ class LevelKernel:
         underflows to 0.  Restricted, it is the unrestricted law
         conditioned on [lo, hi].
 
+        The running sum goes from each end to the middle level and the two
+        halves are joined there: a sum of huge ratios (2d far beyond 1) is
+        rounded by an ulp of its partial sums, which can exceed the O(1)
+        log-mass differences that matter, but each half then rounds as its
+        mirror does, so a mirror-symmetric chain (h = 0) gets a
+        mirror-symmetric law exactly.
+
         Where the drift nears the float range, a ratio is +inf (2d
-        overflows) or the sum of ratios overflows: no level below the last
-        +inf ratio holds mass, and an overflowing sum is taken at a
-        power-of-two scale.
+        overflows: down is 0 at the level above it) or -inf (up is 0 at
+        the level below it), or the sum of ratios overflows: only the
+        levels after the last +inf ratio and before the next -inf one hold
+        mass, and an overflowing sum is taken at a power-of-two scale.
         """
         log_up, log_down = self.log_rates
         ratios = log_up - log_down
+        n = len(self.ks)
         rises = np.flatnonzero(ratios == np.inf)
         start = rises[-1] + 1 if rises.size else 0
-        log_pi = np.full(len(self.ks), -np.inf)
-        with np.errstate(over="ignore"):
-            log_pi[start:] = np.concatenate(([0.0], np.cumsum(ratios[start:])))
-            top = log_pi.max()
-            if top == np.inf:
-                scale = 2.0 ** math.ceil(math.log2(len(self.ks)))
-                scaled = np.concatenate(([0.0], np.cumsum(ratios[start:] / scale)))
-                log_pi[start:] = (scaled - scaled.max()) * scale
-                top = 0.0
+        falls = np.flatnonzero(ratios[start:] == -np.inf)
+        stop = start + falls[0] + 1 if falls.size else n
+        with np.errstate(over="ignore", invalid="ignore"):
+            held = _joined_cumsum(ratios[start:stop - 1])
+            if not np.isfinite(held).all():  # the sum overflows
+                scale = 2.0 ** math.ceil(math.log2(n))
+                held = _joined_cumsum(ratios[start:stop - 1] / scale)
+                held = (held - held.max()) * scale
+        log_pi = np.full(n, -np.inf)
+        log_pi[start:stop] = held
+        top = held.max()
         return log_pi - (top + np.log(np.exp(log_pi - top).sum()))
 
     @cached_property

@@ -292,6 +292,27 @@ def test_log_pi_where_the_drift_overflows():
         assert log_pi[top] == 0.0 and np.exp(log_pi).sum() == 1.0
 
 
+@pytest.mark.parametrize("p", [2, 4])
+def test_log_pi_mirror_symmetric_at_zero_field(p):
+    # at h = 0 the chain is its own mirror: where its log rates mirror each
+    # other exactly, so does its law, at every beta up to the float range.
+    # Its partial sums reach 2d ~ 4 p beta: past beta of about 1e13 their
+    # rounding exceeds the log-mass differences, and at N = 200 they
+    # overflow; at 1e200 and 1e307, N = 10, the law once sat at +N alone.
+    # (At p = 4, N = 200 numpy's c**3 is not odd to the last bit, so the
+    # rates do not mirror exactly there.)
+    for N in (10, 11, 64) + ((200,) if p == 2 else ()):
+        for beta in np.logspace(-3, 307, 32).tolist() + [1e20, 1e200, 1e300, 1e307]:
+            kernel = LevelKernel(ModelParams(p, beta, 0.0), N)
+            log_up, log_down = kernel.log_rates
+            assert np.array_equal(log_up, log_down[::-1]), (N, beta)
+            log_pi = kernel.log_pi
+            assert np.array_equal(log_pi, log_pi[::-1]), (p, N, beta)
+            assert abs(np.exp(log_pi).sum() - 1.0) <= 1e-12, (p, N, beta)
+            if beta >= 1e20:  # deep wells at the ends: half the mass at each
+                assert log_pi[0] == log_pi[-1] == math.log(0.5), (p, N, beta)
+
+
 def test_live_window_matches_flatnonzero():
     def reference(lo, law):
         live = np.flatnonzero(law > _TAIL)
