@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -66,19 +66,28 @@ _U64 = (1 << 64) - 1
 # the window it pushes is only 2 * 32 levels wider than the law's live part
 # (blocks of 16 or 64 ran the benchmark's mix-sweeps no faster).
 _BLOCK = 32
-# Tail cut of LevelKernel.evolve: after each block, entries <= eps**2
-# (~4.9e-32) at the ends of the live window are dropped.  A Markov kernel
-# never increases L1 distance, so the error this adds to every later law is
-# at most twice the dropped mass, which is below (N + 1) * eps**2 per block:
-# under 1e-23 over 10**6 steps at N = 6400, far below the rounding of a TV.
-_TAIL = np.finfo(float).eps ** 2
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 # LevelKernel.band is built this many levels at a time, cut ends +-_BLOCK:
 # the last squaring's padded copy and product of a stretch (608 rows of 66
 # floats and 576 of 65, 0.6 MB) stay in cache.  Built unchunked, the
 # full-size ones (6.6 MB at N = 6400) raised the benchmark's exact-mix peak
-# RSS by 2.9 MB; 256 ran a fifth slower, 1024 no faster.
+# RSS by 2.9 MB; 256 ran a fifth slower, 1024 no faster.  LevelKernel.rung
+# is squared from the band in the same stretches.
 _BAND_ROWS = 512
+# Zero levels padding each end of the scratch law a leap reads: the reach
+# of the longest leap, 2 * _BLOCK steps.
+_PAD = 2 * _BLOCK
+# LevelKernel.evolve builds the rung P^64 once the kernel has taken
+# _PAYBACK * n leaps of 32 steps, n its levels.  Squaring the band costs
+# about 1.4 us a level (vecmat, one BLAS thread, 2-core Xeon VM) and a
+# 64-step leap saves about 6 us over two of 32 steps (one block's fixed
+# numpy calls, less its 64 more rows), so that many leaps would already
+# have paid for the rung: a start as long again takes back its price, and
+# one that ends there pays at most twice the best choice (the ski-rental
+# rule).  The regular point takes 0.20-0.31 n leaps over both starts from
+# N = 400 to 6400 and never builds it; the special point takes 0.63-1.66 n
+# (N = 200 to 1600) and builds it.
+_PAYBACK = 0.5
 # Scalar steps per chunk of LevelKernel.draws: one rng.random call each.
 _CHUNK = 1 << 14
 # LevelKernel.walk verifies a chunk _WINDOW steps at a time, in at most
@@ -100,12 +109,27 @@ _NO_PATH = np.empty(0, dtype=np.int64)
 _NO_PATH.flags.writeable = False
 
 
-def live_window(lo: int, law: np.ndarray) -> tuple[int, np.ndarray]:
+def live_window(lo: int, law: np.ndarray, cut: float) -> tuple[int, np.ndarray]:
     """The law on ks[lo:lo + len(law)] without its tail cut: (a, held), held
-    the view of law from its first to its last entry above _TAIL, at ks[a]."""
-    live = law > _TAIL
+    the view of law from its first to its last entry above cut, at ks[a]."""
+    live = law > cut
     a, b = int(live.argmax()), len(law) - int(live[::-1].argmax())
     return lo + a, law[a:b]
+
+
+@dataclass
+class KernelWork:
+    """Work counters of one LevelKernel's exact engine, for tests and
+    profiles: what `evolve` leapt, pushed, measured and cut."""
+
+    # leaps taken, by their steps (_BLOCK through band, 2 _BLOCK through rung)
+    leaps: dict = field(default_factory=lambda: {_BLOCK: 0, 2 * _BLOCK: 0})
+    failed_leaps: int = 0   # leaps made whose certificate then failed
+    tvs: int = 0            # TVs of leapt laws the certificate computed
+    step_changes: int = 0   # one-step changes d measured by a push
+    pushed_blocks: int = 0
+    rung_builds: int = 0
+    dropped: float = 0.0    # at most this mass removed by the tail cut
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -238,7 +262,7 @@ def _split(above, k: int, near: float, far: float, done) -> tuple[float, float]:
 
 def _square_band(g: np.ndarray) -> np.ndarray:
     """The gather form of P^2b from that of P^b, rows g[k, j] = P^b[k - b + j,
-    k] of shape (n, 2b + 1): one matmul of each row against a sheared view.
+    k] of shape (n, 2b + 1): one vecmat of each row against a sheared view.
 
     The view M[k, jl, J] = g[k - b + jl, J - jl], J < W = 4b + 1, reads a
     copy of g whose rows are shifted down by b and padded by b zero rows at
@@ -247,7 +271,8 @@ def _square_band(g: np.ndarray) -> np.ndarray:
     in the zero columns.  Each M[k] then has a row stride of W for its W
     columns, a layout BLAS takes, so numpy hands each product to BLAS (at a
     row stride of W - 1 it falls back to its own strided loop, twice as
-    slow at N = 6400).
+    slow at N = 6400).  np.vecmat gives the same bits as the batched matmul
+    of the rows as 1 x (2b + 1) matrices, a quarter faster at N = 6400.
     """
     n, w = g.shape
     b, W = w // 2, 2 * w - 1
@@ -256,7 +281,7 @@ def _square_band(g: np.ndarray) -> np.ndarray:
     s = pad.itemsize
     sheared = as_strided(pad, shape=(n, w, W), strides=((W + 1) * s, W * s, s),
                          writeable=False)
-    return np.matmul(g[:, None, :], sheared)[:, 0]
+    return np.vecmat(g, sheared)
 
 
 class LevelKernel:
@@ -314,6 +339,10 @@ class LevelKernel:
         # walk's back-off: chunks left to loop without speculation, and how
         # many the next poor chunk skips
         self._skip, self._wait = 0, _MIN_SKIP
+        # evolve's tail cut: a block drops at most n entries of at most this
+        # mass, under one eps in all
+        self.tail_cut = _EPS / (len(self.ks) + 2 * _BLOCK)
+        self.work = KernelWork()
 
     def index(self, k: int) -> int:
         """Position of the level k in ks.
@@ -476,7 +505,7 @@ class LevelKernel:
         those levels never leaves the levels within m of them, so the rows
         come out of a chain cut to that stretch (wrong only within m - 1 of
         a cut end).  A squaring of the half-width-b band G_b is one batched
-        matmul: G_2b[k, J] = sum_jl G_b[k, jl] G_b[k - b + jl, J - jl], a
+        product: G_2b[k, J] = sum_jl G_b[k, jl] G_b[k - b + jl, J - jl], a
         path through the level k - b + jl.  Every term is non-negative, so
         each entry carries a relative rounding of a few eps per squaring.
         """
@@ -494,6 +523,21 @@ class LevelKernel:
             band[r:e] = g[r - a:e - a]
         return band
 
+    @cached_property
+    def rung(self) -> np.ndarray:
+        """The power P^2m, m = _BLOCK, in `band`'s gather form, shape
+        (len(ks), 4m + 1): `band` squared once, _BAND_ROWS rows at a time
+        from the band rows within m of them.  `evolve` builds it by its
+        cost rule (_PAYBACK) and leaps 2m steps with it."""
+        m, n = _BLOCK, len(self.ks)
+        rung = np.empty((n, 4 * m + 1))
+        for r in range(0, n, _BAND_ROWS):
+            e = min(n, r + _BAND_ROWS)
+            a, b = max(0, r - m), min(n, e + m)
+            rung[r:e] = _square_band(self.band[a:b])[r - a:e - a]
+        self.work.rung_builds += 1
+        return rung
+
     def push(self, mu: np.ndarray, lo: int = 0) -> np.ndarray:
         """One step of a law over ks[lo:lo + len(mu)]: returns mu P there.
 
@@ -508,33 +552,41 @@ class LevelKernel:
         out[:-1] += mu[1:] * self.down[lo + 1:lo + w]
         return out
 
-    def leap(self, a: int, held: np.ndarray) -> tuple[int, np.ndarray]:
-        """_BLOCK steps of the law held on ks[a:a + len(held)], zero elsewhere.
+    def leap(self, a: int, held: np.ndarray, steps: int = _BLOCK) -> tuple[int, np.ndarray]:
+        """`steps` steps (_BLOCK, or 2 _BLOCK through `rung`) of the law held
+        on ks[a:a + len(held)], zero elsewhere.
 
-        Returns (lo, law): the law after the block on ks[lo:lo + len(law)],
-        renormalised, zero outside; it is the law `evolve` ends the block
-        with, up to rounding.  One matmul of the band's rows against the
-        windows of the zero-padded law.
+        Returns (lo, law): the law after them on ks[lo:lo + len(law)],
+        renormalised, zero outside; it is the law the per-step push ends
+        with, up to rounding, and bitwise the one `evolve` leaps to.  One
+        vecdot of the power's rows against the windows of the zero-padded
+        law.
         """
-        m, n = _BLOCK, len(self.ks)
+        n = len(self.ks)
         b = a + len(held) - 1
-        lo, hi = max(0, a - m), min(n - 1, b + m)
-        pad, windows = self._padded_windows
-        pad[lo:hi + 2 * m + 1] = 0.0
-        pad[a + m:b + m + 1] = held
-        law = np.matmul(self.band[lo:hi + 1, None, :],
-                        windows[lo:hi + 1, :, None])[:, 0, 0]
-        law /= law.sum()
+        lo, hi = max(0, a - steps), min(n - 1, b + steps)
+        pad, windows = self._pad, self._windows[steps]
+        pad[lo + _PAD - steps:hi + _PAD + steps + 1] = 0.0
+        pad[a + _PAD:b + _PAD + 1] = held
+        power = self.band if steps == _BLOCK else self.rung
+        law = np.vecdot(power[lo:hi + 1], windows[lo:hi + 1])
+        law /= np.add.reduce(law)
         return lo, law
 
     @cached_property
-    def _padded_windows(self) -> tuple[np.ndarray, np.ndarray]:
-        """`leap`'s scratch law, padded by _BLOCK zero levels at each end of
-        ks (pad[i] is level i - _BLOCK), and the view whose row k is the
-        pad around level k, the sources of band[k].  Made once per kernel:
-        a new view per leap cost more than the leap's matmul."""
-        pad = np.zeros(len(self.ks) + 2 * _BLOCK)
-        return pad, sliding_window_view(pad, 2 * _BLOCK + 1)
+    def _pad(self) -> np.ndarray:
+        """The scratch law of `leap` and `evolve`, padded by _PAD zero levels
+        at each end of ks: pad[i] is level i - _PAD."""
+        return np.zeros(len(self.ks) + 2 * _PAD)
+
+    @cached_property
+    def _windows(self) -> dict:
+        """{steps: the view whose row k is `_pad` around level k, the sources
+        of row k of the power P^steps (`band` or `rung`)}.  Made once per
+        kernel: a new view per leap cost more than the leap's product."""
+        n, pad = len(self.ks), self._pad
+        return {s: sliding_window_view(pad, 2 * s + 1)[_PAD - s:_PAD - s + n]
+                for s in (_BLOCK, 2 * _BLOCK)}
 
     def evolve(self, mu: np.ndarray, steps: int, target: np.ndarray | None = None,
                leap_above: float | None = None):
@@ -545,45 +597,145 @@ class LevelKernel:
         renormalised, on the levels ks[lo:lo + laws.shape[1]]; it is zero
         outside them.  tv[j] is its total-variation distance to the law
         `target` over ks, or tv is None without a target.  A block pushes
-        only the live window of the law (the levels it holds above the tail
-        cut) widened by the block's steps, the farthest its mass can travel.
-        laws is a view of a buffer that the next block overwrites.
+        _BLOCK steps (fewer at the end) on the live window of the law, the
+        levels it holds above `tail_cut`, widened by the block's steps, the
+        farthest its mass can travel.  laws is a view of a buffer that a
+        later block overwrites.
 
-        With leap_above, a whole block of _BLOCK steps whose TV to target
-        provably stays above leap_above at every step (`_leap_certified`)
-        is taken in one `leap`; it yields only its end law, as one row, with
-        tv None.
+        With leap_above, a whole block whose TV to target provably stays
+        above leap_above at every step is leapt: M = 2 _BLOCK steps through
+        `rung` where the rung is built and the certificate clears them,
+        else M = _BLOCK steps through `band`.  A leap yields only its end
+        law, as one row, with tv None; its law is bitwise `leap`'s.  The
+        rung is built by a cost rule on this kernel's leaps (_PAYBACK).
+
+        The certificate.  A Markov kernel never increases the L1 norm of a
+        signed measure, so d_s = ||mu_{s+1} - mu_s||_1 never grows with s
+        and TV moves by at most d_s/2 a step.  Hence, for t <= s <= t + M,
+        TV(s) >= max(TV(t) - (s - t) d_t/2, TV(t + M) - (t + M - s) d_t/2)
+        >= (TV(t) + TV(t + M))/2 - M d_t/4, and any d_r measured at a step
+        r <= t may stand for d_t.  The rung is tried before the band, each
+        as follows.  The first bound alone comes first, with the
+        remembered d and the TV at t whether exact or a bound: when TV(t) -
+        M (d + delta)/2 clears the level, the block is leapt with no TV
+        computed, and that value is carried to step t + M as the bound on
+        its TV.  Otherwise the TV at t is computed and the two checks of
+        the mean bound run: the remembered d is tried first, and only when
+        it fails one of them is d_t measured, by one `push`, and the checks
+        rerun with it, so in exact arithmetic every decision is that of a
+        fresh d_t.  Where the first bound clears, both checks would pass
+        with the same d (the bound is below either mean), so the blocks
+        leapt are those the checks alone leap, and the laws are bitwise
+        theirs.
+
+        The error budget.  The bound must clear the level by the rounding
+        of the laws.  A push or a leap errs by under 32 eps of L1 per step
+        (its products, its sums of non-negative terms and the
+        renormalisation), here and in any reference push: `band`'s five
+        squarings leave each entry within about 200 eps, relative, of P^32
+        and a leap's 65-term sums add 65 eps, under 10 eps a step; the
+        rung's squaring doubles that over twice the steps and its 129-term
+        sums round as two 65-term ones, so a 64-step leap keeps the same
+        rate.  The tail cut drops under one eps of mass per block (at most
+        n entries of at most eps / (n + 2 _BLOCK)), so after B = (t + M) /
+        _BLOCK blocks the law is off by under 2 B eps more in L1.  So TV(t),
+        TV(t + M) and a reference TV inside the block are each off by under
+        (16 (t + M) + B) eps plus n eps for their own sums, and d by under
+        twice the law's error plus (n + 4) eps: in all, under rest = (M + 2)
+        (16 (t + M) + n + B) eps.  The exact laws' d_s never grows, however
+        the computed laws got to step r (leaps, pushed blocks, tail cuts,
+        renormalisations), and a d measured at r <= t errs by no more than
+        one measured at t, whose law's error is the larger: the same budget
+        covers it.  A carried bound must stay below the TV that a fresh
+        one would compute: the computed law at t moves from that at r by
+        under (32 (t - r) + 2 B) eps, so its own d exceeds the remembered
+        one by under (64 t + 4 B + n + 4) eps, and the leap and two TV sums
+        add 16 M + 2n eps, all within M delta/2 with delta = (64 (t + M) +
+        2n + 4 B) eps.
         """
-        n = len(self.ks)
-        a, held = live_window(0, mu)
-        buf = np.empty((_BLOCK + 1, n))
+        n, m, cut, work = len(self.ks), _BLOCK, self.tail_cut, self.work
+        a, held = live_window(0, mu, cut)
+        buf = np.empty((m + 1, n))
         tmp = np.empty(n)
+        mask = np.empty(n, dtype=bool)
         if target is not None:
-            dist = np.empty((_BLOCK, n))
+            dist = np.empty((m, n))
+            gap = dist[0]  # a leap's TV, done before any push reuses it
             # the target's mass below index i and at or above it, i = 0 .. n
-            below = np.concatenate(([0.0], np.cumsum(target)))
-            above = np.concatenate((np.cumsum(target[::-1])[::-1], [0.0]))
+            below = np.concatenate(([0.0], np.cumsum(target))).tolist()
+            above = np.concatenate((np.cumsum(target[::-1])[::-1], [0.0])).tolist()
 
             def tv_of(lo, law):  # TV to target of a law on ks[lo:lo + len(law)]
                 hi = lo + len(law)
-                return 0.5 * (float(np.abs(law - target[lo:hi]).sum()) + (below[lo] + above[hi]))
+                g = gap[:len(law)]
+                np.subtract(law, target[lo:hi], out=g)
+                np.abs(g, out=g)
+                return 0.5 * (float(np.add.reduce(g)) + (below[lo] + above[hi]))
 
             # the TV at the current step, or a lower bound on that of the
-            # law tv_src after certified leaps (`_leap_certified`)
+            # law tv_src after a leap on the first bound
             tv_now, tv_src = tv_of(a, held), None
-        done, d_seen = 0, math.inf  # the one-step change last measured
+        if leap_above is not None:
+            level, pad, windows = leap_above, self._pad, self._windows
+            powers = {m: self.band}
+            if "rung" in vars(self):  # a cached_property, built
+                powers[2 * m] = self.rung
+            outs, side = np.empty((2, n)), 0  # a leap writes the one held is not in
+        # the one-step change last measured, and the step it was measured at
+        done, d, fresh = 0, math.inf, -1
         while done < steps:
-            m = min(_BLOCK, steps - done)
-            leapt = None
-            if m == _BLOCK and leap_above is not None:
-                leapt, d_seen = self._leap_certified(a, held, tv_now, tv_src, tv_of,
-                                                     leap_above, done, d_seen)
+            leapt = 0
+            if leap_above is not None and steps - done >= m:
+                if len(powers) == 1 and work.leaps[m] >= _PAYBACK * n:
+                    powers[2 * m] = self.rung
+                for M in (2 * m, m) if len(powers) == 2 and steps - done >= 2 * m else (m,):
+                    t_end = done + M
+                    blocks = t_end // m
+                    rest = (M + 2) * (16 * t_end + n + blocks) * _EPS
+                    bound = tv_now - 0.5 * M * (d + (64 * t_end + 2 * n + 4 * blocks) * _EPS)
+                    sure = bound > level + rest
+                    if not sure:
+                        if tv_src is not None:
+                            tv_now, tv_src = tv_of(*tv_src), None
+                            work.tvs += 1
+                        if not 0.5 * (tv_now + 1.0) - 0.25 * M * d > level + rest:
+                            if fresh == done:
+                                continue
+                            d, fresh = self._step_change(a, held), done
+                            if not 0.5 * (tv_now + 1.0) - 0.25 * M * d > level + rest:
+                                continue
+                    b = a + len(held) - 1
+                    lo, hi = max(0, a - M), min(n - 1, b + M)
+                    pad[lo + _PAD - M:hi + _PAD + M + 1] = 0.0
+                    pad[a + _PAD:b + _PAD + 1] = held
+                    law = outs[side, :hi - lo + 1]
+                    np.vecdot(powers[M][lo:hi + 1], windows[M][lo:hi + 1], out=law)
+                    np.divide(law, np.add.reduce(law), out=law)
+                    if sure:
+                        tv_now, tv_src = bound, (lo, law)
+                    else:
+                        tv_end = tv_of(lo, law)
+                        work.tvs += 1
+                        ok = 0.5 * (tv_now + tv_end) - 0.25 * M * d > level + rest
+                        if not ok and fresh != done:
+                            d, fresh = self._step_change(a, held), done
+                            ok = (0.5 * (tv_now + 1.0) - 0.25 * M * d > level + rest
+                                  and 0.5 * (tv_now + tv_end) - 0.25 * M * d > level + rest)
+                        if not ok:
+                            work.failed_leaps += 1
+                            continue
+                        tv_now, tv_src = tv_end, None
+                    leapt = M
+                    break
             if leapt:
-                lo, law, tv_now, tv_src = leapt
+                side ^= 1
+                done += leapt
+                work.leaps[leapt] += 1
                 laws, tv = law[None], None
             else:
+                m_now = min(m, steps - done)
                 b = a + len(held) - 1
-                lo, hi = max(0, a - m), min(n - 1, b + m)
+                lo, hi = max(0, a - m_now), min(n - 1, b + m_now)
                 w = hi - lo + 1
                 buf[0, :w] = 0.0
                 buf[0, a - lo:b - lo + 1] = held
@@ -591,9 +743,9 @@ class LevelKernel:
                 t = tmp[:w - 1]
                 # row views made once per block: per-step 2-D indexing would
                 # cost about as much as the arithmetic on a short window
-                rows = list(buf[:m + 1, :w])
-                heads = list(buf[:m + 1, :w - 1])  # levels that can step up
-                tails = list(buf[:m + 1, 1:w])     # levels that can step down
+                rows = list(buf[:m_now + 1, :w])
+                heads = list(buf[:m_now + 1, :w - 1])  # levels that can step up
+                tails = list(buf[:m_now + 1, 1:w])     # levels that can step down
                 for src, dst, src_h, dst_h, src_t, dst_t in zip(
                         rows, rows[1:], heads, heads[1:], tails, tails[1:]):
                     np.multiply(src, stay, out=dst)
@@ -601,102 +753,36 @@ class LevelKernel:
                     np.add(dst_t, t, out=dst_t)
                     np.multiply(src_t, down, out=t)
                     np.add(dst_h, t, out=dst_h)
-                laws = buf[1:m + 1, :w]
+                laws = buf[1:m_now + 1, :w]
                 np.divide(laws, laws.sum(axis=1)[:, None], out=laws)
                 tv = None
                 if target is not None:
-                    d = dist[:m, :w]
-                    np.subtract(laws, target[lo:hi + 1], out=d)
-                    np.abs(d, out=d)
-                    tv = 0.5 * (d.sum(axis=1) + (below[lo] + above[hi + 1]))
+                    g = dist[:m_now, :w]
+                    np.subtract(laws, target[lo:hi + 1], out=g)
+                    np.abs(g, out=g)
+                    tv = 0.5 * (g.sum(axis=1) + (below[lo] + above[hi + 1]))
                     tv_now, tv_src = float(tv[-1]), None
-            a, held = live_window(lo, laws[-1])
-            done += m
+                done += m_now
+                work.pushed_blocks += 1
+                law = laws[-1]
+            # the tail cut: the live window of the block's last law
+            w = len(law)
+            live = mask[:w]
+            np.greater(law, cut, out=live)
+            i, j = int(live.argmax()), w - int(live[::-1].argmax())
+            work.dropped += (w - j + i) * cut
+            a, held = lo + i, law[i:j]
             yield done, lo, laws, tv
 
-    def _leap_certified(self, a: int, held: np.ndarray, tv: float, src, tv_of,
-                        level: float, t: int, d: float):
-        """The block of _BLOCK = m steps after step t in one `leap`, when
-        certified that the TV to the target stays above level at every step
-        of it.
-
-        held is the law at step t on ks[a:a + len(held)], tv_of the TV of a
-        windowed law and d the one-step change last measured (inf for none).
-        tv is the TV at step t when src is None; otherwise src is (lo, law),
-        the law at t as a leap made it, and tv a lower bound on tv_of(*src).
-        Returns (leap, d): leap is (lo, law, tv, src) for step t + m, the
-        leap's result and its TV or bound in the same form, or None when the
-        certificate fails; d is the one-step change to remember.
-
-        A Markov kernel never increases the L1 norm of a signed measure, so
-        d_s = ||mu_{s+1} - mu_s||_1 never grows with s and TV moves by at
-        most d_s/2 a step.  Hence, for t <= s <= t + m, TV(s) >= max(TV(t) -
-        (s - t) d_t/2, TV(t + m) - (t + m - s) d_t/2) >= (TV(t) + TV(t + m))/2
-        - m d_t/4, and any d_r measured at a step r <= t may stand for d_t.
-
-        The first bound alone is tried first, with the remembered d and tv
-        whether exact or a bound: when tv - m (d + delta)/2 clears the level,
-        the block is leapt with no TV computed, and that value is carried to
-        step t + m as the bound on its TV.  Otherwise the TV at t is computed
-        and the two checks of the mean bound run: the remembered d is tried
-        first, and only when it fails one of them is d_t measured, by one
-        `push`, and the checks rerun with it, so in exact arithmetic every
-        decision is that of a fresh d_t.  Where the first bound clears, both
-        checks would pass with the same d (the bound is below either mean),
-        so the blocks leapt are those the checks alone leap, and the laws
-        are bitwise theirs.
-
-        The bound must clear the level by the rounding of the laws.  A push
-        or a leap errs by under 32 eps of L1 per step (its products, its
-        sums of non-negative terms and the renormalisation; the tail cut adds
-        far less), here and in any reference push.  So TV(t), TV(t + m) and a
-        reference TV inside the block are each off by under 16 eps (t + m)
-        plus n eps for their own sums, and d by under twice the law's error
-        plus (n + 4) eps: in all, under (m + 2) (16 (t + m) + n) eps.  The
-        exact laws' d_s never grows, however the computed laws got to step
-        r (leaps, pushed blocks, tail cuts, renormalisations), and a d
-        measured at r <= t errs by no more than one measured at t, whose
-        law's error is the larger: the same budget covers it.  A carried
-        bound must stay below the TV that tv_of would compute: the computed
-        law at t moves from that at r by under 32 (t - r) eps, so its own d
-        exceeds the remembered one by under (64 t + n + 4) eps, and the leap
-        and two TV sums add 16 m + 2n eps, all within m delta/2 with delta =
-        (64 (t + m) + 2n) eps.
-        """
-        m, n = _BLOCK, len(self.ks)
-        rest = (m + 2) * (16 * (t + m) + n) * _EPS
-        low = tv - 0.5 * m * (d + (64 * (t + m) + 2 * n) * _EPS)
-        if low > level + rest:
-            lo, law = self.leap(a, held)
-            return (lo, law, low, (lo, law)), d
-        if src is not None:
-            tv = tv_of(*src)
-
-        def clears(tv_end, d):
-            return 0.5 * (tv + tv_end) - 0.25 * m * d > level + rest
-
-        fresh = False
-        if not clears(1.0, d):  # TV(t + m) <= 1
-            d, fresh = self._step_change(a, held), True
-            if not clears(1.0, d):
-                return None, d
-        lo, law = self.leap(a, held)
-        tv_end = tv_of(lo, law)
-        if not clears(tv_end, d):
-            if fresh:
-                return None, d
-            d = self._step_change(a, held)
-            if not (clears(1.0, d) and clears(tv_end, d)):
-                return None, d
-        return (lo, law, tv_end, None), d
-
     def _step_change(self, a: int, held: np.ndarray) -> float:
-        """||mu P - mu||_1 for the law mu held on ks[a:a + len(held)]."""
+        """||mu P - mu||_1 for the law mu held on ks[a:a + len(held)], by
+        one `push`; counted in work.step_changes."""
         n = len(self.ks)
         b = a + len(held) - 1
         lo, hi = max(0, a - 1), min(n - 1, b + 1)
         mu = np.zeros(hi - lo + 1)
         mu[a - lo:b - lo + 1] = held
+        self.work.step_changes += 1
         return float(np.abs(self.push(mu, lo) - mu).sum())
 
     def law_after(self, mu: np.ndarray, steps: int) -> np.ndarray:
@@ -729,7 +815,7 @@ class LevelKernel:
             return law / law.sum()
         lo = 0
         for _ in range(steps // _BLOCK):
-            lo, law = self.leap(*live_window(lo, law))
+            lo, law = self.leap(*live_window(lo, law, self.tail_cut))
         out = np.zeros(len(self.ks))
         out[lo:lo + len(law)] = law
         for _, lo, laws, _ in self.evolve(out, steps % _BLOCK):

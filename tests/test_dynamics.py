@@ -31,8 +31,8 @@ from pspin_glauber import (
 )
 from pspin_glauber.cli import main
 from pspin_glauber.dynamics import (
+    _BLOCK,
     _CHUNK,
-    _TAIL,
     _WINDOW,
     _metastable_setup,
     _sigmoid,
@@ -314,17 +314,22 @@ def test_log_pi_mirror_symmetric_at_zero_field(p):
 
 
 def test_live_window_matches_flatnonzero():
+    # the cut evolve trims with: under one eps over a block's n entries
+    kernel = LevelKernel(ModelParams(4, 0.054, 0.5), 100)
+    cut = kernel.tail_cut
+    assert cut == np.finfo(float).eps / (101 + 2 * _BLOCK) and 101 * cut < np.finfo(float).eps
+
     def reference(lo, law):
-        live = np.flatnonzero(law > _TAIL)
+        live = np.flatnonzero(law > cut)
         return lo + int(live[0]), law[live[0]:live[-1] + 1]
 
     laws = [np.array([0.0, 0.0, 0.25, 0.5, 0.0, 0.25, 0.0]),
             np.array([0.0, 1.0, 0.0]), np.array([1.0]), np.array([0.5, 0.5]),
-            np.array([_TAIL, 0.3, 0.4, 0.3, _TAIL]),
-            np.array([0.1, _TAIL / 2, 0.8, 0.1]),
-            np.array([0.0, 0.0, 0.0, 2.0 * _TAIL])]
+            np.array([cut, 0.3, 0.4, 0.3, cut]),
+            np.array([0.1, cut / 2, 0.8, 0.1]),
+            np.array([0.0, 0.0, 0.0, 2.0 * cut])]
     for law in laws:
-        a, held = live_window(7, law)
+        a, held = live_window(7, law, cut)
         b, expected = reference(7, law)
         assert a == b and np.shares_memory(held, law)
         assert np.array_equal(held, expected)

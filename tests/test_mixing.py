@@ -284,9 +284,9 @@ def leap_kernel(kind):
 @pytest.mark.parametrize("kind", ["regular", "critical floor", "sampler window"])
 def test_evolve_leaps_match_pushed_laws(kind):
     # every row a leaping evolve yields is the per-step push's law at its
-    # step; a leapt block is one row _BLOCK steps on, with every step's TV
-    # above the level; law_after, which leaps every whole block, ends at the
-    # push's law too
+    # step; a leapt block is one row _BLOCK steps on, or 2 _BLOCK once the
+    # kernel has built its rung, with every step's TV above the level;
+    # law_after, which leaps every whole block, ends at the push's law too
     kernel, target, start, eps = leap_kernel(kind)
     n, steps = len(kernel.ks), 4000 + 5
     mu = np.zeros(n)
@@ -300,7 +300,8 @@ def test_evolve_leaps_match_pushed_laws(kind):
     done, leapt, pushed = 0, 0, 0
     for t, lo, laws, tv in kernel.evolve(mu, steps, target=target, leap_above=eps):
         if tv is None:
-            assert t - done == _BLOCK and len(laws) == 1
+            assert t - done in (_BLOCK, 2 * _BLOCK) and len(laws) == 1
+            assert t - done == _BLOCK or "rung" in vars(kernel)
             assert np.all(ref_tv[done + 1:t + 1] > eps)
             leapt += 1
         else:
@@ -528,57 +529,71 @@ def test_band_invariants_beyond_the_dense_oracle(point, N, floored):
     assert np.max(np.abs(column - 1.0)) <= 1e-13
 
 
-def test_leap_certificate_remembers_the_step_change(monkeypatch):
+@pytest.fixture
+def kernels_made(monkeypatch):
+    """The LevelKernels built while the test runs, in order, to read their
+    work counters."""
+    made = []
+    init = LevelKernel.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(LevelKernel, "__init__", recording)
+    return made
+
+
+def test_leap_certificate_remembers_the_step_change(kernels_made):
     # a one-step change measured at an earlier step bounds every later one,
     # so a fresh push is needed only when the remembered one fails a check
-    calls = {"push": 0, "leap": 0}
-    for name in calls:
-        method = getattr(LevelKernel, name)
-
-        def counted(self, *args, name=name, method=method):
-            calls[name] += 1
-            return method(self, *args)
-
-        monkeypatch.setattr(LevelKernel, name, counted)
     params, N = ModelParams(4, 0.054, 0.5), 1600
     rep = mixing_time(params, N, 0.35, 1_000_000)
-    assert calls["leap"] > 0 and 10 * calls["push"] < calls["leap"], calls
+    work = kernels_made[0].work
+    leaps = sum(work.leaps.values()) + work.failed_leaps  # every leap made
+    assert leaps > 0 and 10 * work.step_changes < leaps, work
     for start, t in rep.t_by_start.items():
         assert t == int(tv_curve(params, N, start, 1_000_000, eps_stop=0.35).ts[-1])
 
 
-def test_leap_bound_spares_the_tv_of_most_leaps(monkeypatch):
+def test_leap_bound_spares_the_tv_of_most_leaps(kernels_made):
     # while TV(t) - m d/2 clears eps, a block is leapt with no TV computed
-    # and the bound is carried on: blocks whose certificate computes a TV
-    # are fewer than the blocks leapt
-    blocks = {"leapt": 0, "with tv": 0}
-    certify = LevelKernel._leap_certified
-
-    def counted(self, a, held, tv, src, tv_of, *rest):
-        calls = [0]
-
-        def counting_tv_of(*args):
-            calls[0] += 1
-            return tv_of(*args)
-
-        leap, d = certify(self, a, held, tv, src, counting_tv_of, *rest)
-        blocks["leapt"] += leap is not None
-        blocks["with tv"] += calls[0] > 0
-        return leap, d
-
-    monkeypatch.setattr(LevelKernel, "_leap_certified", counted)
+    # and the bound is carried on: the certificate computes fewer TVs than
+    # it takes leaps
     params, N = ModelParams(4, 0.054, 0.5), 1600
     rep = mixing_time(params, N, 0.35, 1_000_000)
     assert rep.t_by_start == {1600: 6083, -1600: 7364}
-    assert 0 < blocks["with tv"] < blocks["leapt"], blocks
+    work = kernels_made[0].work
+    assert 0 < work.tvs < sum(work.leaps.values()), work
+
+
+def test_rung_built_by_the_cost_rule(kernels_made):
+    # the special point leaps long enough to pay for P^64, the regular one
+    # never does; either way every crossing is tv_curve's
+    for point, N, built in (((4, 1 / 3, H_HAT_4), 1600, True),
+                            ((4, 0.054, 0.5), 6400, False)):
+        params = ModelParams(*point)
+        rep = mixing_time(params, N, 0.35, 1_000_000)
+        kernel = kernels_made[-1]
+        work = kernel.work
+        assert (work.rung_builds, "rung" in vars(kernel)) == (int(built), built)
+        assert (work.leaps[2 * _BLOCK] > 0) == built, work
+        assert work.leaps[_BLOCK] >= (dynamics._PAYBACK * (N + 1) if built else 1)
+        assert 0.0 < work.dropped < work.pushed_blocks + sum(work.leaps.values())
+        for start, t in rep.t_by_start.items():
+            curve = tv_curve(params, N, start, 1_000_000, eps_stop=0.35)
+            assert not curve.capped and t == int(curve.ts[-1]), (point, start)
 
 
 def every_tv_evolve(kernel, mu, steps, target, level):
     """LevelKernel.evolve with leap_above=level, with the TV of every leapt
-    law computed: each whole block is leapt when the mean bound of
-    `_leap_certified` certifies it, with a remembered one-step change, and
-    pushed by a one-block evolve otherwise.  Yields (t, lo, laws) copies."""
-    n, m, eps = len(kernel.ks), _BLOCK, np.finfo(float).eps
+    law computed: each whole block is leapt when the mean bound of evolve's
+    certificate certifies it, with a remembered one-step change, by 2
+    _BLOCK steps through the rung where the kernel has built it (tried
+    first) or by _BLOCK, and pushed by a one-block evolve otherwise.  Run
+    in step with an evolve on the same kernel, it sees the rung from the
+    block at which that evolve builds it.  Yields (t, lo, laws) copies."""
+    n, m, eps, cut = len(kernel.ks), _BLOCK, np.finfo(float).eps, kernel.tail_cut
     below = np.concatenate(([0.0], np.cumsum(target)))
     above = np.concatenate((np.cumsum(target[::-1])[::-1], [0.0]))
 
@@ -586,36 +601,37 @@ def every_tv_evolve(kernel, mu, steps, target, level):
         hi = lo + len(law)
         return 0.5 * (float(np.abs(law - target[lo:hi]).sum()) + (below[lo] + above[hi]))
 
-    a, held = live_window(0, mu)
-    tv, d, done = tv_of(a, held), math.inf, 0
+    a, held = live_window(0, mu, cut)
+    tv, d, fresh, done = tv_of(a, held), math.inf, -1, 0  # fresh: the step d is from
     while done < steps:
         leapt = None
-        if steps - done >= m:
-            rest = (m + 2) * (16 * (done + m) + n) * eps
+        rungs = (2 * m, m) if "rung" in vars(kernel) and steps - done >= 2 * m else (m,)
+        for M in rungs if steps - done >= m else ():
+            rest = (M + 2) * (16 * (done + M) + n + (done + M) // m) * eps
 
             def clears(tv_end, d):
-                return 0.5 * (tv + tv_end) - 0.25 * m * d > level + rest
+                return 0.5 * (tv + tv_end) - 0.25 * M * d > level + rest
 
-            fresh = not clears(1.0, d)
-            if fresh:
-                d = kernel._step_change(a, held)
-            if clears(1.0, d):
-                leapt = kernel.leap(a, held)
-                tv_end = tv_of(*leapt)
-                if not clears(tv_end, d) and not fresh:
-                    d = kernel._step_change(a, held)
-                if not (clears(1.0, d) and clears(tv_end, d)):
-                    leapt = None
+            if not clears(1.0, d) and fresh != done:
+                d, fresh = kernel._step_change(a, held), done
+            if not clears(1.0, d):
+                continue
+            lo, law = kernel.leap(a, held, M)
+            tv_end = tv_of(lo, law)
+            if not clears(tv_end, d) and fresh != done:
+                d, fresh = kernel._step_change(a, held), done
+            if clears(1.0, d) and clears(tv_end, d):
+                leapt = M
+                break
         if leapt:
-            (lo, law), tv = leapt, tv_end
-            done, laws = done + m, law[None]
+            tv, done, laws = tv_end, done + leapt, law[None]
         else:
             block = np.zeros(n)
             block[a:a + len(held)] = held
             (t, lo, laws, tvs), = kernel.evolve(block, min(m, steps - done), target=target)
             done, tv = done + t, float(tvs[-1])
         yield done, lo, laws.copy()
-        a, held = live_window(lo, laws[-1])
+        a, held = live_window(lo, laws[-1], cut)
 
 
 @pytest.mark.parametrize("point, N, start, steps", [
@@ -623,10 +639,11 @@ def every_tv_evolve(kernel, mu, steps, target, level):
     ((4, 0.51, 0.184), 200, -200, 60_005)])
 def test_leap_bound_keeps_the_laws_of_every_tv_leaps(point, N, start, steps):
     # the bound-first certificate leaps the blocks that the mean bound with
-    # every leapt TV computed leaps, so every law it yields is bitwise that
-    # reference's: up to the crossing and past it (the regular and special
-    # points cross at 6,083 and 41,357 steps), or all the way at the
-    # critical point, which crosses at 121,905
+    # every leapt TV computed leaps, rung by rung, so every law it yields is
+    # bitwise that reference's: up to the crossing and past it (the regular
+    # and special points cross at 6,083 and 41,357 steps), or all the way at
+    # the critical point, which crosses at 121,905.  The special and
+    # critical points build the rung on the way, the regular one does not
     kernel = LevelKernel(ModelParams(*point), N)
     mu = np.zeros(len(kernel.ks))
     mu[kernel.index(start)] = 1.0
@@ -636,7 +653,8 @@ def test_leap_bound_keeps_the_laws_of_every_tv_leaps(point, N, start, steps):
             kernel.evolve(mu, steps, target=kernel.gibbs, leap_above=0.35), want, strict=True):
         assert (t, lo) == (t_ref, lo_ref) and np.array_equal(laws, laws_ref), t
         leapt += tv is None
-    assert leapt > 100
+    rung = point != (4, 0.054, 0.5)  # the regular point leaps too little
+    assert leapt > 100 and (kernel.work.leaps[2 * _BLOCK] > 0) == rung
 
 
 def test_special_sweep_refines_no_spectrum(monkeypatch):
