@@ -10,7 +10,8 @@ the birth-death triple (up, down, stay) of a restriction ``[lo, hi]`` of the
 sum, clamped to ``[-N, N]``, and offers the engines everything else is
 built from: an exact push of a level law (one step, `evolve` for many
 steps on the law's live window, or `leap`, a whole block of steps through
-the kernel's banded block power), a scalar walk of a spin configuration
+the kernel's banded block power, or two blocks through its square), a
+scalar walk of a spin configuration
 over a chunk of draws, and `step_counts`, which steps the histogram of
 many magnetization chains over the levels as a whole, one multinomial
 draw per step.  `simulate_mag_replicas` steps such chains one by one in a
@@ -303,9 +304,12 @@ class LevelKernel:
 
     A birth-death chain is reversible: ``log_pi`` is its stationary law and
     ``spectrum`` the slow end of its spectrum (``coarse_spectrum`` its
-    cheap first stage); ``band`` holds the block
-    power P^_BLOCK for `leap`; ``gibbs`` and ``log_gibbs`` are the Gibbs law
-    conditioned on [lo, hi], mixing's target.  Each is computed on first use.
+    cheap first stage); ``band`` holds the block power P^_BLOCK for `leap`,
+    and ``rung`` P^(2 _BLOCK), which `evolve` builds by its cost rule;
+    ``gibbs`` and ``log_gibbs`` are the Gibbs law conditioned on [lo, hi],
+    mixing's target.  Each is computed on first use.  ``tail_cut`` is the
+    mass below which `evolve` drops a law's end levels, and ``work`` counts
+    what its leaps and pushes did on this kernel (`KernelWork`).
     """
 
     def __init__(self, params: ModelParams, N: int, lo: int | None = None,

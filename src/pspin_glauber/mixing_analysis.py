@@ -14,7 +14,8 @@ read from the kernel of the restriction: ``LevelKernel.gibbs`` (or
 ``log_gibbs``), the target of every TV, and ``log_pi``, the chain's own.
 
 Exact mixing times skip the blocks where TV provably stays above eps with
-one leap of the banded block power (``evolve`` with ``leap_above=eps``), and
+one leap of the banded block power, or of its square where the kernel has
+leapt long enough to pay for it (``evolve`` with ``leap_above=eps``), and
 finish in closed form once only the slowest mode is left (``_slow_finish``):
 u steps on, the law is then pi_chain + lam2^u (mu - pi_chain) up to a
 remainder that one more push bounds, and the first crossing along that ray
