@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -79,15 +79,16 @@ _BAND_ROWS = 512
 # of the longest leap, 2 * _BLOCK steps.
 _PAD = 2 * _BLOCK
 # LevelKernel.evolve builds the rung P^64 once the kernel has taken
-# _PAYBACK * n leaps of 32 steps, n its levels.  Squaring the band costs
-# about 1.4 us a level (vecmat, one BLAS thread, 2-core Xeon VM) and a
-# 64-step leap saves about 6 us over two of 32 steps (one block's fixed
-# numpy calls, less its 64 more rows), so that many leaps would already
-# have paid for the rung: a start as long again takes back its price, and
-# one that ends there pays at most twice the best choice (the ski-rental
-# rule).  The regular point takes 0.20-0.31 n leaps over both starts from
-# N = 400 to 6400 and never builds it; the special point takes 0.63-1.66 n
-# (N = 200 to 1600) and builds it.
+# _PAYBACK * n leaps of 32 steps, n its levels.  The rung's squaring costs
+# about 2 us a level, and a 64-step leap saves about 15 us against two of 32
+# (one block's fixed numpy calls; one BLAS thread, 2-core Xeon VM), so by
+# then those leaps, taken as 64-step ones, would have paid for the rung
+# about twice over: a kernel that goes on leaping gets its price back, and
+# one that stops soon after has paid little (the ski-rental rule).  It also
+# keeps the rung, twice the band's memory, off kernels that leap little:
+# the regular point takes 0.20-0.31 n leaps over both starts from N = 400
+# to 6400 and never builds it; the special point takes 0.63-1.66 n (N =
+# 200 to 1600) and does.
 _PAYBACK = 0.5
 # Scalar steps per chunk of LevelKernel.draws: one rng.random call each.
 _CHUNK = 1 << 14
@@ -118,19 +119,23 @@ def live_window(lo: int, law: np.ndarray, cut: float) -> tuple[int, np.ndarray]:
     return lo + a, law[a:b]
 
 
-@dataclass
 class KernelWork:
     """Work counters of one LevelKernel's exact engine, for tests and
-    profiles: what `evolve` leapt, pushed, measured and cut."""
+    profiles: what `evolve` leapt, pushed, measured and cut.  A plain
+    class: a dataclass cost the module's import half a millisecond."""
 
-    # leaps taken, by their steps (_BLOCK through band, 2 _BLOCK through rung)
-    leaps: dict = field(default_factory=lambda: {_BLOCK: 0, 2 * _BLOCK: 0})
-    failed_leaps: int = 0   # leaps made whose certificate then failed
-    tvs: int = 0            # TVs of leapt laws the certificate computed
-    step_changes: int = 0   # one-step changes d measured by a push
-    pushed_blocks: int = 0
-    rung_builds: int = 0
-    dropped: float = 0.0    # at most this mass removed by the tail cut
+    def __init__(self):
+        # leaps taken, by steps (_BLOCK through band, 2 _BLOCK through rung)
+        self.leaps = {_BLOCK: 0, 2 * _BLOCK: 0}
+        self.failed_leaps = 0   # leaps made whose certificate then failed
+        self.tvs = 0            # TVs of leapt laws the certificate computed
+        self.step_changes = 0   # one-step changes d measured by a push
+        self.pushed_blocks = 0
+        self.rung_builds = 0
+        self.dropped = 0.0      # at most this mass removed by the tail cut
+
+    def __repr__(self):
+        return f"KernelWork({vars(self)})"
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -261,9 +266,11 @@ def _split(above, k: int, near: float, far: float, done) -> tuple[float, float]:
     return near, far
 
 
-def _square_band(g: np.ndarray) -> np.ndarray:
+def _square_band(g: np.ndarray, rows: slice = slice(None),
+                 out: np.ndarray | None = None) -> np.ndarray:
     """The gather form of P^2b from that of P^b, rows g[k, j] = P^b[k - b + j,
     k] of shape (n, 2b + 1): one vecmat of each row against a sheared view.
+    Only the given rows of the square are formed, into out if given.
 
     The view M[k, jl, J] = g[k - b + jl, J - jl], J < W = 4b + 1, reads a
     copy of g whose rows are shifted down by b and padded by b zero rows at
@@ -272,8 +279,8 @@ def _square_band(g: np.ndarray) -> np.ndarray:
     in the zero columns.  Each M[k] then has a row stride of W for its W
     columns, a layout BLAS takes, so numpy hands each product to BLAS (at a
     row stride of W - 1 it falls back to its own strided loop, twice as
-    slow at N = 6400).  np.vecmat gives the same bits as the batched matmul
-    of the rows as 1 x (2b + 1) matrices, a quarter faster at N = 6400.
+    slow at N = 6400).  np.vecmat gives the same bits, as fast, as the
+    batched matmul of the rows as 1 x (2b + 1) matrices.
     """
     n, w = g.shape
     b, W = w // 2, 2 * w - 1
@@ -282,7 +289,7 @@ def _square_band(g: np.ndarray) -> np.ndarray:
     s = pad.itemsize
     sheared = as_strided(pad, shape=(n, w, W), strides=((W + 1) * s, W * s, s),
                          writeable=False)
-    return np.vecmat(g, sheared)
+    return np.vecmat(g[rows], sheared[rows], out=out)
 
 
 class LevelKernel:
@@ -538,7 +545,7 @@ class LevelKernel:
         for r in range(0, n, _BAND_ROWS):
             e = min(n, r + _BAND_ROWS)
             a, b = max(0, r - m), min(n, e + m)
-            rung[r:e] = _square_band(self.band[a:b])[r - a:e - a]
+            _square_band(self.band[a:b], slice(r - a, e - a), out=rung[r:e])
         self.work.rung_builds += 1
         return rung
 
@@ -659,12 +666,9 @@ class LevelKernel:
         """
         n, m, cut, work = len(self.ks), _BLOCK, self.tail_cut, self.work
         a, held = live_window(0, mu, cut)
-        buf = np.empty((m + 1, n))
-        tmp = np.empty(n)
         mask = np.empty(n, dtype=bool)
         if target is not None:
-            dist = np.empty((m, n))
-            gap = dist[0]  # a leap's TV, done before any push reuses it
+            gap = np.empty(n)  # a leap's TV
             # the target's mass below index i and at or above it, i = 0 .. n
             below = np.concatenate(([0.0], np.cumsum(target))).tolist()
             above = np.concatenate((np.cumsum(target[::-1])[::-1], [0.0])).tolist()
@@ -741,15 +745,18 @@ class LevelKernel:
                 b = a + len(held) - 1
                 lo, hi = max(0, a - m_now), min(n - 1, b + m_now)
                 w = hi - lo + 1
-                buf[0, :w] = 0.0
+                # the block's laws, sized to its window: a pushed block is
+                # rare beside the leaps, and buffers of all n levels held
+                # through a sweep raised its peak memory
+                buf = np.zeros((m_now + 1, w))
                 buf[0, a - lo:b - lo + 1] = held
                 stay, up, down = self.stay[lo:hi + 1], self.up[lo:hi], self.down[lo + 1:hi + 1]
-                t = tmp[:w - 1]
+                t = np.empty(w - 1)
                 # row views made once per block: per-step 2-D indexing would
                 # cost about as much as the arithmetic on a short window
-                rows = list(buf[:m_now + 1, :w])
-                heads = list(buf[:m_now + 1, :w - 1])  # levels that can step up
-                tails = list(buf[:m_now + 1, 1:w])     # levels that can step down
+                rows = list(buf)
+                heads = list(buf[:, :w - 1])  # levels that can step up
+                tails = list(buf[:, 1:w])     # levels that can step down
                 for src, dst, src_h, dst_h, src_t, dst_t in zip(
                         rows, rows[1:], heads, heads[1:], tails, tails[1:]):
                     np.multiply(src, stay, out=dst)
@@ -757,13 +764,11 @@ class LevelKernel:
                     np.add(dst_t, t, out=dst_t)
                     np.multiply(src_t, down, out=t)
                     np.add(dst_h, t, out=dst_h)
-                laws = buf[1:m_now + 1, :w]
+                laws = buf[1:]
                 np.divide(laws, laws.sum(axis=1)[:, None], out=laws)
                 tv = None
                 if target is not None:
-                    g = dist[:m_now, :w]
-                    np.subtract(laws, target[lo:hi + 1], out=g)
-                    np.abs(g, out=g)
+                    g = np.abs(laws - target[lo:hi + 1])
                     tv = 0.5 * (g.sum(axis=1) + (below[lo] + above[hi + 1]))
                     tv_now, tv_src = float(tv[-1]), None
                 done += m_now
