@@ -610,8 +610,8 @@ class LevelKernel:
         `target` over ks, or tv is None without a target.  A block pushes
         _BLOCK steps (fewer at the end) on the live window of the law, the
         levels it holds above `tail_cut`, widened by the block's steps, the
-        farthest its mass can travel.  laws is a view of a buffer that a
-        later block overwrites.
+        farthest its mass can travel.  laws may be a view of a buffer that
+        a later block overwrites.
 
         With leap_above, a whole block whose TV to target provably stays
         above leap_above at every step is leapt: M = 2 _BLOCK steps through
@@ -745,9 +745,10 @@ class LevelKernel:
                 b = a + len(held) - 1
                 lo, hi = max(0, a - m_now), min(n - 1, b + m_now)
                 w = hi - lo + 1
-                # the block's laws, sized to its window: a pushed block is
-                # rare beside the leaps, and buffers of all n levels held
-                # through a sweep raised its peak memory
+                # the block's laws, sized to its window: buffers of all n
+                # levels, held through a sweep, raised the benchmark's
+                # exact-mix peak memory, and the block's steps cost far more
+                # than the allocation
                 buf = np.zeros((m_now + 1, w))
                 buf[0, a - lo:b - lo + 1] = held
                 stay, up, down = self.stay[lo:hi + 1], self.up[lo:hi], self.down[lo + 1:hi + 1]
