@@ -10,11 +10,11 @@ the birth-death triple (up, down, stay) of a restriction ``[lo, hi]`` of the
 sum, clamped to ``[-N, N]``, and offers the engines everything else is
 built from: an exact push of a level law (one step, `evolve` for many
 steps on the law's live window, or `leap`, a whole block of steps through
-the kernel's banded block power, or two blocks through its square), a
-scalar walk of a spin configuration
-over a chunk of draws, and `step_counts`, which steps the histogram of
-many magnetization chains over the levels as a whole, one multinomial
-draw per step.  `simulate_mag_replicas` steps such chains one by one in a
+the kernel's banded block power, or two blocks through its square, and
+`evolve`'s longer leaps through its dense powers P^(2^j)), a scalar walk
+of a spin configuration over a chunk of draws, and `step_counts`, which
+steps the histogram of many magnetization chains over the levels as a
+whole, one multinomial draw per step.  `simulate_mag_replicas` steps such chains one by one in a
 plain loop on the same table, one uniform per chain and step.  A move
 that would leave ``[lo, hi]`` is rejected (the state is kept); the tables
 fold that rejection into ``stay``, so every level-space engine reads the
@@ -44,7 +44,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 # numpy 2 imports numpy.random on first use; rng_stream needs it, and this
@@ -90,6 +89,26 @@ _PAD = 2 * _BLOCK
 # to 6400 and never builds it; the special point takes 0.63-1.66 n (N =
 # 200 to 1600) and does.
 _PAYBACK = 0.5
+# LevelKernel.evolve builds its next dense power once its leaps through the
+# longest power held, P^M, weighed by their products' multiply-adds (n (2M
+# + 1) through the rung, n^2 through a dense power), reach _SQUARE_PAYBACK
+# of the n^3 of each squaring that power takes.  A squaring (0.34, 2.9, 8.6,
+# 20 and 37 ms at n = 201, 401, 601, 801 and 1001) costs 0.18-1.2 n rung
+# leaps or 0.08-0.2 n dense ones of a law spread over the n levels (a
+# product, a push for d and a TV; one BLAS thread, 2-core Xeon VM), so by
+# then the leaps have cost 0.6-1.7 times the squaring: the ski-rental rule
+# again.  The special point takes 0.11-0.15 of the rung leaps its first
+# dense power would need (N = 200 to 800; at 1600 none fits _DENSE_BYTES).
+_SQUARE_PAYBACK = 1 / 8
+# A kernel's dense powers take at most this many bytes, 8 n^2 each, so at
+# n levels none past P^(2^(5 + _DENSE_BYTES // (8 n^2))): P^(2^31) at 401
+# levels, P^65536 at 601, P^2048 at 801.  From 916 levels on that spans
+# fewer than the n steps evolve asks of a dense leap, and there are none.
+_DENSE_BYTES = 32 << 20
+# Entries of a dense square below this are set to 0: a product of two
+# entries above it is a normal float, and subnormal ones slowed a squaring
+# of the 801 levels of (4, 0.51, 0.184), N = 800, from 19 to 73 ms.
+_FLUSH = 2.0**-510
 # Scalar steps per chunk of LevelKernel.draws: one rng.random call each.
 _CHUNK = 1 << 14
 # LevelKernel.walk verifies a chunk _WINDOW steps at a time, in at most
@@ -125,7 +144,8 @@ class KernelWork:
     class: a dataclass cost the module's import half a millisecond."""
 
     def __init__(self):
-        # leaps taken, by steps (_BLOCK through band, 2 _BLOCK through rung)
+        # leaps taken, by steps (_BLOCK through band, 2 _BLOCK through rung,
+        # more through a dense power)
         self.leaps = {_BLOCK: 0, 2 * _BLOCK: 0}
         self.failed_leaps = 0   # leaps made whose certificate then failed
         self.tvs = 0            # TVs of leapt laws the certificate computed
@@ -218,54 +238,6 @@ def _joined_cumsum(r: np.ndarray) -> np.ndarray:
     return np.concatenate((head, (head[-1] + tail[0]) - tail[1:]))
 
 
-class SlowSpectrum(NamedTuple):
-    """The slow end of a LevelKernel's spectrum, below its top eigenvalue 1.
-
-    Eigenvalues of the kernel symmetrised by its reversible law pi: the
-    tridiagonal matrix S with diagonal ``stay`` and off-diagonal
-    ``sqrt(up_i down_{i+1})``.  The second eigenvalue lies within err of
-    lam2; err is the Sturm bracket plus the rounding of S, and infinite
-    when a third eigenvalue lies within it.  lam3 bounds every eigenvalue
-    below lam2 from above, 1 - lam3 within a factor exp(1/64) of the exact
-    value; rho >= |lam| for all of them (|lam3| of `coarse_spectrum`,
-    which is lam3 unless lam2 - err bounds them more tightly, or 1 when
-    some eigenvalue lies below its negative).
-    """
-
-    lam2: float
-    lam3: float
-    rho: float
-    err: float
-
-
-def _count_above(diag: list, off2: list, x: float) -> int:
-    """Eigenvalues above x of the symmetric tridiagonal matrix with diagonal
-    diag and squared off-diagonal off2 (off2[0] = 0): the positive pivots of
-    the LDL^T factorisation of T - x (Sylvester's law of inertia)."""
-    count, q = 0, 1.0
-    for d, e2 in zip(diag, off2):
-        q = d - x - e2 / q
-        if -1e-300 < q < 1e-300:
-            q = -1e-300
-        count += q > 0.0
-    return count
-
-
-def _split(above, k: int, near: float, far: float, done) -> tuple[float, float]:
-    """Bisection of log(1 - x) between near, with at most k eigenvalues
-    above x (`above` counts them), and far, with more: halved until
-    done(near, far) or no float lies between, returns the last (near, far).
-    Halving from a pair it returned continues the same bisection."""
-    mid = 0.5 * (near + far)
-    while near < mid < far and not done(near, far):
-        if above(-math.expm1(mid)) <= k:
-            near = mid
-        else:
-            far = mid
-        mid = 0.5 * (near + far)
-    return near, far
-
-
 def _square_band(g: np.ndarray, rows: slice = slice(None),
                  out: np.ndarray | None = None) -> np.ndarray:
     """The gather form of P^2b from that of P^b, rows g[k, j] = P^b[k - b + j,
@@ -309,14 +281,15 @@ class LevelKernel:
     p_minus = (N - k) / (2N) the chance that the chosen site carries -1,
     keep both factors stable for any field strength.
 
-    A birth-death chain is reversible: ``log_pi`` is its stationary law and
-    ``spectrum`` the slow end of its spectrum (``coarse_spectrum`` its
-    cheap first stage); ``band`` holds the block power P^_BLOCK for `leap`,
-    and ``rung`` P^(2 _BLOCK), which `evolve` builds by its cost rule;
-    ``gibbs`` and ``log_gibbs`` are the Gibbs law conditioned on [lo, hi],
-    mixing's target.  Each is computed on first use.  ``tail_cut`` is the
-    mass below which `evolve` drops a law's end levels, and ``work`` counts
-    what its leaps and pushes did on this kernel (`KernelWork`).
+    A birth-death chain is reversible: ``log_pi`` is its stationary law;
+    ``band`` holds the block power P^_BLOCK for `leap`, and ``rung``
+    P^(2 _BLOCK), which `evolve` builds by its cost rule, as it does the
+    dense powers P^(2^j) of the kernel's one table (`_dense_power`, which
+    `law_after` reads too); ``gibbs`` and ``log_gibbs`` are the Gibbs law
+    conditioned on [lo, hi], mixing's target.  Each is computed on first
+    use.  ``tail_cut`` is the mass below which `evolve` drops a law's end
+    levels, and ``work`` counts what its leaps and pushes did on this
+    kernel (`KernelWork`).
     """
 
     def __init__(self, params: ModelParams, N: int, lo: int | None = None,
@@ -354,6 +327,8 @@ class LevelKernel:
         # mass, under one eps in all
         self.tail_cut = _EPS / (len(self.ks) + 2 * _BLOCK)
         self.work = KernelWork()
+        # the dense powers {2^j: P^(2^j)} built so far (`_dense_power`)
+        self._dense = {}
 
     def index(self, k: int) -> int:
         """Position of the level k in ks.
@@ -452,60 +427,6 @@ class LevelKernel:
         return self._gibbs_laws[1]
 
     @cached_property
-    def _sturm(self):
-        """(above, (near, far), coarse): the Sturm count of S at x, the
-        bracket of lam2 in log(1 - x) after the first stage of `spectrum`
-        and `coarse_spectrum`.  The first stage bisects log(1 - x) with
-        `_split` to 1/64: lam2 from x = 1 to -1, then lam3 from lam2's upper
-        end to -1; about 23 counts, each one O(N) pass."""
-        n = len(self.ks)
-        if n < 3:
-            raise DomainError(f"a chain of {n} levels has no lam3")
-        diag = self.stay.tolist()
-        off2 = [0.0] + (self.up[:-1] * self.down[1:]).tolist()
-
-        def above(x):
-            return _count_above(diag, off2, x)
-
-        def coarse(a, b):
-            return b - a <= 1 / 64
-
-        # between x = 1, to which -expm1(log(eps / 4)) rounds, and x = -1
-        near, far = _split(above, 1, math.log(_EPS / 4), math.log(2.0), coarse)
-        lam2 = -math.expm1(near)
-        lam3 = -math.expm1(_split(above, 2, near, math.log(2.0), coarse)[0])
-        rho = abs(lam3) if above(-abs(lam3)) == n else 1.0
-        return above, (near, far), SlowSpectrum(lam2, lam3, rho, lam2 + math.expm1(far))
-
-    @property
-    def coarse_spectrum(self) -> SlowSpectrum:
-        """The first stage of `spectrum`: lam2 is the upper end of a bracket
-        of the second eigenvalue, 1/64 wide in log(1 - x), and err its
-        width (the eigenvalue lies in [lam2 - err, lam2]); rho is
-        `spectrum`'s, and so is lam3 unless lam2 - err is lower there."""
-        return self._sturm[2]
-
-    @cached_property
-    def spectrum(self) -> SlowSpectrum:
-        """lam2, lam3 and rho from Sturm counts of S alone (Golub-Van Loan
-        §8.4), bisected on log(1 - x) in two stages of one bisection:
-        `coarse_spectrum`, then lam2 on from its bracket to adjacent floats,
-        where one bisection from x = 1 to -1 would end.
-        """
-        above, (near, far), coarse = self._sturm
-        near, far = _split(above, 1, near, far, lambda a, b:
-                           math.nextafter(-math.expm1(a), -1.0) <= -math.expm1(b))
-        lam2, low = -math.expm1(near), -math.expm1(far)
-        # S's entries are rounded to an ulp or two and a count is exact for
-        # S perturbed by a few eps (Kahan), so 16 eps covers both
-        err = float(lam2 - low + 16 * _EPS)
-        if above(lam2 - err) != 2:
-            return SlowSpectrum(lam2, lam2, 1.0, math.inf)
-        # lam2 - err bounds lam3 too, and is the tighter bound where lam3's
-        # bracket reaches above it
-        return SlowSpectrum(lam2, min(coarse.lam3, lam2 - err), coarse.rho, err)
-
-    @cached_property
     def band(self) -> np.ndarray:
         """The block power P^m, m = _BLOCK, in gather form: G[k, j] =
         P^m[k - m + j, k], the chance of reaching level k from k - m + j in m
@@ -548,6 +469,42 @@ class LevelKernel:
             _square_band(self.band[a:b], slice(r - a, e - a), out=rung[r:e])
         self.work.rung_builds += 1
         return rung
+
+    def _dense_power(self, steps: int) -> np.ndarray:
+        """P^steps, steps a power of two, as a dense n x n matrix: D[j, k]
+        is the chance of reaching ks[k] from ks[j].  The kernel's one table
+        of these powers is squared on from the longest it holds (Knuth,
+        TAOCP vol. 2 §4.6.3), from the one-step matrix P where n <= 2
+        _BLOCK + 1, else from `rung` set out densely, and then it keeps only
+        powers of n steps or more, the dense leaps of `evolve`.  A product
+        of non-negative matrices adds a relative rounding of at most n eps
+        to an entry and a squaring doubles the error it inherits, so P^M is
+        within (M - 1) n eps of the exact power in every entry, the rung's
+        error (about 450 eps, `evolve`) being under 63 n eps, except that a
+        square of n > 2 _BLOCK + 1 levels is cut to 0 below _FLUSH, under n
+        _FLUSH in a row.
+        """
+        table, n = self._dense, len(self.ks)
+        if not table:
+            if n <= 2 * _BLOCK + 1:
+                table[1] = (np.diag(self.stay) + np.diag(self.up[:-1], 1)
+                            + np.diag(self.down[1:], -1))
+            else:  # rung[k, j] = P^(2 _BLOCK)[k - 2 _BLOCK + j, k]
+                k = np.arange(n)[:, None]
+                src = k + np.arange(-2 * _BLOCK, 2 * _BLOCK + 1)
+                held = (src >= 0) & (src < n)
+                power = np.zeros((n, n))
+                power[src[held], np.broadcast_to(k, src.shape)[held]] = self.rung[held]
+                table[2 * _BLOCK] = power
+        top = max(table)
+        while top < steps:
+            power = table[2 * top] = table[top] @ table[top]
+            if n > 2 * _BLOCK + 1:
+                power[power < _FLUSH] = 0.0
+                if top < n:  # no leap of `evolve` takes it
+                    del table[top]
+            top *= 2
+        return table[steps]
 
     def push(self, mu: np.ndarray, lo: int = 0) -> np.ndarray:
         """One step of a law over ks[lo:lo + len(mu)]: returns mu P there.
@@ -614,19 +571,26 @@ class LevelKernel:
         a later block overwrites.
 
         With leap_above, a whole block whose TV to target provably stays
-        above leap_above at every step is leapt: M = 2 _BLOCK steps through
-        `rung` where the rung is built and the certificate clears them,
-        else M = _BLOCK steps through `band`.  A leap yields only its end
-        law, as one row, with tv None; its law is bitwise `leap`'s.  The
-        rung is built by a cost rule on this kernel's leaps (_PAYBACK).
+        above leap_above at every step is leapt: through the longest dense
+        power P^M of the kernel's table (`_dense_power`; M a power of two of
+        at least n and 4 _BLOCK) that the certificate clears, else M = 2
+        _BLOCK steps through `rung` where the rung is built and the
+        certificate clears them, else M = _BLOCK steps through `band`.  A
+        leap yields only its end law, as one row, with tv None; a leap
+        through band or rung is bitwise `leap`'s, and a dense one's law
+        lies on all of ks.  The rung and each next dense power are built by
+        a cost rule on this kernel's leaps (_PAYBACK, _SQUARE_PAYBACK),
+        dense ones only within a memory budget (_DENSE_BYTES).
 
         The certificate.  A Markov kernel never increases the L1 norm of a
         signed measure, so d_s = ||mu_{s+1} - mu_s||_1 never grows with s
         and TV moves by at most d_s/2 a step.  Hence, for t <= s <= t + M,
         TV(s) >= max(TV(t) - (s - t) d_t/2, TV(t + M) - (t + M - s) d_t/2)
         >= (TV(t) + TV(t + M))/2 - M d_t/4, and any d_r measured at a step
-        r <= t may stand for d_t.  The rung is tried before the band, each
-        as follows.  The first bound alone comes first, with the
+        r <= t may stand for d_t.  The dense powers are tried first, longest
+        first, each on the mean bound alone, with the TV at t computed and d
+        measured there (below).  Then the rung, then the band, each as
+        follows.  The first bound alone comes first, with the
         remembered d and the TV at t whether exact or a bound: when TV(t) -
         M (d + delta)/2 clears the level, the block is leapt with no TV
         computed, and that value is carried to step t + M as the bound on
@@ -663,6 +627,21 @@ class LevelKernel:
         one by under (64 t + 4 B + n + 4) eps, and the leap and two TV sums
         add 16 M + 2n eps, all within M delta/2 with delta = (64 (t + M) +
         2n + 4 B) eps.
+
+        The dense leaps.  A dense leap errs by under 3 n M eps of L1 (P^M's
+        (M - 1) n eps per entry, the product's n-term sums and the
+        renormalisation), so after T steps of dense leaps the budgets above
+        count lost = 2 n T eps more in each TV and 4 lost more in delta.  A
+        dense leap applies the mean bound to the exact evolution of the law
+        nu held at t, with TV(nu) and d(nu) computed at t: the exact law at
+        t + u lies within ||mu_t - nu||_1 of nu P^u, so the law's error
+        counts once, not M times.  Its rest, for that error, a reference
+        push's, the leap's own, d's sums and two TV sums, is under (32 (t +
+        M) + B + 2 n (T + M + 1)) eps.  It passes 1/2, and no dense leap is
+        certified, once T + M passes 1/(4 n eps), about 5.6e12 steps at 201
+        levels; the band's and rung's budgets stop earlier, once 2 n T (M +
+        2) eps passes 1/2 (T near 1.6e11 there), and the engine then pushes
+        what it cannot leap.
         """
         n, m, cut, work = len(self.ks), _BLOCK, self.tail_cut, self.work
         a, held = live_window(0, mu, cut)
@@ -688,19 +667,67 @@ class LevelKernel:
             powers = {m: self.band}
             if "rung" in vars(self):  # a cached_property, built
                 powers[2 * m] = self.rung
+            # the dense powers tried, longest first: those of at least n steps
+            # (and 4 _BLOCK), for a dense leap of a law spread over the levels
+            # costs about the rung's leaps over 0.4-0.8 n steps (23-367 us
+            # against 9-30 us for 64 steps at n = 201 to 1001); and the
+            # longest that _DENSE_BYTES lets the table hold
+            shortest = max(4 * m, 1 << (n - 1).bit_length())
+            dense = sorted((M for M in self._dense if M >= shortest), reverse=True)
+            limit = (1 if n <= 2 * m + 1 else 2 * m) << max(_DENSE_BYTES // (8 * n * n) - 1, 0)
             outs, side = np.empty((2, n)), 0  # a leap writes the one held is not in
-        # the one-step change last measured, and the step it was measured at
-        done, d, fresh = 0, math.inf, -1
+        # the one-step change last measured, the step it was measured at,
+        # and the steps taken by dense leaps
+        done, d, fresh, dense_steps = 0, math.inf, -1, 0
         while done < steps:
             leapt = 0
             if leap_above is not None and steps - done >= m:
-                if len(powers) == 1 and work.leaps[m] >= _PAYBACK * n:
-                    powers[2 * m] = self.rung
-                for M in (2 * m, m) if len(powers) == 2 and steps - done >= 2 * m else (m,):
+                # the next power: the rung by _PAYBACK, a dense one by
+                # _SQUARE_PAYBACK (a product through P^top costs n min(n, 2
+                # top + 1) multiply-adds)
+                top = dense[0] if dense else max(powers)
+                grow = shortest if top == 2 * m else 2 * top
+                if top == m:
+                    need = _PAYBACK * n
+                else:
+                    need = (_SQUARE_PAYBACK * ((grow // top).bit_length() - 1)
+                            * n * n / min(n, 2 * top + 1))
+                if grow <= limit and work.leaps.get(top, 0) >= need:
+                    if top == m:
+                        powers[2 * m] = self.rung
+                    else:
+                        self._dense_power(grow)
+                        dense.insert(0, grow)
+                for M in dense + ([2 * m, m] if len(powers) == 2 else [m]):
+                    if M > steps - done:
+                        continue
                     t_end = done + M
                     blocks = t_end // m
-                    rest = (M + 2) * (16 * t_end + n + blocks) * _EPS
-                    bound = tv_now - 0.5 * M * (d + (64 * t_end + 2 * n + 4 * blocks) * _EPS)
+                    if M > 2 * m:  # a dense leap: the mean bound at a fresh TV and d
+                        if tv_src is not None:
+                            tv_now, tv_src = tv_of(*tv_src), None
+                            work.tvs += 1
+                        if fresh != done:
+                            d, fresh = self._step_change(a, held), done
+                        rest = (32 * t_end + blocks + 2 * n * (dense_steps + M + 1)) * _EPS
+                        if not 0.5 * (tv_now + 1.0) - 0.25 * M * d > level + rest:
+                            continue
+                        lo, law = 0, outs[side]
+                        np.matmul(held, self._dense[M][a:a + len(held)], out=law)
+                        np.divide(law, np.add.reduce(law), out=law)
+                        tv_end = tv_of(0, law)
+                        work.tvs += 1
+                        if not 0.5 * (tv_now + tv_end) - 0.25 * M * d > level + rest:
+                            work.failed_leaps += 1
+                            continue
+                        tv_now = tv_end
+                        dense_steps += M
+                        leapt = M
+                        break
+                    lost = 2 * n * dense_steps  # the dense leaps' share of a TV's error
+                    rest = (M + 2) * (16 * t_end + n + blocks + lost) * _EPS
+                    bound = tv_now - 0.5 * M * (
+                        d + (64 * t_end + 2 * n + 4 * blocks + 4 * lost) * _EPS)
                     sure = bound > level + rest
                     if not sure:
                         if tv_src is not None:
@@ -738,7 +765,7 @@ class LevelKernel:
             if leapt:
                 side ^= 1
                 done += leapt
-                work.leaps[leapt] += 1
+                work.leaps[leapt] = work.leaps.get(leapt, 0) + 1
                 laws, tv = law[None], None
             else:
                 m_now = min(m, steps - done)
@@ -800,28 +827,26 @@ class LevelKernel:
 
         A window of n <= 2 _BLOCK + 1 levels is no wider than a row of
         `band`, which is then just the dense n x n matrix P^_BLOCK: there
-        the law is taken by binary powering of the dense one-step matrix P
-        (Knuth, TAOCP vol. 2 §4.6.3), one law @ P^(2^j) for each set bit j
-        of steps and one squaring per bit, and `band` is never built.  A
-        product of non-negative matrices adds a relative rounding of at
-        most n eps to each entry, and a squaring doubles the error it
-        inherits, so P^(2^j) is within (2^j - 1) n eps and the law, before
-        its renormalisation, within steps * n eps of mu P^steps in every
-        entry; the renormalisation at most doubles that in L1.  For
-        n <= 65 that is about twice the 32 eps a step of `leap`.
+        the law is taken by binary powering (Knuth, TAOCP vol. 2 §4.6.3),
+        one law @ P^(2^j) for each set bit j of steps, read from the
+        kernel's table of dense powers (`_dense_power`, squared on from the
+        one-step matrix P), and `band` is never built.  P^(2^j) is within
+        (2^j - 1) n eps of the exact power and the law, before its
+        renormalisation, within steps * n eps of mu P^steps in every entry;
+        the renormalisation at most doubles that in L1.  For n <= 65 that
+        is about twice the 32 eps a step of `leap`.
 
         Wider windows take one `leap` per whole block of steps, and
         `evolve` pushes the rest.
         """
         law = mu / mu.sum()
         if len(self.ks) <= 2 * _BLOCK + 1:
-            power = np.diag(self.stay) + np.diag(self.up[:-1], 1) + np.diag(self.down[1:], -1)
-            while steps:
-                if steps & 1:
-                    law = law @ power
-                steps >>= 1
-                if steps:
-                    power = power @ power
+            bits = int(steps).bit_length()
+            if bits:
+                self._dense_power(1 << (bits - 1))
+            for j in range(bits):
+                if steps >> j & 1:
+                    law = law @ self._dense[1 << j]
             return law / law.sum()
         lo = 0
         for _ in range(steps // _BLOCK):

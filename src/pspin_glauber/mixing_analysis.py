@@ -14,12 +14,13 @@ read from the kernel of the restriction: ``LevelKernel.gibbs`` (or
 ``log_gibbs``), the target of every TV, and ``log_pi``, the chain's own.
 
 Exact mixing times skip the blocks where TV provably stays above eps with
-one leap of the banded block power, or of its square where the kernel has
-leapt long enough to pay for it (``evolve`` with ``leap_above=eps``), and
-finish in closed form once only the slowest mode is left (``_slow_finish``):
-u steps on, the law is then pi_chain + lam2^u (mu - pi_chain) up to a
-remainder that one more push bounds, and the first crossing along that ray
-is found without pushing the remaining steps.
+one leap (``evolve`` with ``leap_above=eps``): of the banded block power, of
+its square where the kernel has leapt long enough to pay for it, or of the
+longest dense power P^(2^j) in the kernel's table that one certificate
+clears, so that a crossing exp(Omega(N)) steps away costs about log2 of
+that many squarings, each built once the shorter leaps have paid for it.
+Every crossing is read from a pushed block's TVs: the step the per-step
+push reaches.
 
 Worst-start convention: mixing times maximize the TV crossing over the
 all-plus and all-minus starts (the extreme levels), not over all 2^N
@@ -110,148 +111,23 @@ def tv_curve(params: ModelParams, N: int, start_k: int, t_max: int,
                    capped=not tv[-1] <= eps_stop)
 
 
-# Exact mixing first tries the closed-form finish after this many sweeps (N
-# steps each).  The modes of the level chain other than the slowest relax on
-# the scale of a sweep, so no certificate holds much earlier; the kernel's
-# coarse spectrum, computed at the first try (23 Sturm counts, about 0.5 ms
-# at N = 200 and 3.5 ms at N = 1600), is then not paid by the regular
-# point, which mixes in about 0.6 N log N steps.  Later tries are scheduled
-# from the spectrum.
-_FIRST_FINISH = 8
-_EPS = np.finfo(float).eps
-
-
 def _exact_crossing(kernel: LevelKernel, target: np.ndarray, start_k: int,
                     eps: float, cap: int) -> int | None:
     """First step t <= cap with TV(law from start_k, target) <= eps, or None.
 
     One kernel.evolve with leap_above=eps: a leapt block provably holds no
-    crossing, a pushed one gives its TVs step by step.  At checkpoints it
-    tries _slow_finish, which ends the push once its certificate holds.
+    crossing, a pushed one gives its TVs step by step.
     """
-    n = len(kernel.ks)
-    mu = np.zeros(n)
+    mu = np.zeros(len(kernel.ks))
     mu[kernel.index(start_k)] = 1.0
     if 0.5 * float(np.abs(mu - target).sum()) <= eps:
         return 0
-    check = _FIRST_FINISH * kernel.N if n >= 3 else cap
-    for t, lo, laws, tv in kernel.evolve(mu, cap, target=target, leap_above=eps):
+    for t, _, _, tv in kernel.evolve(mu, cap, target=target, leap_above=eps):
         if tv is not None:
             hit = np.flatnonzero(tv <= eps)
             if hit.size:
                 return t - len(tv) + int(hit[0]) + 1
-        if check <= t < cap:
-            law = np.zeros(n)
-            law[lo:lo + laws.shape[1]] = laws[-1]
-            u, wait = _slow_finish(kernel, law, target, eps, t, cap)
-            if u is not None:
-                return t + u if t + u <= cap else None
-            check = cap if wait is None else t + wait
     return None
-
-
-def _slow_finish(kernel: LevelKernel, mu: np.ndarray, target: np.ndarray,
-                 eps: float, t: int, cap: int):
-    """Closed-form end of the push of the law mu, reached at step t.
-
-    Let d = mu - pi, with pi the chain's own law, and ||v||_w = ||v /
-    sqrt(pi)||_2, a norm that bounds L1 and in which P is self-adjoint.
-    Write d = c2 x2 + r, with x2 P = lam2 x2 and r in the modes at or below
-    lam3 (LevelKernel.spectrum).  As (P - lam2) x2 = 0 and lam2 - lam_i >=
-    lam2 - lam3 for those modes, ||r||_w <= R = (||d P - lam2 d||_w + err
-    ||d||_w) / (lam2 - err - lam3).  u steps later the law is pi + lam2^u
-    c2 x2 + r P^u, so the ray pi + lam2^u d, the law itself at u = 0, is
-    off by at most R + u err ||d||_w / 2 in TV, plus rounding.  The TV to
-    target along the ray is convex in s = lam2^u, so the first u with TV <=
-    eps follows from a bisection over integers.  The result is certified
-    when the ray's distance from eps, at the crossing and the step before
-    it (or up to the cap), exceeds that error and the rounding of pi and of
-    the push that any reference computation of the same law would make.
-
-    Until a try has refined lam2 (LevelKernel.spectrum, cached on the
-    kernel and so shared by its starts), a try first reads the cheap
-    LevelKernel.coarse_spectrum, which brackets lam2 in [top - width, top],
-    and drops out, to try again t steps on, when R provably exceeds the
-    ray's distance from eps, the margin.  R is at least (||d P - top d||_w
-    - width ||d||_w) / (top - lam3).  The ray falls until the step the
-    margin is read at, so the margin is at most the TV at u = 0 minus eps.
-    And where the ray is within eps at s = top^(cap - t), at or above its
-    value at the cap, the two steps of the ray around that point lie
-    within ||d||_1 (1 - lam2) / 2 of eps, and so does the margin.  A factor
-    2 on that bound covers the rounding of both sides.
-
-    Returns (u, None) when certified: the first crossing is at t + u, or
-    after the cap when u > cap - t.  Otherwise returns (None, wait): the
-    steps until another try, from t / 2 to t, so that tries stay cheap
-    beside the push, or wait None when the spectrum allows no certificate.
-    """
-    coarse = kernel.coarse_spectrum
-    top, width = coarse.lam2, coarse.err
-    # then the refined check below fails too: lam2 <= top, err >= 16 eps
-    if not (coarse.rho < top and top - width < 1.0 - 32 * _EPS):
-        return None, None
-    log_pi = kernel.log_pi
-    pi = np.exp(log_pi)
-    d = mu - pi
-    dP = kernel.push(d)
-
-    def w_norm(v):  # ||v||_w, formed in log space where pi underflows
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return float(np.linalg.norm(np.where(
-                v == 0.0, 0.0, np.exp(np.log(np.abs(v)) - 0.5 * log_pi))))
-
-    def ray(u, lam2):  # TV along the ray u steps on, minus eps, and its slope in s
-        gap = pi + lam2 ** u * d - target
-        return 0.5 * float(np.abs(gap).sum()) - eps, float(d @ np.sign(gap))
-
-    D, horizon = w_norm(d), cap - t
-    if "spectrum" not in vars(kernel):  # lam2 not yet refined (a cached_property)
-        if ray(horizon, top)[0] <= 0.0:
-            bound = 0.5 * float(np.abs(d).sum()) * (1.0 - (top - width))
-        else:
-            bound = ray(0, top)[0]
-        low = (w_norm(dP - top * d) - width * D) / (top - coarse.lam3)
-        if not low <= 2.0 * bound:  # or R is not finite
-            return None, t
-
-    lam2, lam3, rho, err = kernel.spectrum
-    if not rho + 2 * err < lam2 < 1.0 - 2 * err:
-        return None, None
-    R = (w_norm(dP - lam2 * d) + err * D) / (lam2 - err - lam3)
-    if not math.isfinite(R):  # mass where pi underflows: try again later
-        return None, t
-
-    # The ray's TV falls, then rises (convex in s = lam2^u): find the first
-    # u at which it is within eps or has stopped falling.
-    lo, hi = 0, horizon + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        e, slope = ray(mid, lam2)
-        if e <= 0.0 or slope <= 0.0:
-            hi = mid
-        else:
-            lo = mid + 1
-    u, (e, _) = lo, ray(lo, lam2)
-    if e <= 0.0 and u <= horizon:
-        margin = min(-e, ray(u - 1, lam2)[0]) if u else 0.0
-    else:  # the ray stays above eps up to the cap
-        margin = min(ray(j, lam2)[0] for j in (u - 1, u) if 0 <= j <= horizon)
-        u = horizon + 1
-    span = min(u, horizon)
-    drift = 0.5 * span * err
-    # rounding: pi's log cumsum (an eps per level and per unit of |log
-    # ratio|) and under 4 eps of L1 per pushed step, here and in a reference
-    rest = _EPS * (2 * (len(pi) + np.abs(np.diff(log_pi)).sum()) + 4 * (t + span))
-    if margin > R + drift * D + rest:
-        return u, None
-    # the part of d along x2, at least ||d||_w - R, keeps its drift until
-    # the crossing nears; R shrinks at least like rho^u, and faster while
-    # fast modes die out
-    floor = rest + drift * max(D - R, 0.0)
-    if margin <= floor:
-        return None, t
-    shrink = math.log((margin - floor) / R) / math.log(max(rho, _EPS))
-    return None, min(max(math.ceil(shrink), t // 2), t)
 
 
 def _mc_tv_crossing(kernel, target, start_k, eps, cap, replicas, seed):
@@ -289,9 +165,9 @@ def mixing_time(params: ModelParams, N: int, eps: float, cap: int,
 
     ExactProjected evolves the level law exactly, leaping whole blocks
     where TV provably stays above eps (LevelKernel.evolve's leap_above),
-    and, once only its slowest mode is left, finds the crossing in closed
-    form (_slow_finish): the same step tv_curve's push reaches, or capped
-    when that lies past the cap.  MonteCarlo estimates TV from the
+    through the kernel's dense powers where TV stays above eps for long:
+    the same step tv_curve's push reaches, or capped when that lies past
+    the cap.  MonteCarlo estimates TV from the
     histogram of `replicas` chains every N // 4 steps (_mc_tv_crossing:
     upward-biased near the crossing, reported with a rough multinomial
     standard error).  The chains are stepped as counts over the levels,

@@ -444,41 +444,22 @@ def free_energy_slope(p: int, beta: float, h: float, x: float,
         return (float(p * b * y ** (p - 1) + mpmath.mpf(h) - mpmath.atanh(y)),
                 float(p * (p - 1) * b * y ** (p - 2) - 1 / (1 - y**2)))
 
-def slow_eigenvalues(p: int, beta: float, h: float, N: int,
-                     dps: int = 40) -> tuple[float, float]:
-    """lam2 and lam3 of the level chain's kernel, by Sturm sequences in mpmath.
-
-    The kernel is built from the README rule at `dps` digits: up(k) =
-    (N - k)/(2N) f(k), down(k) = (N + k)/(2N) (1 - f(k)) and stay = 1 - up -
-    down.  Its symmetrised form is tridiagonal with diagonal stay and squared
-    off-diagonal up(k) down(k+2), so the number of eigenvalues below x is the
-    number of negative pivots of the LDL^T factorisation of T - x.  The top
-    eigenvalue is 1; lam2 and lam3 are the next two, bisected to `dps`
-    digits.
-    """
-    import mpmath
-
-    with mpmath.workdps(dps):
-        ks = range(-N, N + 1, 2)
-        f = [(1 + mpmath.tanh(p * mpmath.mpf(beta) * (mpmath.mpf(k) / N) ** (p - 1)
-                              + mpmath.mpf(h))) / 2 for k in ks]
-        up = [mpmath.mpf(N - k) / (2 * N) * fk for k, fk in zip(ks, f)]
-        down = [mpmath.mpf(N + k) / (2 * N) * (1 - fk) for k, fk in zip(ks, f)]
-        diag = [1 - u - d for u, d in zip(up, down)]
-        off2 = [up[i] * down[i + 1] for i in range(N)]
-
-        def below(x):
-            count, q = 0, diag[0] - x
-            for i in range(1, N + 1):
-                count += q < 0
-                q = diag[i] - x - off2[i - 1] / q
-            return count + (q < 0)
-
-        def eigenvalue(j):  # j-th smallest, counted from 0
-            return float(_mp_bisect(lambda x: below(x) - j - 0.5,
-                                    mpmath.mpf(-1), mpmath.mpf(1) + mpmath.mpf(10) ** -dps))
-
-        return eigenvalue(N - 1), eigenvalue(N - 2)
+def longdouble_power(up: np.ndarray, down: np.ndarray, stay: np.ndarray,
+                     steps: int) -> np.ndarray:
+    """P^steps in np.longdouble for the birth-death matrix P with the given
+    rates (P[k, k+1] = up[k], P[k, k-1] = down[k], P[k, k] = stay[k]), by
+    repeated squaring; steps a power of two.  Where long double is the x87
+    80-bit format, its rounding is about 2000 times finer than float64's."""
+    n = len(stay)
+    power = np.zeros((n, n), dtype=np.longdouble)
+    i = np.arange(n)
+    power[i, i] = stay
+    power[i[:-1], i[1:]] = up[:-1]
+    power[i[1:], i[:-1]] = down[1:]
+    while steps > 1:
+        power = power @ power
+        steps //= 2
+    return power
 
 
 def log_binomials(N: int, dps: int = 40) -> np.ndarray:

@@ -10,11 +10,9 @@ from pspin_glauber import (
     MONTE_CARLO,
     DomainError,
     ModelParams,
-    Region,
     beta_hat,
     bottleneck,
     boundary_curves,
-    classify_point,
     evaluate_potential,
     find_stationary_points,
     h_hat,
@@ -45,9 +43,9 @@ from conftest import (
     gibbs_full_law,
     level_chain_power,
     log_binomials,
+    longdouble_power,
     passage_means,
     replica_step,
-    slow_eigenvalues,
 )
 
 H_HAT_4 = 0.40996906622851137
@@ -248,16 +246,18 @@ CRITICAL = ModelParams(4, 0.51, 0.184)
 
 @pytest.fixture
 def pushed_steps(monkeypatch):
-    """Counts the steps exact mixing advances: those LevelKernel.evolve
-    pushes and the _BLOCK steps of each certified leap, read from the steps
-    done that each block yields."""
+    """Counts the steps exact mixing advances a block of at most 2 _BLOCK
+    at a time: those LevelKernel.evolve pushes and those of each leap
+    through `band` or `rung`, read from the steps done that each block
+    yields.  The steps of a leap through a dense power are not counted."""
     count = [0]
     evolve = LevelKernel.evolve
 
     def counting(self, mu, steps, target=None, leap_above=None):
         done = 0
         for t, lo, laws, tv in evolve(self, mu, steps, target, leap_above):
-            count[0] += t - done
+            if t - done <= 2 * _BLOCK:
+                count[0] += t - done
             done = t
             yield t, lo, laws, tv
 
@@ -284,9 +284,10 @@ def leap_kernel(kind):
 @pytest.mark.parametrize("kind", ["regular", "critical floor", "sampler window"])
 def test_evolve_leaps_match_pushed_laws(kind):
     # every row a leaping evolve yields is the per-step push's law at its
-    # step; a leapt block is one row _BLOCK steps on, or 2 _BLOCK once the
-    # kernel has built its rung, with every step's TV above the level;
-    # law_after, which leaps every whole block, ends at the push's law too
+    # step; a leapt block is one row _BLOCK steps on, 2 _BLOCK once the
+    # kernel has built its rung, or as many as a dense power it has built,
+    # with every step's TV above the level; law_after, which leaps every
+    # whole block, ends at the push's law too
     kernel, target, start, eps = leap_kernel(kind)
     n, steps = len(kernel.ks), 4000 + 5
     mu = np.zeros(n)
@@ -300,7 +301,7 @@ def test_evolve_leaps_match_pushed_laws(kind):
     done, leapt, pushed = 0, 0, 0
     for t, lo, laws, tv in kernel.evolve(mu, steps, target=target, leap_above=eps):
         if tv is None:
-            assert t - done in (_BLOCK, 2 * _BLOCK) and len(laws) == 1
+            assert len(laws) == 1 and t - done in (_BLOCK, 2 * _BLOCK, *kernel._dense)
             assert t - done == _BLOCK or "rung" in vars(kernel)
             assert np.all(ref_tv[done + 1:t + 1] > eps)
             leapt += 1
@@ -316,63 +317,9 @@ def test_evolve_leaps_match_pushed_laws(kind):
     assert np.abs(kernel.law_after(mu, steps) - ref[steps]).sum() <= 1e-12
 
 
-def test_slow_spectrum_matches_sturm_oracle():
-    spec = LevelKernel(CRITICAL, 200).spectrum
-    lam2, lam3 = slow_eigenvalues(4, 0.51, 0.184, 200)
-    assert 5.72e-7 < 1.0 - lam2 < 5.74e-7
-    assert abs(spec.lam2 - lam2) <= spec.err <= 1e-14
-    # lam3 is bounded from above, within 1/64 in log(1 - lam3)
-    assert lam3 <= spec.lam3 == spec.rho < spec.lam2
-    assert abs(math.log((1.0 - spec.lam3) / (1.0 - lam3))) <= 1 / 64
-
-
-@pytest.mark.parametrize("point, N", [((4, 0.51, 0.184), 200), ((4, 0.05, 0.3), 400),
-                                      ((4, 1 / 3, H_HAT_4), 800)])
-def test_coarse_spectrum_brackets_the_refined_one(point, N):
-    # the first stage brackets lam2 to 1/64 in log(1 - x) and gives lam3 and
-    # rho; continued from that bracket, the bisection ends where one run
-    # from x = 1 to -1 to adjacent floats ends
-    kernel = LevelKernel(ModelParams(*point), N)
-    coarse, spec = kernel.coarse_spectrum, kernel.spectrum
-    assert coarse.lam2 - coarse.err <= spec.lam2 <= coarse.lam2
-    assert 0.0 < math.log((1.0 - coarse.lam2 + coarse.err) / (1.0 - coarse.lam2)) <= 1 / 64
-    assert (spec.lam3, spec.rho) == (coarse.lam3, coarse.rho)
-    diag = kernel.stay.tolist()
-    off2 = [0.0] + (kernel.up[:-1] * kernel.down[1:]).tolist()
-    near, far = dynamics._split(
-        lambda x: dynamics._count_above(diag, off2, x), 1, math.log(np.finfo(float).eps / 4),
-        math.log(2.0), lambda a, b: math.nextafter(-math.expm1(a), -1.0) <= -math.expm1(b))
-    assert spec.lam2 == -math.expm1(near)
-    assert spec.err == -math.expm1(near) + math.expm1(far) + 16 * np.finfo(float).eps
-
-
-def test_slow_spectrum_certifies_lam2_away_from_the_top_pair():
-    # at (4, 0.05, 0.3) the bisection takes lam2 to adjacent floats; at
-    # (4, 0.5, 0) lam2 and lam3 agree to 30 digits, so no eigenvalue
-    # within err is the second one alone
-    spec = LevelKernel(ModelParams(4, 0.05, 0.3), 400).spectrum
-    lam2, lam3 = slow_eigenvalues(4, 0.05, 0.3, 400)
-    assert abs(spec.lam2 - lam2) <= spec.err <= 1e-14
-    assert lam3 <= spec.lam3 < spec.lam2
-    assert LevelKernel(ModelParams(4, 0.5, 0.0), 400).spectrum.err == math.inf
-
-
-def test_slow_spectrum_certifies_every_regular_cell():
-    # every LocallyRegular cell of a p = 4 grid at N = 100 gets a finite err
-    cells = 0
-    for beta in np.linspace(0.05, 1.2, 24):
-        for h in np.linspace(-1.0, 1.0, 41):
-            if classify_point(4, beta, h).region != Region.LOCALLY_REGULAR:
-                continue
-            cells += 1
-            spec = LevelKernel(ModelParams(4, float(beta), float(h)), 100).spectrum
-            assert spec.err < math.inf, (beta, h)
-    assert cells == 502
-
-
-def test_closed_form_finish_caps_below_the_chain_gibbs_floor(pushed_steps):
+def test_rungs_cap_below_the_chain_gibbs_floor(pushed_steps):
     # the chain's own law lies 0.031 from the Gibbs law in TV, so eps = 0.01
-    # is never reached; the finish certifies that in a few of the 1e7 steps
+    # is never reached; the dense rungs leap all but a few of the 1e7 steps
     params, N = ModelParams(4, 0.5, 0.31), 400
     floor = 0.5 * np.abs(np.exp(LevelKernel(params, N).log_pi)
                          - stationary_mag(params, N)).sum()
@@ -382,19 +329,19 @@ def test_closed_form_finish_caps_below_the_chain_gibbs_floor(pushed_steps):
     assert pushed_steps[0] < 200_000
 
 
-def test_finish_keeps_trying_at_a_near_tangent_crossing(pushed_steps):
-    # three wells: from +60 the TV meets eps = 0.25 with a slope so small
-    # that the ray's margin is about 1e-8 while the remainder bound, held up
-    # by lam3 = 1 - 2e-5, is still 0.2; the finish tries on, at most t steps
-    # apart, until that bound has shrunk, rather than pushing every step
+def test_rungs_reach_a_near_tangent_crossing(pushed_steps):
+    # three wells: from +60 the TV meets eps = 0.25 with a slope of about
+    # 1e-8 a step, while lam3 = 1 - 2e-5 keeps a fast mode alive; the dense
+    # rungs, shorter as the crossing nears, leap most of the way to it
     rep = mixing_time(ModelParams(4, 0.7146, -0.0238), 60, 0.25, 10**7, starts=(60,))
     assert rep.t_by_start == {60: 4_617_662}  # the per-step push's crossing
     assert pushed_steps[0] < 2_000_000  # of 4,617,662
 
 
-def test_closed_form_finish_matches_per_step_crossing(pushed_steps):
-    # the finish engages (far fewer steps are pushed than it reports) and
-    # lands on the step where the pushed TV curve first reaches eps
+def test_rungs_match_per_step_crossing(pushed_steps):
+    # the dense rungs engage (far fewer steps are advanced by blocks than
+    # reported) and the push lands on the step where the pushed TV curve
+    # first reaches eps
     for N, start, cap, want in ((200, -200, 130_000, 121_905),
                                 (100, 100, 50_000, 39_097)):
         pushed_steps[0] = 0
@@ -405,8 +352,9 @@ def test_closed_form_finish_matches_per_step_crossing(pushed_steps):
 
 
 def test_finish_tried_before_the_slow_mode_dominates():
-    # the first try comes while faster modes still move TV; the remainder
-    # bound must keep the ray from answering, so the pushed crossing stands
+    # crossings reached while faster modes still move TV, where a closed
+    # form along the slowest mode alone once had to stand back: every leap
+    # on the way leaves the pushed crossing standing
     for params, N, eps in ((ModelParams(4, 1 / 3, H_HAT_4), 200, 0.35),
                            (ModelParams(3, 0.6, 0.2), 80, 0.1)):
         rep = mixing_time(params, N, eps, 100_000)
@@ -415,7 +363,7 @@ def test_finish_tried_before_the_slow_mode_dominates():
             assert t == int(curve.ts[-1]), (params, start)
 
 
-def test_closed_form_finish_caps_both_critical_starts(pushed_steps):
+def test_rungs_cap_both_critical_starts(pushed_steps):
     rep = mixing_time(CRITICAL, 200, 0.35, 100_000)
     assert rep.capped and rep.t_mix is None
     assert rep.t_by_start == {200: None, -200: None}
@@ -425,15 +373,46 @@ def test_closed_form_finish_caps_both_critical_starts(pushed_steps):
     assert rep.t_by_start == {200: 3_600_420, -200: 121_905}
 
 
-def test_uncertified_finish_pushes_to_the_cap(pushed_steps):
-    # symmetric wells at h = 0: 1 - lam2 is below the eigenvalue error, so
-    # no certificate holds and every step up to the cap is pushed
-    params = ModelParams(4, 0.9, 0.0)
-    spec = LevelKernel(params, 100).spectrum
-    assert spec.lam2 >= 1.0 - 2 * spec.err
-    rep = mixing_time(params, 100, 0.35, 5_000)
-    assert pushed_steps[0] == 10_000
-    assert rep.capped and rep.t_by_start == {100: None, -100: None}
+def test_rungs_cap_symmetric_wells_at_zero_field(pushed_steps):
+    # symmetric wells at h = 0, where 1 - lam2 lies below 1e-14: each start
+    # stays in its well, TV about 1/2, and the dense rungs leap to the cap
+    # rather than the 2e7 steps of leaps through band and rung
+    rep = mixing_time(ModelParams(4, 0.9, 0.0), 200, 0.35, 10**7)
+    assert rep.capped and rep.t_by_start == {200: None, -200: None}
+    assert pushed_steps[0] < 100_000
+
+
+def test_rungs_keep_a_crossing_that_does_not_last(kernels_made):
+    # on C at p = 3 the TV to Gibbs from -300 dips to eps at 283,779 and
+    # climbs back towards the floor TV(pi_chain, Gibbs) = 0.173: no rung
+    # may leap over the dip, and the answer is the per-step push's step
+    params, N = ModelParams(3, 0.55, 0.1121579), 300
+    rep = mixing_time(params, N, 0.05, 10**7, starts=(-N,))
+    assert rep.t_by_start == {-N: 283_779}
+    kernel = kernels_made[-1]
+    assert max(kernel.work.leaps) > 2 * _BLOCK, kernel.work  # dense rungs taken
+    floor = 0.5 * np.abs(np.exp(kernel.log_pi) - kernel.gibbs).sum()
+    assert 0.17 < floor < 0.18
+    curve = tv_curve(params, N, -N, 300_000, eps_stop=0.05)
+    assert not curve.capped and int(curve.ts[-1]) == 283_779
+
+
+@pytest.mark.parametrize("point, N", [((4, 0.51, 0.184), 100), ((4, 0.9, 0.0), 60)])
+def test_dense_powers_within_their_rounding_budget(point, N):
+    # P^(2^20) from the kernel's table (from `rung` at 101 levels, from the
+    # one-step matrix at 61) and the law after it from each end: within
+    # the budget of LevelKernel._dense_power and evolve's dense leap of a
+    # long-double product of the same one-step matrix
+    kernel = LevelKernel(ModelParams(*point), N)
+    n, M, eps = len(kernel.ks), 2**20, np.finfo(float).eps
+    power = kernel._dense_power(M)
+    want = longdouble_power(kernel.up, kernel.down, kernel.stay, M)
+    resolved = want > 2.0**-500  # entries below 2**-510 are cut to 0
+    assert np.all(np.abs(power - want)[resolved] <= (M - 1) * n * eps * want[resolved])
+    for start in (0, n - 1):
+        law = power[start] / power[start].sum()
+        exact = want[start] / want[start].sum()
+        assert float(np.abs(law - exact).sum()) <= 3 * n * M * eps
 
 
 def leap_points(p):
@@ -588,11 +567,13 @@ def test_rung_built_by_the_cost_rule(kernels_made):
 def every_tv_evolve(kernel, mu, steps, target, level):
     """LevelKernel.evolve with leap_above=level, with the TV of every leapt
     law computed: each whole block is leapt when the mean bound of evolve's
-    certificate certifies it, with a remembered one-step change, by 2
-    _BLOCK steps through the rung where the kernel has built it (tried
-    first) or by _BLOCK, and pushed by a one-block evolve otherwise.  Run
-    in step with an evolve on the same kernel, it sees the rung from the
-    block at which that evolve builds it.  Yields (t, lo, laws) copies."""
+    certificate certifies it, through the longest of the kernel's dense
+    powers that it certifies with a fresh one-step change, else with a
+    remembered one by 2 _BLOCK steps through the rung where the kernel has
+    built it (tried first) or by _BLOCK, and pushed by a one-block evolve
+    otherwise.  Run in step with an evolve on the same kernel, it sees the
+    rung and each dense power from the block at which that evolve builds
+    it.  Yields (t, lo, laws) copies."""
     n, m, eps, cut = len(kernel.ks), _BLOCK, np.finfo(float).eps, kernel.tail_cut
     below = np.concatenate(([0.0], np.cumsum(target)))
     above = np.concatenate((np.cumsum(target[::-1])[::-1], [0.0]))
@@ -603,11 +584,28 @@ def every_tv_evolve(kernel, mu, steps, target, level):
 
     a, held = live_window(0, mu, cut)
     tv, d, fresh, done = tv_of(a, held), math.inf, -1, 0  # fresh: the step d is from
+    dense_steps = 0
     while done < steps:
         leapt = None
-        rungs = (2 * m, m) if "rung" in vars(kernel) and steps - done >= 2 * m else (m,)
-        for M in rungs if steps - done >= m else ():
-            rest = (M + 2) * (16 * (done + M) + n + (done + M) // m) * eps
+        dense = sorted((M for M in kernel._dense if M > 2 * m), reverse=True)
+        rungs = [2 * m, m] if "rung" in vars(kernel) else [m]
+        for M in dense + rungs if steps - done >= m else ():
+            if M > steps - done:
+                continue
+            if M > 2 * m:
+                if fresh != done:
+                    d, fresh = kernel._step_change(a, held), done
+                rest = (32 * (done + M) + (done + M) // m + 2 * n * (dense_steps + M + 1)) * eps
+                if not 0.5 * (tv + 1.0) - 0.25 * M * d > level + rest:
+                    continue
+                lo, law = 0, held @ kernel._dense[M][a:a + len(held)]
+                law /= law.sum()
+                tv_end = tv_of(lo, law)
+                if 0.5 * (tv + tv_end) - 0.25 * M * d > level + rest:
+                    leapt, dense_steps = M, dense_steps + M
+                    break
+                continue
+            rest = (M + 2) * (16 * (done + M) + n + (done + M) // m + 2 * n * dense_steps) * eps
 
             def clears(tv_end, d):
                 return 0.5 * (tv + tv_end) - 0.25 * M * d > level + rest
@@ -643,7 +641,8 @@ def test_leap_bound_keeps_the_laws_of_every_tv_leaps(point, N, start, steps):
     # bitwise that reference's: up to the crossing and past it (the regular
     # and special points cross at 6,083 and 41,357 steps), or all the way at
     # the critical point, which crosses at 121,905.  The special and
-    # critical points build the rung on the way, the regular one does not
+    # critical points build the rung on the way, the regular one does not,
+    # and the critical point its dense powers too
     kernel = LevelKernel(ModelParams(*point), N)
     mu = np.zeros(len(kernel.ks))
     mu[kernel.index(start)] = 1.0
@@ -655,26 +654,7 @@ def test_leap_bound_keeps_the_laws_of_every_tv_leaps(point, N, start, steps):
         leapt += tv is None
     rung = point != (4, 0.054, 0.5)  # the regular point leaps too little
     assert leapt > 100 and (kernel.work.leaps[2 * _BLOCK] > 0) == rung
-
-
-def test_special_sweep_refines_no_spectrum(monkeypatch):
-    # at the special point every start crosses before a certificate can
-    # hold: each try reads the coarse spectrum and drops out on its bounds,
-    # so no lam2 is refined to adjacent floats (228 Sturm counts before)
-    counts = [0]
-    count_above = dynamics._count_above
-
-    def counted(*args):
-        counts[0] += 1
-        return count_above(*args)
-
-    monkeypatch.setattr(dynamics, "_count_above", counted)
-    params = ModelParams(4, 1 / 3, H_HAT_4)
-    t_by_n = {N: mixing_time(params, N, 0.35, 1_000_000).t_by_start
-              for N in (200, 400, 800, 1600)}
-    assert t_by_n == {200: {200: 2000, -200: 2046}, 400: {400: 5585, -400: 5511},
-                      800: {800: 15598, -800: 15023}, 1600: {1600: 43568, -1600: 41357}}
-    assert counts[0] <= 100
+    assert (max(kernel.work.leaps) > 2 * _BLOCK) == (point == (4, 0.51, 0.184))
 
 
 # The exact crossings of `mixing_time` (eps 0.05 and 0.35, cap 2e5) at the
