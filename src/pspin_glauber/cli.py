@@ -322,7 +322,7 @@ def _cmd_curves(args) -> None:
     if args.p < 3:
         raise DomainError(f"the curves U, L and C are defined for p >= 3, got p={args.p}")
     betas = phase_geometry.curve_betas(args.beta_min, args.beta_max, args.beta_step)
-    samples = [phase_geometry.boundary_curves(args.p, b) for b in betas.tolist()]
+    samples = phase_geometry.curve_samples(args.p, betas)
     if args.svg:
         series = []
         for key in ("U", "L", "C"):
@@ -341,11 +341,14 @@ def _cmd_phase_diagram(args) -> None:
         beta_step=args.beta_step, h_min=args.h_min, h_max=args.h_max,
         h_step=args.h_step, max_cells=args.max_cells,
     )
-    jobs = _jobs(args)
     beta_axis, h_axis = phase_geometry.grid_axes(spec)  # before any pool starts
-    columns = _map(jobs, functools.partial(phase_geometry.scan_column, spec.p,
-                                           h_axis=h_axis), beta_axis.tolist())
-    grid = phase_geometry.scan_grid(spec, columns=columns)
+    # one contiguous block of the beta axis per worker
+    jobs = min(_jobs(args), len(beta_axis))
+    blocks = np.array_split(beta_axis, jobs)
+    scans = _map(jobs, functools.partial(phase_geometry.scan_block, spec.p,
+                                         h_axis=h_axis), blocks)
+    grid = phase_geometry.scan_grid(spec, columns=[
+        column for codes, samples in scans for column in zip(codes, samples)])
     hs = list(map(_fmt, grid.h_axis.tolist()))
     betas = [b for b in map(_fmt, grid.beta_axis.tolist()) for _ in hs]
     _write(args.out_prefix + ".grid.csv", _csv(  # ordered by beta, then h

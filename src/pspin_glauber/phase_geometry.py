@@ -34,13 +34,12 @@ from .potential import (
     StationaryPoint,
     _beta_hat,
     _bisect,
-    _height,
-    _slopes,
-    _solve_root,
+    curvature_roots,
     free_energy_d1,  # noqa: F401  (perfbench/layers.py counts calls through it)
     free_energy_d2,  # noqa: F401  (perfbench/layers.py counts calls through it)
     landscape_structure,
     local_maxima,
+    node_terms,
 )
 
 
@@ -158,112 +157,266 @@ def thresholds(p: int) -> Thresholds:
     return Thresholds(p=p, beta_hat=bh, h_hat=hh, beta_tilde=bt, beta_prime=bp)
 
 
-def _height_gap(struct: LandscapeStructure, h: float):
-    """(gap, slope) of H(top maximizer) - H(best other maximizer) at h.
-
-    The top maximizer lies above the last root of H''.  Only the maximizers
-    are solved, each inside its bracket from the node signs by `_solve_root`,
-    as in `stationary_points`.  The slope d(gap)/dh is m_top - m_other by
-    the envelope theorem (dH(m(h); h)/dh = m at a maximizer).  Where the
-    pair does not exist the gap is only the side of C that h lies on,
-    +-inf with a nan slope: above if only the top maximizer exists, below
-    if the top maximizer does not.
-    """
-    p, beta = struct.p, struct.beta
-    brackets = [(lo, hi) for kind, lo, hi in struct._pattern(*struct._nodes_for(h))
-                if kind is PointKind.LOCAL_MAX]
-    if brackets[-1][0] < struct.nodes[-1]:
-        return -math.inf, math.nan
-    if len(brackets) < 2:
-        return math.inf, math.nan
-    g, g1 = _slopes(p, beta, h)
-    maxima = []
-    for lo, hi in brackets:  # a tangency node (lo == hi) is the maximizer
-        u = lo if lo == hi else _solve_root(g, g1, lo, hi, PointKind.LOCAL_MAX)
-        maxima.append(_height(p, beta, h, u))
-    m_top, h_top = maxima[-1]
-    m_other, h_other = max(maxima[:-1], key=lambda mh: mh[1])
-    return h_top - h_other, m_top - m_other
-
-
 # |gap| at which the two heights tie to rounding (each is a sum of O(1)
 # terms): the solve takes one last Newton step from there and stops
 _GAP_FLOOR = 1e-15
 
 
-def _equal_height_field(p: int, beta: float, lo: float, hi: float) -> float:
-    """The field h at which the two relevant maximizers of H tie in height.
+def _solve_maxima(p: int, betas, hs, lo, hi) -> np.ndarray:
+    """The local maximizer u of H (root of G, falling from + to -) in each
+    bracket [lo, hi], at fields hs and inverse temperatures betas.
+
+    The batched form of `_solve_root` for LOCAL_MAX, with the safeguards
+    of `rtsafe` (Press et al., Numerical Recipes, 9.4): Newton on
+    G(u) = p*beta*tanh(u)^(p-1) + h - u from the bracket's middle, a step
+    that leaves the shrinking sign bracket, that is not at most half the
+    step before the last one (a Newton cycle across an inflection of G),
+    or where G' is not negative, replaced by bisection.  A lane stops at a
+    Newton step of at most one ulp, taken, or at a bracket of two adjacent
+    floats.
+    """
+    pb, x = p * betas, 0.5 * (lo + hi)
+    dx = dx_old = hi - lo
+    out = np.empty(len(x))
+    idx = np.arange(len(x))
+    for _ in range(200):
+        if not idx.size:
+            return out
+        m = np.tanh(x)
+        g = x - (pb * m ** (p - 1) + hs)  # -G, rising across the root
+        lo = np.where(g < 0.0, x, lo)
+        hi = np.where(g > 0.0, x, hi)
+        slope = 1.0 - pb * (p - 1) * m ** (p - 2) * (1.0 - m * m)  # -G'
+        rises = slope > 0.0
+        step = np.where(rises, g / np.where(rises, slope, 1.0), np.nan)
+        newton = x - step
+        last = np.abs(newton - x) <= np.spacing(np.abs(x))
+        fast = (lo < newton) & (newton < hi) & (2.0 * np.abs(step) <= dx_old)
+        dx_old, dx = dx, np.where(fast, np.abs(step), 0.5 * (hi - lo))
+        x_next = np.where(fast, newton, 0.5 * (lo + hi))
+        stuck = ~((lo < x_next) & (x_next < hi))
+        out[idx] = np.where(last, newton, x)  # kept from the step where a lane stops
+        keep = ~((g == 0.0) | last | stuck)
+        x, lo, hi, dx, dx_old, pb, hs, idx = (
+            v[keep] for v in (x_next, lo, hi, dx, dx_old, pb, hs, idx))
+    raise RuntimeError(f"a maximizer of H at p={p} did not converge")
+
+
+def _heights(p: int, betas, hs, u):
+    """(m, H(m)) at m = tanh(u): the batched form of `_height`, with its
+    Newton step on H' in m kept only while it moves m by under 4 ulp."""
+    m = np.tanh(u)
+    inner = np.abs(m) < 1.0
+    mi = np.where(inner, m, 0.0)
+    d1 = p * betas * mi ** (p - 1) + hs - np.arctanh(mi)
+    d2 = p * (p - 1) * betas * mi ** (p - 2) - 1.0 / (1.0 - mi * mi)
+    polish = inner & (np.abs(d1) < 4.0 * np.spacing(np.abs(mi)) * np.abs(d2))
+    m = np.where(polish, m - d1 / np.where(polish, d2, 1.0), m)
+    am = np.abs(m)
+    below = am < 1.0
+    tail = np.where(below, (1.0 - am) * np.log1p(-np.where(below, am, 0.0)), 0.0)
+    return m, betas * m**p + hs * m - 0.5 * ((1.0 + am) * np.log1p(am) + tail)
+
+
+def _height_gaps(p: int, betas, nodes, a, hs):
+    """(gap, slope) of H(top maximizer) - H(best other maximizer) at field
+    hs[i] for the landscape of row i (nodes, a from `node_terms`).
+
+    The maximizers are read from the node signs as `_pattern` reads them:
+    G is +inf at the lower end h - (p*beta + 1) and -inf at the upper one,
+    monotone between nodes, and a node value within the curvature band is
+    a tangency whose kind its nearest signed neighbours give.  The top
+    maximizer lies at or above the last node.  All maximizers of all rows
+    are solved at once (`_solve_maxima`, a tangency being its node), and
+    the slope d(gap)/dh is m_top - m_other by the envelope theorem
+    (dH(m(h); h)/dh = m at a maximizer).  Where the pair does not exist the
+    gap is only the side of C that h lies on, +-inf with a nan slope: above
+    if only the top maximizer exists, below if the top maximizer does not.
+    """
+    n, k = nodes.shape
+    reach = p * betas + 1.0
+    values = (a + hs[:, None]) - nodes
+    ends = np.concatenate([(hs - reach)[:, None], nodes, (hs + reach)[:, None]], axis=1)
+    signed = np.concatenate([np.ones((n, 1)), values, -np.ones((n, 1))], axis=1)
+    zero = np.zeros((n, k + 2), dtype=bool)
+    zero[:, 1:-1] = np.abs(values) <= CURVATURE_TOL
+    # the events in ascending order: interval 0, node 1, interval 1, ...,
+    # node k, interval k; a node's bracket is the node itself
+    slots = np.zeros((n, 2 * k + 1), dtype=bool)
+    lo = np.empty((n, 2 * k + 1))
+    hi = np.empty((n, 2 * k + 1))
+    lo[:, 0::2], hi[:, 0::2] = ends[:, :-1], ends[:, 1:]
+    lo[:, 1::2] = hi[:, 1::2] = ends[:, 1:-1]
+    slots[:, 0::2] = (~zero[:, :-1] & ~zero[:, 1:]
+                      & (signed[:, :-1] > 0.0) & (signed[:, 1:] < 0.0))
+    left, right = [None] * (k + 2), [None] * (k + 2)
+    left[1], right[k] = signed[:, 0] > 0.0, signed[:, k + 1] > 0.0
+    for i in range(1, k):  # the sign of the nearest node off the band
+        left[i + 1] = np.where(zero[:, i], left[i], signed[:, i] > 0.0)
+        right[k - i] = np.where(zero[:, k + 1 - i], right[k + 1 - i], signed[:, k + 1 - i] > 0.0)
+    for i in range(1, k + 1):
+        slots[:, 2 * i - 1] = zero[:, i] & left[i] & ~right[i]
+
+    gap, slope = np.full(n, np.inf), np.full(n, np.nan)
+    top = 2 * k - np.argmax(slots[:, ::-1], axis=1)
+    # the last maximizer lies at or above the last node
+    has_top = slots.any(axis=1) & (top >= 2 * k - 1)
+    gap[~has_top] = -np.inf
+    pair = has_top & (slots.sum(axis=1) >= 2)
+    rows = np.flatnonzero(pair)
+    if not rows.size:
+        return gap, slope
+    events = slots[rows]
+    lane, slot = np.nonzero(events)
+    lane = rows[lane]
+    e_lo, e_hi = lo[lane, slot], hi[lane, slot]
+    u = e_lo.copy()
+    solve = e_lo < e_hi
+    u[solve] = _solve_maxima(p, betas[lane[solve]], hs[lane[solve]], e_lo[solve], e_hi[solve])
+    m, H = _heights(p, betas[lane], hs[lane], u)
+    heights = np.full(events.shape, -np.inf)
+    ms = np.zeros(events.shape)
+    heights[events], ms[events] = H, m
+    r = np.arange(len(rows))
+    top = top[rows]
+    h_top, m_top = heights[r, top], ms[r, top]
+    heights[r, top] = -np.inf
+    other = np.argmax(heights, axis=1)  # the first of equal heights
+    gap[rows] = h_top - heights[r, other]
+    slope[rows] = m_top - ms[r, other]
+    return gap, slope
+
+
+def _equal_height_fields(p: int, betas, nodes, a, lo, hi) -> np.ndarray:
+    """The field h at which the two relevant maximizers of H tie in height,
+    one per row (nodes, a from `node_terms`), inside the band [lo, hi].
 
     The height gap rises with h (its slope m_top - m_other is positive), so
-    the band [lo, hi] brackets the tie.  Safeguarded Newton on the gap, with
-    its envelope slope, from the middle of the band and inside the
-    shrinking sign bracket: a field where the pair is not resolved (its gap
-    is only the side of the tie), a step that leaves the bracket or a slope
-    that is not positive is replaced by bisection.  Returns at a resolved
-    |gap| <= _GAP_FLOOR, after one last Newton step, or at a bracket of two
-    adjacent floats whose ends both have resolved gaps; DomainError where
-    the bracket closes on an end where the pair does not exist.
+    the band brackets the tie.  Safeguarded Newton on the gap, with its
+    envelope slope, from the middle of the band and inside the shrinking
+    sign bracket: a field where the pair is not resolved (its gap is only
+    the side of the tie), a step that leaves the bracket or a slope that is
+    not positive is replaced by bisection.  Every row still open takes its
+    step together, with its maximizers solved in one batch
+    (`_height_gaps`).  A row returns at a resolved |gap| <= _GAP_FLOOR,
+    after one last Newton step, or at a bracket of two adjacent floats
+    whose ends both have resolved gaps; DomainError where a bracket closes
+    on an end where the pair does not exist, for the first such row.
     """
-    struct = landscape_structure(p, beta)
-    a, ga, b, gb = lo, -math.inf, hi, math.inf  # the band's ends are sides only
-    x = 0.5 * (lo + hi)
+    a_end, b_end = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    ga, gb = np.full(len(a_end), -np.inf), np.full(len(a_end), np.inf)
+    x = 0.5 * (a_end + b_end)
+    out = np.empty(len(x))
+    idx = np.arange(len(x))
+    failed = []
     for _ in range(200):
-        g, slope = _height_gap(struct, x)
-        newton = x - g / slope if slope > 0.0 else math.nan
-        if abs(g) <= _GAP_FLOOR:
-            return newton if a <= newton <= b else x
-        if g < 0.0:
-            a, ga = x, g
-        else:
-            b, gb = x, g
-        x = newton if a < newton < b else 0.5 * (a + b)  # nan: bisect
-        if not a < x < b:  # the bracket is two adjacent floats
-            if math.isfinite(ga) and math.isfinite(gb):
-                return a if -ga <= gb else b
+        if not idx.size:
             break
-    raise DomainError(
-        f"the tie of the outer maxima of H at p={p}, beta={beta} is left in "
-        f"[{a!r}, {b!r}], where they do not both exist: a maximizer merges "
-        f"with a saddle")
+        g, slope = _height_gaps(p, betas[idx], nodes[idx], a[idx], x)
+        rises = slope > 0.0
+        newton = np.where(rises, x - np.where(rises, g, 0.0) / np.where(rises, slope, 1.0),
+                          np.nan)
+        tied = np.abs(g) <= _GAP_FLOOR
+        out[idx[tied]] = np.where((a_end <= newton) & (newton <= b_end), newton, x)[tied]
+        below = g < 0.0
+        a_end, ga = np.where(below, x, a_end), np.where(below, g, ga)
+        b_end, gb = np.where(below, b_end, x), np.where(below, gb, g)
+        inside = (a_end < newton) & (newton < b_end)
+        x = np.where(inside, newton, 0.5 * (a_end + b_end))
+        closed = ~tied & ~((a_end < x) & (x < b_end))
+        resolved = closed & np.isfinite(ga) & np.isfinite(gb)
+        out[idx[resolved]] = np.where(-ga <= gb, a_end, b_end)[resolved]
+        failed += [(i, a_end[j], b_end[j]) for j, i in
+                   zip(np.flatnonzero(closed & ~resolved), idx[closed & ~resolved])]
+        keep = ~(tied | closed)
+        idx, x, a_end, b_end, ga, gb = (v[keep] for v in (idx, x, a_end, b_end, ga, gb))
+    failed += [(i, a_end[j], b_end[j]) for j, i in enumerate(idx)]
+    if failed:
+        i, a_end, b_end = min(failed)
+        raise DomainError(
+            f"the tie of the outer maxima of H at p={p}, beta={float(betas[i])} is left "
+            f"in [{float(a_end)!r}, {float(b_end)!r}], where they do not both exist: a "
+            f"maximizer merges with a saddle")
+    return out
+
+
+def _bands(p: int, betas, nodes, a):
+    """(U, L) arrays over rows of betas above beta_hat, nan where absent:
+    H' at the inflection pair a1 < a2 is the last two node values at h=0.
+    U and L are absent up to beta_hat + 1e-12, L past beta_prime at even p."""
+    thr = thresholds(p)
+    g = (a[:, -2:] + 0.0) - nodes[:, -2:]
+    g1, g2 = g[:, 0], g[:, 1]
+    live = betas > thr.beta_hat + 1e-12
+    if p % 2 == 1:
+        U, L = -g1, -g2
+    else:  # -min(H'(-a2), H'(a1)); H' is odd at h=0
+        U, L = np.maximum(-g1, g2), np.where(betas <= thr.beta_prime, -g2, np.nan)
+    return np.where(live, U, np.nan), np.where(live, L, np.nan)
+
+
+def _curve_values(p: int, betas, nodes, a, *, with_C: bool = True):
+    """(U, L, C) arrays over rows of betas above beta_hat, nan where absent.
+
+    Odd p:  U = -H'(a1), L = -H'(a2) at zero field, both on (beta_hat, inf).
+    Even p: U = -min(H'(-a2), H'(a1)), L = -H'(a2) only on (beta_hat,
+    beta_prime]; C vanishes identically above beta_tilde.  C is the tie of
+    the outer maximizers (`_equal_height_fields`) inside [L, U], [0, U]
+    where L is absent.
+    """
+    U, L = _bands(p, betas, nodes, a)
+    C = np.full(len(betas), np.nan)
+    if with_C:
+        live = ~np.isnan(U)
+        if p % 2 == 0:
+            flat = live & (betas >= thresholds(p).beta_tilde)
+            C[flat] = 0.0
+            live &= ~flat
+        rows = np.flatnonzero(live)
+        C[rows] = _equal_height_fields(p, betas[rows], nodes[rows], a[rows],
+                                       np.nan_to_num(L[rows], nan=0.0), U[rows])
+    return U, L, C
+
+
+def _curve_samples(p: int, betas, above, nodes, a, *, with_C: bool = True) -> list[CurveSample]:
+    """A CurveSample at every beta, from the rows (nodes, a) of the betas
+    above beta_hat (the mask `above`); all three curves are None for p < 3."""
+    values = np.full((3, len(betas)), np.nan)
+    if p >= 3 and above.any():
+        values[:, above] = _curve_values(p, betas[above], nodes, a, with_C=with_C)
+    U, L, C = ([None if v != v else v for v in row] for row in values.tolist())
+    return [CurveSample(beta=b, U=u, L=l, C=c) for b, u, l, c in zip(betas.tolist(), U, L, C)]
 
 
 def boundary_curves(p: int, beta: float, *, with_C: bool = True) -> CurveSample:
     """Sample the curves U, L, C at one beta; absent values are None.
 
-    Odd p:  U = -H'(a1), L = -H'(a2) at zero field, both on (beta_hat, inf).
-    Even p: U = -min(H'(-a2), H'(a1)), L = -H'(a2) only on (beta_hat,
-    beta_prime]; C vanishes identically above beta_tilde.
-    U and L are cached per (p, beta).  C is located by a Newton solve of the
-    equal-height condition between the outer maximizers; pass with_C=False
-    to skip that (the costly part) when only the coexistence band U/L matters.
-    All three are None for p < 3, where the thresholds are not defined.
+    The one-column form of a diagram scan's curves (`_curve_values`) on the
+    cached `landscape_structure`'s nodes.  U and L are cached per (p,
+    beta).  Pass with_C=False to skip C (the costly part) when only the
+    coexistence band U/L matters.  All three are None for p < 3, where the
+    thresholds are not defined.
     """
     if p < 3:
         return CurveSample(beta=beta, U=None, L=None, C=None)
-    U, L = _band(p, beta)
-    if U is None or not with_C:
-        C = None
-    elif p % 2 == 1:
-        C = _equal_height_field(p, beta, L, U)
-    elif beta >= thresholds(p).beta_tilde:
-        C = 0.0
-    else:
-        C = _equal_height_field(p, beta, L if L is not None else 0.0, U)
-    return CurveSample(beta=beta, U=U, L=L, C=C)
+    if not with_C:
+        U, L = _band(p, beta)
+        return CurveSample(beta=beta, U=U, L=L, C=None)
+    struct = landscape_structure(p, beta)
+    betas = np.array([float(beta)])
+    above = betas > _beta_hat(p)
+    return _curve_samples(p, betas, above, struct.nodes[None, :][above],
+                          struct._a[None, :][above])[0]
 
 
 @lru_cache(maxsize=1024)
 def _band(p: int, beta: float):
-    """(U, L) at one beta, (None, None) at or below beta_hat.  H' at the
-    inflection pair a1 < a2 is the landscape's last two node values at h=0."""
-    thr = thresholds(p)
-    if beta <= thr.beta_hat + 1e-12:
+    """(U, L) at one beta, None where absent."""
+    struct = landscape_structure(p, beta)
+    if not struct.nodes.size:
         return None, None
-    g1, g2 = landscape_structure(p, beta).node_values(np.zeros(1))[0, -2:].tolist()
-    if p % 2 == 1:
-        return -g1, -g2
-    U = max(-g1, g2)  # -min(H'(-a2), H'(a1)); H' is odd at h=0
-    return U, (-g2 if beta <= thr.beta_prime else None)
+    U, L = _bands(p, np.array([float(beta)]), struct.nodes[None, :], struct._a[None, :])
+    return tuple(None if v != v else v for v in (float(U[0]), float(L[0])))
 
 
 def _region_of(points: list[StationaryPoint]) -> Region:
@@ -281,29 +434,49 @@ def _region_of(points: list[StationaryPoint]) -> Region:
     return Region.LOCALLY_REGULAR
 
 
-def _region_codes(struct: LandscapeStructure, hs: np.ndarray) -> np.ndarray:
-    """Region codes for every field in hs, those of `classify_point`.
+# cells per block of the (columns x fields x nodes) broadcast of G at the
+# nodes: the block's values, masks and reductions then take about 1 MB at
+# four nodes, and on the README grids (2-core Xeon VM) blocks from 2^13 to
+# 2^17 cells ran within a few percent of each other
+_CELL_BLOCK = 1 << 15
 
-    One broadcast gives G at every node for every h; G is positive below
-    the nodes and negative above them.  A field whose node values all lie
-    outside the near-tangency band has no tangency, no inflection and no
-    degenerate maximizer, so its maximizers are the + to - sign changes
-    from the lower end across the nodes to the upper end: two or more is
-    critical, one is regular.  Every other field is solved
-    (`stationary_points`) and goes to `_region_of`.
+
+def _cell_codes(p: int, betas, above, nodes, a, hs) -> np.ndarray:
+    """Region codes of every (beta, h) cell, those of `classify_point`;
+    nodes and a are the rows (`node_terms`) of the betas above beta_hat.
+
+    G is positive below the nodes and negative above them.  A field whose
+    node values all lie outside the near-tangency band has no tangency, no
+    inflection and no degenerate maximizer, so its maximizers are the + to
+    - sign changes from the lower end across the nodes to the upper end:
+    two or more is critical, one is regular.  G at the nodes is broadcast
+    over blocks of _CELL_BLOCK cells.  Every other cell (a node value in
+    the band, or a column just below beta_hat whose H is nearly flat) is
+    solved (`stationary_points`) and goes to `_region_of`.
     """
-    values = struct.node_values(hs)
-    plain = ~(np.abs(values) <= 100.0 * CURVATURE_TOL).any(axis=1)
-    if values.shape[1] == 0 and struct.d2_bound > -1e-6:  # near_flat
-        plain[:] = False
-    positive = values > 0
-    # G falls from + to - across the nodes, so every - to + change between
-    # two nodes adds a maximizer to the one that the ends make
-    n_max = 1 + (~positive[:, :-1] & positive[:, 1:]).sum(axis=1)
-    codes = np.where(n_max >= 2, REGION_CODES[Region.LOCALLY_CRITICAL],
-                     REGION_CODES[Region.LOCALLY_REGULAR]).astype(np.int8)
-    for i in np.flatnonzero(~plain):
-        codes[i] = REGION_CODES[_region_of(struct.stationary_points(float(hs[i])))]
+    codes = np.full((len(betas), len(hs)), REGION_CODES[Region.LOCALLY_REGULAR], dtype=np.int8)
+
+    def solve(i, j):
+        struct = landscape_structure(p, float(betas[i]))
+        codes[i, j] = REGION_CODES[_region_of(struct.stationary_points(float(hs[j])))]
+
+    rows, n_h = np.flatnonzero(above), len(hs)
+    step, width = max(1, _CELL_BLOCK // max(n_h, 1)), max(1, min(n_h, _CELL_BLOCK))
+    for i in range(0, len(rows), step):
+        for j in range(0, n_h, width):
+            values = (a[i:i + step, None, :] + hs[None, j:j + width, None]) - nodes[i:i + step, None, :]
+            positive = values > 0
+            # G falls from + to - across the nodes, so every - to + change
+            # between two nodes adds a maximizer to the one that the ends make
+            critical = (~positive[:, :, :-1] & positive[:, :, 1:]).any(axis=2)
+            codes[rows[i:i + step], j:j + width] = np.where(
+                critical, REGION_CODES[Region.LOCALLY_CRITICAL], REGION_CODES[Region.LOCALLY_REGULAR])
+            near = (np.abs(values) <= 100.0 * CURVATURE_TOL).any(axis=2)
+            for r, c in zip(*np.nonzero(near)):
+                solve(rows[i + r], j + c)
+    for i in np.flatnonzero(~above & (betas / _beta_hat(p) - 1.0 > -1e-6)):  # near-flat
+        for j in range(n_h):
+            solve(i, j)
     return codes
 
 
@@ -382,7 +555,11 @@ def _axis_len(lo: float, hi: float, step: float) -> int:
 
 
 def _axis(lo: float, hi: float, step: float) -> np.ndarray:
-    return lo + step * np.arange(_axis_len(lo, hi, step))
+    """lo + step * i, i = 0, 1, ..., in place: no temporary beside the axis."""
+    axis = np.arange(_axis_len(lo, hi, step), dtype=float)
+    axis *= step
+    axis += lo
+    return axis
 
 
 def curve_betas(beta_min: float, beta_max: float, beta_step: float) -> np.ndarray:
@@ -417,47 +594,74 @@ def _symmetric_axis(h_axis: np.ndarray) -> bool:
     It makes the float decision of np.allclose(h_axis, -h_axis[::-1],
     rtol=0, atol) on a finite axis, at under a third of its cost."""
     atol = 1e-12 * max(1.0, float(np.abs(h_axis).max()))
-    return float(np.abs(h_axis + h_axis[::-1]).max()) <= atol
+    sums = h_axis + h_axis[::-1]
+    return float(np.abs(sums, out=sums).max()) <= atol
+
+
+def _rows(p: int, betas: np.ndarray):
+    """(above, nodes, a): the mask of the betas above beta_hat and their
+    rows of `node_terms`, from one batched `curvature_roots` solve."""
+    above = betas > _beta_hat(p)
+    return (above, *node_terms(p, betas[above], curvature_roots(p, betas[above])))
+
+
+def curve_samples(p: int, betas) -> list[CurveSample]:
+    """A CurveSample at every beta of an axis, as a diagram scan samples
+    them (`_curve_samples`): one batched solve per curve."""
+    betas = np.asarray(betas, dtype=float)
+    return _curve_samples(p, betas, *_rows(p, betas))
+
+
+def scan_block(p: int, betas, h_axis: np.ndarray):
+    """A block of diagram columns: region codes, shape (len(betas),
+    len(h_axis)), and a CurveSample per beta.
+
+    The roots of H'' of every beta come from one batched solve
+    (`curvature_roots`), the cells from one blocked broadcast
+    (`_cell_codes`) and U/L/C from `_curve_samples`, whose C solve steps
+    every column at once.  Every column's codes and sample are the same
+    whichever block it is scanned in.  For even p on an h-axis symmetric
+    about zero (h_axis[i] = -h_axis[-1-i] to 1e-12) only its second half is
+    classified, and each cell of the first half takes the code of its
+    mirror image (the diagram is exactly symmetric in h).
+    """
+    betas = np.asarray(betas, dtype=float)
+    h_axis = np.asarray(h_axis, dtype=float)
+    above, nodes, a = _rows(p, betas)
+    n = len(h_axis)
+    if p % 2 == 0 and n > 1 and _symmetric_axis(h_axis):
+        codes = np.empty((len(betas), n), dtype=np.int8)
+        codes[:, n // 2:] = _cell_codes(p, betas, above, nodes, a, h_axis[n // 2:])
+        codes[:, :n // 2] = codes[:, ::-1][:, :n // 2]
+    else:
+        codes = _cell_codes(p, betas, above, nodes, a, h_axis)
+    return codes, _curve_samples(p, betas, above, nodes, a)
 
 
 def scan_column(p: int, beta: float, h_axis: np.ndarray):
-    """One diagram column: region codes over h_axis plus the curve sample.
-
-    For even p on an h-axis symmetric about zero (h_axis[i] = -h_axis[-1-i]
-    to 1e-12) only its second half is classified, and each cell of the first
-    half takes the code of its mirror image (the diagram is exactly
-    symmetric in h).
-    """
-    h_axis = np.asarray(h_axis, dtype=float)
-    struct = landscape_structure(p, float(beta))
-    n = len(h_axis)
-    if p % 2 == 0 and n > 1 and _symmetric_axis(h_axis):
-        codes = np.empty(n, dtype=np.int8)
-        codes[n // 2:] = _region_codes(struct, h_axis[n // 2:])
-        codes[:n // 2] = codes[::-1][:n // 2]
-    else:
-        codes = _region_codes(struct, h_axis)
-    sample = boundary_curves(p, float(beta))
-    return codes, sample
+    """One diagram column: region codes over h_axis plus the curve sample,
+    `scan_block` of the one beta."""
+    codes, (sample,) = scan_block(p, [float(beta)], h_axis)
+    return codes[0], sample
 
 
 def scan_grid(spec: GridSpec, *, columns=None) -> PhaseDiagramGrid:
     """Classify every grid cell and sample the boundary curves.
 
     Cells are classified independently by the same pattern logic as
-    classify_point.  `columns` may carry precomputed scan_column results
-    (one per beta, in axis order) from a worker pool.
+    classify_point, the whole beta axis in one `scan_block`.  `columns` may
+    carry precomputed (codes, sample) pairs (one per beta, in axis order),
+    such as a worker pool's blocks give.
     """
     beta_axis, h_axis = grid_axes(spec)
-    cells = np.empty((len(beta_axis), len(h_axis)), dtype=np.int8)
-    curves = []
     if columns is None:
-        columns = (scan_column(spec.p, float(b), h_axis) for b in beta_axis)
-
-    for ib, (codes, sample) in enumerate(columns):
-        cells[ib] = codes
-        if (sample.U, sample.L, sample.C) != (None, None, None):
-            curves.append(sample)
-
+        cells, samples = scan_block(spec.p, beta_axis, h_axis)
+    else:
+        cells = np.empty((len(beta_axis), len(h_axis)), dtype=np.int8)
+        samples = []
+        for ib, (codes, sample) in enumerate(columns):
+            cells[ib] = codes
+            samples.append(sample)
+    curves = [s for s in samples if (s.U, s.L, s.C) != (None, None, None)]
     return PhaseDiagramGrid(spec=spec, beta_axis=beta_axis, h_axis=h_axis,
                             cells=cells, curves=curves)

@@ -274,6 +274,10 @@ def _solve_root(d1, d2, lo: float, hi: float, kind: PointKind) -> float:
 
 # the ends of the H'' root brackets, in m
 _ROOT_END = 1e-15
+# the Newton solve of the H'' roots stops at a step below this fraction of
+# the root's distance to the nearest of s = 0 (the double root at beta_hat)
+# and the end it approaches (x = 0 or 1), or below one ulp of 1
+_ROOT_STEP = 2.0**-30
 
 
 def _beta_hat(p: int) -> float:
@@ -283,6 +287,96 @@ def _beta_hat(p: int) -> float:
     return 1.0 / (2.0 * (p - 1)) * (p / (p - 2.0)) ** ((p - 2.0) / 2.0)
 
 
+def curvature_roots(p: int, betas: np.ndarray) -> np.ndarray:
+    """The roots of H'' on (-1, 1), ascending, one row per beta > beta_hat:
+    shape (len(betas), 4) at even p >= 4 and (len(betas), 2) otherwise.
+
+    H'' = 0 is p(p-1) beta x^(p-2) (1 - x^2) = 1, at p = 2 the closed form
+    x = +-sqrt(1 - 1/(2 beta)).  For p >= 3 the left side rises on (0, w)
+    and falls on (w, 1), w = sqrt(1 - 2/p), to its peak beta/beta_hat.  With
+    x = w (1 + s) the equation reads f(s) = 0 for
+    f(s) = (p-2) log1p(s) + log1p(-k s (2 + s)) + log(beta/beta_hat),
+    k = (p-2)/2, and f is concave with its maximum at s = 0: one root on
+    either side.  Both roots of every beta are solved together by Newton in
+    s, each lane from the f < 0 side of its root, where a concave f makes
+    the steps climb to the root without passing it.  The starts are the
+    closer of the quadratic estimate s^2 = log(beta/beta_hat) / (p k) and a
+    bound on that side, which the steps never cross: from
+    f = (p-2) t + log(1 + k (1 - e^(2t))) + log(beta/beta_hat), t =
+    log1p(s), the one that drops the last log (lower root) or bounds t by
+    its end (upper root).  A lane stops at a step below _ROOT_STEP times
+    the root's distance to the nearest of s = 0 and the end it approaches,
+    taken at its start, or below one ulp of 1; that step is taken, and the
+    quadratic convergence leaves an error far below the rounding of f.  A
+    lane's steps do not depend on the other lanes.
+
+    The ends are x = _ROOT_END and x = 1 - _ROOT_END, which hold both roots
+    for beta up to about 5e14 / (p (p-1)); past that a root lies beyond an
+    end (at p = 2, rounds to 1 - _ROOT_END or above) and DomainError is
+    raised, naming the first such beta.  Odd p has no root below 0 (there
+    H'' < 0); even p mirrors the two exactly.
+    """
+    betas = np.asarray(betas, dtype=float)
+    bh = _beta_hat(p)
+    if p == 2:
+        r = np.sqrt(1.0 - 1.0 / (2.0 * betas))
+        _check_root_ends(p, betas, r < 1.0 - _ROOT_END)
+        return np.stack([-r, r], axis=1)
+    w, k = math.sqrt(1.0 - 2.0 / p), 0.5 * (p - 2)
+    n, pm2 = len(betas), p - 2.0
+    s_lo, s_hi = _ROOT_END / w - 1.0, (1.0 - _ROOT_END) / w - 1.0
+    lg = np.log1p((betas - bh) / bh)  # log(beta/beta_hat) > 0
+
+    def phi(s):  # f(s) - log(beta/beta_hat), in math scalars
+        return pm2 * math.log1p(s) + math.log1p(-k * s * (2.0 + s))
+
+    _check_root_ends(p, betas, lg < -max(phi(s_lo), phi(s_hi)))
+    q = np.sqrt(lg * (1.0 / (p * k)))
+    # one lane per root: column 0 the lower root, column 1 the upper one
+    bound = np.empty((n, 2))
+    bound[:, 0] = np.maximum(np.expm1((lg + math.log1p(k)) * (-1.0 / pm2)), s_lo)
+    t_end = pm2 * 0.5 * math.log1p(1.0 / k)  # (p-2) t at x = 1
+    bound[:, 1] = np.minimum(np.sqrt((1.0 + k - np.exp(-lg - t_end)) / k) - 1.0, s_hi)
+    s = np.empty((n, 2))
+    s[:, 0] = np.maximum(bound[:, 0], -q)
+    s[:, 1] = np.minimum(bound[:, 1], q)
+    low, high = np.minimum(bound, 0.0), np.maximum(bound, 0.0)
+    ends = np.empty((n, 2))
+    ends[:, 0] = 1.0 + s[:, 0]
+    ends[:, 1] = (1.0 / w - 1.0) - s[:, 1]
+    tol = np.maximum(np.minimum(np.abs(s), ends) * _ROOT_STEP, 2.0**-52)
+    lg = lg[:, None]
+    active = np.ones((n, 2), dtype=bool)
+    for _ in range(100):
+        y = 1.0 + s
+        nq = (s * (2.0 + s)) * -k
+        f = np.log1p(s) * pm2 + np.log1p(nq) + lg
+        step = f / (pm2 / y - (2.0 * k) * y / (1.0 + nq))
+        step *= active
+        s = np.minimum(np.maximum(s - step, low), high)
+        active &= np.abs(step) > tol
+        if not active.any():
+            break
+    else:
+        raise RuntimeError(f"the roots of H'' at p={p} did not converge")
+    x = w * (1.0 + s)
+    return x if p % 2 == 1 else np.concatenate([-x[:, ::-1], x], axis=1)
+
+
+def _check_root_ends(p: int, betas: np.ndarray, inside: np.ndarray) -> None:
+    if not inside.all():
+        beta = float(betas[np.argmin(inside)])
+        raise DomainError(
+            f"H'' has a root within {_ROOT_END} of 0 or 1 at p={p}, "
+            f"beta={beta}: beta is too large for root finding")
+
+
+def node_terms(p: int, betas: np.ndarray, roots: np.ndarray):
+    """(nodes, a) for rows of H'' roots at betas: nodes = atanh(roots) and
+    a = p*beta*roots^(p-1), the h = 0 part of H' there."""
+    return np.arctanh(roots), (p * betas)[:, None] * roots ** (p - 1)
+
+
 class LandscapeStructure:
     """Monotonicity structure of H' for fixed (p, beta), shared across h.
 
@@ -290,11 +384,12 @@ class LandscapeStructure:
     G(u) = p*beta*tanh(u)^(p-1) + h - u and G'(u) = (1 - m^2) H''(m): G has
     the sign of H', G' that of H''.  Every root of G lies in
     |u - h| <= p*beta, so G > 0 below that interval and G < 0 above it.
-    The nodes are the atanh of the roots of H'' (h-independent), with the
-    h=0 terms of H'(m; h) = (p*beta*m^(p-1) + h) - atanh(m) precomputed
-    there.  The node values for any h, or for a whole column of h at once
-    (`node_values`), are then one addition and one subtraction, the same
-    float operations as `free_energy_d1`.  The kinds of the stationary
+    The nodes are the atanh of the roots of H'' (h-independent, the row of
+    `curvature_roots` for this beta), with the h=0 terms of
+    H'(m; h) = (p*beta*m^(p-1) + h) - atanh(m) precomputed there
+    (`node_terms`).  The node values for any h, or for a whole column of h
+    at once (`node_values`), are then one addition and one subtraction, the
+    same float operations as `free_energy_d1`.  The kinds of the stationary
     points at a given h come from the signs at the nodes alone; each root
     is then solved once, by `_solve_root` inside its sign-changing monotone
     interval.
@@ -307,53 +402,12 @@ class LandscapeStructure:
         # the maximum of G' = (1 - x^2) H''(x) = p(p-1) beta x^(p-2) (1 - x^2) - 1,
         # at x = w = sqrt(1 - 2/p); where H'' has no root, H'' = G'/(1 - x^2) <= G'
         self.d2_bound = self.beta / bh - 1.0
-        self.curvature_roots = self._find_curvature_roots(bh) if self.beta > bh else []
-        x = np.array(self.curvature_roots)
-        self.nodes = np.arctanh(x)
-        self._a = self.p * self.beta * x ** (self.p - 1)
+        betas = np.array([self.beta])
+        roots = curvature_roots(self.p, betas) if self.beta > bh else np.empty((1, 0))
+        self.curvature_roots = roots[0].tolist()
+        nodes, a = node_terms(self.p, betas, roots)
+        self.nodes, self._a = nodes[0], a[0]
         self._terms = list(zip(self.nodes.tolist(), self._a.tolist()))
-
-    # -- H'' roots ---------------------------------------------------------
-
-    def _find_curvature_roots(self, bh: float) -> list[float]:
-        """The roots of H'' on (-1, 1), ascending, for beta > beta_hat.
-
-        H'' = 0 is p(p-1) beta x^(p-2) (1 - x^2) = 1, at p = 2 the closed
-        form x = +-sqrt(1 - 1/(2 beta)).  For p >= 3 the left side rises on
-        (0, w) and falls on (w, 1), w = sqrt(1 - 2/p), to its peak
-        beta/beta_hat.  With x = w (1 + s) the equation reads
-        phi(s) = (p-2) log1p(s) + log1p(-(p-2)/2 s (2 + s)) = log(beta_hat/beta),
-        and phi rises from -inf to its maximum 0 at s = 0, then falls back
-        to -inf: one root on either side of s = 0, each bisected in math
-        scalars.  The bracket ends are x = _ROOT_END and x = 1 - _ROOT_END,
-        which hold both roots for beta up to about 5e14 / (p (p-1)); past
-        that a root lies beyond an end (at p = 2, rounds to 1 - _ROOT_END or
-        above) and DomainError is raised.  Odd p has
-        no root below 0 (there H'' < 0); even p mirrors the two exactly.
-        """
-        p, beta = self.p, self.beta
-        too_large = DomainError(
-            f"H'' has a root within {_ROOT_END} of 0 or 1 at p={p}, "
-            f"beta={beta}: beta is too large for root finding")
-        if p == 2:
-            r = math.sqrt(1.0 - 1.0 / (2.0 * beta))
-            if not r < 1.0 - _ROOT_END:
-                raise too_large
-            return [-r, r]
-        w, k = math.sqrt(1.0 - 2.0 / p), 0.5 * (p - 2)
-        # log(beta_hat/beta), negative for every beta > beta_hat
-        target = -math.log1p((beta - bh) / bh)
-
-        def f(s):
-            return (p - 2) * math.log1p(s) + math.log1p(-k * s * (2.0 + s)) - target
-
-        s_lo, s_hi = _ROOT_END / w - 1.0, (1.0 - _ROOT_END) / w - 1.0
-        f_lo, f_0, f_hi = f(s_lo), f(0.0), f(s_hi)
-        if not (f_lo < 0.0 and f_hi < 0.0):
-            raise too_large
-        a1 = w * (1.0 + _bisect(f, s_lo, 0.0, f_lo, f_0))
-        a2 = w * (1.0 + _bisect(f, 0.0, s_hi, f_0, f_hi))
-        return [-a2, -a1, a1, a2] if p % 2 == 0 else [a1, a2]
 
     # -- node machinery ------------------------------------------------------
 

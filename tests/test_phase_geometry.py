@@ -453,16 +453,18 @@ def test_c_curve_ties_the_maximizers():
 
 
 def test_height_gap_solves_the_maximizers_of_stationary_points():
-    # _height_gap solves the maximizers that stationary_points reports; its
-    # math-scalar gap agrees with their heights to 1e-15 and its envelope
-    # slope with their m
-    from pspin_glauber.phase_geometry import _height_gap
+    # _height_gaps solves, in one batch over all rows, the maximizers that
+    # stationary_points reports one point at a time; its numpy gap agrees
+    # with their math-scalar heights to 1e-15 and its envelope slope with
+    # their m
+    from pspin_glauber.phase_geometry import _height_gaps, _rows
     from pspin_glauber.potential import landscape_structure, local_maxima
 
     rng = np.random.default_rng(17)
     solved = 0
     for p in range(3, 13):
         thr = thresholds(p)
+        betas, hs, wants = [], [], []
         for _ in range(30):
             beta = float(rng.uniform(thr.beta_hat + 1e-4, min(1.5, 14.0 / p)))
             band = boundary_curves(p, beta, with_C=False)
@@ -470,14 +472,18 @@ def test_height_gap_solves_the_maximizers_of_stationary_points():
             h = float(lo + (band.U - lo) * rng.uniform(0.01, 0.99))
             if p * beta + abs(h) > 16:  # outside the documented domain
                 continue
-            struct = landscape_structure(p, beta)
-            maxima = local_maxima(struct.stationary_points(h))
+            maxima = local_maxima(landscape_structure(p, beta).stationary_points(h))
             assert len(maxima) >= 2, (p, beta, h)
-            gap, slope = _height_gap(struct, h)
-            other = max(maxima[:-1], key=lambda s: s.H)
-            scale = max(1.0, abs(maxima[-1].H), abs(other.H))
-            assert abs(gap - (maxima[-1].H - other.H)) <= 1e-15 * scale, (p, beta, h)
-            assert abs(slope - (maxima[-1].m - other.m)) <= 1e-12, (p, beta, h)
+            betas.append(beta)
+            hs.append(h)
+            wants.append((maxima[-1], max(maxima[:-1], key=lambda s: s.H)))
+        betas = np.array(betas)
+        _, nodes, a = _rows(p, betas)
+        gaps, slopes = _height_gaps(p, betas, nodes, a, np.array(hs))
+        for beta, h, gap, slope, (top, other) in zip(betas, hs, gaps, slopes, wants):
+            scale = max(1.0, abs(top.H), abs(other.H))
+            assert abs(gap - (top.H - other.H)) <= 1e-15 * scale, (p, beta, h)
+            assert abs(slope - (top.m - other.m)) <= 1e-12, (p, beta, h)
             solved += 1
     assert solved >= 250
 
@@ -487,27 +493,28 @@ def test_c_solver_guards_where_a_maximizer_merges():
     # of U the other one no longer does, so the gap is only the side of C;
     # 1e-7 inside the band both are resolved.  A bracket that closes on such
     # an end is refused with its ends named
-    from pspin_glauber.phase_geometry import _equal_height_field, _height_gap
-    from pspin_glauber.potential import landscape_structure
+    from pspin_glauber.phase_geometry import _equal_height_fields, _height_gaps, _rows
 
     for p, beta in ((3, 0.8), (4, 0.5), (5, 0.5)):
         band = boundary_curves(p, beta, with_C=False)
         U, L = band.U, band.L
-        struct = landscape_structure(p, beta)
-        for h, side in ((L + 1e-12, -math.inf), (L + 1e-9, -math.inf),
-                        (U - 1e-9, math.inf), (U - 1e-12, math.inf)):
-            gap, slope = _height_gap(struct, h)
-            assert gap == side and math.isnan(slope), (p, beta, h)
-        low, high = _height_gap(struct, L + 1e-7)[0], _height_gap(struct, U - 1e-7)[0]
+        hs = np.array([L + 1e-12, L + 1e-9, U - 1e-9, U - 1e-12, L + 1e-7, U - 1e-7])
+        _, nodes, a = _rows(p, np.full(len(hs), beta))
+        gaps, slopes = _height_gaps(p, np.full(len(hs), beta), nodes, a, hs)
+        for gap, slope, side in zip(gaps[:4], slopes, (-math.inf, -math.inf, math.inf, math.inf)):
+            assert gap == side and math.isnan(slope), (p, beta, gaps)
+        low, high = gaps[4:]
         assert math.isfinite(low) and math.isfinite(high), (p, beta)
         assert low < 0.0 < high, (p, beta)
 
     band = boundary_curves(3, 0.8, with_C=False)
+    betas = np.array([0.8])
+    _, nodes, a = _rows(3, betas)
     for lo, hi in ((band.U - 1e-10, band.U), (band.L, band.L + 1e-10)):
         with pytest.raises(DomainError, match="p=3, beta=0.8") as err:
-            _equal_height_field(3, 0.8, lo, hi)
-        a, b = map(float, re.search(r"left in \[(\S+), (\S+)\]", str(err.value)).groups())
-        assert lo <= a < b <= hi, (lo, hi, a, b)
+            _equal_height_fields(3, betas, nodes, a, [lo], [hi])
+        a_end, b_end = map(float, re.search(r"left in \[(\S+), (\S+)\]", str(err.value)).groups())
+        assert lo <= a_end < b_end <= hi, (lo, hi, a_end, b_end)
 
 
 def test_c_curve_at_high_order():
