@@ -517,6 +517,76 @@ def test_c_solver_guards_where_a_maximizer_merges():
         assert lo <= a_end < b_end <= hi, (lo, hi, a_end, b_end)
 
 
+def test_batched_c_ties_the_maxima_over_whole_axes():
+    # curve_samples solves C for a whole beta axis at once; each C ties the
+    # maxima to 1e-12 in mpmath (conftest), on axes that pass just above
+    # beta_hat and through beta_prime and beta_tilde, where C drops to 0 at
+    # even p
+    from conftest import maximizer_height_gap
+    from pspin_glauber.phase_geometry import curve_samples
+
+    for p in (3, 4, 5, 6):
+        thr = thresholds(p)
+        betas = list(np.linspace(thr.beta_hat + 1e-4, 1.2, 14))
+        for b in (thr.beta_prime, thr.beta_tilde):
+            betas += [b - 1e-6, b, b + 1e-6]
+        betas = np.sort(betas)
+        samples = curve_samples(p, betas)
+        for beta, sample in zip(betas.tolist(), samples):
+            assert sample.beta == beta
+            if p % 2 == 0 and beta >= thr.beta_tilde:
+                assert sample.C == 0.0, (p, beta)
+                continue
+            lo = 0.0 if sample.L is None else sample.L
+            assert lo <= sample.C <= sample.U, (p, beta)
+            assert abs(maximizer_height_gap(p, beta, sample.C)) <= 1e-12, (p, beta)
+
+
+def test_columns_scan_the_same_in_any_block():
+    # a column's codes and curve sample are the same bits whether it is
+    # scanned alone (scan_column), inside a whole-axis scan (scan_grid) or
+    # in one of the blocks that phase-diagram --jobs 2 hands its workers
+    from pspin_glauber.phase_geometry import scan_block
+
+    for p in (3, 4, 5, 6):
+        thr = thresholds(p)
+        spec = GridSpec(p=p, beta_min=0.01, beta_max=1.2, beta_step=0.0175,
+                        h_min=-1.0, h_max=1.0, h_step=0.025)
+        grid = scan_grid(spec)
+        extra = [thr.beta_hat - 1e-9, thr.beta_hat + 1e-9, thr.beta_prime, thr.beta_tilde]
+        betas = np.concatenate([grid.beta_axis, extra])
+        blocks = [scan_block(p, block, grid.h_axis) for block in np.array_split(betas, 2)]
+        codes = np.concatenate([c for c, _ in blocks])
+        samples = [s for _, block in blocks for s in block]
+        assert codes[:len(grid.beta_axis)].tolist() == grid.cells.tolist(), p
+        assert [s for s in samples[:len(grid.beta_axis)] if s.U is not None] == grid.curves
+        for beta, row, sample in zip(betas.tolist(), codes, samples):
+            alone, alone_sample = scan_column(p, beta, grid.h_axis)
+            assert alone.tolist() == row.tolist(), (p, beta)
+            assert alone_sample == sample == boundary_curves(p, beta), (p, beta)
+
+
+def test_cell_broadcast_runs_in_bounded_blocks():
+    # G at the nodes for a column of 2^20 fields is broadcast in blocks of
+    # _CELL_BLOCK cells: the scan's peak allocation stays near its 1 MiB of
+    # codes, where one broadcast of the whole column would hold 16 MiB of
+    # node values at p = 5 and as much again in its masks
+    import tracemalloc
+
+    from pspin_glauber.phase_geometry import _CELL_BLOCK, scan_block
+
+    hs = np.linspace(-1.0, 0.9, 2**20)
+    scan_block(5, [0.5], hs[:10])  # thresholds and caches outside the trace
+    tracemalloc.start()
+    try:
+        codes, _ = scan_block(5, [0.5], hs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes[0].tolist() == scan_column(5, 0.5, hs)[0].tolist()
+    assert peak <= codes.nbytes + 64 * _CELL_BLOCK * 2 + 2**20, peak
+
+
 def test_c_curve_at_high_order():
     # at p = 20 from beta 0.54 on, the maximizer near the upper end of the
     # band lies past 1 - 1e-9

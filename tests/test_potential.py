@@ -21,8 +21,8 @@ from pspin_glauber import (
     local_maxima,
     mean_field_map,
 )
-from pspin_glauber.potential import landscape_structure
-from conftest import central_difference, free_energy_slope, stationary_root
+from pspin_glauber.potential import curvature_roots, landscape_structure
+from conftest import central_difference, curvature_root_pair, free_energy_slope, stationary_root
 
 # frozen independent evaluations (40-digit arithmetic, rounded to double)
 BETA_HAT_3 = 0.4330127018922193
@@ -235,6 +235,31 @@ def test_curvature_root_past_the_brackets_raises():
         assert len(landscape_structure(p, beta / 2).curvature_roots) in (2, 4)
         with pytest.raises(DomainError, match="too large for root finding"):
             landscape_structure(p, 2 * beta)
+
+
+def test_batched_curvature_roots_match_mpmath_over_the_domain():
+    # one batched solve per p over betas from just above beta_hat to the
+    # edge of the documented domain, p * beta = 350, against the mpmath
+    # bisection of conftest: every root to 1e-12 relative, and every row
+    # bit for bit the row that the beta gets solved alone (the
+    # LandscapeStructure of that beta).  At p = 2 the closed form
+    # sqrt(1 - 1/(2 beta)) also carries the rounding of 1 - 1/(2 beta),
+    # up to an ulp of 1, relative 2^-52 / r^2 in r^2
+    for p in range(2, 13):
+        bh = beta_hat(p) if p > 2 else 0.5
+        betas = np.concatenate([bh + np.array([1e-9, 1e-6, 1e-3]),
+                                np.geomspace(bh * 1.01, 350.0 / p, 40)])
+        rows = curvature_roots(p, betas)
+        assert rows.shape == (len(betas), 4 if p % 2 == 0 and p > 2 else 2)
+        for beta, row in zip(betas.tolist(), rows):
+            a1, a2 = curvature_root_pair(p, beta)
+            got = row[-2:] if p > 2 else row[-1:]
+            want = (a1, a2) if p > 2 else (a2,)
+            for g, w in zip(got.tolist(), want):
+                tol = 1e-12 if p > 2 else 1e-12 + 2.0**-52 / w**2
+                assert abs(g - w) <= tol * w, (p, beta, g, w)
+            assert row.tolist() == curvature_roots(p, np.array([beta]))[0].tolist()
+            assert row.tolist() == landscape_structure(p, beta).curvature_roots
 
 
 def test_stationary_points_sorted_and_alternating():
