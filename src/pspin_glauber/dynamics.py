@@ -89,10 +89,11 @@ _PAD = 2 * _BLOCK
 # to 6400 and never builds it; the special point takes 0.63-1.66 n (N =
 # 200 to 1600) and does.
 _PAYBACK = 0.5
-# LevelKernel.evolve builds its next dense power once its leaps through the
-# longest power held, P^M, weighed by their products' multiply-adds (n (2M
-# + 1) through the rung, n^2 through a dense power), reach _SQUARE_PAYBACK
-# of the n^3 of each squaring that power takes.  A squaring (0.34, 2.9, 8.6,
+# LevelKernel.evolve builds its next dense power once the call's leaps through
+# the longest power held, P^M, weighed by their products' multiply-adds (n
+# (2M + 1) through the rung, n^2 through a dense power), reach _SQUARE_PAYBACK
+# of the n^3 of each squaring that power takes, and the leaps through P^M
+# left before the call's horizon would reach it too.  A squaring (0.34, 2.9, 8.6,
 # 20 and 37 ms at n = 201, 401, 601, 801 and 1001) costs 0.18-1.2 n rung
 # leaps or 0.08-0.2 n dense ones of a law spread over the n levels (a
 # product, a push for d and a TV; one BLAS thread, 2-core Xeon VM), so by
@@ -579,8 +580,11 @@ class LevelKernel:
         leap yields only its end law, as one row, with tv None; a leap
         through band or rung is bitwise `leap`'s, and a dense one's law
         lies on all of ks.  The rung and each next dense power are built by
-        a cost rule on this kernel's leaps (_PAYBACK, _SQUARE_PAYBACK),
-        dense ones only within a memory budget (_DENSE_BYTES).
+        a cost rule: the rung on this kernel's leaps (_PAYBACK), a dense
+        power on this call's leaps through the longest power held and on
+        those left before `steps` (_SQUARE_PAYBACK), so that no power is
+        bought that the horizon cannot repay, and only within a memory
+        budget (_DENSE_BYTES).
 
         The certificate.  A Markov kernel never increases the L1 norm of a
         signed measure, so d_s = ||mu_{s+1} - mu_s||_1 never grows with s
@@ -588,8 +592,11 @@ class LevelKernel:
         TV(s) >= max(TV(t) - (s - t) d_t/2, TV(t + M) - (t + M - s) d_t/2)
         >= (TV(t) + TV(t + M))/2 - M d_t/4, and any d_r measured at a step
         r <= t may stand for d_t.  The dense powers are tried first, longest
-        first, each on the mean bound alone, with the TV at t computed and d
-        measured there (below).  Then the rung, then the band, each as
+        first up to a ceiling, each on the mean bound alone, with the TV at t
+        computed and d measured there (below).  The ceiling halves after a
+        dense leap that fails its certificate (down to the shortest dense
+        power) and doubles after one that clears it, so that near a crossing
+        a block does not try again every power that just failed.  Then the rung, then the band, each as
         follows.  The first bound alone comes first, with the
         remembered d and the TV at t whether exact or a bound: when TV(t) -
         M (d + delta)/2 clears the level, the block is leapt with no TV
@@ -676,9 +683,13 @@ class LevelKernel:
             dense = sorted((M for M in self._dense if M >= shortest), reverse=True)
             limit = (1 if n <= 2 * m + 1 else 2 * m) << max(_DENSE_BYTES // (8 * n * n) - 1, 0)
             outs, side = np.empty((2, n)), 0  # a leap writes the one held is not in
+            # the longest dense power tried: halved after a failed dense leap
+            # and doubled after one that clears, so that near a crossing the
+            # powers that just failed are not all tried again
+            ceiling = math.inf
         # the one-step change last measured, the step it was measured at,
-        # and the steps taken by dense leaps
-        done, d, fresh, dense_steps = 0, math.inf, -1, 0
+        # the steps taken by dense leaps and this call's leaps, by steps
+        done, d, fresh, dense_steps, leaps = 0, math.inf, -1, 0, {}
         while done < steps:
             leapt = 0
             if leap_above is not None and steps - done >= m:
@@ -688,18 +699,21 @@ class LevelKernel:
                 top = dense[0] if dense else max(powers)
                 grow = shortest if top == 2 * m else 2 * top
                 if top == m:
-                    need = _PAYBACK * n
+                    need, paid = _PAYBACK * n, work.leaps.get(m, 0)
                 else:
                     need = (_SQUARE_PAYBACK * ((grow // top).bit_length() - 1)
                             * n * n / min(n, 2 * top + 1))
-                if grow <= limit and work.leaps.get(top, 0) >= need:
+                    # a dense power is bought once this call's leaps through
+                    # top so far, and those left before `steps`, each repay it
+                    paid = min(leaps.get(top, 0), (steps - done) // top)
+                if grow <= limit and paid >= need:
                     if top == m:
                         powers[2 * m] = self.rung
                     else:
                         self._dense_power(grow)
                         dense.insert(0, grow)
                 for M in dense + ([2 * m, m] if len(powers) == 2 else [m]):
-                    if M > steps - done:
+                    if M > steps - done or M > ceiling:
                         continue
                     t_end = done + M
                     blocks = t_end // m
@@ -719,8 +733,10 @@ class LevelKernel:
                         work.tvs += 1
                         if not 0.5 * (tv_now + tv_end) - 0.25 * M * d > level + rest:
                             work.failed_leaps += 1
+                            ceiling = max(M // 2, shortest)
                             continue
                         tv_now = tv_end
+                        ceiling = 2 * M
                         dense_steps += M
                         leapt = M
                         break
@@ -766,6 +782,7 @@ class LevelKernel:
                 side ^= 1
                 done += leapt
                 work.leaps[leapt] = work.leaps.get(leapt, 0) + 1
+                leaps[leapt] = leaps.get(leapt, 0) + 1
                 laws, tv = law[None], None
             else:
                 m_now = min(m, steps - done)

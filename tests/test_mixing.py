@@ -564,11 +564,37 @@ def test_rung_built_by_the_cost_rule(kernels_made):
             assert not curve.capped and t == int(curve.ts[-1]), (point, start)
 
 
+def test_failed_dense_leaps_lower_the_longest_power_tried(kernels_made):
+    # near a crossing a failed dense leap halves the longest power evolve
+    # tries and one that clears doubles it, so each block does not try
+    # every longer power again: far fewer failed leaps than the 197 and 133
+    # of trying them all, and the same crossings
+    for point, N, eps, want, most in (
+            ((4, 0.51, 0.184), 200, 0.35, {200: 3_600_420, -200: 121_905}, 100),
+            ((3, 0.55, 0.1121579), 300, 0.05, {300: None, -300: 283_779}, 50)):
+        rep = mixing_time(ModelParams(*point), N, eps, 10_000_000)
+        assert rep.t_by_start == want, point
+        assert kernels_made[-1].work.failed_leaps <= most, kernels_made[-1].work
+
+
+def test_no_dense_power_the_horizon_cannot_repay(kernels_made):
+    # at N = 800 with cap 2e5 the +800 start has paid for P^1024 in rung
+    # leaps only with about 30,000 steps left, too few leaps to repay its
+    # four squarings, and the -800 start crosses at 7,709 before its own
+    # leaps do: the kernel buys no dense power
+    rep = mixing_time(ModelParams(4, 0.51, 0.184), 800, 0.35, 200_000)
+    assert rep.t_by_start == {800: None, -800: 7709}
+    kernel = kernels_made[-1]
+    assert max(kernel.work.leaps) == 2 * _BLOCK and not kernel._dense, kernel.work
+
+
 def every_tv_evolve(kernel, mu, steps, target, level):
     """LevelKernel.evolve with leap_above=level, with the TV of every leapt
     law computed: each whole block is leapt when the mean bound of evolve's
     certificate certifies it, through the longest of the kernel's dense
-    powers that it certifies with a fresh one-step change, else with a
+    powers up to evolve's ceiling (halved after a failed dense leap, not
+    below the shortest power, and doubled after one that clears) that it
+    certifies with a fresh one-step change, else with a
     remembered one by 2 _BLOCK steps through the rung where the kernel has
     built it (tried first) or by _BLOCK, and pushed by a one-block evolve
     otherwise.  Run in step with an evolve on the same kernel, it sees the
@@ -584,13 +610,13 @@ def every_tv_evolve(kernel, mu, steps, target, level):
 
     a, held = live_window(0, mu, cut)
     tv, d, fresh, done = tv_of(a, held), math.inf, -1, 0  # fresh: the step d is from
-    dense_steps = 0
+    dense_steps, ceiling, shortest = 0, math.inf, max(4 * m, 1 << (n - 1).bit_length())
     while done < steps:
         leapt = None
         dense = sorted((M for M in kernel._dense if M > 2 * m), reverse=True)
         rungs = [2 * m, m] if "rung" in vars(kernel) else [m]
         for M in dense + rungs if steps - done >= m else ():
-            if M > steps - done:
+            if M > steps - done or M > ceiling:
                 continue
             if M > 2 * m:
                 if fresh != done:
@@ -602,8 +628,9 @@ def every_tv_evolve(kernel, mu, steps, target, level):
                 law /= law.sum()
                 tv_end = tv_of(lo, law)
                 if 0.5 * (tv + tv_end) - 0.25 * M * d > level + rest:
-                    leapt, dense_steps = M, dense_steps + M
+                    leapt, dense_steps, ceiling = M, dense_steps + M, 2 * M
                     break
+                ceiling = max(M // 2, shortest)
                 continue
             rest = (M + 2) * (16 * (done + M) + n + (done + M) // m + 2 * n * dense_steps) * eps
 
