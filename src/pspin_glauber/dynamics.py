@@ -596,19 +596,19 @@ class LevelKernel:
         computed and d measured there (below).  The ceiling halves after a
         dense leap that fails its certificate (down to the shortest dense
         power) and doubles after one that clears it, so that near a crossing
-        a block does not try again every power that just failed.  Then the rung, then the band, each as
-        follows.  The first bound alone comes first, with the
-        remembered d and the TV at t whether exact or a bound: when TV(t) -
-        M (d + delta)/2 clears the level, the block is leapt with no TV
-        computed, and that value is carried to step t + M as the bound on
-        its TV.  Otherwise the TV at t is computed and the two checks of
-        the mean bound run: the remembered d is tried first, and only when
-        it fails one of them is d_t measured, by one `push`, and the checks
-        rerun with it, so in exact arithmetic every decision is that of a
-        fresh d_t.  Where the first bound clears, both checks would pass
-        with the same d (the bound is below either mean), so the blocks
-        leapt are those the checks alone leap, and the laws are bitwise
-        theirs.
+        a block does not try again every power that just failed.  Then the
+        rung, then the band, each as follows.  The first bound alone comes
+        first, with the remembered d and the TV at t whether exact or a
+        bound: when TV(t) - M (d + delta)/2 clears the level, the block is
+        leapt with no TV computed, and that value is carried to step t + M
+        as the bound on its TV.  Otherwise the TV at t is computed and the
+        two checks of the mean bound run: the remembered d is tried first,
+        and only when it fails one of them is d_t measured, by one `push`,
+        and the checks rerun with it, so in exact arithmetic every decision
+        is that of a fresh d_t.  Where the first bound clears, both checks
+        would pass with the same d (the bound is below either mean), so the
+        blocks leapt are those the checks alone leap, and the laws are
+        bitwise theirs.
 
         The error budget.  The bound must clear the level by the rounding
         of the laws.  A push or a leap errs by under 32 eps of L1 per step

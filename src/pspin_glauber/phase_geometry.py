@@ -162,20 +162,22 @@ def thresholds(p: int) -> Thresholds:
 _GAP_FLOOR = 1e-15
 
 
-def _solve_maxima(p: int, betas, hs, lo, hi) -> np.ndarray:
+def _solve_maxima(p: int, betas, hs, lo, hi, start=None) -> np.ndarray:
     """The local maximizer u of H (root of G, falling from + to -) in each
     bracket [lo, hi], at fields hs and inverse temperatures betas.
 
     The batched form of `_solve_root` for LOCAL_MAX, with the safeguards
     of `rtsafe` (Press et al., Numerical Recipes, 9.4): Newton on
-    G(u) = p*beta*tanh(u)^(p-1) + h - u from the bracket's middle, a step
-    that leaves the shrinking sign bracket, that is not at most half the
-    step before the last one (a Newton cycle across an inflection of G),
-    or where G' is not negative, replaced by bisection.  A lane stops at a
-    Newton step of at most one ulp, taken, or at a bracket of two adjacent
-    floats.
+    G(u) = p*beta*tanh(u)^(p-1) + h - u from `start` where it lies inside
+    the bracket, else from the bracket's middle; a step that leaves the
+    shrinking sign bracket, that is not at most half the step before the
+    last one (a Newton cycle across an inflection of G), or where G' is not
+    negative, is replaced by bisection.  A lane stops at a Newton step of
+    at most one ulp, taken, or at a bracket of two adjacent floats.
     """
     pb, x = p * betas, 0.5 * (lo + hi)
+    if start is not None:
+        x = np.where((lo < start) & (start < hi), start, x)
     dx = dx_old = hi - lo
     out = np.empty(len(x))
     idx = np.arange(len(x))
@@ -218,9 +220,11 @@ def _heights(p: int, betas, hs, u):
     return m, betas * m**p + hs * m - 0.5 * ((1.0 + am) * np.log1p(am) + tail)
 
 
-def _height_gaps(p: int, betas, nodes, a, hs):
-    """(gap, slope) of H(top maximizer) - H(best other maximizer) at field
-    hs[i] for the landscape of row i (nodes, a from `node_terms`).
+def _height_gaps(p: int, betas, nodes, a, hs, starts=None):
+    """(gap, slope, u) of H(top maximizer) - H(best other maximizer) at
+    field hs[i] for the landscape of row i (nodes, a from `node_terms`); u
+    holds the maximizers solved, by event slot (below), nan elsewhere, and
+    `starts`, of the same shape, the Newton starts (an earlier call's u).
 
     The maximizers are read from the node signs as `_pattern` reads them:
     G is +inf at the lower end h - (p*beta + 1) and -inf at the upper one,
@@ -258,6 +262,7 @@ def _height_gaps(p: int, betas, nodes, a, hs):
         slots[:, 2 * i - 1] = zero[:, i] & left[i] & ~right[i]
 
     gap, slope = np.full(n, np.inf), np.full(n, np.nan)
+    found = np.full(slots.shape, np.nan)
     top = 2 * k - np.argmax(slots[:, ::-1], axis=1)
     # the last maximizer lies at or above the last node
     has_top = slots.any(axis=1) & (top >= 2 * k - 1)
@@ -265,14 +270,16 @@ def _height_gaps(p: int, betas, nodes, a, hs):
     pair = has_top & (slots.sum(axis=1) >= 2)
     rows = np.flatnonzero(pair)
     if not rows.size:
-        return gap, slope
+        return gap, slope, found
     events = slots[rows]
     lane, slot = np.nonzero(events)
     lane = rows[lane]
     e_lo, e_hi = lo[lane, slot], hi[lane, slot]
     u = e_lo.copy()
     solve = e_lo < e_hi
-    u[solve] = _solve_maxima(p, betas[lane[solve]], hs[lane[solve]], e_lo[solve], e_hi[solve])
+    u[solve] = _solve_maxima(p, betas[lane[solve]], hs[lane[solve]], e_lo[solve], e_hi[solve],
+                             None if starts is None else starts[lane[solve], slot[solve]])
+    found[lane, slot] = u
     m, H = _heights(p, betas[lane], hs[lane], u)
     heights = np.full(events.shape, -np.inf)
     ms = np.zeros(events.shape)
@@ -284,7 +291,7 @@ def _height_gaps(p: int, betas, nodes, a, hs):
     other = np.argmax(heights, axis=1)  # the first of equal heights
     gap[rows] = h_top - heights[r, other]
     slope[rows] = m_top - ms[r, other]
-    return gap, slope
+    return gap, slope, found
 
 
 def _equal_height_fields(p: int, betas, nodes, a, lo, hi) -> np.ndarray:
@@ -298,10 +305,11 @@ def _equal_height_fields(p: int, betas, nodes, a, lo, hi) -> np.ndarray:
     the side of the tie), a step that leaves the bracket or a slope that is
     not positive is replaced by bisection.  Every row still open takes its
     step together, with its maximizers solved in one batch
-    (`_height_gaps`).  A row returns at a resolved |gap| <= _GAP_FLOOR,
-    after one last Newton step, or at a bracket of two adjacent floats
-    whose ends both have resolved gaps; DomainError where a bracket closes
-    on an end where the pair does not exist, for the first such row.
+    (`_height_gaps`), each from where the row's last step found it.  A row
+    returns at a resolved |gap| <= _GAP_FLOOR, after one last Newton step,
+    or at a bracket of two adjacent floats whose ends both have resolved
+    gaps; DomainError where a bracket closes on an end where the pair does
+    not exist, for the first such row.
     """
     a_end, b_end = np.array(lo, dtype=float), np.array(hi, dtype=float)
     ga, gb = np.full(len(a_end), -np.inf), np.full(len(a_end), np.inf)
@@ -309,13 +317,13 @@ def _equal_height_fields(p: int, betas, nodes, a, lo, hi) -> np.ndarray:
     out = np.empty(len(x))
     idx = np.arange(len(x))
     failed = []
+    starts = None
     for _ in range(200):
         if not idx.size:
             break
-        g, slope = _height_gaps(p, betas[idx], nodes[idx], a[idx], x)
+        g, slope, starts = _height_gaps(p, betas[idx], nodes[idx], a[idx], x, starts)
         rises = slope > 0.0
-        newton = np.where(rises, x - np.where(rises, g, 0.0) / np.where(rises, slope, 1.0),
-                          np.nan)
+        newton = np.where(rises, x - g / np.where(rises, slope, 1.0), np.nan)
         tied = np.abs(g) <= _GAP_FLOOR
         out[idx[tied]] = np.where((a_end <= newton) & (newton <= b_end), newton, x)[tied]
         below = g < 0.0
@@ -329,7 +337,8 @@ def _equal_height_fields(p: int, betas, nodes, a, lo, hi) -> np.ndarray:
         failed += [(i, a_end[j], b_end[j]) for j, i in
                    zip(np.flatnonzero(closed & ~resolved), idx[closed & ~resolved])]
         keep = ~(tied | closed)
-        idx, x, a_end, b_end, ga, gb = (v[keep] for v in (idx, x, a_end, b_end, ga, gb))
+        idx, x, a_end, b_end, ga, gb, starts = (
+            v[keep] for v in (idx, x, a_end, b_end, ga, gb, starts))
     failed += [(i, a_end[j], b_end[j]) for j, i in enumerate(idx)]
     if failed:
         i, a_end, b_end = min(failed)
@@ -464,13 +473,15 @@ def _cell_codes(p: int, betas, above, nodes, a, hs) -> np.ndarray:
     step, width = max(1, _CELL_BLOCK // max(n_h, 1)), max(1, min(n_h, _CELL_BLOCK))
     for i in range(0, len(rows), step):
         for j in range(0, n_h, width):
-            values = (a[i:i + step, None, :] + hs[None, j:j + width, None]) - nodes[i:i + step, None, :]
+            values = ((a[i:i + step, None, :] + hs[None, j:j + width, None])
+                      - nodes[i:i + step, None, :])
             positive = values > 0
             # G falls from + to - across the nodes, so every - to + change
             # between two nodes adds a maximizer to the one that the ends make
             critical = (~positive[:, :, :-1] & positive[:, :, 1:]).any(axis=2)
             codes[rows[i:i + step], j:j + width] = np.where(
-                critical, REGION_CODES[Region.LOCALLY_CRITICAL], REGION_CODES[Region.LOCALLY_REGULAR])
+                critical, REGION_CODES[Region.LOCALLY_CRITICAL],
+                REGION_CODES[Region.LOCALLY_REGULAR])
             near = (np.abs(values) <= 100.0 * CURVATURE_TOL).any(axis=2)
             for r, c in zip(*np.nonzero(near)):
                 solve(rows[i + r], j + c)

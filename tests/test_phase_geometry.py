@@ -479,7 +479,7 @@ def test_height_gap_solves_the_maximizers_of_stationary_points():
             wants.append((maxima[-1], max(maxima[:-1], key=lambda s: s.H)))
         betas = np.array(betas)
         _, nodes, a = _rows(p, betas)
-        gaps, slopes = _height_gaps(p, betas, nodes, a, np.array(hs))
+        gaps, slopes, _ = _height_gaps(p, betas, nodes, a, np.array(hs))
         for beta, h, gap, slope, (top, other) in zip(betas, hs, gaps, slopes, wants):
             scale = max(1.0, abs(top.H), abs(other.H))
             assert abs(gap - (top.H - other.H)) <= 1e-15 * scale, (p, beta, h)
@@ -500,7 +500,7 @@ def test_c_solver_guards_where_a_maximizer_merges():
         U, L = band.U, band.L
         hs = np.array([L + 1e-12, L + 1e-9, U - 1e-9, U - 1e-12, L + 1e-7, U - 1e-7])
         _, nodes, a = _rows(p, np.full(len(hs), beta))
-        gaps, slopes = _height_gaps(p, np.full(len(hs), beta), nodes, a, hs)
+        gaps, slopes, _ = _height_gaps(p, np.full(len(hs), beta), nodes, a, hs)
         for gap, slope, side in zip(gaps[:4], slopes, (-math.inf, -math.inf, math.inf, math.inf)):
             assert gap == side and math.isnan(slope), (p, beta, gaps)
         low, high = gaps[4:]
