@@ -14,6 +14,26 @@ Region semantics (p >= 3):
   (the single point (beta_hat, h_hat), mirrored in h for even p).
 * boundary -- one local maximizer plus a stationary inflection point; the
   one-dimensional curve separating regular from critical.
+
+Axes and points.  A diagram or `curves` axis is solved as one batch in
+numpy (`scan_block`, `curve_samples`): the roots of H'' of all its betas in
+one `curvature_roots` solve, the plain cells' codes in one broadcast of G
+at the nodes, run in blocks of _CELL_BLOCK cells, and C by a Newton solve
+on the height gap that steps every column still open at once, the
+maximizers of all of them solved in one batched Newton per step
+(`_solve_maxima`).  A column's codes and sample are the same bits in any
+block it is scanned in.  Points keep math scalars: `classify_point` and
+`LandscapeStructure.stationary_points` solve each root with `_solve_root`
+and `_height`, and so do the near-tangent cells and the near-flat columns
+of a scan, one point at a time.
+
+Stopping rules.  An H'' root stops at a Newton step in s below 2^-30 of
+its distance to the nearest of s = 0 and the end it approaches, or below
+an ulp of 1 (`curvature_roots`).  A maximizer of a C solve stops at a
+Newton step of at most one ulp or at a bracket of two adjacent floats
+(`_solve_maxima`), as `_solve_root` does for a point.  C stops at a
+height gap of at most _GAP_FLOOR, after one last Newton step, or at a
+bracket of two adjacent floats (`_equal_height_fields`).
 """
 
 from __future__ import annotations
@@ -349,10 +369,17 @@ def _equal_height_fields(p: int, betas, nodes, a, lo, hi) -> np.ndarray:
     return out
 
 
-def _bands(p: int, betas, nodes, a):
-    """(U, L) arrays over rows of betas above beta_hat, nan where absent:
-    H' at the inflection pair a1 < a2 is the last two node values at h=0.
-    U and L are absent up to beta_hat + 1e-12, L past beta_prime at even p."""
+def _curve_values(p: int, betas, nodes, a, *, with_C: bool = True):
+    """(U, L, C) arrays over rows of betas above beta_hat, nan where absent.
+
+    Odd p:  U = -H'(a1), L = -H'(a2) at zero field, both on (beta_hat, inf).
+    Even p: U = -min(H'(-a2), H'(a1)), L = -H'(a2) only on (beta_hat,
+    beta_prime]; C vanishes identically above beta_tilde.  H' at the
+    inflection pair a1 < a2 is the last two node values at h=0, and all
+    three are absent up to beta_hat + 1e-12.  C is the tie of the outer
+    maximizers (`_equal_height_fields`) inside [L, U], [0, U] where L is
+    absent.
+    """
     thr = thresholds(p)
     g = (a[:, -2:] + 0.0) - nodes[:, -2:]
     g1, g2 = g[:, 0], g[:, 1]
@@ -361,24 +388,11 @@ def _bands(p: int, betas, nodes, a):
         U, L = -g1, -g2
     else:  # -min(H'(-a2), H'(a1)); H' is odd at h=0
         U, L = np.maximum(-g1, g2), np.where(betas <= thr.beta_prime, -g2, np.nan)
-    return np.where(live, U, np.nan), np.where(live, L, np.nan)
-
-
-def _curve_values(p: int, betas, nodes, a, *, with_C: bool = True):
-    """(U, L, C) arrays over rows of betas above beta_hat, nan where absent.
-
-    Odd p:  U = -H'(a1), L = -H'(a2) at zero field, both on (beta_hat, inf).
-    Even p: U = -min(H'(-a2), H'(a1)), L = -H'(a2) only on (beta_hat,
-    beta_prime]; C vanishes identically above beta_tilde.  C is the tie of
-    the outer maximizers (`_equal_height_fields`) inside [L, U], [0, U]
-    where L is absent.
-    """
-    U, L = _bands(p, betas, nodes, a)
+    U, L = np.where(live, U, np.nan), np.where(live, L, np.nan)
     C = np.full(len(betas), np.nan)
     if with_C:
-        live = ~np.isnan(U)
         if p % 2 == 0:
-            flat = live & (betas >= thresholds(p).beta_tilde)
+            flat = live & (betas >= thr.beta_tilde)
             C[flat] = 0.0
             live &= ~flat
         rows = np.flatnonzero(live)
@@ -387,7 +401,7 @@ def _curve_values(p: int, betas, nodes, a, *, with_C: bool = True):
     return U, L, C
 
 
-def _curve_samples(p: int, betas, above, nodes, a, *, with_C: bool = True) -> list[CurveSample]:
+def _curve_samples(p: int, betas, above, nodes, a, *, with_C: bool = True):
     """A CurveSample at every beta, from the rows (nodes, a) of the betas
     above beta_hat (the mask `above`); all three curves are None for p < 3."""
     values = np.full((3, len(betas)), np.nan)
@@ -397,35 +411,37 @@ def _curve_samples(p: int, betas, above, nodes, a, *, with_C: bool = True) -> li
     return [CurveSample(beta=b, U=u, L=l, C=c) for b, u, l, c in zip(betas.tolist(), U, L, C)]
 
 
-def boundary_curves(p: int, beta: float, *, with_C: bool = True) -> CurveSample:
-    """Sample the curves U, L, C at one beta; absent values are None.
-
-    The one-column form of a diagram scan's curves (`_curve_values`) on the
-    cached `landscape_structure`'s nodes.  U and L are cached per (p,
-    beta).  Pass with_C=False to skip C (the costly part) when only the
-    coexistence band U/L matters.  All three are None for p < 3, where the
-    thresholds are not defined.
-    """
-    if p < 3:
-        return CurveSample(beta=beta, U=None, L=None, C=None)
-    if not with_C:
-        U, L = _band(p, beta)
-        return CurveSample(beta=beta, U=U, L=L, C=None)
+def _column_curves(p: int, beta: float, *, with_C: bool) -> CurveSample:
+    """The CurveSample of one beta, on the cached `landscape_structure`'s
+    nodes."""
     struct = landscape_structure(p, beta)
     betas = np.array([float(beta)])
     above = betas > _beta_hat(p)
     return _curve_samples(p, betas, above, struct.nodes[None, :][above],
-                          struct._a[None, :][above])[0]
+                          struct._a[None, :][above], with_C=with_C)[0]
+
+
+def boundary_curves(p: int, beta: float, *, with_C: bool = True) -> CurveSample:
+    """Sample the curves U, L, C at one beta; absent values are None.
+
+    The one-column form of a diagram scan's curves (`_curve_values`).  U
+    and L are cached per (p, beta).  Pass with_C=False to skip C (the
+    costly part) when only the coexistence band U/L matters.  All three are
+    None for p < 3, where the thresholds are not defined.
+    """
+    if p < 3:
+        return CurveSample(beta=beta, U=None, L=None, C=None)
+    if with_C:
+        return _column_curves(p, beta, with_C=True)
+    U, L = _band(p, beta)
+    return CurveSample(beta=beta, U=U, L=L, C=None)
 
 
 @lru_cache(maxsize=1024)
 def _band(p: int, beta: float):
     """(U, L) at one beta, None where absent."""
-    struct = landscape_structure(p, beta)
-    if not struct.nodes.size:
-        return None, None
-    U, L = _bands(p, np.array([float(beta)]), struct.nodes[None, :], struct._a[None, :])
-    return tuple(None if v != v else v for v in (float(U[0]), float(L[0])))
+    sample = _column_curves(p, beta, with_C=False)
+    return sample.U, sample.L
 
 
 def _region_of(points: list[StationaryPoint]) -> Region:
@@ -485,7 +501,9 @@ def _cell_codes(p: int, betas, above, nodes, a, hs) -> np.ndarray:
             near = (np.abs(values) <= 100.0 * CURVATURE_TOL).any(axis=2)
             for r, c in zip(*np.nonzero(near)):
                 solve(rows[i + r], j + c)
-    for i in np.flatnonzero(~above & (betas / _beta_hat(p) - 1.0 > -1e-6)):  # near-flat
+    # near-flat columns: the maximum of G' = (1 - x^2) H''(x), at x = sqrt(1 -
+    # 2/p), is beta/beta_hat - 1, and where H'' has no root H'' <= G'
+    for i in np.flatnonzero(~above & (betas / _beta_hat(p) - 1.0 > -1e-6)):
         for j in range(n_h):
             solve(i, j)
     return codes

@@ -387,9 +387,10 @@ class LandscapeStructure:
     The nodes are the atanh of the roots of H'' (h-independent, the row of
     `curvature_roots` for this beta), with the h=0 terms of
     H'(m; h) = (p*beta*m^(p-1) + h) - atanh(m) precomputed there
-    (`node_terms`).  The node values for any h, or for a whole column of h
-    at once (`node_values`), are then one addition and one subtraction, the
-    same float operations as `free_energy_d1`.  The kinds of the stationary
+    (`node_terms`).  The node values for any h are then one addition and
+    one subtraction, the same float operations as `free_energy_d1`, and a
+    diagram scan broadcasts the same two over its cells.  The kinds of the
+    stationary
     points at a given h come from the signs at the nodes alone; each root
     is then solved once, by `_solve_root` inside its sign-changing monotone
     interval.
@@ -398,22 +399,15 @@ class LandscapeStructure:
     def __init__(self, p: int, beta: float):
         self.p = int(p)
         self.beta = float(beta)
-        bh = _beta_hat(self.p)
-        # the maximum of G' = (1 - x^2) H''(x) = p(p-1) beta x^(p-2) (1 - x^2) - 1,
-        # at x = w = sqrt(1 - 2/p); where H'' has no root, H'' = G'/(1 - x^2) <= G'
-        self.d2_bound = self.beta / bh - 1.0
         betas = np.array([self.beta])
-        roots = curvature_roots(self.p, betas) if self.beta > bh else np.empty((1, 0))
+        roots = (curvature_roots(self.p, betas) if self.beta > _beta_hat(self.p)
+                 else np.empty((1, 0)))
         self.curvature_roots = roots[0].tolist()
         nodes, a = node_terms(self.p, betas, roots)
         self.nodes, self._a = nodes[0], a[0]
         self._terms = list(zip(self.nodes.tolist(), self._a.tolist()))
 
     # -- node machinery ------------------------------------------------------
-
-    def node_values(self, hs: np.ndarray) -> np.ndarray:
-        """G at `self.nodes` for every field in hs: shape (len(hs), nodes)."""
-        return (self._a[None, :] + hs[:, None]) - self.nodes[None, :]
 
     def _nodes_for(self, h: float):
         """The nodes inside the end brackets h -+ (p*beta + 1), between those
