@@ -411,37 +411,40 @@ def _curve_samples(p: int, betas, above, nodes, a, *, with_C: bool = True):
     return [CurveSample(beta=b, U=u, L=l, C=c) for b, u, l, c in zip(betas.tolist(), U, L, C)]
 
 
-def _column_curves(p: int, beta: float, *, with_C: bool) -> CurveSample:
-    """The CurveSample of one beta, on the cached `landscape_structure`'s
-    nodes."""
+def boundary_curves(p: int, beta: float, *, with_C: bool = True) -> CurveSample:
+    """Sample the curves U, L, C at one beta; absent values are None.
+
+    The one-column form of a diagram scan's curves (`_curve_values`) on the
+    cached `landscape_structure`'s nodes.  U and L are cached per (p, beta).
+    Pass with_C=False to skip C (the costly part) when only the coexistence
+    band U/L matters.  All three are None for p < 3, where the thresholds
+    are not defined.
+    """
+    if p < 3:
+        return CurveSample(beta=beta, U=None, L=None, C=None)
+    if not with_C:
+        U, L = _band(p, beta)
+        return CurveSample(beta=beta, U=U, L=L, C=None)
     struct = landscape_structure(p, beta)
     betas = np.array([float(beta)])
     above = betas > _beta_hat(p)
     return _curve_samples(p, betas, above, struct.nodes[None, :][above],
-                          struct._a[None, :][above], with_C=with_C)[0]
-
-
-def boundary_curves(p: int, beta: float, *, with_C: bool = True) -> CurveSample:
-    """Sample the curves U, L, C at one beta; absent values are None.
-
-    The one-column form of a diagram scan's curves (`_curve_values`).  U
-    and L are cached per (p, beta).  Pass with_C=False to skip C (the
-    costly part) when only the coexistence band U/L matters.  All three are
-    None for p < 3, where the thresholds are not defined.
-    """
-    if p < 3:
-        return CurveSample(beta=beta, U=None, L=None, C=None)
-    if with_C:
-        return _column_curves(p, beta, with_C=True)
-    U, L = _band(p, beta)
-    return CurveSample(beta=beta, U=U, L=L, C=None)
+                          struct._a[None, :][above])[0]
 
 
 @lru_cache(maxsize=1024)
 def _band(p: int, beta: float):
-    """(U, L) at one beta, None where absent."""
-    sample = _column_curves(p, beta, with_C=False)
-    return sample.U, sample.L
+    """(U, L) at one beta, None where absent: the U and L of
+    `_curve_values` in math scalars, for a point query, from the same float
+    operations on the same node values, so the same bits."""
+    thr = thresholds(p)
+    if not beta > thr.beta_hat + 1e-12:
+        return None, None
+    (u1, a1), (u2, a2) = landscape_structure(p, beta)._terms[-2:]
+    g1, g2 = (a1 + 0.0) - u1, (a2 + 0.0) - u2
+    if p % 2 == 1:
+        return -g1, -g2
+    return max(-g1, g2), (-g2 if beta <= thr.beta_prime else None)
 
 
 def _region_of(points: list[StationaryPoint]) -> Region:

@@ -298,13 +298,16 @@ def curvature_roots(p: int, betas: np.ndarray) -> np.ndarray:
     f(s) = (p-2) log1p(s) + log1p(-k s (2 + s)) + log(beta/beta_hat),
     k = (p-2)/2, and f is concave with its maximum at s = 0: one root on
     either side.  Both roots of every beta are solved together by Newton in
-    s, each lane from the f < 0 side of its root, where a concave f makes
-    the steps climb to the root without passing it.  The starts are the
-    closer of the quadratic estimate s^2 = log(beta/beta_hat) / (p k) and a
-    bound on that side, which the steps never cross: from
+    s, one lane per root, each started from the closer to s = 0 of the
+    quadratic estimate s^2 = log(beta/beta_hat) / (p k) and a bound on the
+    f < 0 side of its root, which the steps are clamped to: from
     f = (p-2) t + log(1 + k (1 - e^(2t))) + log(beta/beta_hat), t =
     log1p(s), the one that drops the last log (lower root) or bounds t by
-    its end (upper root).  A lane stops at a step below _ROOT_STEP times
+    its end (upper root).  On the f < 0 side a concave f makes the steps
+    climb to the root without passing it.  The quadratic estimate of the
+    lower root lies on the f > 0 side (the cubic term of f is negative), so
+    its first step passes the root, onto the f < 0 side, and from there
+    climbs back.  A lane stops at a step below _ROOT_STEP times
     the root's distance to the nearest of s = 0 and the end it approaches,
     taken at its start, or below one ulp of 1; that step is taken, and the
     quadratic convergence leaves an error far below the rounding of f.  A

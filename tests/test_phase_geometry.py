@@ -544,8 +544,9 @@ def test_batched_c_ties_the_maxima_over_whole_axes():
 
 def test_columns_scan_the_same_in_any_block():
     # a column's codes and curve sample are the same bits whether it is
-    # scanned alone (scan_column), inside a whole-axis scan (scan_grid) or
-    # in one of the blocks that phase-diagram --jobs 2 hands its workers
+    # scanned alone (scan_column), inside a whole-axis scan (scan_grid), in
+    # one of the blocks that phase-diagram --jobs 2 hands its workers or,
+    # for U and L, queried at one point (classify --margins)
     from pspin_glauber.phase_geometry import scan_block
 
     for p in (3, 4, 5, 6):
@@ -564,6 +565,9 @@ def test_columns_scan_the_same_in_any_block():
             alone, alone_sample = scan_column(p, beta, grid.h_axis)
             assert alone.tolist() == row.tolist(), (p, beta)
             assert alone_sample == sample == boundary_curves(p, beta), (p, beta)
+            # a point query's band is read in math scalars, to the same bits
+            band = boundary_curves(p, beta, with_C=False)
+            assert (band.U, band.L) == (sample.U, sample.L), (p, beta)
 
 
 def test_cell_broadcast_runs_in_bounded_blocks():
