@@ -393,10 +393,9 @@ class LandscapeStructure:
     (`node_terms`).  The node values for any h are then one addition and
     one subtraction, the same float operations as `free_energy_d1`, and a
     diagram scan broadcasts the same two over its cells.  The kinds of the
-    stationary
-    points at a given h come from the signs at the nodes alone; each root
-    is then solved once, by `_solve_root` inside its sign-changing monotone
-    interval.
+    stationary points at a given h come from the signs at the nodes alone;
+    each root is then solved once, by `_solve_root` inside its
+    sign-changing monotone interval.
     """
 
     def __init__(self, p: int, beta: float):
