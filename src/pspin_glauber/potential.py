@@ -297,10 +297,11 @@ def curvature_roots(p: int, betas: np.ndarray) -> np.ndarray:
     x = w (1 + s) the equation reads f(s) = 0 for
     f(s) = (p-2) log1p(s) + log1p(-k s (2 + s)) + log(beta/beta_hat),
     k = (p-2)/2, and f is concave with its maximum at s = 0: one root on
-    either side.  Both roots of every beta are solved together by Newton in
-    s, one lane per root, each started from the closer to s = 0 of the
-    quadratic estimate s^2 = log(beta/beta_hat) / (p k) and a bound on the
-    f < 0 side of its root, which the steps are clamped to: from
+    either side.  Both roots of every beta are solved by Newton in s, one
+    lane per root (`_root_lanes`, `_root_step`), each started from the
+    closer to s = 0 of the quadratic estimate
+    s^2 = log(beta/beta_hat) / (p k) and a bound on the f < 0 side of its
+    root, which the steps are clamped to: from
     f = (p-2) t + log(1 + k (1 - e^(2t))) + log(beta/beta_hat), t =
     log1p(s), the one that drops the last log (lower root) or bounds t by
     its end (upper root).  On the f < 0 side a concave f makes the steps
@@ -310,8 +311,14 @@ def curvature_roots(p: int, betas: np.ndarray) -> np.ndarray:
     climbs back.  A lane stops at a step below _ROOT_STEP times
     the root's distance to the nearest of s = 0 and the end it approaches,
     taken at its start, or below one ulp of 1; that step is taken, and the
-    quadratic convergence leaves an error far below the rounding of f.  A
-    lane's steps do not depend on the other lanes.
+    quadratic convergence leaves an error far below the rounding of f.
+
+    A lane's steps do not depend on the other lanes.  An axis steps all its
+    lanes together in arrays; a single beta steps its two lanes one after
+    the other in floats, with the same numpy ufuncs for log1p, expm1 and
+    exp (numpy's own, not `math`'s, which round differently), so its row is
+    the same bits as in any axis, without numpy's per-call overhead on
+    arrays of one beta.
 
     The ends are x = _ROOT_END and x = 1 - _ROOT_END, which hold both roots
     for beta up to about 5e14 / (p (p-1)); past that a root lies beyond an
@@ -325,8 +332,7 @@ def curvature_roots(p: int, betas: np.ndarray) -> np.ndarray:
         r = np.sqrt(1.0 - 1.0 / (2.0 * betas))
         _check_root_ends(p, betas, r < 1.0 - _ROOT_END)
         return np.stack([-r, r], axis=1)
-    w, k = math.sqrt(1.0 - 2.0 / p), 0.5 * (p - 2)
-    n, pm2 = len(betas), p - 2.0
+    w, k, pm2 = math.sqrt(1.0 - 2.0 / p), 0.5 * (p - 2), p - 2.0
     s_lo, s_hi = _ROOT_END / w - 1.0, (1.0 - _ROOT_END) / w - 1.0
     lg = np.log1p((betas - bh) / bh)  # log(beta/beta_hat) > 0
 
@@ -334,36 +340,59 @@ def curvature_roots(p: int, betas: np.ndarray) -> np.ndarray:
         return pm2 * math.log1p(s) + math.log1p(-k * s * (2.0 + s))
 
     _check_root_ends(p, betas, lg < -max(phi(s_lo), phi(s_hi)))
-    q = np.sqrt(lg * (1.0 / (p * k)))
-    # one lane per root: column 0 the lower root, column 1 the upper one
-    bound = np.empty((n, 2))
-    bound[:, 0] = np.maximum(np.expm1((lg + math.log1p(k)) * (-1.0 / pm2)), s_lo)
-    t_end = pm2 * 0.5 * math.log1p(1.0 / k)  # (p-2) t at x = 1
-    bound[:, 1] = np.minimum(np.sqrt((1.0 + k - np.exp(-lg - t_end)) / k) - 1.0, s_hi)
-    s = np.empty((n, 2))
-    s[:, 0] = np.maximum(bound[:, 0], -q)
-    s[:, 1] = np.minimum(bound[:, 1], q)
-    low, high = np.minimum(bound, 0.0), np.maximum(bound, 0.0)
-    ends = np.empty((n, 2))
-    ends[:, 0] = 1.0 + s[:, 0]
-    ends[:, 1] = (1.0 / w - 1.0) - s[:, 1]
-    tol = np.maximum(np.minimum(np.abs(s), ends) * _ROOT_STEP, 2.0**-52)
-    lg = lg[:, None]
-    active = np.ones((n, 2), dtype=bool)
-    for _ in range(100):
-        y = 1.0 + s
-        nq = (s * (2.0 + s)) * -k
-        f = np.log1p(s) * pm2 + np.log1p(nq) + lg
-        step = f / (pm2 / y - (2.0 * k) * y / (1.0 + nq))
-        step *= active
-        s = np.minimum(np.maximum(s - step, low), high)
-        active &= np.abs(step) > tol
-        if not active.any():
-            break
+    if len(betas) == 1:
+        x = np.empty((1, 2))
+        lg1 = float(lg[0])
+        for j, lane in enumerate(_root_lanes(p, lg1)):
+            s, low, high, tol = map(float, lane)
+            for _ in range(100):
+                step = float(_root_step(p, s, lg1))
+                s = min(max(s - step, low), high)
+                if not abs(step) > tol:
+                    break
+            else:
+                raise RuntimeError(f"the roots of H'' at p={p} did not converge")
+            x[0, j] = w * (1.0 + s)
     else:
-        raise RuntimeError(f"the roots of H'' at p={p} did not converge")
-    x = w * (1.0 + s)
+        s, low, high, tol = (np.stack(np.broadcast_arrays(*v), axis=1)
+                             for v in zip(*_root_lanes(p, lg)))
+        lg = lg[:, None]
+        active = np.ones(s.shape, dtype=bool)
+        for _ in range(100):
+            step = _root_step(p, s, lg)
+            step *= active
+            s = np.minimum(np.maximum(s - step, low), high)
+            active &= np.abs(step) > tol
+            if not active.any():
+                break
+        else:
+            raise RuntimeError(f"the roots of H'' at p={p} did not converge")
+        x = w * (1.0 + s)
     return x if p % 2 == 1 else np.concatenate([-x[:, ::-1], x], axis=1)
+
+
+def _root_lanes(p: int, lg):
+    """(start, low, high, tol) of the lower root's lane and the upper one's
+    (`curvature_roots`), at lg = log(beta/beta_hat): floats or arrays."""
+    w, k, pm2 = math.sqrt(1.0 - 2.0 / p), 0.5 * (p - 2), p - 2.0
+    s_lo, s_hi = _ROOT_END / w - 1.0, (1.0 - _ROOT_END) / w - 1.0
+    q = np.sqrt(lg * (1.0 / (p * k)))
+    lower = np.maximum(np.expm1((lg + math.log1p(k)) * (-1.0 / pm2)), s_lo)  # < 0
+    t_end = pm2 * 0.5 * math.log1p(1.0 / k)  # (p-2) t at x = 1
+    upper = np.minimum(np.sqrt((1.0 + k - np.exp(-lg - t_end)) / k) - 1.0, s_hi)  # > 0
+    s0, s1 = np.maximum(lower, -q), np.minimum(upper, q)
+    return ((s0, lower, 0.0, np.maximum(np.minimum(np.abs(s0), 1.0 + s0) * _ROOT_STEP, 2.0**-52)),
+            (s1, 0.0, upper, np.maximum(np.minimum(np.abs(s1), (1.0 / w - 1.0) - s1) * _ROOT_STEP,
+                                        2.0**-52)))
+
+
+def _root_step(p: int, s, lg):
+    """The Newton step f(s) / f'(s) of `curvature_roots`: floats or arrays."""
+    k, pm2 = 0.5 * (p - 2), p - 2.0
+    y = 1.0 + s
+    nq = (s * (2.0 + s)) * -k
+    f = np.log1p(s) * pm2 + np.log1p(nq) + lg
+    return f / (pm2 / y - (2.0 * k) * y / (1.0 + nq))
 
 
 def _check_root_ends(p: int, betas: np.ndarray, inside: np.ndarray) -> None:
