@@ -414,22 +414,17 @@ def _curve_samples(p: int, betas, above, nodes, a, *, with_C: bool = True):
 def boundary_curves(p: int, beta: float, *, with_C: bool = True) -> CurveSample:
     """Sample the curves U, L, C at one beta; absent values are None.
 
-    The one-column form of a diagram scan's curves (`_curve_values`) on the
-    cached `landscape_structure`'s nodes.  U and L are cached per (p, beta).
-    Pass with_C=False to skip C (the costly part) when only the coexistence
-    band U/L matters.  All three are None for p < 3, where the thresholds
-    are not defined.
+    `curve_samples` of the one beta.  Pass with_C=False to skip C (the
+    costly part) when only the coexistence band U/L matters: U and L are
+    then read from the cached landscape (`_band`).  All three are None for
+    p < 3, where the thresholds are not defined.
     """
     if p < 3:
         return CurveSample(beta=beta, U=None, L=None, C=None)
     if not with_C:
         U, L = _band(p, beta)
         return CurveSample(beta=beta, U=U, L=L, C=None)
-    struct = landscape_structure(p, beta)
-    betas = np.array([float(beta)])
-    above = betas > _beta_hat(p)
-    return _curve_samples(p, betas, above, struct.nodes[None, :][above],
-                          struct._a[None, :][above])[0]
+    return curve_samples(p, [float(beta)])[0]
 
 
 @lru_cache(maxsize=1024)
