@@ -33,7 +33,9 @@ an ulp of 1 (`curvature_roots`).  A maximizer of a C solve stops at a
 Newton step of at most one ulp or at a bracket of two adjacent floats
 (`_solve_maxima`), as `_solve_root` does for a point.  C stops at a
 height gap of at most _GAP_FLOOR, after one last Newton step, or at a
-bracket of two adjacent floats (`_equal_height_fields`).
+bracket of two adjacent floats whose gaps differ in sign or, just above
+beta_hat, one of which ties the maxima to HEIGHT_TOL
+(`_equal_height_fields`).
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .potential import (
     CURVATURE_TOL,
     HEIGHT_TOL,
     DomainError,
-    LandscapeStructure,
     PointKind,
     StationaryPoint,
     _beta_hat,
@@ -328,8 +329,13 @@ def _equal_height_fields(p: int, betas, nodes, a, lo, hi) -> np.ndarray:
     (`_height_gaps`), each from where the row's last step found it.  A row
     returns at a resolved |gap| <= _GAP_FLOOR, after one last Newton step,
     or at a bracket of two adjacent floats whose ends both have resolved
-    gaps; DomainError where a bracket closes on an end where the pair does
-    not exist, for the first such row.
+    gaps, the end of the smaller |gap|.  Within about 1e-5 of beta_hat the
+    band [L, U] is only about 2 CURVATURE_TOL wide, and a node value in the
+    curvature band can drop the pair across two adjacent floats before its
+    gap changes sign; the row then returns at the resolved end if its
+    |gap| <= HEIGHT_TOL, the tolerance within which maxima tie.
+    DomainError where a bracket closes otherwise on an end where the pair
+    does not exist, for the first such row.
     """
     a_end, b_end = np.array(lo, dtype=float), np.array(hi, dtype=float)
     ga, gb = np.full(len(a_end), -np.inf), np.full(len(a_end), np.inf)
@@ -352,7 +358,10 @@ def _equal_height_fields(p: int, betas, nodes, a, lo, hi) -> np.ndarray:
         inside = (a_end < newton) & (newton < b_end)
         x = np.where(inside, newton, 0.5 * (a_end + b_end))
         closed = ~tied & ~((a_end < x) & (x < b_end))
-        resolved = closed & np.isfinite(ga) & np.isfinite(gb)
+        # both ends resolved, or one end's maxima already tie to HEIGHT_TOL
+        # where the other end has lost the pair to the curvature band
+        resolved = closed & ((np.isfinite(ga) & np.isfinite(gb))
+                             | (np.minimum(-ga, gb) <= HEIGHT_TOL))
         out[idx[resolved]] = np.where(-ga <= gb, a_end, b_end)[resolved]
         failed += [(i, a_end[j], b_end[j]) for j, i in
                    zip(np.flatnonzero(closed & ~resolved), idx[closed & ~resolved])]
@@ -369,7 +378,7 @@ def _equal_height_fields(p: int, betas, nodes, a, lo, hi) -> np.ndarray:
     return out
 
 
-def _curve_values(p: int, betas, nodes, a, *, with_C: bool = True):
+def _curve_values(p: int, betas, nodes, a):
     """(U, L, C) arrays over rows of betas above beta_hat, nan where absent.
 
     Odd p:  U = -H'(a1), L = -H'(a2) at zero field, both on (beta_hat, inf).
@@ -390,23 +399,22 @@ def _curve_values(p: int, betas, nodes, a, *, with_C: bool = True):
         U, L = np.maximum(-g1, g2), np.where(betas <= thr.beta_prime, -g2, np.nan)
     U, L = np.where(live, U, np.nan), np.where(live, L, np.nan)
     C = np.full(len(betas), np.nan)
-    if with_C:
-        if p % 2 == 0:
-            flat = live & (betas >= thr.beta_tilde)
-            C[flat] = 0.0
-            live &= ~flat
-        rows = np.flatnonzero(live)
-        C[rows] = _equal_height_fields(p, betas[rows], nodes[rows], a[rows],
-                                       np.nan_to_num(L[rows], nan=0.0), U[rows])
+    if p % 2 == 0:
+        flat = live & (betas >= thr.beta_tilde)
+        C[flat] = 0.0
+        live &= ~flat
+    rows = np.flatnonzero(live)
+    C[rows] = _equal_height_fields(p, betas[rows], nodes[rows], a[rows],
+                                   np.nan_to_num(L[rows], nan=0.0), U[rows])
     return U, L, C
 
 
-def _curve_samples(p: int, betas, above, nodes, a, *, with_C: bool = True):
+def _curve_samples(p: int, betas, above, nodes, a):
     """A CurveSample at every beta, from the rows (nodes, a) of the betas
     above beta_hat (the mask `above`); all three curves are None for p < 3."""
     values = np.full((3, len(betas)), np.nan)
     if p >= 3 and above.any():
-        values[:, above] = _curve_values(p, betas[above], nodes, a, with_C=with_C)
+        values[:, above] = _curve_values(p, betas[above], nodes, a)
     U, L, C = ([None if v != v else v for v in row] for row in values.tolist())
     return [CurveSample(beta=b, U=u, L=l, C=c) for b, u, l, c in zip(betas.tolist(), U, L, C)]
 

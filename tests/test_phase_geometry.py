@@ -517,6 +517,22 @@ def test_c_solver_guards_where_a_maximizer_merges():
         assert lo <= a_end < b_end <= hi, (lo, hi, a_end, b_end)
 
 
+def test_c_near_beta_hat_where_the_band_is_two_curvature_tols_wide():
+    # about 1e-5 above beta_hat the band [L, U] is 2e-8 wide, and across the
+    # tie a node value enters the curvature band, dropping the pair between
+    # two adjacent floats while the resolved gap is still about -1e-14.  C is
+    # that resolved end, its maxima tied to HEIGHT_TOL, a few 1e-12 below
+    # the tie of conftest's float oracle
+    from conftest import equal_height_field
+
+    for p, beta in ((3, 0.43301601893166436), (3, 0.4330160214643461),
+                    (4, 0.3333358864975279), (5, 0.2689592368954607),
+                    (6, 0.22500172318743064), (8, 0.16931346600817823)):
+        sample = boundary_curves(p, beta)
+        assert sample.L <= sample.C <= sample.U, sample
+        assert abs(sample.C - equal_height_field(p, beta, sample.L, sample.U)) <= 1e-11, sample
+
+
 def test_batched_c_ties_the_maxima_over_whole_axes():
     # curve_samples solves C for a whole beta axis at once; each C ties the
     # maxima to 1e-12 in mpmath (conftest), on axes that pass just above
