@@ -15,14 +15,14 @@ Region semantics (p >= 3):
 * boundary -- one local maximizer plus a stationary inflection point; the
   one-dimensional curve separating regular from critical.
 
-Axes and points.  A diagram or `curves` axis is solved as one batch in
-numpy (`scan_block`, `curve_samples`): the roots of H'' of all its betas in
-one `curvature_roots` solve, the plain cells' codes in one broadcast of G
-at the nodes, run in blocks of _CELL_BLOCK cells, and C by a Newton solve
-on the height gap that steps every column still open at once, the
-maximizers of all of them solved in one batched Newton per step
-(`_solve_maxima`).  A column's codes and sample are the same bits in any
-block it is scanned in.  Points keep math scalars: `classify_point` and
+Axes and points.  A diagram or `curves` axis is solved in batches in
+numpy (`scan_block`, `curve_samples`), one per block of _BETA_BLOCK
+betas: the roots of H'' of its betas in one `curvature_roots` solve, the
+plain cells' codes in one broadcast of G at the nodes, run in blocks of
+_CELL_BLOCK cells, and C by a Newton solve on the height gap that steps
+every column still open at once, the maximizers of all of them solved in
+one batched Newton per step (`_solve_maxima`).  A column's codes and
+sample are the same bits in any block it is scanned in.  Points keep math scalars: `classify_point` and
 `LandscapeStructure.stationary_points` solve each root with `_solve_root`
 and `_height`, and so do the near-tangent cells and the near-flat columns
 of a scan, one point at a time.
@@ -378,16 +378,13 @@ def _equal_height_fields(p: int, betas, nodes, a, lo, hi) -> np.ndarray:
     return out
 
 
-def _curve_values(p: int, betas, nodes, a):
-    """(U, L, C) arrays over rows of betas above beta_hat, nan where absent.
+def _band_values(p: int, betas, nodes, a):
+    """(U, L) arrays over rows of betas above beta_hat, nan where absent.
 
     Odd p:  U = -H'(a1), L = -H'(a2) at zero field, both on (beta_hat, inf).
     Even p: U = -min(H'(-a2), H'(a1)), L = -H'(a2) only on (beta_hat,
-    beta_prime]; C vanishes identically above beta_tilde.  H' at the
-    inflection pair a1 < a2 is the last two node values at h=0, and all
-    three are absent up to beta_hat + 1e-12.  C is the tie of the outer
-    maximizers (`_equal_height_fields`) inside [L, U], [0, U] where L is
-    absent.
+    beta_prime].  H' at the inflection pair a1 < a2 is the last two node
+    values at h=0, and both curves are absent up to beta_hat + 1e-12.
     """
     thr = thresholds(p)
     g = (a[:, -2:] + 0.0) - nodes[:, -2:]
@@ -397,7 +394,19 @@ def _curve_values(p: int, betas, nodes, a):
         U, L = -g1, -g2
     else:  # -min(H'(-a2), H'(a1)); H' is odd at h=0
         U, L = np.maximum(-g1, g2), np.where(betas <= thr.beta_prime, -g2, np.nan)
-    U, L = np.where(live, U, np.nan), np.where(live, L, np.nan)
+    return np.where(live, U, np.nan), np.where(live, L, np.nan)
+
+
+def _curve_values(p: int, betas, nodes, a):
+    """(U, L, C) arrays over rows of betas above beta_hat, nan where absent.
+
+    U and L from `_band_values`.  C is the tie of the outer maximizers
+    (`_equal_height_fields`) inside [L, U], [0, U] where L is absent, and
+    vanishes identically above beta_tilde for even p.
+    """
+    thr = thresholds(p)
+    U, L = _band_values(p, betas, nodes, a)
+    live = ~np.isnan(U)
     C = np.full(len(betas), np.nan)
     if p % 2 == 0:
         flat = live & (betas >= thr.beta_tilde)
@@ -437,17 +446,13 @@ def boundary_curves(p: int, beta: float, *, with_C: bool = True) -> CurveSample:
 
 @lru_cache(maxsize=1024)
 def _band(p: int, beta: float):
-    """(U, L) at one beta, None where absent: the U and L of
-    `_curve_values` in math scalars, for a point query, from the same float
-    operations on the same node values, so the same bits."""
-    thr = thresholds(p)
-    if not beta > thr.beta_hat + 1e-12:
+    """(U, L) at one beta, None where absent: `_band_values` of the cached
+    landscape's node terms."""
+    if not beta > _beta_hat(p):
         return None, None
-    (u1, a1), (u2, a2) = landscape_structure(p, beta)._terms[-2:]
-    g1, g2 = (a1 + 0.0) - u1, (a2 + 0.0) - u2
-    if p % 2 == 1:
-        return -g1, -g2
-    return max(-g1, g2), (-g2 if beta <= thr.beta_prime else None)
+    struct = landscape_structure(p, beta)
+    U, L = _band_values(p, np.array([beta]), struct.nodes[None], struct._a[None])
+    return tuple(None if v != v else v for v in (float(U[0]), float(L[0])))
 
 
 def _region_of(points: list[StationaryPoint]) -> Region:
@@ -590,11 +595,7 @@ def _axis_len(lo: float, hi: float, step: float) -> int:
 
 
 def _axis(lo: float, hi: float, step: float) -> np.ndarray:
-    """lo + step * i, i = 0, 1, ..., in place: no temporary beside the axis."""
-    axis = np.arange(_axis_len(lo, hi, step), dtype=float)
-    axis *= step
-    axis += lo
-    return axis
+    return lo + step * np.arange(_axis_len(lo, hi, step))
 
 
 def curve_betas(beta_min: float, beta_max: float, beta_step: float) -> np.ndarray:
@@ -629,8 +630,17 @@ def _symmetric_axis(h_axis: np.ndarray) -> bool:
     It makes the float decision of np.allclose(h_axis, -h_axis[::-1],
     rtol=0, atol) on a finite axis, at under a third of its cost."""
     atol = 1e-12 * max(1.0, float(np.abs(h_axis).max()))
-    sums = h_axis + h_axis[::-1]
-    return float(np.abs(sums, out=sums).max()) <= atol
+    return float(np.abs(h_axis + h_axis[::-1]).max()) <= atol
+
+
+# betas per block of a scan or `curves` axis: the C solve holds about 20
+# (betas x (2k+1)) float arrays at once, 0.84 kB per beta at p = 5, so a
+# block's temporaries stay near 3.5 MB (tracemalloc, `curve_samples` of
+# 16,384 betas from 0.9 beta_hat to 1.5: 3.5 MB at 2^12, 13.4 MB in one
+# block).  There 2^12 ran in 1.17 and 0.82 times one block's time at p = 4
+# and 5, 2^10 in 1.40 and 1.01 (minimum of 3, 2-core Xeon VM); the README
+# and benchmark axes fit in one block
+_BETA_BLOCK = 1 << 12
 
 
 def _rows(p: int, betas: np.ndarray):
@@ -640,37 +650,48 @@ def _rows(p: int, betas: np.ndarray):
     return (above, *node_terms(p, betas[above], curvature_roots(p, betas[above])))
 
 
+def _row_blocks(p: int, betas: np.ndarray):
+    """(betas, above, nodes, a) of each block of _BETA_BLOCK betas, in axis
+    order (`_rows`)."""
+    for i in range(0, len(betas), _BETA_BLOCK):
+        block = betas[i:i + _BETA_BLOCK]
+        yield (block, *_rows(p, block))
+
+
 def curve_samples(p: int, betas) -> list[CurveSample]:
     """A CurveSample at every beta of an axis, as a diagram scan samples
-    them (`_curve_samples`): one batched solve per curve."""
+    them (`_curve_samples`): one batched solve per curve and block of
+    betas."""
     betas = np.asarray(betas, dtype=float)
-    return _curve_samples(p, betas, *_rows(p, betas))
+    return [s for rows in _row_blocks(p, betas) for s in _curve_samples(p, *rows)]
 
 
 def scan_block(p: int, betas, h_axis: np.ndarray):
     """A block of diagram columns: region codes, shape (len(betas),
     len(h_axis)), and a CurveSample per beta.
 
-    The roots of H'' of every beta come from one batched solve
-    (`curvature_roots`), the cells from one blocked broadcast
+    Per block of _BETA_BLOCK betas, the roots of H'' come from one batched
+    solve (`curvature_roots`), the cells from one blocked broadcast
     (`_cell_codes`) and U/L/C from `_curve_samples`, whose C solve steps
-    every column at once.  Every column's codes and sample are the same
-    whichever block it is scanned in.  For even p on an h-axis symmetric
-    about zero (h_axis[i] = -h_axis[-1-i] to 1e-12) only its second half is
-    classified, and each cell of the first half takes the code of its
-    mirror image (the diagram is exactly symmetric in h).
+    every column of the block at once.  Every column's codes and sample are
+    the same whichever block it is scanned in.  For even p on an h-axis
+    symmetric about zero (h_axis[i] = -h_axis[-1-i] to 1e-12) only its
+    second half is classified, and each cell of the first half takes the
+    code of its mirror image (the diagram is exactly symmetric in h).
     """
     betas = np.asarray(betas, dtype=float)
     h_axis = np.asarray(h_axis, dtype=float)
-    above, nodes, a = _rows(p, betas)
     n = len(h_axis)
-    if p % 2 == 0 and n > 1 and _symmetric_axis(h_axis):
-        codes = np.empty((len(betas), n), dtype=np.int8)
-        codes[:, n // 2:] = _cell_codes(p, betas, above, nodes, a, h_axis[n // 2:])
+    mirror = p % 2 == 0 and n > 1 and _symmetric_axis(h_axis)
+    hs = h_axis[n // 2:] if mirror else h_axis
+    codes = np.empty((len(betas), n), dtype=np.int8)
+    samples = []
+    for i, rows in zip(range(0, len(betas), _BETA_BLOCK), _row_blocks(p, betas)):
+        codes[i:i + len(rows[0]), n - len(hs):] = _cell_codes(p, *rows, hs)
+        samples += _curve_samples(p, *rows)
+    if mirror:
         codes[:, :n // 2] = codes[:, ::-1][:, :n // 2]
-    else:
-        codes = _cell_codes(p, betas, above, nodes, a, h_axis)
-    return codes, _curve_samples(p, betas, above, nodes, a)
+    return codes, samples
 
 
 def scan_column(p: int, beta: float, h_axis: np.ndarray):

@@ -558,11 +558,13 @@ def test_batched_c_ties_the_maxima_over_whole_axes():
             assert abs(maximizer_height_gap(p, beta, sample.C)) <= 1e-12, (p, beta)
 
 
-def test_columns_scan_the_same_in_any_block():
+def test_columns_scan_the_same_in_any_block(monkeypatch):
     # a column's codes and curve sample are the same bits whether it is
     # scanned alone (scan_column), inside a whole-axis scan (scan_grid), in
-    # one of the blocks that phase-diagram --jobs 2 hands its workers or,
-    # for U and L, queried at one point (classify --margins)
+    # one of the blocks that phase-diagram --jobs 2 hands its workers, in a
+    # scan split into blocks of a few betas (_BETA_BLOCK) or, for U and L,
+    # queried at one point (classify --margins)
+    import pspin_glauber.phase_geometry as pg
     from pspin_glauber.phase_geometry import scan_block
 
     for p in (3, 4, 5, 6):
@@ -577,11 +579,17 @@ def test_columns_scan_the_same_in_any_block():
         samples = [s for _, block in blocks for s in block]
         assert codes[:len(grid.beta_axis)].tolist() == grid.cells.tolist(), p
         assert [s for s in samples[:len(grid.beta_axis)] if s.U is not None] == grid.curves
+        with monkeypatch.context() as m:
+            m.setattr(pg, "_BETA_BLOCK", 5)
+            small_codes, small_samples = scan_block(p, betas, grid.h_axis)
+            assert pg.curve_samples(p, betas) == small_samples
+        assert small_codes.tolist() == codes.tolist(), p
+        assert small_samples == samples, p
         for beta, row, sample in zip(betas.tolist(), codes, samples):
             alone, alone_sample = scan_column(p, beta, grid.h_axis)
             assert alone.tolist() == row.tolist(), (p, beta)
             assert alone_sample == sample == boundary_curves(p, beta), (p, beta)
-            # a point query's band is read in math scalars, to the same bits
+            # a point query's band is `_band_values` of the one beta's row
             band = boundary_curves(p, beta, with_C=False)
             assert (band.U, band.L) == (sample.U, sample.L), (p, beta)
 
@@ -605,6 +613,28 @@ def test_cell_broadcast_runs_in_bounded_blocks():
         tracemalloc.stop()
     assert codes[0].tolist() == scan_column(5, 0.5, hs)[0].tolist()
     assert peak <= codes.nbytes + 64 * _CELL_BLOCK * 2 + 2**20, peak
+
+
+def test_tall_axes_run_in_bounded_beta_blocks():
+    # curve_samples and scan_block solve an axis in blocks of _BETA_BLOCK
+    # betas: on 2^16 betas at p = 5 their temporaries beside the returned
+    # samples stay near one block's 3.5 MB, where the C solve of the whole
+    # axis at once would hold about 55 MB (0.84 kB per beta)
+    import tracemalloc
+
+    from pspin_glauber.phase_geometry import curve_samples, scan_block
+
+    betas = np.linspace(0.9 * thresholds(5).beta_hat, 1.5, 2**16)
+    scan_block(5, betas[:10], [0.0])  # thresholds and caches outside the trace
+    for scan in (lambda: curve_samples(5, betas), lambda: scan_block(5, betas, [0.0])):
+        tracemalloc.start()
+        try:
+            out = scan()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= 8 * 2**20, peak - held
+    assert out[1] == curve_samples(5, betas)
 
 
 def test_c_curve_at_high_order():
