@@ -477,9 +477,10 @@ def _region_of(points: list[StationaryPoint]) -> Region:
 _CELL_BLOCK = 1 << 15
 
 
-def _cell_codes(p: int, betas, above, nodes, a, hs) -> np.ndarray:
-    """Region codes of every (beta, h) cell, those of `classify_point`;
-    nodes and a are the rows (`node_terms`) of the betas above beta_hat.
+def _cell_codes(p: int, betas, above, nodes, a, hs, codes) -> None:
+    """Region codes of every (beta, h) cell, those of `classify_point`,
+    written to codes, shape (len(betas), len(hs)); nodes and a are the rows
+    (`node_terms`) of the betas above beta_hat.
 
     G is positive below the nodes and negative above them.  A field whose
     node values all lie outside the near-tangency band has no tangency, no
@@ -490,7 +491,7 @@ def _cell_codes(p: int, betas, above, nodes, a, hs) -> np.ndarray:
     the band, or a column just below beta_hat whose H is nearly flat) is
     solved (`stationary_points`) and goes to `_region_of`.
     """
-    codes = np.full((len(betas), len(hs)), REGION_CODES[Region.LOCALLY_REGULAR], dtype=np.int8)
+    codes[...] = REGION_CODES[Region.LOCALLY_REGULAR]
 
     def solve(i, j):
         struct = landscape_structure(p, float(betas[i]))
@@ -517,7 +518,6 @@ def _cell_codes(p: int, betas, above, nodes, a, hs) -> np.ndarray:
     for i in np.flatnonzero(~above & (betas / _beta_hat(p) - 1.0 > -1e-6)):
         for j in range(n_h):
             solve(i, j)
-    return codes
 
 
 def classify_point(p: int, beta: float, h: float, *,
@@ -687,7 +687,7 @@ def scan_block(p: int, betas, h_axis: np.ndarray):
     codes = np.empty((len(betas), n), dtype=np.int8)
     samples = []
     for i, rows in zip(range(0, len(betas), _BETA_BLOCK), _row_blocks(p, betas)):
-        codes[i:i + len(rows[0]), n - len(hs):] = _cell_codes(p, *rows, hs)
+        _cell_codes(p, *rows, hs, codes[i:i + len(rows[0]), n - len(hs):])
         samples += _curve_samples(p, *rows)
     if mirror:
         codes[:, :n // 2] = codes[:, ::-1][:, :n // 2]
