@@ -15,17 +15,17 @@ Region semantics (p >= 3):
 * boundary -- one local maximizer plus a stationary inflection point; the
   one-dimensional curve separating regular from critical.
 
-Axes and points.  A diagram or `curves` axis is solved in batches in
-numpy (`scan_block`, `curve_samples`), one per block of _BETA_BLOCK
-betas: the roots of H'' of its betas in one `curvature_roots` solve, the
-plain cells' codes in one broadcast of G at the nodes, run in blocks of
-_CELL_BLOCK cells, and C by a Newton solve on the height gap that steps
-every column still open at once, the maximizers of all of them solved in
-one batched Newton per step (`_solve_maxima`).  A column's codes and
-sample are the same bits in any block it is scanned in.  Points keep math scalars: `classify_point` and
-`LandscapeStructure.stationary_points` solve each root with `_solve_root`
-and `_height`, and so do the near-tangent cells and the near-flat columns
-of a scan, one point at a time.
+Axes and points.  A diagram or `curves` axis is solved in batches in numpy
+(`scan_block`, `curve_samples`), one per block of _BETA_BLOCK betas: the
+roots of H'' of its betas in one `curvature_roots` solve, the plain cells'
+codes in one broadcast of G at the nodes, run in blocks of _CELL_BLOCK
+cells, and C by a Newton solve on the height gap that steps every column
+still open at once, the maximizers of all of them solved in one batched
+Newton per step (`_solve_maxima`).  A column's codes and sample are the
+same bits in any block it is scanned in.  Points keep math scalars:
+`classify_point` and `LandscapeStructure.stationary_points` solve each root
+with `_solve_root` and `_height`, and so do the near-tangent cells and the
+near-flat columns of a scan, one point at a time.
 
 Stopping rules.  An H'' root stops at a Newton step in s below 2^-30 of
 its distance to the nearest of s = 0 and the end it approaches, or below
