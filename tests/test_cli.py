@@ -604,6 +604,10 @@ PINNED_STDOUT = [
     ("fa5213ee80ec6772", "curves --p 4 --beta-min 0.34 --beta-max 1.2 --beta-step 0.005"),
     # up to p*beta = 16, the edge of the documented domain
     ("443894f1e74d4606", "curves --p 12 --beta-min 0.05 --beta-max 1.33 --beta-step 0.005"),
+    # the README's curves as SVG: each series keeps only its defined points
+    ("c652d07d79a2adf1", "curves --p 4 --beta-min 0.34 --beta-max 1.2 --beta-step 0.005 --svg"),
+    # 12,001 betas, solved in three blocks of _BETA_BLOCK betas
+    ("4acf88d2eb7bcef8", "curves --p 5 --beta-min 0.3 --beta-max 1.5 --beta-step 0.0001"),
     # the drift field on its default 201-point grid, and at one c
     ("e4af375d2c089e79", "drift --p 4 --beta 0.5 --h 0.1 --n 100"),
     ("2088e3e1a69f1434", "drift --p 4 --beta 0.5 --h 0.1 --n 100 --c 0.3"),
