@@ -186,8 +186,14 @@ def _site_runs(sites: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _drift(params: ModelParams, c):
-    """d(c) = p*beta*c^(p-1) + h: the update rule is f(c) = sigmoid(2*d(c))."""
-    return params.p * params.beta * c ** (params.p - 1) + params.h
+    """d(c) = p*beta*c^(p-1) + h: the update rule is f(c) = sigmoid(2*d(c)).
+
+    At even p the odd power is |c|^(p-1) with the sign of c: numpy's array
+    power is not odd to the last bit, and at h = 0 the chain mirrors
+    exactly only if d(-c) = -d(c)."""
+    p = params.p
+    power = np.copysign(np.abs(c) ** (p - 1), c) if p % 2 == 0 else c ** (p - 1)
+    return p * params.beta * power + params.h
 
 
 def _sigmoid(x):
@@ -1181,7 +1187,6 @@ class CouplingTrace:
     hamming: np.ndarray
     untouched: np.ndarray
     mags_x: np.ndarray
-    mags_y: np.ndarray
     coalesced_at: int | None
 
 
@@ -1189,7 +1194,8 @@ def run_coupling(spec: CouplingSpec) -> CouplingTrace:
     """Advance two chains under shared (site, uniform) draws.
 
     Records the Hamming distance, the count of never-selected sites, and
-    both magnetization sums.  Once the chains meet they stay together.
+    the first chain's magnetization sum.  Once the chains meet they stay
+    together.
 
     While the chains differ, each chunk of draws walks both, and the
     Hamming count follows from the paths with numpy.  The kernel is
@@ -1198,8 +1204,7 @@ def run_coupling(spec: CouplingSpec) -> CouplingTrace:
     the sums before the step.  Before it they differed there as after the
     chunk's last earlier step at that site (found by `_site_runs`, the sort
     `walk` runs too), or as at the chunk's start.  Once they have met, a
-    chunk walks the first chain alone: both sums are its path and the
-    Hamming distance stays 0.  The untouched count takes the first visits
+    chunk walks the first chain alone and the Hamming distance stays 0.  The untouched count takes the first visits
     from the same sort, and once every site has been chosen it stays 0 too:
     a chunk after that and the meeting is one walk.
     """
@@ -1213,10 +1218,10 @@ def run_coupling(spec: CouplingSpec) -> CouplingTrace:
     coalesced_at = 0 if hamming == 0 else None
 
     times = np.arange(0, spec.steps + 1, every)
-    # hamming, untouched, kx, ky; a count that has reached 0 stays 0 and is
-    # not written again
-    cols = np.zeros((4, len(times)), dtype=np.int64)
-    cols[:, 0] = hamming, untouched, kx, ky
+    # hamming, untouched, kx; a count that has reached 0 stays 0 and is not
+    # written again
+    cols = np.zeros((3, len(times)), dtype=np.int64)
+    cols[:, 0] = hamming, untouched, kx
     row, t = 1, 0
     for sites, us in kernel.draws(rng_stream(spec.seed, 0), spec.steps):
         kept = slice((-t - 1) % every, None, every)  # index s is step t + s + 1
@@ -1249,13 +1254,10 @@ def run_coupling(spec: CouplingSpec) -> CouplingTrace:
             if hamming == 0:
                 coalesced_at = t + int(np.flatnonzero(ham == 0)[0]) + 1
             cols[0, rows] = ham[kept]
-            cols[3, rows] = py[kept]
-        else:  # met chains move together
-            cols[3, rows] = sums
         row, t = rows.stop, t + len(us)
-    hams, unt, mx, my = cols
+    hams, unt, mx = cols
     return CouplingTrace(times=times, hamming=hams, untouched=unt, mags_x=mx,
-                         mags_y=my, coalesced_at=coalesced_at)
+                         coalesced_at=coalesced_at)
 
 
 # -- vectorized replica engine ----------------------------------------------
