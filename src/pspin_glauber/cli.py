@@ -18,7 +18,6 @@ import functools
 import json
 import math
 import operator
-import os
 import re
 import sys
 import types
@@ -31,7 +30,6 @@ from . import dynamics, mixing_analysis, phase_geometry, svg
 from .potential import DomainError, ModelParams, drift_field
 
 SCHEMA_VERSION = "1"
-JOBS_ENV = "PSPIN_GLAUBER_JOBS"
 
 
 def real(text: str) -> float:
@@ -276,26 +274,19 @@ def _csv(header: str, *columns) -> str:
     return "".join(parts)
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else f"{x:.12g}"
+def _fmt(x: float) -> str:
+    return f"{x:.12g}"
 
 
-def _curves_csv(samples: list[phase_geometry.CurveSample]) -> str:
-    return _csv("beta,U,L,C", *([_fmt(getattr(s, key)) for s in samples]
-                                for key in ("beta", "U", "L", "C")))
+def _curves_csv(betas: np.ndarray, curves: np.ndarray) -> str:
+    """The beta,U,L,C table of `scan_block`'s curves; a curve absent (nan)
+    at a beta is an empty field."""
+    return _csv("beta,U,L,C", list(map(_fmt, betas.tolist())),
+                *(["" if v != v else _fmt(v) for v in row.tolist()] for row in curves))
 
 
 def _params(args) -> ModelParams:
     return ModelParams(args.p, args.beta, args.h)
-
-
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        return args.jobs
-    text = os.environ.get(JOBS_ENV, "1")
-    if not text.strip().isdigit() or int(text) < 1:
-        raise ValueError(f"{JOBS_ENV} must be a positive integer, got {text!r}")
-    return int(text)
 
 
 def _map(jobs: int, fn, *iterables) -> list:
@@ -322,17 +313,16 @@ def _cmd_curves(args) -> None:
     if args.p < 3:
         raise DomainError(f"the curves U, L and C are defined for p >= 3, got p={args.p}")
     betas = phase_geometry.curve_betas(args.beta_min, args.beta_max, args.beta_step)
-    samples = phase_geometry.curve_samples(args.p, betas)
+    _, curves = phase_geometry.scan_block(args.p, betas, ())
     if args.svg:
         series = []
-        for key in ("U", "L", "C"):
-            pts = [(s.beta, getattr(s, key)) for s in samples
-                   if getattr(s, key) is not None]
-            if pts:
-                series.append((key, pts))
+        for key, row in zip("ULC", curves):
+            defined = ~np.isnan(row)  # an absent point is dropped
+            if defined.any():
+                series.append((key, list(zip(betas[defined].tolist(), row[defined].tolist()))))
         _write(args.out, svg.emit_svg(series, x_label="beta", y_label="h"))
     else:
-        _write(args.out, _curves_csv(samples))
+        _write(args.out, _curves_csv(betas, curves))
 
 
 def _cmd_phase_diagram(args) -> None:
@@ -343,17 +333,17 @@ def _cmd_phase_diagram(args) -> None:
     )
     beta_axis, h_axis = phase_geometry.grid_axes(spec)  # before any pool starts
     # one contiguous block of the beta axis per worker
-    jobs = min(_jobs(args), len(beta_axis))
-    blocks = np.array_split(beta_axis, jobs)
+    jobs = min(args.jobs, len(beta_axis))
     scans = _map(jobs, functools.partial(phase_geometry.scan_block, spec.p,
-                                         h_axis=h_axis), blocks)
-    grid = phase_geometry.scan_grid(spec, columns=[
-        column for codes, samples in scans for column in zip(codes, samples)])
-    hs = list(map(_fmt, grid.h_axis.tolist()))
-    betas = [b for b in map(_fmt, grid.beta_axis.tolist()) for _ in hs]
+                                         h_axis=h_axis), np.array_split(beta_axis, jobs))
+    cells = np.concatenate([codes for codes, _ in scans])
+    curves = np.concatenate([block for _, block in scans], axis=1)
+    hs = list(map(_fmt, h_axis.tolist()))
+    betas = [b for b in map(_fmt, beta_axis.tolist()) for _ in hs]
     _write(args.out_prefix + ".grid.csv", _csv(  # ordered by beta, then h
-        "beta,h,region_code", betas, hs * len(grid.beta_axis), grid.cells.ravel()))
-    _write(args.out_prefix + ".curves.csv", _curves_csv(grid.curves))
+        "beta,h,region_code", betas, hs * len(beta_axis), cells.ravel()))
+    some = ~np.isnan(curves).all(axis=0)  # the betas where some curve is defined
+    _write(args.out_prefix + ".curves.csv", _curves_csv(beta_axis[some], curves[:, some]))
     sys.stdout.write(f"wrote {args.out_prefix}.grid.csv and "
                      f"{args.out_prefix}.curves.csv\n")
 
@@ -373,7 +363,7 @@ def _cmd_mix(args) -> None:
 
 
 def _cmd_mix_sweep(args) -> None:
-    jobs, ns = _jobs(args), sorted(args.n_list)
+    jobs, ns = args.jobs, sorted(args.n_list)
     run = functools.partial(_mixing_report, _params(args), eps=args.eps, cap=args.cap,
                             restricted=args.restricted)
     reports = _map(jobs, run, ns)
@@ -489,8 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h-max", type=real, required=True)
     sp.add_argument("--h-step", type=real, default=0.005)
     sp.add_argument("--max-cells", type=int, default=phase_geometry.MAX_CELLS)
-    sp.add_argument("--jobs", type=_positive_int, default=None,
-                    help=f"worker processes (default ${JOBS_ENV} or 1)")
+    sp.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     sp.add_argument("--out-prefix", required=True)
     sp.set_defaults(func=_cmd_phase_diagram)
 
@@ -520,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="emit a log-log SVG plot instead of CSV")
     sp.add_argument("--reference", choices=("none", "nlogn", "n3/2"),
                     default="none", help="reference curve for --svg")
-    sp.add_argument("--jobs", type=_positive_int, default=None)
+    sp.add_argument("--jobs", type=_positive_int, default=1)
     add_out(sp)
     sp.set_defaults(func=_cmd_mix_sweep)
 

@@ -16,16 +16,18 @@ Region semantics (p >= 3):
   one-dimensional curve separating regular from critical.
 
 Axes and points.  A diagram or `curves` axis is solved in batches in numpy
-(`scan_block`, `curve_samples`), one per block of _BETA_BLOCK betas: the
-roots of H'' of its betas in one `curvature_roots` solve, the plain cells'
-codes in one broadcast of G at the nodes, run in blocks of _CELL_BLOCK
-cells, and C by a Newton solve on the height gap that steps every column
-still open at once, the maximizers of all of them solved in one batched
-Newton per step (`_solve_maxima`).  A column's codes and sample are the
-same bits in any block it is scanned in.  Points keep math scalars:
-`classify_point` and `LandscapeStructure.stationary_points` solve each root
-with `_solve_root` and `_height`, and so do the near-tangent cells and the
-near-flat columns of a scan, one point at a time.
+by `scan_block`, one per block of _BETA_BLOCK betas: the roots of H'' of
+its betas in one `curvature_roots` solve, the plain cells' codes in one
+broadcast of G at the nodes, run in blocks of _CELL_BLOCK cells, and C by
+a Newton solve on the height gap that steps every column still open at
+once, the maximizers of all of them solved in one batched Newton per step
+(`_solve_maxima`).  The curves of an axis are one float array of shape
+(3, n betas), rows U, L and C, nan where a curve is absent; only the
+one-point `boundary_curves` turns a column into a CurveSample.  A column's
+codes and curves are the same bits in any block it is scanned in.  Points
+keep math scalars: `classify_point` and `LandscapeStructure.stationary_points`
+solve each root with `_solve_root` and `_height`, and so do the near-tangent
+cells and the near-flat columns of a scan, one point at a time.
 
 Stopping rules.  An H'' root stops at a Newton step in s below 2^-30 of
 its distance to the nearest of s = 0 and the end it approaches, or below
@@ -418,30 +420,23 @@ def _curve_values(p: int, betas, nodes, a):
     return U, L, C
 
 
-def _curve_samples(p: int, betas, above, nodes, a):
-    """A CurveSample at every beta, from the rows (nodes, a) of the betas
-    above beta_hat (the mask `above`); all three curves are None for p < 3."""
-    values = np.full((3, len(betas)), np.nan)
-    if p >= 3 and above.any():
-        values[:, above] = _curve_values(p, betas[above], nodes, a)
-    U, L, C = ([None if v != v else v for v in row] for row in values.tolist())
-    return [CurveSample(beta=b, U=u, L=l, C=c) for b, u, l, c in zip(betas.tolist(), U, L, C)]
-
-
 def boundary_curves(p: int, beta: float, *, with_C: bool = True) -> CurveSample:
     """Sample the curves U, L, C at one beta; absent values are None.
 
-    `curve_samples` of the one beta.  Pass with_C=False to skip C (the
-    costly part) when only the coexistence band U/L matters: U and L are
-    then read from the cached landscape (`_band`).  All three are None for
-    p < 3, where the thresholds are not defined.
+    The column of the one beta of `scan_block` with an empty h axis.  Pass
+    with_C=False to skip C (the costly part) when only the coexistence
+    band U/L matters: U and L are then read from the cached landscape
+    (`_band`).  All three are None for p < 3, where the thresholds are not
+    defined.
     """
     if p < 3:
         return CurveSample(beta=beta, U=None, L=None, C=None)
     if not with_C:
         U, L = _band(p, beta)
         return CurveSample(beta=beta, U=U, L=L, C=None)
-    return curve_samples(p, [float(beta)])[0]
+    _, curves = scan_block(p, [float(beta)], ())
+    U, L, C = (None if v != v else v for v in curves[:, 0].tolist())
+    return CurveSample(beta=float(beta), U=U, L=L, C=C)
 
 
 @lru_cache(maxsize=1024)
@@ -577,11 +572,14 @@ class GridSpec:
 
 @dataclass
 class PhaseDiagramGrid:
+    """A scanned grid: the region code of every (beta, h) cell and U, L, C
+    at every beta of the axis (`scan_block`)."""
+
     spec: GridSpec
     beta_axis: np.ndarray
     h_axis: np.ndarray
     cells: np.ndarray  # int8 region codes, shape (len(beta_axis), len(h_axis))
-    curves: list[CurveSample]  # the betas where some curve is defined
+    curves: np.ndarray  # rows U, L, C over beta_axis, nan where absent
 
 
 class GridBudgetError(ValueError):
@@ -635,7 +633,7 @@ def _symmetric_axis(h_axis: np.ndarray) -> bool:
 
 # betas per block of a scan or `curves` axis: the C solve holds about 20
 # (betas x (2k+1)) float arrays at once, 0.84 kB per beta at p = 5, so a
-# block's temporaries stay near 3.5 MB (tracemalloc, `curve_samples` of
+# block's temporaries stay near 3.5 MB (tracemalloc, the curves of
 # 16,384 betas from 0.9 beta_hat to 1.5: 3.5 MB at 2^12, 13.4 MB in one
 # block).  There 2^12 ran in 1.17 and 0.82 times one block's time at p = 4
 # and 5, 2^10 in 1.40 and 1.01 (minimum of 3, 2-core Xeon VM); the README
@@ -650,30 +648,16 @@ def _rows(p: int, betas: np.ndarray):
     return (above, *node_terms(p, betas[above], curvature_roots(p, betas[above])))
 
 
-def _row_blocks(p: int, betas: np.ndarray):
-    """(betas, above, nodes, a) of each block of _BETA_BLOCK betas, in axis
-    order (`_rows`)."""
-    for i in range(0, len(betas), _BETA_BLOCK):
-        block = betas[i:i + _BETA_BLOCK]
-        yield (block, *_rows(p, block))
-
-
-def curve_samples(p: int, betas) -> list[CurveSample]:
-    """A CurveSample at every beta of an axis, as a diagram scan samples
-    them (`_curve_samples`): one batched solve per curve and block of
-    betas."""
-    betas = np.asarray(betas, dtype=float)
-    return [s for rows in _row_blocks(p, betas) for s in _curve_samples(p, *rows)]
-
-
-def scan_block(p: int, betas, h_axis: np.ndarray):
-    """A block of diagram columns: region codes, shape (len(betas),
-    len(h_axis)), and a CurveSample per beta.
+def scan_block(p: int, betas, h_axis):
+    """A block of diagram columns: (codes, curves), the region codes, shape
+    (len(betas), len(h_axis)), and the curves, shape (3, len(betas)), whose
+    rows are U, L and C, nan where a curve is absent (all three for p < 3).
+    An empty h_axis gives the curves alone.
 
     Per block of _BETA_BLOCK betas, the roots of H'' come from one batched
     solve (`curvature_roots`), the cells from one blocked broadcast
-    (`_cell_codes`) and U/L/C from `_curve_samples`, whose C solve steps
-    every column of the block at once.  Every column's codes and sample are
+    (`_cell_codes`) and U/L/C from `_curve_values`, whose C solve steps
+    every column of the block at once.  Every column's codes and curves are
     the same whichever block it is scanned in.  For even p on an h-axis
     symmetric about zero (h_axis[i] = -h_axis[-1-i] to 1e-12) only its
     second half is classified, and each cell of the first half takes the
@@ -685,39 +669,29 @@ def scan_block(p: int, betas, h_axis: np.ndarray):
     mirror = p % 2 == 0 and n > 1 and _symmetric_axis(h_axis)
     hs = h_axis[n // 2:] if mirror else h_axis
     codes = np.empty((len(betas), n), dtype=np.int8)
-    samples = []
-    for i, rows in zip(range(0, len(betas), _BETA_BLOCK), _row_blocks(p, betas)):
-        _cell_codes(p, *rows, hs, codes[i:i + len(rows[0]), n - len(hs):])
-        samples += _curve_samples(p, *rows)
+    curves = np.full((3, len(betas)), np.nan)
+    for i in range(0, len(betas), _BETA_BLOCK):
+        block = betas[i:i + _BETA_BLOCK]
+        above, nodes, a = _rows(p, block)
+        _cell_codes(p, block, above, nodes, a, hs, codes[i:i + len(block), n - len(hs):])
+        if p >= 3 and above.any():
+            curves[:, i:i + len(block)][:, above] = _curve_values(p, block[above], nodes, a)
     if mirror:
         codes[:, :n // 2] = codes[:, ::-1][:, :n // 2]
-    return codes, samples
+    return codes, curves
 
 
 def scan_column(p: int, beta: float, h_axis: np.ndarray):
-    """One diagram column: region codes over h_axis plus the curve sample,
-    `scan_block` of the one beta."""
-    codes, (sample,) = scan_block(p, [float(beta)], h_axis)
-    return codes[0], sample
+    """One diagram column: region codes over h_axis and U, L, C (nan where
+    absent), `scan_block` of the one beta."""
+    codes, curves = scan_block(p, [float(beta)], h_axis)
+    return codes[0], curves[:, 0]
 
 
-def scan_grid(spec: GridSpec, *, columns=None) -> PhaseDiagramGrid:
-    """Classify every grid cell and sample the boundary curves.
-
-    Cells are classified independently by the same pattern logic as
-    classify_point, the whole beta axis in one `scan_block`.  `columns` may
-    carry precomputed (codes, sample) pairs (one per beta, in axis order),
-    such as a worker pool's blocks give.
-    """
+def scan_grid(spec: GridSpec) -> PhaseDiagramGrid:
+    """Classify every grid cell and sample the boundary curves, the whole
+    beta axis in one `scan_block`."""
     beta_axis, h_axis = grid_axes(spec)
-    if columns is None:
-        cells, samples = scan_block(spec.p, beta_axis, h_axis)
-    else:
-        cells = np.empty((len(beta_axis), len(h_axis)), dtype=np.int8)
-        samples = []
-        for ib, (codes, sample) in enumerate(columns):
-            cells[ib] = codes
-            samples.append(sample)
-    curves = [s for s in samples if (s.U, s.L, s.C) != (None, None, None)]
+    cells, curves = scan_block(spec.p, beta_axis, h_axis)
     return PhaseDiagramGrid(spec=spec, beta_axis=beta_axis, h_axis=h_axis,
                             cells=cells, curves=curves)

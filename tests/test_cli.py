@@ -28,8 +28,7 @@ from pspin_glauber import (
     classify_point,
     mixing_time,
 )
-from pspin_glauber.cli import (JOBS_ENV, _csv, _json_envelope, build_parser,
-                               load_report, main, real)
+from pspin_glauber.cli import _csv, _json_envelope, build_parser, load_report, main, real
 from pspin_glauber.svg import emit_svg
 
 
@@ -182,14 +181,6 @@ def test_negative_exponent_value_as_separate_argument(capsys):
                             "--n", "10", "--c", "-2.5e-1"], capsys)
     assert code == 0
     assert out.splitlines()[2].startswith("-0.25,")
-
-
-def test_bad_jobs_env_names_the_variable(capsys, monkeypatch):
-    monkeypatch.setenv(JOBS_ENV, "two")
-    code, _, err = run_cli(["mix-sweep", "--p", "4", "--beta", "0.054",
-                            "--h", "0.5", "--n-list", "40"], capsys)
-    assert code == 1
-    assert JOBS_ENV in err and "'two'" in err
 
 
 def test_classify_json(capsys):

@@ -29,7 +29,7 @@ from pspin_glauber import (
 from pspin_glauber.cli import main
 from pspin_glauber.potential import landscape_structure
 from pspin_glauber.phase_geometry import (BoundaryDetail, GridBudgetError, _symmetric_axis,
-                                          scan_column)
+                                          scan_block, scan_column)
 
 from conftest import (coexistence_band, concavity_threshold, curvature_root_pair,
                       threshold_minima)
@@ -381,8 +381,7 @@ def test_trailing_flags_are_keyword_only():
         scan_grid(spec, None)
     assert boundary_curves(4, 0.5, with_C=False).C is None
     assert classify_point(4, 0.5, 0.1, with_margin=True).margin is not None
-    column = scan_column(4, 0.5, np.array([0.1]))
-    assert scan_grid(spec, columns=[column]).cells.shape == (1, 1)
+    assert scan_grid(spec).cells.shape == (1, 1)
 
 
 def test_scan_grid_single_cell():
@@ -534,12 +533,11 @@ def test_c_near_beta_hat_where_the_band_is_two_curvature_tols_wide():
 
 
 def test_batched_c_ties_the_maxima_over_whole_axes():
-    # curve_samples solves C for a whole beta axis at once; each C ties the
-    # maxima to 1e-12 in mpmath (conftest), on axes that pass just above
-    # beta_hat and through beta_prime and beta_tilde, where C drops to 0 at
-    # even p
+    # scan_block with an empty h axis solves C for a whole beta axis at
+    # once; each C ties the maxima to 1e-12 in mpmath (conftest), on axes
+    # that pass just above beta_hat and through beta_prime and beta_tilde,
+    # where C drops to 0 at even p
     from conftest import maximizer_height_gap
-    from pspin_glauber.phase_geometry import curve_samples
 
     for p in (3, 4, 5, 6):
         thr = thresholds(p)
@@ -547,25 +545,25 @@ def test_batched_c_ties_the_maxima_over_whole_axes():
         for b in (thr.beta_prime, thr.beta_tilde):
             betas += [b - 1e-6, b, b + 1e-6]
         betas = np.sort(betas)
-        samples = curve_samples(p, betas)
-        for beta, sample in zip(betas.tolist(), samples):
-            assert sample.beta == beta
+        codes, curves = scan_block(p, betas, ())
+        assert codes.shape == (len(betas), 0) and curves.shape == (3, len(betas))
+        for beta, (U, L, C) in zip(betas.tolist(), curves.T.tolist()):
             if p % 2 == 0 and beta >= thr.beta_tilde:
-                assert sample.C == 0.0, (p, beta)
+                assert C == 0.0, (p, beta)
                 continue
-            lo = 0.0 if sample.L is None else sample.L
-            assert lo <= sample.C <= sample.U, (p, beta)
-            assert abs(maximizer_height_gap(p, beta, sample.C)) <= 1e-12, (p, beta)
+            lo = 0.0 if math.isnan(L) else L
+            assert lo <= C <= U, (p, beta)
+            assert abs(maximizer_height_gap(p, beta, C)) <= 1e-12, (p, beta)
 
 
 def test_columns_scan_the_same_in_any_block(monkeypatch):
-    # a column's codes and curve sample are the same bits whether it is
-    # scanned alone (scan_column), inside a whole-axis scan (scan_grid), in
-    # one of the blocks that phase-diagram --jobs 2 hands its workers, in a
-    # scan split into blocks of a few betas (_BETA_BLOCK) or, for U and L,
-    # queried at one point (classify --margins)
+    # a column's codes and curves are the same bits whether it is scanned
+    # alone (scan_column), inside a whole-axis scan (scan_grid), in one of
+    # the blocks that phase-diagram --jobs 2 hands its workers, in a scan
+    # split into blocks of a few betas (_BETA_BLOCK), without an h axis
+    # (curves) or queried at one point (boundary_curves, and for U and L
+    # classify --margins).  nan != nan, so arrays compare by their bytes
     import pspin_glauber.phase_geometry as pg
-    from pspin_glauber.phase_geometry import scan_block
 
     for p in (3, 4, 5, 6):
         thr = thresholds(p)
@@ -576,19 +574,22 @@ def test_columns_scan_the_same_in_any_block(monkeypatch):
         betas = np.concatenate([grid.beta_axis, extra])
         blocks = [scan_block(p, block, grid.h_axis) for block in np.array_split(betas, 2)]
         codes = np.concatenate([c for c, _ in blocks])
-        samples = [s for _, block in blocks for s in block]
+        curves = np.concatenate([c for _, c in blocks], axis=1)
         assert codes[:len(grid.beta_axis)].tolist() == grid.cells.tolist(), p
-        assert [s for s in samples[:len(grid.beta_axis)] if s.U is not None] == grid.curves
+        assert curves[:, :len(grid.beta_axis)].tobytes() == grid.curves.tobytes(), p
         with monkeypatch.context() as m:
             m.setattr(pg, "_BETA_BLOCK", 5)
-            small_codes, small_samples = scan_block(p, betas, grid.h_axis)
-            assert pg.curve_samples(p, betas) == small_samples
+            small_codes, small_curves = scan_block(p, betas, grid.h_axis)
+            assert scan_block(p, betas, ())[1].tobytes() == small_curves.tobytes(), p
         assert small_codes.tolist() == codes.tolist(), p
-        assert small_samples == samples, p
-        for beta, row, sample in zip(betas.tolist(), codes, samples):
-            alone, alone_sample = scan_column(p, beta, grid.h_axis)
+        assert small_curves.tobytes() == curves.tobytes(), p
+        for beta, row, column in zip(betas.tolist(), codes, curves.T):
+            alone, alone_curves = scan_column(p, beta, grid.h_axis)
             assert alone.tolist() == row.tolist(), (p, beta)
-            assert alone_sample == sample == boundary_curves(p, beta), (p, beta)
+            assert alone_curves.tobytes() == column.tobytes(), (p, beta)
+            sample = boundary_curves(p, beta)
+            assert [sample.U, sample.L, sample.C] == [
+                None if v != v else v for v in column.tolist()], (p, beta)
             # a point query's band is `_band_values` of the one beta's row
             band = boundary_curves(p, beta, with_C=False)
             assert (band.U, band.L) == (sample.U, sample.L), (p, beta)
@@ -601,7 +602,7 @@ def test_cell_broadcast_runs_in_bounded_blocks():
     # node values at p = 5 and as much again in its masks
     import tracemalloc
 
-    from pspin_glauber.phase_geometry import _CELL_BLOCK, scan_block
+    from pspin_glauber.phase_geometry import _CELL_BLOCK
 
     hs = np.linspace(-1.0, 0.9, 2**20)
     scan_block(5, [0.5], hs[:10])  # thresholds and caches outside the trace
@@ -616,25 +617,26 @@ def test_cell_broadcast_runs_in_bounded_blocks():
 
 
 def test_tall_axes_run_in_bounded_beta_blocks():
-    # curve_samples and scan_block solve an axis in blocks of _BETA_BLOCK
-    # betas: on 2^16 betas at p = 5 their temporaries beside the returned
-    # samples stay near one block's 3.5 MB, where the C solve of the whole
-    # axis at once would hold about 55 MB (0.84 kB per beta)
+    # scan_block solves an axis in blocks of _BETA_BLOCK betas: on 2^16
+    # betas at p = 5, with and without an h axis, its temporaries beside
+    # the returned arrays stay near one block's 3.5 MB, where the C solve of
+    # the whole axis at once would hold about 55 MB (0.84 kB per beta).
+    # What it returns holds the codes and 24 B per beta of U, L and C
     import tracemalloc
-
-    from pspin_glauber.phase_geometry import curve_samples, scan_block
 
     betas = np.linspace(0.9 * thresholds(5).beta_hat, 1.5, 2**16)
     scan_block(5, betas[:10], [0.0])  # thresholds and caches outside the trace
-    for scan in (lambda: curve_samples(5, betas), lambda: scan_block(5, betas, [0.0])):
+    outs = []
+    for h_axis in ((), [0.0]):
         tracemalloc.start()
         try:
-            out = scan()
+            outs.append(scan_block(5, betas, h_axis))
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak - held <= 8 * 2**20, peak - held
-    assert out[1] == curve_samples(5, betas)
+        assert held <= 24 * len(betas) + outs[-1][0].nbytes + 2**16, held
+    assert outs[0][1].tobytes() == outs[1][1].tobytes()
 
 
 def test_c_curve_at_high_order():
