@@ -429,26 +429,25 @@ def boundary_curves(p: int, beta: float, *, with_C: bool = True) -> CurveSample:
     (`_band`).  All three are None for p < 3, where the thresholds are not
     defined.
     """
-    beta = float(beta)
     if p < 3:
-        values = (math.nan,) * 3
-    elif with_C:
-        values = scan_block(p, [beta], ())[1][:, 0].tolist()
-    else:
-        values = (*_band(p, beta), math.nan)
-    U, L, C = (None if v != v else v for v in values)
-    return CurveSample(beta=beta, U=U, L=L, C=C)
+        return CurveSample(beta=beta, U=None, L=None, C=None)
+    if not with_C:
+        U, L = _band(p, beta)
+        return CurveSample(beta=beta, U=U, L=L, C=None)
+    _, curves = scan_block(p, [float(beta)], ())
+    U, L, C = (None if v != v else v for v in curves[:, 0].tolist())
+    return CurveSample(beta=float(beta), U=U, L=L, C=C)
 
 
 @lru_cache(maxsize=1024)
 def _band(p: int, beta: float):
-    """(U, L) at one beta, nan where absent: `_band_values` of the cached
+    """(U, L) at one beta, None where absent: `_band_values` of the cached
     landscape's node terms."""
     if not beta > _beta_hat(p):
-        return math.nan, math.nan
+        return None, None
     struct = landscape_structure(p, beta)
     U, L = _band_values(p, np.array([beta]), struct.nodes[None], struct._a[None])
-    return float(U[0]), float(L[0])
+    return tuple(None if v != v else v for v in (float(U[0]), float(L[0])))
 
 
 def _region_of(points: list[StationaryPoint]) -> Region:

@@ -301,7 +301,8 @@ def test_log_pi_mirror_symmetric_at_zero_field(p):
     # rounding exceeds the log-mass differences, and at N = 200 they
     # overflow; at 1e200 and 1e307, N = 10, the law once sat at +N alone.
     # At p = 4 numpy's array c**3 is not odd to the last bit (some rates
-    # at N = 21, 100 and 200 would not mirror); the drift's odd power is
+    # at N = 21, 100 and 200 would not mirror), so the drift takes |c|**3
+    # with the sign of c
     for N in (10, 11, 64, 200) + ((12, 21, 100) if p == 4 else ()):
         for beta in np.logspace(-3, 307, 32).tolist() + [1e20, 1e200, 1e300, 1e307]:
             kernel = LevelKernel(ModelParams(p, beta, 0.0), N)
