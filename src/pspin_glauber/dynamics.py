@@ -1204,9 +1204,10 @@ def run_coupling(spec: CouplingSpec) -> CouplingTrace:
     the sums before the step.  Before it they differed there as after the
     chunk's last earlier step at that site (found by `_site_runs`, the sort
     `walk` runs too), or as at the chunk's start.  Once they have met, a
-    chunk walks the first chain alone and the Hamming distance stays 0.  The untouched count takes the first visits
-    from the same sort, and once every site has been chosen it stays 0 too:
-    a chunk after that and the meeting is one walk.
+    chunk walks the first chain alone and the Hamming distance stays 0.
+    The untouched count takes the first visits from the same sort, and once
+    every site has been chosen it stays 0 too: a chunk after that and the
+    meeting is one walk.
     """
     N, every = spec.N, spec.record_every
     kernel = LevelKernel(spec.params, N)
