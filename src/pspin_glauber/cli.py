@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands dispatch to the analysis modules and emit CSV, JSON or SVG;
-the modules return data, and every CSV table is written here by `_csv`.
+the modules return data, and every CSV table is written here: by `_csv`,
+or by `_grid_csv` for the phase-diagram grid, a product of its axes.
 All randomness flows through --seed (on mix, sample and coupling, the
 commands that draw random numbers), output ordering is deterministic, and
 numeric flags accept simple rationals ("1/3") so threshold parameters are
@@ -239,8 +240,9 @@ _CSV_BATCH = 4096  # rows per % call
 
 def _csv(header: str, *columns) -> str:
     """The schema line, `header` and one row per index of the equal-length
-    columns.  A column is a list of preformatted str, written as is, or an
-    int numpy array, written with %d; floats are formatted by `_fmt`.
+    columns.  A column is a list of preformatted str, written as is (or a
+    sequence whose slices are such lists), or an int numpy array, written
+    with %d; floats are formatted by `_fmt`.
 
     Each batch of rows interleaves its columns into one flat list by slice
     assignment and goes through one % call; no numpy column is turned into
@@ -278,11 +280,43 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+class _Formatted:
+    """A float array as a `_csv` column formatted by `_fmt` one slice at a
+    time, so only a batch of rows is ever text; nan is an empty field."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, rows: slice) -> list[str]:
+        return ["" if v != v else _fmt(v) for v in self.values[rows].tolist()]
+
+
 def _curves_csv(betas: np.ndarray, curves: np.ndarray) -> str:
     """The beta,U,L,C table of `scan_block`'s curves; a curve absent (nan)
     at a beta is an empty field."""
-    return _csv("beta,U,L,C", list(map(_fmt, betas.tolist())),
-                *(["" if v != v else _fmt(v) for v in row.tolist()] for row in curves))
+    return _csv("beta,U,L,C", _Formatted(betas), *map(_Formatted, curves))
+
+
+def _grid_csv(beta_axis: np.ndarray, h_axis: np.ndarray, cells: np.ndarray) -> str:
+    """The beta,h,region_code table of a grid's int cells, ordered by beta,
+    then h: the bytes `_csv` writes from the three columns spelled out.
+
+    The table is a product, so each h is formatted once, into a line
+    "h,code\n" for every region code, and each beta once, into the head of
+    every line of its block; a block picks its line per h by fancy indexing.
+    """
+    hs = list(map(_fmt, h_axis.tolist()))
+    codes = range(max(phase_geometry.REGION_CODES.values()) + 1)
+    lines = np.array([[f"{h},{code}\n" for h in hs] for code in codes], dtype=object)
+    cols = np.arange(len(hs))
+    parts = [f"# schema_version={SCHEMA_VERSION}\nbeta,h,region_code\n"]
+    for beta, row in zip(beta_axis.tolist(), cells):
+        head = _fmt(beta) + ","
+        parts.append(head + head.join(lines[row, cols].tolist()))
+    return "".join(parts)
 
 
 def _params(args) -> ModelParams:
@@ -338,10 +372,7 @@ def _cmd_phase_diagram(args) -> None:
                                          h_axis=h_axis), np.array_split(beta_axis, jobs))
     cells = np.concatenate([codes for codes, _ in scans])
     curves = np.concatenate([block for _, block in scans], axis=1)
-    hs = list(map(_fmt, h_axis.tolist()))
-    betas = [b for b in map(_fmt, beta_axis.tolist()) for _ in hs]
-    _write(args.out_prefix + ".grid.csv", _csv(  # ordered by beta, then h
-        "beta,h,region_code", betas, hs * len(beta_axis), cells.ravel()))
+    _write(args.out_prefix + ".grid.csv", _grid_csv(beta_axis, h_axis, cells))
     some = ~np.isnan(curves).all(axis=0)  # the betas where some curve is defined
     _write(args.out_prefix + ".curves.csv", _curves_csv(beta_axis[some], curves[:, some]))
     sys.stdout.write(f"wrote {args.out_prefix}.grid.csv and "

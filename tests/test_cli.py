@@ -28,7 +28,17 @@ from pspin_glauber import (
     classify_point,
     mixing_time,
 )
-from pspin_glauber.cli import _csv, _json_envelope, build_parser, load_report, main, real
+from pspin_glauber import cli, phase_geometry
+from pspin_glauber.cli import (
+    _csv,
+    _fmt,
+    _grid_csv,
+    _json_envelope,
+    build_parser,
+    load_report,
+    main,
+    real,
+)
 from pspin_glauber.svg import emit_svg
 
 
@@ -485,6 +495,79 @@ def test_csv_writer_matches_a_per_row_join(n, specs):
     want = ["# schema_version=1", "h", *(",".join(map(str, row)) for row in rows), ""]
     # compared as lists of lines, whose first mismatch pytest reports cheaply
     assert _csv("h", *columns).split("\n") == want
+
+
+def _grid_by_columns(beta_axis, h_axis, cells):
+    """The grid table as `_csv` writes it from its three columns spelled out
+    cell by cell: a beta list and an h list of one entry per cell."""
+    hs = list(map(_fmt, h_axis.tolist()))
+    betas = [b for b in map(_fmt, beta_axis.tolist()) for _ in hs]
+    return _csv("beta,h,region_code", betas, hs * len(beta_axis), cells.ravel())
+
+
+# axis values whose text has an exponent, a sign or 12 digits, or none
+_axis_value = st.one_of(
+    st.sampled_from([1e-05, -8.5e-05, 0.0, -0.0, 1e-300, 123456789012345.0, 1 / 3]),
+    st.floats(-10, 10, allow_nan=False))
+
+
+@st.composite
+def _grids(draw):
+    n_beta, n_h = draw(st.one_of(
+        st.just((1, 1)), st.tuples(st.just(1), st.integers(1, 40)),
+        st.tuples(st.integers(1, 40), st.just(1)),
+        st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        st.just((25, 201))))  # 5,025 rows: two batches of `_csv`
+    present = sorted(draw(st.sets(st.integers(0, 3), min_size=1)))
+    codes = draw(st.lists(st.sampled_from(present), min_size=n_beta * n_h,
+                          max_size=n_beta * n_h))
+    return (np.array(draw(st.lists(_axis_value, min_size=n_beta, max_size=n_beta))),
+            np.array(draw(st.lists(_axis_value, min_size=n_h, max_size=n_h))),
+            np.array(codes, dtype=np.int8).reshape(n_beta, n_h))
+
+
+@given(_grids())
+def test_grid_writer_matches_the_columns_spelled_out(grid):
+    # one-cell, one-beta and one-h grids, any set of the codes 0-3, and
+    # axis texts with exponents
+    assert _grid_csv(*grid).split("\n") == _grid_by_columns(*grid).split("\n")
+
+
+def test_grid_writer_memory_stays_near_its_output():
+    # the text of 1,981 x 201 cells, its blocks and their join: about twice
+    # the output, where two per-cell columns of str took over three times it
+    import tracemalloc
+
+    spec = phase_geometry.GridSpec(p=4, beta_min=0.01, beta_max=1.0, beta_step=0.0005,
+                                   h_min=-1, h_max=1, h_step=0.01, max_cells=10**6)
+    beta_axis, h_axis = phase_geometry.grid_axes(spec)
+    cells = np.random.default_rng(1).integers(0, 4, (len(beta_axis), len(h_axis)),
+                                              dtype=np.int8)
+    peaks = []
+    for writer in (_grid_csv, _grid_by_columns):
+        tracemalloc.start()
+        try:
+            size = len(writer(beta_axis, h_axis, cells))
+            peaks.append(tracemalloc.get_traced_memory()[1] / size)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 2.5 < peaks[1], peaks
+
+
+def test_commands_write_each_file_as_one_str(tmp_path, monkeypatch, capsys):
+    # perfbench's traced runs count the bytes of each payload `_write` is
+    # handed, so every file is one str, even an axis of several CSV batches
+    calls = []
+    monkeypatch.setattr(cli, "_write", lambda path, payload: calls.append((path, payload)))
+    prefix = str(tmp_path / "d")
+    assert main(["phase-diagram", "--p", "4", "--beta-min", "0.3", "--beta-max", "0.6",
+                 "--beta-step", "0.1", "--h-min", "-0.3", "--h-max", "0.3",
+                 "--h-step", "0.1", "--out-prefix", prefix]) == 0
+    assert main(["curves", "--p", "5", "--beta-min", "0.3", "--beta-max", "1.5",
+                 "--beta-step", "0.0002"]) == 0  # 6,001 betas
+    assert [path for path, _ in calls] == [prefix + ".grid.csv", prefix + ".curves.csv", "-"]
+    assert all(type(payload) is str for _, payload in calls)
+    assert calls[2][1].count("\n") == 6001 + 2
 
 
 def test_phase_diagram_files(tmp_path, capsys):
