@@ -10,6 +10,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from enum import Enum
 
 import numpy as np
@@ -26,9 +27,10 @@ from pspin_glauber import (
     SamplerReport,
     bottleneck,
     classify_point,
+    cli,
     mixing_time,
+    phase_geometry,
 )
-from pspin_glauber import cli, phase_geometry
 from pspin_glauber.cli import (
     _csv,
     _fmt,
@@ -536,8 +538,6 @@ def test_grid_writer_matches_the_columns_spelled_out(grid):
 def test_grid_writer_memory_stays_near_its_output():
     # the text of 1,981 x 201 cells, its blocks and their join: about twice
     # the output, where two per-cell columns of str took over three times it
-    import tracemalloc
-
     spec = phase_geometry.GridSpec(p=4, beta_min=0.01, beta_max=1.0, beta_step=0.0005,
                                    h_min=-1, h_max=1, h_step=0.01, max_cells=10**6)
     beta_axis, h_axis = phase_geometry.grid_axes(spec)
